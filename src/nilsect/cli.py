@@ -8,6 +8,8 @@ a named element).  Exit codes are made for scripting ground truth:
     1  decided NonEmpty (or: oracle found a collision)
     2  Unsupported instance or a work/memory budget fired
     3  input error (parse or validation)
+    4  internal error: any other exception (a defect); the traceback
+       goes to stderr
 
 Reports print as text by default; `--json` emits a versioned
 machine-readable report (schema "decide-report/1") with all rationals as
@@ -20,6 +22,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, UnsupportedInstance
@@ -48,6 +51,7 @@ EXIT_EMPTY = 0
 EXIT_NONEMPTY = 1
 EXIT_UNSUPPORTED = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 @dataclass
@@ -312,6 +316,10 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except Exception:
+        # a defect must not exit with a verdict's code
+        traceback.print_exc(file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
     if args.json:
         print(json.dumps(report.to_jsonable(), indent=2, sort_keys=True))

@@ -13,18 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 
 from .matlie import (
     GeneratorSystem,
     NilpotentMatrix,
     UnipotentMatrix,
     bch_log,
+    common_denominator,
     is_two_step,
     product_of_word,
 )
 from .linsolve import LinearSubspace, eliminate, lp_feasible, support_nonneg
-from .wordcraft import Word, delta_table, parikh, realize_word
+from .wordcraft import Word, delta_table, parikh, realize_word, total_letters
 
 # Witnesses longer than this are verified through the log-level identity
 # instead of explicit multiplication.
@@ -62,8 +62,10 @@ class IntersectionInstance:
     """M generator systems sharing one ambient dimension.
 
     Construction verifies that the union of all generators lies in a
-    2-step nilpotent group (group commutators of generators are central);
-    the decision procedure's guarantees do not extend beyond that class.
+    2-step nilpotent group: [[x_i, x_j], x_k] = 0 for the generator logs
+    x_i, which by the Mal'cev correspondence and Jacobi is equivalent (see
+    `is_two_step`).  The decision procedure's guarantees do not extend
+    beyond that class.
     """
 
     __slots__ = ("n", "systems", "set_names")
@@ -215,13 +217,6 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
     )
 
 
-def _common_denominator(values):
-    den = 1
-    for v in values:
-        den = den * v.denominator // gcd(den, v.denominator)
-    return den
-
-
 def _support_sample(inst, supports):
     """Integer point of the condition space whose count part has exactly
     the given supports, found by summing scaled per-coordinate LP
@@ -251,7 +246,7 @@ def _support_sample(inst, supports):
                 "support certificate vanished between iterations (defect)"
             )
         total = [a + b for a, b in zip(total, point)]
-    den = _common_denominator(total)
+    den = common_denominator(total)
     scaled = [v * den for v in total]
     return coords, [int(v) for v in scaled]
 
@@ -339,8 +334,8 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
             sub = realize_word(counts, deltas)
         words.append(sub.relabel(letters, sys.K))
 
-    total_letters = sum(len(w) for w in words)
-    if total_letters <= LETTERS_CAP:
+    n_letters = total_letters(words)
+    if n_letters <= LETTERS_CAP:
         method = "product"
         products = [
             product_of_word(sys, w) for sys, w in zip(inst.systems, words)
@@ -369,7 +364,7 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
     )
     out.details["scale"] = N
     out.details["verification"] = method
-    out.details["witness_letters"] = total_letters
+    out.details["witness_letters"] = n_letters
     return out
 
 

@@ -13,6 +13,7 @@ to share between threads.  All operations are pure functions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -95,6 +96,39 @@ def _scale(a, coef, n):
 
 def _is_zero_rows(a):
     return all(not x for row in a for x in row)
+
+
+def common_denominator(values) -> int:
+    """Least common multiple of the denominators of the given rationals."""
+    return lcm(*(v.denominator for v in values))
+
+
+def _integer_log(m: UnipotentMatrix):
+    """Integer row table of a positive multiple of log m, fraction-free.
+
+    With d the common denominator of M - I, N' = d(M - I) is an integer
+    table; for p the last k with N'^k != 0 and L = lcm(1..p),
+
+        sum_{k<=p} (-1)^(k-1) (L/k) d^(p-k) N'^k  =  L d^p log M.
+    """
+    n = m.n
+    d = common_denominator(x for row in m.rows for x in row)
+    nil = tuple(
+        tuple(int(x * d) if j > i else 0 for j, x in enumerate(row))
+        for i, row in enumerate(m.rows)
+    )
+    powers = []
+    power = nil
+    while not _is_zero_rows(power):
+        powers.append(power)
+        power = mul_upper_rows(power, nil, n)
+    p = len(powers)
+    big_l = lcm(*range(1, p + 1))
+    acc = ((0,) * n,) * n
+    for k, power in enumerate(powers, start=1):
+        coef = (-1) ** (k - 1) * (big_l // k) * d ** (p - k)
+        acc = _add(acc, _scale(power, coef, n), n)
+    return acc
 
 
 def check_unipotent(rows) -> bool:
@@ -340,8 +374,8 @@ class GeneratorSystem:
     """A named finite alphabet of unipotent matrices with cached logs/brackets.
 
     Immutable after construction.  `log(i)` and `bracket_log(i, j)` are
-    computed on first use and memoised; the 2-step nilpotency test runs
-    over group commutators of the generators.
+    computed on first use and memoised, as is the verdict of
+    `is_two_step`.
     """
 
     __slots__ = ("n", "mats", "names", "_logs", "_brackets", "_two_step")
@@ -400,22 +434,31 @@ class GeneratorSystem:
 def is_two_step(gens: GeneratorSystem) -> bool:
     """Whether the group generated is 2-step nilpotent.
 
-    Checked as: every group commutator [g_i, g_j] commutes with every
-    generator.  Sufficient because central generator-commutators generate
-    a central derived subgroup; necessity is immediate.
+    Checked on the Lie side: with x_i = log A_i, the group is 2-step
+    nilpotent iff the rational Lie algebra generated by the x_i is (the
+    Mal'cev correspondence), and that holds iff [[x_i, x_j], x_k] = 0 for
+    all i < j and all k.  For the converse, by Jacobi the centraliser of
+    [x_i, x_j] is a subalgebra; it holds every generator, hence the whole
+    algebra, so every bracket of three or more elements vanishes.
+
+    The test is a zero test and bilinear, so it gives the same answer
+    when each x_i is replaced by a positive multiple of itself.  It runs
+    on the integer multiples of `_integer_log`; rationals are touched only
+    to clear the denominators of each generator.
     """
     if gens._two_step is not None:
         return gens._two_step
-    mats = gens.mats
-    ident = UnipotentMatrix.identity(gens.n)
+    n = gens.n
+    logs = [_integer_log(m) for m in gens.mats]
     result = True
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            comm = mats[i].inverse() * mats[j].inverse() * mats[i] * mats[j]
-            if comm == ident:
+    for i in range(len(logs)):
+        for j in range(i + 1, len(logs)):
+            xi, xj = logs[i], logs[j]
+            inner = _sub(mul_upper_rows(xi, xj, n), mul_upper_rows(xj, xi, n), n)
+            if _is_zero_rows(inner):
                 continue
-            for g in mats:
-                if comm * g != g * comm:
+            for xk in logs:
+                if mul_upper_rows(inner, xk, n) != mul_upper_rows(xk, inner, n):
                     result = False
                     break
             if not result:

@@ -16,9 +16,8 @@ irreducibility is what makes the field interpretation injective.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .matlie import UnipotentMatrix
+from .matlie import UnipotentMatrix, common_denominator
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -44,9 +43,7 @@ def _has_rational_root(coeffs) -> bool:
     p | numerator(c0') and q | leading coefficient after clearing
     denominators.
     """
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = common_denominator(coeffs)
     ints = [int(c * den) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()

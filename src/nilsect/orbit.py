@@ -36,11 +36,12 @@ from .matlie import (
     UnipotentMatrix,
     bch_log,
     bracket,
+    common_denominator,
     log_unipotent,
     product_of_word,
 )
 from .oracle import bfs_oracle
-from .wordcraft import Word, delta_table, parikh, realize_word
+from .wordcraft import Word, delta_table, parikh, realize_word, total_letters
 
 DEFAULT_INTERLEAVING_BUDGET = 100_000
 DEFAULT_PARITY_CAP = 16  # residue enumeration is 2^(K+M) branches
@@ -205,24 +206,34 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
 # Easy case: cone intersection of dimension 0 or 1
 
 
-def _interleavings(letters, caps, max_total):
-    """Ordered tuples over `letters` honoring per-letter caps, by length then lex."""
-    by_len = []
-    current = [()]
-    total = 0
-    while current and total <= max_total:
-        by_len.append(current)
-        total += 1
-        nxt = []
-        for seq in current:
-            used = {}
-            for a in seq:
-                used[a] = used.get(a, 0) + 1
-            for a in letters:
-                if used.get(a, 0) < caps[a]:
-                    nxt.append(seq + (a,))
-        current = nxt
-    return by_len
+def _interleavings(letters, caps, length):
+    """Ordered tuples of `length` letters honoring per-letter caps.
+
+    Yields them one at a time in lexicographic order, letters ranked as in
+    `letters`; no sequence is built before it is needed.
+    """
+    left = [caps[a] for a in letters]
+    if length > sum(left):
+        return
+    chosen = []  # index into `letters` at each filled position
+    start = 0  # first index to try at the next position
+    while True:
+        if len(chosen) < length:
+            pick = start
+            while pick < len(letters) and not left[pick]:
+                pick += 1
+            if pick < len(letters):
+                left[pick] -= 1
+                chosen.append(pick)
+                start = 0
+                continue
+        else:
+            yield tuple(letters[i] for i in chosen)
+        if not chosen:
+            return
+        last = chosen.pop()
+        left[last] += 1
+        start = last + 1
 
 
 def decide_easy(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, meet=None, options=None) -> Decision:
@@ -281,18 +292,18 @@ def decide_easy(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, meet=
 
     g_caps = {i: int(v) for i, v in gcaps.items()}
     h_caps = {i: int(v) for i, v in hcaps.items()}
-    c_seqs = _interleavings(gplus, g_caps, sum(g_caps.values()) if g_caps else 0)
-    d_seqs = _interleavings(hplus, h_caps, sum(h_caps.values()) if h_caps else 0)
+    g_max = sum(g_caps.values())
+    h_max = sum(h_caps.values())
+    # (base, cols) of each side, per interleaving: a pair recomputes neither
+    g_coefs = {}
+    h_coefs = {}
 
     pairs_tried = 0
-    max_total = (len(c_seqs) - 1) + (len(d_seqs) - 1)
-    for total in range(max_total + 1):
-        for s_len in range(min(total, len(c_seqs) - 1) + 1):
+    for total in range(g_max + h_max + 1):
+        for s_len in range(max(0, total - h_max), min(total, g_max) + 1):
             t_len = total - s_len
-            if t_len >= len(d_seqs):
-                continue
-            for cs in c_seqs[s_len]:
-                for ds in d_seqs[t_len]:
+            for cs in _interleavings(gplus, g_caps, s_len):
+                for ds in _interleavings(hplus, h_caps, t_len):
                     pairs_tried += 1
                     if pairs_tried > budget:
                         raise BudgetExceeded(
@@ -300,7 +311,7 @@ def decide_easy(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, meet=
                             budget=budget,
                         )
                     found = _solve_interleaving(
-                        s_mat, G, H, g0, h0, cs, ds
+                        s_mat, G, H, g0, h0, cs, ds, g_coefs, h_coefs
                     )
                     if found is not None:
                         v, w = found
@@ -327,15 +338,41 @@ def _word_from_layout(sys, interleaving, on_line, counts_by_gap):
     return Word(sys.K, runs)
 
 
-def _solve_interleaving(s_mat, G, H, g0, h0, cs, ds):
+def _side_coefficients(sys, interleaving, on_line, prefix):
+    """log(prefix * product) at zero on-line counts, and its change per unit.
+
+    log(product) is affine in the on-line counts of each gap, so the
+    change from one unit count is the same at every point.
+    """
+
+    def log_of(counts_by_gap):
+        word = _word_from_layout(sys, interleaving, on_line, counts_by_gap)
+        p = product_of_word(sys, word)
+        if prefix is not None:
+            p = prefix * p
+        return log_unipotent(p)
+
+    zero_counts = [[0] * len(on_line) for _ in range(len(interleaving) + 1)]
+    base = log_of(zero_counts)
+    cols = []
+    for gap in range(len(zero_counts)):
+        for pos in range(len(on_line)):
+            bumped = [row[:] for row in zero_counts]
+            bumped[gap][pos] = 1
+            cols.append(log_of(bumped) - base)
+    return base, cols
+
+
+def _solve_interleaving(s_mat, G, H, g0, h0, cs, ds, g_coefs, h_coefs):
     """One linear Diophantine system for fixed off-line letter orderings.
 
     Variables: counts x[gap][j] of on-line G letters in each of the
     len(cs)+1 gaps, same for H.  log(product) is affine in these counts,
     so coefficient matrices come from unit-count evaluations; the three
-    independent entries of the 3x3 logs give the equation rows.  Side
-    conditions: a side with no off-line letters must still be a nonempty
-    word.
+    independent entries of the 3x3 logs give the equation rows.  The
+    evaluations of each side are memoised in `g_coefs` / `h_coefs`, keyed
+    by its ordering.  Side conditions: a side with no off-line letters
+    must still be a nonempty word.
     """
     kg, kh = len(g0), len(h0)
     gaps_g, gaps_h = len(cs) + 1, len(ds) + 1
@@ -344,27 +381,12 @@ def _solve_interleaving(s_mat, G, H, g0, h0, cs, ds):
     if not ds and kh == 0:
         return None
 
-    def log_of(sys, interleaving, on_line, counts_by_gap, prefix=None):
-        word = _word_from_layout(sys, interleaving, on_line, counts_by_gap)
-        p = product_of_word(sys, word)
-        if prefix is not None:
-            p = prefix * p
-        return log_unipotent(p)
-
-    def coefficients(sys, interleaving, on_line, gaps, prefix):
-        zero_counts = [[0] * len(on_line) for _ in range(gaps)]
-        base = log_of(sys, interleaving, on_line, zero_counts, prefix)
-        cols = []
-        for gap in range(gaps):
-            for pos in range(len(on_line)):
-                bumped = [row[:] for row in zero_counts]
-                bumped[gap][pos] = 1
-                shifted = log_of(sys, interleaving, on_line, bumped, prefix)
-                cols.append(shifted - base)
-        return base, cols
-
-    base_v, cols_v = coefficients(G, cs, g0, gaps_g, None)
-    base_w, cols_w = coefficients(H, ds, h0, gaps_h, s_mat)
+    if cs not in g_coefs:
+        g_coefs[cs] = _side_coefficients(G, cs, g0, None)
+    if ds not in h_coefs:
+        h_coefs[ds] = _side_coefficients(H, ds, h0, s_mat)
+    base_v, cols_v = g_coefs[cs]
+    base_w, cols_w = h_coefs[ds]
 
     entries = [(0, 1), (1, 2), (0, 2)]
     rows = []
@@ -373,12 +395,7 @@ def _solve_interleaving(s_mat, G, H, g0, h0, cs, ds):
         row = [col[e] for col in cols_v] + [-col[e] for col in cols_w]
         rows.append(row)
         rhs.append(base_w[e] - base_v[e])
-    den = 1
-    for row in rows:
-        for v in row:
-            den = den * v.denominator // gcd(den, v.denominator)
-    for v in rhs:
-        den = den * v.denominator // gcd(den, v.denominator)
+    den = common_denominator(itertools.chain(*rows, rhs))
     int_rows = [[int(v * den) for v in row] for row in rows]
     int_rhs = [int(v * den) for v in rhs]
 
@@ -745,8 +762,7 @@ def extract_orbit_witness(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem
     v = realize_word(xs, cs) if K > 1 else Word(1, [(0, xs[0])])
     w = realize_word(ys, dsh) if M > 1 else Word(1, [(0, ys[0])])
 
-    total = len(v) + len(w)
-    if total <= LETTERS_CAP:
+    if total_letters((v, w)) <= LETTERS_CAP:
         left = product_of_word(G, v)
         right = s_elem.matrix() * product_of_word(H, w)
         if left != right:

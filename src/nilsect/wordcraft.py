@@ -56,7 +56,7 @@ class Word:
                 yield letter
 
     def __len__(self):
-        return sum(count for _, count in self.runs)
+        return total_letters((self,))
 
     def __add__(self, other):
         if not isinstance(other, Word):
@@ -83,6 +83,15 @@ class Word:
             return f"<word K={self.K} empty>"
         body = " ".join(f"{a}^{c}" if c > 1 else str(a) for a, c in self.runs)
         return f"<word K={self.K} {body}>"
+
+
+def total_letters(words) -> int:
+    """Number of letters in all the given words, summed over their runs.
+
+    Use this rather than len(): witness words can have more than
+    2^63 - 1 letters, past which len() raises OverflowError.
+    """
+    return sum(count for word in words for _, count in word.runs)
 
 
 def parikh(word: Word):

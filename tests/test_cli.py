@@ -15,7 +15,7 @@ from nilsect import (
     parse_instance_text,
     serialize_instance,
 )
-from nilsect.cli import main, reverify_report, run
+from nilsect.cli import EXIT_INTERNAL_ERROR, EXIT_NONEMPTY, main, reverify_report, run
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -227,6 +227,26 @@ def test_main_exit_codes(tmp_path):
     bad.write_text("version 1\ngroup ut-q 3\nmatrix m\n9 9 9\n")
     assert main(["intersect", str(bad)]) == 3
     assert main(["intersect", str(tmp_path / "missing.txt")]) == 3
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    def broken(inst):
+        raise AssertionError("defect planted by the test")
+
+    monkeypatch.setattr("nilsect.cli.decide_intersection", broken)
+    path = tmp_path / "empty.txt"
+    path.write_text(UT3)
+    assert main(["intersect", str(path)]) == EXIT_INTERNAL_ERROR == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "defect planted by the test" in err
+
+
+def test_witness_longer_than_index_sized_exits_nonempty(capsys):
+    path = Path(__file__).resolve().parent / "data" / "h5q-k8-long-witness.txt"
+    assert main(["witness", str(path)]) == EXIT_NONEMPTY
+    out, err = capsys.readouterr()
+    assert "witness A:" in out and "witness B:" in out
+    assert "Traceback" not in err
 
 
 def test_console_script_installed():

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from nilsect import (
     build_condition_space,
     decide_intersection,
     extract_witness,
+    load_instance_file,
     verify_witness,
 )
 
@@ -181,3 +183,17 @@ def test_three_way_intersection():
 def test_single_set_instance():
     d = decide_intersection(make([[X, Y]]))
     assert d.verdict is Verdict.NONEMPTY
+
+
+def test_witness_past_index_sized_length():
+    # the words total more than 2^63 - 1 letters, where len() overflows
+    path = Path(__file__).resolve().parent / "data" / "h5q-k8-long-witness.txt"
+    inst = load_instance_file(path).build()
+    d = decide_intersection(inst)
+    assert d.verdict is Verdict.NONEMPTY
+    w = extract_witness(inst, d)
+    assert w.details["verification"] == "bch"
+    assert w.details["witness_letters"] > 2**63
+    assert w.details["witness_letters"] == sum(
+        count for word in w.witnesses for _, count in word.runs
+    )

@@ -186,19 +186,39 @@ def solve_in_lattice(sol: IntegerSolutionSet, x):
     return [int(c) for c in coeffs]
 
 
+def _box_solutions(A, b, box):
+    """All integer solutions of A x = b with every coordinate in `box`.
+
+    Enumerates the first three coordinates and solves one row for the
+    fourth; every value of the box is tried when no row involves it.
+    """
+    pivot = next((i for i, row in enumerate(A) if row[3]), None)
+    out = []
+    for head in itertools.product(box, repeat=3):
+        if pivot is None:
+            candidates = box
+        else:
+            row = A[pivot]
+            num = b[pivot] - sum(a * v for a, v in zip(row, head))
+            if num % row[3] or num // row[3] not in box:
+                continue
+            candidates = (num // row[3],)
+        for last in candidates:
+            x = head + (last,)
+            if all(
+                sum(a * v for a, v in zip(row, x)) == t for row, t in zip(A, b)
+            ):
+                out.append(x)
+    return out
+
+
 def test_hnf_matches_box_brute_force(rng):
     for _ in range(15):
         A = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(3)]
         b = [rng.randint(-5, 5) for _ in range(3)]
         sol = hnf_solve(A, b)
         box = range(-20, 21)
-        brute = [
-            x
-            for x in itertools.product(box, repeat=4)
-            if all(
-                sum(a * v for a, v in zip(row, x)) == t for row, t in zip(A, b)
-            )
-        ]
+        brute = _box_solutions(A, b, box)
         if not sol.feasible:
             assert not brute
             continue

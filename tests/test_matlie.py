@@ -1,23 +1,30 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from nilsect import (
     GeneratorSystem,
+    HeisenbergElemK,
+    IntersectionInstance,
+    NumberField,
     NilpotentMatrix,
     UnipotentMatrix,
     bch_log,
     bracket,
     check_unipotent,
     delta_table,
+    embed_heisenberg,
     exp_nilpotent,
     is_two_step,
+    load_instance_file,
     log_unipotent,
     parikh,
     product_of_word,
     Word,
 )
+from nilsect.matlie import _integer_log
 
 from conftest import h3, nil3, random_nilpotent, random_unipotent
 
@@ -107,6 +114,121 @@ def test_is_two_step():
     outer = c12.inverse() * g3.inverse() * c12 * g3
     assert outer != UnipotentMatrix.identity(4)
     assert outer[0, 3] != 0
+
+
+def _two_step_by_group_commutators(mats):
+    """Reference: every group commutator of two generators is central."""
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            comm = mats[i].inverse() * mats[j].inverse() * mats[i] * mats[j]
+            if any(comm * g != g * comm for g in mats):
+                return False
+    return True
+
+
+def _random_rational(rng, bound=4):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
+
+
+def _random_sparse_unipotent(rng, n, positions):
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in positions:
+        rows[i][j] = _random_rational(rng)
+    return UnipotentMatrix(rows)
+
+
+def _heisenberg_shape(n):
+    """First row and last column: the positions of H_n inside UT(n)."""
+    return [(0, j) for j in range(1, n)] + [(i, n - 1) for i in range(1, n - 1)]
+
+
+def _differential_family(rng):
+    """Seeded generator sets, 2-step and not, with rational entries."""
+    family = []
+    for n in (3, 4, 5, 6):
+        upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for _ in range(6):
+            k = rng.randint(1, 4)
+            # generic pairs and more: from UT(4) on almost never 2-step
+            family.append(
+                [random_unipotent(rng, n, bound=4) for _ in range(max(k, 2))]
+            )
+            # Heisenberg shape: always 2-step
+            family.append(
+                [_random_sparse_unipotent(rng, n, _heisenberg_shape(n)) for _ in range(k)]
+            )
+            # sparse supports: a mix of both answers
+            family.append(
+                [
+                    _random_sparse_unipotent(rng, n, rng.sample(upper, rng.randint(1, 3)))
+                    for _ in range(k)
+                ]
+            )
+            # powers of one element plus a central one: abelian
+            base = random_unipotent(rng, n, bound=4)
+            central = _random_sparse_unipotent(rng, n, [(0, n - 1)])
+            family.append([base, base**2, central])
+    fields = (NumberField([-2, 0, 1]), NumberField([-2, 0, 0, 1]))
+    for field in fields:
+        for _ in range(4):
+            heis = [
+                embed_heisenberg(
+                    HeisenbergElemK(
+                        3,
+                        [field.element([_random_rational(rng) for _ in range(field.degree)])],
+                        [field.element([_random_rational(rng) for _ in range(field.degree)])],
+                        field.element([_random_rational(rng) for _ in range(field.degree)]),
+                    )
+                )
+                for _ in range(3)
+            ]
+            family.append(heis)
+            family.append(heis + [random_unipotent(rng, heis[0].n, bound=3)])
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    for path in sorted(samples.glob("*.txt")):
+        built = load_instance_file(path).build()
+        if isinstance(built, IntersectionInstance):
+            family.append([m for sys in built.systems for m in sys.mats])
+        else:
+            family.append(list(built.G.mats) + list(built.H.mats))
+    return family
+
+
+def test_is_two_step_matches_group_commutator_definition():
+    rng = random.Random(31)
+    family = _differential_family(rng)
+    verdicts = []
+    for mats in family:
+        expected = _two_step_by_group_commutators(mats)
+        assert is_two_step(GeneratorSystem(mats)) == expected
+        verdicts.append(expected)
+    # the family exercises both answers in every dimension from 4 up
+    for n in (4, 5, 6, 9):
+        seen = {v for mats, v in zip(family, verdicts) if mats[0].n == n}
+        assert seen == {True, False}
+
+
+def test_integer_log_is_positive_multiple_of_log(rng):
+    for n in range(2, 8):
+        for _ in range(20):
+            m = random_unipotent(rng, n, bound=9)
+            scaled = _integer_log(m)
+            assert all(isinstance(x, int) for row in scaled for x in row)
+            exact = log_unipotent(m)
+            # zero exactly where the log is zero, one positive ratio elsewhere
+            assert all(
+                bool(exact[i, j]) == bool(scaled[i][j])
+                for i in range(n)
+                for j in range(n)
+            )
+            ratios = {
+                scaled[i][j] / exact[i, j]
+                for i in range(n)
+                for j in range(n)
+                if exact[i, j]
+            }
+            assert len(ratios) <= 1 and all(r > 0 for r in ratios)
+    assert _integer_log(UnipotentMatrix.identity(4)) == ((0,) * 4,) * 4
 
 
 def test_bch_log_examples():

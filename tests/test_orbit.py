@@ -22,6 +22,8 @@ from nilsect import (
     reduce_to_identity,
 )
 
+from nilsect.orbit import _interleavings
+
 from conftest import h3
 
 X, Y = h3(1, 0, 0), h3(0, 1, 0)
@@ -127,6 +129,33 @@ def test_easy_interleaving_deeper_caps():
     assert (found is not None) == (d.verdict is Verdict.NONEMPTY)
     if d.verdict is Verdict.NONEMPTY:
         assert verified(inst, d)
+
+
+def _interleavings_by_length(letters, caps):
+    """Reference: every capped sequence, materialised level by level."""
+    levels = [[()]]
+    while levels[-1]:
+        levels.append(
+            [
+                seq + (a,)
+                for seq in levels[-1]
+                for a in letters
+                if seq.count(a) < caps[a]
+            ]
+        )
+    return levels[:-1]
+
+
+def test_interleavings_stream_in_reference_order():
+    rng = random.Random(5)
+    for _ in range(300):
+        letters = rng.sample(range(6), rng.randint(0, 4))
+        caps = {a: rng.randint(0, 2) for a in letters}
+        levels = _interleavings_by_length(letters, caps)
+        assert len(levels) == sum(caps.values()) + 1
+        for length, expected in enumerate(levels):
+            assert list(_interleavings(letters, caps, length)) == expected
+        assert list(_interleavings(letters, caps, len(levels))) == []
 
 
 def test_hard_central_shift_nonempty():
