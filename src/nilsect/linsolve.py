@@ -4,15 +4,18 @@ Contents:
 
 * Gaussian elimination: nullspaces, subspace projection (variable
   elimination);
-* an exact rational phase-1 simplex with Bland's rule (no floating
-  point, no epsilon anywhere);
+* an exact phase-1 simplex with Bland's rule on a fraction-free
+  tableau: integer rows, each a positive multiple of its rational row,
+  so no Fraction arithmetic in the pivots and no floating point or
+  epsilon anywhere;
 * support computation for the nonnegative integer points of a rational
   subspace (one feasibility LP per coordinate; a rational point scales
   to an integer one by homogeneity);
 * complete integer solution sets of A x = b via a column Hermite
   reduction with recorded transformation;
 * small-scale integer feasibility with sign constraints, by
-  branch-and-bound over the exact LP relaxation;
+  branch-and-bound over the exact LP relaxation, capped at
+  ILP_NODE_CAP relaxations per search;
 * finitely generated cones in Q^2: dimension of an intersection,
   interior vectors, separating functionals.
 
@@ -27,7 +30,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+
+from .errors import BudgetExceeded
+from .matlie import common_denominator
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -171,29 +177,51 @@ def eliminate(space: LinearSubspace, keep) -> LinearSubspace:
 # Exact simplex (phase-1 feasibility)
 
 
-def _phase1(A, b, n):
-    """Point of {A u = b, u >= 0}, or None, by phase-1 simplex, Bland's rule."""
-    m = len(A)
+def _phase1(rows, dens, n):
+    """Point of {A u = b, u >= 0}, or None, by phase-1 simplex, Bland's rule.
+
+    `rows[i]` is the integer list dens[i] * (A_i | b_i) for a positive
+    integer dens[i].  The LP is the one over the rational rows (A_i | b_i),
+    each with its own artificial variable of cost 1; dens[i] only clears
+    that row's denominators.
+
+    The tableau is fraction-free: every row, and the cost row z, is kept
+    as an integer list equal to its rational counterpart times some
+    positive factor, reduced by the gcd of its entries after each update.
+    A row's basic column holds that factor, so a basic value is
+    rhs / (basic entry).  Positive factors change no sign and cancel from
+    both sides of a cross-multiplied ratio test, so the entering column
+    (first negative reduced cost), the leaving row (least ratio, ties to
+    the smallest basic index) and hence every pivot and the returned point
+    are exactly those of the rational tableau.  A pivot on entry p of the
+    leaving row l replaces each other row r by p * r - r[e] * l.
+    """
+    m = len(rows)
     if m == 0:
         return [_ZERO] * n
-    T = []
-    for i in range(m):
-        row = list(A[i])
-        r = Fraction(b[i])
-        if r < 0:
-            row = [-x for x in row]
-            r = -r
-        art = [_ZERO] * m
-        art[i] = _ONE
-        T.append(row + art + [r])
     total = n + m
-    basis = list(range(n, n + m))
-    # reduced costs for min sum(artificials); artificial columns start at 0
-    z = [_ZERO] * (total + 1)
-    for i in range(m):
+    T = []
+    for i, (row, d) in enumerate(zip(rows, dens)):
+        coefs = row[:n]
+        r = row[n]
+        if r < 0:
+            coefs = [-x for x in coefs]
+            r = -r
+        art = [0] * m
+        art[i] = d
+        T.append(coefs + art + [r])
+    basis = list(range(n, total))
+    # reduced costs for min sum(artificials), times lcm(dens): each row
+    # enters at weight 1, i.e. lcm/d_i in integers; artificial columns 0
+    big_l = lcm(*dens)
+    z = [0] * (total + 1)
+    for row, d in zip(T, dens):
+        w = big_l // d
         for j in range(n):
-            z[j] -= T[i][j]
-        z[total] -= T[i][total]
+            if row[j]:
+                z[j] -= w * row[j]
+        z[total] -= w * row[total]
+    z = _primitive_row(z)
 
     while True:
         enter = None
@@ -204,30 +232,27 @@ def _phase1(A, b, n):
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
             coef = T[i][enter]
             if coef > 0:
-                ratio = T[i][total] / coef
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
+                if leave is None:
+                    leave, best_num, best_den = i, T[i][total], coef
+                    continue
+                lhs = T[i][total] * best_den
+                rhs = best_num * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_num, best_den = i, T[i][total], coef
         if leave is None:
             raise AssertionError("phase-1 objective unbounded (impossible)")
-        piv = T[leave][enter]
-        if piv != 1:
-            T[leave] = [x / piv for x in T[leave]]
+        prow = T[leave]
+        piv = prow[enter]
         for i in range(m):
-            if i != leave and T[i][enter]:
-                f = T[i][enter]
-                T[i] = [a - f * p for a, p in zip(T[i], T[leave])]
-        if z[enter]:
-            f = z[enter]
-            z = [a - f * p for a, p in zip(z, T[leave])]
+            f = T[i][enter]
+            if f and i != leave:
+                T[i] = _primitive_row([piv * a - f * p for a, p in zip(T[i], prow)])
+        f = z[enter]
+        if f:
+            z = _primitive_row([piv * a - f * p for a, p in zip(z, prow)])
         basis[leave] = enter
 
     if z[total] != 0:  # -(objective); nonzero means artificials stuck
@@ -235,78 +260,85 @@ def _phase1(A, b, n):
     u = [_ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
-            u[var] = T[i][total]
+            u[var] = Fraction(T[i][total], T[i][var])
     return u
+
+
+def _primitive_row(row):
+    """The row divided by the gcd of its entries (unchanged if all zero)."""
+    g = gcd(*row)
+    if g > 1:
+        return [x // g for x in row]
+    return row
 
 
 def _simplex_feasible(rows, rhs, nvars, lower, upper):
     """Feasible x for {rows . x = rhs, lower_j <= x_j <= upper_j}, or None.
 
-    lower/upper are per-variable bound lists (None entries = unbounded).
-    Lower-bounded variables are shifted to nonnegative ones; free
-    variables are split into differences; upper bounds become slack rows.
+    lower/upper are per-variable bound lists (None entries = unbounded),
+    entries of rows, rhs and bounds ints or Fractions.  Lower-bounded
+    variables are shifted to nonnegative ones; free variables are split
+    into differences; upper bounds become slack rows.  Each standard-form
+    row goes to `_phase1` as integers, times the common denominator of
+    its rational entries.
     """
-    rows = [list(map(Fraction, r)) for r in rows]
-    rhs = [Fraction(x) for x in rhs]
-    eq_rows = [r[:] for r in rows]
-    eq_rhs = rhs[:]
-    upper_rows = []
-    for j in range(nvars):
-        u = upper[j] if upper else None
-        if u is not None:
-            extra = [_ZERO] * nvars
-            extra[j] = _ONE
-            eq_rows.append(extra)
-            eq_rhs.append(Fraction(u))
-            upper_rows.append(len(eq_rows) - 1)
-
-    col_map = []  # per variable: ("pos", col) or ("split", col_p, col_q)
+    col_map = []  # per variable: (col, None) or split (col_p, col_q)
     shifts = []
     ncols = 0
     for j in range(nvars):
         lo = lower[j] if lower else None
         if lo is not None:
-            col_map.append(("pos", ncols))
-            shifts.append(Fraction(lo))
+            col_map.append((ncols, None))
+            shifts.append(lo)
             ncols += 1
         else:
-            col_map.append(("split", ncols, ncols + 1))
-            shifts.append(_ZERO)
+            col_map.append((ncols, ncols + 1))
+            shifts.append(0)
             ncols += 2
-    slack_base = ncols
-    ncols += len(upper_rows)
+    bounded = [j for j in range(nvars) if upper and upper[j] is not None]
+    width = ncols + len(bounded)
 
-    m = len(eq_rows)
-    A = [[_ZERO] * ncols for _ in range(m)]
-    b = []
-    for i in range(m):
-        row = eq_rows[i]
-        acc = eq_rhs[i]
-        for j in range(nvars):
-            coef = row[j]
-            if not coef:
-                continue
-            acc -= coef * shifts[j]
-            spec = col_map[j]
-            if spec[0] == "pos":
-                A[i][spec[1]] += coef
-            else:
-                A[i][spec[1]] += coef
-                A[i][spec[2]] -= coef
-        b.append(acc)
-    for s, i in enumerate(upper_rows):
-        A[i][slack_base + s] = _ONE
+    int_rows = []
+    dens = []
+    for row, target in zip(rows, rhs):
+        b = target - sum(
+            coef * shifts[j] for j, coef in enumerate(row) if coef and shifts[j]
+        )
+        d = common_denominator(itertools.chain(row, (b,)))
+        out = [0] * (width + 1)
+        for j, coef in enumerate(row):
+            if coef:
+                c = coef.numerator * (d // coef.denominator)
+                p, q = col_map[j]
+                out[p] = c
+                if q is not None:
+                    out[q] = -c
+        out[width] = b.numerator * (d // b.denominator)
+        int_rows.append(out)
+        dens.append(d)
+    for s, j in enumerate(bounded):
+        b = upper[j] - shifts[j]
+        d = b.denominator
+        out = [0] * (width + 1)
+        p, q = col_map[j]
+        out[p] = d
+        if q is not None:
+            out[q] = -d
+        out[ncols + s] = d
+        out[width] = b.numerator
+        int_rows.append(out)
+        dens.append(d)
 
-    u = _phase1(A, b, ncols)
+    u = _phase1(int_rows, dens, width)
     if u is None:
         return None
     x = []
     for j in range(nvars):
-        spec = col_map[j]
-        if spec[0] == "pos":
-            x.append(shifts[j] + u[spec[1]])
+        p, q = col_map[j]
+        if q is None:
+            x.append(shifts[j] + u[p])
         else:
-            x.append(u[spec[1]] - u[spec[2]])
+            x.append(u[p] - u[q])
     return x
 
 
@@ -316,8 +348,9 @@ def lp_feasible(rows, rhs, nvars, *, nonneg=(), strict_lower=None):
     `nonneg` lists variables constrained to x_j >= 0; `strict_lower` maps
     variables to rational lower bounds x_j >= value (for a homogeneous
     system, a lower bound of 1 expresses strict positivity up to
-    scaling).  Variables in neither are free.  Exact arithmetic, no
-    tolerances: the returned point satisfies everything exactly.
+    scaling).  Variables in neither are free.  Entries of rows and rhs
+    are ints or Fractions.  Exact arithmetic, no tolerances: the returned
+    point satisfies everything exactly.
     """
     lower = [None] * nvars
     for j in nonneg:
@@ -470,6 +503,10 @@ def hnf_solve(A, b) -> IntegerSolutionSet:
     return IntegerSolutionSet(particular, kernel)
 
 
+# LP relaxations one branch-and-bound search may solve before it gives up
+ILP_NODE_CAP = 5000
+
+
 def _solution_box_bound(A, b, k):
     """B such that {Ax=b, x>=0} feasible implies a solution in [0, B]^k.
 
@@ -492,8 +529,10 @@ def ilp_feasible_nonneg(A, b, nonzero_groups=()):
     The base solver does a Hermite pre-reduction (no integer solutions at
     all, or a zero-dimensional kernel, settle immediately), then
     branch-and-bound over the exact LP relaxation, branching on the
-    smallest-index fractional variable.  Branch bounds are clamped to a
-    finite solution box, which makes the search complete.
+    smallest-index fractional variable, depth first with the lower
+    branch first.  Branch bounds are clamped to a finite solution box,
+    which makes the search finite; a search that needs more than
+    ILP_NODE_CAP LP relaxations raises BudgetExceeded.
     """
     A = [[int(x) for x in row] for row in A]
     b = [int(x) for x in b]
@@ -529,13 +568,21 @@ def _ilp_base(A, b, k):
         return x if all(v >= 0 for v in x) else None
 
     box = _solution_box_bound(A, b, k)
-    rows = [list(map(Fraction, row)) for row in A]
-    rhs = [Fraction(x) for x in b]
-
-    def recurse(lower, upper):
-        point = _simplex_feasible(rows, rhs, k, lower, upper)
+    # depth first: the down branch x_frac <= floor is pushed last, so its
+    # whole subtree is searched before the up branch x_frac >= floor + 1
+    stack = [([0] * k, [None] * k)]
+    nodes = 0
+    while stack:
+        lower, upper = stack.pop()
+        nodes += 1
+        if nodes > ILP_NODE_CAP:
+            raise BudgetExceeded(
+                f"branch-and-bound passed {ILP_NODE_CAP} LP relaxations",
+                budget=ILP_NODE_CAP,
+            )
+        point = _simplex_feasible(A, b, k, lower, upper)
         if point is None:
-            return None
+            continue
         frac = None
         for j in range(k):
             if point[j].denominator != 1:
@@ -547,20 +594,16 @@ def _ilp_base(A, b, k):
         fl = v.numerator // v.denominator
         down = min(fl, box)
         up = fl + 1
+        if up <= box and (upper[frac] is None or up <= upper[frac]):
+            l2 = list(lower)
+            l2[frac] = up
+            stack.append((l2, upper))
         if down >= lower[frac]:
             u2 = list(upper)
             if u2[frac] is None or down < u2[frac]:
-                u2[frac] = Fraction(down)
-            found = recurse(lower, u2)
-            if found is not None:
-                return found
-        if up <= box and (upper[frac] is None or up <= upper[frac]):
-            l2 = list(lower)
-            l2[frac] = Fraction(up)
-            return recurse(l2, upper)
-        return None
-
-    return recurse([_ZERO] * k, [None] * k)
+                u2[frac] = down
+            stack.append((lower, u2))
+    return None
 
 
 # ---------------------------------------------------------------------------

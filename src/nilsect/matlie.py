@@ -39,33 +39,18 @@ def _zero_rows(n):
     return tuple((_ZERO,) * n for _ in range(n))
 
 
-def mul_upper_rows(a, b, n):
+def mul_upper_rows(a, b, n, zero=0):
     """Product of two upper triangular row tables, skipping zero entries.
 
     Works for any numeric entry type (Fraction or plain int); relies on
-    both inputs being upper triangular.
+    both inputs being upper triangular.  Entries no product reaches are
+    `zero`: the matrix classes pass Fraction(0), so their tables stay
+    all-Fraction.
     """
     rows = []
     for i in range(n):
         ai = a[i]
-        acc = [0] * n
-        for k in range(i, n):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(k, n):
-                    y = bk[j]
-                    if y:
-                        acc[j] = acc[j] + x * y
-        rows.append(tuple(acc))
-    return tuple(rows)
-
-
-def _mul(a, b, n):
-    rows = []
-    for i in range(n):
-        ai = a[i]
-        acc = [_ZERO] * n
+        acc = [zero] * n
         for k in range(i, n):
             x = ai[k]
             if x:
@@ -189,7 +174,8 @@ class UnipotentMatrix:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        return UnipotentMatrix._wrap(self.n, _mul(self.rows, other.rows, self.n))
+        rows = mul_upper_rows(self.rows, other.rows, self.n, _ZERO)
+        return UnipotentMatrix._wrap(self.n, rows)
 
     def __pow__(self, e: int) -> "UnipotentMatrix":
         if e < 0:
@@ -211,7 +197,7 @@ class UnipotentMatrix:
         acc = _identity_rows(n)
         power = _identity_rows(n)
         for k in range(1, n):
-            power = _mul(power, nil, n)
+            power = mul_upper_rows(power, nil, n, _ZERO)
             if _is_zero_rows(power):
                 break
             if k % 2:
@@ -320,7 +306,7 @@ def log_unipotent(m: UnipotentMatrix) -> NilpotentMatrix:
     k = 1
     while k < n and not _is_zero_rows(power):
         acc = _add(acc, _scale(power, Fraction((-1) ** (k - 1), k), n), n)
-        power = _mul(power, s, n)
+        power = mul_upper_rows(power, s, n, _ZERO)
         k += 1
     return NilpotentMatrix._wrap(n, acc)
 
@@ -334,7 +320,7 @@ def exp_nilpotent(x: NilpotentMatrix) -> UnipotentMatrix:
     power = _identity_rows(n)
     fact = 1
     for k in range(1, n):
-        power = _mul(power, x.rows, n)
+        power = mul_upper_rows(power, x.rows, n, _ZERO)
         if _is_zero_rows(power):
             break
         fact *= k
@@ -347,9 +333,9 @@ def bracket(x: NilpotentMatrix, y: NilpotentMatrix) -> NilpotentMatrix:
     if x.n != y.n:
         raise ValueError("dimension mismatch")
     n = x.n
-    return NilpotentMatrix._wrap(
-        n, _sub(_mul(x.rows, y.rows, n), _mul(y.rows, x.rows, n), n)
-    )
+    xy = mul_upper_rows(x.rows, y.rows, n, _ZERO)
+    yx = mul_upper_rows(y.rows, x.rows, n, _ZERO)
+    return NilpotentMatrix._wrap(n, _sub(xy, yx, n))
 
 
 def direct_sum(mats) -> UnipotentMatrix:

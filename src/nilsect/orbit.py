@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import BudgetExceeded, UnsupportedInstance
 from .intersect import Decision, Verdict
@@ -525,6 +524,7 @@ def decide_hard(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, optio
     g_pairs = layout["g_pairs"]
     h_pairs = layout["h_pairs"]
     nx, ny = K, M
+    den = common_denominator(itertools.chain(*rows, rhs))
 
     branches = 0
     for residue in itertools.product((0, 1), repeat=K + M):
@@ -539,12 +539,6 @@ def decide_hard(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, optio
         for idx, (i, j) in enumerate(h_pairs):
             res[nx + ny + len(g_pairs) + idx] = sigma[i] * sigma[j]
 
-        den = 1
-        for row in rows:
-            for v in row:
-                den = den * v.denominator // gcd(den, v.denominator)
-        for v in rhs:
-            den = den * v.denominator // gcd(den, v.denominator)
         int_rows = []
         int_rhs = []
         for row, target in zip(rows, rhs):
@@ -624,9 +618,7 @@ def _positive_combination(G, H):
         raise AssertionError(
             "no positive balancing combination despite a 2-dimensional meet (defect)"
         )
-    den = 1
-    for v in point:
-        den = den * v.denominator // gcd(den, v.denominator)
+    den = common_denominator(point)
     scaled = [int(v * den) for v in point]
     return scaled[:K], scaled[K:]
 
@@ -675,26 +667,16 @@ def extract_orbit_witness(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem
             "no nonzero corner bracket despite a 2-dimensional meet (defect)"
         )
 
-    dens = []
-    for i in range(K):
-        dens.extend(v.denominator for row in G.log(i).rows for v in row)
-    for i in range(M):
-        dens.extend(v.denominator for row in H.log(i).rows for v in row)
-    dens.extend(v.denominator for row in log_s.rows for v in row)
-    for i in range(M):
-        half = Fraction(1, 2) * bracket(log_s, H.log(i))
-        dens.extend(v.denominator for row in half.rows for v in row)
-    for i in range(K):
-        for j in range(i + 1, K):
-            half = Fraction(1, 2) * G.bracket_log(i, j)
-            dens.extend(v.denominator for row in half.rows for v in row)
-    for i in range(M):
-        for j in range(i + 1, M):
-            half = Fraction(1, 2) * H.bracket_log(i, j)
-            dens.extend(v.denominator for row in half.rows for v in row)
-    e_den = 1
-    for d in dens:
-        e_den = e_den * d // gcd(e_den, d)
+    tables = [G.log(i) for i in range(K)] + [H.log(i) for i in range(M)]
+    tables.append(log_s)
+    tables.extend(Fraction(1, 2) * bracket(log_s, H.log(i)) for i in range(M))
+    tables.extend(
+        Fraction(1, 2) * G.bracket_log(i, j) for i in range(K) for j in range(i + 1, K)
+    )
+    tables.extend(
+        Fraction(1, 2) * H.bracket_log(i, j) for i in range(M) for j in range(i + 1, M)
+    )
+    e_den = common_denominator(v for t in tables for row in t.rows for v in row)
 
     X, Y = _positive_combination(G, H)
     p_val = sum(X[k] * _pi_log(G, k) for k in range(K)) - sum(

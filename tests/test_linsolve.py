@@ -1,22 +1,32 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilsect import (
+    BudgetExceeded,
     Cone2D,
     IntegerSolutionSet,
     LinearSubspace,
     cone_intersect_dim,
+    decide_intersection,
     eliminate,
     hnf_solve,
     ilp_feasible_nonneg,
+    load_instance_file,
     lp_feasible,
     nullspace,
     support_nonneg,
 )
-from nilsect.linsolve import _row_reduce
+from nilsect import intersect, linsolve
+from nilsect.linsolve import ILP_NODE_CAP, _row_reduce, _simplex_feasible
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
 def test_nullspace_examples():
@@ -110,6 +120,291 @@ def test_lp_exactness(rng):
             assert all(v >= 0 for v in pt)
             for row, target in zip(rows, rhs):
                 assert sum(a * x for a, x in zip(row, pt)) == target
+
+
+# ---------------------------------------------------------------------------
+# The rational phase-1 simplex that the fraction-free tableau replaced, kept
+# as the reference: the integer tableau must take exactly its pivots and
+# return exactly its points.
+
+
+def _reference_phase1(A, b, n, stats):
+    """Point of {A u = b, u >= 0}, or None, on a Fraction tableau.
+
+    Counts pivots and ratio-test ties (broken by the smallest basic
+    index) in `stats`.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    m = len(A)
+    if m == 0:
+        return [zero] * n
+    T = []
+    for i in range(m):
+        row = list(A[i])
+        r = Fraction(b[i])
+        if r < 0:
+            row = [-x for x in row]
+            r = -r
+        art = [zero] * m
+        art[i] = one
+        T.append(row + art + [r])
+    total = n + m
+    basis = list(range(n, n + m))
+    z = [zero] * (total + 1)
+    for i in range(m):
+        for j in range(n):
+            z[j] -= T[i][j]
+        z[total] -= T[i][total]
+
+    while True:
+        enter = None
+        for j in range(total):
+            if z[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coef = T[i][enter]
+            if coef > 0:
+                ratio = T[i][total] / coef
+                if best is not None and ratio == best:
+                    stats["ties"] += 1
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        assert leave is not None
+        stats["pivots"] += 1
+        piv = T[leave][enter]
+        if piv != 1:
+            T[leave] = [x / piv for x in T[leave]]
+        for i in range(m):
+            if i != leave and T[i][enter]:
+                f = T[i][enter]
+                T[i] = [a - f * p for a, p in zip(T[i], T[leave])]
+        if z[enter]:
+            f = z[enter]
+            z = [a - f * p for a, p in zip(z, T[leave])]
+        basis[leave] = enter
+
+    if z[total] != 0:
+        return None
+    u = [zero] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            u[var] = T[i][total]
+    return u
+
+
+def _reference_simplex_feasible(rows, rhs, nvars, lower, upper, stats=None):
+    """The standard form of `_simplex_feasible`, built over Fractions."""
+    if stats is None:
+        stats = {"ties": 0, "pivots": 0}
+    zero, one = Fraction(0), Fraction(1)
+    eq_rows = [list(map(Fraction, r)) for r in rows]
+    eq_rhs = [Fraction(x) for x in rhs]
+    upper_rows = []
+    for j in range(nvars):
+        u = upper[j] if upper else None
+        if u is not None:
+            extra = [zero] * nvars
+            extra[j] = one
+            eq_rows.append(extra)
+            eq_rhs.append(Fraction(u))
+            upper_rows.append(len(eq_rows) - 1)
+    col_map = []
+    shifts = []
+    ncols = 0
+    for j in range(nvars):
+        lo = lower[j] if lower else None
+        if lo is not None:
+            col_map.append(("pos", ncols))
+            shifts.append(Fraction(lo))
+            ncols += 1
+        else:
+            col_map.append(("split", ncols, ncols + 1))
+            shifts.append(zero)
+            ncols += 2
+    slack_base = ncols
+    ncols += len(upper_rows)
+    A = [[zero] * ncols for _ in eq_rows]
+    b = []
+    for i, row in enumerate(eq_rows):
+        acc = eq_rhs[i]
+        for j in range(nvars):
+            coef = row[j]
+            if not coef:
+                continue
+            acc -= coef * shifts[j]
+            spec = col_map[j]
+            A[i][spec[1]] += coef
+            if spec[0] == "split":
+                A[i][spec[2]] -= coef
+        b.append(acc)
+    for s, i in enumerate(upper_rows):
+        A[i][slack_base + s] = one
+    u = _reference_phase1(A, b, ncols, stats)
+    if u is None:
+        return None
+    x = []
+    for j in range(nvars):
+        spec = col_map[j]
+        if spec[0] == "pos":
+            x.append(shifts[j] + u[spec[1]])
+        else:
+            x.append(u[spec[1]] - u[spec[2]])
+    return x
+
+
+def _reference_ilp_search(A, b, k):
+    """The recursive branch-and-bound of `_ilp_base` after its HNF checks."""
+    box = linsolve._solution_box_bound(A, b, k)
+
+    def recurse(lower, upper):
+        point = _reference_simplex_feasible(A, b, k, lower, upper)
+        if point is None:
+            return None
+        frac = next((j for j in range(k) if point[j].denominator != 1), None)
+        if frac is None:
+            return tuple(int(v) for v in point)
+        v = point[frac]
+        fl = v.numerator // v.denominator
+        down = min(fl, box)
+        up = fl + 1
+        if down >= lower[frac]:
+            u2 = list(upper)
+            if u2[frac] is None or down < u2[frac]:
+                u2[frac] = Fraction(down)
+            found = recurse(lower, u2)
+            if found is not None:
+                return found
+        if up <= box and (upper[frac] is None or up <= upper[frac]):
+            l2 = list(lower)
+            l2[frac] = Fraction(up)
+            return recurse(l2, upper)
+        return None
+
+    return recurse([Fraction(0)] * k, [None] * k)
+
+
+def _random_rational(rng, bound):
+    return Fraction(rng.randint(-bound, bound), rng.choice((1, 1, 2, 3, 4, 6)))
+
+
+def _random_bounded_system(rng):
+    nvars = rng.randint(1, 5)
+    m = rng.randint(0, 4)
+    if rng.random() < 0.3:
+        # homogeneous 0/+-1 rows: degenerate vertices and ratio ties
+        rows = [[rng.choice((-1, 0, 0, 1)) for _ in range(nvars)] for _ in range(m)]
+        rhs = [0] * m
+    else:
+        rows = [
+            [_random_rational(rng, 4) if rng.random() < 0.8 else 0 for _ in range(nvars)]
+            for _ in range(m)
+        ]
+        rhs = [_random_rational(rng, 6) for _ in range(m)]
+    lower, upper = [], []
+    for _ in range(nvars):
+        kind = rng.choice(("free", "zero", "rational", "one"))
+        lo = {"free": None, "zero": 0, "one": Fraction(1)}.get(kind)
+        if kind == "rational":
+            lo = _random_rational(rng, 3)
+        lower.append(lo)
+        if rng.random() < 0.35:
+            base = lo if lo is not None else _random_rational(rng, 3)
+            upper.append(base + _random_rational(rng, 4))
+        else:
+            upper.append(None)
+    return rows, rhs, nvars, lower, upper
+
+
+def test_simplex_returns_reference_points(rng):
+    # the fraction-free tableau takes the rational tableau's pivots, so
+    # the point itself, not only feasibility, must be the same
+    stats = {"ties": 0, "pivots": 0}
+    feasible = infeasible = 0
+    for _ in range(600):
+        rows, rhs, nvars, lower, upper = _random_bounded_system(rng)
+        want = _reference_simplex_feasible(rows, rhs, nvars, lower, upper, stats)
+        got = _simplex_feasible(rows, rhs, nvars, lower, upper)
+        assert got == want, (rows, rhs, lower, upper)
+        if got is None:
+            infeasible += 1
+        else:
+            feasible += 1
+            assert all(isinstance(v, Fraction) for v in got)
+    assert feasible > 100 and infeasible > 100
+    assert stats["ties"] > 25  # Bland's tie-break was exercised
+
+
+def test_simplex_reference_points_on_degenerate_supports(rng):
+    # the LPs of support_nonneg: homogeneous rows, x >= 0, one x_i >= 1
+    stats = {"ties": 0, "pivots": 0}
+    for _ in range(150):
+        k = rng.randint(2, 6)
+        rows = [
+            [Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(k)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        rows.append(list(rows[0]))  # a duplicated row ties every ratio
+        for i in range(k):
+            lower = [0] * k
+            lower[i] = Fraction(1)
+            want = _reference_simplex_feasible(rows, [0] * len(rows), k, lower, None, stats)
+            got = lp_feasible(rows, [0] * len(rows), k, nonneg=range(k), strict_lower={i: 1})
+            assert got == want
+    assert stats["ties"] > 100
+
+
+_rationals = st.builds(
+    Fraction, st.integers(-5, 5), st.sampled_from((1, 2, 3, 4, 6))
+)
+
+
+@st.composite
+def _bounded_systems(draw):
+    nvars = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 3))
+    row = st.lists(_rationals, min_size=nvars, max_size=nvars)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    rhs = draw(st.lists(_rationals, min_size=m, max_size=m))
+    bound = st.one_of(st.none(), _rationals)
+    lower = draw(st.lists(bound, min_size=nvars, max_size=nvars))
+    upper = draw(st.lists(bound, min_size=nvars, max_size=nvars))
+    return rows, rhs, nvars, lower, upper
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_bounded_systems())
+def test_simplex_matches_reference_hypothesis(system):
+    rows, rhs, nvars, lower, upper = system
+    want = _reference_simplex_feasible(rows, rhs, nvars, lower, upper)
+    assert _simplex_feasible(rows, rhs, nvars, lower, upper) == want
+
+
+def test_support_sample_matches_reference_lp(monkeypatch):
+    # witness extraction's integer point is unchanged on every sample
+    checked = 0
+    for path in sorted(SAMPLES.glob("*.txt")):
+        inst = load_instance_file(path).build()
+        if not isinstance(inst, intersect.IntersectionInstance):
+            continue
+        decision = decide_intersection(inst)
+        supports = decision.details["final_supports"]
+        got = intersect._support_sample(inst, supports)
+        with monkeypatch.context() as patch:
+            patch.setattr(linsolve, "_simplex_feasible", _reference_simplex_feasible)
+            want = intersect._support_sample(inst, supports)
+        assert got == want
+        checked += 1
+    assert checked >= 3
 
 
 def test_support_examples():
@@ -274,6 +569,43 @@ def test_ilp_matches_brute_force(rng):
             assert all(
                 sum(a * v for a, v in zip(row, got)) == t for row, t in zip(A, b)
             )
+
+
+def test_ilp_search_matches_reference_order(rng):
+    # the explicit stack visits the recursive search's nodes in its order,
+    # so the same first integer point comes back
+    compared = 0
+    for _ in range(120):
+        k = rng.randint(2, 4)
+        A = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 2))]
+        b = [rng.randint(-4, 4) for _ in A]
+        zsol = hnf_solve(A, b)
+        if not zsol.feasible or not zsol.lattice_basis:
+            continue
+        try:
+            want = _reference_ilp_search(A, b, k)
+        except RecursionError:
+            # the recursion gave out; the stack search must end cleanly
+            try:
+                got = linsolve._ilp_base(A, b, k)
+            except BudgetExceeded:
+                continue
+            assert got is not None and all(v >= 0 for v in got)
+            assert all(sum(a * v for a, v in zip(row, got)) == t for row, t in zip(A, b))
+            continue
+        assert linsolve._ilp_base(A, b, k) == want, (A, b)
+        compared += 1
+    assert compared > 40
+
+
+def test_ilp_node_cap_bounds_a_diving_search():
+    # depth first keeps diving into y <= 0, where x - z = 3/2 has no
+    # integer point; the cap ends the search instead of the stack
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as caught:
+        ilp_feasible_nonneg([[-2, 3, 2]], [-3])
+    assert caught.value.budget == ILP_NODE_CAP
+    assert time.perf_counter() - start < 10
 
 
 def test_cone_examples():

@@ -296,6 +296,21 @@ def test_inverse_and_powers(rng):
         assert m**0 == UnipotentMatrix.identity(5)
 
 
+def test_matrix_tables_stay_fraction(rng):
+    # products share mul_upper_rows with the integer tables; entries no
+    # product reaches must still be Fraction zeros in the matrix classes
+    sparse = [h3(1, 0, 0), h3(0, 1, 0), UnipotentMatrix.identity(4)]
+    dense = [random_unipotent(rng, 5, bound=10) for _ in range(2)]
+    nils = [nil3(1, 0, 0), nil3(0, 1, 0), random_nilpotent(rng, 5, bound=10)]
+    tables = []
+    for a in sparse + dense:
+        tables += [a * a, a**3, a**-2, a.inverse(), log_unipotent(a)]
+    tables += [dense[0] * dense[1], exp_nilpotent(nils[2])]
+    tables += [bracket(nils[0], nils[1]), bracket(nils[0], nils[0]), exp_nilpotent(nils[0])]
+    for m in tables:
+        assert all(type(v) is Fraction for row in m.rows for v in row), m
+
+
 def test_matrices_hashable_immutable():
     m = h3(1, 2, 3)
     assert hash(m) == hash(h3(1, 2, 3))
