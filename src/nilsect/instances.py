@@ -31,7 +31,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import UnsupportedInstance
 from .matlie import GeneratorSystem, UnipotentMatrix, direct_sum
 from .numfield import HeisenbergElemK, NumberField, embed_heisenberg
 from .intersect import IntersectionInstance
@@ -40,7 +39,6 @@ from .orbit import H3Elem, OrbitInstance
 KNOWN_OPTIONS = {
     "oracle-depth": ("oracle_depth", int),
     "interleave-budget": ("interleave_budget", int),
-    "letters-cap": ("letters_cap", int),
     "parity-cap": ("parity_cap", int),
     "memory-budget": ("memory_budget", int),
 }

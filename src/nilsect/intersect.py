@@ -16,19 +16,19 @@ from fractions import Fraction
 
 from .matlie import (
     GeneratorSystem,
-    NilpotentMatrix,
     UnipotentMatrix,
-    bch_log,
     common_denominator,
     is_two_step,
     product_of_word,
 )
 from .linsolve import LinearSubspace, eliminate, lp_feasible, support_nonneg
-from .wordcraft import Word, delta_table, parikh, realize_word, total_letters
-
-# Witnesses longer than this are verified through the log-level identity
-# instead of explicit multiplication.
-LETTERS_CAP = 10**6
+from .wordcraft import (
+    Word,
+    least_scale,
+    realize_word,
+    total_letters,
+    within_bounds,
+)
 
 
 class Verdict(Enum):
@@ -252,41 +252,20 @@ def _support_sample(inst, supports):
 
 
 def _minimal_even_scale(counts_by_m, deltas_by_m, kmax):
-    """Smallest even N with |N * 2c| <= N^2 l_i l_j / (4K^2) - 2NK(l_i+l_j) - 4K^2
-    for every system and pair; found by doubling then binary search."""
+    """Smallest even N such that counts N*l and targets 2*N*c of every
+    system are within the realizability bound at K = kmax."""
 
     def ok(N):
-        for counts, deltas in zip(counts_by_m, deltas_by_m):
-            for (i, j), c in deltas.items():
-                li, lj = counts[i], counts[j]
-                lhs = abs(N * 2 * c)
-                rhs = (
-                    Fraction(N * N * li * lj, 4 * kmax * kmax)
-                    - 2 * N * kmax * (li + lj)
-                    - 4 * kmax * kmax
-                )
-                if lhs > rhs:
-                    return False
-        return True
+        return all(
+            within_bounds(
+                [N * v for v in counts],
+                {key: 2 * N * c for key, c in deltas.items()},
+                kmax,
+            )
+            for counts, deltas in zip(counts_by_m, deltas_by_m)
+        )
 
-    hi = 2
-    while not ok(hi):
-        hi *= 2
-        if hi > 2**64:
-            raise AssertionError("no admissible scale found (defect)")
-    lo = 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        mid -= mid % 2  # round down to even
-        if mid < lo:
-            mid = lo
-        if mid == hi:
-            break
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid + 2
-    return hi
+    return least_scale(ok, 2)
 
 
 def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
@@ -295,9 +274,9 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
     Samples a full-support integer point of the final condition space,
     scales it by an even factor N large enough that the word-realization
     bounds hold, realizes one word per system with counts N*l and delta
-    targets 2*N*c (restricted to the support letters), and verifies that
-    all word products agree: by explicit multiplication below the letter
-    cap, through the log-level identity above it.
+    targets 2*N*c (restricted to the support letters), and checks by
+    plain matrix multiplication that all word products agree, however
+    many letters the words have.
     """
     if decision.verdict is not Verdict.NONEMPTY:
         raise ValueError("witness extraction requires a nonempty verdict")
@@ -312,7 +291,6 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
     for m, sys in enumerate(inst.systems):
         letters = sorted(supports[m])
         sub_alphabets.append(letters)
-        pos = {j: a for a, j in enumerate(letters)}
         counts = [by_name[("l", m, j)] for j in letters]
         deltas = {}
         for a in range(len(letters)):
@@ -334,26 +312,9 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
             sub = realize_word(counts, deltas)
         words.append(sub.relabel(letters, sys.K))
 
-    n_letters = total_letters(words)
-    if n_letters <= LETTERS_CAP:
-        method = "product"
-        products = [
-            product_of_word(sys, w) for sys, w in zip(inst.systems, words)
-        ]
-        first = products[0]
-        if any(p != first for p in products[1:]):
-            raise AssertionError("witness products disagree (defect)")
-        common = first
-    else:
-        method = "bch"
-        logs = [
-            bch_log(sys, parikh(w), delta_table(w))
-            for sys, w in zip(inst.systems, words)
-        ]
-        first_log = logs[0]
-        if any(lg != first_log for lg in logs[1:]):
-            raise AssertionError("witness logs disagree (defect)")
-        common = first_log.exp()
+    common = _common_product(inst, words)
+    if common is None:
+        raise AssertionError("witness products disagree (defect)")
 
     out = Decision(
         Verdict.NONEMPTY,
@@ -363,9 +324,18 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
         details=dict(decision.details),
     )
     out.details["scale"] = N
-    out.details["verification"] = method
-    out.details["witness_letters"] = n_letters
+    out.details["witness_letters"] = total_letters(words)
     return out
+
+
+def _common_product(inst: IntersectionInstance, words):
+    """The product shared by all the word products over the M systems,
+    or None when two of them differ."""
+    products = [
+        product_of_word(sys, w) for sys, w in zip(inst.systems, words)
+    ]
+    first = products[0]
+    return first if all(p == first for p in products[1:]) else None
 
 
 def verify_witness(inst: IntersectionInstance, words) -> bool:
@@ -377,8 +347,4 @@ def verify_witness(inst: IntersectionInstance, words) -> bool:
     words = list(words)
     if len(words) != inst.M:
         raise ValueError(f"expected {inst.M} words")
-    products = [
-        product_of_word(sys, w) for sys, w in zip(inst.systems, words)
-    ]
-    first = products[0]
-    return all(p == first for p in products[1:])
+    return _common_product(inst, words) is not None

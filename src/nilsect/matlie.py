@@ -178,17 +178,9 @@ class UnipotentMatrix:
         return UnipotentMatrix._wrap(self.n, rows)
 
     def __pow__(self, e: int) -> "UnipotentMatrix":
-        if e < 0:
-            return self.inverse() ** (-e)
-        acc = UnipotentMatrix.identity(self.n)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            e >>= 1
-            if e:
-                base = base * base
-        return acc
+        """A^e = exp(e log A), exact for every integer e (log A commutes
+        with itself), so the cost does not grow with |e|."""
+        return exp_nilpotent(log_unipotent(self) * e)
 
     def inverse(self) -> "UnipotentMatrix":
         # (I + N)^-1 = sum_k (-N)^k, N strictly upper so the series stops
@@ -482,13 +474,18 @@ def bch_log(gens: GeneratorSystem, parikh, delta) -> NilpotentMatrix:
 def product_of_word(gens: GeneratorSystem, word) -> UnipotentMatrix:
     """Ordered product of the word's generators; empty word gives I.
 
-    Run-length blocks are multiplied as powers (binary powering), so very
-    long words with few runs stay cheap.  This is plain matrix
-    multiplication and is independent of the BCH route.
+    A run of c > 1 copies of A is multiplied in as A^c = exp(c log A),
+    with log A cached by `gens`, so a run costs the same whatever its
+    length; a single copy is multiplied in as A itself, which is cheaper.
+    This is plain matrix multiplication, independent of the BCH identity
+    and of the generated group being 2-step nilpotent.
     """
     acc = UnipotentMatrix.identity(gens.n)
     for letter, count in word.runs:
         if not 0 <= letter < gens.K:
             raise IndexError(f"letter {letter} out of range for {gens.K} generators")
-        acc = acc * (gens.mats[letter] ** count)
+        if count == 1:
+            acc = acc * gens.mats[letter]
+        else:
+            acc = acc * exp_nilpotent(gens.log(letter) * count)
     return acc

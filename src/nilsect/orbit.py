@@ -33,18 +33,16 @@ from .matlie import (
     GeneratorSystem,
     NilpotentMatrix,
     UnipotentMatrix,
-    bch_log,
     bracket,
     common_denominator,
     log_unipotent,
     product_of_word,
 )
 from .oracle import bfs_oracle
-from .wordcraft import Word, delta_table, parikh, realize_word, total_letters
+from .wordcraft import Word, least_scale, realize_word, within_bounds
 
 DEFAULT_INTERLEAVING_BUDGET = 100_000
 DEFAULT_PARITY_CAP = 16  # residue enumeration is 2^(K+M) branches
-LETTERS_CAP = 10**6
 FALLBACK_DEPTH = 8
 
 
@@ -167,9 +165,10 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
     """Dispatch on the dimension of the cone intersection.
 
     Reduces to T = I, builds the two superdiagonal cones, and runs the
-    easy or hard case.  Nonempty verdicts carry a verified witness pair
-    (v over G, w over H) with T * product(v) = S * product(w); the
-    common element reported is that product.
+    easy or hard case.  Nonempty verdicts carry a witness pair (v over G,
+    w over H), and this is the one place it is checked: by plain matrix
+    multiplication against the original T and S, T * product(v) =
+    S * product(w).  The common element reported is that product.
     """
     reduced = reduce_to_identity(inst)
     s_elem = reduced.S
@@ -249,6 +248,8 @@ def decide_easy(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, meet=
     Without a separating functional the bounding argument has no footing;
     the breadth-first oracle is tried as a semi-decision, and Unsupported
     is raised when it finds nothing.
+
+    A nonempty witness pair is not checked here; `decide_orbit` checks it.
     """
     options = options or {}
     budget = options.get("interleave_budget", DEFAULT_INTERLEAVING_BUDGET)
@@ -418,8 +419,6 @@ def _solve_interleaving(s_mat, G, H, g0, h0, cs, ds, g_coefs, h_coefs):
     ]
     v = _word_from_layout(G, cs, g0, counts_g)
     w = _word_from_layout(H, ds, h0, counts_h)
-    if product_of_word(G, v) != s_mat * product_of_word(H, w):
-        raise AssertionError("easy-case witness failed verification (defect)")
     return v, w
 
 
@@ -509,7 +508,8 @@ def decide_hard(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, optio
     c_ij == x_i x_j, d_ij == y_i y_j (mod 2).  Residues of (x, y) are
     enumerated (2^(K+M) branches, lowest branch wins); they determine the
     pair parities, and each branch is a pure integer linear system.
-    A feasible branch is inflated into a verified witness pair.
+    A feasible branch is inflated into a witness pair, which
+    `decide_orbit` checks.
     """
     options = options or {}
     K, M = G.K, H.K
@@ -624,7 +624,7 @@ def _positive_combination(G, H):
 
 
 def extract_orbit_witness(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, sol: RelaxedSolution):
-    """Inflate a relaxed hard-case solution into verified witness words.
+    """Inflate a relaxed hard-case solution into witness words.
 
     Mechanics: pick pair coefficients making a strictly positive combined
     bracket value D (a single +-1 on a pair with nonzero corner bracket);
@@ -632,9 +632,9 @@ def extract_orbit_witness(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem
     multiples of the positive balancing combination (X, Y) scaled with an
     integer N.  The shifts preserve the three equations and all parities,
     and for N large enough every count is positive and the pair targets
-    fall inside the word-realization bounds.  N is minimized by doubling
-    plus binary search, the two words are realized, and the identity
-    product(v) = S * product(w) is checked exactly.
+    fall inside the word-realization bounds.  The least such N is taken
+    and the two words are realized.  The identity product(v) =
+    S * product(w) is not checked here; `decide_orbit` checks it.
     """
     K, M = G.K, H.K
     log_s = log_unipotent(s_elem.matrix())
@@ -710,49 +710,13 @@ def extract_orbit_witness(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem
 
     def bounds_ok(n_scale):
         xs, ys, cs, dsh = shifted(n_scale)
-        if any(v <= 0 for v in xs) or any(v <= 0 for v in ys):
-            return False
-        for (i, j), c in cs.items():
-            if abs(c) > Fraction(xs[i] * xs[j], 4 * K * K) - 2 * K * (
-                xs[i] + xs[j]
-            ) - 4 * K * K:
-                return False
-        for (i, j), dv in dsh.items():
-            if abs(dv) > Fraction(ys[i] * ys[j], 4 * M * M) - 2 * M * (
-                ys[i] + ys[j]
-            ) - 4 * M * M:
-                return False
-        return True
+        return (
+            all(v > 0 for v in xs + ys)
+            and within_bounds(xs, cs, K)
+            and within_bounds(ys, dsh, M)
+        )
 
-    hi = 1
-    while not bounds_ok(hi):
-        hi *= 2
-        if hi > 2**64:
-            raise AssertionError("no admissible inflation scale (defect)")
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid == hi:
-            break
-        if bounds_ok(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    n_scale = hi
-
-    xs, ys, cs, dsh = shifted(n_scale)
+    xs, ys, cs, dsh = shifted(least_scale(bounds_ok, 1))
     v = realize_word(xs, cs) if K > 1 else Word(1, [(0, xs[0])])
     w = realize_word(ys, dsh) if M > 1 else Word(1, [(0, ys[0])])
-
-    if total_letters((v, w)) <= LETTERS_CAP:
-        left = product_of_word(G, v)
-        right = s_elem.matrix() * product_of_word(H, w)
-        if left != right:
-            raise AssertionError("hard-case witness failed verification (defect)")
-    else:
-        log_v = bch_log(G, parikh(v), delta_table(v))
-        log_w = bch_log(H, parikh(w), delta_table(w))
-        log_sw = log_s + log_w + Fraction(1, 2) * bracket(log_s, log_w)
-        if log_v != log_sw:
-            raise AssertionError("hard-case witness failed verification (defect)")
     return v, w

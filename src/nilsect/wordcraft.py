@@ -175,6 +175,41 @@ def _pair_bound(l_i: int, l_j: int, K: int) -> Fraction:
     return Fraction(l_i * l_j, 4 * K * K) - 2 * K * (l_i + l_j) - 4 * K * K
 
 
+def within_bounds(counts, delta, K: int) -> bool:
+    """Whether |C_ij| <= l_i*l_j/(4K^2) - 2K(l_i+l_j) - 4K^2 for every pair
+    i < j of the counts (a pair missing from `delta` has C_ij = 0).
+
+    K is normally len(counts); a larger K gives a stricter bound.
+    """
+    n = len(counts)
+    return all(
+        abs(delta.get((i, j), 0)) <= _pair_bound(counts[i], counts[j], K)
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+
+
+def least_scale(ok, step: int) -> int:
+    """Least positive multiple N of `step` with ok(N), for ok monotone in N.
+
+    Doubles from `step` until ok holds, then binary searches the multiples
+    of `step` below.  Raises AssertionError once the scale passes 2^64.
+    """
+    hi = 1
+    while not ok(hi * step):
+        hi *= 2
+        if hi * step > 2**64:
+            raise AssertionError("no admissible scale below 2^64 (defect)")
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid * step):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi * step
+
+
 def check_realizable(counts, delta) -> None:
     """Raise ValueError unless (counts, delta) satisfies the sufficient bounds.
 
@@ -191,10 +226,8 @@ def check_realizable(counts, delta) -> None:
                     f"parity violated for pair {(i, j)}: "
                     f"C = {c}, l_i*l_j = {counts[i] * counts[j]}"
                 )
-            if abs(c) > _pair_bound(counts[i], counts[j], K):
-                raise ValueError(
-                    f"target C = {c} out of the realizable bound for pair {(i, j)}"
-                )
+    if not within_bounds(counts, delta, K):
+        raise ValueError("a target C_ij is out of the realizable bound")
 
 
 def realize_word(counts, delta) -> Word:

@@ -140,6 +140,8 @@ def test_parse_errors_have_line_numbers():
         parse_instance_text(UT3.replace("problem intersection A B", ""))
     with pytest.raises(ParseError):
         parse_instance_text(UT3 + "option no-such-option 3\n")
+    with pytest.raises(ParseError):
+        parse_instance_text(UT3 + "option letters-cap 5\n")
     # floating literals are rejected outright
     with pytest.raises(ParseError):
         parse_instance_text(UT3.replace("1 1 0", "1 1.5 0"))

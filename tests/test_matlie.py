@@ -287,6 +287,59 @@ def test_product_of_word_run_length_powers():
     assert product_of_word(gens, w) == x**1000
 
 
+def _binary_power(m, e):
+    """m^e by repeated squaring, through the inverse for e < 0: the former
+    UnipotentMatrix.__pow__, kept as the reference for exp(e log m)."""
+    if e < 0:
+        return _binary_power(m.inverse(), -e)
+    acc = UnipotentMatrix.identity(m.n)
+    base = m
+    while e:
+        if e & 1:
+            acc = acc * base
+        e >>= 1
+        if e:
+            base = base * base
+    return acc
+
+
+def _product_by_binary_powering(gens, word):
+    """The former product_of_word: every run multiplied in as a power."""
+    acc = UnipotentMatrix.identity(gens.n)
+    for letter, count in word.runs:
+        acc = acc * _binary_power(gens.mats[letter], count)
+    return acc
+
+
+def _all_fraction(m):
+    return all(type(v) is Fraction for row in m.rows for v in row)
+
+
+def test_powers_match_binary_powering(rng):
+    for n in range(3, 7):
+        for _ in range(3):
+            m = random_unipotent(rng, n, bound=10)
+            for e in (-5, 0, 1, 7, 2**65):
+                got = m**e
+                assert got == _binary_power(m, e), (n, e)
+                assert _all_fraction(got)
+
+
+def test_product_of_word_matches_binary_powering(rng):
+    # runs of 1 take the generator itself, longer runs exp(count log A)
+    for n in range(3, 7):
+        gens = GeneratorSystem([random_unipotent(rng, n, bound=10) for _ in range(3)])
+        for _ in range(4):
+            runs = [
+                (rng.randrange(3), rng.choice((1, 2, 3, 2**70)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            w = Word(3, runs)
+            got = product_of_word(gens, w)
+            assert got == _product_by_binary_powering(gens, w), (n, w)
+            assert _all_fraction(got)
+
+
 def test_inverse_and_powers(rng):
     for _ in range(20):
         m = random_unipotent(rng, 5, bound=10)

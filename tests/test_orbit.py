@@ -22,6 +22,7 @@ from nilsect import (
     reduce_to_identity,
 )
 
+from nilsect import orbit as orbit_module
 from nilsect.orbit import _interleavings
 
 from conftest import h3
@@ -169,6 +170,23 @@ def test_hard_central_shift_nonempty():
     # recounted statistics match the inflated solution targets
     v, w = d.witnesses
     assert delta_table(v) is not None and delta_table(w) is not None
+
+
+def test_orbit_witness_multiplied_once(monkeypatch):
+    # decide_orbit is the one place a witness pair is checked
+    calls = []
+    real = orbit_module.product_of_word
+
+    def counting(gens, word):
+        calls.append(word)
+        return real(gens, word)
+
+    monkeypatch.setattr(orbit_module, "product_of_word", counting)
+    G = gsys(X, Y)
+    d = decide_orbit(orbit(H3Elem.identity(), H3Elem(0, 0, 1), G, G))
+    assert d.details["case"] == "hard"
+    assert d.verdict is Verdict.NONEMPTY
+    assert calls == list(d.witnesses)
 
 
 def test_hard_half_central_shift_empty():

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from nilsect import Word, delta_table, parikh, realize_word, two_letter_permutation
-from nilsect.wordcraft import check_realizable, concat_delta
+from nilsect.intersect import _minimal_even_scale
+from nilsect.wordcraft import check_realizable, concat_delta, least_scale, within_bounds
 
 
 def brute_delta(letters, K):
@@ -173,3 +174,141 @@ def test_realize_word_rejects_out_of_bound():
     bad = 132 * 132  # parity fine, wildly out of bound
     with pytest.raises(ValueError):
         realize_word(counts, {(0, 1): bad})
+
+
+def _reference_even_scale(counts_by_m, deltas_by_m, kmax):
+    """The former intersect._minimal_even_scale, with its inline bound."""
+
+    def ok(N):
+        for counts, deltas in zip(counts_by_m, deltas_by_m):
+            for (i, j), c in deltas.items():
+                li, lj = counts[i], counts[j]
+                lhs = abs(N * 2 * c)
+                rhs = (
+                    Fraction(N * N * li * lj, 4 * kmax * kmax)
+                    - 2 * N * kmax * (li + lj)
+                    - 4 * kmax * kmax
+                )
+                if lhs > rhs:
+                    return False
+        return True
+
+    hi = 2
+    while not ok(hi):
+        hi *= 2
+        if hi > 2**64:
+            raise AssertionError("no admissible scale found (defect)")
+    lo = 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        mid -= mid % 2  # round down to even
+        if mid < lo:
+            mid = lo
+        if mid == hi:
+            break
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 2
+    return hi
+
+
+def _reference_inflation_scale(shifted, K, M):
+    """The former inline scale search of orbit.extract_orbit_witness."""
+
+    def bounds_ok(n_scale):
+        xs, ys, cs, dsh = shifted(n_scale)
+        if any(v <= 0 for v in xs) or any(v <= 0 for v in ys):
+            return False
+        for (i, j), c in cs.items():
+            if abs(c) > Fraction(xs[i] * xs[j], 4 * K * K) - 2 * K * (
+                xs[i] + xs[j]
+            ) - 4 * K * K:
+                return False
+        for (i, j), dv in dsh.items():
+            if abs(dv) > Fraction(ys[i] * ys[j], 4 * M * M) - 2 * M * (
+                ys[i] + ys[j]
+            ) - 4 * M * M:
+                return False
+        return True
+
+    hi = 1
+    while not bounds_ok(hi):
+        hi *= 2
+        if hi > 2**64:
+            raise AssertionError("no admissible inflation scale (defect)")
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid == hi:
+            break
+        if bounds_ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return hi
+
+
+def _pairs(k):
+    return [(i, j) for i in range(k) for j in range(i + 1, k)]
+
+
+def test_even_scale_matches_reference(rng):
+    for _ in range(300):
+        counts_by_m, deltas_by_m = [], []
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(1, 4)
+            counts_by_m.append([rng.randint(1, 60) for _ in range(k)])
+            bound = rng.choice((0, 5, 500, 10**6))
+            deltas_by_m.append({p: rng.randint(-bound, bound) for p in _pairs(k)})
+        kmax = max(len(c) for c in counts_by_m) + rng.randint(0, 2)
+        assert _minimal_even_scale(counts_by_m, deltas_by_m, kmax) == (
+            _reference_even_scale(counts_by_m, deltas_by_m, kmax)
+        )
+
+
+def test_inflation_scale_matches_reference(rng):
+    # the orbit witness tables: a relaxed solution shifted by n times a
+    # positive balancing combination, one pair moved by n times ep
+    for _ in range(300):
+        K, M = rng.randint(1, 4), rng.randint(1, 4)
+        x0 = [rng.randint(-30, 30) for _ in range(K)]
+        y0 = [rng.randint(-30, 30) for _ in range(M)]
+        c0 = {p: rng.randint(-400, 400) for p in _pairs(K)}
+        d0 = {p: rng.randint(-400, 400) for p in _pairs(M)}
+        X = [rng.randint(1, 6) for _ in range(K)]
+        Y = [rng.randint(1, 6) for _ in range(M)]
+        de, ep = rng.randint(1, 4), rng.randint(-20, 20)
+        pick = rng.choice(_pairs(K) + _pairs(M) + [None])
+        big_c = {pick: rng.choice((1, -1))} if pick in c0 else {}
+        big_d = {pick: rng.choice((1, -1))} if not big_c and pick in d0 else {}
+
+        def shifted(n):
+            return (
+                [x0[i] + 2 * n * de * X[i] for i in range(K)],
+                [y0[j] + 2 * n * de * Y[j] for j in range(M)],
+                {p: v - 4 * n * big_c.get(p, 0) * ep for p, v in c0.items()},
+                {p: v + 4 * n * big_d.get(p, 0) * ep for p, v in d0.items()},
+            )
+
+        def ok(n):
+            xs, ys, cs, ds = shifted(n)
+            return (
+                all(v > 0 for v in xs + ys)
+                and within_bounds(xs, cs, K)
+                and within_bounds(ys, ds, M)
+            )
+
+        assert least_scale(ok, 1) == _reference_inflation_scale(shifted, K, M)
+
+
+def test_least_scale_gives_up_past_2_64():
+    probes = []
+
+    def never(n):
+        probes.append(n)
+        return False
+
+    with pytest.raises(AssertionError):
+        least_scale(never, 2)
+    assert probes == [2**k for k in range(1, 65)]
