@@ -18,7 +18,6 @@ from .matlie import (
     UnipotentMatrix,
     NilpotentMatrix,
     GeneratorSystem,
-    check_unipotent,
     log_unipotent,
     exp_nilpotent,
     bracket,
@@ -67,7 +66,6 @@ from .orbit import (
     H3Elem,
     OrbitInstance,
     RelaxedSolution,
-    h3_project,
     reduce_to_identity,
     decide_orbit,
     decide_easy,
@@ -80,9 +78,7 @@ from .instances import (
     ParseError,
     ValidationError,
     load_instance_file,
-    parse_instance,
     parse_instance_text,
-    serialize_instance,
 )
 from .errors import UnsupportedInstance, BudgetExceeded, MemoryBudgetExceeded
 

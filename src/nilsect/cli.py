@@ -42,7 +42,7 @@ from .intersect import (
 )
 from .matlie import NilpotentMatrix, exp_nilpotent, log_unipotent, product_of_word
 from .oracle import bfs_oracle
-from .orbit import OrbitInstance, decide_orbit
+from .orbit import FALLBACK_DEPTH, OrbitInstance, decide_orbit
 from .wordcraft import Word
 
 SCHEMA = "decide-report/1"
@@ -181,7 +181,7 @@ def run(command: str, inst_file: InstanceFile, *, witness=False, trace=False,
     built = inst_file.build()
 
     if command == "oracle":
-        d = depth if depth is not None else options.get("oracle_depth", 8)
+        d = depth if depth is not None else options.get("oracle_depth", FALLBACK_DEPTH)
         found = bfs_oracle(built, d, memory_budget=options.get("memory_budget"))
         report = ResultReport("oracle", "collision" if found else "none")
         if found:
@@ -219,7 +219,7 @@ def run(command: str, inst_file: InstanceFile, *, witness=False, trace=False,
     if trace:
         report.trace = _jsonable_trace(decision.trace)
     if check_oracle:
-        d = options.get("oracle_depth", 8)
+        d = options.get("oracle_depth", FALLBACK_DEPTH)
         found = bfs_oracle(built, d, memory_budget=options.get("memory_budget"))
         agree = (found is not None) == (decision.verdict is Verdict.NONEMPTY)
         # a missing collision at bounded depth cannot contradict nonempty

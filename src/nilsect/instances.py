@@ -1,4 +1,4 @@
-"""Line-oriented instance files and their parsing/serialization.
+"""Line-oriented instance files and their parsing.
 
 Grammar (one directive per line; blank lines and '#' comments ignored;
 all numbers are exact rationals written as "p" or "p/q", never floats):
@@ -61,7 +61,6 @@ class InstanceFile:
     version: int
     group: tuple
     elements: dict  # name -> UnipotentMatrix (embedded)
-    surface: dict  # name -> surface form, for serialization
     semigroups: dict  # name -> tuple of member names
     problem: tuple  # ("intersection", names) | ("orbit", T, S, G, H)
     options: dict = field(default_factory=dict)
@@ -239,7 +238,6 @@ def parse_instance_text(text: str) -> InstanceFile:
 
     group = _parse_group(lines)
     elements = {}
-    surface = {}
     semigroups = {}
     problem = None
     options = {}
@@ -269,7 +267,6 @@ def parse_instance_text(text: str) -> InstanceFile:
             except ValueError as exc:
                 raise ParseError(no, f"matrix {name!r}: {exc}") from exc
             elements[name] = mat
-            surface[name] = ("matrix", mat)
         elif head == "element":
             if group[0] != "heisenberg":
                 raise ParseError(no, "'element' is only valid in heisenberg groups")
@@ -292,7 +289,6 @@ def parse_instance_text(text: str) -> InstanceFile:
                     parts.append(_parse_heis_body(lines, n, fld, name))
             embedded = direct_sum([embed_heisenberg(h) for h in parts])
             elements[name] = embedded
-            surface[name] = ("heis", tuple(parts))
         elif head == "semigroup":
             if len(toks) < 3:
                 raise ParseError(no, "usage: semigroup NAME MEMBER...")
@@ -350,7 +346,6 @@ def parse_instance_text(text: str) -> InstanceFile:
         version=version,
         group=group,
         elements=elements,
-        surface=surface,
         semigroups=semigroups,
         problem=problem,
         options=options,
@@ -360,64 +355,3 @@ def parse_instance_text(text: str) -> InstanceFile:
 def load_instance_file(path) -> InstanceFile:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_instance_text(fh.read())
-
-
-def parse_instance(path):
-    """Parse and build: returns IntersectionInstance or OrbitInstance."""
-    return load_instance_file(path).build()
-
-
-def _fmt_rat(x: Fraction) -> str:
-    return str(x)
-
-
-def serialize_instance(inst_file: InstanceFile) -> str:
-    """Textual form that parses back to an equal InstanceFile."""
-    out = [f"version {inst_file.version}"]
-    group = inst_file.group
-    if group[0] == "ut-q":
-        out.append(f"group ut-q {group[1]}")
-    else:
-        factors = group[1]
-
-        def factor_line(n, fld):
-            coeffs = " ".join(_fmt_rat(c) for c in reversed(fld.coeffs))
-            return f"heisenberg-k {n} minpoly {coeffs}"
-
-        if len(factors) == 1:
-            out.append("group " + factor_line(*factors[0]))
-        else:
-            out.append("group product")
-            for n, fld in factors:
-                out.append("factor " + factor_line(n, fld))
-    for name, form in inst_file.surface.items():
-        if form[0] == "matrix":
-            out.append(f"matrix {name}")
-            for row in form[1].rows:
-                out.append(" ".join(_fmt_rat(x) for x in row))
-        else:
-            out.append(f"element {name}")
-            parts = form[1]
-            for idx, h in enumerate(parts, start=1):
-                if len(parts) > 1:
-                    out.append(f"factor {idx}")
-                avec = " ".join(
-                    ",".join(_fmt_rat(c) for c in e.coords) for e in h.a
-                )
-                bvec = " ".join(
-                    ",".join(_fmt_rat(c) for c in e.coords) for e in h.b
-                )
-                cval = ",".join(_fmt_rat(c) for c in h.c.coords)
-                out.append(f"a {avec}")
-                out.append(f"b {bvec}")
-                out.append(f"c {cval}")
-    for name, members in inst_file.semigroups.items():
-        out.append(f"semigroup {name} " + " ".join(members))
-    if inst_file.problem[0] == "intersection":
-        out.append("problem intersection " + " ".join(inst_file.problem[1]))
-    else:
-        out.append("problem orbit " + " ".join(inst_file.problem[1:]))
-    reverse_opts = {attr: key for key, (attr, _) in KNOWN_OPTIONS.items()}
-    for attr, value in inst_file.options.items():
-        out.append(f"option {reverse_opts[attr]} {value}")
-    return "\n".join(out) + "\n"

@@ -84,8 +84,14 @@ def _is_zero_rows(a):
 
 
 def common_denominator(values) -> int:
-    """Least common multiple of the denominators of the given rationals."""
-    return lcm(*(v.denominator for v in values))
+    """Least common multiple of the denominators of the given rationals.
+
+    A fold, so no argument tuple of every denominator is built.
+    """
+    d = 1
+    for v in values:
+        d = lcm(d, v.denominator)
+    return d
 
 
 def _integer_log(m: UnipotentMatrix):
@@ -114,26 +120,6 @@ def _integer_log(m: UnipotentMatrix):
         coef = (-1) ** (k - 1) * (big_l // k) * d ** (p - k)
         acc = _add(acc, _scale(power, coef, n), n)
     return acc
-
-
-def check_unipotent(rows) -> bool:
-    """True iff the given square table is upper triangular with unit diagonal.
-
-    Total: malformed (non-square) input simply returns False.
-    """
-    if isinstance(rows, UnipotentMatrix):
-        return True
-    try:
-        n, table = _freeze(rows)
-    except (ValueError, TypeError, ZeroDivisionError):
-        return False
-    for i in range(n):
-        if table[i][i] != 1:
-            return False
-        for j in range(i):
-            if table[i][j]:
-                return False
-    return True
 
 
 class UnipotentMatrix:

@@ -13,6 +13,14 @@ plane cones spanned by the superdiagonal parts of the generator logs:
   by enumerating residues and checking integer feasibility; a solution
   is then inflated into explicit witness words.
 
+Lie-algebra elements are log triples (a, b, gamma), the entries (0,1),
+(1,2) and (0,2) of a 3x3 log.  A bracket [X, Y] is nonzero only in the
+corner, a_X b_Y - a_Y b_X, so the 2-step BCH formula
+
+    log(e^{X_1} ... e^{X_n}) = sum X_k + 1/2 sum_{k<l} [X_k, X_l]
+
+is exact here, and every equation below is written with it.
+
 Nonempty verdicts always come with a verified witness pair.  One known
 configuration (dimension <= 1 but no separating functional, e.g. a full
 plane cone against a ray inside it) is outside the supported procedure;
@@ -29,21 +37,13 @@ from fractions import Fraction
 from .errors import BudgetExceeded, UnsupportedInstance
 from .intersect import Decision, Verdict
 from .linsolve import Cone2D, cone_intersect_dim, hnf_solve, ilp_feasible_nonneg, lp_feasible
-from .matlie import (
-    GeneratorSystem,
-    NilpotentMatrix,
-    UnipotentMatrix,
-    bracket,
-    common_denominator,
-    log_unipotent,
-    product_of_word,
-)
+from .matlie import GeneratorSystem, UnipotentMatrix, common_denominator, product_of_word
 from .oracle import bfs_oracle
 from .wordcraft import Word, least_scale, realize_word, within_bounds
 
 DEFAULT_INTERLEAVING_BUDGET = 100_000
 DEFAULT_PARITY_CAP = 16  # residue enumeration is 2^(K+M) branches
-FALLBACK_DEPTH = 8
+FALLBACK_DEPTH = 8  # default oracle-depth, here and in the CLI
 
 
 class H3Elem:
@@ -84,6 +84,14 @@ class H3Elem:
     def inverse(self) -> "H3Elem":
         return H3Elem(-self.a, -self.b, -self.c + self.a * self.b)
 
+    def log(self):
+        """log of the element as the triple (a, b, c - ab/2).
+
+        These are the entries (0,1), (1,2) and (0,2) of the matrix
+        logarithm; its other entries are zero.
+        """
+        return (self.a, self.b, self.c - self.a * self.b / 2)
+
     def __eq__(self, other):
         return (
             isinstance(other, H3Elem)
@@ -95,17 +103,6 @@ class H3Elem:
 
     def __repr__(self):
         return f"H3({self.a}, {self.b}, {self.c})"
-
-
-def h3_project(x: NilpotentMatrix, which: str):
-    """Projections of a 3x3 log: "phi" -> superdiagonal pair, "pi" -> corner."""
-    if x.n != 3:
-        raise ValueError("projection defined for dimension 3 only")
-    if which == "phi":
-        return (x[0, 1], x[1, 2])
-    if which == "pi":
-        return x[0, 2]
-    raise ValueError("which must be 'phi' or 'pi'")
 
 
 class OrbitInstance:
@@ -153,12 +150,18 @@ def reduce_to_identity(inst: OrbitInstance) -> OrbitInstance:
     )
 
 
-def _phi_log(sys: GeneratorSystem, i: int):
-    return h3_project(sys.log(i), "phi")
+def _corner(x, y):
+    """Corner entry a_x b_y - a_y b_x of [X, Y], its only nonzero entry."""
+    return x[0] * y[1] - y[0] * x[1]
 
 
-def _pi_log(sys: GeneratorSystem, i: int):
-    return h3_project(sys.log(i), "pi")
+def _logs(sys: GeneratorSystem):
+    """Log triples of the generators, in order."""
+    return [H3Elem.from_matrix(m).log() for m in sys.mats]
+
+
+def _cone(logs):
+    return Cone2D([x[:2] for x in logs])
 
 
 def decide_orbit(inst: OrbitInstance) -> Decision:
@@ -173,15 +176,16 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
     reduced = reduce_to_identity(inst)
     s_elem = reduced.S
     G, H = inst.G, inst.H
-    cone_g = Cone2D([_phi_log(G, i) for i in range(G.K)])
-    cone_h = Cone2D([_phi_log(H, i) for i in range(H.K)])
-    meet = cone_intersect_dim(cone_g, cone_h)
+    logs = (_logs(G), _logs(H))
+    meet = cone_intersect_dim(*map(_cone, logs))
 
     if meet.dim == 2:
-        decision = decide_hard(s_elem, G, H, options=inst.options)
+        decision = decide_hard(s_elem, G, H, options=inst.options, logs=logs)
         case = "hard"
     else:
-        decision = decide_easy(s_elem, G, H, meet=meet, options=inst.options)
+        decision = decide_easy(
+            s_elem, G, H, meet=meet, options=inst.options, logs=logs
+        )
         case = decision.details.get("case", "easy")
 
     decision.details["dim"] = meet.dim
@@ -234,29 +238,32 @@ def _interleavings(letters, caps, length):
         start = last + 1
 
 
-def decide_easy(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, meet=None, options=None) -> Decision:
+def decide_easy(
+    s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, meet=None, options=None, logs=None
+) -> Decision:
     """Finite Diophantine search when the cones meet in dimension <= 1.
 
     A separating functional n (nonnegative on the G directions,
     nonpositive on the H directions) bounds the number of off-line
     letters in any witness pair; all their orderings are enumerated and
     each yields one linear system over nonnegative integers in the
-    on-line letter counts.  The equation for a fixed ordering is affine
-    in those counts (the on-line letters commute), so its coefficients
-    are obtained exactly by evaluating log-products at unit counts.
+    on-line letter counts.  For a fixed ordering the log of each side is
+    affine in those counts, and its base and coefficients are explicit
+    BCH sums over the ordering (`_side_coefficients`).
 
     Without a separating functional the bounding argument has no footing;
     the breadth-first oracle is tried as a semi-decision, and Unsupported
     is raised when it finds nothing.
 
-    A nonempty witness pair is not checked here; `decide_orbit` checks it.
+    `logs` is the pair of generator log triples of G and H, computed here
+    when not given.  A nonempty witness pair is not checked here;
+    `decide_orbit` checks it.
     """
     options = options or {}
     budget = options.get("interleave_budget", DEFAULT_INTERLEAVING_BUDGET)
+    g_logs, h_logs = logs or (_logs(G), _logs(H))
     if meet is None:
-        cone_g = Cone2D([_phi_log(G, i) for i in range(G.K)])
-        cone_h = Cone2D([_phi_log(H, i) for i in range(H.K)])
-        meet = cone_intersect_dim(cone_g, cone_h)
+        meet = cone_intersect_dim(_cone(g_logs), _cone(h_logs))
     if meet.dim > 1:
         raise ValueError("easy case requires cone intersection of dimension <= 1")
 
@@ -264,16 +271,13 @@ def decide_easy(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, meet=
         return _easy_fallback(s_elem, G, H, options)
 
     n_fun = meet.separating_functional
-    s_mat = s_elem.matrix()
-    log_s = log_unipotent(s_mat)
-    phi_s = h3_project(log_s, "phi")
-    ns = n_fun[0] * phi_s[0] + n_fun[1] * phi_s[1]
+    s_log = s_elem.log()
+    ns = n_fun[0] * s_log[0] + n_fun[1] * s_log[1]
 
-    def side_split(sys, sign):
+    def side_split(logs, sign):
         on_line, off_line, caps = [], [], {}
-        for i in range(sys.K):
-            phi = _phi_log(sys, i)
-            val = n_fun[0] * phi[0] + n_fun[1] * phi[1]
+        for i, x in enumerate(logs):
+            val = n_fun[0] * x[0] + n_fun[1] * x[1]
             if val == 0:
                 on_line.append(i)
             else:
@@ -281,8 +285,8 @@ def decide_easy(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, meet=
                 caps[i] = ns / (sign * val)
         return on_line, off_line, caps
 
-    g0, gplus, gcaps = side_split(G, 1)
-    h0, hplus, hcaps = side_split(H, -1)
+    g0, gplus, gcaps = side_split(g_logs, 1)
+    h0, hplus, hcaps = side_split(h_logs, -1)
 
     trace = {"functional": n_fun, "ns": ns, "g_plus": gplus, "h_plus": hplus}
     if ns < 0:
@@ -311,7 +315,7 @@ def decide_easy(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, meet=
                             budget=budget,
                         )
                     found = _solve_interleaving(
-                        s_mat, G, H, g0, h0, cs, ds, g_coefs, h_coefs
+                        s_log, g_logs, h_logs, g0, h0, cs, ds, g_coefs, h_coefs
                     )
                     if found is not None:
                         v, w = found
@@ -326,7 +330,9 @@ def decide_easy(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, meet=
     return Decision(Verdict.EMPTY, trace=[trace], details={"case": "easy"})
 
 
-def _word_from_layout(sys, interleaving, on_line, counts_by_gap):
+def _word_from_layout(k, interleaving, on_line, counts_by_gap):
+    """Word over k letters: the on-line runs of each gap, then the
+    off-line letter that closes the gap."""
     runs = []
     for gap in range(len(interleaving) + 1):
         for pos, letter in enumerate(on_line):
@@ -335,44 +341,53 @@ def _word_from_layout(sys, interleaving, on_line, counts_by_gap):
                 runs.append((letter, c))
         if gap < len(interleaving):
             runs.append((interleaving[gap], 1))
-    return Word(sys.K, runs)
+    return Word(k, runs)
 
 
-def _side_coefficients(sys, interleaving, on_line, prefix):
+def _side_coefficients(logs, interleaving, on_line, prefix):
     """log(prefix * product) at zero on-line counts, and its change per unit.
 
-    log(product) is affine in the on-line counts of each gap, so the
-    change from one unit count is the same at every point.
+    The base is the BCH sum over the prefix (log S on the H side, nothing
+    on the G side) followed by the off-line letters of `interleaving`.
+    One on-line letter X_j added in gap g (before off-line letter g) adds
+
+        X_j + 1/2 [P, X_j] + 1/2 [X_j, A]  =  X_j + 1/2 [P - A, X_j],
+
+    with P the sum of the prefix and the off-line letters before the gap
+    and A the sum of those after it.  This is exact at every point, not
+    only at zero: the on-line superdiagonals are collinear (all lie on
+    the kernel of the separating functional), so on-line letters bracket
+    to zero with each other and the change does not depend on the other
+    on-line counts.  Columns are ordered by gap, then by `on_line`.
     """
-
-    def log_of(counts_by_gap):
-        word = _word_from_layout(sys, interleaving, on_line, counts_by_gap)
-        p = product_of_word(sys, word)
-        if prefix is not None:
-            p = prefix * p
-        return log_unipotent(p)
-
-    zero_counts = [[0] * len(on_line) for _ in range(len(interleaving) + 1)]
-    base = log_of(zero_counts)
+    a = b = gamma = Fraction(0)
+    if prefix is not None:
+        a, b, gamma = prefix
+    ahead = [(a, b)]  # superdiagonal sum ahead of each gap
+    for i in interleaving:
+        x = logs[i]
+        gamma += x[2] + _corner((a, b), x) / 2
+        a += x[0]
+        b += x[1]
+        ahead.append((a, b))
     cols = []
-    for gap in range(len(zero_counts)):
-        for pos in range(len(on_line)):
-            bumped = [row[:] for row in zero_counts]
-            bumped[gap][pos] = 1
-            cols.append(log_of(bumped) - base)
-    return base, cols
+    for pa, pb in ahead:
+        diff = (2 * pa - a, 2 * pb - b)  # P - A
+        for j in on_line:
+            x = logs[j]
+            cols.append((x[0], x[1], x[2] + _corner(diff, x) / 2))
+    return (a, b, gamma), cols
 
 
-def _solve_interleaving(s_mat, G, H, g0, h0, cs, ds, g_coefs, h_coefs):
+def _solve_interleaving(s_log, g_logs, h_logs, g0, h0, cs, ds, g_coefs, h_coefs):
     """One linear Diophantine system for fixed off-line letter orderings.
 
     Variables: counts x[gap][j] of on-line G letters in each of the
-    len(cs)+1 gaps, same for H.  log(product) is affine in these counts,
-    so coefficient matrices come from unit-count evaluations; the three
-    independent entries of the 3x3 logs give the equation rows.  The
-    evaluations of each side are memoised in `g_coefs` / `h_coefs`, keyed
-    by its ordering.  Side conditions: a side with no off-line letters
-    must still be a nonempty word.
+    len(cs)+1 gaps, same for H.  The log of each side is affine in these
+    counts (`_side_coefficients`); its three coordinates give the
+    equation rows.  The coefficients of each side are memoised in
+    `g_coefs` / `h_coefs`, keyed by its ordering.  Side conditions: a
+    side with no off-line letters must still be a nonempty word.
     """
     kg, kh = len(g0), len(h0)
     gaps_g, gaps_h = len(cs) + 1, len(ds) + 1
@@ -382,18 +397,16 @@ def _solve_interleaving(s_mat, G, H, g0, h0, cs, ds, g_coefs, h_coefs):
         return None
 
     if cs not in g_coefs:
-        g_coefs[cs] = _side_coefficients(G, cs, g0, None)
+        g_coefs[cs] = _side_coefficients(g_logs, cs, g0, None)
     if ds not in h_coefs:
-        h_coefs[ds] = _side_coefficients(H, ds, h0, s_mat)
+        h_coefs[ds] = _side_coefficients(h_logs, ds, h0, s_log)
     base_v, cols_v = g_coefs[cs]
     base_w, cols_w = h_coefs[ds]
 
-    entries = [(0, 1), (1, 2), (0, 2)]
     rows = []
     rhs = []
-    for e in entries:
-        row = [col[e] for col in cols_v] + [-col[e] for col in cols_w]
-        rows.append(row)
+    for e in range(3):
+        rows.append([col[e] for col in cols_v] + [-col[e] for col in cols_w])
         rhs.append(base_w[e] - base_v[e])
     den = common_denominator(itertools.chain(*rows, rhs))
     int_rows = [[int(v * den) for v in row] for row in rows]
@@ -417,8 +430,8 @@ def _solve_interleaving(s_mat, G, H, g0, h0, cs, ds, g_coefs, h_coefs):
     counts_h = [
         [ys[gap * kh + pos] for pos in range(kh)] for gap in range(gaps_h)
     ]
-    v = _word_from_layout(G, cs, g0, counts_g)
-    w = _word_from_layout(H, ds, h0, counts_h)
+    v = _word_from_layout(len(g_logs), cs, g0, counts_g)
+    w = _word_from_layout(len(h_logs), ds, h0, counts_h)
     return v, w
 
 
@@ -446,61 +459,40 @@ def _easy_fallback(s_elem, G, H, options):
 # Hard case: cone intersection of dimension 2
 
 
-def _hard_system(s_elem, G, H):
+def _pairs(k):
+    return [(i, j) for i in range(k) for j in range(i + 1, k)]
+
+
+def _hard_system(s_log, g_logs, h_logs):
     """Rows of the relaxed system over (x, y, c, d) with Fraction entries.
 
-    Returns (rows, rhs, layout) where layout maps variable kinds to
-    index ranges; rows are the two superdiagonal equations followed by
-    the corner equation.
+    Returns (rows, rhs, g_pairs, h_pairs).  The variables are x, y, then
+    one c per pair of g_pairs and one d per pair of h_pairs; the rows are
+    the two superdiagonal equations followed by the corner equation.  In
+    the corner row, x_i has coefficient gamma of G_i, y_j has gamma of H_j
+    plus 1/2 [log S, H_j] (negated), and each pair coefficient has half
+    the corner bracket of its pair.
     """
-    K, M = G.K, H.K
-    log_s = log_unipotent(s_elem.matrix())
-    phi_s = h3_project(log_s, "phi")
-    pi_s = h3_project(log_s, "pi")
-    g_pairs = [(i, j) for i in range(K) for j in range(i + 1, K)]
-    h_pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
-    nx, ny = K, M
-    nc, nd = len(g_pairs), len(h_pairs)
-    width = nx + ny + nc + nd
-
-    rows = []
-    rhs = []
-    for comp in range(2):
-        row = [Fraction(0)] * width
-        for i in range(K):
-            row[i] = _phi_log(G, i)[comp]
-        for i in range(M):
-            row[nx + i] = -_phi_log(H, i)[comp]
-        rows.append(row)
-        rhs.append(phi_s[comp])
-
-    row = [Fraction(0)] * width
-    for i in range(K):
-        row[i] = _pi_log(G, i)
-    for i in range(M):
-        adj = bracket(log_s, H.log(i))
-        row[nx + i] = -(_pi_log(H, i) + Fraction(1, 2) * h3_project(adj, "pi"))
-    for idx, (i, j) in enumerate(g_pairs):
-        row[nx + ny + idx] = Fraction(1, 2) * h3_project(G.bracket_log(i, j), "pi")
-    for idx, (i, j) in enumerate(h_pairs):
-        row[nx + ny + nc + idx] = -Fraction(1, 2) * h3_project(
-            H.bracket_log(i, j), "pi"
-        )
-    rows.append(row)
-    rhs.append(pi_s)
-
-    layout = {
-        "x": (0, nx),
-        "y": (nx, nx + ny),
-        "c": (nx + ny, nx + ny + nc),
-        "d": (nx + ny + nc, width),
-        "g_pairs": g_pairs,
-        "h_pairs": h_pairs,
-    }
-    return rows, rhs, layout
+    g_pairs = _pairs(len(g_logs))
+    h_pairs = _pairs(len(h_logs))
+    rows = [
+        [x[comp] for x in g_logs]
+        + [-y[comp] for y in h_logs]
+        + [Fraction(0)] * (len(g_pairs) + len(h_pairs))
+        for comp in range(2)
+    ]
+    rows.append(
+        [x[2] for x in g_logs]
+        + [-(y[2] + _corner(s_log, y) / 2) for y in h_logs]
+        + [_corner(g_logs[i], g_logs[j]) / 2 for i, j in g_pairs]
+        + [-_corner(h_logs[i], h_logs[j]) / 2 for i, j in h_pairs]
+    )
+    return rows, list(s_log), g_pairs, h_pairs
 
 
-def decide_hard(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, options=None) -> Decision:
+def decide_hard(
+    s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, options=None, logs=None
+) -> Decision:
     """Relaxed-system decision when the cones meet with full dimension.
 
     Solvability is equivalent to integer x, y, c, d satisfying the two
@@ -509,20 +501,19 @@ def decide_hard(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, optio
     enumerated (2^(K+M) branches, lowest branch wins); they determine the
     pair parities, and each branch is a pure integer linear system.
     A feasible branch is inflated into a witness pair, which
-    `decide_orbit` checks.
+    `decide_orbit` checks.  `logs` is as for `decide_easy`.
     """
     options = options or {}
     K, M = G.K, H.K
+    logs = logs or (_logs(G), _logs(H))
     cap = options.get("parity_cap", DEFAULT_PARITY_CAP)
     if K + M > cap:
         raise BudgetExceeded(
             f"hard case would enumerate 2^{K + M} parity branches (cap {cap})",
             budget=cap,
         )
-    rows, rhs, layout = _hard_system(s_elem, G, H)
+    rows, rhs, g_pairs, h_pairs = _hard_system(s_elem.log(), *logs)
     width = len(rows[0])
-    g_pairs = layout["g_pairs"]
-    h_pairs = layout["h_pairs"]
     nx, ny = K, M
     den = common_denominator(itertools.chain(*rows, rhs))
 
@@ -562,8 +553,8 @@ def decide_hard(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, optio
                 for idx, p in enumerate(h_pairs)
             },
         )
-        _check_relaxed(rows, rhs, layout, relaxed)
-        v, w = extract_orbit_witness(s_elem, G, H, relaxed)
+        _check_relaxed(rows, rhs, relaxed)
+        v, w = extract_orbit_witness(s_elem, G, H, relaxed, logs=logs)
         return Decision(
             Verdict.NONEMPTY,
             witnesses=(v, w),
@@ -577,12 +568,12 @@ def decide_hard(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, optio
     )
 
 
-def _check_relaxed(rows, rhs, layout, sol: RelaxedSolution):
+def _check_relaxed(rows, rhs, sol: RelaxedSolution):
     flat = (
         list(sol.x)
         + list(sol.y)
-        + [sol.c[p] for p in layout["g_pairs"]]
-        + [sol.d[p] for p in layout["h_pairs"]]
+        + list(sol.c.values())
+        + list(sol.d.values())
     )
     for row, target in zip(rows, rhs):
         if sum(coef * v for coef, v in zip(row, flat)) != target:
@@ -595,19 +586,18 @@ def _check_relaxed(rows, rhs, layout, sol: RelaxedSolution):
             raise AssertionError("relaxed solution fails parity (defect)")
 
 
-def _positive_combination(G, H):
-    """Strictly positive integers X, Y with sum X_i phi_i(G) = sum Y_j phi_j(H).
+def _positive_combination(g_logs, h_logs):
+    """Strictly positive integers X, Y with sum X_i phi(G_i) = sum Y_j phi(H_j),
+    phi the superdiagonal pair (a, b) of a log triple.
 
     Exists whenever the cones meet with dimension 2 (any interior vector
     of the intersection is a strictly positive combination on both
     sides); found as one homogeneous LP with all variables >= 1.
     """
-    K, M = G.K, H.K
-    rows = []
-    for comp in range(2):
-        row = [_phi_log(G, i)[comp] for i in range(K)]
-        row += [-_phi_log(H, j)[comp] for j in range(M)]
-        rows.append(row)
+    K, M = len(g_logs), len(h_logs)
+    rows = [
+        [x[comp] for x in g_logs] + [-y[comp] for y in h_logs] for comp in range(2)
+    ]
     point = lp_feasible(
         rows,
         [0, 0],
@@ -623,7 +613,9 @@ def _positive_combination(G, H):
     return scaled[:K], scaled[K:]
 
 
-def extract_orbit_witness(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, sol: RelaxedSolution):
+def extract_orbit_witness(
+    s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, sol: RelaxedSolution, *, logs=None
+):
     """Inflate a relaxed hard-case solution into witness words.
 
     Mechanics: pick pair coefficients making a strictly positive combined
@@ -635,57 +627,39 @@ def extract_orbit_witness(s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem
     fall inside the word-realization bounds.  The least such N is taken
     and the two words are realized.  The identity product(v) =
     S * product(w) is not checked here; `decide_orbit` checks it.
+    `logs` is as for `decide_easy`.
     """
-    K, M = G.K, H.K
-    log_s = log_unipotent(s_elem.matrix())
+    g_logs, h_logs = logs or (_logs(G), _logs(H))
+    K, M = len(g_logs), len(h_logs)
+    s_log = s_elem.log()
+    g_halves = [_corner(g_logs[i], g_logs[j]) / 2 for i, j in _pairs(K)]
+    h_halves = [_corner(h_logs[i], h_logs[j]) / 2 for i, j in _pairs(M)]
+    s_halves = [_corner(s_log, y) / 2 for y in h_logs]
 
-    # choose the positive bracket witness: a single pair with nonzero corner
+    # choose the positive bracket witness: the first pair, G before H,
+    # with nonzero corner bracket
     big_c = {}
     big_d = {}
     d_value = None
-    for i in range(K):
-        for j in range(i + 1, K):
-            val = h3_project(G.bracket_log(i, j), "pi")
-            if val:
-                big_c[(i, j)] = 1 if val > 0 else -1
-                d_value = abs(val)
+    for pairs, halves, big in ((_pairs(K), g_halves, big_c), (_pairs(M), h_halves, big_d)):
+        for pair, half in zip(pairs, halves):
+            if half:
+                big[pair] = 1 if half > 0 else -1
+                d_value = abs(2 * half)
                 break
         if d_value is not None:
             break
-    if d_value is None:
-        for i in range(M):
-            for j in range(i + 1, M):
-                val = h3_project(H.bracket_log(i, j), "pi")
-                if val:
-                    big_d[(i, j)] = 1 if val > 0 else -1
-                    d_value = abs(val)
-                    break
-            if d_value is not None:
-                break
     if d_value is None:
         raise AssertionError(
             "no nonzero corner bracket despite a 2-dimensional meet (defect)"
         )
 
-    tables = [G.log(i) for i in range(K)] + [H.log(i) for i in range(M)]
-    tables.append(log_s)
-    tables.extend(Fraction(1, 2) * bracket(log_s, H.log(i)) for i in range(M))
-    tables.extend(
-        Fraction(1, 2) * G.bracket_log(i, j) for i in range(K) for j in range(i + 1, K)
+    e_den = common_denominator(
+        itertools.chain(*g_logs, *h_logs, s_log, s_halves, g_halves, h_halves)
     )
-    tables.extend(
-        Fraction(1, 2) * H.bracket_log(i, j) for i in range(M) for j in range(i + 1, M)
-    )
-    e_den = common_denominator(v for t in tables for row in t.rows for v in row)
-
-    X, Y = _positive_combination(G, H)
-    p_val = sum(X[k] * _pi_log(G, k) for k in range(K)) - sum(
-        Y[k]
-        * (
-            _pi_log(H, k)
-            + Fraction(1, 2) * h3_project(bracket(log_s, H.log(k)), "pi")
-        )
-        for k in range(M)
+    X, Y = _positive_combination(g_logs, h_logs)
+    p_val = sum(X[k] * g_logs[k][2] for k in range(K)) - sum(
+        Y[k] * (h_logs[k][2] + s_halves[k]) for k in range(M)
     )
     de_int = d_value * e_den
     ep_int = p_val * e_den

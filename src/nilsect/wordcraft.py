@@ -124,21 +124,6 @@ def delta_table(word: Word):
     return table
 
 
-def concat_delta(u_parikh, u_delta, v_parikh, v_delta):
-    """delta of a concatenation uv from the statistics of u and v."""
-    K = len(u_parikh)
-    out = {}
-    for i in range(K):
-        for j in range(i + 1, K):
-            out[(i, j)] = (
-                u_delta[(i, j)]
-                + v_delta[(i, j)]
-                + u_parikh[i] * v_parikh[j]
-                - u_parikh[j] * v_parikh[i]
-            )
-    return out
-
-
 def two_letter_permutation(s_i: int, s_j: int, C: int, *, letters=(0, 1), K: int = 2) -> Word:
     """A permutation of i^s_i j^s_j whose delta_ij equals C.
 

@@ -11,9 +11,7 @@ from nilsect import (
     ParseError,
     ValidationError,
     load_instance_file,
-    parse_instance,
     parse_instance_text,
-    serialize_instance,
 )
 from nilsect.cli import EXIT_INTERNAL_ERROR, EXIT_NONEMPTY, main, reverify_report, run
 
@@ -121,13 +119,6 @@ def test_parse_product_group_block_diagonal():
 def test_parse_orbit():
     built = parse_instance_text(ORBIT).build()
     assert isinstance(built, OrbitInstance)
-
-
-def test_round_trip():
-    for text in (UT3, SQRT2, PRODUCT, ORBIT):
-        inst_file = parse_instance_text(text)
-        again = parse_instance_text(serialize_instance(inst_file))
-        assert again == inst_file
 
 
 def test_parse_errors_have_line_numbers():

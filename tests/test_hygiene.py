@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "nilsect"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "nilsect"
 
 
 def unused_imports(source):
@@ -39,3 +40,57 @@ def test_no_unused_imports_in_package():
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def referenced_names(source):
+    """Identifiers, attribute names and string constants of a module, as
+    {top-level definition they occur in (None outside any): names}."""
+    found = {}
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", None)
+        names = found.setdefault(owner, set())
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                names.add(sub.value)
+    return found
+
+
+def unused_exports(init_source, sources):
+    """Names the package __init__ imports that none of `sources` names
+    outside the name's own top-level definition."""
+    exported = [
+        a.asname or a.name
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    ]
+    used = set()
+    for source in sources:
+        for owner, names in referenced_names(source).items():
+            used |= names - {owner}
+    return [name for name in exported if name not in used]
+
+
+def test_unused_exports_detected():
+    init = "from .m import f, g, h, k, C\nfrom .n import q as r\n"
+    module = (
+        "import os\nfrom .m import k\n"
+        "def f():\n    return f()\n"
+        "def g():\n    return os.h\n"
+        "class C:\n    def new(self):\n        return C()\n"
+    )
+    tool = "LAYERS = ('g',)\n"
+    assert unused_exports(init, [module, tool]) == ["f", "k", "C", "r"]
+
+
+def test_every_export_used_outside_tests():
+    sources = [
+        path.read_text()
+        for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    assert unused_exports((SRC / "__init__.py").read_text(), sources) == []

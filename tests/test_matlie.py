@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +14,6 @@ from nilsect import (
     UnipotentMatrix,
     bch_log,
     bracket,
-    check_unipotent,
     delta_table,
     embed_heisenberg,
     exp_nilpotent,
@@ -24,17 +24,9 @@ from nilsect import (
     product_of_word,
     Word,
 )
-from nilsect.matlie import _integer_log
+from nilsect.matlie import _integer_log, common_denominator
 
 from conftest import h3, nil3, random_nilpotent, random_unipotent
-
-
-def test_check_unipotent():
-    assert check_unipotent([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert not check_unipotent([[1, 0], [1, 1]])
-    assert check_unipotent(h3(1, 1, 1))
-    assert not check_unipotent([[2, 0], [0, 1]])
-    assert not check_unipotent([[1, 0, 0], [0, 1]])  # malformed, still total
 
 
 def test_constructor_rejects_bad_matrices():
@@ -206,6 +198,18 @@ def test_is_two_step_matches_group_commutator_definition():
     for n in (4, 5, 6, 9):
         seen = {v for mats, v in zip(family, verdicts) if mats[0].n == n}
         assert seen == {True, False}
+
+
+def test_common_denominator_is_lcm_of_all(rng):
+    assert common_denominator([]) == 1
+    for _ in range(200):
+        values = [
+            Fraction(rng.randint(-50, 50), rng.randint(1, 60))
+            for _ in range(rng.randint(1, 20))
+        ]
+        expected = math.lcm(*(v.denominator for v in values))
+        assert common_denominator(values) == expected
+        assert common_denominator(iter(values)) == expected
 
 
 def test_integer_log_is_positive_multiple_of_log(rng):

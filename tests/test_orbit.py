@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,14 +17,21 @@ from nilsect import (
     decide_hard,
     decide_orbit,
     delta_table,
-    h3_project,
+    load_instance_file,
     log_unipotent,
     product_of_word,
     reduce_to_identity,
 )
 
 from nilsect import orbit as orbit_module
-from nilsect.orbit import _interleavings
+from nilsect.orbit import (
+    _corner,
+    _hard_system,
+    _interleavings,
+    _logs,
+    _side_coefficients,
+    _word_from_layout,
+)
 
 from conftest import h3
 
@@ -46,15 +54,29 @@ def verified(inst, decision):
     return left == right == decision.common_element
 
 
-def test_h3_projections():
+def random_rational(rng, bound=4):
+    return Fraction(rng.randint(-bound, bound), rng.choice((1, 2, 3)))
+
+
+def test_log_triple_and_corner_bracket():
+    # the triple is the (0,1), (1,2), (0,2) entries of the matrix log,
+    # and the corner is the only nonzero entry of the bracket
     lx, ly = log_unipotent(X), log_unipotent(Y)
-    assert h3_project(lx, "phi") == (1, 0)
-    assert h3_project(lx, "pi") == 0
-    br = bracket(lx, ly)
-    assert h3_project(br, "phi") == (0, 0)
-    assert h3_project(br, "pi") == 1
-    with pytest.raises(ValueError):
-        h3_project(log_unipotent(UnipotentMatrix.identity(4)), "phi")
+    assert H3Elem.from_matrix(X).log() == (1, 0, 0)
+    assert _corner(H3Elem.from_matrix(X).log(), H3Elem.from_matrix(Y).log()) == 1
+    assert bracket(lx, ly)[0, 2] == 1
+    rng = random.Random(31)
+    entries = ((0, 1), (1, 2), (0, 2))
+    for _ in range(200):
+        e, f = (H3Elem(*(random_rational(rng) for _ in range(3))) for _ in range(2))
+        le, lf = log_unipotent(e.matrix()), log_unipotent(f.matrix())
+        assert e.log() == tuple(le[ij] for ij in entries)
+        assert all(isinstance(v, Fraction) for v in e.log())
+        br = bracket(le, lf)
+        assert _corner(e.log(), f.log()) == br[0, 2]
+        assert all(
+            not br[i, j] for i in range(3) for j in range(3) if (i, j) != (0, 2)
+        )
 
 
 def test_h3_elem_arithmetic():
@@ -159,6 +181,172 @@ def test_interleavings_stream_in_reference_order():
         assert list(_interleavings(letters, caps, len(levels))) == []
 
 
+ENTRIES = ((0, 1), (1, 2), (0, 2))
+
+
+def side_coefficients_by_products(sys, interleaving, on_line, prefix):
+    """Reference: the log of prefix * product at zero on-line counts and
+    at each unit count, by multiplying out the words and taking matrix
+    logs; returned as (a, b, gamma) triples."""
+
+    def log_of(counts_by_gap):
+        word = _word_from_layout(sys.K, interleaving, on_line, counts_by_gap)
+        p = product_of_word(sys, word)
+        if prefix is not None:
+            p = prefix * p
+        return log_unipotent(p)
+
+    zero_counts = [[0] * len(on_line) for _ in range(len(interleaving) + 1)]
+    base = log_of(zero_counts)
+    cols = []
+    for gap in range(len(zero_counts)):
+        for pos in range(len(on_line)):
+            bumped = [row[:] for row in zero_counts]
+            bumped[gap][pos] = 1
+            cols.append(log_of(bumped) - base)
+    return (
+        tuple(base[e] for e in ENTRIES),
+        [tuple(col[e] for e in ENTRIES) for col in cols],
+    )
+
+
+def hard_system_by_matrix_logs(s_elem, G, H):
+    """Reference: the relaxed hard-case system from 3x3 matrix logs and
+    matrix brackets."""
+    K, M = G.K, H.K
+    log_s = log_unipotent(s_elem.matrix())
+    g_pairs = [(i, j) for i in range(K) for j in range(i + 1, K)]
+    h_pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
+    nx, ny, nc = K, M, len(g_pairs)
+    width = nx + ny + nc + len(h_pairs)
+    rows, rhs = [], []
+    for e in ENTRIES[:2]:
+        row = [Fraction(0)] * width
+        for i in range(K):
+            row[i] = G.log(i)[e]
+        for i in range(M):
+            row[nx + i] = -H.log(i)[e]
+        rows.append(row)
+        rhs.append(log_s[e])
+    row = [Fraction(0)] * width
+    for i in range(K):
+        row[i] = G.log(i)[0, 2]
+    for i in range(M):
+        adj = bracket(log_s, H.log(i))
+        row[nx + i] = -(H.log(i)[0, 2] + Fraction(1, 2) * adj[0, 2])
+    for idx, (i, j) in enumerate(g_pairs):
+        row[nx + ny + idx] = Fraction(1, 2) * G.bracket_log(i, j)[0, 2]
+    for idx, (i, j) in enumerate(h_pairs):
+        row[nx + ny + nc + idx] = -Fraction(1, 2) * H.bracket_log(i, j)[0, 2]
+    rows.append(row)
+    rhs.append(log_s[0, 2])
+    return rows, rhs
+
+
+def assert_same_fractions(got, expected):
+    assert got == expected
+    assert all(isinstance(v, Fraction) for v in got)
+
+
+def random_easy_side(rng):
+    """Generators whose first letters are on-line (collinear with a random
+    direction), the rest off-line; rational entries with denominators 1-3."""
+    p, q = random_rational(rng, 2), random_rational(rng, 2)
+    if p == q == 0:
+        p = Fraction(1)
+    n_on = rng.randint(1, 2)
+    mats = []
+    for _ in range(n_on):
+        t = random_rational(rng, 3) or Fraction(1, 2)
+        mats.append(H3Elem(t * p, t * q, random_rational(rng)).matrix())
+    mats += [
+        H3Elem(*(random_rational(rng) for _ in range(3))).matrix()
+        for _ in range(rng.randint(1, 3))
+    ]
+    return GeneratorSystem(mats), list(range(n_on))
+
+
+def test_side_coefficients_match_unit_count_products():
+    rng = random.Random(47)
+    gaps_seen = set()
+    for trial in range(120):
+        sys, on_line = random_easy_side(rng)
+        off_line = list(range(len(on_line), sys.K))
+        interleaving = tuple(
+            rng.choice(off_line) for _ in range(rng.randint(0, 4))
+        )
+        prefix = None
+        if trial % 2:
+            prefix = H3Elem(*(random_rational(rng) for _ in range(3))).matrix()
+        prefix_log = None if prefix is None else H3Elem.from_matrix(prefix).log()
+        base, cols = _side_coefficients(_logs(sys), interleaving, on_line, prefix_log)
+        ref_base, ref_cols = side_coefficients_by_products(
+            sys, interleaving, on_line, prefix
+        )
+        assert_same_fractions(base, ref_base)
+        assert len(cols) == len(ref_cols) == (len(interleaving) + 1) * len(on_line)
+        for col, ref in zip(cols, ref_cols):
+            assert_same_fractions(col, ref)
+        gaps_seen.add(len(interleaving) + 1)
+    assert gaps_seen == {1, 2, 3, 4, 5}
+
+
+def test_side_coefficients_affine_in_on_line_counts():
+    # the closed form holds at every point: a word with arbitrary on-line
+    # counts has log base + sum(count * column)
+    rng = random.Random(53)
+    for _ in range(60):
+        sys, on_line = random_easy_side(rng)
+        off_line = list(range(len(on_line), sys.K))
+        interleaving = tuple(rng.choice(off_line) for _ in range(rng.randint(0, 3)))
+        base, cols = _side_coefficients(_logs(sys), interleaving, on_line, None)
+        counts = [
+            [rng.randint(0, 3) for _ in on_line] for _ in range(len(interleaving) + 1)
+        ]
+        word = _word_from_layout(sys.K, interleaving, on_line, counts)
+        log = log_unipotent(product_of_word(sys, word))
+        flat = [c for row in counts for c in row]
+        expected = tuple(
+            base[e] + sum(c * col[e] for c, col in zip(flat, cols)) for e in range(3)
+        )
+        assert tuple(log[e] for e in ENTRIES) == expected
+
+
+def test_hard_system_matches_matrix_logs():
+    rng = random.Random(59)
+    for _ in range(80):
+        G = GeneratorSystem(
+            [H3Elem(*(random_rational(rng) for _ in range(3))).matrix()
+             for _ in range(rng.randint(1, 4))]
+        )
+        H = GeneratorSystem(
+            [H3Elem(*(random_rational(rng) for _ in range(3))).matrix()
+             for _ in range(rng.randint(1, 4))]
+        )
+        s_elem = H3Elem(*(random_rational(rng) for _ in range(3)))
+        rows, rhs, _, _ = _hard_system(s_elem.log(), _logs(G), _logs(H))
+        ref_rows, ref_rhs = hard_system_by_matrix_logs(s_elem, G, H)
+        for row, ref in zip(rows, ref_rows):
+            assert_same_fractions(row, ref)
+        assert_same_fractions(rhs, ref_rhs)
+        assert len(rows) == len(ref_rows) == 3
+
+
+def test_closed_forms_on_orbit_central_sample():
+    path = Path(__file__).resolve().parent.parent / "samples" / "orbit-central.txt"
+    inst = load_instance_file(path).build()
+    s_elem = reduce_to_identity(inst).S
+    rows, rhs, _, _ = _hard_system(s_elem.log(), _logs(inst.G), _logs(inst.H))
+    assert (rows, rhs) == hard_system_by_matrix_logs(s_elem, inst.G, inst.H)
+    # x on-line, y off-line, with S in front on the H side
+    for length in range(3):
+        interleaving = (1,) * length
+        for sys, prefix in ((inst.G, None), (inst.H, s_elem.matrix())):
+            prefix_log = None if prefix is None else s_elem.log()
+            got = _side_coefficients(_logs(sys), interleaving, [0], prefix_log)
+            assert got == side_coefficients_by_products(sys, interleaving, [0], prefix)
+
+
 def test_hard_central_shift_nonempty():
     G = gsys(X, Y)
     H = gsys(X, Y)
@@ -186,6 +374,13 @@ def test_orbit_witness_multiplied_once(monkeypatch):
     d = decide_orbit(orbit(H3Elem.identity(), H3Elem(0, 0, 1), G, G))
     assert d.details["case"] == "hard"
     assert d.verdict is Verdict.NONEMPTY
+    assert calls == list(d.witnesses)
+    # the easy case builds its systems without multiplying any word
+    calls.clear()
+    d = decide_orbit(orbit(H3Elem.identity(), H3Elem(0, 1, 0), G, gsys(X)))
+    assert d.details["case"] == "easy"
+    assert d.verdict is Verdict.NONEMPTY
+    assert d.trace[0]["g_plus"] == [1]
     assert calls == list(d.witnesses)
 
 

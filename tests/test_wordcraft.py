@@ -5,7 +5,7 @@ import pytest
 
 from nilsect import Word, delta_table, parikh, realize_word, two_letter_permutation
 from nilsect.intersect import _minimal_even_scale
-from nilsect.wordcraft import check_realizable, concat_delta, least_scale, within_bounds
+from nilsect.wordcraft import check_realizable, least_scale, within_bounds
 
 
 def brute_delta(letters, K):
@@ -74,6 +74,21 @@ def test_palindrome_delta_vanishes(rng):
         w = Word.from_letters(K, letters)
         pal = w + w.reversed()
         assert all(v == 0 for v in delta_table(pal).values())
+
+
+def concat_delta(u_parikh, u_delta, v_parikh, v_delta):
+    """Reference: delta of a concatenation uv from the statistics of u and v."""
+    K = len(u_parikh)
+    out = {}
+    for i in range(K):
+        for j in range(i + 1, K):
+            out[(i, j)] = (
+                u_delta[(i, j)]
+                + v_delta[(i, j)]
+                + u_parikh[i] * v_parikh[j]
+                - u_parikh[j] * v_parikh[i]
+            )
+    return out
 
 
 def test_concatenation_law(rng):
