@@ -20,7 +20,6 @@ from .matlie import (
     GeneratorSystem,
     log_unipotent,
     exp_nilpotent,
-    bracket,
     is_two_step,
     bch_log,
     product_of_word,

@@ -6,14 +6,22 @@ triangular rational matrices.  The matrix logarithm and exponential are
 terminating series on these sets and are computed exactly; there is no
 floating point anywhere in this package.
 
-Matrices are immutable (tuples of tuples of Fraction), hashable and safe
-to share between threads.  All operations are pure functions.
+The public classes hold immutable tables (tuples of tuples of Fraction),
+are hashable, safe to share between threads, and compare by exact
+equality.  Their products, powers, logs, exponentials and brackets are
+computed fraction-free, in the manner of Bareiss (1968): a matrix is an
+integer table over one common denominator, its log an integer table X
+over a denominator D, and every series and product runs on those
+integer tables; a denominator is divided out by one gcd per result, and
+a Fraction table is built only for what is returned.  A UnipotentMatrix
+computes its integer form on first use and keeps it, so every generator
+system holding the matrix shares one log.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -29,9 +37,9 @@ def _freeze(rows):
     return n, out
 
 
-def _identity_rows(n):
+def _identity_rows(n, one=_ONE, zero=_ZERO):
     return tuple(
-        tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)
+        tuple(one if i == j else zero for j in range(n)) for i in range(n)
     )
 
 
@@ -39,18 +47,17 @@ def _zero_rows(n):
     return tuple((_ZERO,) * n for _ in range(n))
 
 
-def mul_upper_rows(a, b, n, zero=0):
+def mul_upper_rows(a, b, n):
     """Product of two upper triangular row tables, skipping zero entries.
 
-    Works for any numeric entry type (Fraction or plain int); relies on
+    Works for any numeric entry type (plain int or Fraction); relies on
     both inputs being upper triangular.  Entries no product reaches are
-    `zero`: the matrix classes pass Fraction(0), so their tables stay
-    all-Fraction.
+    the int 0.
     """
     rows = []
     for i in range(n):
         ai = a[i]
-        acc = [zero] * n
+        acc = [0] * n
         for k in range(i, n):
             x = ai[k]
             if x:
@@ -94,38 +101,137 @@ def common_denominator(values) -> int:
     return d
 
 
-def _integer_log(m: UnipotentMatrix):
-    """Integer row table of a positive multiple of log m, fraction-free.
+# ---- the integer kernel: a table T over a denominator d stands for T/d
 
-    With d the common denominator of M - I, N' = d(M - I) is an integer
-    table; for p the last k with N'^k != 0 and L = lcm(1..p),
 
-        sum_{k<=p} (-1)^(k-1) (L/k) d^(p-k) N'^k  =  L d^p log M.
-    """
-    n = m.n
-    d = common_denominator(x for row in m.rows for x in row)
-    nil = tuple(
-        tuple(int(x * d) if j > i else 0 for j, x in enumerate(row))
-        for i, row in enumerate(m.rows)
+def _integer_rows(rows):
+    """(T, d) with T = d * rows an integer table, d the common denominator."""
+    d = common_denominator(x for row in rows for x in row)
+    return tuple(
+        tuple(x.numerator * (d // x.denominator) for x in row) for row in rows
+    ), d
+
+
+def _fraction_rows(table, den):
+    """The Fraction table table/den; zero entries share one Fraction(0)."""
+    return tuple(
+        tuple(Fraction(x, den) if x else _ZERO for x in row) for row in table
     )
+
+
+def _reduce(table, den):
+    """(table/g, den/g) for g the gcd of den > 0 and every entry."""
+    g = gcd(den, *(x for row in table for x in row))
+    if g == 1:
+        return table, den
+    return tuple(tuple(x // g for x in row) for row in table), den // g
+
+
+def _nonzero_powers(x, n):
+    """[x, x^2, ..., x^p] for p the last k with x^k != 0 (x nilpotent)."""
     powers = []
-    power = nil
+    power = x
     while not _is_zero_rows(power):
         powers.append(power)
-        power = mul_upper_rows(power, nil, n)
+        power = mul_upper_rows(power, x, n)
+    return powers
+
+
+def _integer_log(table, den):
+    """(X, D) with log(table/den) = X/D, for a unipotent matrix table/den.
+
+    With N' = table - den*I (the strictly upper part), p the last k with
+    N'^k != 0 and L = lcm(1..p), log M = sum_k (-1)^(k-1)/k (N'/den)^k
+    gives the integer identity
+
+        sum_{k<=p} (-1)^(k-1) (L/k) den^(p-k) N'^k  =  L den^p log M.
+
+    The left side and L den^p are divided by their common gcd, so X/D
+    is log M with D dividing L den^p.  For the identity p = 0, X = 0 and
+    D = 1.
+    """
+    n = len(table)
+    nil = tuple(
+        tuple(x if j > i else 0 for j, x in enumerate(row))
+        for i, row in enumerate(table)
+    )
+    powers = _nonzero_powers(nil, n)
     p = len(powers)
     big_l = lcm(*range(1, p + 1))
     acc = ((0,) * n,) * n
     for k, power in enumerate(powers, start=1):
-        coef = (-1) ** (k - 1) * (big_l // k) * d ** (p - k)
+        coef = (-1) ** (k - 1) * (big_l // k) * den ** (p - k)
         acc = _add(acc, _scale(power, coef, n), n)
+    return _reduce(acc, big_l * den**p)
+
+
+def _exp_coefficients(x, den):
+    """(B, e) with exp(c x/den) = (sum_k c^k B[k]) / e for every integer c.
+
+    x is a strictly upper integer table.  With q the last k with
+    x^k != 0, B[k] = (q!/k!) den^(q-k) x^k for k = 0..q (x^0 = I) and
+    e = q! den^q, all divided by their common gcd.  For x = 0, B = [I]
+    and e = 1.
+    """
+    n = len(x)
+    powers = [_identity_rows(n, 1, 0)] + _nonzero_powers(x, n)
+    q = len(powers) - 1
+    coefs = [
+        _scale(power, factorial(q) // factorial(k) * den ** (q - k), n)
+        for k, power in enumerate(powers)
+    ]
+    e = factorial(q) * den**q
+    g = gcd(e, *(v for b in coefs for row in b for v in row))
+    if g > 1:
+        coefs = [tuple(tuple(v // g for v in row) for row in b) for b in coefs]
+        e //= g
+    return coefs, e
+
+
+def _exp_table(coefs, c):
+    """sum_k c^k coefs[k], by Horner's rule entry by entry."""
+    acc = coefs[-1]
+    for b in reversed(coefs[:-1]):
+        acc = tuple(
+            tuple(c * u + v for u, v in zip(ra, rb)) for ra, rb in zip(acc, b)
+        )
     return acc
+
+
+def _integer_bracket(x, y, n):
+    return _sub(mul_upper_rows(x, y, n), mul_upper_rows(y, x, n), n)
+
+
+class _IntegerForm:
+    """M = table/den over the integers, with log M = X/D and the
+    coefficients of c -> M^c each computed on first use."""
+
+    __slots__ = ("table", "den", "_log", "_exp")
+
+    def __init__(self, table, den):
+        self.table = table
+        self.den = den
+        self._log = None
+        self._exp = None
+
+    def log(self):
+        """(X, D) with log M = X/D."""
+        if self._log is None:
+            self._log = _integer_log(self.table, self.den)
+        return self._log
+
+    def power(self, c: int):
+        """(T, t) with M^c = exp(c log M) = T/t, for any integer c."""
+        if self._exp is None:
+            self._exp = _exp_coefficients(*self.log())
+        coefs, e = self._exp
+        return _exp_table(coefs, c), e
 
 
 class UnipotentMatrix:
     """Element of UT(n, Q): unit diagonal, zero below it, exact entries."""
 
-    __slots__ = ("n", "rows")
+    __slots__ = ("n", "rows", "_form")
 
     def __init__(self, rows):
         n, table = _freeze(rows)
@@ -137,6 +243,7 @@ class UnipotentMatrix:
                     raise ValueError(f"nonzero entry ({i},{j}) below the diagonal")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", table)
+        object.__setattr__(self, "_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("UnipotentMatrix is immutable")
@@ -146,11 +253,22 @@ class UnipotentMatrix:
         return cls(_identity_rows(n))
 
     @classmethod
-    def _wrap(cls, n, rows):
+    def _from_integer(cls, n, table, den):
+        """The matrix table/den, keeping the reduced integer form."""
+        table, den = _reduce(table, den)
         m = object.__new__(cls)
         object.__setattr__(m, "n", n)
-        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "rows", _fraction_rows(table, den))
+        object.__setattr__(m, "_form", _IntegerForm(table, den))
         return m
+
+    def _integer(self) -> _IntegerForm:
+        """The integer form, computed once (an idempotent cache)."""
+        form = self._form
+        if form is None:
+            form = _IntegerForm(*_integer_rows(self.rows))
+            object.__setattr__(self, "_form", form)
+        return form
 
     def __getitem__(self, ij):
         return self.rows[ij[0]][ij[1]]
@@ -160,29 +278,17 @@ class UnipotentMatrix:
             return NotImplemented
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        rows = mul_upper_rows(self.rows, other.rows, self.n, _ZERO)
-        return UnipotentMatrix._wrap(self.n, rows)
+        a, b = self._integer(), other._integer()
+        table = mul_upper_rows(a.table, b.table, self.n)
+        return UnipotentMatrix._from_integer(self.n, table, a.den * b.den)
 
     def __pow__(self, e: int) -> "UnipotentMatrix":
         """A^e = exp(e log A), exact for every integer e (log A commutes
         with itself), so the cost does not grow with |e|."""
-        return exp_nilpotent(log_unipotent(self) * e)
+        return UnipotentMatrix._from_integer(self.n, *self._integer().power(e))
 
     def inverse(self) -> "UnipotentMatrix":
-        # (I + N)^-1 = sum_k (-N)^k, N strictly upper so the series stops
-        n = self.n
-        nil = _sub(self.rows, _identity_rows(n), n)
-        acc = _identity_rows(n)
-        power = _identity_rows(n)
-        for k in range(1, n):
-            power = mul_upper_rows(power, nil, n, _ZERO)
-            if _is_zero_rows(power):
-                break
-            if k % 2:
-                acc = _sub(acc, power, n)
-            else:
-                acc = _add(acc, power, n)
-        return UnipotentMatrix._wrap(n, acc)
+        return self**-1
 
     def log(self) -> "NilpotentMatrix":
         return log_unipotent(self)
@@ -270,40 +376,31 @@ class NilpotentMatrix:
         return f"<nil{self.n} [{body}]>"
 
 
+def _log_of(m: UnipotentMatrix) -> NilpotentMatrix:
+    return NilpotentMatrix._wrap(m.n, _fraction_rows(*m._integer().log()))
+
+
 def log_unipotent(m: UnipotentMatrix) -> NilpotentMatrix:
     """Matrix logarithm on UT(n, Q): sum_{k>=1} (-1)^(k-1)/k (M-I)^k.
 
-    The series stops because (M-I)^n = 0; the result is exact.
+    The series stops because (M-I)^n = 0; the result is exact.  Computed
+    on the integer form of m (`_integer_log`).
     """
     if not isinstance(m, UnipotentMatrix):
         m = UnipotentMatrix(m)
-    n = m.n
-    s = _sub(m.rows, _identity_rows(n), n)
-    acc = _zero_rows(n)
-    power = s
-    k = 1
-    while k < n and not _is_zero_rows(power):
-        acc = _add(acc, _scale(power, Fraction((-1) ** (k - 1), k), n), n)
-        power = mul_upper_rows(power, s, n, _ZERO)
-        k += 1
-    return NilpotentMatrix._wrap(n, acc)
+    return _log_of(m)
 
 
 def exp_nilpotent(x: NilpotentMatrix) -> UnipotentMatrix:
-    """Matrix exponential on strictly upper triangular matrices: sum X^k/k!."""
+    """Matrix exponential on strictly upper triangular matrices: sum X^k/k!.
+
+    Computed on the integer table of x over its common denominator
+    (`_exp_coefficients` at c = 1).
+    """
     if not isinstance(x, NilpotentMatrix):
         x = NilpotentMatrix(x)
-    n = x.n
-    acc = _identity_rows(n)
-    power = _identity_rows(n)
-    fact = 1
-    for k in range(1, n):
-        power = mul_upper_rows(power, x.rows, n, _ZERO)
-        if _is_zero_rows(power):
-            break
-        fact *= k
-        acc = _add(acc, _scale(power, Fraction(1, fact), n), n)
-    return UnipotentMatrix._wrap(n, acc)
+    coefs, e = _exp_coefficients(*_integer_rows(x.rows))
+    return UnipotentMatrix._from_integer(x.n, _exp_table(coefs, 1), e)
 
 
 def bracket(x: NilpotentMatrix, y: NilpotentMatrix) -> NilpotentMatrix:
@@ -311,9 +408,9 @@ def bracket(x: NilpotentMatrix, y: NilpotentMatrix) -> NilpotentMatrix:
     if x.n != y.n:
         raise ValueError("dimension mismatch")
     n = x.n
-    xy = mul_upper_rows(x.rows, y.rows, n, _ZERO)
-    yx = mul_upper_rows(y.rows, x.rows, n, _ZERO)
-    return NilpotentMatrix._wrap(n, _sub(xy, yx, n))
+    xt, dx = _integer_rows(x.rows)
+    yt, dy = _integer_rows(y.rows)
+    return NilpotentMatrix._wrap(n, _fraction_rows(_integer_bracket(xt, yt, n), dx * dy))
 
 
 def direct_sum(mats) -> UnipotentMatrix:
@@ -338,8 +435,9 @@ class GeneratorSystem:
     """A named finite alphabet of unipotent matrices with cached logs/brackets.
 
     Immutable after construction.  `log(i)` and `bracket_log(i, j)` are
-    computed on first use and memoised, as is the verdict of
-    `is_two_step`.
+    Fraction views of the generators' integer logs, built on first use
+    and memoised, as is the verdict of `is_two_step`.  The integer logs
+    live on the matrices, so systems sharing a matrix share its log.
     """
 
     __slots__ = ("n", "mats", "names", "_logs", "_brackets", "_two_step")
@@ -377,12 +475,15 @@ class GeneratorSystem:
     def log(self, i: int) -> NilpotentMatrix:
         cached = self._logs[i]
         if cached is None:
-            cached = log_unipotent(self.mats[i])
+            cached = _log_of(self.mats[i])
             self._logs[i] = cached
         return cached
 
     def bracket_log(self, i: int, j: int) -> NilpotentMatrix:
-        """[log A_i, log A_j]; cached for i < j, antisymmetric otherwise."""
+        """[log A_i, log A_j]; cached for i < j, antisymmetric otherwise.
+
+        With log A_i = X_i/D_i, this is (X_i X_j - X_j X_i)/(D_i D_j).
+        """
         if i == j:
             return NilpotentMatrix.zero(self.n)
         if i > j:
@@ -390,7 +491,10 @@ class GeneratorSystem:
         key = (i, j)
         cached = self._brackets.get(key)
         if cached is None:
-            cached = bracket(self.log(i), self.log(j))
+            xi, di = self.mats[i]._integer().log()
+            xj, dj = self.mats[j]._integer().log()
+            inner = _integer_bracket(xi, xj, self.n)
+            cached = NilpotentMatrix._wrap(self.n, _fraction_rows(inner, di * dj))
             self._brackets[key] = cached
         return cached
 
@@ -407,18 +511,18 @@ def is_two_step(gens: GeneratorSystem) -> bool:
 
     The test is a zero test and bilinear, so it gives the same answer
     when each x_i is replaced by a positive multiple of itself.  It runs
-    on the integer multiples of `_integer_log`; rationals are touched only
-    to clear the denominators of each generator.
+    on the integer logs X_i = D_i x_i that the matrices cache, the same
+    ones the generator systems' `log` and `bracket_log` read.
     """
     if gens._two_step is not None:
         return gens._two_step
     n = gens.n
-    logs = [_integer_log(m) for m in gens.mats]
+    logs = [m._integer().log()[0] for m in gens.mats]
     result = True
     for i in range(len(logs)):
         for j in range(i + 1, len(logs)):
             xi, xj = logs[i], logs[j]
-            inner = _sub(mul_upper_rows(xi, xj, n), mul_upper_rows(xj, xi, n), n)
+            inner = _integer_bracket(xi, xj, n)
             if _is_zero_rows(inner):
                 continue
             for xk in logs:
@@ -460,18 +564,24 @@ def bch_log(gens: GeneratorSystem, parikh, delta) -> NilpotentMatrix:
 def product_of_word(gens: GeneratorSystem, word) -> UnipotentMatrix:
     """Ordered product of the word's generators; empty word gives I.
 
-    A run of c > 1 copies of A is multiplied in as A^c = exp(c log A),
-    with log A cached by `gens`, so a run costs the same whatever its
-    length; a single copy is multiplied in as A itself, which is cheaper.
-    This is plain matrix multiplication, independent of the BCH identity
-    and of the generated group being 2-step nilpotent.
+    Runs on integer tables with one running denominator: a single copy
+    of A is multiplied in as its integer table over its denominator, and
+    a run of c > 1 copies as A^c = exp(c log A), the integer table of
+    `_IntegerForm.power` (a polynomial in c whose coefficients A keeps),
+    so a run costs the same whatever its length.  After each factor the
+    table and the denominator are divided by their gcd.  This is plain
+    matrix multiplication, independent of the BCH identity and of the
+    generated group being 2-step nilpotent.
     """
-    acc = UnipotentMatrix.identity(gens.n)
+    n = gens.n
+    table, den = _identity_rows(n, 1, 0), 1
     for letter, count in word.runs:
         if not 0 <= letter < gens.K:
             raise IndexError(f"letter {letter} out of range for {gens.K} generators")
+        form = gens.mats[letter]._integer()
         if count == 1:
-            acc = acc * gens.mats[letter]
+            factor, f = form.table, form.den
         else:
-            acc = acc * exp_nilpotent(gens.log(letter) * count)
-    return acc
+            factor, f = form.power(count)
+        table, den = _reduce(mul_upper_rows(table, factor, n), den * f)
+    return UnipotentMatrix._from_integer(n, table, den)

@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilsect import (
     GeneratorSystem,
@@ -13,8 +15,8 @@ from nilsect import (
     NilpotentMatrix,
     UnipotentMatrix,
     bch_log,
-    bracket,
     delta_table,
+    direct_sum,
     embed_heisenberg,
     exp_nilpotent,
     is_two_step,
@@ -24,7 +26,13 @@ from nilsect import (
     product_of_word,
     Word,
 )
-from nilsect.matlie import _integer_log, common_denominator
+from nilsect.matlie import (
+    _fraction_rows,
+    _integer_log,
+    _integer_rows,
+    bracket,
+    common_denominator,
+)
 
 from conftest import h3, nil3, random_nilpotent, random_unipotent
 
@@ -216,23 +224,16 @@ def test_integer_log_is_positive_multiple_of_log(rng):
     for n in range(2, 8):
         for _ in range(20):
             m = random_unipotent(rng, n, bound=9)
-            scaled = _integer_log(m)
+            table, den = _integer_rows(m.rows)
+            assert UnipotentMatrix(_fraction_rows(table, den)) == m
+            scaled, d_log = _integer_log(table, den)
             assert all(isinstance(x, int) for row in scaled for x in row)
-            exact = log_unipotent(m)
-            # zero exactly where the log is zero, one positive ratio elsewhere
-            assert all(
-                bool(exact[i, j]) == bool(scaled[i][j])
-                for i in range(n)
-                for j in range(n)
-            )
-            ratios = {
-                scaled[i][j] / exact[i, j]
-                for i in range(n)
-                for j in range(n)
-                if exact[i, j]
-            }
-            assert len(ratios) <= 1 and all(r > 0 for r in ratios)
-    assert _integer_log(UnipotentMatrix.identity(4)) == ((0,) * 4,) * 4
+            assert d_log > 0
+            # X = D log M exactly, D dividing L d^p (p = n - 1 for these)
+            assert NilpotentMatrix(_fraction_rows(scaled, d_log)) == _ref_log(m)
+            assert (math.lcm(*range(1, n)) * den ** (n - 1)) % d_log == 0
+    ident = _integer_rows(UnipotentMatrix.identity(4).rows)
+    assert _integer_log(*ident) == (((0,) * 4,) * 4, 1)
 
 
 def test_bch_log_examples():
@@ -373,3 +374,205 @@ def test_matrices_hashable_immutable():
     assert hash(m) == hash(h3(1, 2, 3))
     with pytest.raises(AttributeError):
         m.n = 4
+
+
+# ---- the former Fraction kernel, kept as the reference for the integer one
+
+_FZERO = Fraction(0)
+
+
+def _ref_mul(a, b, n):
+    """Upper triangular product on Fraction tables, as before."""
+    rows = []
+    for i in range(n):
+        acc = [_FZERO] * n
+        for k in range(i, n):
+            x = a[i][k]
+            if x:
+                for j in range(k, n):
+                    y = b[k][j]
+                    if y:
+                        acc[j] = acc[j] + x * y
+        rows.append(tuple(acc))
+    return tuple(rows)
+
+
+def _ref_identity(n):
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def _ref_combine(a, b, coef):
+    """a + coef * b entrywise."""
+    return tuple(tuple(x + coef * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _is_zero(rows):
+    return all(not x for row in rows for x in row)
+
+
+def _ref_log(m):
+    """The Fraction series sum_k (-1)^(k-1)/k (M - I)^k."""
+    n = m.n
+    s = _ref_combine(m.rows, _ref_identity(n), -1)
+    acc = tuple((_FZERO,) * n for _ in range(n))
+    power = s
+    k = 1
+    while k < n and not _is_zero(power):
+        acc = _ref_combine(acc, power, Fraction((-1) ** (k - 1), k))
+        power = _ref_mul(power, s, n)
+        k += 1
+    return NilpotentMatrix(acc)
+
+
+def _ref_exp(x):
+    """The Fraction series sum_k X^k / k!."""
+    n = x.n
+    acc = power = _ref_identity(n)
+    fact = 1
+    for k in range(1, n):
+        power = _ref_mul(power, x.rows, n)
+        if _is_zero(power):
+            break
+        fact *= k
+        acc = _ref_combine(acc, power, Fraction(1, fact))
+    return UnipotentMatrix(acc)
+
+
+def _ref_bracket(x, y):
+    n = x.n
+    xy, yx = _ref_mul(x.rows, y.rows, n), _ref_mul(y.rows, x.rows, n)
+    return NilpotentMatrix(_ref_combine(xy, yx, -1))
+
+
+def _ref_product_of_word(gens, word):
+    """One copy of A multiplied in as A, a run of c > 1 as exp(c log A)."""
+    n = gens.n
+    acc = _ref_identity(n)
+    for letter, count in word.runs:
+        a = gens.mats[letter]
+        factor = a if count == 1 else _ref_exp(_ref_log(a) * count)
+        acc = _ref_mul(acc, factor.rows, n)
+    return UnipotentMatrix(acc)
+
+
+def _assert_same_table(got, want):
+    assert type(got) is type(want)
+    assert got.rows == want.rows, (got, want)
+    assert all(type(v) is Fraction for row in got.rows for v in row), got
+
+
+RUN_COUNTS = (1, 2, 3, 2**70)
+POWERS = (-5, 0, 1, 7, 2**65)
+
+
+def _assert_kernel_matches_reference(mats, rng):
+    """log, exp, bracket, powers and word products against the reference."""
+    gens = GeneratorSystem(mats)
+    for i, m in enumerate(mats):
+        want_log = _ref_log(m)
+        _assert_same_table(log_unipotent(m), want_log)
+        _assert_same_table(gens.log(i), want_log)
+        _assert_same_table(exp_nilpotent(want_log), m)
+        for e in POWERS:
+            _assert_same_table(m**e, _ref_exp(want_log * e))
+        for j in range(len(mats)):
+            want = _ref_bracket(want_log, _ref_log(mats[j]))
+            _assert_same_table(gens.bracket_log(i, j), want)
+            _assert_same_table(bracket(want_log, gens.log(j)), want)
+    for _ in range(3):
+        runs = [
+            (rng.randrange(len(mats)), rng.choice(RUN_COUNTS))
+            for _ in range(rng.randint(1, 5))
+        ]
+        w = Word(len(mats), runs)
+        _assert_same_table(product_of_word(gens, w), _ref_product_of_word(gens, w))
+    # every run count on every letter, and the empty word
+    for letter in range(len(mats)):
+        w = Word(len(mats), [(letter, c) for c in RUN_COUNTS])
+        _assert_same_table(product_of_word(gens, w), _ref_product_of_word(gens, w))
+    _assert_same_table(product_of_word(gens, Word(len(mats))), UnipotentMatrix.identity(gens.n))
+
+
+def _random_heisenberg_k(rng, field):
+    def elem():
+        return field.element([_random_rational(rng) for _ in range(field.degree)])
+
+    return embed_heisenberg(HeisenbergElemK(3, [elem()], [elem()], elem()))
+
+
+def test_kernel_matches_reference_on_rational_ut():
+    rng = random.Random(41)
+    for n in range(3, 13):
+        mats = [random_unipotent(rng, n, bound=6) for _ in range(2)]
+        _assert_kernel_matches_reference(mats, rng)
+        x = random_nilpotent(rng, n, bound=6)
+        _assert_same_table(exp_nilpotent(x), _ref_exp(x))
+
+
+def test_kernel_matches_reference_on_number_field_embeddings():
+    rng = random.Random(42)
+    for field in (NumberField([-2, 0, 1]), NumberField([-2, 0, 0, 1])):
+        for _ in range(3):
+            mats = [_random_heisenberg_k(rng, field) for _ in range(3)]
+            _assert_kernel_matches_reference(mats, rng)
+
+
+def test_kernel_matches_reference_on_direct_sums():
+    rng = random.Random(43)
+    field = NumberField([-2, 0, 1])
+    for _ in range(3):
+        mats = [
+            direct_sum(
+                [
+                    h3(_random_rational(rng), _random_rational(rng), _random_rational(rng)),
+                    _random_heisenberg_k(rng, field),
+                    random_unipotent(rng, 3, bound=5),
+                ]
+            )
+            for _ in range(2)
+        ]
+        _assert_kernel_matches_reference(mats, rng)
+
+
+_entries = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 5, 12)))
+
+
+@st.composite
+def _generator_sets(draw):
+    n = draw(st.integers(2, 6))
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def matrix():
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for i, j in upper:
+            rows[i][j] = draw(_entries)
+        return UnipotentMatrix(rows)
+
+    return [matrix() for _ in range(draw(st.integers(1, 3)))], draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_generator_sets())
+def test_kernel_matches_reference_hypothesis(drawn):
+    mats, seed = drawn
+    _assert_kernel_matches_reference(mats, random.Random(seed))
+
+
+def test_identity_generator_has_zero_log():
+    # X = 0 over D = 1: every power list is empty past I
+    ident = UnipotentMatrix.identity(4)
+    other = random_unipotent(random.Random(44), 4, bound=5)
+    gens = GeneratorSystem([ident, other])
+    assert gens.log(0).is_zero()
+    assert _all_fraction(gens.log(0))
+    assert gens.bracket_log(0, 1).is_zero()
+    assert gens.bracket_log(1, 0).is_zero()
+    assert _all_fraction(gens.bracket_log(0, 1))
+    for c in RUN_COUNTS:
+        assert product_of_word(gens, Word(2, [(0, c)])) == ident
+        assert product_of_word(gens, Word(2, [(1, 1), (0, c), (1, 2)])) == other**3
+    for e in POWERS:
+        assert ident**e == ident
+        assert _all_fraction(ident**e)
+    assert is_two_step(gens)
+    _assert_kernel_matches_reference([ident, other], random.Random(45))

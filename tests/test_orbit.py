@@ -12,7 +12,6 @@ from nilsect import (
     UnsupportedInstance,
     Verdict,
     bfs_oracle,
-    bracket,
     decide_easy,
     decide_hard,
     decide_orbit,
@@ -24,6 +23,7 @@ from nilsect import (
 )
 
 from nilsect import orbit as orbit_module
+from nilsect.matlie import bracket
 from nilsect.orbit import (
     _corner,
     _hard_system,
