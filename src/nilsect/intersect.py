@@ -21,7 +21,7 @@ from .matlie import (
     is_two_step,
     product_of_word,
 )
-from .linsolve import LinearSubspace, eliminate, lp_feasible, support_nonneg
+from .linsolve import LinearSubspace, _row_reduce, eliminate, support_nonneg
 from .wordcraft import (
     Word,
     least_scale,
@@ -174,6 +174,11 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
     with it.  Stops at the first stable iteration (at most sum K_m rounds,
     since the total support size strictly shrinks otherwise); the
     intersection is empty iff some support set ended empty.
+
+    `details["support_point"]` keeps the final round's nonnegative
+    integer point of the projection, over the ("l", m, j) coordinates in
+    the order of `build_condition_space`; its support is exactly the
+    final support sets, and `extract_witness` lifts it.
     """
     supports = [frozenset(range(sys.K)) for sys in inst.systems]
     trace = []
@@ -186,8 +191,8 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
         space = build_condition_space(inst, supports)
         ell_coords = [name for name in space.coords if name[0] == "l"]
         projected = eliminate(space, ell_coords)
-        support_idx = support_nonneg(projected)
-        support_names = {ell_coords[i] for i in support_idx}
+        point = support_nonneg(projected)
+        support_names = {name for name, v in zip(ell_coords, point) if v}
         new_supports = [
             frozenset(
                 j for j in supports[m] if ("l", m, j) in support_names
@@ -213,42 +218,49 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
     return Decision(
         verdict,
         trace=trace,
-        details={"final_supports": supports, "iterations": rounds},
+        details={
+            "final_supports": supports,
+            "iterations": rounds,
+            "support_point": point,
+        },
     )
 
 
-def _support_sample(inst, supports):
-    """Integer point of the condition space whose count part has exactly
-    the given supports, found by summing scaled per-coordinate LP
-    certificates (sums of solutions stay solutions: the system is
-    homogeneous and the nonnegative points are closed under addition)."""
-    space = build_condition_space(inst, supports)
-    coords = space.coords
-    nell = sum(1 for name in coords if name[0] == "l")
-    rows = space.equations
-    rhs = [Fraction(0)] * len(rows)
-    targets = [
-        i
-        for i, name in enumerate(coords)
-        if name[0] == "l" and name[2] in supports[name[1]]
+def _lift(space: LinearSubspace, fixed):
+    """Rational point of the space that agrees with `fixed` on its first
+    len(fixed) coordinates, found by one exact solve for the others.
+
+    The fixed part moves to the right-hand side; the other columns are
+    row reduced, and every free one among them is set to 0.  A fixed part
+    outside the projection of the space leaves a zero row with a nonzero
+    right-hand side, which is a defect of the caller.
+    """
+    nfix = len(fixed)
+    nfree = len(space.coords) - nfix
+    rows = [
+        list(row[nfix:]) + [-sum(a * v for a, v in zip(row, fixed) if a and v)]
+        for row in space.equations
     ]
-    total = [Fraction(0)] * len(coords)
-    for t in targets:
-        point = lp_feasible(
-            rows,
-            rhs,
-            len(coords),
-            nonneg=range(nell),
-            strict_lower={t: Fraction(1)},
-        )
-        if point is None:
-            raise AssertionError(
-                "support certificate vanished between iterations (defect)"
-            )
-        total = [a + b for a, b in zip(total, point)]
-    den = common_denominator(total)
-    scaled = [v * den for v in total]
-    return coords, [int(v) for v in scaled]
+    mat, pivots = _row_reduce(rows, nfree + 1, range(nfree))
+    pivot_rows = {r for r, _ in pivots}
+    if any(row[nfree] for i, row in enumerate(mat) if i not in pivot_rows):
+        raise AssertionError("point lies outside the projection (defect)")
+    rest = [Fraction(0)] * nfree
+    for r, c in pivots:
+        rest[c] = mat[r][nfree]
+    return [Fraction(v) for v in fixed] + rest
+
+
+def _support_sample(inst, supports, ell_point):
+    """Integer point of the final condition space whose count part is a
+    positive multiple of `ell_point`, the final round's point of the
+    projection (so its support is exactly the given supports).  The
+    ("l", m, j) coordinates come first in `build_condition_space`, so the
+    point fixes them and `_lift` solves for the pair coordinates."""
+    space = build_condition_space(inst, supports)
+    point = _lift(space, ell_point)
+    den = common_denominator(point)
+    return space.coords, [int(v * den) for v in point]
 
 
 def _minimal_even_scale(counts_by_m, deltas_by_m, kmax):
@@ -271,8 +283,10 @@ def _minimal_even_scale(counts_by_m, deltas_by_m, kmax):
 def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
     """Attach verified witness words to a nonempty decision.
 
-    Samples a full-support integer point of the final condition space,
-    scales it by an even factor N large enough that the word-realization
+    Lifts the final round's point of the projection
+    (`details["support_point"]`, positive exactly on the support letters)
+    to an integer point of the final condition space, with no LP, scales
+    it by an even factor N large enough that the word-realization
     bounds hold, realizes one word per system with counts N*l and delta
     targets 2*N*c (restricted to the support letters), and checks by
     plain matrix multiplication that all word products agree, however
@@ -281,7 +295,9 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
     if decision.verdict is not Verdict.NONEMPTY:
         raise ValueError("witness extraction requires a nonempty verdict")
     supports = decision.details["final_supports"]
-    coords, values = _support_sample(inst, supports)
+    coords, values = _support_sample(
+        inst, supports, decision.details["support_point"]
+    )
     by_name = dict(zip(coords, values))
 
     kmax = max(sys.K for sys in inst.systems)

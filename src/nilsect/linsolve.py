@@ -8,9 +8,10 @@ Contents:
   tableau: integer rows, each a positive multiple of its rational row,
   so no Fraction arithmetic in the pivots and no floating point or
   epsilon anywhere;
-* support computation for the nonnegative integer points of a rational
-  subspace (one feasibility LP per coordinate; a rational point scales
-  to an integer one by homogeneity);
+* a nonnegative integer point of a rational subspace with maximal
+  support (a cover loop: one feasibility LP per coordinate that the sum
+  of the certificates found so far does not cover; a rational point
+  scales to an integer one by homogeneity);
 * complete integer solution sets of A x = b via a column Hermite
   reduction with recorded transformation;
 * small-scale integer feasibility with sign constraints, by
@@ -19,9 +20,9 @@ Contents:
 * finitely generated cones in Q^2: dimension of an intersection,
   interior vectors, separating functionals.
 
-Everything operates on immutable inputs and returns fresh values; the
-per-coordinate LPs of `support_nonneg` are independent and could run
-concurrently, but are executed sequentially here.
+Everything operates on immutable inputs and returns fresh values.  The
+LPs of `support_nonneg` run in coordinate order: whether one runs at all
+depends on the certificates found before it.
 """
 
 from __future__ import annotations
@@ -361,23 +362,31 @@ def lp_feasible(rows, rhs, nvars, *, nonneg=(), strict_lower=None):
     return _simplex_feasible(rows, rhs, nvars, lower, None)
 
 
-def support_nonneg(space: LinearSubspace) -> frozenset:
-    """Support of the nonnegative integer points of the subspace.
+def support_nonneg(space: LinearSubspace) -> tuple:
+    """A nonnegative integer point of the subspace with maximal support.
 
-    Coordinate i belongs iff {x in space, x >= 0, x_i >= 1} has a
-    rational point: by homogeneity, scaling such a point by its common
-    denominator yields an integer point, and conversely.  One LP per
-    coordinate.
+    Coordinate i lies in the support of some nonnegative integer point iff
+    {x in space, x >= 0, x_i >= 1} has a rational point: by homogeneity,
+    scaling such a point by its common denominator yields an integer
+    point, and conversely.  Nonnegative points are closed under addition,
+    so the sum of one such certificate per supported coordinate is
+    positive on every one of them.  Coordinates are visited in order; one
+    the running sum already covers needs no LP, since its LP is feasible.
+    The support of the returned point (its nonzero entries) is the
+    support of the nonnegative integer points.
     """
     k = len(space.coords)
     rows = space.equations
     rhs = [_ZERO] * len(rows)
-    out = set()
+    total = [_ZERO] * k
     for i in range(k):
+        if total[i]:
+            continue
         point = lp_feasible(rows, rhs, k, nonneg=range(k), strict_lower={i: _ONE})
         if point is not None:
-            out.add(i)
-    return frozenset(out)
+            total = [a + b for a, b in zip(total, point)]
+    den = common_denominator(total)
+    return tuple(int(v * den) for v in total)
 
 
 # ---------------------------------------------------------------------------

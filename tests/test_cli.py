@@ -235,7 +235,7 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
 
 
 def test_witness_longer_than_index_sized_exits_nonempty(capsys):
-    path = Path(__file__).resolve().parent / "data" / "h5q-k8-long-witness.txt"
+    path = Path(__file__).resolve().parent / "data" / "h5q-k6-long-witness.txt"
     assert main(["witness", str(path)]) == EXIT_NONEMPTY
     out, err = capsys.readouterr()
     assert "witness A:" in out and "witness B:" in out

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from nilsect import intersect, linsolve
 from nilsect import (
     GeneratorSystem,
     IntersectionInstance,
@@ -17,7 +19,7 @@ from nilsect import (
     verify_witness,
 )
 
-from conftest import h3, random_h3_system
+from conftest import h3, random_h3_system, random_unipotent
 
 
 def make(instance_sets):
@@ -187,7 +189,7 @@ def test_single_set_instance():
 
 def test_witness_past_index_sized_length():
     # the words total more than 2^63 - 1 letters, where len() overflows
-    path = Path(__file__).resolve().parent / "data" / "h5q-k8-long-witness.txt"
+    path = Path(__file__).resolve().parent / "data" / "h5q-k6-long-witness.txt"
     inst = load_instance_file(path).build()
     d = decide_intersection(inst)
     assert d.verdict is Verdict.NONEMPTY
@@ -197,3 +199,70 @@ def test_witness_past_index_sized_length():
     assert w.details["witness_letters"] == sum(
         count for word in w.witnesses for _, count in word.runs
     )
+
+
+def test_lift_lies_in_condition_space(rng):
+    # the lifted point keeps the projected counts and solves every equation
+    lifted = 0
+    for _ in range(60):
+        if rng.random() < 0.5:
+            systems = [random_h3_system(rng, rng.randint(1, 3)) for _ in range(2)]
+        else:
+            systems = [
+                GeneratorSystem([random_unipotent(rng, 3, 3) for _ in range(rng.randint(1, 3))])
+                for _ in range(rng.randint(2, 3))
+            ]
+        inst = IntersectionInstance(systems)
+        d = decide_intersection(inst)
+        supports = d.details["final_supports"]
+        ell = d.details["support_point"]
+        space = build_condition_space(inst, supports)
+        point = intersect._lift(space, ell)
+        assert space.contains(point)
+        assert point[: len(ell)] == list(ell)
+        assert [bool(v) for v in ell] == [
+            j in supports[m] for (_, m, j) in space.coords[: len(ell)]
+        ]
+        coords, values = intersect._support_sample(inst, supports, ell)
+        assert coords == space.coords and space.contains(values)
+        assert all(type(v) is int for v in values)
+        first = next((i for i, v in enumerate(ell) if v), None)
+        if first is not None:
+            scale = Fraction(values[first], ell[first])
+            assert scale > 0 and values[: len(ell)] == [scale * v for v in ell]
+        lifted += any(point[len(ell):])
+    assert lifted > 10  # nonzero pair coordinates were solved for
+
+
+def test_lift_outside_projection_is_a_defect():
+    inst = make([[X, Y], [Z]])
+    space = build_condition_space(inst, [frozenset({0, 1}), frozenset({0})])
+    # l1 X + l2 Y + c [X, Y] = l3 Z forces l1 = l2 = 0 and c = l3
+    assert intersect._lift(space, (0, 0, 5)) == [0, 0, 5, 5]
+    with pytest.raises(AssertionError, match="outside the projection"):
+        intersect._lift(space, (1, 0, 1))
+    inst = make([[X], [Y]])
+    space = build_condition_space(inst, [frozenset({0}), frozenset({0})])
+    with pytest.raises(AssertionError, match="outside the projection"):
+        intersect._lift(space, (1, 0))
+
+
+def test_extract_witness_solves_no_lp(monkeypatch):
+    # the decision's last round already holds the point that is lifted
+    instances = [
+        make([[X, Y, X.inverse(), Y.inverse()], [Z]]),
+        make([[X * Y, Y * X], [X, Y]]),
+        make([[X, Y], [X * Y], [X * Y * X * Y]]),
+    ]
+    decisions = [decide_intersection(inst) for inst in instances]
+    calls = []
+    real = linsolve._simplex_feasible
+    monkeypatch.setattr(
+        linsolve,
+        "_simplex_feasible",
+        lambda *args: calls.append(args) or real(*args),
+    )
+    for inst, d in zip(instances, decisions):
+        w = extract_witness(inst, d)
+        assert verify_witness(inst, w.witnesses)
+    assert calls == []

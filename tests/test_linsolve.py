@@ -389,28 +389,63 @@ def test_simplex_matches_reference_hypothesis(system):
     assert _simplex_feasible(rows, rhs, nvars, lower, upper) == want
 
 
-def test_support_sample_matches_reference_lp(monkeypatch):
-    # witness extraction's integer point is unchanged on every sample
-    checked = 0
+def test_witnesses_match_reference_lp(monkeypatch):
+    # decision and witness on every sample are unchanged under the
+    # reference simplex: the integer points and hence the words agree
+    checked = witnessed = 0
     for path in sorted(SAMPLES.glob("*.txt")):
         inst = load_instance_file(path).build()
         if not isinstance(inst, intersect.IntersectionInstance):
             continue
-        decision = decide_intersection(inst)
-        supports = decision.details["final_supports"]
-        got = intersect._support_sample(inst, supports)
+
+        def answer():
+            decision = decide_intersection(inst)
+            if decision.verdict is not intersect.Verdict.NONEMPTY:
+                return decision.details, None
+            witness = intersect.extract_witness(inst, decision)
+            return witness.details, [w.runs for w in witness.witnesses]
+
+        got = answer()
         with monkeypatch.context() as patch:
             patch.setattr(linsolve, "_simplex_feasible", _reference_simplex_feasible)
-            want = intersect._support_sample(inst, supports)
+            want = answer()
         assert got == want
         checked += 1
-    assert checked >= 3
+        witnessed += got[1] is not None
+    assert checked >= 3 and witnessed >= 1
+
+
+# ---------------------------------------------------------------------------
+# The per-coordinate support loop that the cover loop replaced, kept as the
+# reference: one LP for every coordinate, whatever earlier LPs returned.
+
+
+def _reference_support(space):
+    k = len(space.coords)
+    rows = space.equations
+    return frozenset(
+        i
+        for i in range(k)
+        if lp_feasible(rows, [0] * len(rows), k, nonneg=range(k), strict_lower={i: 1})
+        is not None
+    )
+
+
+def support_of(space):
+    """Support of `support_nonneg`'s point, after checking that the point
+    is a nonnegative integer point of the space."""
+    point = support_nonneg(space)
+    assert len(point) == len(space.coords)
+    assert all(type(v) is int and v >= 0 for v in point)
+    assert space.contains(point)
+    return frozenset(i for i, v in enumerate(point) if v)
 
 
 def test_support_examples():
-    assert support_nonneg(LinearSubspace((0, 1), [(1, 1)])) == frozenset()
-    assert support_nonneg(LinearSubspace((0, 1), [(1, -1)])) == {0, 1}
-    assert support_nonneg(LinearSubspace((0, 1, 2), [(1, -2, 0)])) == {0, 1, 2}
+    assert support_of(LinearSubspace((0, 1), [(1, 1)])) == frozenset()
+    assert support_of(LinearSubspace((0, 1), [(1, -1)])) == {0, 1}
+    assert support_of(LinearSubspace((0, 1, 2), [(1, -2, 0)])) == {0, 1, 2}
+    assert support_nonneg(LinearSubspace((0, 1), [(2, -3)])) == (3, 2)
 
 
 def brute_support(space, bound=20):
@@ -430,7 +465,7 @@ def test_support_matches_brute_force(rng):
             for _ in range(rng.randint(1, 2))
         ]
         space = LinearSubspace(tuple(range(k)), rows)
-        assert support_nonneg(space) == brute_support(space)
+        assert support_of(space) == brute_support(space)
 
 
 def test_support_monotone_under_dropped_equations(rng):
@@ -440,9 +475,68 @@ def test_support_monotone_under_dropped_equations(rng):
             tuple(Fraction(rng.randint(-2, 2)) for _ in range(k))
             for _ in range(2)
         ]
-        big = support_nonneg(LinearSubspace(tuple(range(k)), rows[:1]))
-        small = support_nonneg(LinearSubspace(tuple(range(k)), rows))
+        big = support_of(LinearSubspace(tuple(range(k)), rows[:1]))
+        small = support_of(LinearSubspace(tuple(range(k)), rows))
         assert small <= big
+
+
+def _check_cover_loop(space, monkeypatch):
+    """The cover loop's support is the reference's, and it solves an LP
+    for exactly the coordinates no earlier certificate covers."""
+    want = _reference_support(space)
+    calls = []
+
+    def counting(rows, rhs, nvars, **kwargs):
+        point = lp_feasible(rows, rhs, nvars, **kwargs)
+        calls.append((next(iter(kwargs["strict_lower"])), point))
+        return point
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linsolve, "lp_feasible", counting)
+        got = support_of(space)
+    assert got == want
+    covered = set()
+    pending = iter(calls)
+    for i in range(len(space.coords)):
+        if i in covered:
+            continue
+        target, point = next(pending)
+        assert target == i
+        if point is not None:
+            covered.update(j for j, v in enumerate(point) if v)
+    assert next(pending, None) is None
+    return len(calls)
+
+
+def test_cover_loop_matches_per_coordinate_loop(rng, monkeypatch):
+    solved = coords = 0
+    for _ in range(120):
+        k = rng.randint(2, 7)
+        rows = [
+            [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(k)]
+            for _ in range(rng.randint(1, 4))
+        ]
+        if rng.random() < 0.3:
+            rows.append(list(rows[0]))
+        space = LinearSubspace(tuple(range(k)), rows)
+        solved += _check_cover_loop(space, monkeypatch)
+        coords += k
+    assert solved < coords  # some coordinates were covered, not solved
+
+
+_small_rows = st.integers(1, 6).flatmap(
+    lambda k: st.lists(
+        st.lists(_rationals, min_size=k, max_size=k), min_size=0, max_size=4
+    ).map(lambda rows: (k, rows))
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_small_rows)
+def test_cover_loop_matches_per_coordinate_loop_hypothesis(shape):
+    k, rows = shape
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _check_cover_loop(LinearSubspace(tuple(range(k)), rows), monkeypatch)
 
 
 def test_hnf_examples():
