@@ -13,10 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 from .matlie import (
     GeneratorSystem,
     UnipotentMatrix,
+    _integer_bracket,
     common_denominator,
     is_two_step,
     product_of_word,
@@ -44,7 +46,8 @@ class Decision:
     equal `common_element` (this is verified, not assumed).  `trace`
     records the support-refinement iterations (or, for orbit decisions,
     the case analysis); `details` carries auxiliary data such as the
-    final support sets needed for witness extraction.
+    final support sets, point and condition space that witness extraction
+    reads.
     """
 
     verdict: Verdict
@@ -117,6 +120,11 @@ def build_condition_space(inst: IntersectionInstance, supports) -> LinearSubspac
         sum_j l_mj log A_mj + sum_{i<j in S_m} c_mij [log A_mi, log A_mj]
 
     across consecutive m.  All equations are homogeneous.
+
+    The rows are integers.  Each log is the matrix's cached integer log
+    X_j over D_j, each bracket (X_i X_j - X_j X_i) over D_i D_j, and
+    every column is scaled by one common multiple L of those denominators,
+    so each row is L times its rational row.
     """
     n = inst.n
     coords = []
@@ -131,34 +139,37 @@ def build_condition_space(inst: IntersectionInstance, supports) -> LinearSubspac
     index = {name: i for i, name in enumerate(coords)}
 
     def expression_columns(m):
-        """Pairs (coordinate index, nilpotent matrix coefficient)."""
-        sys = inst.systems[m]
-        cols = []
-        for j in range(sys.K):
-            cols.append((index[("l", m, j)], sys.log(j)))
+        """Triples (coordinate index, integer table, its denominator)."""
+        logs = [mat._integer().log() for mat in inst.systems[m].mats]
+        cols = [(index[("l", m, j)], x, d) for j, (x, d) in enumerate(logs)]
         ordered = sorted(supports[m])
         for a in range(len(ordered)):
             for b in range(a + 1, len(ordered)):
                 i, j = ordered[a], ordered[b]
-                cols.append((index[("c", m, i, j)], sys.bracket_log(i, j)))
+                (xi, di), (xj, dj) = logs[i], logs[j]
+                cols.append(
+                    (index[("c", m, i, j)], _integer_bracket(xi, xj, n), di * dj)
+                )
         return cols
 
-    rows = []
     per_m = [expression_columns(m) for m in range(inst.M)]
+    big = lcm(*(d for cols in per_m for _, _, d in cols))
+    per_m = [[(col, x, big // d) for col, x, d in cols] for cols in per_m]
+    rows = []
     for m in range(inst.M - 1):
         for r in range(n):
             for c in range(r + 1, n):
-                row = [Fraction(0)] * len(coords)
+                row = [0] * len(coords)
                 nonzero = False
-                for col, mat in per_m[m]:
-                    v = mat[r, c]
+                for col, x, f in per_m[m]:
+                    v = x[r][c]
                     if v:
-                        row[col] += v
+                        row[col] += f * v
                         nonzero = True
-                for col, mat in per_m[m + 1]:
-                    v = mat[r, c]
+                for col, x, f in per_m[m + 1]:
+                    v = x[r][c]
                     if v:
-                        row[col] -= v
+                        row[col] -= f * v
                         nonzero = True
                 if nonzero:
                     rows.append(tuple(row))
@@ -175,10 +186,13 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
     since the total support size strictly shrinks otherwise); the
     intersection is empty iff some support set ended empty.
 
-    `details["support_point"]` keeps the final round's nonnegative
-    integer point of the projection, over the ("l", m, j) coordinates in
-    the order of `build_condition_space`; its support is exactly the
-    final support sets, and `extract_witness` lifts it.
+    `details["condition_space"]` keeps the final round's condition
+    space, the one `build_condition_space` gives for the final supports,
+    and `details["support_point"]` that round's nonnegative integer point
+    of the projection, over the space's ("l", m, j) coordinates; its
+    support is exactly the final support sets.  `extract_witness` lifts
+    the point in the space, so the space is built once per round and
+    never again for the witness.
     """
     supports = [frozenset(range(sys.K)) for sys in inst.systems]
     trace = []
@@ -222,6 +236,7 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
             "final_supports": supports,
             "iterations": rounds,
             "support_point": point,
+            "condition_space": space,
         },
     )
 
@@ -251,13 +266,13 @@ def _lift(space: LinearSubspace, fixed):
     return [Fraction(v) for v in fixed] + rest
 
 
-def _support_sample(inst, supports, ell_point):
-    """Integer point of the final condition space whose count part is a
-    positive multiple of `ell_point`, the final round's point of the
-    projection (so its support is exactly the given supports).  The
+def _support_sample(space, ell_point):
+    """(coords, values): an integer point of the condition space `space`
+    whose count part is a positive multiple of `ell_point`, a point of
+    the space's projection onto its count coordinates (for the final
+    round of a decision, its support is exactly the final supports).  The
     ("l", m, j) coordinates come first in `build_condition_space`, so the
     point fixes them and `_lift` solves for the pair coordinates."""
-    space = build_condition_space(inst, supports)
     point = _lift(space, ell_point)
     den = common_denominator(point)
     return space.coords, [int(v * den) for v in point]
@@ -285,7 +300,8 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
 
     Lifts the final round's point of the projection
     (`details["support_point"]`, positive exactly on the support letters)
-    to an integer point of the final condition space, with no LP, scales
+    to an integer point of the final round's condition space
+    (`details["condition_space"]`, not built again), with no LP, scales
     it by an even factor N large enough that the word-realization
     bounds hold, realizes one word per system with counts N*l and delta
     targets 2*N*c (restricted to the support letters), and checks by
@@ -296,7 +312,7 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
         raise ValueError("witness extraction requires a nonempty verdict")
     supports = decision.details["final_supports"]
     coords, values = _support_sample(
-        inst, supports, decision.details["support_point"]
+        decision.details["condition_space"], decision.details["support_point"]
     )
     by_name = dict(zip(coords, values))
 

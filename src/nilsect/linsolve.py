@@ -2,8 +2,9 @@
 
 Contents:
 
-* Gaussian elimination: nullspaces, subspace projection (variable
-  elimination);
+* Gauss-Jordan elimination, fraction-free: integer rows, each a
+  nonzero multiple of its rational row, gcd-reduced after every update;
+  nullspaces and subspace projection (variable elimination) on it;
 * an exact phase-1 simplex with Bland's rule on a fraction-free
   tableau: integer rows, each a positive multiple of its rational row,
   so no Fraction arithmetic in the pivots and no floating point or
@@ -45,13 +46,25 @@ _ONE = Fraction(1)
 
 
 def _row_reduce(rows, ncols, pivot_order):
-    """Row echelon reduction choosing pivot columns in the given order.
+    """Gauss-Jordan reduction choosing pivot columns in the given order.
 
-    Returns (reduced_rows, pivots) where pivots is a list of
-    (row_index, col_index); each pivot entry is normalized to 1 and
-    eliminated from every other row.
+    Entries are ints or Fractions.  Returns (reduced_rows, pivots), where
+    pivots lists (row_index, col_index) in the order found: the pivot for
+    a column is the first row not yet used whose entry there is nonzero.
+    Each pivot row comes back as Fractions, normalised to 1 on its pivot
+    and 0 on every other pivot column.  Every other row comes back as an
+    integer list, a nonzero rational multiple of the row that elimination
+    over Q (pivot row scaled to 1, then r - r[col] * p) leaves there.
+
+    The elimination is fraction-free.  Each row is scaled to integers by
+    its own common denominator; a pivot on entry a of row p replaces each
+    other row r by a * r - r[col] * p, divided by the gcd of its entries;
+    pivot rows are divided by their pivot entries only at the end.  By
+    induction every integer row is a nonzero multiple of its rational
+    counterpart at the same step, so the zero pattern, the pivot choices
+    and the normalised pivot rows are exactly those over Q.
     """
-    mat = [list(r) for r in rows]
+    mat = [_primitive_row(_integer_row(r)) for r in rows]
     pivots = []
     used_rows = set()
     for col in pivot_order:
@@ -62,20 +75,32 @@ def _row_reduce(rows, ncols, pivot_order):
                 break
         if pivot_row is None:
             continue
-        inv = _ONE / mat[pivot_row][col]
-        mat[pivot_row] = [x * inv for x in mat[pivot_row]]
+        prow = mat[pivot_row]
+        a = prow[col]
         for i in range(len(mat)):
-            if i != pivot_row and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[pivot_row])]
+            f = mat[i][col]
+            if f and i != pivot_row:
+                mat[i] = _primitive_row([a * x - f * p for x, p in zip(mat[i], prow)])
         used_rows.add(pivot_row)
         pivots.append((pivot_row, col))
+    for r, c in pivots:
+        a = mat[r][c]
+        mat[r] = [Fraction(x, a) if x else _ZERO for x in mat[r]]
     return mat, pivots
 
 
+def _integer_row(row):
+    """The row times the common denominator of its entries, as ints."""
+    d = common_denominator(row)
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
 def nullspace(rows, ncols=None):
-    """Basis of {x : row . x = 0 for all rows}, as a list of Fraction tuples."""
-    rows = [tuple(Fraction(x) for x in r) for r in rows]
+    """Basis of {x : row . x = 0 for all rows}, as a list of Fraction tuples.
+
+    Entries of the rows are ints or Fractions.
+    """
+    rows = list(rows)
     if ncols is None:
         if not rows:
             raise ValueError("ncols required when there are no rows")
@@ -100,14 +125,21 @@ class LinearSubspace:
     """Q-linear subspace of Q^len(coords), given by homogeneous equations.
 
     `coords` are hashable names in a fixed order; `equations` are rows
-    with row . x = 0.  A basis is computed on demand and cached.
+    with row . x = 0, of ints or Fractions, kept as given: a row and any
+    nonzero multiple of it define the same space, so a builder may pass
+    integer rows.  A basis is computed on demand and cached.
+
+    Two subspaces compare equal when their coordinates and their equation
+    rows are equal, entry by entry and in order: equality of the
+    presentations, which implies but is not implied by equality of the
+    spaces.
     """
 
     __slots__ = ("coords", "equations", "_basis")
 
     def __init__(self, coords, equations=()):
         coords = tuple(coords)
-        eqs = tuple(tuple(Fraction(x) for x in row) for row in equations)
+        eqs = tuple(tuple(row) for row in equations)
         for row in eqs:
             if len(row) != len(coords):
                 raise ValueError("equation length does not match coordinates")
@@ -136,6 +168,14 @@ class LinearSubspace:
             sum(a * x for a, x in zip(row, point)) == 0 for row in self.equations
         )
 
+    def __eq__(self, other):
+        if not isinstance(other, LinearSubspace):
+            return NotImplemented
+        return self.coords == other.coords and self.equations == other.equations
+
+    def __hash__(self):
+        return hash((self.coords, self.equations))
+
     def __repr__(self):
         return (
             f"<subspace of Q^{len(self.coords)}, {len(self.equations)} equations>"
@@ -146,10 +186,14 @@ def eliminate(space: LinearSubspace, keep) -> LinearSubspace:
     """Exact projection of the subspace onto the `keep` coordinates.
 
     A vector over `keep` lies in the result iff it extends to a vector of
-    the input space.  Implemented by Gaussian elimination pivoting on the
-    dropped columns first: the rows left untouched then carry zero
-    coefficients on every dropped column and are exactly the equations of
-    the projection.
+    the input space.  Implemented by fraction-free elimination pivoting on
+    the dropped columns first: the rows that get no pivot then carry zero
+    coefficients on every dropped column and span the equations of the
+    projection.  They come back as integer multiples of the rational
+    rows, which changes no span; the result's equations are the reduced
+    row echelon form of that span, Fraction rows with pivot entries 1,
+    which is unique, so the output is the same as elimination over Q
+    gives.
     """
     keep = list(keep)
     keep_set = set(keep)

@@ -432,15 +432,15 @@ def direct_sum(mats) -> UnipotentMatrix:
 
 
 class GeneratorSystem:
-    """A named finite alphabet of unipotent matrices with cached logs/brackets.
+    """A named finite alphabet of unipotent matrices.
 
     Immutable after construction.  `log(i)` and `bracket_log(i, j)` are
-    Fraction views of the generators' integer logs, built on first use
-    and memoised, as is the verdict of `is_two_step`.  The integer logs
-    live on the matrices, so systems sharing a matrix share its log.
+    Fraction views of the generators' integer logs, built on each call;
+    the verdict of `is_two_step` is memoised.  The integer logs live on
+    the matrices, so systems sharing a matrix share its log.
     """
 
-    __slots__ = ("n", "mats", "names", "_logs", "_brackets", "_two_step")
+    __slots__ = ("n", "mats", "names", "_two_step")
 
     def __init__(self, mats, names=None):
         mats = tuple(m if isinstance(m, UnipotentMatrix) else UnipotentMatrix(m) for m in mats)
@@ -458,8 +458,6 @@ class GeneratorSystem:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_logs", [None] * len(mats))
-        object.__setattr__(self, "_brackets", {})
         object.__setattr__(self, "_two_step", None)
 
     def __setattr__(self, name, value):
@@ -473,30 +471,17 @@ class GeneratorSystem:
         return len(self.mats)
 
     def log(self, i: int) -> NilpotentMatrix:
-        cached = self._logs[i]
-        if cached is None:
-            cached = _log_of(self.mats[i])
-            self._logs[i] = cached
-        return cached
+        return _log_of(self.mats[i])
 
     def bracket_log(self, i: int, j: int) -> NilpotentMatrix:
-        """[log A_i, log A_j]; cached for i < j, antisymmetric otherwise.
+        """[log A_i, log A_j].
 
         With log A_i = X_i/D_i, this is (X_i X_j - X_j X_i)/(D_i D_j).
         """
-        if i == j:
-            return NilpotentMatrix.zero(self.n)
-        if i > j:
-            return -self.bracket_log(j, i)
-        key = (i, j)
-        cached = self._brackets.get(key)
-        if cached is None:
-            xi, di = self.mats[i]._integer().log()
-            xj, dj = self.mats[j]._integer().log()
-            inner = _integer_bracket(xi, xj, self.n)
-            cached = NilpotentMatrix._wrap(self.n, _fraction_rows(inner, di * dj))
-            self._brackets[key] = cached
-        return cached
+        xi, di = self.mats[i]._integer().log()
+        xj, dj = self.mats[j]._integer().log()
+        inner = _integer_bracket(xi, xj, self.n)
+        return NilpotentMatrix._wrap(self.n, _fraction_rows(inner, di * dj))
 
 
 def is_two_step(gens: GeneratorSystem) -> bool:

@@ -7,15 +7,21 @@ import pytest
 from nilsect import intersect, linsolve
 from nilsect import (
     GeneratorSystem,
+    HeisenbergElemK,
     IntersectionInstance,
+    LinearSubspace,
+    NumberField,
     UnipotentMatrix,
     Verdict,
     Word,
     bfs_oracle,
     build_condition_space,
     decide_intersection,
+    direct_sum,
+    embed_heisenberg,
     extract_witness,
     load_instance_file,
+    product_of_word,
     verify_witness,
 )
 
@@ -217,13 +223,14 @@ def test_lift_lies_in_condition_space(rng):
         supports = d.details["final_supports"]
         ell = d.details["support_point"]
         space = build_condition_space(inst, supports)
+        assert d.details["condition_space"] == space
         point = intersect._lift(space, ell)
         assert space.contains(point)
         assert point[: len(ell)] == list(ell)
         assert [bool(v) for v in ell] == [
             j in supports[m] for (_, m, j) in space.coords[: len(ell)]
         ]
-        coords, values = intersect._support_sample(inst, supports, ell)
+        coords, values = intersect._support_sample(space, ell)
         assert coords == space.coords and space.contains(values)
         assert all(type(v) is int for v in values)
         first = next((i for i, v in enumerate(ell) if v), None)
@@ -247,13 +254,17 @@ def test_lift_outside_projection_is_a_defect():
         intersect._lift(space, (1, 0))
 
 
-def test_extract_witness_solves_no_lp(monkeypatch):
-    # the decision's last round already holds the point that is lifted
-    instances = [
+def _small_nonempty():
+    return [
         make([[X, Y, X.inverse(), Y.inverse()], [Z]]),
         make([[X * Y, Y * X], [X, Y]]),
         make([[X, Y], [X * Y], [X * Y * X * Y]]),
     ]
+
+
+def test_extract_witness_solves_no_lp(monkeypatch):
+    # the decision's last round already holds the point that is lifted
+    instances = _small_nonempty()
     decisions = [decide_intersection(inst) for inst in instances]
     calls = []
     real = linsolve._simplex_feasible
@@ -266,3 +277,185 @@ def test_extract_witness_solves_no_lp(monkeypatch):
         w = extract_witness(inst, d)
         assert verify_witness(inst, w.witnesses)
     assert calls == []
+
+
+def test_extract_witness_builds_no_condition_space(monkeypatch):
+    # the decision keeps its final round's space, and the lift reuses it
+    instances = _small_nonempty()
+    decisions = [decide_intersection(inst) for inst in instances]
+    calls = []
+    real = intersect.build_condition_space
+    monkeypatch.setattr(
+        intersect,
+        "build_condition_space",
+        lambda *args: calls.append(args) or real(*args),
+    )
+    for inst, d in zip(instances, decisions):
+        w = extract_witness(inst, d)
+        assert verify_witness(inst, w.witnesses)
+    assert calls == []
+    for inst, d in zip(instances, decisions):
+        assert d.details["condition_space"] == real(inst, d.details["final_supports"])
+
+
+# ---------------------------------------------------------------------------
+# The condition space on Fraction rows, from the generator systems' Fraction
+# log and bracket views, that the integer rows replaced; kept as the
+# reference.
+
+
+def _reference_build_condition_space(inst, supports):
+    n = inst.n
+    coords = []
+    for m, sys in enumerate(inst.systems):
+        for j in range(sys.K):
+            coords.append(("l", m, j))
+    for m, sup in enumerate(supports):
+        ordered = sorted(sup)
+        for a in range(len(ordered)):
+            for b in range(a + 1, len(ordered)):
+                coords.append(("c", m, ordered[a], ordered[b]))
+    index = {name: i for i, name in enumerate(coords)}
+
+    def expression_columns(m):
+        sys = inst.systems[m]
+        cols = []
+        for j in range(sys.K):
+            cols.append((index[("l", m, j)], sys.log(j)))
+        ordered = sorted(supports[m])
+        for a in range(len(ordered)):
+            for b in range(a + 1, len(ordered)):
+                i, j = ordered[a], ordered[b]
+                cols.append((index[("c", m, i, j)], sys.bracket_log(i, j)))
+        return cols
+
+    rows = []
+    per_m = [expression_columns(m) for m in range(inst.M)]
+    for m in range(inst.M - 1):
+        for r in range(n):
+            for c in range(r + 1, n):
+                row = [Fraction(0)] * len(coords)
+                nonzero = False
+                for col, mat in per_m[m]:
+                    v = mat[r, c]
+                    if v:
+                        row[col] += v
+                        nonzero = True
+                for col, mat in per_m[m + 1]:
+                    v = mat[r, c]
+                    if v:
+                        row[col] -= v
+                        nonzero = True
+                if nonzero:
+                    rows.append(tuple(row))
+    return LinearSubspace(coords, rows)
+
+
+SQRT2 = NumberField([-2, 0, 1])
+CBRT2 = NumberField([-2, 0, 0, 1])
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def _heisenberg(rng, n, bound=2, den=1):
+    """Random element of H_(2n-3)(Q) as an n x n matrix: a row, a column
+    and a corner."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for j in range(1, n - 1):
+        rows[0][j] = Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+        rows[j][n - 1] = Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+    rows[0][n - 1] = Fraction(rng.randint(-bound, bound), rng.randint(1, den))
+    return UnipotentMatrix(rows)
+
+
+def _field_heisenberg(rng, field):
+    def elem():
+        return field.element([Fraction(rng.randint(-2, 2)) for _ in range(field.degree)])
+
+    return embed_heisenberg(HeisenbergElemK(3, [elem()], [elem()], elem()))
+
+
+def _space_instances(rng):
+    """Intersection instances of the samples and of seeded families:
+    H3(Q), UT(3) with rational entries, H5(Q), H3 over Q(sqrt 2) and
+    Q(cbrt 2) embedded into UT(6) and UT(9), and direct sums.  About half
+    the seeded ones get a last generator equal to a word over the first
+    set, which makes them nonempty."""
+    out = [
+        inst
+        for path in sorted(SAMPLES.glob("*.txt"))
+        for inst in [load_instance_file(path).build()]
+        if isinstance(inst, IntersectionInstance)
+    ]
+    families = [
+        lambda: _heisenberg(rng, 3),
+        lambda: _heisenberg(rng, 3, bound=5, den=4),
+        lambda: _heisenberg(rng, 4),
+        lambda: _field_heisenberg(rng, SQRT2),
+        lambda: _field_heisenberg(rng, CBRT2),
+        lambda: direct_sum([_heisenberg(rng, 3), _field_heisenberg(rng, SQRT2)]),
+    ]
+    for family in families:
+        for _ in range(6):
+            sets = [
+                [family() for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.choice((2, 2, 3)))
+            ]
+            if rng.random() < 0.5:
+                gens = GeneratorSystem(sets[0])
+                runs = [(rng.randrange(gens.K), rng.randint(1, 2)) for _ in range(3)]
+                sets[-1].append(product_of_word(gens, Word(gens.K, runs)))
+            out.append(IntersectionInstance(sets))
+    return out
+
+
+def _positive_multiple(row, ref):
+    k = next((i for i, v in enumerate(ref) if v), None)
+    if k is None:
+        return not any(row)
+    q = Fraction(row[k]) / ref[k]
+    return q > 0 and all(a == q * b for a, b in zip(row, ref))
+
+
+def test_condition_space_matches_reference(rng):
+    rows = 0
+    for inst in _space_instances(rng):
+        full = [frozenset(range(sys.K)) for sys in inst.systems]
+        shrunk = [
+            frozenset(j for j in range(sys.K) if rng.random() < 0.6)
+            for sys in inst.systems
+        ]
+        for supports in (full, shrunk):
+            got = build_condition_space(inst, supports)
+            want = _reference_build_condition_space(inst, supports)
+            assert got.coords == want.coords
+            assert len(got.equations) == len(want.equations)
+            for row, ref in zip(got.equations, want.equations):
+                assert all(type(v) is int for v in row)
+                assert _positive_multiple(row, ref), (row, ref)
+            rows += len(got.equations)
+    assert rows > 500
+
+
+def test_decisions_match_reference_space(rng, monkeypatch):
+    # details (less the kept space) and witness runs are those the
+    # Fraction space gives
+    def answer(inst):
+        d = decide_intersection(inst)
+        runs = None
+        if d.verdict is Verdict.NONEMPTY:
+            d = extract_witness(inst, d)
+            runs = [w.runs for w in d.witnesses]
+        details = {k: v for k, v in d.details.items() if k != "condition_space"}
+        return d.verdict, d.trace, details, runs
+
+    witnessed = 0
+    for inst in _space_instances(rng):
+        got = answer(inst)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                intersect, "build_condition_space", _reference_build_condition_space
+            )
+            want = answer(inst)
+        assert got == want
+        witnessed += got[3] is not None
+    assert witnessed > 10

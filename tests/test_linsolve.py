@@ -99,6 +99,155 @@ def test_eliminate_matches_enumeration(rng):
         assert projected.dim() == span_dim
 
 
+# ---------------------------------------------------------------------------
+# The Gauss-Jordan reduction over Fraction that the fraction-free one
+# replaced, kept as the reference: the integer reduction must take its
+# pivots, return its normalised pivot rows exactly and every other row up
+# to a nonzero rational factor, and `eliminate` and `nullspace` built on
+# it must return exactly what they return on the reference.
+
+
+def _reference_row_reduce(rows, ncols, pivot_order):
+    mat = [list(r) for r in rows]
+    pivots = []
+    used_rows = set()
+    for col in pivot_order:
+        pivot_row = None
+        for i in range(len(mat)):
+            if i not in used_rows and mat[i][col]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        inv = Fraction(1) / mat[pivot_row][col]
+        mat[pivot_row] = [x * inv for x in mat[pivot_row]]
+        for i in range(len(mat)):
+            if i != pivot_row and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[pivot_row])]
+        used_rows.add(pivot_row)
+        pivots.append((pivot_row, col))
+    return mat, pivots
+
+
+def _nonzero_multiple(row, ref):
+    """Whether row = q * ref for a rational q != 0."""
+    k = next((i for i, v in enumerate(ref) if v), None)
+    if k is None:
+        return not any(row)
+    q = Fraction(row[k]) / ref[k]
+    return q != 0 and all(a == q * b for a, b in zip(row, ref))
+
+
+def _check_row_reduce(rows, ncols, order):
+    want, want_pivots = _reference_row_reduce(rows, ncols, order)
+    got, pivots = _row_reduce(rows, ncols, order)
+    assert pivots == want_pivots, (rows, order)
+    assert len(got) == len(want)
+    pivot_rows = {r for r, _ in pivots}
+    for i, (row, ref) in enumerate(zip(got, want)):
+        if i in pivot_rows:
+            assert row == ref and all(type(v) is Fraction for v in row)
+        else:
+            assert _nonzero_multiple(row, ref), (rows, order, i)
+    return len(pivots)
+
+
+def _check_on_reference(rows, ncols, keep):
+    """`eliminate` onto `keep` and `nullspace` equal their results with
+    the reference reduction patched in."""
+    space = LinearSubspace(range(ncols), rows)
+    got = eliminate(space, keep), nullspace(rows, ncols)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linsolve, "_row_reduce", _reference_row_reduce)
+        want = eliminate(space, keep), nullspace(rows, ncols)
+    assert got == want, (rows, keep)
+    projected, basis = got
+    assert all(type(v) is Fraction for row in projected.equations for v in row)
+    assert all(type(v) is Fraction for vec in basis for v in vec)
+
+
+def _random_entry(rng):
+    if rng.random() < 0.3:
+        return 0
+    num = rng.randint(-6, 6)
+    if rng.random() < 0.4:
+        return num
+    return Fraction(num, rng.choice((1, 2, 3, 4, 6, 9)))
+
+
+def _random_rows(rng, ncols):
+    """Rows of int and Fraction entries with mixed denominators, with
+    zero rows, duplicates and rational multiples of earlier rows."""
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        kind = rng.random()
+        if rows and kind < 0.15:
+            rows.append(list(rng.choice(rows)))
+        elif rows and kind < 0.3:
+            q = Fraction(rng.choice((-3, -1, 2, 5)), rng.choice((1, 2, 7)))
+            rows.append([q * v for v in rng.choice(rows)])
+        elif kind < 0.4:
+            rows.append([rng.choice((0, Fraction(0)))] * ncols)
+        else:
+            rows.append([_random_entry(rng) for _ in range(ncols)])
+    if rows and rng.random() < 0.5:
+        rows = [tuple(r) for r in rows]
+    return rows
+
+
+def test_row_reduce_matches_reference(rng):
+    pivoted = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 7)
+        rows = _random_rows(rng, ncols)
+        partial = rng.sample(range(ncols), rng.randint(0, ncols))
+        # every column; a partial order, as `eliminate` pivots on the
+        # dropped columns; and an augmented last column, as `_lift` solves
+        for order in (range(ncols), partial, range(ncols - 1)):
+            pivoted += _check_row_reduce(rows, ncols, list(order))
+        _check_on_reference(rows, ncols, sorted(rng.sample(range(ncols), rng.randint(1, ncols))))
+    assert pivoted > 500
+
+
+_entries = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3, 4, 6, 9))),
+)
+
+
+@st.composite
+def _reductions(draw):
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols), max_size=5))
+    if rows and draw(st.booleans()):
+        rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    order = draw(st.permutations(range(ncols)))
+    order = order[: draw(st.integers(0, ncols))]
+    keep = draw(st.lists(st.integers(0, ncols - 1), min_size=1, unique=True))
+    return ncols, rows, order, keep
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_reductions())
+def test_row_reduce_matches_reference_hypothesis(drawn):
+    ncols, rows, order, keep = drawn
+    _check_row_reduce(rows, ncols, order)
+    _check_row_reduce(rows, ncols, range(ncols))
+    _check_on_reference(rows, ncols, keep)
+
+
+def test_subspace_value_equality():
+    a = LinearSubspace(("x", "y"), [(1, 2)])
+    b = LinearSubspace(("x", "y"), [(Fraction(1), Fraction(2))])
+    assert a == b and hash(a) == hash(b)
+    assert a.equations == ((1, 2),)  # rows are kept as given
+    assert a != LinearSubspace(("x", "y"), [(2, 4)])  # same space, other rows
+    assert a != LinearSubspace(("y", "x"), [(1, 2)])
+
+
 def test_lp_examples():
     pt = lp_feasible([(1, 1)], [1], 2, nonneg=[0, 1])
     assert pt is not None and pt[0] + pt[1] == 1 and min(pt) >= 0
