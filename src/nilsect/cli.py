@@ -297,6 +297,8 @@ def main(argv=None) -> int:
     try:
         inst_file = load_instance_file(args.file)
         if getattr(args, "budget", None) is not None:
+            if args.budget < 1:
+                raise ValueError(f"--budget must be at least 1, got {args.budget}")
             inst_file.options["interleave_budget"] = args.budget
         report = run(
             args.command,

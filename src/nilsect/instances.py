@@ -36,11 +36,20 @@ from .numfield import HeisenbergElemK, NumberField, embed_heisenberg
 from .intersect import IntersectionInstance
 from .orbit import H3Elem, OrbitInstance
 
+
+def _positive_int(token) -> int:
+    """An integer of at least 1: every option bounds some work by it."""
+    value = int(token)
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value}")
+    return value
+
+
 KNOWN_OPTIONS = {
-    "oracle-depth": ("oracle_depth", int),
-    "interleave-budget": ("interleave_budget", int),
-    "parity-cap": ("parity_cap", int),
-    "memory-budget": ("memory_budget", int),
+    "oracle-depth": ("oracle_depth", _positive_int),
+    "interleave-budget": ("interleave_budget", _positive_int),
+    "parity-cap": ("parity_cap", _positive_int),
+    "memory-budget": ("memory_budget", _positive_int),
 }
 
 

@@ -21,6 +21,14 @@ corner, a_X b_Y - a_Y b_X, so the 2-step BCH formula
 
 is exact here, and every equation below is written with it.
 
+The easy case and the cone classification run on integers.  With D the
+common denominator of every entry of the G, H and log S triples, each
+triple (a, b, gamma) becomes the integer triple (D a, D b, 2 D^2 gamma)
+(`_integer_logs`).  Superdiagonals scale by D and corners by D^2, so
+half a corner bracket in units of 2 D^2 is the integer bracket of the
+integer superdiagonals, and the BCH sums above stay integer sums.  The
+hard case still builds its relaxed system over Fractions.
+
 Nonempty verdicts always come with a verified witness pair.  One known
 configuration (dimension <= 1 but no separating functional, e.g. a full
 plane cone against a ray inside it) is outside the supported procedure;
@@ -33,6 +41,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import BudgetExceeded, UnsupportedInstance
 from .intersect import Decision, Verdict
@@ -160,15 +169,54 @@ def _logs(sys: GeneratorSystem):
     return [H3Elem.from_matrix(m).log() for m in sys.mats]
 
 
-def _cone(logs):
-    return Cone2D([x[:2] for x in logs])
+@dataclass(frozen=True)
+class IntegerLogs:
+    """The log triples of one orbit instance in integer units.
+
+    `den` is the common denominator D of every entry of the triples of
+    log S, G and H; each triple (a, b, gamma) is stored as the ints
+    (D a, D b, 2 D^2 gamma).  In these units the halved corner bracket
+    1/2 [X, Y] of two triples is the plain integer corner of their
+    integer superdiagonals, since 2 D^2 * (a_X b_Y - a_Y b_X) / 2 =
+    (D a_X)(D b_Y) - (D a_Y)(D b_X).
+    """
+
+    den: int
+    s: tuple
+    g: list
+    h: list
+
+
+def _integer_logs(s_log, g_logs, h_logs) -> IntegerLogs:
+    """The Fraction triples of log S, G and H over one denominator D."""
+    den = common_denominator(itertools.chain(s_log, *g_logs, *h_logs))
+    gamma_unit = 2 * den * den
+
+    def scaled(x):
+        a, b, gamma = x
+        return (
+            a.numerator * (den // a.denominator),
+            b.numerator * (den // b.denominator),
+            gamma.numerator * (gamma_unit // gamma.denominator),
+        )
+
+    return IntegerLogs(
+        den, scaled(s_log), [scaled(x) for x in g_logs], [scaled(x) for x in h_logs]
+    )
+
+
+def _cone(triples):
+    return Cone2D([x[:2] for x in triples])
 
 
 def decide_orbit(inst: OrbitInstance) -> Decision:
     """Dispatch on the dimension of the cone intersection.
 
     Reduces to T = I, builds the two superdiagonal cones, and runs the
-    easy or hard case.  Nonempty verdicts carry a witness pair (v over G,
+    easy or hard case.  The cones get the integer superdiagonals of
+    `_integer_logs`: scaling every generator by the same D > 0 moves no
+    direction, so the meet and its certificates are those of the
+    rational cones.  Nonempty verdicts carry a witness pair (v over G,
     w over H), and this is the one place it is checked: by plain matrix
     multiplication against the original T and S, T * product(v) =
     S * product(w).  The common element reported is that product.
@@ -177,14 +225,15 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
     s_elem = reduced.S
     G, H = inst.G, inst.H
     logs = (_logs(G), _logs(H))
-    meet = cone_intersect_dim(*map(_cone, logs))
+    units = _integer_logs(s_elem.log(), *logs)
+    meet = cone_intersect_dim(_cone(units.g), _cone(units.h))
 
     if meet.dim == 2:
         decision = decide_hard(s_elem, G, H, options=inst.options, logs=logs)
         case = "hard"
     else:
         decision = decide_easy(
-            s_elem, G, H, meet=meet, options=inst.options, logs=logs
+            s_elem, G, H, meet=meet, options=inst.options, units=units
         )
         case = decision.details.get("case", "easy")
 
@@ -239,7 +288,7 @@ def _interleavings(letters, caps, length):
 
 
 def decide_easy(
-    s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, meet=None, options=None, logs=None
+    s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, meet=None, options=None, units=None
 ) -> Decision:
     """Finite Diophantine search when the cones meet in dimension <= 1.
 
@@ -251,19 +300,24 @@ def decide_easy(
     affine in those counts, and its base and coefficients are explicit
     BCH sums over the ordering (`_side_coefficients`).
 
+    Everything here is integer arithmetic on `units`, the `IntegerLogs`
+    of the instance (computed here when not given): triples in units
+    (D, D, 2 D^2), one denominator D for the whole search.  Scaling n.x
+    and n.log S by the same D leaves every letter cap ns / (n.x) as it
+    is, and `_solve_interleaving` turns each ordering's integer rows into
+    exactly the rows the rational system clears to.
+
     Without a separating functional the bounding argument has no footing;
     the breadth-first oracle is tried as a semi-decision, and Unsupported
-    is raised when it finds nothing.
-
-    `logs` is the pair of generator log triples of G and H, computed here
-    when not given.  A nonempty witness pair is not checked here;
-    `decide_orbit` checks it.
+    is raised when it finds nothing.  A nonempty witness pair is not
+    checked here; `decide_orbit` checks it.
     """
     options = options or {}
     budget = options.get("interleave_budget", DEFAULT_INTERLEAVING_BUDGET)
-    g_logs, h_logs = logs or (_logs(G), _logs(H))
+    if units is None:
+        units = _integer_logs(s_elem.log(), _logs(G), _logs(H))
     if meet is None:
-        meet = cone_intersect_dim(_cone(g_logs), _cone(h_logs))
+        meet = cone_intersect_dim(_cone(units.g), _cone(units.h))
     if meet.dim > 1:
         raise ValueError("easy case requires cone intersection of dimension <= 1")
 
@@ -271,31 +325,34 @@ def decide_easy(
         return _easy_fallback(s_elem, G, H, options)
 
     n_fun = meet.separating_functional
-    s_log = s_elem.log()
-    ns = n_fun[0] * s_log[0] + n_fun[1] * s_log[1]
+    n0, n1 = n_fun
+    ns = n0 * units.s[0] + n1 * units.s[1]  # D * (n . log S)
 
-    def side_split(logs, sign):
+    def side_split(triples, sign):
         on_line, off_line, caps = [], [], {}
-        for i, x in enumerate(logs):
-            val = n_fun[0] * x[0] + n_fun[1] * x[1]
+        for i, x in enumerate(triples):
+            val = sign * (n0 * x[0] + n1 * x[1])  # positive off the line
             if val == 0:
                 on_line.append(i)
             else:
                 off_line.append(i)
-                caps[i] = ns / (sign * val)
+                caps[i] = ns // val
         return on_line, off_line, caps
 
-    g0, gplus, gcaps = side_split(g_logs, 1)
-    h0, hplus, hcaps = side_split(h_logs, -1)
+    g0, gplus, g_caps = side_split(units.g, 1)
+    h0, hplus, h_caps = side_split(units.h, -1)
 
-    trace = {"functional": n_fun, "ns": ns, "g_plus": gplus, "h_plus": hplus}
+    trace = {
+        "functional": n_fun,
+        "ns": Fraction(ns, units.den),
+        "g_plus": gplus,
+        "h_plus": hplus,
+    }
     if ns < 0:
         # every witness pair projects to a nonnegative number on the left
         # and ns plus a nonpositive number on the right
         return Decision(Verdict.EMPTY, trace=[trace], details={"case": "easy"})
 
-    g_caps = {i: int(v) for i, v in gcaps.items()}
-    h_caps = {i: int(v) for i, v in hcaps.items()}
     g_max = sum(g_caps.values())
     h_max = sum(h_caps.values())
     # (base, cols) of each side, per interleaving: a pair recomputes neither
@@ -315,7 +372,7 @@ def decide_easy(
                             budget=budget,
                         )
                     found = _solve_interleaving(
-                        s_log, g_logs, h_logs, g0, h0, cs, ds, g_coefs, h_coefs
+                        units, g0, h0, cs, ds, g_coefs, h_coefs
                     )
                     if found is not None:
                         v, w = found
@@ -344,7 +401,7 @@ def _word_from_layout(k, interleaving, on_line, counts_by_gap):
     return Word(k, runs)
 
 
-def _side_coefficients(logs, interleaving, on_line, prefix):
+def _side_coefficients(triples, interleaving, on_line, prefix):
     """log(prefix * product) at zero on-line counts, and its change per unit.
 
     The base is the BCH sum over the prefix (log S on the H side, nothing
@@ -359,27 +416,34 @@ def _side_coefficients(logs, interleaving, on_line, prefix):
     the kernel of the separating functional), so on-line letters bracket
     to zero with each other and the change does not depend on the other
     on-line counts.  Columns are ordered by gap, then by `on_line`.
+
+    `triples` and `prefix` are integer triples in units (D, D, 2 D^2)
+    (`IntegerLogs`), and so are the base and the columns: a halved
+    bracket 1/2 [U, X] in units of 2 D^2 is the integer corner
+    u0 x1 - x0 u1 of the superdiagonals in units of D, so the update of
+    gamma is x2 + a x1 - x0 b and a column is x2 + d0 x1 - x0 d1, with
+    (d0, d1) = P - A.  No division happens anywhere.
     """
-    a = b = gamma = Fraction(0)
+    a = b = gamma = 0
     if prefix is not None:
         a, b, gamma = prefix
     ahead = [(a, b)]  # superdiagonal sum ahead of each gap
     for i in interleaving:
-        x = logs[i]
-        gamma += x[2] + _corner((a, b), x) / 2
-        a += x[0]
-        b += x[1]
+        x0, x1, x2 = triples[i]
+        gamma += x2 + a * x1 - x0 * b
+        a += x0
+        b += x1
         ahead.append((a, b))
     cols = []
     for pa, pb in ahead:
-        diff = (2 * pa - a, 2 * pb - b)  # P - A
+        d0, d1 = 2 * pa - a, 2 * pb - b  # P - A
         for j in on_line:
-            x = logs[j]
-            cols.append((x[0], x[1], x[2] + _corner(diff, x) / 2))
+            x0, x1, x2 = triples[j]
+            cols.append((x0, x1, x2 + d0 * x1 - x0 * d1))
     return (a, b, gamma), cols
 
 
-def _solve_interleaving(s_log, g_logs, h_logs, g0, h0, cs, ds, g_coefs, h_coefs):
+def _solve_interleaving(units, g0, h0, cs, ds, g_coefs, h_coefs):
     """One linear Diophantine system for fixed off-line letter orderings.
 
     Variables: counts x[gap][j] of on-line G letters in each of the
@@ -388,6 +452,15 @@ def _solve_interleaving(s_log, g_logs, h_logs, g0, h0, cs, ds, g_coefs, h_coefs)
     equation rows.  The coefficients of each side are memoised in
     `g_coefs` / `h_coefs`, keyed by its ordering.  Side conditions: a
     side with no off-line letters must still be a nonempty word.
+
+    The rows reach `ilp_feasible_nonneg` as exactly the integers that
+    clearing the rational system by its common denominator gives.  The
+    coefficients come in units (D, D, 2 D^2); rows 0 and 1 are lifted by
+    2 D, so every entry is n_i / M of the rational entry with M = 2 D^2.
+    For rationals n_i / M the lcm of the reduced denominators is
+    M / gcd(M, n_1, ..., n_k); so dividing every entry and right-hand
+    side by g = gcd(M, all of them) gives n_i / g, the rational entry
+    times that lcm.
     """
     kg, kh = len(g0), len(h0)
     gaps_g, gaps_h = len(cs) + 1, len(ds) + 1
@@ -397,20 +470,24 @@ def _solve_interleaving(s_log, g_logs, h_logs, g0, h0, cs, ds, g_coefs, h_coefs)
         return None
 
     if cs not in g_coefs:
-        g_coefs[cs] = _side_coefficients(g_logs, cs, g0, None)
+        g_coefs[cs] = _side_coefficients(units.g, cs, g0, None)
     if ds not in h_coefs:
-        h_coefs[ds] = _side_coefficients(h_logs, ds, h0, s_log)
+        h_coefs[ds] = _side_coefficients(units.h, ds, h0, units.s)
     base_v, cols_v = g_coefs[cs]
     base_w, cols_w = h_coefs[ds]
 
+    lift = 2 * units.den
     rows = []
     rhs = []
-    for e in range(3):
-        rows.append([col[e] for col in cols_v] + [-col[e] for col in cols_w])
-        rhs.append(base_w[e] - base_v[e])
-    den = common_denominator(itertools.chain(*rows, rhs))
-    int_rows = [[int(v * den) for v in row] for row in rows]
-    int_rhs = [int(v * den) for v in rhs]
+    for e, scale in ((0, lift), (1, lift), (2, 1)):
+        rows.append(
+            [scale * col[e] for col in cols_v] + [-scale * col[e] for col in cols_w]
+        )
+        rhs.append(scale * (base_w[e] - base_v[e]))
+    g = gcd(lift * units.den, *rows[0], *rows[1], *rows[2], *rhs)
+    if g > 1:
+        rows = [[v // g for v in row] for row in rows]
+        rhs = [v // g for v in rhs]
 
     nonzero_groups = []
     nv = gaps_g * kg
@@ -419,7 +496,7 @@ def _solve_interleaving(s_log, g_logs, h_logs, g0, h0, cs, ds, g_coefs, h_coefs)
     if not ds:
         nonzero_groups.append(list(range(nv, nv + gaps_h * kh)))
 
-    sol = ilp_feasible_nonneg(int_rows, int_rhs, nonzero_groups)
+    sol = ilp_feasible_nonneg(rows, rhs, nonzero_groups)
     if sol is None:
         return None
     xs = sol[:nv]
@@ -430,8 +507,8 @@ def _solve_interleaving(s_log, g_logs, h_logs, g0, h0, cs, ds, g_coefs, h_coefs)
     counts_h = [
         [ys[gap * kh + pos] for pos in range(kh)] for gap in range(gaps_h)
     ]
-    v = _word_from_layout(len(g_logs), cs, g0, counts_g)
-    w = _word_from_layout(len(h_logs), ds, h0, counts_h)
+    v = _word_from_layout(len(units.g), cs, g0, counts_g)
+    w = _word_from_layout(len(units.h), ds, h0, counts_h)
     return v, w
 
 
@@ -501,7 +578,8 @@ def decide_hard(
     enumerated (2^(K+M) branches, lowest branch wins); they determine the
     pair parities, and each branch is a pure integer linear system.
     A feasible branch is inflated into a witness pair, which
-    `decide_orbit` checks.  `logs` is as for `decide_easy`.
+    `decide_orbit` checks.  `logs` is the pair of Fraction log triples
+    of G and H (`_logs`), computed here when not given.
     """
     options = options or {}
     K, M = G.K, H.K
@@ -627,7 +705,7 @@ def extract_orbit_witness(
     fall inside the word-realization bounds.  The least such N is taken
     and the two words are realized.  The identity product(v) =
     S * product(w) is not checked here; `decide_orbit` checks it.
-    `logs` is as for `decide_easy`.
+    `logs` is as for `decide_hard`.
     """
     g_logs, h_logs = logs or (_logs(G), _logs(H))
     K, M = len(g_logs), len(h_logs)

@@ -121,7 +121,22 @@ def test_parse_orbit():
     assert isinstance(built, OrbitInstance)
 
 
-def test_parse_errors_have_line_numbers():
+def test_parse_errors_have_line_numbers(capsys):
+    # every option bounds some work by its value, so values below 1 are
+    # refused where they are written, naming the line
+    option_line = UT3.count("\n") + 1
+    for key in ("interleave-budget", "parity-cap", "memory-budget", "oracle-depth"):
+        for value in (-3, -1, 0):
+            with pytest.raises(ParseError) as err:
+                parse_instance_text(UT3 + f"option {key} {value}\n")
+            assert err.value.line_no == option_line
+            assert f"line {option_line}" in str(err.value)
+            assert key in str(err.value) and "at least 1" in str(err.value)
+        assert parse_instance_text(UT3 + f"option {key} 1\n").options
+    for value in ("0", "-1"):
+        code = main(["orbit", str(SAMPLES / "orbit-central.txt"), "--budget", value])
+        assert code == 3
+        assert "--budget must be at least 1" in capsys.readouterr().err
     with pytest.raises(ParseError) as err:
         parse_instance_text("version 1\ngroup ut-q 3\nmatrix m\n1 2\n")
     assert "line 4" in str(err.value)

@@ -917,3 +917,73 @@ def test_cone_interior_vector_certificates(rng):
                 strict_lower={i: 1 for i in range(len(nonzero) + 1)},
             )
             assert pt is not None
+
+
+CONE_FORMS = ("zero", "ray", "line", "wedge", "halfplane", "plane")
+
+
+def _generators_of_form(rng, kind):
+    """Integer generators whose cone has the given canonical form, with
+    positive multiples, duplicates and zero vectors mixed in."""
+    d = (0, 0)
+    while d == (0, 0):
+        d = (rng.randint(-3, 3), rng.randint(-3, 3))
+    e = d
+    while e[0] * d[1] - e[1] * d[0] == 0:
+        e = (rng.randint(-3, 3), rng.randint(-3, 3))
+
+    def comb(p, q, u=None, v=None):
+        return (p * u[0] + q * v[0], p * u[1] + q * v[1])
+
+    k = lambda: rng.randint(1, 3)  # noqa: E731
+    neg = lambda u: (-u[0], -u[1])  # noqa: E731
+    gens = {
+        "zero": [],
+        "ray": [d, comb(k(), 0, d, e)],
+        "line": [d, neg(comb(k(), 0, d, e))],
+        "wedge": [d, e, comb(k(), k(), d, e)],
+        "halfplane": [d, neg(d), e, comb(rng.randint(-3, 3), k(), d, e)],
+        "plane": [d, e, neg(comb(k(), k(), d, e))],
+    }[kind]
+    gens += [(0, 0)] * rng.randint(0, 2)
+    if gens:
+        gens.append(rng.choice(gens))
+    rng.shuffle(gens)
+    assert linsolve._cone_form(gens)[0] == kind
+    return gens
+
+
+def _as_fractions(rng, gens):
+    """The same directions as Fraction pairs, each scaled by its own
+    positive rational, so the two entries carry different denominators."""
+    out = []
+    for a, b in gens:
+        s = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+        out.append((Fraction(a) * s, Fraction(b) * s))
+    return out
+
+
+def test_cone_meet_same_for_int_and_fraction_generators():
+    rng = random.Random(73)
+    assert Cone2D([(2, -4), (0, 0)]).generators == ((2, -4), (0, 0))
+    assert all(
+        type(x) is int for g in Cone2D([(2, -4), (0, 0)]).generators for x in g
+    )
+    mixed = Cone2D([(Fraction(1, 2), 3)]).generators[0]
+    assert (type(mixed[0]), type(mixed[1])) == (Fraction, int)
+    seen = set()
+    for _ in range(4):
+        for kind1, kind2 in itertools.product(CONE_FORMS, repeat=2):
+            g1 = _generators_of_form(rng, kind1)
+            g2 = _generators_of_form(rng, kind2)
+            meet = cone_intersect_dim(Cone2D(g1), Cone2D(g2))
+            frac = cone_intersect_dim(
+                Cone2D(_as_fractions(rng, g1)), Cone2D(_as_fractions(rng, g2))
+            )
+            assert frac == meet
+            assert repr(frac) == repr(meet)  # the same int certificates
+            for vec in (meet.interior_vector, meet.separating_functional):
+                assert vec is None or all(type(x) is int for x in vec)
+            seen.add((kind1, kind2, meet.dim))
+    assert {kind for kind, _, _ in seen} == set(CONE_FORMS)
+    assert {dim for _, _, dim in seen} == {0, 1, 2}

@@ -1,8 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilsect import (
     GeneratorSystem,
@@ -23,10 +26,11 @@ from nilsect import (
 )
 
 from nilsect import orbit as orbit_module
-from nilsect.matlie import bracket
+from nilsect.matlie import bracket, common_denominator
 from nilsect.orbit import (
     _corner,
     _hard_system,
+    _integer_logs,
     _interleavings,
     _logs,
     _side_coefficients,
@@ -248,6 +252,25 @@ def assert_same_fractions(got, expected):
     assert all(isinstance(v, Fraction) for v in got)
 
 
+def assert_same_ints(got, expected):
+    assert got == expected
+    assert all(type(v) is int for v in got)
+
+
+ZERO_LOG = (Fraction(0),) * 3
+
+
+def side_units(sys, prefix_log):
+    """`IntegerLogs` of one side, the prefix in the place of log S."""
+    return _integer_logs(prefix_log or ZERO_LOG, _logs(sys), [])
+
+
+def in_units(triple, den):
+    """A Fraction log triple in the integer units (D, D, 2 D^2)."""
+    a, b, gamma = triple
+    return (den * a, den * b, 2 * den * den * gamma)
+
+
 def random_easy_side(rng):
     """Generators whose first letters are on-line (collinear with a random
     direction), the rest off-line; rational entries with denominators 1-3."""
@@ -279,14 +302,17 @@ def test_side_coefficients_match_unit_count_products():
         if trial % 2:
             prefix = H3Elem(*(random_rational(rng) for _ in range(3))).matrix()
         prefix_log = None if prefix is None else H3Elem.from_matrix(prefix).log()
-        base, cols = _side_coefficients(_logs(sys), interleaving, on_line, prefix_log)
+        units = side_units(sys, prefix_log)
+        base, cols = _side_coefficients(
+            units.g, interleaving, on_line, None if prefix is None else units.s
+        )
         ref_base, ref_cols = side_coefficients_by_products(
             sys, interleaving, on_line, prefix
         )
-        assert_same_fractions(base, ref_base)
+        assert_same_ints(base, in_units(ref_base, units.den))
         assert len(cols) == len(ref_cols) == (len(interleaving) + 1) * len(on_line)
         for col, ref in zip(cols, ref_cols):
-            assert_same_fractions(col, ref)
+            assert_same_ints(col, in_units(ref, units.den))
         gaps_seen.add(len(interleaving) + 1)
     assert gaps_seen == {1, 2, 3, 4, 5}
 
@@ -299,7 +325,8 @@ def test_side_coefficients_affine_in_on_line_counts():
         sys, on_line = random_easy_side(rng)
         off_line = list(range(len(on_line), sys.K))
         interleaving = tuple(rng.choice(off_line) for _ in range(rng.randint(0, 3)))
-        base, cols = _side_coefficients(_logs(sys), interleaving, on_line, None)
+        units = side_units(sys, None)
+        base, cols = _side_coefficients(units.g, interleaving, on_line, None)
         counts = [
             [rng.randint(0, 3) for _ in on_line] for _ in range(len(interleaving) + 1)
         ]
@@ -309,7 +336,7 @@ def test_side_coefficients_affine_in_on_line_counts():
         expected = tuple(
             base[e] + sum(c * col[e] for c, col in zip(flat, cols)) for e in range(3)
         )
-        assert tuple(log[e] for e in ENTRIES) == expected
+        assert in_units(tuple(log[e] for e in ENTRIES), units.den) == expected
 
 
 def test_hard_system_matches_matrix_logs():
@@ -343,8 +370,245 @@ def test_closed_forms_on_orbit_central_sample():
         interleaving = (1,) * length
         for sys, prefix in ((inst.G, None), (inst.H, s_elem.matrix())):
             prefix_log = None if prefix is None else s_elem.log()
-            got = _side_coefficients(_logs(sys), interleaving, [0], prefix_log)
-            assert got == side_coefficients_by_products(sys, interleaving, [0], prefix)
+            units = side_units(sys, prefix_log)
+            got = _side_coefficients(
+                units.g, interleaving, [0], None if prefix is None else units.s
+            )
+            ref_base, ref_cols = side_coefficients_by_products(
+                sys, interleaving, [0], prefix
+            )
+            assert got == (
+                in_units(ref_base, units.den),
+                [in_units(col, units.den) for col in ref_cols],
+            )
+
+
+def reference_side_coefficients(logs, interleaving, on_line, prefix):
+    """The Fraction form of `_side_coefficients` that the integer one
+    replaced: Fraction log triples in, Fraction triples out."""
+    a = b = gamma = Fraction(0)
+    if prefix is not None:
+        a, b, gamma = prefix
+    ahead = [(a, b)]
+    for i in interleaving:
+        x = logs[i]
+        gamma += x[2] + _corner((a, b), x) / 2
+        a += x[0]
+        b += x[1]
+        ahead.append((a, b))
+    cols = []
+    for pa, pb in ahead:
+        diff = (2 * pa - a, 2 * pb - b)
+        for j in on_line:
+            x = logs[j]
+            cols.append((x[0], x[1], x[2] + _corner(diff, x) / 2))
+    return (a, b, gamma), cols
+
+
+def reference_rows(s_log, g_logs, h_logs, g0, h0, cs, ds):
+    """The Fraction row builder of `_solve_interleaving` that the integer
+    one replaced: the rational system cleared by its common denominator,
+    with the nonzero groups of the side conditions."""
+    base_v, cols_v = reference_side_coefficients(g_logs, cs, g0, None)
+    base_w, cols_w = reference_side_coefficients(h_logs, ds, h0, s_log)
+    rows, rhs = [], []
+    for e in range(3):
+        rows.append([col[e] for col in cols_v] + [-col[e] for col in cols_w])
+        rhs.append(base_w[e] - base_v[e])
+    den = common_denominator(itertools.chain(*rows, rhs))
+    int_rows = [[int(v * den) for v in row] for row in rows]
+    int_rhs = [int(v * den) for v in rhs]
+    groups = []
+    nv = (len(cs) + 1) * len(g0)
+    if not cs:
+        groups.append(list(range(nv)))
+    if not ds:
+        groups.append(list(range(nv, nv + (len(ds) + 1) * len(h0))))
+    return int_rows, int_rhs, groups
+
+
+EASY_FUNCTIONALS = ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, -2), (3, 2))
+
+
+def random_easy_instance(rng):
+    """T = I and nonzero S against G, H whose cones meet along the kernel of
+    a functional n; rational entries with denominators 1-6.
+
+    Each side has an on-line letter in the same direction of that kernel,
+    so n is the separating functional, and off-line letters whose value
+    under n is more than a third of n . log S, so at most two copies of
+    each fit and a side has 1 to 5 gaps.
+    """
+    n = rng.choice(EASY_FUNCTIONALS)
+    line = (-n[1], n[0])
+    unit = next(
+        (a, b)
+        for a in range(-3, 4)
+        for b in range(-3, 4)
+        if n[0] * a + n[1] * b == 1
+    )
+
+    def rat(bound):
+        return Fraction(rng.randint(-bound, bound), rng.randint(1, 6))
+
+    def point(value, t):
+        return (value * unit[0] + t * line[0], value * unit[1] + t * line[1])
+
+    ns = Fraction(rng.randint(1, 12), rng.randint(1, 6))
+
+    def off_line(sign):
+        value = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        while ns / value >= 3:
+            value = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+        return H3Elem(*point(sign * value, rat(2)), rat(4)).matrix()
+
+    def side(sign):
+        t = Fraction(rng.randint(1, 3), rng.randint(1, 6))
+        mats = [H3Elem(*point(0, t), rat(4)).matrix()]
+        mats += [
+            H3Elem(*point(0, rat(3) or Fraction(1, 2)), rat(4)).matrix()
+            for _ in range(rng.randint(0, 1))
+        ]
+        mats += [off_line(sign) for _ in range(rng.randint(1, 2))]
+        rng.shuffle(mats)
+        return GeneratorSystem(mats)
+
+    G, H = side(1), side(-1)
+    S = H3Elem(*point(ns, rat(4)), rat(4) or Fraction(1, 5))
+    return OrbitInstance(H3Elem.identity(), S, G, H)
+
+
+def record_easy_systems(inst, monkeypatch):
+    """Every system the easy case hands to `ilp_feasible_nonneg` on `inst`:
+    the orderings it was built for, and the rows, right-hand side and
+    nonzero groups it received.  The recorder answers that no system is
+    feasible, so every ordering pair within the caps is enumerated and
+    the rows do not wait on the integer search."""
+    calls = []
+    current = []
+    real_solve = orbit_module._solve_interleaving
+
+    def solve(units, g0, h0, cs, ds, g_coefs, h_coefs):
+        current[:] = [(g0, h0, cs, ds)]
+        return real_solve(units, g0, h0, cs, ds, g_coefs, h_coefs)
+
+    def ilp(A, b, nonzero_groups=()):
+        calls.append((current[0], A, b, nonzero_groups))
+        return None
+
+    monkeypatch.setattr(orbit_module, "_solve_interleaving", solve)
+    monkeypatch.setattr(orbit_module, "ilp_feasible_nonneg", ilp)
+    d = decide_orbit(inst)
+    monkeypatch.undo()
+    assert d.details["case"] == "easy"
+    assert d.verdict is Verdict.EMPTY
+    assert d.trace[0]["pairs_tried"] >= len(calls)
+    return calls
+
+
+def assert_rows_match_reference(inst, calls):
+    """Every recorded system is, int for int, the reference's system."""
+    s_log = reduce_to_identity(inst).S.log()
+    g_logs, h_logs = _logs(inst.G), _logs(inst.H)
+    for (g0, h0, cs, ds), A, b, groups in calls:
+        ref_rows, ref_rhs, ref_groups = reference_rows(
+            s_log, g_logs, h_logs, g0, h0, cs, ds
+        )
+        assert A == ref_rows
+        assert b == ref_rhs
+        assert list(groups) == ref_groups
+        assert all(type(v) is int for v in itertools.chain(*A, b))
+
+
+def dilated(inst, t):
+    """The instance under the automorphism (a, b, gamma) -> (t a, t b,
+    t^2 gamma) of the Lie algebra, T = I."""
+
+    def image(elem):
+        a, b, gamma = elem.log()
+        a, b, gamma = t * a, t * b, t * t * gamma
+        return H3Elem(a, b, gamma + a * b / 2)
+
+    def system(sys):
+        return GeneratorSystem(
+            [image(H3Elem.from_matrix(m)).matrix() for m in sys.mats]
+        )
+
+    return OrbitInstance(
+        H3Elem.identity(), image(inst.S), system(inst.G), system(inst.H)
+    )
+
+
+def test_easy_rows_match_fraction_reference(monkeypatch):
+    rng = random.Random(61)
+    gaps_seen = set()
+    systems = 0
+    for trial in range(120):
+        inst = random_easy_instance(rng)
+        assert inst.S != H3Elem.identity()
+        calls = record_easy_systems(inst, monkeypatch)
+        assert_rows_match_reference(inst, calls)
+        systems += len(calls)
+        for (_, _, cs, ds), _, _, _ in calls:
+            gaps_seen.update((len(cs) + 1, len(ds) + 1))
+        if trial % 4 == 0:
+            # integer triples that are all multiples of 3, so every entry
+            # shares the factor 3 that 2 D^2 = 2 lacks: the rows must not
+            # be divided by it
+            den = common_denominator(
+                itertools.chain(inst.S.log(), *_logs(inst.G), *_logs(inst.H))
+            )
+            scaled = dilated(inst, 3 * den)
+            calls = record_easy_systems(scaled, monkeypatch)
+            assert_rows_match_reference(scaled, calls)
+            assert any(
+                all(v % 3 == 0 for v in itertools.chain(*A, b))
+                for _, A, b, _ in calls
+            )
+    assert gaps_seen == {1, 2, 3, 4, 5}
+    assert systems > 1000
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_easy_rows_match_fraction_reference_hypothesis(drawn_rng):
+    # hypothesis draws the generator's choices; monkeypatching by hand,
+    # since a function-scoped fixture is not reset between examples
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        inst = random_easy_instance(drawn_rng)
+        calls = record_easy_systems(inst, monkeypatch)
+        assert calls
+        assert_rows_match_reference(inst, calls)
+
+
+def test_common_denominator_once_per_decide_easy(monkeypatch):
+    # the easy case converts the instance to integers once; no ordering
+    # pair computes a denominator of its own.  No system is let be
+    # feasible, so every ordering pair within the caps is built.
+    counted = []
+    real = orbit_module.common_denominator
+
+    def counting(values):
+        counted.append(1)
+        return real(values)
+
+    monkeypatch.setattr(orbit_module, "common_denominator", counting)
+    monkeypatch.setattr(orbit_module, "ilp_feasible_nonneg", lambda *args: None)
+    rng = random.Random(67)
+    pairs = []
+    for _ in range(20):
+        inst = random_easy_instance(rng)
+        s_elem = reduce_to_identity(inst).S
+        for run in (
+            lambda: decide_easy(s_elem, inst.G, inst.H),
+            lambda: decide_orbit(inst),
+        ):
+            counted.clear()
+            d = run()
+            assert d.verdict is Verdict.EMPTY
+            assert len(counted) == 1
+            pairs.append(d.trace[0]["pairs_tried"])
+    assert sum(p > 1 for p in pairs) >= 30
 
 
 def test_hard_central_shift_nonempty():
