@@ -49,7 +49,6 @@ from .numfield import (
     NumberField,
     FieldElem,
     HeisenbergElemK,
-    regular_representation,
     embed_heisenberg,
 )
 from .intersect import (

@@ -22,7 +22,10 @@ all numbers are exact rationals written as "p" or "p/q", never floats):
 Heisenberg and product elements are embedded into UT(n*d, Q) (block
 substitution by the multiplication matrix of each field entry; factors
 go block-diagonally), so downstream code sees plain unipotent rational
-matrices regardless of the surface group.
+matrices regardless of the surface group.  Rationals are read as integer
+pairs, and every matrix, declared or embedded, is written as one integer
+table over a common denominator: the form the matrix kernel computes
+on, so no Fraction grid is built and converted back.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .matlie import GeneratorSystem, UnipotentMatrix, direct_sum
 from .numfield import HeisenbergElemK, NumberField, embed_heisenberg
@@ -129,17 +133,29 @@ _RAT_SHAPE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 def _rat(tok, line_no):
+    """(p, q) with tok = p/q and q > 0, read by int(); q = 1 for "p"."""
     # only integers and p/q are rationals here; no decimal or float forms
     if not _RAT_SHAPE.match(tok):
         raise ParseError(line_no, f"bad rational {tok!r} (use p or p/q)")
+    num, _, den = tok.partition("/")
     try:
-        return Fraction(tok)
-    except ZeroDivisionError as exc:
+        num, den = int(num), int(den) if den else 1
+    except ValueError as exc:  # more digits than int() converts
         raise ParseError(line_no, f"bad rational {tok!r}: {exc}") from exc
+    if not den:
+        raise ParseError(line_no, f"bad rational {tok!r}: Fraction({num}, 0)")
+    return num, den
+
+
+def _int(tok, line_no, what):
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(line_no, f"{what} must be an integer, got {tok!r}") from None
 
 
 def _field_elem(field_obj, tok, line_no):
-    coords = [_rat(t, line_no) for t in tok.split(",")]
+    coords = [Fraction(*_rat(t, line_no)) for t in tok.split(",")]
     if len(coords) != field_obj.degree:
         raise ParseError(
             line_no,
@@ -179,10 +195,12 @@ def _parse_group(lines):
     toks = line.split()
     if toks[0] != "group":
         raise ParseError(no, f"expected 'group', got {toks[0]!r}")
+    if len(toks) < 2:
+        raise ParseError(no, "usage: group ut-q|heisenberg-k|product ...")
     if toks[1] == "ut-q":
         if len(toks) != 3:
             raise ParseError(no, "usage: group ut-q N")
-        n = int(toks[2])
+        n = _int(toks[2], no, "dimension")
         if n < 1:
             raise ParseError(no, "dimension must be positive")
         return ("ut-q", n)
@@ -208,10 +226,10 @@ def _parse_factor_spec(toks, no):
     # toks: ["heisenberg-k", N, "minpoly", c_d, ..., c_0] (descending, monic)
     if toks[0] != "heisenberg-k" or len(toks) < 4 or toks[2] != "minpoly":
         raise ParseError(no, "usage: heisenberg-k N minpoly C_d ... C_0")
-    n = int(toks[1])
+    n = _int(toks[1], no, "Heisenberg dimension")
     if n < 3:
         raise ParseError(no, "Heisenberg dimension must be >= 3")
-    coeffs_desc = [_rat(t, no) for t in toks[3:]]
+    coeffs_desc = [Fraction(*_rat(t, no)) for t in toks[3:]]
     try:
         fld = NumberField(list(reversed(coeffs_desc)))
     except ValueError as exc:
@@ -241,7 +259,7 @@ def parse_instance_text(text: str) -> InstanceFile:
     toks = line.split()
     if toks[:1] != ["version"] or len(toks) != 2:
         raise ParseError(no, "file must start with 'version 1'")
-    version = int(toks[1])
+    version = _int(toks[1], no, "version")
     if version != 1:
         raise ParseError(no, f"unsupported version {version}")
 
@@ -271,8 +289,10 @@ def parse_instance_text(text: str) -> InstanceFile:
                 if len(entries) != n:
                     raise ParseError(no2, f"row needs {n} entries")
                 rows.append(entries)
+            den = lcm(*(q for row in rows for _, q in row))
+            table = tuple(tuple(p * (den // q) for p, q in row) for row in rows)
             try:
-                mat = UnipotentMatrix(rows)
+                mat = UnipotentMatrix.from_integer_table(table, den)
             except ValueError as exc:
                 raise ParseError(no, f"matrix {name!r}: {exc}") from exc
             elements[name] = mat

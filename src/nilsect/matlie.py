@@ -14,8 +14,11 @@ integer table over one common denominator, its log an integer table X
 over a denominator D, and every series and product runs on those
 integer tables; a denominator is divided out by one gcd per result, and
 a Fraction table is built only for what is returned.  A UnipotentMatrix
-computes its integer form on first use and keeps it, so every generator
-system holding the matrix shares one log.
+keeps its integer form, so every generator system holding the matrix
+shares one log.  Matrices that the kernel returns, that instance files
+declare or that embeddings and direct sums build are made from their
+integer form and carry it from the start; one made from a Fraction table
+computes it on first use.
 """
 
 from __future__ import annotations
@@ -27,14 +30,31 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+def _as_fraction(x):
+    """x as a Fraction; a Fraction is returned as it is, not re-wrapped."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _freeze(rows):
     """Coerce a row-major table to a square tuple-of-tuples of Fractions."""
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
+    out = tuple(tuple(map(_as_fraction, row)) for row in rows)
     n = len(out)
     for row in out:
         if len(row) != n:
             raise ValueError("matrix is not square")
     return n, out
+
+
+def _check_unit_upper(table, one):
+    """Raise ValueError unless the square table has `one` on the diagonal
+    and zeros below it (`one` is 1 for a Fraction table, the denominator
+    for an integer table)."""
+    for i, row in enumerate(table):
+        if row[i] != one:
+            raise ValueError(f"diagonal entry ({i},{i}) is not 1")
+        for j in range(i):
+            if row[j]:
+                raise ValueError(f"nonzero entry ({i},{j}) below the diagonal")
 
 
 def _identity_rows(n, one=_ONE, zero=_ZERO):
@@ -113,9 +133,12 @@ def _integer_rows(rows):
 
 
 def _fraction_rows(table, den):
-    """The Fraction table table/den; zero entries share one Fraction(0)."""
+    """The Fraction table table/den; entries 0 and 1 share one Fraction each."""
     return tuple(
-        tuple(Fraction(x, den) if x else _ZERO for x in row) for row in table
+        tuple(
+            (_ONE if x == den else Fraction(x, den)) if x else _ZERO for x in row
+        )
+        for row in table
     )
 
 
@@ -235,12 +258,7 @@ class UnipotentMatrix:
 
     def __init__(self, rows):
         n, table = _freeze(rows)
-        for i in range(n):
-            if table[i][i] != 1:
-                raise ValueError(f"diagonal entry ({i},{i}) is not 1")
-            for j in range(i):
-                if table[i][j]:
-                    raise ValueError(f"nonzero entry ({i},{j}) below the diagonal")
+        _check_unit_upper(table, 1)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", table)
         object.__setattr__(self, "_form", None)
@@ -251,6 +269,21 @@ class UnipotentMatrix:
     @classmethod
     def identity(cls, n) -> "UnipotentMatrix":
         return cls(_identity_rows(n))
+
+    @classmethod
+    def from_integer_table(cls, table, den) -> "UnipotentMatrix":
+        """The matrix table/den, for a square integer table and den > 0.
+
+        Checked like the constructor's input; the matrix keeps its
+        integer form from the start.
+        """
+        n = len(table)
+        if any(len(row) != n for row in table):
+            raise ValueError("matrix is not square")
+        if den < 1:
+            raise ValueError("denominator must be positive")
+        _check_unit_upper(table, den)
+        return cls._from_integer(n, table, den)
 
     @classmethod
     def _from_integer(cls, n, table, den):
@@ -414,21 +447,28 @@ def bracket(x: NilpotentMatrix, y: NilpotentMatrix) -> NilpotentMatrix:
 
 
 def direct_sum(mats) -> UnipotentMatrix:
-    """Block-diagonal join of unipotent matrices (for product groups)."""
+    """Block-diagonal join of unipotent matrices (for product groups).
+
+    Written as one integer table: each block's integer table, scaled to
+    the lcm of the blocks' denominators.  A sum of one matrix is that
+    matrix.
+    """
     mats = list(mats)
     if not mats:
         raise ValueError("empty direct sum")
+    if len(mats) == 1:
+        return mats[0]
+    forms = [m._integer() for m in mats]
+    den = lcm(*(f.den for f in forms))
     total = sum(m.n for m in mats)
-    rows = [[_ZERO] * total for _ in range(total)]
+    rows = []
     off = 0
-    for m in mats:
-        for i in range(m.n):
-            row = rows[off + i]
-            mi = m.rows[i]
-            for j in range(m.n):
-                row[off + j] = mi[j]
+    for m, f in zip(mats, forms):
+        scale = den // f.den
+        left, right = (0,) * off, (0,) * (total - off - m.n)
+        rows.extend(left + tuple(x * scale for x in row) + right for row in f.table)
         off += m.n
-    return UnipotentMatrix(rows)
+    return UnipotentMatrix._from_integer(total, tuple(rows), den)
 
 
 class GeneratorSystem:
@@ -484,6 +524,33 @@ class GeneratorSystem:
         return NilpotentMatrix._wrap(self.n, _fraction_rows(inner, di * dj))
 
 
+def _echelon_insert(basis, vec):
+    """Add the integer vector vec to the echelon basis unless it lies in
+    its span; return the added row, or None.
+
+    basis is a list of (pivot, row): each row is zero at the pivots of
+    the rows before it and nonzero at its own.  vec is reduced by
+    vec <- row[p] vec - vec[p] row against each row in turn, which keeps
+    it zero at the pivots already cleared, and every result is divided by
+    the gcd of its entries.
+    """
+    for p, row in basis:
+        c = vec[p]
+        if c:
+            r = row[p]
+            vec = [r * v - c * w for v, w in zip(vec, row)]
+            g = gcd(*vec)
+            if g > 1:
+                vec = [v // g for v in vec]
+    pivot = next((i for i, v in enumerate(vec) if v), None)
+    if pivot is None:
+        return None
+    g = gcd(*vec)
+    row = tuple(v // g for v in vec)
+    basis.append((pivot, row))
+    return row
+
+
 def is_two_step(gens: GeneratorSystem) -> bool:
     """Whether the group generated is 2-step nilpotent.
 
@@ -494,27 +561,32 @@ def is_two_step(gens: GeneratorSystem) -> bool:
     [x_i, x_j] is a subalgebra; it holds every generator, hence the whole
     algebra, so every bracket of three or more elements vanishes.
 
-    The test is a zero test and bilinear, so it gives the same answer
-    when each x_i is replaced by a positive multiple of itself.  It runs
-    on the integer logs X_i = D_i x_i that the matrices cache, the same
-    ones the generator systems' `log` and `bracket_log` read.
+    The condition is tested on a basis, not on every triple: ad x_k is
+    linear, so it kills every [x_i, x_j] iff it kills each element of a
+    basis of their span, and that span has dimension at most dim [g, g].
+    The basis is an integer echelon basis (`_echelon_insert`) of the
+    brackets [X_i, X_j] of the integer logs X_i = D_i x_i that the
+    matrices cache, the same ones the generator systems' `log` and
+    `bracket_log` read.  A zero test is unchanged when each x_i is
+    replaced by a positive multiple of itself, and so is the span, so
+    the verdict is the one of the rational logs.  Each basis element is
+    tested against every X_k as soon as it is found.
     """
     if gens._two_step is not None:
         return gens._two_step
     n = gens.n
     logs = [m._integer().log()[0] for m in gens.mats]
+    basis = []
     result = True
     for i in range(len(logs)):
         for j in range(i + 1, len(logs)):
-            xi, xj = logs[i], logs[j]
-            inner = _integer_bracket(xi, xj, n)
-            if _is_zero_rows(inner):
+            inner = _integer_bracket(logs[i], logs[j], n)
+            row = _echelon_insert(basis, [x for r in inner for x in r])
+            if row is None:
                 continue
-            for xk in logs:
-                if mul_upper_rows(inner, xk, n) != mul_upper_rows(xk, inner, n):
-                    result = False
-                    break
-            if not result:
+            b = tuple(row[k * n:(k + 1) * n] for k in range(n))
+            if any(mul_upper_rows(b, xk, n) != mul_upper_rows(xk, b, n) for xk in logs):
+                result = False
                 break
         if not result:
             break

@@ -8,7 +8,8 @@ field into d x d rational matrices.  Applied blockwise, it embeds the
 (n x n) Heisenberg group over the field into UT(n*d, Q).
 
 Irreducibility of the modulus is the caller's responsibility: only a
-rational-root test is run (complete for degree <= 3).  Multiplication
+rational-root test is run (complete for degree <= 3), at a cost
+polynomial in the bit size of the coefficients.  Multiplication
 and the representation are well defined for any monic modulus;
 irreducibility is what makes the field interpretation injective.
 """
@@ -16,58 +17,112 @@ irreducibility is what makes the field interpretation injective.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from .matlie import UnipotentMatrix, common_denominator
+from .matlie import UnipotentMatrix, _as_fraction, common_denominator
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _divisors(n: int):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
+def _evaluate(poly, x):
+    """poly(x) by Horner's rule, for ascending coefficients."""
+    acc = 0
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
+
+
+def _negated_remainder(a, b):
+    """A positive multiple of -(a mod b), primitive, for integer
+    polynomials as ascending lists without trailing zeros ([] is 0).
+
+    Pseudo-division with the multiplier |lead(b)| at each step, so the
+    sign of the remainder is kept, as a Sturm chain needs.
+    """
+    lead = b[-1]
+    scale, sign = abs(lead), (1 if lead > 0 else -1)
+    r = list(a)
+    while len(r) >= len(b):
+        top = sign * r[-1]
+        shift = len(r) - len(b)
+        r = [scale * c for c in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= top * c
+        while r and not r[-1]:
+            r.pop()
+    if not r:
+        return r
+    g = gcd(*r)
+    return [-c // g for c in r]
+
+
+def _sturm_chain(g):
+    """The Sturm chain of an integer polynomial g of degree >= 1: g, g',
+    then negated remainders, each scaled by a positive factor."""
+    chain = [g, [k * c for k, c in enumerate(g)][1:]]
+    while len(chain[-1]) > 1:
+        rem = _negated_remainder(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(rem)
+    return chain
+
+
+def _sign_changes(chain, x):
+    """Sign changes along the chain evaluated at x, zeros skipped."""
+    signs = [v > 0 for v in (_evaluate(p, x) for p in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def _has_rational_root(coeffs) -> bool:
-    """Rational-root test for a polynomial with Fraction coefficients.
+    """Whether a monic polynomial over Q has a rational root.
 
-    coeffs are ascending (c0 + c1 t + ... + cd t^d).  Candidates p/q with
-    p | numerator(c0') and q | leading coefficient after clearing
-    denominators.
+    coeffs are ascending Fractions, c0 + c1 t + ... + t^d with d >= 2.
+    With L the lcm of their denominators, g(u) = L^d f(u/L) is monic
+    with the integer coefficients g_k = c_k L^(d-k); f(t) = 0 iff
+    g(L t) = 0, and the rational roots of a monic integer polynomial are
+    integers.  So the test looks for an integer root of g:
+
+    * every root of g lies strictly inside (-B, B) for B = L (1 + max
+      |c_k|), k < d: the roots t of f satisfy |t| < 1 + max |c_k| (Cauchy),
+      and u = L t;
+    * along the Sturm chain of g (`_sturm_chain`), the drop V(a) - V(b)
+      in sign changes counts the distinct real roots in (a, b) whenever
+      g(a) and g(b) are nonzero, repeated roots included;
+    * an interval with a root and an integer inside is split at an
+      integer midpoint m after g(m) = 0 is tested directly.
+
+    At most d intervals are live on each of the log2(2B) levels of
+    halving, and B has the bit size of L c_k, so the cost is polynomial in
+    the bit size of the coefficients (a search over the divisors of c0
+    would take sqrt|c0| steps).
     """
-    den = common_denominator(coeffs)
-    ints = [int(c * den) for c in coeffs]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    if len(ints) <= 1:
-        return False
-    if ints[0] == 0:
+    big_l = common_denominator(coeffs)
+    d = len(coeffs) - 1
+    g = [int(c * big_l ** (d - k)) for k, c in enumerate(coeffs)]
+    if not g[0]:
         return True  # root at 0
-    lead = ints[-1]
-    const = ints[0]
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = _ZERO
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    return True
+    chain = _sturm_chain(g)
+    bound = big_l + max(abs(int(c * big_l)) for c in coeffs[:-1])
+    live = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
+    while live:
+        a, b, va, vb = live.pop()
+        if va == vb or b - a < 2:
+            continue
+        m = (a + b) // 2
+        if not _evaluate(g, m):
+            return True
+        vm = _sign_changes(chain, m)
+        live.append((a, m, va, vm))
+        live.append((m, b, vm, vb))
     return False
 
 
 class NumberField:
     """Q[t] / (monic modulus), with elements in the power basis."""
 
-    __slots__ = ("coeffs", "degree", "_high_powers")
+    __slots__ = ("coeffs", "degree", "_high_powers", "_alpha_d")
 
     def __init__(self, coeffs):
         """coeffs: ascending coefficients c0..cd of a monic polynomial."""
@@ -95,6 +150,9 @@ class NumberField:
             high.append(tuple(nxt))
             prev = nxt
         object.__setattr__(self, "_high_powers", tuple(high))
+        # alpha^d = h/m over the integers, for `_integer_representation`
+        m = common_denominator(high[0])
+        object.__setattr__(self, "_alpha_d", (m, tuple(int(c * m) for c in high[0])))
 
     def __setattr__(self, name, value):
         raise AttributeError("NumberField is immutable")
@@ -139,7 +197,7 @@ class FieldElem:
     __slots__ = ("field", "coords")
 
     def __init__(self, field: NumberField, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(map(_as_fraction, coords))
         if len(coords) != field.degree:
             raise ValueError(
                 f"expected {field.degree} coordinates, got {len(coords)}"
@@ -275,24 +333,34 @@ class FieldElem:
         return f"<elem ({', '.join(str(c) for c in self.coords)})>"
 
 
-def regular_representation(x: FieldElem):
-    """Matrix of multiplication-by-x in the power basis (d x d Fractions).
+def _integer_representation(x: FieldElem):
+    """The regular representation of x, as (B, e) with B an integer table.
 
-    Column j holds the coordinates of x * alpha^j, so composition matches
-    field multiplication and the map is a unital ring homomorphism.
+    B/e is the matrix of multiplication by x in the power basis: column j
+    holds the coordinates of x * alpha^j, so composition matches field
+    multiplication and x -> B/e is a unital ring homomorphism.
+
+    Multiplying by alpha shifts the coordinates up one place and adds the
+    top one times alpha^d = h/m, for h the integer vector -m (c_0, ...,
+    c_{d-1}) and m the lcm of the modulus' denominators.  So with x = U/q
+    (U an integer vector), x alpha^j = U_j / (q m^j) for the integer
+    vectors U_0 = U and U_{j+1} = m shift(U_j) + top(U_j) h, and
+    e = q m^(d-1) with column j scaled by m^(d-1-j).
     """
-    field = x.field
-    d = field.degree
-    cols = []
-    cur = x
-    alpha = field.alpha()
-    for j in range(d):
-        cols.append(cur.coords)
-        if j + 1 < d:
-            cur = cur * alpha
-    return tuple(
-        tuple(cols[j][i] for j in range(d)) for i in range(d)
+    d = x.field.degree
+    m, h = x.field._alpha_d
+    q = common_denominator(x.coords)
+    col = [c.numerator * (q // c.denominator) for c in x.coords]
+    cols = [col]
+    for _ in range(d - 1):
+        top = col[-1]
+        col = [top * h[0]] + [m * u + top * hi for u, hi in zip(col, h[1:])]
+        cols.append(col)
+    scales = [m ** (d - 1 - j) for j in range(d)]
+    table = tuple(
+        tuple(cols[j][i] * scales[j] for j in range(d)) for i in range(d)
     )
+    return table, q * m ** (d - 1)
 
 
 class HeisenbergElemK:
@@ -378,26 +446,29 @@ def embed_heisenberg(h: HeisenbergElemK) -> UnipotentMatrix:
     """Embed an n x n Heisenberg element over Q(alpha) into UT(n*d, Q).
 
     Each field entry e of the Heisenberg matrix becomes the d x d block
-    regular_representation(e); ones and zeros become identity and zero
-    blocks.  The map is injective and multiplicative.
+    of its regular representation; ones and zeros become identity and
+    zero blocks.  The map is injective and multiplicative.
+
+    The matrix is written as one integer table over the lcm L of the
+    denominators of the blocks B/e (`_integer_representation`): identity
+    blocks hold L on their diagonal, and each block is scaled by L/e.
     """
     n, d = h.n, h.field.degree
+    placed = [(0, 1 + j, e) for j, e in enumerate(h.a)]
+    placed += [(1 + i, n - 1, e) for i, e in enumerate(h.b)]
+    placed.append((0, n - 1, h.c))
+    blocks = [
+        (bi, bj, *_integer_representation(e)) for bi, bj, e in placed if not e.is_zero()
+    ]
+    den = lcm(*(e for *_, e in blocks))
     size = n * d
-    rows = [[_ZERO] * size for _ in range(size)]
-
-    def put_block(bi, bj, block):
-        for i in range(d):
-            for j in range(d):
-                rows[bi * d + i][bj * d + j] = block[i][j]
-
-    ident = tuple(
-        tuple(_ONE if i == j else _ZERO for j in range(d)) for i in range(d)
-    )
-    for i in range(n):
-        put_block(i, i, ident)
-    for j, e in enumerate(h.a):
-        put_block(0, 1 + j, regular_representation(e))
-    for i, e in enumerate(h.b):
-        put_block(1 + i, n - 1, regular_representation(e))
-    put_block(0, n - 1, regular_representation(h.c))
-    return UnipotentMatrix(rows)
+    rows = [[0] * size for _ in range(size)]
+    for i in range(size):
+        rows[i][i] = den
+    for bi, bj, block, e in blocks:
+        scale = den // e
+        for i, brow in enumerate(block):
+            row = rows[bi * d + i]
+            for j, x in enumerate(brow):
+                row[bj * d + j] = x * scale
+    return UnipotentMatrix._from_integer(size, tuple(map(tuple, rows)), den)

@@ -237,6 +237,32 @@ def test_main_exit_codes(tmp_path):
     assert main(["intersect", str(tmp_path / "missing.txt")]) == 3
 
 
+def test_malformed_headers_are_input_errors(tmp_path, capsys):
+    # a bare group line, and non-integer dimensions or versions, are
+    # parse errors naming their line, never internal errors
+    cases = (
+        ("version 1\ngroup\n", 2, "usage: group"),
+        ("version 1\n\ngroup ut-q x\n", 3, "dimension must be an integer"),
+        ("version x\n", 1, "version must be an integer"),
+        ("version 1\ngroup heisenberg-k y minpoly 1 0 -2\n", 2, "dimension must be an integer"),
+        ("version 1\ngroup product\nfactor heisenberg-k 3.0 minpoly 1 0 -2\n", 3,
+         "dimension must be an integer"),
+        ("version 1\ngroup ut-q 2\nmatrix m\n1 1/0\n0 1\n", 4, "Fraction(1, 0)"),
+        ("version 1\ngroup ut-q 2\nmatrix m\n1 " + "9" * 5000 + "\n0 1\n", 4, "bad rational"),
+    )
+    for text, line_no, message in cases:
+        with pytest.raises(ParseError) as err:
+            parse_instance_text(text)
+        assert err.value.line_no == line_no, text
+        assert f"line {line_no}: " in str(err.value) and message in str(err.value)
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        assert main(["intersect", str(path)]) == 3
+        err_text = capsys.readouterr().err
+        assert f"input error: line {line_no}: " in err_text
+        assert "Traceback" not in err_text
+
+
 def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     def broken(inst):
         raise AssertionError("defect planted by the test")

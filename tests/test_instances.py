@@ -1,0 +1,196 @@
+"""Parsed elements against a Fraction reference builder.
+
+The parser reads rationals with int() and builds every matrix from its
+integer table.  The reference here reads each token with Fraction(tok),
+embeds a Heisenberg element through a Fraction grid of regular
+representations computed by field multiplication, joins product factors
+as a Fraction grid, and builds every matrix from its Fraction rows.  The
+two must agree on each element's rows and on its integer form.
+"""
+
+import random
+from fractions import Fraction
+from pathlib import Path
+
+from nilsect import HeisenbergElemK, NumberField, UnipotentMatrix, parse_instance_text
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def reference_representation(x):
+    """Matrix of multiplication by x: column j holds x * alpha^j."""
+    d = x.field.degree
+    cols, cur, alpha = [], x, x.field.alpha()
+    for j in range(d):
+        cols.append(cur.coords)
+        if j + 1 < d:
+            cur = cur * alpha
+    return [[cols[j][i] for j in range(d)] for i in range(d)]
+
+
+def reference_embed(h):
+    n, d = h.n, h.field.degree
+    rows = [[Fraction(int(i == j)) for j in range(n * d)] for i in range(n * d)]
+
+    def put(bi, bj, block):
+        for i in range(d):
+            for j in range(d):
+                rows[bi * d + i][bj * d + j] = block[i][j]
+
+    for j, e in enumerate(h.a):
+        put(0, 1 + j, reference_representation(e))
+    for i, e in enumerate(h.b):
+        put(1 + i, n - 1, reference_representation(e))
+    put(0, n - 1, reference_representation(h.c))
+    return rows
+
+
+def reference_direct_sum(grids):
+    total = sum(len(g) for g in grids)
+    rows = [[Fraction(0)] * total for _ in range(total)]
+    off = 0
+    for g in grids:
+        for i, row in enumerate(g):
+            rows[off + i][off:off + len(row)] = row
+        off += len(g)
+    return rows
+
+
+def reference_elements(text):
+    """name -> UnipotentMatrix, built from Fraction(tok) rows."""
+    lines = [ln.split("#", 1)[0].split() for ln in text.splitlines()]
+    lines = [toks for toks in lines if toks]
+    group, factors, out, pos = lines[1], [], {}, 2
+    if group[1] == "ut-q":
+        n = int(group[2])
+    elif group[1] == "heisenberg-k":
+        factors = [group[1:]]
+    else:
+        while lines[pos][0] == "factor" and lines[pos][1] == "heisenberg-k":
+            factors.append(lines[pos][1:])
+            pos += 1
+    fields = [
+        (int(spec[1]), NumberField([Fraction(t) for t in reversed(spec[3:])]))
+        for spec in factors
+    ]
+
+    def heis_body(at, n, fld):
+        vals = [
+            [fld.element([Fraction(t) for t in tok.split(",")]) for tok in lines[at + k][1:]]
+            for k in range(3)
+        ]
+        return HeisenbergElemK(n, vals[0], vals[1], vals[2][0])
+
+    while pos < len(lines):
+        toks = lines[pos]
+        if toks[0] == "matrix":
+            rows = [[Fraction(t) for t in lines[pos + 1 + i]] for i in range(n)]
+            out[toks[1]] = UnipotentMatrix(rows)
+            pos += 1 + n
+        elif toks[0] == "element":
+            if len(fields) == 1:
+                grids = [reference_embed(heis_body(pos + 1, *fields[0]))]
+                pos += 4
+            else:
+                grids = []
+                pos += 1
+                for n_f, fld in fields:
+                    grids.append(reference_embed(heis_body(pos + 1, n_f, fld)))
+                    pos += 4
+            out[toks[1]] = UnipotentMatrix(reference_direct_sum(grids))
+        else:
+            pos += 1
+    return out
+
+
+def assert_same_elements(text):
+    parsed = parse_instance_text(text).elements
+    expected = reference_elements(text)
+    assert parsed.keys() == expected.keys()
+    for name, want in expected.items():
+        got = parsed[name]
+        assert got.rows == want.rows, name
+        assert all(type(x) is Fraction for row in got.rows for x in row)
+        got_form, want_form = got._integer(), want._integer()
+        assert (got_form.table, got_form.den) == (want_form.table, want_form.den), name
+        assert all(type(x) is int for row in got_form.table for x in row)
+
+
+def test_samples_parse_like_the_reference():
+    paths = sorted(SAMPLES.glob("*.txt"))
+    assert paths
+    for path in paths:
+        assert_same_elements(path.read_text())
+
+
+def _token(rng):
+    """A rational token, reduced or not, signed or not."""
+    num = rng.choice([0, 0, 1, -1, rng.randint(-40, 40), rng.randint(-10**12, 10**12)])
+    sign = rng.choice(["", "", "+"]) if num >= 0 else ""
+    den = rng.choice([None, None, 1, 2, 3, 4, 6, 12, 35, rng.randint(1, 10**9)])
+    return f"{sign}{num}" if den is None else f"{sign}{num}/{den}"
+
+
+def _ut_text(rng, n, count):
+    out = ["version 1", f"group ut-q {n}"]
+    for k in range(count):
+        out.append(f"matrix m{k}")
+        for i in range(n):
+            row = [
+                "0" if j < i else rng.choice(["1", "+1", "2/2"]) if j == i else _token(rng)
+                for j in range(n)
+            ]
+            out.append(" ".join(row))
+    out.append("semigroup A " + " ".join(f"m{k}" for k in range(count)))
+    out.append("problem intersection A")
+    return "\n".join(out) + "\n"
+
+
+# minpoly coefficients from the leading one down, each irreducible over Q
+MODULI = ("1 0 -2", "1 0 0 -2", "1 0 -1/2", "1 1/3 0 -2/5", "1 -1 -1", "1 2/3 5/7")
+LINEAR = ("1 1", "1 -3/2")
+
+
+def _field_token(rng, degree):
+    return ",".join(_token(rng) for _ in range(degree))
+
+
+def _heis_body(rng, n, degree):
+    return [
+        "a " + " ".join(_field_token(rng, degree) for _ in range(n - 2)),
+        "b " + " ".join(_field_token(rng, degree) for _ in range(n - 2)),
+        "c " + _field_token(rng, degree),
+    ]
+
+
+def _heisenberg_text(rng, factors, count):
+    """factors: (n, minpoly) pairs; one pair is a heisenberg-k group."""
+    out = ["version 1"]
+    if len(factors) == 1:
+        out.append(f"group heisenberg-k {factors[0][0]} minpoly {factors[0][1]}")
+    else:
+        out.append("group product")
+        out += [f"factor heisenberg-k {n} minpoly {poly}" for n, poly in factors]
+    for k in range(count):
+        out.append(f"element e{k}")
+        for idx, (n, poly) in enumerate(factors, start=1):
+            if len(factors) > 1:
+                out.append(f"factor {idx}")
+            out += _heis_body(rng, n, len(poly.split()) - 1)
+    out.append("semigroup A " + " ".join(f"e{k}" for k in range(count)))
+    out.append("problem intersection A")
+    return "\n".join(out) + "\n"
+
+
+def test_random_texts_parse_like_the_reference():
+    rng = random.Random(1107)
+    for _ in range(40):
+        assert_same_elements(_ut_text(rng, rng.randint(1, 6), rng.randint(1, 3)))
+    for _ in range(30):
+        factors = [(rng.randint(3, 4), rng.choice(MODULI))]
+        assert_same_elements(_heisenberg_text(rng, factors, rng.randint(1, 3)))
+    for _ in range(20):
+        factors = [
+            (rng.randint(3, 4), rng.choice(MODULI + LINEAR)) for _ in range(rng.randint(2, 3))
+        ]
+        assert_same_elements(_heisenberg_text(rng, factors, rng.randint(1, 2)))

@@ -208,6 +208,95 @@ def test_is_two_step_matches_group_commutator_definition():
         assert seen == {True, False}
 
 
+def reference_is_two_step(mats):
+    """All K(K-1)/2 * K triples: [[x_i, x_j], x_k] = 0 on the rational logs."""
+    logs = [log_unipotent(m) for m in mats]
+    return all(
+        bracket(bracket(logs[i], logs[j]), xk).is_zero()
+        for i in range(len(logs))
+        for j in range(i + 1, len(logs))
+        for xk in logs
+    )
+
+
+_small = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.sampled_from((1, 2, 3)))
+_fields = (NumberField([-2, 0, 1]), NumberField([-2, 0, 0, 1]))
+
+
+@st.composite
+def _ut_generators(draw):
+    """1-4 generators of UT(n), n <= 6, each dense or on a few drawn
+    positions: dense ones are rarely 2-step, sparse ones often are."""
+    n = draw(st.integers(2, 6))
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        dense = draw(st.booleans())
+        positions = upper if dense else draw(st.lists(st.sampled_from(upper), min_size=1))
+        for i, j in positions:
+            rows[i][j] = draw(_small)
+        mats.append(UnipotentMatrix(rows))
+    return mats
+
+
+@st.composite
+def _field_heisenberg(draw, field, n):
+    def elem():
+        return field.element([draw(_small) for _ in range(field.degree)])
+
+    return HeisenbergElemK(n, [elem() for _ in range(n - 2)], [elem() for _ in range(n - 2)], elem())
+
+
+@st.composite
+def _embedded_generators(draw):
+    """Embedded H_n(Q(sqrt 2)) or H_n(Q(cbrt 2)) elements, or elements of
+    their product, sometimes with one generic element of the same
+    dimension added (then rarely 2-step)."""
+    kind = draw(st.sampled_from(("sqrt2", "cbrt2", "product")))
+    k = draw(st.integers(1, 3))
+    if kind == "product":
+        mats = [
+            direct_sum(
+                [embed_heisenberg(draw(_field_heisenberg(f, 3))) for f in _fields]
+            )
+            for _ in range(k)
+        ]
+    else:
+        field = _fields[kind == "cbrt2"]
+        n = draw(st.integers(3, 4))
+        mats = [embed_heisenberg(draw(_field_heisenberg(field, n))) for _ in range(k)]
+    if draw(st.booleans()):
+        size = mats[0].n
+        rows = [[int(i == j) for j in range(size)] for i in range(size)]
+        for j in range(size - 1):
+            rows[j][j + 1] = draw(_small)
+        mats.append(UnipotentMatrix(rows))
+    return mats
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_ut_generators(), _embedded_generators()))
+def test_is_two_step_matches_all_triples_hypothesis(mats):
+    assert is_two_step(GeneratorSystem(mats)) == reference_is_two_step(mats)
+
+
+def test_is_two_step_tests_a_basis_of_the_brackets(monkeypatch):
+    # H3(Q) has dim [g, g] = 1: one basis element, tested against each of
+    # the K logs (2 products each), after the K(K-1)/2 brackets (2 each)
+    import nilsect.matlie as matlie
+
+    gens = GeneratorSystem([h3(i, i * i - 3, 1) for i in range(1, 7)])
+    for m in gens.mats:
+        m._integer().log()  # the logs are cached before counting
+    calls = []
+    real = matlie.mul_upper_rows
+    monkeypatch.setattr(matlie, "mul_upper_rows", lambda *a: calls.append(1) or real(*a))
+    assert is_two_step(gens)
+    assert len(calls) == 6 * 5 + 2 * 6
+    assert reference_is_two_step(gens.mats)
+
+
 def test_common_denominator_is_lcm_of_all(rng):
     assert common_denominator([]) == 1
     for _ in range(200):

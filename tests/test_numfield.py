@@ -1,7 +1,11 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilsect import (
     GeneratorSystem,
@@ -10,11 +14,27 @@ from nilsect import (
     UnipotentMatrix,
     embed_heisenberg,
     is_two_step,
-    regular_representation,
+    parse_instance_text,
+    ParseError,
+)
+from nilsect.matlie import _fraction_rows
+from nilsect.numfield import (
+    _has_rational_root,
+    _integer_representation,
+    _sign_changes,
+    _sturm_chain,
 )
 
 SQRT2 = NumberField([-2, 0, 1])  # t^2 - 2
 CBRT2 = NumberField([-2, 0, 0, 1])  # t^3 - 2
+# moduli with denominators: alpha^d is not an integer vector
+SQRT_HALF = NumberField([Fraction(-1, 2), 0, 1])
+CUBIC = NumberField([Fraction(-2, 5), 0, Fraction(1, 3), 1])
+
+
+def regular_representation(x):
+    """The Fraction view of the integer regular representation."""
+    return _fraction_rows(*_integer_representation(x))
 
 
 def rand_elem(rng, field, span=5):
@@ -62,7 +82,7 @@ def test_regular_representation_examples():
 
 
 def test_representation_is_ring_homomorphism(rng):
-    for field in (SQRT2, CBRT2):
+    for field in (SQRT2, CBRT2, SQRT_HALF, CUBIC):
         for _ in range(60):
             a = rand_elem(rng, field)
             b = rand_elem(rng, field)
@@ -92,6 +112,171 @@ def test_irreducibility_guard():
     # degree 1 always fine: the field is Q itself
     q = NumberField([5, 1])
     assert q.alpha() == q.from_rational(-5)
+
+
+def _divisors(n: int):
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return out
+
+
+def reference_has_rational_root(coeffs) -> bool:
+    """Rational-root test by divisor search (sqrt|c0| steps): candidates
+    p/q with p | c0 and q | lead after clearing denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    while ints and ints[-1] == 0:
+        ints.pop()
+    if len(ints) <= 1:
+        return False
+    if ints[0] == 0:
+        return True
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                acc = Fraction(0)
+                for c in reversed(ints):
+                    acc = acc * cand + c
+                if acc == 0:
+                    return True
+    return False
+
+
+def _times(p, q):
+    """Product of two polynomials with ascending coefficients."""
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _monic_from_roots(roots, tail):
+    """Ascending coefficients of prod (t - r) * (t^2 + tail) for the
+    given rational roots, or of prod (t - r) alone when tail is None."""
+    poly = [Fraction(1)] if tail is None else [Fraction(tail), 0, 1]
+    for r in roots:
+        poly = _times(poly, [-r, 1])
+    return poly
+
+
+def test_rational_root_test_matches_divisor_search():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(400):
+        d = rng.randint(2, 5)
+        if rng.random() < 0.4:
+            # planted rational roots, some repeated, times t^2 + tail
+            roots = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+            roots += roots[:1] * rng.randint(0, 1)
+            tail = rng.choice([None, 1, 2, 3, -3, Fraction(1, 2)])
+            coeffs = _monic_from_roots(roots, tail)
+        else:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(d)] + [Fraction(1)]
+        expected = reference_has_rational_root(coeffs)
+        assert _has_rational_root(coeffs) == expected, coeffs
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.fractions(min_value=-12, max_value=12, max_denominator=5),
+        min_size=2,
+        max_size=5,
+    )
+)
+def test_rational_root_test_matches_divisor_search_hypothesis(lower):
+    coeffs = list(lower) + [Fraction(1)]
+    assert _has_rational_root(coeffs) == reference_has_rational_root(coeffs)
+
+
+def test_sturm_chain_counts_distinct_real_roots():
+    rng = random.Random(77)
+    for _ in range(300):
+        roots = sorted({rng.randint(-30, 30) for _ in range(rng.randint(1, 5))})
+        poly = [1]
+        for r in roots:
+            for _ in range(rng.randint(1, 3)):  # repeated roots too
+                poly = _times(poly, [-r, 1])
+        if rng.random() < 0.5:  # times a quadratic without real roots
+            b = rng.randint(-4, 4)
+            poly = _times(poly, [b * b + rng.randint(1, 9), b, 1])
+        poly = _times(poly, [rng.choice([-3, -1, 1, 2])])  # any leading sign
+        chain = _sturm_chain(poly)
+        for _ in range(5):
+            a, b = sorted(rng.sample([x for x in range(-40, 41) if x not in roots], 2))
+            drop = _sign_changes(chain, a) - _sign_changes(chain, b)
+            assert drop == sum(a < r < b for r in roots), (poly, a, b)
+
+
+def reference_sturm_chain(g):
+    """The textbook chain over Q: p_{k+1} = -(p_{k-1} mod p_k)."""
+    def trim(p):
+        while p and p[-1] == 0:
+            p = p[:-1]
+        return p
+
+    chain = [[Fraction(c) for c in g], [Fraction(k * c) for k, c in enumerate(g)][1:]]
+    while len(chain[-1]) > 1:
+        r, b = list(chain[-2]), chain[-1]
+        while len(r) >= len(b):
+            f, shift = r[-1] / b[-1], len(r) - len(b)
+            for i, c in enumerate(b):
+                r[shift + i] -= f * c
+            r = trim(r[:-1])
+        if not r:
+            break
+        chain.append([-c for c in r])
+    return chain
+
+
+def test_sturm_chain_signs_match_the_rational_chain():
+    # sparse moduli give degree drops of two or more, where a remainder
+    # scaled by a negative factor would flip signs
+    rng = random.Random(78)
+    for _ in range(400):
+        d = rng.randint(2, 6)
+        g = [rng.choice([0, 0, 0, rng.randint(-6, 6)]) for _ in range(d)] + [1]
+        chain, ref = _sturm_chain(g), reference_sturm_chain(g)
+        assert len(chain) == len(ref)
+        for x in range(-8, 9):
+            assert _sign_changes(chain, x) == _sign_changes(ref, x), (g, x)
+
+
+def test_rational_root_test_is_fast_on_large_constants():
+    # a divisor search takes sqrt|c0| steps: hours for 21 digits
+    for const, reducible in (
+        (-123456789012345678901, False),
+        (-(10**16 + 61), False),
+        (-(123456789012**4), True),  # t^4 - c with the root 123456789012
+        (-Fraction(10**21 + 7, 3), False),
+    ):
+        start = time.perf_counter()
+        assert _has_rational_root([Fraction(const), 0, 0, 0, Fraction(1)]) == reducible
+        assert time.perf_counter() - start < 1.0
+    # the search range has the bit size of the coefficients, not of
+    # their powers: degree 80 stays fast
+    rng = random.Random(80)
+    coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(80)] + [1]
+    start = time.perf_counter()
+    assert not _has_rational_root(coeffs)
+    assert _has_rational_root(_times(coeffs, [Fraction(7, 3), 1]))  # root -7/3
+    assert time.perf_counter() - start < 1.0
+    text = "version 1\ngroup heisenberg-k 3 minpoly 1 0 0 0 -123456789012345678901\n"
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:  # no elements: stops at the problem check
+        parse_instance_text(text)
+    assert "missing problem" in str(err.value)
+    assert time.perf_counter() - start < 1.0
 
 
 def rand_heis(rng, field, n=3):
