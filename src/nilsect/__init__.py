@@ -69,6 +69,7 @@ from .orbit import (
     decide_easy,
     decide_hard,
     extract_orbit_witness,
+    verify_orbit_witness,
 )
 from .oracle import OracleResult, bfs_oracle
 from .instances import (

@@ -40,9 +40,9 @@ from .intersect import (
     extract_witness,
     verify_witness,
 )
-from .matlie import NilpotentMatrix, exp_nilpotent, log_unipotent, product_of_word
+from .matlie import NilpotentMatrix, exp_nilpotent, log_unipotent
 from .oracle import bfs_oracle
-from .orbit import FALLBACK_DEPTH, OrbitInstance, decide_orbit
+from .orbit import FALLBACK_DEPTH, OrbitInstance, decide_orbit, verify_orbit_witness
 from .wordcraft import Word
 
 SCHEMA = "decide-report/1"
@@ -259,9 +259,7 @@ def reverify_report(report: dict, inst_file: InstanceFile) -> bool:
     hi = {name: i for i, name in enumerate(built.H.names)}
     v = Word(built.G.K, [(gi[g], c) for g, c in by_set[g_name]])
     w = Word(built.H.K, [(hi[g], c) for g, c in by_set[h_name]])
-    left = built.T.matrix() * product_of_word(built.G, v)
-    right = built.S.matrix() * product_of_word(built.H, w)
-    return left == right
+    return verify_orbit_witness(built, v, w)
 
 
 def _build_parser():

@@ -1,7 +1,7 @@
 """Line-oriented instance files and their parsing.
 
 Grammar (one directive per line; blank lines and '#' comments ignored;
-all numbers are exact rationals written as "p" or "p/q", never floats):
+matrix and field entries are exact rationals RAT, never floats):
 
     file        = "version 1" group element* semigroup+ problem option*
     group       = "group ut-q" N
@@ -17,7 +17,18 @@ all numbers are exact rationals written as "p" or "p/q", never floats):
     semigroup   = "semigroup" NAME MEMBER+
     problem     = "problem intersection" SETNAME+
                 | "problem orbit" TNAME SNAME GSET HSET
-    option      = "option" KEY VALUE
+    option      = "option" KEY INT                             ; INT >= 1
+    N, INT      = [+-]?[0-9]+             ; decimal digits only
+    RAT         = [+-]?[0-9]+ ("/" [0-9]+)?
+
+Each option bounds some work by its value:
+
+    oracle-depth       longest word the breadth-first oracle enumerates
+                       (the easy case's fallback, `oracle`, --check-oracle)
+    interleave-budget  pairs of off-line orderings the easy case tries
+    parity-cap         largest K + M for which the hard case enumerates
+                       its 2^(K+M) parity branches
+    memory-budget      matrices the breadth-first oracle stores
 
 Heisenberg and product elements are embedded into UT(n*d, Q) (block
 substitution by the multiplication matrix of each field entry; factors
@@ -41,19 +52,11 @@ from .intersect import IntersectionInstance
 from .orbit import H3Elem, OrbitInstance
 
 
-def _positive_int(token) -> int:
-    """An integer of at least 1: every option bounds some work by it."""
-    value = int(token)
-    if value < 1:
-        raise ValueError(f"must be at least 1, got {value}")
-    return value
-
-
 KNOWN_OPTIONS = {
-    "oracle-depth": ("oracle_depth", _positive_int),
-    "interleave-budget": ("interleave_budget", _positive_int),
-    "parity-cap": ("parity_cap", _positive_int),
-    "memory-budget": ("memory_budget", _positive_int),
+    "oracle-depth": "oracle_depth",
+    "interleave-budget": "interleave_budget",
+    "parity-cap": "parity_cap",
+    "memory-budget": "memory_budget",
 }
 
 
@@ -129,13 +132,14 @@ class InstanceFile:
         )
 
 
-_RAT_SHAPE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_INT_SHAPE = re.compile(r"[+-]?[0-9]+")
+_RAT_SHAPE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _rat(tok, line_no):
     """(p, q) with tok = p/q and q > 0, read by int(); q = 1 for "p"."""
     # only integers and p/q are rationals here; no decimal or float forms
-    if not _RAT_SHAPE.match(tok):
+    if not _RAT_SHAPE.fullmatch(tok):
         raise ParseError(line_no, f"bad rational {tok!r} (use p or p/q)")
     num, _, den = tok.partition("/")
     try:
@@ -148,10 +152,21 @@ def _rat(tok, line_no):
 
 
 def _int(tok, line_no, what):
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(line_no, f"{what} must be an integer, got {tok!r}") from None
+    """The integer tok, of the shape [+-]?[0-9]+ only."""
+    if _INT_SHAPE.fullmatch(tok):
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(line_no, f"{what} must be an integer, got {tok!r}")
+
+
+def _positive_int(tok, line_no, what):
+    """An integer of at least 1: every option bounds some work by it."""
+    value = _int(tok, line_no, what)
+    if value < 1:
+        raise ParseError(line_no, f"{what} must be at least 1, got {value}")
+    return value
 
 
 def _field_elem(field_obj, tok, line_no):
@@ -361,11 +376,7 @@ def parse_instance_text(text: str) -> InstanceFile:
             key = toks[1]
             if key not in KNOWN_OPTIONS:
                 raise ParseError(no, f"unknown option {key!r}")
-            attr, conv = KNOWN_OPTIONS[key]
-            try:
-                options[attr] = conv(toks[2])
-            except ValueError as exc:
-                raise ParseError(no, f"bad value for {key}: {exc}") from exc
+            options[KNOWN_OPTIONS[key]] = _positive_int(toks[2], no, key)
         else:
             raise ParseError(no, f"unknown directive {head!r}")
 

@@ -140,7 +140,7 @@ def build_condition_space(inst: IntersectionInstance, supports) -> LinearSubspac
 
     def expression_columns(m):
         """Triples (coordinate index, integer table, its denominator)."""
-        logs = [mat._integer().log() for mat in inst.systems[m].mats]
+        logs = [mat.integer_log() for mat in inst.systems[m].mats]
         cols = [(index[("l", m, j)], x, d) for j, (x, d) in enumerate(logs)]
         ordered = sorted(supports[m])
         for a in range(len(ordered)):

@@ -6,19 +6,17 @@ triangular rational matrices.  The matrix logarithm and exponential are
 terminating series on these sets and are computed exactly; there is no
 floating point anywhere in this package.
 
-The public classes hold immutable tables (tuples of tuples of Fraction),
-are hashable, safe to share between threads, and compare by exact
-equality.  Their products, powers, logs, exponentials and brackets are
-computed fraction-free, in the manner of Bareiss (1968): a matrix is an
-integer table over one common denominator, its log an integer table X
-over a denominator D, and every series and product runs on those
-integer tables; a denominator is divided out by one gcd per result, and
-a Fraction table is built only for what is returned.  A UnipotentMatrix
-keeps its integer form, so every generator system holding the matrix
-shares one log.  Matrices that the kernel returns, that instance files
-declare or that embeddings and direct sums build are made from their
-integer form and carry it from the start; one made from a Fraction table
-computes it on first use.
+The public classes are immutable, hashable, safe to share between
+threads, and compare by exact equality.  Products, powers, logs,
+exponentials and brackets are computed fraction-free, in the manner of
+Bareiss (1968): a UnipotentMatrix is one integer table over a common
+denominator, reduced so that equal matrices have equal tables, its log
+an integer table X over a denominator D, and every series and product
+runs on those integer tables; a denominator is divided out by one gcd
+per result.  A UnipotentMatrix keeps its log, so every generator system
+holding the matrix shares one.  A Fraction table is built only when
+asked for: a NilpotentMatrix holds one, and a UnipotentMatrix's `rows`
+makes one on each access.
 """
 
 from __future__ import annotations
@@ -57,10 +55,9 @@ def _check_unit_upper(table, one):
                 raise ValueError(f"nonzero entry ({i},{j}) below the diagonal")
 
 
-def _identity_rows(n, one=_ONE, zero=_ZERO):
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
+def _identity_rows(n):
+    """The integer identity table."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def _zero_rows(n):
@@ -197,7 +194,7 @@ def _exp_coefficients(x, den):
     and e = 1.
     """
     n = len(x)
-    powers = [_identity_rows(n, 1, 0)] + _nonzero_powers(x, n)
+    powers = [_identity_rows(n)] + _nonzero_powers(x, n)
     q = len(powers) - 1
     coefs = [
         _scale(power, factorial(q) // factorial(k) * den ** (q - k), n)
@@ -225,57 +222,45 @@ def _integer_bracket(x, y, n):
     return _sub(mul_upper_rows(x, y, n), mul_upper_rows(y, x, n), n)
 
 
-class _IntegerForm:
-    """M = table/den over the integers, with log M = X/D and the
-    coefficients of c -> M^c each computed on first use."""
-
-    __slots__ = ("table", "den", "_log", "_exp")
-
-    def __init__(self, table, den):
-        self.table = table
-        self.den = den
-        self._log = None
-        self._exp = None
-
-    def log(self):
-        """(X, D) with log M = X/D."""
-        if self._log is None:
-            self._log = _integer_log(self.table, self.den)
-        return self._log
-
-    def power(self, c: int):
-        """(T, t) with M^c = exp(c log M) = T/t, for any integer c."""
-        if self._exp is None:
-            self._exp = _exp_coefficients(*self.log())
-        coefs, e = self._exp
-        return _exp_table(coefs, c), e
-
-
 class UnipotentMatrix:
-    """Element of UT(n, Q): unit diagonal, zero below it, exact entries."""
+    """Element of UT(n, Q): unit diagonal, zero below it, exact entries.
 
-    __slots__ = ("n", "rows", "_form")
+    Held as one reduced integer table: the matrix is table/den with
+    den > 0 and gcd(den, every entry) = 1, so two matrices are equal iff
+    their (table, den) are.  log M = X/D and the coefficients of
+    c -> M^c are computed on first use and kept.
+    """
+
+    __slots__ = ("n", "table", "den", "_log", "_exp")
 
     def __init__(self, rows):
-        n, table = _freeze(rows)
-        _check_unit_upper(table, 1)
+        # the lcm of reduced denominators leaves gcd 1: for each prime p
+        # of den, an entry whose denominator holds all of p's power in
+        # den keeps a numerator prime to p
+        n, frac = _freeze(rows)
+        table, den = _integer_rows(frac)
+        _check_unit_upper(table, den)
+        self._set(n, table, den)
+
+    def _set(self, n, table, den):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", table)
-        object.__setattr__(self, "_form", None)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_log", None)
+        object.__setattr__(self, "_exp", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("UnipotentMatrix is immutable")
 
     @classmethod
     def identity(cls, n) -> "UnipotentMatrix":
-        return cls(_identity_rows(n))
+        return cls._from_integer(n, _identity_rows(n), 1)
 
     @classmethod
     def from_integer_table(cls, table, den) -> "UnipotentMatrix":
         """The matrix table/den, for a square integer table and den > 0.
 
-        Checked like the constructor's input; the matrix keeps its
-        integer form from the start.
+        Checked like the constructor's input, then reduced.
         """
         n = len(table)
         if any(len(row) != n for row in table):
@@ -287,38 +272,44 @@ class UnipotentMatrix:
 
     @classmethod
     def _from_integer(cls, n, table, den):
-        """The matrix table/den, keeping the reduced integer form."""
-        table, den = _reduce(table, den)
+        """The matrix table/den, unchecked, reduced by their gcd."""
         m = object.__new__(cls)
-        object.__setattr__(m, "n", n)
-        object.__setattr__(m, "rows", _fraction_rows(table, den))
-        object.__setattr__(m, "_form", _IntegerForm(table, den))
+        m._set(n, *_reduce(table, den))
         return m
 
-    def _integer(self) -> _IntegerForm:
-        """The integer form, computed once (an idempotent cache)."""
-        form = self._form
-        if form is None:
-            form = _IntegerForm(*_integer_rows(self.rows))
-            object.__setattr__(self, "_form", form)
-        return form
+    @property
+    def rows(self):
+        """The Fraction table, built on each access."""
+        return _fraction_rows(self.table, self.den)
+
+    def integer_log(self):
+        """(X, D) with log M = X/D."""
+        if self._log is None:
+            object.__setattr__(self, "_log", _integer_log(self.table, self.den))
+        return self._log
+
+    def integer_power(self, c: int):
+        """(T, t) with M^c = exp(c log M) = T/t, for any integer c."""
+        if self._exp is None:
+            object.__setattr__(self, "_exp", _exp_coefficients(*self.integer_log()))
+        coefs, e = self._exp
+        return _exp_table(coefs, c), e
 
     def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
+        return Fraction(self.table[ij[0]][ij[1]], self.den)
 
     def __mul__(self, other):
         if not isinstance(other, UnipotentMatrix):
             return NotImplemented
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        a, b = self._integer(), other._integer()
-        table = mul_upper_rows(a.table, b.table, self.n)
-        return UnipotentMatrix._from_integer(self.n, table, a.den * b.den)
+        table = mul_upper_rows(self.table, other.table, self.n)
+        return UnipotentMatrix._from_integer(self.n, table, self.den * other.den)
 
     def __pow__(self, e: int) -> "UnipotentMatrix":
         """A^e = exp(e log A), exact for every integer e (log A commutes
         with itself), so the cost does not grow with |e|."""
-        return UnipotentMatrix._from_integer(self.n, *self._integer().power(e))
+        return UnipotentMatrix._from_integer(self.n, *self.integer_power(e))
 
     def inverse(self) -> "UnipotentMatrix":
         return self**-1
@@ -327,10 +318,14 @@ class UnipotentMatrix:
         return log_unipotent(self)
 
     def __eq__(self, other):
-        return isinstance(other, UnipotentMatrix) and self.rows == other.rows
+        return (
+            isinstance(other, UnipotentMatrix)
+            and self.den == other.den
+            and self.table == other.table
+        )
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.table, self.den))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -409,19 +404,15 @@ class NilpotentMatrix:
         return f"<nil{self.n} [{body}]>"
 
 
-def _log_of(m: UnipotentMatrix) -> NilpotentMatrix:
-    return NilpotentMatrix._wrap(m.n, _fraction_rows(*m._integer().log()))
-
-
 def log_unipotent(m: UnipotentMatrix) -> NilpotentMatrix:
     """Matrix logarithm on UT(n, Q): sum_{k>=1} (-1)^(k-1)/k (M-I)^k.
 
     The series stops because (M-I)^n = 0; the result is exact.  Computed
-    on the integer form of m (`_integer_log`).
+    on the integer table of m (`_integer_log`) and kept by m.
     """
     if not isinstance(m, UnipotentMatrix):
         m = UnipotentMatrix(m)
-    return _log_of(m)
+    return NilpotentMatrix._wrap(m.n, _fraction_rows(*m.integer_log()))
 
 
 def exp_nilpotent(x: NilpotentMatrix) -> UnipotentMatrix:
@@ -458,15 +449,14 @@ def direct_sum(mats) -> UnipotentMatrix:
         raise ValueError("empty direct sum")
     if len(mats) == 1:
         return mats[0]
-    forms = [m._integer() for m in mats]
-    den = lcm(*(f.den for f in forms))
+    den = lcm(*(m.den for m in mats))
     total = sum(m.n for m in mats)
     rows = []
     off = 0
-    for m, f in zip(mats, forms):
-        scale = den // f.den
+    for m in mats:
+        scale = den // m.den
         left, right = (0,) * off, (0,) * (total - off - m.n)
-        rows.extend(left + tuple(x * scale for x in row) + right for row in f.table)
+        rows.extend(left + tuple(x * scale for x in row) + right for row in m.table)
         off += m.n
     return UnipotentMatrix._from_integer(total, tuple(rows), den)
 
@@ -474,10 +464,9 @@ def direct_sum(mats) -> UnipotentMatrix:
 class GeneratorSystem:
     """A named finite alphabet of unipotent matrices.
 
-    Immutable after construction.  `log(i)` and `bracket_log(i, j)` are
-    Fraction views of the generators' integer logs, built on each call;
-    the verdict of `is_two_step` is memoised.  The integer logs live on
-    the matrices, so systems sharing a matrix share its log.
+    Immutable after construction; the verdict of `is_two_step` is
+    memoised.  The integer logs live on the matrices, so systems sharing
+    a matrix share its log.
     """
 
     __slots__ = ("n", "mats", "names", "_two_step")
@@ -509,19 +498,6 @@ class GeneratorSystem:
     @property
     def K(self) -> int:
         return len(self.mats)
-
-    def log(self, i: int) -> NilpotentMatrix:
-        return _log_of(self.mats[i])
-
-    def bracket_log(self, i: int, j: int) -> NilpotentMatrix:
-        """[log A_i, log A_j].
-
-        With log A_i = X_i/D_i, this is (X_i X_j - X_j X_i)/(D_i D_j).
-        """
-        xi, di = self.mats[i]._integer().log()
-        xj, dj = self.mats[j]._integer().log()
-        inner = _integer_bracket(xi, xj, self.n)
-        return NilpotentMatrix._wrap(self.n, _fraction_rows(inner, di * dj))
 
 
 def _echelon_insert(basis, vec):
@@ -566,16 +542,15 @@ def is_two_step(gens: GeneratorSystem) -> bool:
     basis of their span, and that span has dimension at most dim [g, g].
     The basis is an integer echelon basis (`_echelon_insert`) of the
     brackets [X_i, X_j] of the integer logs X_i = D_i x_i that the
-    matrices cache, the same ones the generator systems' `log` and
-    `bracket_log` read.  A zero test is unchanged when each x_i is
-    replaced by a positive multiple of itself, and so is the span, so
-    the verdict is the one of the rational logs.  Each basis element is
+    matrices cache (`UnipotentMatrix.integer_log`).  A zero test is
+    unchanged when each x_i is replaced by a positive multiple of itself,
+    and so is the span, so the verdict is the one of the rational logs.  Each basis element is
     tested against every X_k as soon as it is found.
     """
     if gens._two_step is not None:
         return gens._two_step
     n = gens.n
-    logs = [m._integer().log()[0] for m in gens.mats]
+    logs = [m.integer_log()[0] for m in gens.mats]
     basis = []
     result = True
     for i in range(len(logs)):
@@ -606,15 +581,16 @@ def bch_log(gens: GeneratorSystem, parikh, delta) -> NilpotentMatrix:
     k = gens.K
     if len(parikh) != k:
         raise ValueError("parikh vector length does not match alphabet size")
+    logs = [log_unipotent(m) for m in gens.mats]
     acc = NilpotentMatrix.zero(gens.n)
     for i, count in enumerate(parikh):
         if count:
-            acc = acc + gens.log(i) * Fraction(count)
+            acc = acc + logs[i] * Fraction(count)
     for (i, j), d in delta.items():
         if not 0 <= i < j < k:
             raise ValueError(f"bad delta index pair {(i, j)}")
         if d:
-            acc = acc + gens.bracket_log(i, j) * Fraction(d, 2)
+            acc = acc + bracket(logs[i], logs[j]) * Fraction(d, 2)
     return acc
 
 
@@ -624,21 +600,21 @@ def product_of_word(gens: GeneratorSystem, word) -> UnipotentMatrix:
     Runs on integer tables with one running denominator: a single copy
     of A is multiplied in as its integer table over its denominator, and
     a run of c > 1 copies as A^c = exp(c log A), the integer table of
-    `_IntegerForm.power` (a polynomial in c whose coefficients A keeps),
-    so a run costs the same whatever its length.  After each factor the
-    table and the denominator are divided by their gcd.  This is plain
+    `UnipotentMatrix.integer_power` (a polynomial in c whose coefficients
+    A keeps), so a run costs the same whatever its length.  After each
+    factor the table and the denominator are divided by their gcd.  This is plain
     matrix multiplication, independent of the BCH identity and of the
     generated group being 2-step nilpotent.
     """
     n = gens.n
-    table, den = _identity_rows(n, 1, 0), 1
+    table, den = _identity_rows(n), 1
     for letter, count in word.runs:
         if not 0 <= letter < gens.K:
             raise IndexError(f"letter {letter} out of range for {gens.K} generators")
-        form = gens.mats[letter]._integer()
+        mat = gens.mats[letter]
         if count == 1:
-            factor, f = form.table, form.den
+            factor, f = mat.table, mat.den
         else:
-            factor, f = form.power(count)
+            factor, f = mat.integer_power(count)
         table, den = _reduce(mul_upper_rows(table, factor, n), den * f)
     return UnipotentMatrix._from_integer(n, table, den)

@@ -9,14 +9,12 @@ matrix multiplication.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .errors import MemoryBudgetExceeded
 from .matlie import UnipotentMatrix, mul_upper_rows
 from .wordcraft import Word
 
-MEMORY_BUDGET_ENV = "DECIDE_MEMORY_BUDGET"
 DEFAULT_MEMORY_BUDGET = 2_000_000
 
 
@@ -28,19 +26,9 @@ class OracleResult:
     element: UnipotentMatrix
 
 
-def _memory_budget(explicit):
-    if explicit is not None:
-        return explicit
-    env = os.environ.get(MEMORY_BUDGET_ENV)
-    return int(env) if env else DEFAULT_MEMORY_BUDGET
-
-
 def _plain_rows(mat: UnipotentMatrix):
     """Rows as plain ints when possible (much faster products)."""
-    rows = mat.rows
-    if all(x.denominator == 1 for row in rows for x in row):
-        return tuple(tuple(int(x) for x in row) for row in rows)
-    return rows
+    return mat.table if mat.den == 1 else mat.rows
 
 
 def _bfs_products(gen_rows, n, depth, state, budget):
@@ -96,7 +84,7 @@ def bfs_oracle(inst, depth: int = 8, *, memory_budget=None):
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    budget = _memory_budget(memory_budget)
+    budget = DEFAULT_MEMORY_BUDGET if memory_budget is None else memory_budget
     state = [0]
 
     if hasattr(inst, "systems"):  # intersection instance

@@ -217,9 +217,8 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
     `_integer_logs`: scaling every generator by the same D > 0 moves no
     direction, so the meet and its certificates are those of the
     rational cones.  Nonempty verdicts carry a witness pair (v over G,
-    w over H), and this is the one place it is checked: by plain matrix
-    multiplication against the original T and S, T * product(v) =
-    S * product(w).  The common element reported is that product.
+    w over H), and this is the one place it is checked, by
+    `_common_element`.  The common element reported is T * product(v).
     """
     reduced = reduce_to_identity(inst)
     s_elem = reduced.S
@@ -241,16 +240,27 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
     decision.details["case"] = case
     decision.details["reduced_S"] = s_elem
     if decision.verdict is Verdict.NONEMPTY:
-        v, w = decision.witnesses
-        pv = product_of_word(G, v)
-        pw = product_of_word(H, w)
-        t_mat = inst.T.matrix()
-        s_mat = inst.S.matrix()
-        left = t_mat * pv
-        if left != s_mat * pw:
+        common = _common_element(inst, *decision.witnesses)
+        if common is None:
             raise AssertionError("orbit witness failed verification (defect)")
-        decision.common_element = left
+        decision.common_element = common
     return decision
+
+
+def _common_element(inst: OrbitInstance, v: Word, w: Word):
+    """T * product(v) when it equals S * product(w), else None."""
+    left = inst.T.matrix() * product_of_word(inst.G, v)
+    right = inst.S.matrix() * product_of_word(inst.H, w)
+    return left if left == right else None
+
+
+def verify_orbit_witness(inst: OrbitInstance, v: Word, w: Word) -> bool:
+    """True iff T * product(v) = S * product(w), v over G and w over H.
+
+    Pure matrix multiplication against the original T and S; independent
+    of the decision machinery and of the log-level identities.
+    """
+    return _common_element(inst, v, w) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,24 @@ def test_parse_errors_have_line_numbers(capsys):
         code = main(["orbit", str(SAMPLES / "orbit-central.txt"), "--budget", value])
         assert code == 3
         assert "--budget must be at least 1" in capsys.readouterr().err
+    # integers are ASCII decimal digits only: no digit-group underscores
+    for text, line_no in (
+        (UT3.replace("group ut-q 3", "group ut-q 0_3"), 3),
+        (UT3 + "option oracle-depth 1_000\n", option_line),
+        (UT3.replace("version 1", "version 1_0"), 2),
+        (UT3 + "option memory-budget \u0663\n", option_line),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_instance_text(text)
+        assert err.value.line_no == line_no
+        assert f"line {line_no}" in str(err.value)
+        assert "must be an integer" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(UT3.replace("1 1 0", "1 \u0663 0"))
+    assert "bad rational" in str(err.value)
+    assert parse_instance_text(UT3 + "option oracle-depth +7\n").options == {
+        "oracle_depth": 7
+    }
     with pytest.raises(ParseError) as err:
         parse_instance_text("version 1\ngroup ut-q 3\nmatrix m\n1 2\n")
     assert "line 4" in str(err.value)

@@ -94,3 +94,36 @@ def test_every_export_used_outside_tests():
         if path.name != "__init__.py"
     ]
     assert unused_exports((SRC / "__init__.py").read_text(), sources) == []
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source):
+    """Line numbers where a module names os.environ or os.getenv (or
+    their bytes forms), as an attribute or as an import from os."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(a.name in ENVIRONMENT_READERS for a in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_environment_reads_detected():
+    source = (
+        "import os\nfrom os import getenv as g, path\n"
+        "a = os.environ.get('X')\nb = os.getenv('Y')\nc = os.path.join('d')\n"
+    )
+    assert environment_reads(source) == [2, 3, 4]
+
+
+def test_package_reads_no_environment():
+    # configuration comes only from instance files and command-line flags
+    found = {
+        path.name: environment_reads(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}

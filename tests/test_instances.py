@@ -5,7 +5,7 @@ integer table.  The reference here reads each token with Fraction(tok),
 embeds a Heisenberg element through a Fraction grid of regular
 representations computed by field multiplication, joins product factors
 as a Fraction grid, and builds every matrix from its Fraction rows.  The
-two must agree on each element's rows and on its integer form.
+two must agree on each element's rows and on its reduced integer table.
 """
 
 import random
@@ -111,9 +111,8 @@ def assert_same_elements(text):
         got = parsed[name]
         assert got.rows == want.rows, name
         assert all(type(x) is Fraction for row in got.rows for x in row)
-        got_form, want_form = got._integer(), want._integer()
-        assert (got_form.table, got_form.den) == (want_form.table, want_form.den), name
-        assert all(type(x) is int for row in got_form.table for x in row)
+        assert (got.table, got.den) == (want.table, want.den), name
+        assert all(type(x) is int for row in got.table for x in row)
 
 
 def test_samples_parse_like_the_reference():

@@ -21,9 +21,12 @@ from nilsect import (
     embed_heisenberg,
     extract_witness,
     load_instance_file,
+    log_unipotent,
     product_of_word,
     verify_witness,
 )
+
+from nilsect.matlie import bracket
 
 from conftest import h3, random_h3_system, random_unipotent
 
@@ -299,9 +302,8 @@ def test_extract_witness_builds_no_condition_space(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The condition space on Fraction rows, from the generator systems' Fraction
-# log and bracket views, that the integer rows replaced; kept as the
-# reference.
+# The condition space on Fraction rows, from the Fraction logs and brackets
+# of the generators, that the integer rows replaced; kept as the reference.
 
 
 def _reference_build_condition_space(inst, supports):
@@ -318,15 +320,15 @@ def _reference_build_condition_space(inst, supports):
     index = {name: i for i, name in enumerate(coords)}
 
     def expression_columns(m):
-        sys = inst.systems[m]
+        logs = [log_unipotent(mat) for mat in inst.systems[m].mats]
         cols = []
-        for j in range(sys.K):
-            cols.append((index[("l", m, j)], sys.log(j)))
+        for j, x in enumerate(logs):
+            cols.append((index[("l", m, j)], x))
         ordered = sorted(supports[m])
         for a in range(len(ordered)):
             for b in range(a + 1, len(ordered)):
                 i, j = ordered[a], ordered[b]
-                cols.append((index[("c", m, i, j)], sys.bracket_log(i, j)))
+                cols.append((index[("c", m, i, j)], bracket(logs[i], logs[j])))
         return cols
 
     rows = []

@@ -288,7 +288,7 @@ def test_is_two_step_tests_a_basis_of_the_brackets(monkeypatch):
 
     gens = GeneratorSystem([h3(i, i * i - 3, 1) for i in range(1, 7)])
     for m in gens.mats:
-        m._integer().log()  # the logs are cached before counting
+        m.integer_log()  # the logs are cached before counting
     calls = []
     real = matlie.mul_upper_rows
     monkeypatch.setattr(matlie, "mul_upper_rows", lambda *a: calls.append(1) or real(*a))
@@ -328,7 +328,7 @@ def test_integer_log_is_positive_multiple_of_log(rng):
 def test_bch_log_examples():
     x, y = h3(1, 0, 0), h3(0, 1, 0)
     gens = GeneratorSystem([x, y])
-    assert bch_log(gens, (1, 0), {}) == gens.log(0)
+    assert bch_log(gens, (1, 0), {}) == log_unipotent(x)
     assert bch_log(gens, (1, 1), {(0, 1): 1}) == log_unipotent(x * y)
     assert bch_log(gens, (1, 1), {(0, 1): -1}) == log_unipotent(y * x)
     assert log_unipotent(x * y) == nil3(1, 1, Fraction(1, 2))
@@ -465,6 +465,88 @@ def test_matrices_hashable_immutable():
         m.n = 4
 
 
+def _holds_fraction(value):
+    if isinstance(value, Fraction):
+        return True
+    return isinstance(value, (tuple, list)) and any(map(_holds_fraction, value))
+
+
+def test_matrix_stores_one_reduced_integer_table(rng):
+    for n in range(1, 7):
+        for _ in range(10):
+            m = random_unipotent(rng, n, bound=9)
+            m.integer_power(3)  # the caches are filled too
+            slots = [getattr(m, name) for name in UnipotentMatrix.__slots__]
+            assert not any(map(_holds_fraction, slots))
+            assert m.den > 0
+            assert math.gcd(m.den, *(x for row in m.table for x in row)) == 1
+
+
+def test_equal_matrices_have_one_form_however_built(rng):
+    for n in range(2, 7):
+        for _ in range(10):
+            m = random_unipotent(rng, n, bound=9)
+            k = rng.randint(2, 30)
+            scaled = tuple(tuple(k * x for x in row) for row in m.table)
+            gens = GeneratorSystem([m, m.inverse()])
+            builds = [
+                UnipotentMatrix(m.rows),
+                UnipotentMatrix([[str(x) for x in row] for row in m.rows]),
+                UnipotentMatrix.from_integer_table(scaled, k * m.den),
+                m * UnipotentMatrix.identity(n),
+                m**3 * m**-2,
+                m.inverse().inverse(),
+                exp_nilpotent(log_unipotent(m)),
+                product_of_word(gens, Word(2, [(0, 2), (1, 1)])),
+                direct_sum([m]),
+            ]
+            for other in builds:
+                assert other == m and hash(other) == hash(m)
+                assert (other.table, other.den) == (m.table, m.den)
+            ident = m * m.inverse()
+            assert ident == UnipotentMatrix.identity(n)
+            assert ident.den == 1 and hash(ident) == hash(UnipotentMatrix.identity(n))
+
+
+def test_rows_and_entries_are_exact_fractions(rng):
+    for n in range(1, 7):
+        for _ in range(10):
+            rows = [
+                [
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if j > i else int(i == j)
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+            m = UnipotentMatrix(rows)
+            assert m.rows == tuple(tuple(map(Fraction, row)) for row in rows)
+            assert _all_fraction(m)
+            for i in range(n):
+                for j in range(n):
+                    assert type(m[i, j]) is Fraction
+                    assert m[i, j] == rows[i][j]
+
+
+def test_products_build_no_fraction_table(rng, monkeypatch):
+    import nilsect.matlie as matlie
+
+    def products(mats):
+        word = Word(3, [(0, 1), (1, 4), (2, 2**40), (0, 3)])
+        return product_of_word(GeneratorSystem(mats), word), mats[0] * mats[1], mats[2] ** 5
+
+    mats = [random_unipotent(rng, 5, bound=9) for _ in range(3)]
+    want = products(mats)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction table was built")
+
+    for name in ("Fraction", "_fraction_rows", "_freeze"):
+        monkeypatch.setattr(matlie, name, refuse)
+    # fresh copies, so their logs and power coefficients are computed here
+    fresh = [UnipotentMatrix.from_integer_table(m.table, m.den) for m in mats]
+    assert products(fresh) == want
+
+
 # ---- the former Fraction kernel, kept as the reference for the integer one
 
 _FZERO = Fraction(0)
@@ -557,17 +639,16 @@ POWERS = (-5, 0, 1, 7, 2**65)
 def _assert_kernel_matches_reference(mats, rng):
     """log, exp, bracket, powers and word products against the reference."""
     gens = GeneratorSystem(mats)
-    for i, m in enumerate(mats):
+    logs = [log_unipotent(m) for m in mats]
+    for m, log_m in zip(mats, logs):
         want_log = _ref_log(m)
-        _assert_same_table(log_unipotent(m), want_log)
-        _assert_same_table(gens.log(i), want_log)
+        _assert_same_table(log_m, want_log)
         _assert_same_table(exp_nilpotent(want_log), m)
         for e in POWERS:
             _assert_same_table(m**e, _ref_exp(want_log * e))
-        for j in range(len(mats)):
-            want = _ref_bracket(want_log, _ref_log(mats[j]))
-            _assert_same_table(gens.bracket_log(i, j), want)
-            _assert_same_table(bracket(want_log, gens.log(j)), want)
+        for other, log_other in zip(mats, logs):
+            want = _ref_bracket(want_log, _ref_log(other))
+            _assert_same_table(bracket(log_m, log_other), want)
     for _ in range(3):
         runs = [
             (rng.randrange(len(mats)), rng.choice(RUN_COUNTS))
@@ -652,11 +733,12 @@ def test_identity_generator_has_zero_log():
     ident = UnipotentMatrix.identity(4)
     other = random_unipotent(random.Random(44), 4, bound=5)
     gens = GeneratorSystem([ident, other])
-    assert gens.log(0).is_zero()
-    assert _all_fraction(gens.log(0))
-    assert gens.bracket_log(0, 1).is_zero()
-    assert gens.bracket_log(1, 0).is_zero()
-    assert _all_fraction(gens.bracket_log(0, 1))
+    assert ident.integer_log() == (((0,) * 4,) * 4, 1)
+    assert log_unipotent(ident).is_zero()
+    assert _all_fraction(log_unipotent(ident))
+    assert bracket(log_unipotent(ident), log_unipotent(other)).is_zero()
+    assert bracket(log_unipotent(other), log_unipotent(ident)).is_zero()
+    assert _all_fraction(bracket(log_unipotent(ident), log_unipotent(other)))
     for c in RUN_COUNTS:
         assert product_of_word(gens, Word(2, [(0, c)])) == ident
         assert product_of_word(gens, Word(2, [(1, 1), (0, c), (1, 2)])) == other**3

@@ -23,6 +23,8 @@ from nilsect import (
     log_unipotent,
     product_of_word,
     reduce_to_identity,
+    verify_orbit_witness,
+    Word,
 )
 
 from nilsect import orbit as orbit_module
@@ -146,6 +148,19 @@ def test_easy_interleaving_witness():
     assert len(v) >= 1 and len(w) >= 1
 
 
+def test_verify_orbit_witness_checks_the_translated_products():
+    # T^-1 S = (0, 1, 0), as in the interleaving witness above
+    inst = orbit(H3Elem(1, 0, 0), H3Elem(1, 1, 1), gsys(X, Y), gsys(X))
+    d = decide_orbit(inst)
+    assert d.verdict is Verdict.NONEMPTY and verified(inst, d)
+    v, w = d.witnesses
+    assert verify_orbit_witness(inst, v, w)
+    longer = Word(inst.H.K, [(letter, count + 1) for letter, count in w.runs])
+    assert not verify_orbit_witness(inst, v, longer)
+    swapped = orbit(inst.S, inst.T, inst.G, inst.H)
+    assert not verify_orbit_witness(swapped, v, w)
+
+
 def test_easy_interleaving_deeper_caps():
     # S = y^2 x needs two off-line letters on the left
     s_elem = H3Elem.from_matrix(Y * Y * X)
@@ -223,25 +238,27 @@ def hard_system_by_matrix_logs(s_elem, G, H):
     h_pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
     nx, ny, nc = K, M, len(g_pairs)
     width = nx + ny + nc + len(h_pairs)
+    g_logs = [log_unipotent(m) for m in G.mats]
+    h_logs = [log_unipotent(m) for m in H.mats]
     rows, rhs = [], []
     for e in ENTRIES[:2]:
         row = [Fraction(0)] * width
         for i in range(K):
-            row[i] = G.log(i)[e]
+            row[i] = g_logs[i][e]
         for i in range(M):
-            row[nx + i] = -H.log(i)[e]
+            row[nx + i] = -h_logs[i][e]
         rows.append(row)
         rhs.append(log_s[e])
     row = [Fraction(0)] * width
     for i in range(K):
-        row[i] = G.log(i)[0, 2]
+        row[i] = g_logs[i][0, 2]
     for i in range(M):
-        adj = bracket(log_s, H.log(i))
-        row[nx + i] = -(H.log(i)[0, 2] + Fraction(1, 2) * adj[0, 2])
+        adj = bracket(log_s, h_logs[i])
+        row[nx + i] = -(h_logs[i][0, 2] + Fraction(1, 2) * adj[0, 2])
     for idx, (i, j) in enumerate(g_pairs):
-        row[nx + ny + idx] = Fraction(1, 2) * G.bracket_log(i, j)[0, 2]
+        row[nx + ny + idx] = Fraction(1, 2) * bracket(g_logs[i], g_logs[j])[0, 2]
     for idx, (i, j) in enumerate(h_pairs):
-        row[nx + ny + nc + idx] = -Fraction(1, 2) * H.bracket_log(i, j)[0, 2]
+        row[nx + ny + nc + idx] = -Fraction(1, 2) * bracket(h_logs[i], h_logs[j])[0, 2]
     rows.append(row)
     rhs.append(log_s[0, 2])
     return rows, rhs
