@@ -25,7 +25,10 @@ Each option bounds some work by its value:
 
     oracle-depth       longest word the breadth-first oracle enumerates
                        (the easy case's fallback, `oracle`, --check-oracle)
-    interleave-budget  pairs of off-line orderings the easy case tries
+    interleave-budget  pairs of off-line orderings the easy case
+                       enumerates; every pair counts, also one that
+                       fails the functional balance and is skipped
+                       before its integer program
     parity-cap         largest K + M for which the hard case enumerates
                        its 2^(K+M) parity branches
     memory-budget      matrices the breadth-first oracle stores

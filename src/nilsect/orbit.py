@@ -21,13 +21,18 @@ corner, a_X b_Y - a_Y b_X, so the 2-step BCH formula
 
 is exact here, and every equation below is written with it.
 
-The easy case and the cone classification run on integers.  With D the
-common denominator of every entry of the G, H and log S triples, each
-triple (a, b, gamma) becomes the integer triple (D a, D b, 2 D^2 gamma)
-(`_integer_logs`).  Superdiagonals scale by D and corners by D^2, so
-half a corner bracket in units of 2 D^2 is the integer bracket of the
-integer superdiagonals, and the BCH sums above stay integer sums.  The
-hard case still builds its relaxed system over Fractions.
+Group elements (`H3Elem`) have one representation, their 3x3
+`UnipotentMatrix`: a reduced integer table over a denominator.  The easy
+case and the cone classification run on integers read straight off
+those tables.  With D the lcm of the table denominators of S, G and H,
+each log triple (a, b, gamma) becomes the integer triple
+(D a, D b, 2 D^2 gamma) (`_integer_logs`).  Superdiagonals scale by D and
+corners by D^2, so half a corner bracket in units of 2 D^2 is the
+integer bracket of the integer superdiagonals, and the BCH sums above
+stay integer sums.  The easy case skips every ordering pair that misses
+the balance its separating functional imposes (see `decide_easy`)
+before any integer program is solved.  The hard case still builds its
+relaxed system over Fraction log triples.
 
 Nonempty verdicts always come with a verified witness pair.  One known
 configuration (dimension <= 1 but no separating functional, e.g. a full
@@ -41,7 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import BudgetExceeded, UnsupportedInstance
 from .intersect import Decision, Verdict
@@ -56,59 +61,78 @@ FALLBACK_DEPTH = 8  # default oracle-depth, here and in the CLI
 
 
 class H3Elem:
-    """Element of the 3x3 unipotent group in (a, b, c) coordinates."""
+    """Element of the 3x3 unipotent group, held as its `UnipotentMatrix`.
 
-    __slots__ = ("a", "b", "c")
+    The matrix [[1, a, c], [0, 1, b], [0, 0, 1]], a reduced integer table
+    over one denominator, is the element's only representation.  `a`, `b`
+    and `c` are read-only Fraction views of its entries; products and
+    inverses are integer-table arithmetic, and `matrix()` returns the
+    held matrix itself.
+    """
+
+    __slots__ = ("_matrix",)
 
     def __init__(self, a, b, c):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-        object.__setattr__(self, "c", Fraction(c))
+        object.__setattr__(
+            self, "_matrix", UnipotentMatrix([[1, a, c], [0, 1, b], [0, 0, 1]])
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("H3Elem is immutable")
 
     @classmethod
     def identity(cls) -> "H3Elem":
-        return cls(0, 0, 0)
+        return cls._wrap(UnipotentMatrix.identity(3))
 
     @classmethod
     def from_matrix(cls, m: UnipotentMatrix) -> "H3Elem":
         if m.n != 3:
             raise ValueError("orbit problems live in dimension 3")
-        return cls(m[0, 1], m[1, 2], m[0, 2])
+        return cls._wrap(m)
+
+    @classmethod
+    def _wrap(cls, m: UnipotentMatrix) -> "H3Elem":
+        elem = object.__new__(cls)
+        object.__setattr__(elem, "_matrix", m)
+        return elem
 
     def matrix(self) -> UnipotentMatrix:
-        return UnipotentMatrix(
-            [[1, self.a, self.c], [0, 1, self.b], [0, 0, 1]]
-        )
+        return self._matrix
+
+    @property
+    def a(self) -> Fraction:
+        return self._matrix[0, 1]
+
+    @property
+    def b(self) -> Fraction:
+        return self._matrix[1, 2]
+
+    @property
+    def c(self) -> Fraction:
+        return self._matrix[0, 2]
 
     def __mul__(self, other):
         if not isinstance(other, H3Elem):
             return NotImplemented
-        return H3Elem(
-            self.a + other.a, self.b + other.b, self.c + other.c + self.a * other.b
-        )
+        return H3Elem._wrap(self._matrix * other._matrix)
 
     def inverse(self) -> "H3Elem":
-        return H3Elem(-self.a, -self.b, -self.c + self.a * self.b)
+        return H3Elem._wrap(self._matrix.inverse())
 
     def log(self):
-        """log of the element as the triple (a, b, c - ab/2).
+        """log of the element as the Fraction triple (a, b, c - ab/2).
 
         These are the entries (0,1), (1,2) and (0,2) of the matrix
         logarithm; its other entries are zero.
         """
-        return (self.a, self.b, self.c - self.a * self.b / 2)
+        a, b = self.a, self.b
+        return (a, b, self.c - a * b / 2)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, H3Elem)
-            and (self.a, self.b, self.c) == (other.a, other.b, other.c)
-        )
+        return isinstance(other, H3Elem) and self._matrix == other._matrix
 
     def __hash__(self):
-        return hash((self.a, self.b, self.c))
+        return hash(self._matrix)
 
     def __repr__(self):
         return f"H3({self.a}, {self.b}, {self.c})"
@@ -165,7 +189,7 @@ def _corner(x, y):
 
 
 def _logs(sys: GeneratorSystem):
-    """Log triples of the generators, in order."""
+    """Fraction log triples of the generators, in order (hard case only)."""
     return [H3Elem.from_matrix(m).log() for m in sys.mats]
 
 
@@ -173,8 +197,8 @@ def _logs(sys: GeneratorSystem):
 class IntegerLogs:
     """The log triples of one orbit instance in integer units.
 
-    `den` is the common denominator D of every entry of the triples of
-    log S, G and H; each triple (a, b, gamma) is stored as the ints
+    `den` is D, the lcm of the denominators of the reduced integer tables
+    of S, G and H; each log triple (a, b, gamma) is stored as the ints
     (D a, D b, 2 D^2 gamma).  In these units the halved corner bracket
     1/2 [X, Y] of two triples is the plain integer corner of their
     integer superdiagonals, since 2 D^2 * (a_X b_Y - a_Y b_X) / 2 =
@@ -187,22 +211,24 @@ class IntegerLogs:
     h: list
 
 
-def _integer_logs(s_log, g_logs, h_logs) -> IntegerLogs:
-    """The Fraction triples of log S, G and H over one denominator D."""
-    den = common_denominator(itertools.chain(s_log, *g_logs, *h_logs))
-    gamma_unit = 2 * den * den
+def _integer_logs(s: UnipotentMatrix, g_mats, h_mats) -> IntegerLogs:
+    """`IntegerLogs` of S, G and H, read off their integer tables.
 
-    def scaled(x):
-        a, b, gamma = x
-        return (
-            a.numerator * (den // a.denominator),
-            b.numerator * (den // b.denominator),
-            gamma.numerator * (gamma_unit // gamma.denominator),
-        )
+    A table t over d is the element with a = t01/d, b = t12/d and
+    gamma = c - ab/2 = (2 d t02 - t01 t12) / (2 d^2); with k = D/d its
+    triple in units (D, D, 2 D^2) is (k t01, k t12, k^2 (2 d t02 - t01 t12)).
+    """
+    mats = [s, *g_mats, *h_mats]
+    den = lcm(*(m.den for m in mats))
 
-    return IntegerLogs(
-        den, scaled(s_log), [scaled(x) for x in g_logs], [scaled(x) for x in h_logs]
-    )
+    def scaled(m):
+        (_, a, c), (_, _, b), _ = m.table
+        k = den // m.den
+        return (k * a, k * b, k * k * (2 * m.den * c - a * b))
+
+    triples = [scaled(m) for m in mats]
+    split = 1 + len(g_mats)
+    return IntegerLogs(den, triples[0], triples[1:split], triples[split:])
 
 
 def _cone(triples):
@@ -214,21 +240,21 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
 
     Reduces to T = I, builds the two superdiagonal cones, and runs the
     easy or hard case.  The cones get the integer superdiagonals of
-    `_integer_logs`: scaling every generator by the same D > 0 moves no
-    direction, so the meet and its certificates are those of the
-    rational cones.  Nonempty verdicts carry a witness pair (v over G,
-    w over H), and this is the one place it is checked, by
-    `_common_element`.  The common element reported is T * product(v).
+    `_integer_logs`, read straight off the integer tables: scaling every
+    generator by the same D > 0 moves no direction, so the meet and its
+    certificates are those of the rational cones.  Nonempty verdicts
+    carry a witness pair (v over G, w over H), and this is the one place
+    it is checked, by `_common_element`.  The common element reported is
+    T * product(v).
     """
     reduced = reduce_to_identity(inst)
     s_elem = reduced.S
     G, H = inst.G, inst.H
-    logs = (_logs(G), _logs(H))
-    units = _integer_logs(s_elem.log(), *logs)
+    units = _integer_logs(s_elem.matrix(), G.mats, H.mats)
     meet = cone_intersect_dim(_cone(units.g), _cone(units.h))
 
     if meet.dim == 2:
-        decision = decide_hard(s_elem, G, H, options=inst.options, logs=logs)
+        decision = decide_hard(s_elem, G, H, options=inst.options)
         case = "hard"
     else:
         decision = decide_easy(
@@ -310,12 +336,25 @@ def decide_easy(
     affine in those counts, and its base and coefficients are explicit
     BCH sums over the ordering (`_side_coefficients`).
 
+    Balance lemma: let val_i = +-n.x_i > 0 be the value of an off-line
+    letter (the sign is + on G, - on H) and ns = n.log S.  Every on-line
+    superdiagonal lies in ker n, so n applied to the two superdiagonal
+    rows of a pair's system cancels every column and leaves the equation
+    sum val(cs) + sum val(ds) = ns.  A pair (cs, ds) that misses this
+    balance therefore has no solution, not even a rational one, and is
+    skipped before any row is built.  Skipped pairs are enumerated in the
+    same order and still counted in `pairs_tried` and toward the
+    interleaving budget, so verdicts, witnesses and `BudgetExceeded` are
+    those of handing every pair to `_solve_interleaving`;
+    `systems_solved` counts the pairs that reach `ilp_feasible_nonneg`.
+
     Everything here is integer arithmetic on `units`, the `IntegerLogs`
     of the instance (computed here when not given): triples in units
-    (D, D, 2 D^2), one denominator D for the whole search.  Scaling n.x
-    and n.log S by the same D leaves every letter cap ns / (n.x) as it
-    is, and `_solve_interleaving` turns each ordering's integer rows into
-    exactly the rows the rational system clears to.
+    (D, D, 2 D^2), D the lcm of the denominators of the integer tables,
+    one D for the whole search.  Scaling n.x and n.log S by the same D
+    leaves every letter cap ns / val and the balance as they are, and
+    `_solve_interleaving` turns each ordering's integer rows into exactly
+    the rows the rational system clears to, whatever D is.
 
     Without a separating functional the bounding argument has no footing;
     the breadth-first oracle is tried as a semi-decision, and Unsupported
@@ -325,7 +364,7 @@ def decide_easy(
     options = options or {}
     budget = options.get("interleave_budget", DEFAULT_INTERLEAVING_BUDGET)
     if units is None:
-        units = _integer_logs(s_elem.log(), _logs(G), _logs(H))
+        units = _integer_logs(s_elem.matrix(), G.mats, H.mats)
     if meet is None:
         meet = cone_intersect_dim(_cone(units.g), _cone(units.h))
     if meet.dim > 1:
@@ -339,41 +378,46 @@ def decide_easy(
     ns = n0 * units.s[0] + n1 * units.s[1]  # D * (n . log S)
 
     def side_split(triples, sign):
-        on_line, off_line, caps = [], [], {}
+        on_line, vals = [], {}
         for i, x in enumerate(triples):
             val = sign * (n0 * x[0] + n1 * x[1])  # positive off the line
             if val == 0:
                 on_line.append(i)
             else:
-                off_line.append(i)
-                caps[i] = ns // val
-        return on_line, off_line, caps
+                vals[i] = val
+        return on_line, vals
 
-    g0, gplus, g_caps = side_split(units.g, 1)
-    h0, hplus, h_caps = side_split(units.h, -1)
+    g0, g_vals = side_split(units.g, 1)
+    h0, h_vals = side_split(units.h, -1)
+    gplus, hplus = list(g_vals), list(h_vals)
 
     trace = {
         "functional": n_fun,
         "ns": Fraction(ns, units.den),
         "g_plus": gplus,
         "h_plus": hplus,
+        "pairs_tried": 0,
+        "systems_solved": 0,
     }
     if ns < 0:
         # every witness pair projects to a nonnegative number on the left
         # and ns plus a nonpositive number on the right
         return Decision(Verdict.EMPTY, trace=[trace], details={"case": "easy"})
 
+    g_caps = {i: ns // val for i, val in g_vals.items()}
+    h_caps = {i: ns // val for i, val in h_vals.items()}
     g_max = sum(g_caps.values())
     h_max = sum(h_caps.values())
     # (base, cols) of each side, per interleaving: a pair recomputes neither
     g_coefs = {}
     h_coefs = {}
 
-    pairs_tried = 0
+    pairs_tried = systems_solved = 0
     for total in range(g_max + h_max + 1):
         for s_len in range(max(0, total - h_max), min(total, g_max) + 1):
             t_len = total - s_len
             for cs in _interleavings(gplus, g_caps, s_len):
+                rest = ns - sum(map(g_vals.__getitem__, cs))  # ds must balance it
                 for ds in _interleavings(hplus, h_caps, t_len):
                     pairs_tried += 1
                     if pairs_tried > budget:
@@ -381,12 +425,16 @@ def decide_easy(
                             f"easy-case enumeration exceeded {budget} interleavings",
                             budget=budget,
                         )
+                    if sum(map(h_vals.__getitem__, ds)) != rest:
+                        continue  # no solution: skipped, but counted
+                    systems_solved += 1
                     found = _solve_interleaving(
                         units, g0, h0, cs, ds, g_coefs, h_coefs
                     )
                     if found is not None:
                         v, w = found
                         trace["pairs_tried"] = pairs_tried
+                        trace["systems_solved"] = systems_solved
                         return Decision(
                             Verdict.NONEMPTY,
                             witnesses=(v, w),
@@ -394,6 +442,7 @@ def decide_easy(
                             details={"case": "easy"},
                         )
     trace["pairs_tried"] = pairs_tried
+    trace["systems_solved"] = systems_solved
     return Decision(Verdict.EMPTY, trace=[trace], details={"case": "easy"})
 
 
@@ -461,7 +510,9 @@ def _solve_interleaving(units, g0, h0, cs, ds, g_coefs, h_coefs):
     counts (`_side_coefficients`); its three coordinates give the
     equation rows.  The coefficients of each side are memoised in
     `g_coefs` / `h_coefs`, keyed by its ordering.  Side conditions: a
-    side with no off-line letters must still be a nonempty word.
+    side with no off-line letters must still be a nonempty word, so one
+    with no letter at all gets an empty nonzero group, which no point
+    meets.
 
     The rows reach `ilp_feasible_nonneg` as exactly the integers that
     clearing the rational system by its common denominator gives.  The
@@ -474,11 +525,6 @@ def _solve_interleaving(units, g0, h0, cs, ds, g_coefs, h_coefs):
     """
     kg, kh = len(g0), len(h0)
     gaps_g, gaps_h = len(cs) + 1, len(ds) + 1
-    if not cs and kg == 0:
-        return None  # no way to build a nonempty left word
-    if not ds and kh == 0:
-        return None
-
     if cs not in g_coefs:
         g_coefs[cs] = _side_coefficients(units.g, cs, g0, None)
     if ds not in h_coefs:
@@ -578,7 +624,7 @@ def _hard_system(s_log, g_logs, h_logs):
 
 
 def decide_hard(
-    s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, options=None, logs=None
+    s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, options=None
 ) -> Decision:
     """Relaxed-system decision when the cones meet with full dimension.
 
@@ -588,12 +634,12 @@ def decide_hard(
     enumerated (2^(K+M) branches, lowest branch wins); they determine the
     pair parities, and each branch is a pure integer linear system.
     A feasible branch is inflated into a witness pair, which
-    `decide_orbit` checks.  `logs` is the pair of Fraction log triples
-    of G and H (`_logs`), computed here when not given.
+    `decide_orbit` checks.  The system is built over the Fraction log
+    triples of G and H (`_logs`).
     """
     options = options or {}
     K, M = G.K, H.K
-    logs = logs or (_logs(G), _logs(H))
+    logs = (_logs(G), _logs(H))
     cap = options.get("parity_cap", DEFAULT_PARITY_CAP)
     if K + M > cap:
         raise BudgetExceeded(
@@ -715,7 +761,8 @@ def extract_orbit_witness(
     fall inside the word-realization bounds.  The least such N is taken
     and the two words are realized.  The identity product(v) =
     S * product(w) is not checked here; `decide_orbit` checks it.
-    `logs` is as for `decide_hard`.
+    `logs` is the pair of Fraction log triples of G and H (`_logs`),
+    computed here when not given.
     """
     g_logs, h_logs = logs or (_logs(G), _logs(H))
     K, M = len(g_logs), len(h_logs)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilsect import (
+    BudgetExceeded,
     GeneratorSystem,
     H3Elem,
     OrbitInstance,
@@ -28,14 +30,17 @@ from nilsect import (
 )
 
 from nilsect import orbit as orbit_module
+from nilsect.linsolve import cone_intersect_dim
 from nilsect.matlie import bracket, common_denominator
 from nilsect.orbit import (
+    _cone,
     _corner,
     _hard_system,
     _integer_logs,
     _interleavings,
     _logs,
     _side_coefficients,
+    _solve_interleaving,
     _word_from_layout,
 )
 
@@ -90,6 +95,42 @@ def test_h3_elem_arithmetic():
     assert a * a.inverse() == H3Elem.identity()
     assert H3Elem.from_matrix(a.matrix()) == a
     assert (H3Elem(1, 0, 0) * H3Elem(0, 1, 0)).c == 1
+    # one representation: the element holds its UnipotentMatrix, a, b and
+    # c are Fraction views of it, and products and inverses are the
+    # matrix's own
+    rng = random.Random(29)
+    for _ in range(100):
+        e, f = (H3Elem(*(random_rational(rng) for _ in range(3))) for _ in range(2))
+        m = e.matrix()
+        assert H3Elem.from_matrix(m).matrix() is m
+        assert (e.a, e.b, e.c) == (m[0, 1], m[1, 2], m[0, 2])
+        assert all(type(v) is Fraction for v in (e.a, e.b, e.c))
+        assert (e * f).matrix() == m * f.matrix()
+        assert e.inverse().matrix() == m.inverse()
+        assert e * e.inverse() == H3Elem.identity()
+        same = H3Elem(e.a, e.b, e.c)
+        assert e == same and hash(e) == hash(same)
+    with pytest.raises(AttributeError):
+        e.a = 0
+    with pytest.raises(ValueError):
+        H3Elem.from_matrix(UnipotentMatrix.identity(4))
+
+
+def test_integer_logs_are_the_fraction_logs_in_units():
+    # the table formula (k t01, k t12, k^2 (2 d t02 - t01 t12)) is the
+    # Fraction log triple in units (D, D, 2 D^2), D the lcm of the table
+    # denominators
+    rng = random.Random(37)
+    for _ in range(100):
+        s = H3Elem(*(random_rational(rng) for _ in range(3)))
+        G, H = (random_easy_side(rng)[0] for _ in range(2))
+        units = _integer_logs(s.matrix(), G.mats, H.mats)
+        dens = [m.den for m in (s.matrix(),) + G.mats + H.mats]
+        assert units.den == math.lcm(*dens)
+        assert_same_ints(units.s, in_units(s.log(), units.den))
+        for got, ref in zip(units.g + units.h, _logs(G) + _logs(H)):
+            assert_same_ints(got, in_units(ref, units.den))
+        assert len(units.g) == G.K and len(units.h) == H.K
 
 
 def test_reduce_to_identity():
@@ -274,12 +315,9 @@ def assert_same_ints(got, expected):
     assert all(type(v) is int for v in got)
 
 
-ZERO_LOG = (Fraction(0),) * 3
-
-
-def side_units(sys, prefix_log):
-    """`IntegerLogs` of one side, the prefix in the place of log S."""
-    return _integer_logs(prefix_log or ZERO_LOG, _logs(sys), [])
+def side_units(sys, prefix):
+    """`IntegerLogs` of one side, the prefix matrix in the place of S."""
+    return _integer_logs(prefix or IDENT, sys.mats, [])
 
 
 def in_units(triple, den):
@@ -318,8 +356,7 @@ def test_side_coefficients_match_unit_count_products():
         prefix = None
         if trial % 2:
             prefix = H3Elem(*(random_rational(rng) for _ in range(3))).matrix()
-        prefix_log = None if prefix is None else H3Elem.from_matrix(prefix).log()
-        units = side_units(sys, prefix_log)
+        units = side_units(sys, prefix)
         base, cols = _side_coefficients(
             units.g, interleaving, on_line, None if prefix is None else units.s
         )
@@ -386,8 +423,7 @@ def test_closed_forms_on_orbit_central_sample():
     for length in range(3):
         interleaving = (1,) * length
         for sys, prefix in ((inst.G, None), (inst.H, s_elem.matrix())):
-            prefix_log = None if prefix is None else s_elem.log()
-            units = side_units(sys, prefix_log)
+            units = side_units(sys, prefix)
             got = _side_coefficients(
                 units.g, interleaving, [0], None if prefix is None else units.s
             )
@@ -495,31 +531,79 @@ def random_easy_instance(rng):
     return OrbitInstance(H3Elem.identity(), S, G, H)
 
 
+def easy_search(inst):
+    """The easy case's search for `inst`, rebuilt with no skip: its
+    `IntegerLogs`, the on-line letters g0 and h0, the values of the
+    off-line letters under the separating functional, n . log S in units
+    of D, and every ordering pair within the caps, in the order
+    `decide_easy` enumerates them."""
+    units = _integer_logs(
+        reduce_to_identity(inst).S.matrix(), inst.G.mats, inst.H.mats
+    )
+    n0, n1 = cone_intersect_dim(
+        _cone(units.g), _cone(units.h)
+    ).separating_functional
+    ns = n0 * units.s[0] + n1 * units.s[1]
+
+    def split(triples, sign):
+        vals = [sign * (n0 * x[0] + n1 * x[1]) for x in triples]
+        return [i for i, v in enumerate(vals) if not v], {
+            i: v for i, v in enumerate(vals) if v
+        }
+
+    g0, g_vals = split(units.g, 1)
+    h0, h_vals = split(units.h, -1)
+    g_caps = {i: ns // v for i, v in g_vals.items()}
+    h_caps = {i: ns // v for i, v in h_vals.items()}
+    g_max, h_max = sum(g_caps.values()), sum(h_caps.values())
+    pairs = [
+        (cs, ds)
+        for total in range(g_max + h_max + 1)
+        for s_len in range(max(0, total - h_max), min(total, g_max) + 1)
+        for cs in _interleavings(list(g_vals), g_caps, s_len)
+        for ds in _interleavings(list(h_vals), h_caps, total - s_len)
+    ]
+    return units, g0, h0, g_vals, h_vals, ns, pairs
+
+
+def skipped_pairs(search):
+    """Per pair of `search`: whether it misses the functional balance,
+    the pairs `decide_easy` skips."""
+    _, _, _, g_vals, h_vals, ns, pairs = search
+    return [
+        sum(g_vals[i] for i in cs) + sum(h_vals[j] for j in ds) != ns
+        for cs, ds in pairs
+    ]
+
+
 def record_easy_systems(inst, monkeypatch):
-    """Every system the easy case hands to `ilp_feasible_nonneg` on `inst`:
-    the orderings it was built for, and the rows, right-hand side and
-    nonzero groups it received.  The recorder answers that no system is
-    feasible, so every ordering pair within the caps is enumerated and
-    the rows do not wait on the integer search."""
-    calls = []
-    current = []
-    real_solve = orbit_module._solve_interleaving
-
-    def solve(units, g0, h0, cs, ds, g_coefs, h_coefs):
-        current[:] = [(g0, h0, cs, ds)]
-        return real_solve(units, g0, h0, cs, ds, g_coefs, h_coefs)
-
-    def ilp(A, b, nonzero_groups=()):
-        calls.append((current[0], A, b, nonzero_groups))
-        return None
-
-    monkeypatch.setattr(orbit_module, "_solve_interleaving", solve)
-    monkeypatch.setattr(orbit_module, "ilp_feasible_nonneg", ilp)
+    """Drive `_solve_interleaving` over every ordering pair within the
+    caps of `inst`, skipped by `decide_easy` or not; a recorder in place
+    of `ilp_feasible_nonneg` keeps the rows, right-hand side and nonzero
+    groups each pair's system reaches it with, and answers that no
+    system is feasible.  Checks first that `decide_easy` enumerates the
+    same pairs and solves exactly the ones it does not skip."""
+    units, g0, h0, _, _, _, pairs = search = easy_search(inst)
+    received = []
+    monkeypatch.setattr(
+        orbit_module,
+        "ilp_feasible_nonneg",
+        lambda A, b, nonzero_groups=(): received.append((A, b, nonzero_groups)),
+    )
     d = decide_orbit(inst)
-    monkeypatch.undo()
     assert d.details["case"] == "easy"
     assert d.verdict is Verdict.EMPTY
-    assert d.trace[0]["pairs_tried"] >= len(calls)
+    assert d.trace[0]["pairs_tried"] == len(pairs)
+    assert d.trace[0]["systems_solved"] == len(received)
+    assert len(received) == skipped_pairs(search).count(False)
+    calls = []
+    g_coefs, h_coefs = {}, {}
+    for cs, ds in pairs:
+        received.clear()
+        assert _solve_interleaving(units, g0, h0, cs, ds, g_coefs, h_coefs) is None
+        ((A, b, groups),) = received
+        calls.append(((g0, h0, cs, ds), A, b, groups))
+    monkeypatch.undo()
     return calls
 
 
@@ -599,17 +683,25 @@ def test_easy_rows_match_fraction_reference_hypothesis(drawn_rng):
 
 
 def test_common_denominator_once_per_decide_easy(monkeypatch):
-    # the easy case converts the instance to integers once; no ordering
-    # pair computes a denominator of its own.  No system is let be
-    # feasible, so every ordering pair within the caps is built.
-    counted = []
-    real = orbit_module.common_denominator
+    # the easy case converts the instance to integers once, from the
+    # integer tables (`_integer_logs`, one lcm D of their denominators);
+    # no ordering pair computes a denominator of its own, and no Fraction
+    # denominator is taken at all.  No system is let be feasible, so
+    # every ordering pair within the caps is enumerated.
+    conversions = []
+    fraction_denominators = []
+    real = orbit_module._integer_logs
 
-    def counting(values):
-        counted.append(1)
-        return real(values)
+    def counting(*args):
+        conversions.append(1)
+        return real(*args)
 
-    monkeypatch.setattr(orbit_module, "common_denominator", counting)
+    monkeypatch.setattr(orbit_module, "_integer_logs", counting)
+    monkeypatch.setattr(
+        orbit_module,
+        "common_denominator",
+        lambda values: fraction_denominators.append(1),
+    )
     monkeypatch.setattr(orbit_module, "ilp_feasible_nonneg", lambda *args: None)
     rng = random.Random(67)
     pairs = []
@@ -620,12 +712,107 @@ def test_common_denominator_once_per_decide_easy(monkeypatch):
             lambda: decide_easy(s_elem, inst.G, inst.H),
             lambda: decide_orbit(inst),
         ):
-            counted.clear()
+            conversions.clear()
             d = run()
             assert d.verdict is Verdict.EMPTY
-            assert len(counted) == 1
+            assert len(conversions) == 1
             pairs.append(d.trace[0]["pairs_tried"])
+    assert not fraction_denominators
     assert sum(p > 1 for p in pairs) >= 30
+
+
+def reference_decide_easy(search):
+    """The easy-case loop without the skip: every ordering pair, in
+    order, goes to `_solve_interleaving` with the real integer program.
+    Returns (witness pair or None, pairs tried)."""
+    units, g0, h0, _, _, _, pairs = search
+    g_coefs, h_coefs = {}, {}
+    for tried, (cs, ds) in enumerate(pairs, start=1):
+        found = _solve_interleaving(units, g0, h0, cs, ds, g_coefs, h_coefs)
+        if found is not None:
+            return found, tried
+    return None, len(pairs)
+
+
+def outcome(run):
+    try:
+        return run()
+    except BudgetExceeded:
+        return "budget"
+
+
+def assert_skip_matches_reference(inst):
+    """Every pair `decide_easy` skips has no solution, and the decision
+    is the reference loop's: verdict, witness pair and pairs tried.
+    Returns the number of pairs skipped."""
+    units, g0, h0, _, _, _, pairs = search = easy_search(inst)
+    skips = skipped_pairs(search)
+    for (cs, ds), skip in zip(pairs, skips):
+        if skip:
+            assert _solve_interleaving(units, g0, h0, cs, ds, {}, {}) is None
+
+    def decided():
+        d = decide_easy(reduce_to_identity(inst).S, inst.G, inst.H)
+        tried = d.trace[0]["pairs_tried"]
+        assert d.trace[0]["systems_solved"] == skips[:tried].count(False)
+        return (d.witnesses if d.verdict is Verdict.NONEMPTY else None), tried
+
+    expected = outcome(lambda: reference_decide_easy(search))
+    assert outcome(decided) == expected
+    return sum(skips), expected
+
+
+def test_balance_skip_matches_unskipped_loop():
+    rng = random.Random(71)
+    skipped = 0
+    outcomes = []
+    for _ in range(120):
+        count, expected = assert_skip_matches_reference(random_easy_instance(rng))
+        skipped += count
+        outcomes.append(expected)
+    assert skipped > 1000
+    assert sum(o != "budget" and o[0] is not None for o in outcomes) >= 5
+    assert sum(o != "budget" and o[0] is None for o in outcomes) >= 5
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_balance_skip_matches_unskipped_loop_hypothesis(drawn_rng):
+    assert_skip_matches_reference(random_easy_instance(drawn_rng))
+
+
+def f11_draw(index):
+    """Draw `index` (from 0) of the F11 fuzz family: random.Random(11);
+    each draw takes K, M in 1..3, then T, S, the K elements of G and the
+    M elements of H, each element's a, b and c a Fraction with numerator
+    in -3..3 and denominator in 1..3, drawn in that order."""
+    rng = random.Random(11)
+
+    def elem():
+        return H3Elem(
+            *(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
+        )
+
+    for _ in range(index + 1):
+        K, M = rng.randint(1, 3), rng.randint(1, 3)
+        T, S = elem(), elem()
+        G = [elem().matrix() for _ in range(K)]
+        H = [elem().matrix() for _ in range(M)]
+    return OrbitInstance(T, S, GeneratorSystem(G), GeneratorSystem(H))
+
+
+@pytest.mark.parametrize(
+    "index, pairs_tried, systems_solved",
+    [(71, 5000, 0), (73, 20125, 5), (90, 14877, 0)],
+)
+def test_f11_easy_draws_skip_unbalanced_pairs(index, pairs_tried, systems_solved):
+    # thousands of ordering pairs, of which at most a handful meet the
+    # functional balance and reach the integer program
+    d = decide_orbit(f11_draw(index))
+    assert d.verdict is Verdict.EMPTY
+    assert d.details["case"] == "easy"
+    assert d.trace[0]["pairs_tried"] == pairs_tried
+    assert d.trace[0]["systems_solved"] == systems_solved
 
 
 def test_hard_central_shift_nonempty():
