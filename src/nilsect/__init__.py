@@ -61,7 +61,6 @@ from .intersect import (
     verify_witness,
 )
 from .orbit import (
-    H3Elem,
     OrbitInstance,
     RelaxedSolution,
     reduce_to_identity,

@@ -7,7 +7,9 @@ a named element).  Exit codes are made for scripting ground truth:
     0  decided Empty (or: oracle found nothing / log/exp succeeded)
     1  decided NonEmpty (or: oracle found a collision)
     2  Unsupported instance or a work/memory budget fired
-    3  input error (parse or validation)
+    3  input error (parse or validation, or a bad --budget or --depth:
+       like an option value, each is an INT >= 1 of the instance
+       grammar)
     4  internal error: any other exception (a defect); the traceback
        goes to stderr
 
@@ -31,6 +33,7 @@ from .instances import (
     ParseError,
     ValidationError,
     load_instance_file,
+    read_int,
 )
 from .intersect import (
     Decision,
@@ -167,11 +170,12 @@ def run(command: str, inst_file: InstanceFile, *, witness=False, trace=False,
         else:
             # instance files hold group elements, so the algebra input X
             # is carried as the unipotent matrix I + X
-            x = NilpotentMatrix(
+            x = NilpotentMatrix.from_integer_table(
                 [
                     [v if i != j else 0 for j, v in enumerate(row)]
-                    for i, row in enumerate(mat.rows)
-                ]
+                    for i, row in enumerate(mat.table)
+                ],
+                mat.den,
             )
             out = exp_nilpotent(x)
         report = ResultReport(command, "ok", matrix=_mat_rows(out))
@@ -278,32 +282,38 @@ def _build_parser():
                            help="extract witness words on a nonempty verdict")
             p.add_argument("--trace", action="store_true",
                            help="include the decision trace in the report")
-            p.add_argument("--budget", type=int, default=None,
-                           help="override the interleaving budget")
+            p.add_argument("--budget", default=None,
+                           help="override the interleaving budget (INT >= 1)")
             p.add_argument("--check-oracle", action="store_true",
                            help="cross-check the verdict against enumeration")
         if name == "oracle":
-            p.add_argument("--depth", type=int, default=None,
-                           help="maximum word length to enumerate")
+            p.add_argument("--depth", default=None,
+                           help="maximum word length to enumerate (INT >= 1)")
         if name in ("log", "exp"):
             p.add_argument("--matrix", required=True, help="element name")
     return parser
 
 
+def _flag_int(args, key):
+    """The value of flag --key read as the instance grammar's INT >= 1,
+    or None when the flag is absent or not defined for the command."""
+    value = getattr(args, key, None)
+    return None if value is None else read_int(value, f"--{key}", least=1)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        budget, depth = _flag_int(args, "budget"), _flag_int(args, "depth")
         inst_file = load_instance_file(args.file)
-        if getattr(args, "budget", None) is not None:
-            if args.budget < 1:
-                raise ValueError(f"--budget must be at least 1, got {args.budget}")
-            inst_file.options["interleave_budget"] = args.budget
+        if budget is not None:
+            inst_file.options["interleave_budget"] = budget
         report = run(
             args.command,
             inst_file,
             witness=getattr(args, "witness", False),
             trace=getattr(args, "trace", False),
-            depth=getattr(args, "depth", None),
+            depth=depth,
             matrix_name=getattr(args, "matrix", None),
             check_oracle=getattr(args, "check_oracle", False),
         )

@@ -52,7 +52,7 @@ from math import lcm
 from .matlie import GeneratorSystem, UnipotentMatrix, direct_sum
 from .numfield import HeisenbergElemK, NumberField, embed_heisenberg
 from .intersect import IntersectionInstance
-from .orbit import H3Elem, OrbitInstance
+from .orbit import OrbitInstance
 
 
 KNOWN_OPTIONS = {
@@ -106,22 +106,18 @@ class InstanceFile:
             except ValueError as exc:
                 raise ValidationError(str(exc)) from exc
         t_name, s_name, g_name, h_name = self.problem[1:]
-        t_mat = self.elements[t_name]
-        s_mat = self.elements[s_name]
-        if t_mat.n != 3:
-            raise ValidationError(
-                "orbit problems are decided in dimension 3 only; this "
-                f"instance embeds into dimension {t_mat.n}"
-            )
         g_members = self.semigroups[g_name]
         h_members = self.semigroups[h_name]
-        return OrbitInstance(
-            H3Elem.from_matrix(t_mat),
-            H3Elem.from_matrix(s_mat),
-            GeneratorSystem([self.elements[m] for m in g_members], names=g_members),
-            GeneratorSystem([self.elements[m] for m in h_members], names=h_members),
-            options=self.options,
-        )
+        try:
+            return OrbitInstance(
+                self.elements[t_name],
+                self.elements[s_name],
+                GeneratorSystem([self.elements[m] for m in g_members], names=g_members),
+                GeneratorSystem([self.elements[m] for m in h_members], names=h_members),
+                options=self.options,
+            )
+        except ValueError as exc:  # a group of another dimension than 3
+            raise ValidationError(str(exc)) from exc
 
     def __eq__(self, other):
         return (
@@ -154,22 +150,28 @@ def _rat(tok, line_no):
     return num, den
 
 
-def _int(tok, line_no, what):
-    """The integer tok, of the shape [+-]?[0-9]+ only."""
+def read_int(tok, what, least=None):
+    """The integer tok, of the shape INT = [+-]?[0-9]+ only, and at least
+    `least` when given; a ValueError naming `what` otherwise."""
+    value = None
     if _INT_SHAPE.fullmatch(tok):
         try:
-            return int(tok)
+            value = int(tok)
         except ValueError:  # more digits than int() converts
             pass
-    raise ParseError(line_no, f"{what} must be an integer, got {tok!r}")
-
-
-def _positive_int(tok, line_no, what):
-    """An integer of at least 1: every option bounds some work by it."""
-    value = _int(tok, line_no, what)
-    if value < 1:
-        raise ParseError(line_no, f"{what} must be at least 1, got {value}")
+    if value is None:
+        raise ValueError(f"{what} must be an integer, got {tok!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
     return value
+
+
+def _int(tok, line_no, what, least=None):
+    """`read_int` on line line_no, failing with a ParseError."""
+    try:
+        return read_int(tok, what, least)
+    except ValueError as exc:
+        raise ParseError(line_no, str(exc)) from None
 
 
 def _field_elem(field_obj, tok, line_no):
@@ -379,7 +381,7 @@ def parse_instance_text(text: str) -> InstanceFile:
             key = toks[1]
             if key not in KNOWN_OPTIONS:
                 raise ParseError(no, f"unknown option {key!r}")
-            options[KNOWN_OPTIONS[key]] = _positive_int(toks[2], no, key)
+            options[KNOWN_OPTIONS[key]] = _int(toks[2], no, key, least=1)
         else:
             raise ParseError(no, f"unknown directive {head!r}")
 

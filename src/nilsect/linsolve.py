@@ -663,26 +663,23 @@ def _ilp_base(A, b, k):
 # Cones in Q^2
 
 
-def _exact(x):
-    """An int stays an int; any other rational becomes a Fraction."""
-    return x if type(x) is int else Fraction(x)
-
-
 @dataclass(frozen=True)
 class Cone2D:
     """Finitely generated cone in Q^2 (nonnegative rational combinations).
 
-    Integer entries are kept as given and any other entry becomes a
-    Fraction, so integer generators (such as the orbit superdiagonals in
-    units of their common denominator D) are classified with no Fraction
-    arithmetic at all.  Only the directions matter: a generator scaled
-    by a positive rational, D included, gives the same cone.
+    Generators are integer pairs; any other entry is a TypeError.  Only
+    the directions matter, so a rational cone is given by its generators
+    scaled by positive integers, as the orbit superdiagonals are given in
+    units of their common denominator D.
     """
 
     generators: tuple
 
     def __init__(self, generators):
-        gens = tuple((_exact(a), _exact(b)) for a, b in generators)
+        gens = tuple((a, b) for a, b in generators)
+        for g in gens:
+            if not all(type(x) is int for x in g):
+                raise TypeError(f"cone generator {g!r} is not a pair of ints")
         object.__setattr__(self, "generators", gens)
 
 
@@ -696,25 +693,13 @@ class ConeMeet:
 
 
 def _primitive(v):
-    """Primitive integer vector in the same direction, or None for zero.
-
-    An int pair is divided by its gcd directly.  Any other pair is first
-    scaled by the lcm of its denominators, a positive integer, which
-    moves no direction; so (D a, D b) and (a, b) give the same result.
-    """
+    """Primitive integer vector in the direction of the int pair v, or
+    None for zero."""
     a, b = v
-    if type(a) is int and type(b) is int:
-        if not a and not b:
-            return None
-        g = gcd(a, b)
-        return (a // g, b // g)
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 and b == 0:
+    if not a and not b:
         return None
-    den = a.denominator * b.denominator // gcd(a.denominator, b.denominator)
-    p, q = int(a * den), int(b * den)
-    g = gcd(abs(p), abs(q))
-    return (p // g, q // g)
+    g = gcd(a, b)
+    return (a // g, b // g)
 
 
 def _cross(u, v):

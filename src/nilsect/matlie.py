@@ -9,14 +9,14 @@ floating point anywhere in this package.
 The public classes are immutable, hashable, safe to share between
 threads, and compare by exact equality.  Products, powers, logs,
 exponentials and brackets are computed fraction-free, in the manner of
-Bareiss (1968): a UnipotentMatrix is one integer table over a common
-denominator, reduced so that equal matrices have equal tables, its log
-an integer table X over a denominator D, and every series and product
-runs on those integer tables; a denominator is divided out by one gcd
-per result.  A UnipotentMatrix keeps its log, so every generator system
-holding the matrix shares one.  A Fraction table is built only when
-asked for: a NilpotentMatrix holds one, and a UnipotentMatrix's `rows`
-makes one on each access.
+Bareiss (1968): a UnipotentMatrix and a NilpotentMatrix are each one
+integer table over a common denominator, reduced so that equal matrices
+have equal tables (their shared base, `_IntegerTable`).  A log is an
+integer table X over a denominator D, and every series, product, sum
+and bracket runs on integer tables; a denominator is divided out by one
+gcd per result.  A UnipotentMatrix keeps its log, so every generator
+system holding the matrix shares one.  No matrix holds a Fraction: a
+Fraction table is built only when asked for, by `rows` on each access.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ def _check_unit_upper(table, one):
 def _identity_rows(n):
     """The integer identity table."""
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-
-def _zero_rows(n):
-    return tuple((_ZERO,) * n for _ in range(n))
 
 
 def mul_upper_rows(a, b, n):
@@ -222,16 +218,17 @@ def _integer_bracket(x, y, n):
     return _sub(mul_upper_rows(x, y, n), mul_upper_rows(y, x, n), n)
 
 
-class UnipotentMatrix:
-    """Element of UT(n, Q): unit diagonal, zero below it, exact entries.
+class _IntegerTable:
+    """An n x n rational matrix held as one reduced integer table.
 
-    Held as one reduced integer table: the matrix is table/den with
-    den > 0 and gcd(den, every entry) = 1, so two matrices are equal iff
-    their (table, den) are.  log M = X/D and the coefficients of
-    c -> M^c are computed on first use and kept.
+    The matrix is table/den with den > 0 and gcd(den, every entry) = 1,
+    so two matrices of one class are equal iff their (table, den) are.
+    `rows` is the Fraction table, built on each access, and m[i, j] one
+    Fraction entry.  Subclasses name the shape they hold (`_check`).
     """
 
-    __slots__ = ("n", "table", "den", "_log", "_exp")
+    __slots__ = ("n", "table", "den")
+    _TAG = ""
 
     def __init__(self, rows):
         # the lcm of reduced denominators leaves gcd 1: for each prime p
@@ -239,35 +236,31 @@ class UnipotentMatrix:
         # den keeps a numerator prime to p
         n, frac = _freeze(rows)
         table, den = _integer_rows(frac)
-        _check_unit_upper(table, den)
+        self._check(table, den)
         self._set(n, table, den)
 
     def _set(self, n, table, den):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_log", None)
-        object.__setattr__(self, "_exp", None)
 
     def __setattr__(self, name, value):
-        raise AttributeError("UnipotentMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def identity(cls, n) -> "UnipotentMatrix":
-        return cls._from_integer(n, _identity_rows(n), 1)
-
-    @classmethod
-    def from_integer_table(cls, table, den) -> "UnipotentMatrix":
+    def from_integer_table(cls, table, den):
         """The matrix table/den, for a square integer table and den > 0.
 
-        Checked like the constructor's input, then reduced.
+        Checked like the constructor's input, then held as tuples and
+        reduced.
         """
+        table = tuple(map(tuple, table))
         n = len(table)
         if any(len(row) != n for row in table):
             raise ValueError("matrix is not square")
         if den < 1:
             raise ValueError("denominator must be positive")
-        _check_unit_upper(table, den)
+        cls._check(table, den)
         return cls._from_integer(n, table, den)
 
     @classmethod
@@ -282,6 +275,46 @@ class UnipotentMatrix:
         """The Fraction table, built on each access."""
         return _fraction_rows(self.table, self.den)
 
+    def __getitem__(self, ij):
+        return Fraction(self.table[ij[0]][ij[1]], self.den)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.den == other.den
+            and self.table == other.table
+        )
+
+    def __hash__(self):
+        return hash((self.table, self.den))
+
+    def __repr__(self):
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
+        return f"<{self._TAG}{self.n} [{body}]>"
+
+
+class UnipotentMatrix(_IntegerTable):
+    """Element of UT(n, Q): unit diagonal, zero below it, exact entries.
+
+    A reduced integer table over a denominator (`_IntegerTable`).
+    log M = X/D and the coefficients of c -> M^c are computed on first
+    use and kept.
+    """
+
+    __slots__ = ("_log", "_exp")
+    _TAG = "UT"
+
+    _check = staticmethod(_check_unit_upper)
+
+    def _set(self, n, table, den):
+        super()._set(n, table, den)
+        object.__setattr__(self, "_log", None)
+        object.__setattr__(self, "_exp", None)
+
+    @classmethod
+    def identity(cls, n) -> "UnipotentMatrix":
+        return cls._from_integer(n, _identity_rows(n), 1)
+
     def integer_log(self):
         """(X, D) with log M = X/D."""
         if self._log is None:
@@ -294,9 +327,6 @@ class UnipotentMatrix:
             object.__setattr__(self, "_exp", _exp_coefficients(*self.integer_log()))
         coefs, e = self._exp
         return _exp_table(coefs, c), e
-
-    def __getitem__(self, ij):
-        return Fraction(self.table[ij[0]][ij[1]], self.den)
 
     def __mul__(self, other):
         if not isinstance(other, UnipotentMatrix):
@@ -317,124 +347,101 @@ class UnipotentMatrix:
     def log(self) -> "NilpotentMatrix":
         return log_unipotent(self)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, UnipotentMatrix)
-            and self.den == other.den
-            and self.table == other.table
-        )
 
-    def __hash__(self):
-        return hash((self.table, self.den))
+class NilpotentMatrix(_IntegerTable):
+    """Strictly upper triangular rational matrix (a Lie algebra element).
 
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
-        return f"<UT{self.n} [{body}]>"
+    A reduced integer table over a denominator (`_IntegerTable`); sums,
+    differences, negation and rational multiples are integer-table
+    arithmetic, reduced once per result.
+    """
 
+    __slots__ = ()
+    _TAG = "nil"
 
-class NilpotentMatrix:
-    """Strictly upper triangular rational matrix (a Lie algebra element)."""
-
-    __slots__ = ("n", "rows")
-
-    def __init__(self, rows):
-        n, table = _freeze(rows)
-        for i in range(n):
+    @staticmethod
+    def _check(table, den):
+        for i, row in enumerate(table):
             for j in range(i + 1):
-                if table[i][j]:
+                if row[j]:
                     raise ValueError(f"nonzero entry ({i},{j}) on or below the diagonal")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rows", table)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NilpotentMatrix is immutable")
 
     @classmethod
     def zero(cls, n) -> "NilpotentMatrix":
-        return cls(_zero_rows(n))
+        return cls._from_integer(n, ((0,) * n,) * n, 1)
 
-    @classmethod
-    def _wrap(cls, n, rows):
-        m = object.__new__(cls)
-        object.__setattr__(m, "n", n)
-        object.__setattr__(m, "rows", rows)
-        return m
-
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
+    def _combine(self, other, sign):
+        """self + sign * other, over the lcm of the two denominators."""
+        if not isinstance(other, NilpotentMatrix):
+            return NotImplemented
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, sign * (den // other.den)
+        table = tuple(
+            tuple(ka * x + kb * y for x, y in zip(ra, rb))
+            for ra, rb in zip(self.table, other.table)
+        )
+        return NilpotentMatrix._from_integer(self.n, table, den)
 
     def __add__(self, other):
-        if not isinstance(other, NilpotentMatrix):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return NilpotentMatrix._wrap(self.n, _add(self.rows, other.rows, self.n))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        if not isinstance(other, NilpotentMatrix):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return NilpotentMatrix._wrap(self.n, _sub(self.rows, other.rows, self.n))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return NilpotentMatrix._wrap(self.n, _scale(self.rows, Fraction(-1), self.n))
+        return NilpotentMatrix._from_integer(self.n, _scale(self.table, -1, self.n), self.den)
 
     def __mul__(self, coef):
-        if isinstance(coef, (int, Fraction)):
-            return NilpotentMatrix._wrap(self.n, _scale(self.rows, Fraction(coef), self.n))
-        return NotImplemented
+        if isinstance(coef, int):
+            num, den = coef, 1
+        elif isinstance(coef, Fraction):
+            num, den = coef.numerator, coef.denominator
+        else:
+            return NotImplemented
+        table = _scale(self.table, num, self.n)
+        return NilpotentMatrix._from_integer(self.n, table, self.den * den)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return _is_zero_rows(self.rows)
+        return _is_zero_rows(self.table)
 
     def exp(self) -> UnipotentMatrix:
         return exp_nilpotent(self)
-
-    def __eq__(self, other):
-        return isinstance(other, NilpotentMatrix) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
-        return f"<nil{self.n} [{body}]>"
 
 
 def log_unipotent(m: UnipotentMatrix) -> NilpotentMatrix:
     """Matrix logarithm on UT(n, Q): sum_{k>=1} (-1)^(k-1)/k (M-I)^k.
 
-    The series stops because (M-I)^n = 0; the result is exact.  Computed
-    on the integer table of m (`_integer_log`) and kept by m.
+    The series stops because (M-I)^n = 0; the result is exact.  It is
+    the integer log X/D of m (`_integer_log`), which m keeps.
     """
     if not isinstance(m, UnipotentMatrix):
         m = UnipotentMatrix(m)
-    return NilpotentMatrix._wrap(m.n, _fraction_rows(*m.integer_log()))
+    return NilpotentMatrix._from_integer(m.n, *m.integer_log())
 
 
 def exp_nilpotent(x: NilpotentMatrix) -> UnipotentMatrix:
     """Matrix exponential on strictly upper triangular matrices: sum X^k/k!.
 
-    Computed on the integer table of x over its common denominator
+    Computed on the integer table of x over its denominator
     (`_exp_coefficients` at c = 1).
     """
     if not isinstance(x, NilpotentMatrix):
         x = NilpotentMatrix(x)
-    coefs, e = _exp_coefficients(*_integer_rows(x.rows))
+    coefs, e = _exp_coefficients(x.table, x.den)
     return UnipotentMatrix._from_integer(x.n, _exp_table(coefs, 1), e)
 
 
 def bracket(x: NilpotentMatrix, y: NilpotentMatrix) -> NilpotentMatrix:
-    """Lie bracket [X, Y] = XY - YX."""
+    """Lie bracket [X, Y] = XY - YX, on the integer tables over dx dy."""
     if x.n != y.n:
         raise ValueError("dimension mismatch")
     n = x.n
-    xt, dx = _integer_rows(x.rows)
-    yt, dy = _integer_rows(y.rows)
-    return NilpotentMatrix._wrap(n, _fraction_rows(_integer_bracket(xt, yt, n), dx * dy))
+    table = _integer_bracket(x.table, y.table, n)
+    return NilpotentMatrix._from_integer(n, table, x.den * y.den)
 
 
 def direct_sum(mats) -> UnipotentMatrix:

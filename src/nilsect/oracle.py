@@ -1,10 +1,13 @@
 """Independent brute-force oracle: breadth-first product enumeration.
 
 Enumerates exact products of all nonempty words up to a given length,
-hash-consing on the matrices themselves, and reports the first collision
-in length-lexicographic order.  Used to cross-check the deciders and as
-a semi-decision fallback; shares no code path with them beyond plain
-matrix multiplication.
+hash-consing on their row tables, and reports the first collision in
+length-lexicographic order.  Every input matrix (a generator, or an
+orbit instance's T or S) is a `UnipotentMatrix`, read as its integer
+table when its denominator is 1 and as its Fraction rows otherwise; the
+collision is handed back as a `UnipotentMatrix`.  Used to cross-check
+the deciders and as a semi-decision fallback; shares no code path with
+them beyond plain matrix multiplication.
 """
 
 from __future__ import annotations
@@ -70,10 +73,6 @@ def _bfs_products(gen_rows, n, depth, state, budget):
     return seen
 
 
-def _to_matrix(rows):
-    return UnipotentMatrix(rows)
-
-
 def bfs_oracle(inst, depth: int = 8, *, memory_budget=None):
     """First collision among the instance's sides, or None.
 
@@ -110,12 +109,12 @@ def bfs_oracle(inst, depth: int = 8, *, memory_budget=None):
             Word.from_letters(sys.K, mp[best])
             for sys, mp in zip(inst.systems, maps)
         )
-        return OracleResult(words, _to_matrix(best))
+        return OracleResult(words, UnipotentMatrix(best))
 
     # orbit instance: T * <G> vs S * <H>
     n = 3
-    t_rows = _plain_rows(inst.T.matrix())
-    s_rows = _plain_rows(inst.S.matrix())
+    t_rows = _plain_rows(inst.T)
+    s_rows = _plain_rows(inst.S)
     g_gens = [_plain_rows(m) for m in inst.G.mats]
     h_gens = [_plain_rows(m) for m in inst.H.mats]
     left_raw = _bfs_products(g_gens, n, depth, state, budget)
@@ -141,4 +140,4 @@ def bfs_oracle(inst, depth: int = 8, *, memory_budget=None):
         Word.from_letters(inst.G.K, left[best]),
         Word.from_letters(inst.H.K, right[best]),
     )
-    return OracleResult(words, _to_matrix(best))
+    return OracleResult(words, UnipotentMatrix(best))

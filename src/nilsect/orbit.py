@@ -21,10 +21,10 @@ corner, a_X b_Y - a_Y b_X, so the 2-step BCH formula
 
 is exact here, and every equation below is written with it.
 
-Group elements (`H3Elem`) have one representation, their 3x3
-`UnipotentMatrix`: a reduced integer table over a denominator.  The easy
-case and the cone classification run on integers read straight off
-those tables.  With D the lcm of the table denominators of S, G and H,
+Group elements (T, S and the generators) are 3x3 `UnipotentMatrix`es,
+each a reduced integer table over a denominator; there is no separate
+element type.  The easy case and the cone classification run on
+integers read straight off those tables.  With D the lcm of the table denominators of S, G and H,
 each log triple (a, b, gamma) becomes the integer triple
 (D a, D b, 2 D^2 gamma) (`_integer_logs`).  Superdiagonals scale by D and
 corners by D^2, so half a corner bracket in units of 2 D^2 is the
@@ -32,7 +32,8 @@ integer bracket of the integer superdiagonals, and the BCH sums above
 stay integer sums.  The easy case skips every ordering pair that misses
 the balance its separating functional imposes (see `decide_easy`)
 before any integer program is solved.  The hard case still builds its
-relaxed system over Fraction log triples.
+relaxed system over Fraction log triples, read off the same tables by
+`_log_triple`.
 
 Nonempty verdicts always come with a verified witness pair.  One known
 configuration (dimension <= 1 but no separating functional, e.g. a full
@@ -60,96 +61,26 @@ DEFAULT_PARITY_CAP = 16  # residue enumeration is 2^(K+M) branches
 FALLBACK_DEPTH = 8  # default oracle-depth, here and in the CLI
 
 
-class H3Elem:
-    """Element of the 3x3 unipotent group, held as its `UnipotentMatrix`.
-
-    The matrix [[1, a, c], [0, 1, b], [0, 0, 1]], a reduced integer table
-    over one denominator, is the element's only representation.  `a`, `b`
-    and `c` are read-only Fraction views of its entries; products and
-    inverses are integer-table arithmetic, and `matrix()` returns the
-    held matrix itself.
-    """
-
-    __slots__ = ("_matrix",)
-
-    def __init__(self, a, b, c):
-        object.__setattr__(
-            self, "_matrix", UnipotentMatrix([[1, a, c], [0, 1, b], [0, 0, 1]])
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("H3Elem is immutable")
-
-    @classmethod
-    def identity(cls) -> "H3Elem":
-        return cls._wrap(UnipotentMatrix.identity(3))
-
-    @classmethod
-    def from_matrix(cls, m: UnipotentMatrix) -> "H3Elem":
-        if m.n != 3:
-            raise ValueError("orbit problems live in dimension 3")
-        return cls._wrap(m)
-
-    @classmethod
-    def _wrap(cls, m: UnipotentMatrix) -> "H3Elem":
-        elem = object.__new__(cls)
-        object.__setattr__(elem, "_matrix", m)
-        return elem
-
-    def matrix(self) -> UnipotentMatrix:
-        return self._matrix
-
-    @property
-    def a(self) -> Fraction:
-        return self._matrix[0, 1]
-
-    @property
-    def b(self) -> Fraction:
-        return self._matrix[1, 2]
-
-    @property
-    def c(self) -> Fraction:
-        return self._matrix[0, 2]
-
-    def __mul__(self, other):
-        if not isinstance(other, H3Elem):
-            return NotImplemented
-        return H3Elem._wrap(self._matrix * other._matrix)
-
-    def inverse(self) -> "H3Elem":
-        return H3Elem._wrap(self._matrix.inverse())
-
-    def log(self):
-        """log of the element as the Fraction triple (a, b, c - ab/2).
-
-        These are the entries (0,1), (1,2) and (0,2) of the matrix
-        logarithm; its other entries are zero.
-        """
-        a, b = self.a, self.b
-        return (a, b, self.c - a * b / 2)
-
-    def __eq__(self, other):
-        return isinstance(other, H3Elem) and self._matrix == other._matrix
-
-    def __hash__(self):
-        return hash(self._matrix)
-
-    def __repr__(self):
-        return f"H3({self.a}, {self.b}, {self.c})"
-
-
 class OrbitInstance:
-    """T<G> vs S<H> inside the 3x3 unipotent rational group."""
+    """T<G> vs S<H> inside the 3x3 unipotent rational group.
+
+    T and S are 3x3 `UnipotentMatrix`es, G and H `GeneratorSystem`s of
+    3x3 matrices; other inputs are converted the same way, and any part
+    of another dimension is a ValueError naming it.
+    """
 
     __slots__ = ("T", "S", "G", "H", "options")
 
     def __init__(self, T, S, G, H, options=None):
-        T = T if isinstance(T, H3Elem) else H3Elem.from_matrix(T)
-        S = S if isinstance(S, H3Elem) else H3Elem.from_matrix(S)
+        T = T if isinstance(T, UnipotentMatrix) else UnipotentMatrix(T)
+        S = S if isinstance(S, UnipotentMatrix) else UnipotentMatrix(S)
         G = G if isinstance(G, GeneratorSystem) else GeneratorSystem(G)
         H = H if isinstance(H, GeneratorSystem) else GeneratorSystem(H)
-        if G.n != 3 or H.n != 3:
-            raise ValueError("orbit problems live in dimension 3")
+        for name, part in (("T", T), ("S", S), ("G", G), ("H", H)):
+            if part.n != 3:
+                raise ValueError(
+                    f"orbit problems live in dimension 3; {name} has dimension {part.n}"
+                )
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "G", G)
@@ -178,9 +109,8 @@ class RelaxedSolution:
 
 def reduce_to_identity(inst: OrbitInstance) -> OrbitInstance:
     """Equivalent instance with T = I (replaces S by T^-1 S)."""
-    return OrbitInstance(
-        H3Elem.identity(), inst.T.inverse() * inst.S, inst.G, inst.H, inst.options
-    )
+    s_elem = inst.T.inverse() * inst.S
+    return OrbitInstance(UnipotentMatrix.identity(3), s_elem, inst.G, inst.H, inst.options)
 
 
 def _corner(x, y):
@@ -188,9 +118,16 @@ def _corner(x, y):
     return x[0] * y[1] - y[0] * x[1]
 
 
+def _log_triple(m: UnipotentMatrix):
+    """The Fraction triple (a, b, c - ab/2): entries (0,1), (1,2) and (0,2)
+    of log m, its only nonzero ones (hard case only)."""
+    a, b = m[0, 1], m[1, 2]
+    return (a, b, m[0, 2] - a * b / 2)
+
+
 def _logs(sys: GeneratorSystem):
     """Fraction log triples of the generators, in order (hard case only)."""
-    return [H3Elem.from_matrix(m).log() for m in sys.mats]
+    return [_log_triple(m) for m in sys.mats]
 
 
 @dataclass(frozen=True)
@@ -250,7 +187,7 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
     reduced = reduce_to_identity(inst)
     s_elem = reduced.S
     G, H = inst.G, inst.H
-    units = _integer_logs(s_elem.matrix(), G.mats, H.mats)
+    units = _integer_logs(s_elem, G.mats, H.mats)
     meet = cone_intersect_dim(_cone(units.g), _cone(units.h))
 
     if meet.dim == 2:
@@ -275,8 +212,8 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
 
 def _common_element(inst: OrbitInstance, v: Word, w: Word):
     """T * product(v) when it equals S * product(w), else None."""
-    left = inst.T.matrix() * product_of_word(inst.G, v)
-    right = inst.S.matrix() * product_of_word(inst.H, w)
+    left = inst.T * product_of_word(inst.G, v)
+    right = inst.S * product_of_word(inst.H, w)
     return left if left == right else None
 
 
@@ -324,7 +261,7 @@ def _interleavings(letters, caps, length):
 
 
 def decide_easy(
-    s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, meet=None, options=None, units=None
+    s_elem: UnipotentMatrix, G: GeneratorSystem, H: GeneratorSystem, *, meet=None, options=None, units=None
 ) -> Decision:
     """Finite Diophantine search when the cones meet in dimension <= 1.
 
@@ -364,7 +301,7 @@ def decide_easy(
     options = options or {}
     budget = options.get("interleave_budget", DEFAULT_INTERLEAVING_BUDGET)
     if units is None:
-        units = _integer_logs(s_elem.matrix(), G.mats, H.mats)
+        units = _integer_logs(s_elem, G.mats, H.mats)
     if meet is None:
         meet = cone_intersect_dim(_cone(units.g), _cone(units.h))
     if meet.dim > 1:
@@ -571,7 +508,7 @@ def _solve_interleaving(units, g0, h0, cs, ds, g_coefs, h_coefs):
 def _easy_fallback(s_elem, G, H, options):
     """Semi-decision by enumeration when no separating functional exists."""
     depth = options.get("oracle_depth", FALLBACK_DEPTH)
-    inst = OrbitInstance(H3Elem.identity(), s_elem, G, H)
+    inst = OrbitInstance(UnipotentMatrix.identity(3), s_elem, G, H)
     found = bfs_oracle(inst, depth, memory_budget=options.get("memory_budget"))
     if found is not None:
         v, w = found.words
@@ -624,7 +561,7 @@ def _hard_system(s_log, g_logs, h_logs):
 
 
 def decide_hard(
-    s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, *, options=None
+    s_elem: UnipotentMatrix, G: GeneratorSystem, H: GeneratorSystem, *, options=None
 ) -> Decision:
     """Relaxed-system decision when the cones meet with full dimension.
 
@@ -634,8 +571,9 @@ def decide_hard(
     enumerated (2^(K+M) branches, lowest branch wins); they determine the
     pair parities, and each branch is a pure integer linear system.
     A feasible branch is inflated into a witness pair, which
-    `decide_orbit` checks.  The system is built over the Fraction log
-    triples of G and H (`_logs`).
+    `decide_orbit` checks.  s_elem is the 3x3 matrix T^-1 S.  The system
+    is built over the Fraction log triples (`_log_triple`) of s_elem and
+    of the generators of G and H (`_logs`).
     """
     options = options or {}
     K, M = G.K, H.K
@@ -646,7 +584,7 @@ def decide_hard(
             f"hard case would enumerate 2^{K + M} parity branches (cap {cap})",
             budget=cap,
         )
-    rows, rhs, g_pairs, h_pairs = _hard_system(s_elem.log(), *logs)
+    rows, rhs, g_pairs, h_pairs = _hard_system(_log_triple(s_elem), *logs)
     width = len(rows[0])
     nx, ny = K, M
     den = common_denominator(itertools.chain(*rows, rhs))
@@ -748,7 +686,7 @@ def _positive_combination(g_logs, h_logs):
 
 
 def extract_orbit_witness(
-    s_elem: H3Elem, G: GeneratorSystem, H: GeneratorSystem, sol: RelaxedSolution, *, logs=None
+    s_elem: UnipotentMatrix, G: GeneratorSystem, H: GeneratorSystem, sol: RelaxedSolution, *, logs=None
 ):
     """Inflate a relaxed hard-case solution into witness words.
 
@@ -766,7 +704,7 @@ def extract_orbit_witness(
     """
     g_logs, h_logs = logs or (_logs(G), _logs(H))
     K, M = len(g_logs), len(h_logs)
-    s_log = s_elem.log()
+    s_log = _log_triple(s_elem)
     g_halves = [_corner(g_logs[i], g_logs[j]) / 2 for i, j in _pairs(K)]
     h_halves = [_corner(h_logs[i], h_logs[j]) / 2 for i, j in _pairs(M)]
     s_halves = [_corner(s_log, y) / 2 for y in h_logs]

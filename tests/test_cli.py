@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -169,6 +170,51 @@ def test_parse_errors_have_line_numbers(capsys):
     # floating literals are rejected outright
     with pytest.raises(ParseError):
         parse_instance_text(UT3.replace("1 1 0", "1 1.5 0"))
+
+
+def test_integer_flags_follow_the_instance_grammar(capsys):
+    # --budget and --depth read INT = [+-]?[0-9]+ with the options' rule
+    # INT >= 1, like `option oracle-depth 1_000`; a bad value is an input
+    # error naming the flag
+    orbit_file = str(SAMPLES / "orbit-central.txt")
+    for command, flag in (("orbit", "--budget"), ("oracle", "--depth")):
+        for value, message in (
+            ("1_0", "must be an integer, got '1_0'"),
+            ("\u0663", "must be an integer, got '\u0663'"),
+            (" 5", "must be an integer, got ' 5'"),
+            ("2.0", "must be an integer, got '2.0'"),
+            ("0", "must be at least 1, got 0"),
+            ("-2", "must be at least 1, got -2"),
+        ):
+            assert main([command, orbit_file, flag, value]) == 3
+            err = capsys.readouterr().err
+            assert f"input error: {flag} {message}" in err
+            assert "Traceback" not in err
+    assert main(["orbit", orbit_file, "--budget", "+100000"]) == EXIT_NONEMPTY
+    assert main(["oracle", orbit_file, "--depth", "+3"]) == EXIT_NONEMPTY
+    assert "depth': 3}" in capsys.readouterr().out
+
+
+# sha256 of the texts below as the Fraction-table NilpotentMatrix printed
+# them; the integer-table one must print the same
+LOG_EXP_SHA256 = "8fde2f4152e03ea85fd2d11aafba991f59422e599977a2f8e7f0bcbd518db24e"
+
+
+def test_log_and_exp_text_of_every_sample_element():
+    digest = hashlib.sha256()
+    count = 0
+    for path in sorted(SAMPLES.glob("*.txt")):
+        inst_file = load_instance_file(path)
+        for name in sorted(inst_file.elements):
+            for command in ("log", "exp"):
+                text = run(command, inst_file, matrix_name=name).to_text()
+                body = "\n".join(
+                    line for line in text.splitlines() if not line.startswith("time: ")
+                )
+                digest.update(f"{path.name} {name} {command}\n{body}\n".encode())
+                count += 1
+    assert count == 26
+    assert digest.hexdigest() == LOG_EXP_SHA256
 
 
 def test_validation_non_unipotent():

@@ -1,6 +1,7 @@
 """Static checks on the package source, in place of a linter."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,3 +128,59 @@ def test_package_reads_no_environment():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def traced_names(source):
+    """`module.function` for every entry of the `LAYERS` mapping that a
+    source assigns at module level, read without running it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            layers = ast.literal_eval(node.value)
+            return [f"{mod}.{fn}" for mod, fns in layers.items() for fn in fns]
+    return []
+
+
+def unresolved(names):
+    """The dotted names under `nilsect` that do not resolve to a callable."""
+    missing = []
+    for dotted in names:
+        mod, *path = dotted.split(".")
+        try:
+            obj = importlib.import_module(f"nilsect.{mod}")
+            for attr in path:
+                obj = getattr(obj, attr)
+        except (ImportError, AttributeError):
+            obj = None
+        if not callable(obj):
+            missing.append(dotted)
+    return missing
+
+
+def test_traced_names_detected():
+    source = (
+        "import json\nOTHER = {'a': ('b',)}\n"
+        "LAYERS = {'matlie': ('bracket', 'UnipotentMatrix.inverse'),"
+        " 'orbit': ('decide_orbit', 'no_such_function', 'FALLBACK_DEPTH'),"
+        " 'no_module': ('f',)}\n"
+    )
+    names = traced_names(source)
+    assert names == [
+        "matlie.bracket",
+        "matlie.UnipotentMatrix.inverse",
+        "orbit.decide_orbit",
+        "orbit.no_such_function",
+        "orbit.FALLBACK_DEPTH",
+        "no_module.f",
+    ]
+    assert unresolved(names) == [
+        "orbit.no_such_function", "orbit.FALLBACK_DEPTH", "no_module.f"
+    ]
+
+
+def test_every_traced_function_resolves():
+    # a rename in the package fails here, not in a traced benchmark run
+    names = traced_names((ROOT / "bench" / "tracer.py").read_text())
+    assert len(names) == 23
+    assert unresolved(names) == []

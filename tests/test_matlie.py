@@ -471,15 +471,30 @@ def _holds_fraction(value):
     return isinstance(value, (tuple, list)) and any(map(_holds_fraction, value))
 
 
+def _slots(m):
+    """The value of every slot of m, those of its base classes included."""
+    return [
+        getattr(m, name)
+        for cls in type(m).__mro__
+        for name in getattr(cls, "__slots__", ())
+    ]
+
+
+def _assert_one_reduced_table(m):
+    assert not any(map(_holds_fraction, _slots(m)))
+    assert {"n", "table", "den"} <= {
+        name for cls in type(m).__mro__ for name in getattr(cls, "__slots__", ())
+    }
+    assert m.den > 0
+    assert math.gcd(m.den, *(x for row in m.table for x in row)) == 1
+
+
 def test_matrix_stores_one_reduced_integer_table(rng):
     for n in range(1, 7):
         for _ in range(10):
             m = random_unipotent(rng, n, bound=9)
             m.integer_power(3)  # the caches are filled too
-            slots = [getattr(m, name) for name in UnipotentMatrix.__slots__]
-            assert not any(map(_holds_fraction, slots))
-            assert m.den > 0
-            assert math.gcd(m.den, *(x for row in m.table for x in row)) == 1
+            _assert_one_reduced_table(m)
 
 
 def test_equal_matrices_have_one_form_however_built(rng):
@@ -493,6 +508,7 @@ def test_equal_matrices_have_one_form_however_built(rng):
                 UnipotentMatrix(m.rows),
                 UnipotentMatrix([[str(x) for x in row] for row in m.rows]),
                 UnipotentMatrix.from_integer_table(scaled, k * m.den),
+                UnipotentMatrix.from_integer_table(list(map(list, m.table)), m.den),
                 m * UnipotentMatrix.identity(n),
                 m**3 * m**-2,
                 m.inverse().inverse(),
@@ -545,6 +561,106 @@ def test_products_build_no_fraction_table(rng, monkeypatch):
     # fresh copies, so their logs and power coefficients are computed here
     fresh = [UnipotentMatrix.from_integer_table(m.table, m.den) for m in mats]
     assert products(fresh) == want
+
+
+def test_nilpotent_matrix_stores_one_reduced_integer_table(rng):
+    for n in range(1, 7):
+        for _ in range(10):
+            x = random_nilpotent(rng, n, bound=9)
+            y = random_nilpotent(rng, n, bound=9)
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+            built = [
+                x, x + y, x - y, -x, c * x, x * 4, x * 0, bracket(x, y),
+                log_unipotent(exp_nilpotent(x)), NilpotentMatrix.zero(n),
+            ]
+            for z in built:
+                _assert_one_reduced_table(z)
+
+
+def test_equal_nilpotent_matrices_have_one_form_however_built(rng):
+    for n in range(2, 7):
+        for _ in range(10):
+            m = random_unipotent(rng, n, bound=9)
+            x = log_unipotent(m)
+            y = random_nilpotent(rng, n, bound=9)
+            k = rng.randint(2, 30)
+            scaled = tuple(tuple(k * v for v in row) for row in x.table)
+            same_x = [
+                NilpotentMatrix(x.rows),
+                NilpotentMatrix([[str(v) for v in row] for row in x.rows]),
+                NilpotentMatrix.from_integer_table(scaled, k * x.den),
+                NilpotentMatrix.from_integer_table(list(map(list, x.table)), x.den),
+                log_unipotent(UnipotentMatrix(m.rows)),  # a fresh log
+                _ref_log(m),
+                (x + y) - y,
+                x + NilpotentMatrix.zero(n),
+                (x * k) * Fraction(1, k),
+                -(-x),
+                bch_log(GeneratorSystem([m]), [1], {}),
+            ]
+            same_bracket = [
+                _ref_bracket(x, y),
+                -bracket(y, x),
+                bracket(x * k, y) * Fraction(1, k),
+                bracket(x + y, y),
+            ]
+            same_sum = [NilpotentMatrix(_ref_combine(x.rows, y.rows, 1)), y + x, x - (-y)]
+            for want, builds in (
+                (x, same_x),
+                (bracket(x, y), same_bracket),
+                (x + y, same_sum),
+            ):
+                for other in builds:
+                    assert other == want and hash(other) == hash(want)
+                    assert (other.table, other.den) == (want.table, want.den)
+            zero = x - x
+            assert zero == NilpotentMatrix.zero(n) and zero.is_zero()
+            assert zero.den == 1 and hash(zero) == hash(NilpotentMatrix.zero(n))
+            assert x != m and m != x  # no equality across the two classes
+
+
+def test_nilpotent_rows_and_entries_are_exact_fractions(rng):
+    for n in range(1, 7):
+        for _ in range(10):
+            rows = [
+                [
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if j > i else 0
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+            x = NilpotentMatrix(rows)
+            assert x.rows == tuple(tuple(map(Fraction, row)) for row in rows)
+            assert _all_fraction(x)
+            for i in range(n):
+                for j in range(n):
+                    assert type(x[i, j]) is Fraction
+                    assert x[i, j] == rows[i][j]
+    x = nil3(Fraction(1, 2), 0, 3)
+    assert repr(x) == "<nil3 [0 1/2 3; 0 0 0; 0 0 0]>"
+    with pytest.raises(AttributeError):
+        x.den = 1
+    with pytest.raises(ValueError):
+        NilpotentMatrix.from_integer_table(((0, 1), (0, 0)), 0)
+    with pytest.raises(ValueError):
+        NilpotentMatrix.from_integer_table(((0, 1), (1, 0)), 2)
+
+
+def test_nilpotent_arithmetic_builds_no_fraction_table(rng, monkeypatch):
+    import nilsect.matlie as matlie
+
+    def algebra(x, y):
+        return x + y, x - y, -x, x * 3, bracket(x, y), exp_nilpotent(x), x.is_zero()
+
+    x, y = (random_nilpotent(rng, 5, bound=9) for _ in range(2))
+    want = algebra(x, y)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction table was built")
+
+    for name in ("Fraction", "_fraction_rows", "_freeze"):
+        monkeypatch.setattr(matlie, name, refuse)
+    assert algebra(x, y) == want
 
 
 # ---- the former Fraction kernel, kept as the reference for the integer one

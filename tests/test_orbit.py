@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from nilsect import (
     BudgetExceeded,
     GeneratorSystem,
-    H3Elem,
     OrbitInstance,
     UnipotentMatrix,
     UnsupportedInstance,
@@ -38,6 +37,7 @@ from nilsect.orbit import (
     _hard_system,
     _integer_logs,
     _interleavings,
+    _log_triple,
     _logs,
     _side_coefficients,
     _solve_interleaving,
@@ -60,8 +60,8 @@ def orbit(T, S, G, H, **opts):
 
 def verified(inst, decision):
     v, w = decision.witnesses
-    left = inst.T.matrix() * product_of_word(inst.G, v)
-    right = inst.S.matrix() * product_of_word(inst.H, w)
+    left = inst.T * product_of_word(inst.G, v)
+    right = inst.S * product_of_word(inst.H, w)
     return left == right == decision.common_element
 
 
@@ -69,51 +69,53 @@ def random_rational(rng, bound=4):
     return Fraction(rng.randint(-bound, bound), rng.choice((1, 2, 3)))
 
 
+ENTRIES = ((0, 1), (1, 2), (0, 2))
+
+
+def log_triple(m):
+    """The Fraction log triple (a, b, gamma) of a 3x3 unipotent matrix,
+    read off its matrix log."""
+    log = log_unipotent(m)
+    return tuple(log[e] for e in ENTRIES)
+
+
 def test_log_triple_and_corner_bracket():
-    # the triple is the (0,1), (1,2), (0,2) entries of the matrix log,
-    # and the corner is the only nonzero entry of the bracket
+    # `_log_triple` is the (0,1), (1,2), (0,2) entries of the matrix
+    # log, and the corner is the only nonzero entry of the bracket
     lx, ly = log_unipotent(X), log_unipotent(Y)
-    assert H3Elem.from_matrix(X).log() == (1, 0, 0)
-    assert _corner(H3Elem.from_matrix(X).log(), H3Elem.from_matrix(Y).log()) == 1
+    assert _log_triple(X) == (1, 0, 0)
+    assert _corner(_log_triple(X), _log_triple(Y)) == 1
     assert bracket(lx, ly)[0, 2] == 1
     rng = random.Random(31)
-    entries = ((0, 1), (1, 2), (0, 2))
     for _ in range(200):
-        e, f = (H3Elem(*(random_rational(rng) for _ in range(3))) for _ in range(2))
-        le, lf = log_unipotent(e.matrix()), log_unipotent(f.matrix())
-        assert e.log() == tuple(le[ij] for ij in entries)
-        assert all(isinstance(v, Fraction) for v in e.log())
+        e, f = (h3(*(random_rational(rng) for _ in range(3))) for _ in range(2))
+        le, lf = log_unipotent(e), log_unipotent(f)
+        assert_same_fractions(_log_triple(e), log_triple(e))
         br = bracket(le, lf)
-        assert _corner(e.log(), f.log()) == br[0, 2]
+        assert _corner(_log_triple(e), _log_triple(f)) == br[0, 2]
         assert all(
             not br[i, j] for i in range(3) for j in range(3) if (i, j) != (0, 2)
         )
 
 
-def test_h3_elem_arithmetic():
-    a = H3Elem(1, 2, 3)
-    assert a * a.inverse() == H3Elem.identity()
-    assert H3Elem.from_matrix(a.matrix()) == a
-    assert (H3Elem(1, 0, 0) * H3Elem(0, 1, 0)).c == 1
-    # one representation: the element holds its UnipotentMatrix, a, b and
-    # c are Fraction views of it, and products and inverses are the
-    # matrix's own
-    rng = random.Random(29)
-    for _ in range(100):
-        e, f = (H3Elem(*(random_rational(rng) for _ in range(3))) for _ in range(2))
-        m = e.matrix()
-        assert H3Elem.from_matrix(m).matrix() is m
-        assert (e.a, e.b, e.c) == (m[0, 1], m[1, 2], m[0, 2])
-        assert all(type(v) is Fraction for v in (e.a, e.b, e.c))
-        assert (e * f).matrix() == m * f.matrix()
-        assert e.inverse().matrix() == m.inverse()
-        assert e * e.inverse() == H3Elem.identity()
-        same = H3Elem(e.a, e.b, e.c)
-        assert e == same and hash(e) == hash(same)
+def test_orbit_instance_holds_3x3_matrices():
+    # T and S are held as the matrices given (rows are converted), and
+    # each part of another dimension is refused by name
+    t, s = h3(1, 2, 3), h3(0, Fraction(1, 2), 1)
+    inst = orbit(t, s, gsys(X), gsys(Y))
+    assert inst.T is t and inst.S is s
+    assert orbit(t.rows, s.rows, [X], [Y]).S == s
+    big = UnipotentMatrix.identity(4)
+    for name, parts in (
+        ("T", (big, s, gsys(X), gsys(Y))),
+        ("S", (t, big, gsys(X), gsys(Y))),
+        ("G", (t, s, gsys(big), gsys(Y))),
+        ("H", (t, s, gsys(X), gsys(big))),
+    ):
+        with pytest.raises(ValueError, match=f"{name} has dimension 4"):
+            orbit(*parts)
     with pytest.raises(AttributeError):
-        e.a = 0
-    with pytest.raises(ValueError):
-        H3Elem.from_matrix(UnipotentMatrix.identity(4))
+        inst.T = s
 
 
 def test_integer_logs_are_the_fraction_logs_in_units():
@@ -122,35 +124,35 @@ def test_integer_logs_are_the_fraction_logs_in_units():
     # denominators
     rng = random.Random(37)
     for _ in range(100):
-        s = H3Elem(*(random_rational(rng) for _ in range(3)))
+        s = h3(*(random_rational(rng) for _ in range(3)))
         G, H = (random_easy_side(rng)[0] for _ in range(2))
-        units = _integer_logs(s.matrix(), G.mats, H.mats)
-        dens = [m.den for m in (s.matrix(),) + G.mats + H.mats]
+        units = _integer_logs(s, G.mats, H.mats)
+        dens = [m.den for m in (s,) + G.mats + H.mats]
         assert units.den == math.lcm(*dens)
-        assert_same_ints(units.s, in_units(s.log(), units.den))
+        assert_same_ints(units.s, in_units(log_triple(s), units.den))
         for got, ref in zip(units.g + units.h, _logs(G) + _logs(H)):
             assert_same_ints(got, in_units(ref, units.den))
         assert len(units.g) == G.K and len(units.h) == H.K
 
 
 def test_reduce_to_identity():
-    t = H3Elem(1, 0, 0)
-    s = t * H3Elem(0, 1, 0)
+    t = h3(1, 0, 0)
+    s = t * h3(0, 1, 0)
     inst = orbit(t, s, gsys(X), gsys(Y))
     red = reduce_to_identity(inst)
-    assert red.T == H3Elem.identity()
-    assert red.S == H3Elem(0, 1, 0)
+    assert red.T == IDENT
+    assert red.S == h3(0, 1, 0)
     # verdict preserved under reduction
-    for t2, s2 in [(H3Elem(1, 1, 0), H3Elem(1, 1, 1)), (H3Elem(0, 0, 2), H3Elem(0, 0, 2))]:
+    for t2, s2 in [(h3(1, 1, 0), h3(1, 1, 1)), (h3(0, 0, 2), h3(0, 0, 2))]:
         a = decide_orbit(orbit(t2, s2, gsys(X, Y), gsys(X, Y)))
         b = decide_orbit(
-            orbit(H3Elem.identity(), t2.inverse() * s2, gsys(X, Y), gsys(X, Y))
+            orbit(IDENT, t2.inverse() * s2, gsys(X, Y), gsys(X, Y))
         )
         assert a.verdict == b.verdict
 
 
 def test_easy_same_ray_nonempty():
-    inst = orbit(H3Elem.identity(), H3Elem(1, 0, 0), gsys(X), gsys(X))
+    inst = orbit(IDENT, h3(1, 0, 0), gsys(X), gsys(X))
     d = decide_orbit(inst)
     assert d.verdict is Verdict.NONEMPTY
     assert d.details["case"] == "easy"
@@ -158,7 +160,7 @@ def test_easy_same_ray_nonempty():
 
 
 def test_easy_disjoint_rays_empty():
-    inst = orbit(H3Elem.identity(), H3Elem.identity(), gsys(X), gsys(Y))
+    inst = orbit(IDENT, IDENT, gsys(X), gsys(Y))
     d = decide_orbit(inst)
     assert d.verdict is Verdict.EMPTY
     assert d.details["dim"] == 0
@@ -166,8 +168,8 @@ def test_easy_disjoint_rays_empty():
 
 def test_easy_with_off_line_letters():
     # no witness here: matching the central entry is impossible
-    s = H3Elem(0, 0, 1)
-    inst = orbit(H3Elem.identity(), s, gsys(X, Y), gsys(Y))
+    s = h3(0, 0, 1)
+    inst = orbit(IDENT, s, gsys(X, Y), gsys(Y))
     d = decide_orbit(inst)
     assert d.details["dim"] == 1
     if d.verdict is Verdict.NONEMPTY:
@@ -180,7 +182,7 @@ def test_easy_with_off_line_letters():
 def test_easy_interleaving_witness():
     # v = y x against w = x shifted by S = y: one off-line letter on the
     # left, none on the right, found through the interleaving search
-    inst = orbit(H3Elem.identity(), H3Elem(0, 1, 0), gsys(X, Y), gsys(X))
+    inst = orbit(IDENT, h3(0, 1, 0), gsys(X, Y), gsys(X))
     d = decide_orbit(inst)
     assert d.details["case"] == "easy"
     assert d.verdict is Verdict.NONEMPTY
@@ -191,7 +193,7 @@ def test_easy_interleaving_witness():
 
 def test_verify_orbit_witness_checks_the_translated_products():
     # T^-1 S = (0, 1, 0), as in the interleaving witness above
-    inst = orbit(H3Elem(1, 0, 0), H3Elem(1, 1, 1), gsys(X, Y), gsys(X))
+    inst = orbit(h3(1, 0, 0), h3(1, 1, 1), gsys(X, Y), gsys(X))
     d = decide_orbit(inst)
     assert d.verdict is Verdict.NONEMPTY and verified(inst, d)
     v, w = d.witnesses
@@ -204,8 +206,8 @@ def test_verify_orbit_witness_checks_the_translated_products():
 
 def test_easy_interleaving_deeper_caps():
     # S = y^2 x needs two off-line letters on the left
-    s_elem = H3Elem.from_matrix(Y * Y * X)
-    inst = orbit(H3Elem.identity(), s_elem, gsys(X, Y), gsys(X))
+    s_elem = Y * Y * X
+    inst = orbit(IDENT, s_elem, gsys(X, Y), gsys(X))
     d = decide_orbit(inst)
     assert d.details["case"] == "easy"
     found = bfs_oracle(inst, 6)
@@ -241,9 +243,6 @@ def test_interleavings_stream_in_reference_order():
         assert list(_interleavings(letters, caps, len(levels))) == []
 
 
-ENTRIES = ((0, 1), (1, 2), (0, 2))
-
-
 def side_coefficients_by_products(sys, interleaving, on_line, prefix):
     """Reference: the log of prefix * product at zero on-line counts and
     at each unit count, by multiplying out the words and taking matrix
@@ -274,7 +273,7 @@ def hard_system_by_matrix_logs(s_elem, G, H):
     """Reference: the relaxed hard-case system from 3x3 matrix logs and
     matrix brackets."""
     K, M = G.K, H.K
-    log_s = log_unipotent(s_elem.matrix())
+    log_s = log_unipotent(s_elem)
     g_pairs = [(i, j) for i in range(K) for j in range(i + 1, K)]
     h_pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
     nx, ny, nc = K, M, len(g_pairs)
@@ -336,9 +335,9 @@ def random_easy_side(rng):
     mats = []
     for _ in range(n_on):
         t = random_rational(rng, 3) or Fraction(1, 2)
-        mats.append(H3Elem(t * p, t * q, random_rational(rng)).matrix())
+        mats.append(h3(t * p, t * q, random_rational(rng)))
     mats += [
-        H3Elem(*(random_rational(rng) for _ in range(3))).matrix()
+        h3(*(random_rational(rng) for _ in range(3)))
         for _ in range(rng.randint(1, 3))
     ]
     return GeneratorSystem(mats), list(range(n_on))
@@ -355,7 +354,7 @@ def test_side_coefficients_match_unit_count_products():
         )
         prefix = None
         if trial % 2:
-            prefix = H3Elem(*(random_rational(rng) for _ in range(3))).matrix()
+            prefix = h3(*(random_rational(rng) for _ in range(3)))
         units = side_units(sys, prefix)
         base, cols = _side_coefficients(
             units.g, interleaving, on_line, None if prefix is None else units.s
@@ -397,15 +396,15 @@ def test_hard_system_matches_matrix_logs():
     rng = random.Random(59)
     for _ in range(80):
         G = GeneratorSystem(
-            [H3Elem(*(random_rational(rng) for _ in range(3))).matrix()
+            [h3(*(random_rational(rng) for _ in range(3)))
              for _ in range(rng.randint(1, 4))]
         )
         H = GeneratorSystem(
-            [H3Elem(*(random_rational(rng) for _ in range(3))).matrix()
+            [h3(*(random_rational(rng) for _ in range(3)))
              for _ in range(rng.randint(1, 4))]
         )
-        s_elem = H3Elem(*(random_rational(rng) for _ in range(3)))
-        rows, rhs, _, _ = _hard_system(s_elem.log(), _logs(G), _logs(H))
+        s_elem = h3(*(random_rational(rng) for _ in range(3)))
+        rows, rhs, _, _ = _hard_system(log_triple(s_elem), _logs(G), _logs(H))
         ref_rows, ref_rhs = hard_system_by_matrix_logs(s_elem, G, H)
         for row, ref in zip(rows, ref_rows):
             assert_same_fractions(row, ref)
@@ -417,12 +416,12 @@ def test_closed_forms_on_orbit_central_sample():
     path = Path(__file__).resolve().parent.parent / "samples" / "orbit-central.txt"
     inst = load_instance_file(path).build()
     s_elem = reduce_to_identity(inst).S
-    rows, rhs, _, _ = _hard_system(s_elem.log(), _logs(inst.G), _logs(inst.H))
+    rows, rhs, _, _ = _hard_system(log_triple(s_elem), _logs(inst.G), _logs(inst.H))
     assert (rows, rhs) == hard_system_by_matrix_logs(s_elem, inst.G, inst.H)
     # x on-line, y off-line, with S in front on the H side
     for length in range(3):
         interleaving = (1,) * length
-        for sys, prefix in ((inst.G, None), (inst.H, s_elem.matrix())):
+        for sys, prefix in ((inst.G, None), (inst.H, s_elem)):
             units = side_units(sys, prefix)
             got = _side_coefficients(
                 units.g, interleaving, [0], None if prefix is None else units.s
@@ -513,13 +512,13 @@ def random_easy_instance(rng):
         value = Fraction(rng.randint(1, 6), rng.randint(1, 6))
         while ns / value >= 3:
             value = Fraction(rng.randint(1, 6), rng.randint(1, 6))
-        return H3Elem(*point(sign * value, rat(2)), rat(4)).matrix()
+        return h3(*point(sign * value, rat(2)), rat(4))
 
     def side(sign):
         t = Fraction(rng.randint(1, 3), rng.randint(1, 6))
-        mats = [H3Elem(*point(0, t), rat(4)).matrix()]
+        mats = [h3(*point(0, t), rat(4))]
         mats += [
-            H3Elem(*point(0, rat(3) or Fraction(1, 2)), rat(4)).matrix()
+            h3(*point(0, rat(3) or Fraction(1, 2)), rat(4))
             for _ in range(rng.randint(0, 1))
         ]
         mats += [off_line(sign) for _ in range(rng.randint(1, 2))]
@@ -527,8 +526,8 @@ def random_easy_instance(rng):
         return GeneratorSystem(mats)
 
     G, H = side(1), side(-1)
-    S = H3Elem(*point(ns, rat(4)), rat(4) or Fraction(1, 5))
-    return OrbitInstance(H3Elem.identity(), S, G, H)
+    S = h3(*point(ns, rat(4)), rat(4) or Fraction(1, 5))
+    return OrbitInstance(IDENT, S, G, H)
 
 
 def easy_search(inst):
@@ -538,7 +537,7 @@ def easy_search(inst):
     of D, and every ordering pair within the caps, in the order
     `decide_easy` enumerates them."""
     units = _integer_logs(
-        reduce_to_identity(inst).S.matrix(), inst.G.mats, inst.H.mats
+        reduce_to_identity(inst).S, inst.G.mats, inst.H.mats
     )
     n0, n1 = cone_intersect_dim(
         _cone(units.g), _cone(units.h)
@@ -609,7 +608,7 @@ def record_easy_systems(inst, monkeypatch):
 
 def assert_rows_match_reference(inst, calls):
     """Every recorded system is, int for int, the reference's system."""
-    s_log = reduce_to_identity(inst).S.log()
+    s_log = log_triple(reduce_to_identity(inst).S)
     g_logs, h_logs = _logs(inst.G), _logs(inst.H)
     for (g0, h0, cs, ds), A, b, groups in calls:
         ref_rows, ref_rhs, ref_groups = reference_rows(
@@ -626,18 +625,14 @@ def dilated(inst, t):
     t^2 gamma) of the Lie algebra, T = I."""
 
     def image(elem):
-        a, b, gamma = elem.log()
+        a, b, gamma = log_triple(elem)
         a, b, gamma = t * a, t * b, t * t * gamma
-        return H3Elem(a, b, gamma + a * b / 2)
+        return h3(a, b, gamma + a * b / 2)
 
     def system(sys):
-        return GeneratorSystem(
-            [image(H3Elem.from_matrix(m)).matrix() for m in sys.mats]
-        )
+        return GeneratorSystem([image(m) for m in sys.mats])
 
-    return OrbitInstance(
-        H3Elem.identity(), image(inst.S), system(inst.G), system(inst.H)
-    )
+    return OrbitInstance(IDENT, image(inst.S), system(inst.G), system(inst.H))
 
 
 def test_easy_rows_match_fraction_reference(monkeypatch):
@@ -646,7 +641,7 @@ def test_easy_rows_match_fraction_reference(monkeypatch):
     systems = 0
     for trial in range(120):
         inst = random_easy_instance(rng)
-        assert inst.S != H3Elem.identity()
+        assert inst.S != IDENT
         calls = record_easy_systems(inst, monkeypatch)
         assert_rows_match_reference(inst, calls)
         systems += len(calls)
@@ -657,7 +652,7 @@ def test_easy_rows_match_fraction_reference(monkeypatch):
             # shares the factor 3 that 2 D^2 = 2 lacks: the rows must not
             # be divided by it
             den = common_denominator(
-                itertools.chain(inst.S.log(), *_logs(inst.G), *_logs(inst.H))
+                itertools.chain(log_triple(inst.S), *_logs(inst.G), *_logs(inst.H))
             )
             scaled = dilated(inst, 3 * den)
             calls = record_easy_systems(scaled, monkeypatch)
@@ -789,15 +784,15 @@ def f11_draw(index):
     rng = random.Random(11)
 
     def elem():
-        return H3Elem(
+        return h3(
             *(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
         )
 
     for _ in range(index + 1):
         K, M = rng.randint(1, 3), rng.randint(1, 3)
         T, S = elem(), elem()
-        G = [elem().matrix() for _ in range(K)]
-        H = [elem().matrix() for _ in range(M)]
+        G = [elem() for _ in range(K)]
+        H = [elem() for _ in range(M)]
     return OrbitInstance(T, S, GeneratorSystem(G), GeneratorSystem(H))
 
 
@@ -818,7 +813,7 @@ def test_f11_easy_draws_skip_unbalanced_pairs(index, pairs_tried, systems_solved
 def test_hard_central_shift_nonempty():
     G = gsys(X, Y)
     H = gsys(X, Y)
-    inst = orbit(H3Elem.identity(), H3Elem(0, 0, 1), G, H)
+    inst = orbit(IDENT, h3(0, 0, 1), G, H)
     d = decide_orbit(inst)
     assert d.details["case"] == "hard"
     assert d.verdict is Verdict.NONEMPTY
@@ -839,13 +834,13 @@ def test_orbit_witness_multiplied_once(monkeypatch):
 
     monkeypatch.setattr(orbit_module, "product_of_word", counting)
     G = gsys(X, Y)
-    d = decide_orbit(orbit(H3Elem.identity(), H3Elem(0, 0, 1), G, G))
+    d = decide_orbit(orbit(IDENT, h3(0, 0, 1), G, G))
     assert d.details["case"] == "hard"
     assert d.verdict is Verdict.NONEMPTY
     assert calls == list(d.witnesses)
     # the easy case builds its systems without multiplying any word
     calls.clear()
-    d = decide_orbit(orbit(H3Elem.identity(), H3Elem(0, 1, 0), G, gsys(X)))
+    d = decide_orbit(orbit(IDENT, h3(0, 1, 0), G, gsys(X)))
     assert d.details["case"] == "easy"
     assert d.verdict is Verdict.NONEMPTY
     assert d.trace[0]["g_plus"] == [1]
@@ -854,14 +849,14 @@ def test_orbit_witness_multiplied_once(monkeypatch):
 
 def test_hard_half_central_shift_empty():
     G = gsys(X, Y)
-    inst = orbit(H3Elem.identity(), H3Elem(0, 0, Fraction(1, 2)), G, G)
+    inst = orbit(IDENT, h3(0, 0, Fraction(1, 2)), G, G)
     d = decide_orbit(inst)
     assert d.verdict is Verdict.EMPTY
 
 
 def test_hard_identity_shift_nonempty():
     G = gsys(X, Y)
-    d = decide_orbit(orbit(H3Elem.identity(), H3Elem.identity(), G, G))
+    d = decide_orbit(orbit(IDENT, IDENT, G, G))
     assert d.verdict is Verdict.NONEMPTY
 
 
@@ -870,8 +865,8 @@ def test_parity_obstruction_family():
     # needs an odd coefficient difference while the parities force even
     G = gsys(X, Y)
     for k in (0, 1, 2):
-        s = H3Elem(0, 0, k + Fraction(1, 2))
-        inst = orbit(H3Elem.identity(), s, G, G)
+        s = h3(0, 0, k + Fraction(1, 2))
+        inst = orbit(IDENT, s, G, G)
         d = decide_orbit(inst)
         assert d.verdict is Verdict.EMPTY
         assert bfs_oracle(inst, 8) is None
@@ -880,7 +875,7 @@ def test_parity_obstruction_family():
 def test_fallback_commutator_membership():
     G = gsys(X, Y, X.inverse(), Y.inverse())
     H = gsys(IDENT)
-    inst = orbit(H3Elem.identity(), H3Elem(0, 0, 1), G, H)
+    inst = orbit(IDENT, h3(0, 0, 1), G, H)
     d = decide_orbit(inst)
     assert d.verdict is Verdict.NONEMPTY
     assert d.details["case"] == "fallback"
@@ -892,14 +887,14 @@ def test_unsupported_raises_when_fallback_finds_nothing():
     G = gsys(X, Y, X.inverse(), Y.inverse())
     H = gsys(IDENT)
     inst = orbit(
-        H3Elem.identity(), H3Elem(0, 0, Fraction(1, 2)), G, H, oracle_depth=4
+        IDENT, h3(0, 0, Fraction(1, 2)), G, H, oracle_depth=4
     )
     with pytest.raises(UnsupportedInstance):
         decide_orbit(inst)
 
 
 def random_h3_elem(rng, bound=2):
-    return H3Elem(
+    return h3(
         rng.randint(-bound, bound),
         rng.randint(-bound, bound),
         rng.randint(-bound, bound),
@@ -908,7 +903,7 @@ def random_h3_elem(rng, bound=2):
 
 def random_system(rng, k, bound=2):
     return GeneratorSystem(
-        [random_h3_elem(rng, bound).matrix() for _ in range(k)]
+        [random_h3_elem(rng, bound) for _ in range(k)]
     )
 
 
@@ -940,7 +935,7 @@ def test_membership_specialization(rng):
     for _ in range(25):
         g_sys = random_system(rng, rng.randint(1, 2), bound=1)
         s = random_h3_elem(rng, 1)
-        inst = orbit(H3Elem.identity(), s, g_sys, gsys(IDENT))
+        inst = orbit(IDENT, s, g_sys, gsys(IDENT))
         try:
             d = decide_orbit(inst)
         except UnsupportedInstance:
@@ -954,4 +949,4 @@ def test_membership_specialization(rng):
 
 def test_decide_easy_requires_low_dimension():
     with pytest.raises(ValueError):
-        decide_easy(H3Elem.identity(), gsys(X, Y), gsys(X, Y))
+        decide_easy(IDENT, gsys(X, Y), gsys(X, Y))
