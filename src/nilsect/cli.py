@@ -9,7 +9,8 @@ a named element).  Exit codes are made for scripting ground truth:
     2  Unsupported instance or a work/memory budget fired
     3  input error (parse or validation, or a bad --budget or --depth:
        like an option value, each is an INT >= 1 of the instance
-       grammar)
+       grammar), and a usage error (an unknown command or flag, or a
+       missing argument); --help exits 0
     4  internal error: any other exception (a defect); the traceback
        goes to stderr
 
@@ -153,8 +154,8 @@ def _jsonable_trace(trace):
     return conv(trace)
 
 
-def run(command: str, inst_file: InstanceFile, *, witness=False, trace=False,
-        depth=None, matrix_name=None, check_oracle=False) -> ResultReport:
+def run(command: str, inst_file: InstanceFile, *, trace=False, depth=None,
+        matrix_name=None, check_oracle=False) -> ResultReport:
     """Dispatch one command against a parsed instance file."""
     start = time.monotonic()
     options = inst_file.options
@@ -196,8 +197,8 @@ def run(command: str, inst_file: InstanceFile, *, witness=False, trace=False,
         report.timing_s = time.monotonic() - start
         return report
 
-    if command == "witness":
-        witness = True
+    witness = command == "witness"
+    if witness:
         command = (
             "intersect" if isinstance(built, IntersectionInstance) else "orbit"
         )
@@ -266,8 +267,18 @@ def reverify_report(report: dict, inst_file: InstanceFile) -> bool:
     return verify_orbit_witness(built, v, w)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_INPUT_ERROR:
+    argparse's own 2 is EXIT_UNSUPPORTED here.  Subcommand parsers are
+    made of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="decide",
         description="exact decision procedures for semigroup intersection "
         "problems in unipotent matrix groups",
@@ -278,8 +289,6 @@ def _build_parser():
         p.add_argument("file", help="instance file")
         p.add_argument("--json", action="store_true", help="machine-readable report")
         if name in ("intersect", "orbit", "witness"):
-            p.add_argument("--witness", action="store_true",
-                           help="extract witness words on a nonempty verdict")
             p.add_argument("--trace", action="store_true",
                            help="include the decision trace in the report")
             p.add_argument("--budget", default=None,
@@ -311,7 +320,6 @@ def main(argv=None) -> int:
         report = run(
             args.command,
             inst_file,
-            witness=getattr(args, "witness", False),
             trace=getattr(args, "trace", False),
             depth=depth,
             matrix_name=getattr(args, "matrix", None),

@@ -119,17 +119,6 @@ class InstanceFile:
         except ValueError as exc:  # a group of another dimension than 3
             raise ValidationError(str(exc)) from exc
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, InstanceFile)
-            and self.version == other.version
-            and self.group == other.group
-            and self.elements == other.elements
-            and self.semigroups == other.semigroups
-            and self.problem == other.problem
-            and self.options == other.options
-        )
-
 
 _INT_SHAPE = re.compile(r"[+-]?[0-9]+")
 _RAT_SHAPE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")

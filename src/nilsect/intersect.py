@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from math import lcm
 
 from .matlie import (
@@ -23,9 +22,8 @@ from .matlie import (
     is_two_step,
     product_of_word,
 )
-from .linsolve import LinearSubspace, _row_reduce, eliminate, support_nonneg
+from .linsolve import LinearSubspace, eliminate, support_nonneg
 from .wordcraft import (
-    Word,
     least_scale,
     realize_word,
     total_letters,
@@ -46,8 +44,7 @@ class Decision:
     equal `common_element` (this is verified, not assumed).  `trace`
     records the support-refinement iterations (or, for orbit decisions,
     the case analysis); `details` carries auxiliary data such as the
-    final support sets, point and condition space that witness extraction
-    reads.
+    final support sets, point and lift that witness extraction reads.
     """
 
     verdict: Verdict
@@ -73,7 +70,7 @@ class IntersectionInstance:
 
     __slots__ = ("n", "systems", "set_names")
 
-    def __init__(self, systems, set_names=None, *, validate=True):
+    def __init__(self, systems, set_names=None):
         systems = tuple(
             s if isinstance(s, GeneratorSystem) else GeneratorSystem(s)
             for s in systems
@@ -89,14 +86,9 @@ class IntersectionInstance:
             set_names = tuple(str(s) for s in set_names)
             if len(set_names) != len(systems):
                 raise ValueError("one name per generator set required")
-        if validate:
-            union = GeneratorSystem(
-                [m for s in systems for m in s.mats]
-            )
-            if not is_two_step(union):
-                raise ValueError(
-                    "the union of the generators is not 2-step nilpotent"
-                )
+        union = GeneratorSystem([m for s in systems for m in s.mats])
+        if not is_two_step(union):
+            raise ValueError("the union of the generators is not 2-step nilpotent")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "systems", systems)
         object.__setattr__(self, "set_names", set_names)
@@ -186,12 +178,13 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
     since the total support size strictly shrinks otherwise); the
     intersection is empty iff some support set ended empty.
 
-    `details["condition_space"]` keeps the final round's condition
-    space, the one `build_condition_space` gives for the final supports,
-    and `details["support_point"]` that round's nonnegative integer point
-    of the projection, over the space's ("l", m, j) coordinates; its
-    support is exactly the final support sets.  `extract_witness` lifts
-    the point in the space, so the space is built once per round and
+    `details["support_point"]` keeps the final round's nonnegative
+    integer point of the projection, over the ("l", m, j) coordinates;
+    its support is exactly the final support sets.  `details["lift"]`
+    keeps that round's `Lift`, which `eliminate` read off the pivot rows
+    of the elimination it ran anyway: it solves the pair coordinates of
+    the condition space for the counts.  `extract_witness` evaluates it
+    on the point, so the space is built and reduced once per round and
     never again for the witness.
     """
     supports = [frozenset(range(sys.K)) for sys in inst.systems]
@@ -204,7 +197,7 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
             raise AssertionError("support loop exceeded its termination bound")
         space = build_condition_space(inst, supports)
         ell_coords = [name for name in space.coords if name[0] == "l"]
-        projected = eliminate(space, ell_coords)
+        projected, lift = eliminate(space, ell_coords)
         point = support_nonneg(projected)
         support_names = {name for name, v in zip(ell_coords, point) if v}
         new_supports = [
@@ -236,46 +229,9 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
             "final_supports": supports,
             "iterations": rounds,
             "support_point": point,
-            "condition_space": space,
+            "lift": lift,
         },
     )
-
-
-def _lift(space: LinearSubspace, fixed):
-    """Rational point of the space that agrees with `fixed` on its first
-    len(fixed) coordinates, found by one exact solve for the others.
-
-    The fixed part moves to the right-hand side; the other columns are
-    row reduced, and every free one among them is set to 0.  A fixed part
-    outside the projection of the space leaves a zero row with a nonzero
-    right-hand side, which is a defect of the caller.
-    """
-    nfix = len(fixed)
-    nfree = len(space.coords) - nfix
-    rows = [
-        list(row[nfix:]) + [-sum(a * v for a, v in zip(row, fixed) if a and v)]
-        for row in space.equations
-    ]
-    mat, pivots = _row_reduce(rows, nfree + 1, range(nfree))
-    pivot_rows = {r for r, _ in pivots}
-    if any(row[nfree] for i, row in enumerate(mat) if i not in pivot_rows):
-        raise AssertionError("point lies outside the projection (defect)")
-    rest = [Fraction(0)] * nfree
-    for r, c in pivots:
-        rest[c] = mat[r][nfree]
-    return [Fraction(v) for v in fixed] + rest
-
-
-def _support_sample(space, ell_point):
-    """(coords, values): an integer point of the condition space `space`
-    whose count part is a positive multiple of `ell_point`, a point of
-    the space's projection onto its count coordinates (for the final
-    round of a decision, its support is exactly the final supports).  The
-    ("l", m, j) coordinates come first in `build_condition_space`, so the
-    point fixes them and `_lift` solves for the pair coordinates."""
-    point = _lift(space, ell_point)
-    den = common_denominator(point)
-    return space.coords, [int(v * den) for v in point]
 
 
 def _minimal_even_scale(counts_by_m, deltas_by_m, kmax):
@@ -298,23 +254,25 @@ def _minimal_even_scale(counts_by_m, deltas_by_m, kmax):
 def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
     """Attach verified witness words to a nonempty decision.
 
-    Lifts the final round's point of the projection
-    (`details["support_point"]`, positive exactly on the support letters)
-    to an integer point of the final round's condition space
-    (`details["condition_space"]`, not built again), with no LP, scales
-    it by an even factor N large enough that the word-realization
-    bounds hold, realizes one word per system with counts N*l and delta
-    targets 2*N*c (restricted to the support letters), and checks by
-    plain matrix multiplication that all word products agree, however
-    many letters the words have.
+    Evaluates the final round's lift (`details["lift"]`) on that round's
+    point of the projection (`details["support_point"]`, positive
+    exactly on the support letters), which solves for the pair
+    coordinates with no LP, no row reduction and no condition space, and
+    scales the rational result by its common denominator to an integer
+    point (l, c) of the condition space.  Then scales that by an even
+    factor N large enough that the word-realization bounds hold,
+    realizes one word per system with counts N*l and delta targets
+    2*N*c (restricted to the support letters), and checks by plain
+    matrix multiplication that all word products agree, however many
+    letters the words have.
     """
     if decision.verdict is not Verdict.NONEMPTY:
         raise ValueError("witness extraction requires a nonempty verdict")
     supports = decision.details["final_supports"]
-    coords, values = _support_sample(
-        decision.details["condition_space"], decision.details["support_point"]
-    )
-    by_name = dict(zip(coords, values))
+    lift = decision.details["lift"]
+    point = lift(decision.details["support_point"])
+    den = common_denominator(point)
+    by_name = {name: int(v * den) for name, v in zip(lift.coords, point)}
 
     kmax = max(sys.K for sys in inst.systems)
     counts_by_m = []
@@ -338,11 +296,7 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
         letters = sub_alphabets[m]
         counts = [N * v for v in counts_by_m[m]]
         deltas = {key: 2 * N * v for key, v in deltas_by_m[m].items()}
-        if len(letters) == 1:
-            sub = Word(1, [(0, counts[0])])
-        else:
-            sub = realize_word(counts, deltas)
-        words.append(sub.relabel(letters, sys.K))
+        words.append(realize_word(counts, deltas).relabel(letters, sys.K))
 
     common = _common_product(inst, words)
     if common is None:

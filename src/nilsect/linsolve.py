@@ -182,18 +182,57 @@ class LinearSubspace:
         )
 
 
-def eliminate(space: LinearSubspace, keep) -> LinearSubspace:
-    """Exact projection of the subspace onto the `keep` coordinates.
+@dataclass(frozen=True)
+class Lift:
+    """A linear map from the projection of a space back into the space.
 
-    A vector over `keep` lies in the result iff it extends to a vector of
-    the input space.  Implemented by fraction-free elimination pivoting on
-    the dropped columns first: the rows that get no pivot then carry zero
-    coefficients on every dropped column and span the equations of the
-    projection.  They come back as integer multiples of the rational
-    rows, which changes no span; the result's equations are the reduced
-    row echelon form of that span, Fraction rows with pivot entries 1,
-    which is unique, so the output is the same as elimination over Q
-    gives.
+    `coords` are the space's coordinates and `kept` the positions of the
+    kept ones among them.  `solved` pairs the position c of each dropped
+    coordinate that `eliminate` pivoted on with its pivot row r over
+    `coords`, normalised to 1 on c and 0 on the other pivot columns:
+    x_c = -(r . x) over the kept positions once every dropped coordinate
+    without a pivot is set to 0.  `equations` are integer rows over the
+    kept coordinates that span the projection's equations.  Called on a
+    point of the projection, the lift returns the point of the space
+    with those kept coordinates; a point outside the projection is a
+    defect of the caller.
+    """
+
+    coords: tuple
+    kept: tuple
+    solved: tuple
+    equations: tuple
+
+    def __call__(self, point) -> list:
+        if any(sum(a * v for a, v in zip(row, point) if a and v) for row in self.equations):
+            raise AssertionError("point lies outside the projection (defect)")
+        full = [0] * len(self.coords)
+        for i, v in zip(self.kept, point):
+            full[i] = v
+        for c, row in self.solved:
+            full[c] = -sum(row[i] * v for i, v in zip(self.kept, point) if v and row[i])
+        return full
+
+
+def eliminate(space: LinearSubspace, keep):
+    """(projection, lift): the exact projection of the subspace onto the
+    `keep` coordinates, and a `Lift` back into the subspace.
+
+    A vector over `keep` lies in the projection iff it extends to a
+    vector of the input space.  Implemented by fraction-free elimination
+    pivoting on the dropped columns first: the rows that get no pivot
+    then carry zero coefficients on every dropped column and span the
+    equations of the projection.  They come back as integer multiples of
+    the rational rows, which changes no span; the projection's equations
+    are the reduced row echelon form of that span, Fraction rows with
+    pivot entries 1, which is unique, so the output is the same as
+    elimination over Q gives.
+
+    Each pivot row, normalised to 1 on its dropped column c and 0 on the
+    other pivot columns, reads x_c + (dropped terms without a pivot) +
+    row . x_keep = 0.  With those dropped coordinates set to 0,
+    x_c = -row . x_keep extends any point of the projection to the
+    space: that is the lift.
     """
     keep = list(keep)
     keep_set = set(keep)
@@ -214,8 +253,9 @@ def eliminate(space: LinearSubspace, keep) -> LinearSubspace:
             projected.append(new_row)
     # normalize the output representation
     reduced, pivs = _row_reduce(projected, len(keep), range(len(keep)))
-    rows = [tuple(reduced[r]) for r, _ in pivs]
-    return LinearSubspace(keep, rows)
+    projection = LinearSubspace(keep, [tuple(reduced[r]) for r, _ in pivs])
+    solved = tuple((c, tuple(mat[r])) for r, c in pivots)
+    return projection, Lift(space.coords, tuple(keep_idx), solved, tuple(projected))
 
 
 # ---------------------------------------------------------------------------
@@ -508,16 +548,26 @@ def _column_echelon(A, m, k):
     return H, U, pivots
 
 
+def _integer_system(A, b):
+    """A and b as lists of their int entries; any other entry is a
+    TypeError, since a truncated one would change the system."""
+    A = [list(row) for row in A]
+    b = list(b)
+    for x in itertools.chain(*A, b):
+        if type(x) is not int:
+            raise TypeError(f"entry {x!r} of an integer system is not an int")
+    return A, b
+
+
 def hnf_solve(A, b) -> IntegerSolutionSet:
-    """Complete integer solution set of A x = b.
+    """Complete integer solution set of A x = b, for int entries.
 
     Column-reduces A with a recorded unimodular transform U; the echelon
     system H y = b solves by forward substitution, requiring exact
     divisibility at every pivot.  Solutions are x = U y; kernel basis =
     columns of U over the pivot-free columns of H.
     """
-    A = [[int(x) for x in row] for row in A]
-    b = [int(x) for x in b]
+    A, b = _integer_system(A, b)
     m = len(A)
     k = len(A[0]) if m else 0
     if any(len(row) != k for row in A):
@@ -572,7 +622,8 @@ def _solution_box_bound(A, b, k):
 
 
 def ilp_feasible_nonneg(A, b, nonzero_groups=()):
-    """Nonnegative integer point of A x = b honoring side conditions, or None.
+    """Nonnegative integer point of A x = b honoring side conditions, or
+    None, for int entries (any other entry is a TypeError).
 
     `nonzero_groups` is a list of index groups; each group must not be
     all-zero in the solution.  Groups are handled disjunctively: one
@@ -587,8 +638,7 @@ def ilp_feasible_nonneg(A, b, nonzero_groups=()):
     which makes the search finite; a search that needs more than
     ILP_NODE_CAP LP relaxations raises BudgetExceeded.
     """
-    A = [[int(x) for x in row] for row in A]
-    b = [int(x) for x in b]
+    A, b = _integer_system(A, b)
     k = len(A[0]) if A else 0
     if not nonzero_groups:
         return _ilp_base(A, b, k)

@@ -137,6 +137,8 @@ def _fraction_rows(table, den):
 
 def _reduce(table, den):
     """(table/g, den/g) for g the gcd of den > 0 and every entry."""
+    if den == 1:
+        return table, den
     g = gcd(den, *(x for row in table for x in row))
     if g == 1:
         return table, den
@@ -344,9 +346,6 @@ class UnipotentMatrix(_IntegerTable):
     def inverse(self) -> "UnipotentMatrix":
         return self**-1
 
-    def log(self) -> "NilpotentMatrix":
-        return log_unipotent(self)
-
 
 class NilpotentMatrix(_IntegerTable):
     """Strictly upper triangular rational matrix (a Lie algebra element).
@@ -407,9 +406,6 @@ class NilpotentMatrix(_IntegerTable):
 
     def is_zero(self) -> bool:
         return _is_zero_rows(self.table)
-
-    def exp(self) -> UnipotentMatrix:
-        return exp_nilpotent(self)
 
 
 def log_unipotent(m: UnipotentMatrix) -> NilpotentMatrix:

@@ -1,13 +1,13 @@
 """Independent brute-force oracle: breadth-first product enumeration.
 
 Enumerates exact products of all nonempty words up to a given length,
-hash-consing on their row tables, and reports the first collision in
+hash-consing on their reduced (integer table, denominator) pairs, which
+are equal iff the products are, and reports the first collision in
 length-lexicographic order.  Every input matrix (a generator, or an
-orbit instance's T or S) is a `UnipotentMatrix`, read as its integer
-table when its denominator is 1 and as its Fraction rows otherwise; the
-collision is handed back as a `UnipotentMatrix`.  Used to cross-check
-the deciders and as a semi-decision fallback; shares no code path with
-them beyond plain matrix multiplication.
+orbit instance's T or S) is a `UnipotentMatrix`, read as its pair, and
+the collision is handed back as the `UnipotentMatrix` of its pair.  Used
+to cross-check the deciders and as a semi-decision fallback; shares no
+code path with them beyond plain matrix multiplication.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MemoryBudgetExceeded
-from .matlie import UnipotentMatrix, mul_upper_rows
+from .matlie import UnipotentMatrix, _reduce, mul_upper_rows
 from .wordcraft import Word
 
 DEFAULT_MEMORY_BUDGET = 2_000_000
@@ -29,13 +29,14 @@ class OracleResult:
     element: UnipotentMatrix
 
 
-def _plain_rows(mat: UnipotentMatrix):
-    """Rows as plain ints when possible (much faster products)."""
-    return mat.table if mat.den == 1 else mat.rows
+def _times(a, b, n):
+    """The reduced pair of the product of the pairs a and b."""
+    return _reduce(mul_upper_rows(a[0], b[0], n), a[1] * b[1])
 
 
-def _bfs_products(gen_rows, n, depth, state, budget):
-    """All products of nonempty words of length <= depth: {rows: letters}.
+def _bfs_products(gens, n, depth, state, budget):
+    """All products of nonempty words of length <= depth, as
+    {reduced pair: letters}.
 
     Breadth-first with dedup; the first word reaching a product is the
     length-lexicographically least one because levels are expanded in
@@ -43,7 +44,7 @@ def _bfs_products(gen_rows, n, depth, state, budget):
     """
     seen = {}
     frontier = {}
-    for i, g in enumerate(gen_rows):
+    for i, g in enumerate(gens):
         if g not in seen:
             seen[g] = (i,)
             frontier[g] = (i,)
@@ -55,8 +56,8 @@ def _bfs_products(gen_rows, n, depth, state, budget):
     for _ in range(depth - 1):
         nxt = {}
         for p, word in frontier.items():
-            for i, g in enumerate(gen_rows):
-                q = mul_upper_rows(p, g, n)
+            for i, g in enumerate(gens):
+                q = _times(p, g, n)
                 if q not in seen:
                     grown = word + (i,)
                     seen[q] = grown
@@ -90,7 +91,7 @@ def bfs_oracle(inst, depth: int = 8, *, memory_budget=None):
         n = inst.n
         maps = []
         for sys in inst.systems:
-            gens = [_plain_rows(m) for m in sys.mats]
+            gens = [(m.table, m.den) for m in sys.mats]
             maps.append(_bfs_products(gens, n, depth, state, budget))
         smallest = min(maps, key=len)
         common = [
@@ -109,24 +110,24 @@ def bfs_oracle(inst, depth: int = 8, *, memory_budget=None):
             Word.from_letters(sys.K, mp[best])
             for sys, mp in zip(inst.systems, maps)
         )
-        return OracleResult(words, UnipotentMatrix(best))
+        return OracleResult(words, UnipotentMatrix.from_integer_table(*best))
 
     # orbit instance: T * <G> vs S * <H>
     n = 3
-    t_rows = _plain_rows(inst.T)
-    s_rows = _plain_rows(inst.S)
-    g_gens = [_plain_rows(m) for m in inst.G.mats]
-    h_gens = [_plain_rows(m) for m in inst.H.mats]
+    t_pair = inst.T.table, inst.T.den
+    s_pair = inst.S.table, inst.S.den
+    g_gens = [(m.table, m.den) for m in inst.G.mats]
+    h_gens = [(m.table, m.den) for m in inst.H.mats]
     left_raw = _bfs_products(g_gens, n, depth, state, budget)
     right_raw = _bfs_products(h_gens, n, depth, state, budget)
     left = {}
     for p, w in left_raw.items():
-        key = mul_upper_rows(t_rows, p, n)
+        key = _times(t_pair, p, n)
         if key not in left:
             left[key] = w
     right = {}
     for q, w in right_raw.items():
-        key = mul_upper_rows(s_rows, q, n)
+        key = _times(s_pair, q, n)
         if key not in right:
             right[key] = w
     common = [key for key in left if key in right]
@@ -140,4 +141,4 @@ def bfs_oracle(inst, depth: int = 8, *, memory_budget=None):
         Word.from_letters(inst.G.K, left[best]),
         Word.from_letters(inst.H.K, right[best]),
     )
-    return OracleResult(words, UnipotentMatrix(best))
+    return OracleResult(words, UnipotentMatrix.from_integer_table(*best))

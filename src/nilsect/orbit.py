@@ -764,6 +764,4 @@ def extract_orbit_witness(
         )
 
     xs, ys, cs, dsh = shifted(least_scale(bounds_ok, 1))
-    v = realize_word(xs, cs) if K > 1 else Word(1, [(0, xs[0])])
-    w = realize_word(ys, dsh) if M > 1 else Word(1, [(0, ys[0])])
-    return v, w
+    return realize_word(xs, cs), realize_word(ys, dsh)

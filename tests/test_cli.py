@@ -301,6 +301,33 @@ def test_main_exit_codes(tmp_path):
     assert main(["intersect", str(tmp_path / "missing.txt")]) == 3
 
 
+def test_usage_errors_exit_as_input_errors(capsys):
+    # argparse's own usage exit is 2, which means Unsupported here
+    orbit_file = str(SAMPLES / "orbit-central.txt")
+    for argv in (
+        [],
+        ["orbit", orbit_file, "--bogus"],
+        ["orbit", orbit_file, "--witness"],
+        ["solve", orbit_file],
+        ["log", orbit_file],
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 3, argv
+        assert "usage: decide" in capsys.readouterr().err
+    for argv in (["--help"], ["orbit", "--help"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 0
+        assert "usage: decide" in capsys.readouterr().out
+    out = subprocess.run(
+        [sys.executable, "-m", "nilsect.cli", "orbit", orbit_file, "--bogus"],
+        capture_output=True,
+        text=True,
+    )
+    assert out.returncode == 3 and "unrecognized arguments: --bogus" in out.stderr
+
+
 def test_malformed_headers_are_input_errors(tmp_path, capsys):
     # a bare group line, and non-integer dimensions or versions, are
     # parse errors naming their line, never internal errors

@@ -18,6 +18,7 @@ from nilsect import (
     build_condition_space,
     decide_intersection,
     direct_sum,
+    eliminate,
     embed_heisenberg,
     extract_witness,
     load_instance_file,
@@ -26,7 +27,7 @@ from nilsect import (
     verify_witness,
 )
 
-from nilsect.matlie import bracket
+from nilsect.matlie import bracket, common_denominator
 
 from conftest import h3, random_h3_system, random_unipotent
 
@@ -210,9 +211,36 @@ def test_witness_past_index_sized_length():
     )
 
 
-def test_lift_lies_in_condition_space(rng):
-    # the lifted point keeps the projected counts and solves every equation
-    lifted = 0
+# ---------------------------------------------------------------------------
+# The solve that the stored lift replaced, kept as the reference: one
+# exact row reduction of the final condition space with the counts fixed,
+# every free pair coordinate set to 0, scaled to integers.
+
+
+def _reference_lift(space, fixed):
+    nfix = len(fixed)
+    nfree = len(space.coords) - nfix
+    rows = [
+        list(row[nfix:]) + [-sum(a * v for a, v in zip(row, fixed) if a and v)]
+        for row in space.equations
+    ]
+    mat, pivots = linsolve._row_reduce(rows, nfree + 1, range(nfree))
+    pivot_rows = {r for r, _ in pivots}
+    if any(row[nfree] for i, row in enumerate(mat) if i not in pivot_rows):
+        raise AssertionError("point lies outside the projection (defect)")
+    rest = [Fraction(0)] * nfree
+    for r, c in pivots:
+        rest[c] = mat[r][nfree]
+    return [Fraction(v) for v in fixed] + rest
+
+
+def _reference_support_sample(space, ell_point):
+    point = _reference_lift(space, ell_point)
+    den = common_denominator(point)
+    return space.coords, [int(v * den) for v in point]
+
+
+def _lift_instances(rng):
     for _ in range(60):
         if rng.random() < 0.5:
             systems = [random_h3_system(rng, rng.randint(1, 3)) for _ in range(2)]
@@ -221,40 +249,93 @@ def test_lift_lies_in_condition_space(rng):
                 GeneratorSystem([random_unipotent(rng, 3, 3) for _ in range(rng.randint(1, 3))])
                 for _ in range(rng.randint(2, 3))
             ]
-        inst = IntersectionInstance(systems)
+        yield IntersectionInstance(systems)
+
+
+def test_lift_lies_in_condition_space(rng):
+    # the stored lift keeps the projected counts, solves every equation
+    # of the final space and is the reference solve's point
+    lifted = 0
+    for inst in _lift_instances(rng):
         d = decide_intersection(inst)
         supports = d.details["final_supports"]
         ell = d.details["support_point"]
         space = build_condition_space(inst, supports)
-        assert d.details["condition_space"] == space
-        point = intersect._lift(space, ell)
+        lift = d.details["lift"]
+        assert lift.coords == space.coords
+        point = lift(ell)
         assert space.contains(point)
         assert point[: len(ell)] == list(ell)
+        assert point == _reference_lift(space, ell)
         assert [bool(v) for v in ell] == [
             j in supports[m] for (_, m, j) in space.coords[: len(ell)]
         ]
-        coords, values = intersect._support_sample(space, ell)
-        assert coords == space.coords and space.contains(values)
-        assert all(type(v) is int for v in values)
-        first = next((i for i, v in enumerate(ell) if v), None)
-        if first is not None:
-            scale = Fraction(values[first], ell[first])
-            assert scale > 0 and values[: len(ell)] == [scale * v for v in ell]
         lifted += any(point[len(ell):])
     assert lifted > 10  # nonzero pair coordinates were solved for
+
+
+def test_lift_matches_reference_solve(rng):
+    # the integer point (l, c) behind every witness is the one the
+    # reference solve gives, on both seeded families
+    witnessed = 0
+    instances = list(_lift_instances(rng)) + _space_instances(rng)
+    for inst in instances:
+        d = decide_intersection(inst)
+        if d.verdict is not Verdict.NONEMPTY:
+            continue
+        space = build_condition_space(inst, d.details["final_supports"])
+        coords, want = _reference_support_sample(space, d.details["support_point"])
+        seen = []
+        with pytest.MonkeyPatch.context() as patch:
+            real = intersect.realize_word
+            patch.setattr(
+                intersect,
+                "realize_word",
+                lambda counts, deltas: seen.append((counts, deltas)) or real(counts, deltas),
+            )
+            w = extract_witness(inst, d)
+        by_name = dict(zip(coords, want))
+        N = w.details["scale"]
+        assert len(seen) == inst.M
+        for m, (counts, deltas) in enumerate(seen):
+            letters = sorted(d.details["final_supports"][m])
+            assert counts == [N * by_name[("l", m, j)] for j in letters]
+            assert deltas == {
+                (a, b): 2 * N * by_name[("c", m, letters[a], letters[b])]
+                for a in range(len(letters))
+                for b in range(a + 1, len(letters))
+            }
+        witnessed += 1
+    assert witnessed > 30
 
 
 def test_lift_outside_projection_is_a_defect():
     inst = make([[X, Y], [Z]])
     space = build_condition_space(inst, [frozenset({0, 1}), frozenset({0})])
     # l1 X + l2 Y + c [X, Y] = l3 Z forces l1 = l2 = 0 and c = l3
-    assert intersect._lift(space, (0, 0, 5)) == [0, 0, 5, 5]
+    _, lift = eliminate(space, space.coords[:3])
+    assert lift((0, 0, 5)) == _reference_lift(space, (0, 0, 5)) == [0, 0, 5, 5]
     with pytest.raises(AssertionError, match="outside the projection"):
-        intersect._lift(space, (1, 0, 1))
+        lift((1, 0, 1))
     inst = make([[X], [Y]])
     space = build_condition_space(inst, [frozenset({0}), frozenset({0})])
+    _, lift = eliminate(space, space.coords)
     with pytest.raises(AssertionError, match="outside the projection"):
-        intersect._lift(space, (1, 0))
+        lift((1, 0))
+
+
+def test_support_point_moved_off_the_projection_gives_no_witness():
+    # X, Y and their inverses against Z: the counts of X and X^-1 (and
+    # of Y and Y^-1) must agree, so one more X leaves the projection
+    inst = make([[X, Y, X.inverse(), Y.inverse()], [Z]])
+    d = decide_intersection(inst)
+    assert d.verdict is Verdict.NONEMPTY
+    assert verify_witness(inst, extract_witness(inst, d).witnesses)
+    moved = list(d.details["support_point"])
+    moved[0] += 1
+    d.details["support_point"] = tuple(moved)
+    with pytest.raises(AssertionError, match="outside the projection"):
+        extract_witness(inst, d)
 
 
 def _small_nonempty():
@@ -283,7 +364,7 @@ def test_extract_witness_solves_no_lp(monkeypatch):
 
 
 def test_extract_witness_builds_no_condition_space(monkeypatch):
-    # the decision keeps its final round's space, and the lift reuses it
+    # the decision keeps its final round's lift, and the witness uses it
     instances = _small_nonempty()
     decisions = [decide_intersection(inst) for inst in instances]
     calls = []
@@ -298,7 +379,29 @@ def test_extract_witness_builds_no_condition_space(monkeypatch):
         assert verify_witness(inst, w.witnesses)
     assert calls == []
     for inst, d in zip(instances, decisions):
-        assert d.details["condition_space"] == real(inst, d.details["final_supports"])
+        space = real(inst, d.details["final_supports"])
+        ell_coords = [name for name in space.coords if name[0] == "l"]
+        assert d.details["lift"] == eliminate(space, ell_coords)[1]
+
+
+def test_extract_witness_runs_no_row_reduction(monkeypatch):
+    # the lift is read off the decision's own elimination: the witness
+    # reduces no rows, through linsolve or a name imported from it
+    instances = _small_nonempty()
+    decisions = [decide_intersection(inst) for inst in instances]
+    calls = []
+    real = linsolve._row_reduce
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linsolve, "_row_reduce", counted)
+    monkeypatch.setattr(intersect, "_row_reduce", counted, raising=False)
+    for inst, d in zip(instances, decisions):
+        w = extract_witness(inst, d)
+        assert verify_witness(inst, w.witnesses)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +542,15 @@ def test_condition_space_matches_reference(rng):
 
 
 def test_decisions_match_reference_space(rng, monkeypatch):
-    # details (less the kept space) and witness runs are those the
-    # Fraction space gives
+    # details, the stored lift among them, and witness runs are those
+    # the Fraction space gives
     def answer(inst):
         d = decide_intersection(inst)
         runs = None
         if d.verdict is Verdict.NONEMPTY:
             d = extract_witness(inst, d)
             runs = [w.runs for w in d.witnesses]
-        details = {k: v for k, v in d.details.items() if k != "condition_space"}
-        return d.verdict, d.trace, details, runs
+        return d.verdict, d.trace, d.details, runs
 
     witnessed = 0
     for inst in _space_instances(rng):

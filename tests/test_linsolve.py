@@ -55,13 +55,23 @@ def test_nullspace_spans_kernel(rng):
 
 def test_eliminate_examples():
     s = LinearSubspace(("x", "c"), [(1, -1)])
-    assert eliminate(s, ["x"]).equations == ()
+    p, lift = eliminate(s, ["x"])
+    assert p.equations == () and lift([3]) == [3, 3]
     s = LinearSubspace(("x", "c"), [(1, 0), (0, 1)])
-    p = eliminate(s, ["x"])
+    p, lift = eliminate(s, ["x"])
     assert p.contains([0]) and not p.contains([1])
+    assert lift([0]) == [0, 0]
     s = LinearSubspace(("x", "y", "c"), [(1, 1, 0), (0, 1, -1)])
-    p = eliminate(s, ["x", "y"])
+    p, lift = eliminate(s, ["x", "y"])
     assert p.contains([1, -1]) and not p.contains([0, 1])
+    assert lift([2, -2]) == [2, -2, -2]
+    with pytest.raises(AssertionError, match="outside the projection"):
+        lift([0, 1])
+    # the kept coordinates in any order, a dropped one free: c = 0
+    s = LinearSubspace(("c", "x", "d", "y"), [(0, 2, 0, -1), (1, 0, 1, 3)])
+    p, lift = eliminate(s, ["y", "x"])
+    assert p.equations == ((Fraction(1), Fraction(-2)),)
+    assert lift([Fraction(1, 2), Fraction(1, 4)]) == [Fraction(-3, 2), Fraction(1, 4), 0, Fraction(1, 2)]
 
 
 def test_eliminate_matches_enumeration(rng):
@@ -78,7 +88,7 @@ def test_eliminate_matches_enumeration(rng):
         ]
         space = LinearSubspace(names, rows)
         keep = list(names[:keep_count])
-        projected = eliminate(space, keep)
+        projected, lift = eliminate(space, keep)
 
         basis = space.basis()
         enumerated = set()
@@ -97,6 +107,10 @@ def test_eliminate_matches_enumeration(rng):
         _, pivots = _row_reduce(span_rows, keep_count, range(keep_count))
         span_dim = len(pivots)
         assert projected.dim() == span_dim
+        # the lift extends each point of the projection into the space
+        for point in list(enumerated)[:10] + list(projected.basis()):
+            lifted = lift(point)
+            assert space.contains(lifted) and tuple(lifted[:keep_count]) == tuple(point)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +175,19 @@ def _check_on_reference(rows, ncols, keep):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linsolve, "_row_reduce", _reference_row_reduce)
         want = eliminate(space, keep), nullspace(rows, ncols)
-    assert got == want, (rows, keep)
-    projected, basis = got
+    (projected, lift), basis = got
+    (want_projected, want_lift), want_basis = want
+    assert (projected, lift.coords, lift.kept, lift.solved, basis) == (
+        want_projected, want_lift.coords, want_lift.kept, want_lift.solved, want_basis
+    ), (rows, keep)
+    assert len(lift.equations) == len(want_lift.equations)
+    for row, ref in zip(lift.equations, want_lift.equations):
+        assert all(type(v) is int for v in row) and _nonzero_multiple(row, ref)
     assert all(type(v) is Fraction for row in projected.equations for v in row)
     assert all(type(v) is Fraction for vec in basis for v in vec)
+    for vec in projected.basis():
+        point = lift(vec)
+        assert space.contains(point) and [point[i] for i in keep] == list(vec)
 
 
 def _random_entry(rng):
@@ -203,7 +226,8 @@ def test_row_reduce_matches_reference(rng):
         rows = _random_rows(rng, ncols)
         partial = rng.sample(range(ncols), rng.randint(0, ncols))
         # every column; a partial order, as `eliminate` pivots on the
-        # dropped columns; and an augmented last column, as `_lift` solves
+        # dropped columns; and an augmented last column, as a linear
+        # system solves (`solve_in_lattice`)
         for order in (range(ncols), partial, range(ncols - 1)):
             pivoted += _check_row_reduce(rows, ncols, list(order))
         _check_on_reference(rows, ncols, sorted(rng.sample(range(ncols), rng.randint(1, ncols))))
@@ -748,6 +772,21 @@ def _box_solutions(A, b, box):
             ):
                 out.append(x)
     return out
+
+
+def test_integer_solvers_refuse_non_int_entries():
+    # truncating these gave x = (1,), no solution (x = 2 solves it),
+    # (2, 0) and (3, 0)
+    for call in (
+        lambda: hnf_solve([[1]], [Fraction(3, 2)]),
+        lambda: hnf_solve([[Fraction(1, 2)]], [1]),
+        lambda: ilp_feasible_nonneg([[1, 1]], [Fraction(5, 2)]),
+        lambda: ilp_feasible_nonneg([[1.5, 1]], [3]),
+    ):
+        with pytest.raises(TypeError, match="is not an int"):
+            call()
+    assert hnf_solve([[2]], [4]).particular == (2,)
+    assert ilp_feasible_nonneg([[1, 1]], [5]) is not None
 
 
 def test_hnf_matches_box_brute_force(rng):
