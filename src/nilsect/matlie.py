@@ -145,6 +145,14 @@ def _reduce(table, den):
     return tuple(tuple(x // g for x in row) for row in table), den // g
 
 
+def _strict_upper(table):
+    """The table with its diagonal and everything below it set to 0."""
+    return tuple(
+        tuple(x if j > i else 0 for j, x in enumerate(row))
+        for i, row in enumerate(table)
+    )
+
+
 def _nonzero_powers(x, n):
     """[x, x^2, ..., x^p] for p the last k with x^k != 0 (x nilpotent)."""
     powers = []
@@ -169,11 +177,7 @@ def _integer_log(table, den):
     D = 1.
     """
     n = len(table)
-    nil = tuple(
-        tuple(x if j > i else 0 for j, x in enumerate(row))
-        for i, row in enumerate(table)
-    )
-    powers = _nonzero_powers(nil, n)
+    powers = _nonzero_powers(_strict_upper(table), n)
     p = len(powers)
     big_l = lcm(*range(1, p + 1))
     acc = ((0,) * n,) * n
@@ -206,12 +210,33 @@ def _exp_coefficients(x, den):
     return coefs, e
 
 
-def _exp_table(coefs, c):
-    """sum_k c^k coefs[k], by Horner's rule entry by entry."""
-    acc = coefs[-1]
-    for b in reversed(coefs[:-1]):
+def _binomial_coefficients(table, den):
+    """(B, e) with (table/den)^c = (sum_k C(c, k) B[k]) / e for every integer c.
+
+    table/den is unipotent, N = table - den*I its strictly upper part and
+    q the last k with N^k != 0.  (I + N/den)^c = sum_k C(c, k) (N/den)^k
+    is the binomial series, which stops at k = q because N is nilpotent;
+    I and N commute, and C(c, k) = c (c-1) ... (c-k+1) / k! is an integer
+    for every integer c, negative ones included, so the sum is exact for
+    every c.  B[k] = den^(q-k) N^k (N^0 = I) and e = den^q.
+    """
+    n = len(table)
+    powers = [_identity_rows(n)] + _nonzero_powers(_strict_upper(table), n)
+    q = len(powers) - 1
+    coefs = [_scale(power, den ** (q - k), n) for k, power in enumerate(powers)]
+    return coefs, den**q
+
+
+def _binomial_table(coefs, c):
+    """sum_k C(c, k) coefs[k], the binomials built one from the last."""
+    acc = coefs[0]
+    binom = 1
+    for k, b in enumerate(coefs[1:], start=1):
+        binom = binom * (c - k + 1) // k
+        if not binom:
+            break
         acc = tuple(
-            tuple(c * u + v for u, v in zip(ra, rb)) for ra, rb in zip(acc, b)
+            tuple(u + binom * v for u, v in zip(ra, rb)) for ra, rb in zip(acc, b)
         )
     return acc
 
@@ -300,10 +325,11 @@ class UnipotentMatrix(_IntegerTable):
 
     A reduced integer table over a denominator (`_IntegerTable`).
     log M = X/D and the coefficients of c -> M^c are computed on first
-    use and kept.
+    use and kept; the powers come from the binomial series, not from
+    the log.
     """
 
-    __slots__ = ("_log", "_exp")
+    __slots__ = ("_log", "_binomial")
     _TAG = "UT"
 
     _check = staticmethod(_check_unit_upper)
@@ -311,7 +337,7 @@ class UnipotentMatrix(_IntegerTable):
     def _set(self, n, table, den):
         super()._set(n, table, den)
         object.__setattr__(self, "_log", None)
-        object.__setattr__(self, "_exp", None)
+        object.__setattr__(self, "_binomial", None)
 
     @classmethod
     def identity(cls, n) -> "UnipotentMatrix":
@@ -324,11 +350,14 @@ class UnipotentMatrix(_IntegerTable):
         return self._log
 
     def integer_power(self, c: int):
-        """(T, t) with M^c = exp(c log M) = T/t, for any integer c."""
-        if self._exp is None:
-            object.__setattr__(self, "_exp", _exp_coefficients(*self.integer_log()))
-        coefs, e = self._exp
-        return _exp_table(coefs, c), e
+        """(T, t) with M^c = T/t, for any integer c, by the binomial
+        series of M = I + N (`_binomial_coefficients`)."""
+        if self._binomial is None:
+            object.__setattr__(
+                self, "_binomial", _binomial_coefficients(self.table, self.den)
+            )
+        coefs, e = self._binomial
+        return _binomial_table(coefs, c), e
 
     def __mul__(self, other):
         if not isinstance(other, UnipotentMatrix):
@@ -339,8 +368,8 @@ class UnipotentMatrix(_IntegerTable):
         return UnipotentMatrix._from_integer(self.n, table, self.den * other.den)
 
     def __pow__(self, e: int) -> "UnipotentMatrix":
-        """A^e = exp(e log A), exact for every integer e (log A commutes
-        with itself), so the cost does not grow with |e|."""
+        """A^e, exact for every integer e; the binomial series has at most
+        n terms, so the cost does not grow with |e|."""
         return UnipotentMatrix._from_integer(self.n, *self.integer_power(e))
 
     def inverse(self) -> "UnipotentMatrix":
@@ -423,12 +452,15 @@ def exp_nilpotent(x: NilpotentMatrix) -> UnipotentMatrix:
     """Matrix exponential on strictly upper triangular matrices: sum X^k/k!.
 
     Computed on the integer table of x over its denominator
-    (`_exp_coefficients` at c = 1).
+    (`_exp_coefficients` at c = 1, the sum of the coefficients).
     """
     if not isinstance(x, NilpotentMatrix):
         x = NilpotentMatrix(x)
     coefs, e = _exp_coefficients(x.table, x.den)
-    return UnipotentMatrix._from_integer(x.n, _exp_table(coefs, 1), e)
+    table = coefs[0]
+    for b in coefs[1:]:
+        table = _add(table, b, x.n)
+    return UnipotentMatrix._from_integer(x.n, table, e)
 
 
 def bracket(x: NilpotentMatrix, y: NilpotentMatrix) -> NilpotentMatrix:
@@ -602,12 +634,13 @@ def product_of_word(gens: GeneratorSystem, word) -> UnipotentMatrix:
 
     Runs on integer tables with one running denominator: a single copy
     of A is multiplied in as its integer table over its denominator, and
-    a run of c > 1 copies as A^c = exp(c log A), the integer table of
-    `UnipotentMatrix.integer_power` (a polynomial in c whose coefficients
-    A keeps), so a run costs the same whatever its length.  After each
-    factor the table and the denominator are divided by their gcd.  This is plain
-    matrix multiplication, independent of the BCH identity and of the
-    generated group being 2-step nilpotent.
+    a run of c > 1 copies as A^c, the integer table of
+    `UnipotentMatrix.integer_power` (a binomial series in c whose
+    coefficients A keeps), so a run costs the same whatever its length.
+    After each factor the table and the denominator are divided by their
+    gcd.  This is plain matrix multiplication, independent of the
+    logarithm, of the BCH identity and of the generated group being
+    2-step nilpotent.
     """
     n = gens.n
     table, den = _identity_rows(n), 1

@@ -7,11 +7,16 @@ matrix (the regular representation) gives a unital ring embedding of the
 field into d x d rational matrices.  Applied blockwise, it embeds the
 (n x n) Heisenberg group over the field into UT(n*d, Q).
 
-Irreducibility of the modulus is the caller's responsibility: only a
-rational-root test is run (complete for degree <= 3), at a cost
-polynomial in the bit size of the coefficients.  Multiplication
-and the representation are well defined for any monic modulus;
-irreducibility is what makes the field interpretation injective.
+The regular representation of Q[t]/(f) is injective for every monic f,
+irreducible or not: the matrix of x applied to 1 is x itself.  The
+embedded matrices are unipotent upper triangular whatever f is, so the
+embedded group is 2-step nilpotent and the decisions are exact for
+H_n(Q[t]/(f)) for any monic f.  Irreducibility is needed only to read
+Q[t]/(f) as a field (for `FieldElem.inverse`).  The rejection of a
+modulus with a rational root is an input contract, not a condition of
+the embedding, and it is incomplete from degree 4:
+(t^2 + 1)(t^2 + 2) has no rational root and is accepted.  The test runs
+at a cost polynomial in the bit size of the coefficients.
 """
 
 from __future__ import annotations

@@ -10,8 +10,12 @@ plane cones spanned by the superdiagonal parts of the generator logs:
   family of linear Diophantine systems over nonnegative integers.
 * dimension 2 ("hard"): solvability is equivalent to a relaxed integer
   system on counts and pair coefficients plus parity constraints, solved
-  by enumerating residues and checking integer feasibility; a solution
-  is then inflated into explicit witness words.
+  by enumerating residues and checking integer feasibility.  A solution
+  is turned into explicit witness words: the counts are shifted along a
+  positive balancing combination until block orders of the letters hit
+  the corner exactly, a signed area (`wordcraft.realize_corner`); the
+  inflation to the source paper's sufficient realisability bound is the
+  fallback.
 
 Lie-algebra elements are log triples (a, b, gamma), the entries (0,1),
 (1,2) and (0,2) of a 3x3 log.  A bracket [X, Y] is nonzero only in the
@@ -33,7 +37,8 @@ stay integer sums.  The easy case skips every ordering pair that misses
 the balance its separating functional imposes (see `decide_easy`)
 before any integer program is solved.  The hard case still builds its
 relaxed system over Fraction log triples, read off the same tables by
-`_log_triple`.
+`_log_triple`; its corner search for witnesses runs on the integer
+triples.
 
 Nonempty verdicts always come with a verified witness pair.  One known
 configuration (dimension <= 1 but no separating functional, e.g. a full
@@ -54,11 +59,12 @@ from .intersect import Decision, Verdict
 from .linsolve import Cone2D, cone_intersect_dim, hnf_solve, ilp_feasible_nonneg, lp_feasible
 from .matlie import GeneratorSystem, UnipotentMatrix, common_denominator, product_of_word
 from .oracle import bfs_oracle
-from .wordcraft import Word, least_scale, realize_word, within_bounds
+from .wordcraft import Word, least_scale, realize_corner, realize_word, total_letters, within_bounds
 
 DEFAULT_INTERLEAVING_BUDGET = 100_000
 DEFAULT_PARITY_CAP = 16  # residue enumeration is 2^(K+M) branches
 FALLBACK_DEPTH = 8  # default oracle-depth, here and in the CLI
+CORNER_SHIFTS = 1024  # shifts the corner search tries before it inflates
 
 
 class OrbitInstance:
@@ -570,10 +576,14 @@ def decide_hard(
     c_ij == x_i x_j, d_ij == y_i y_j (mod 2).  Residues of (x, y) are
     enumerated (2^(K+M) branches, lowest branch wins); they determine the
     pair parities, and each branch is a pure integer linear system.
-    A feasible branch is inflated into a witness pair, which
-    `decide_orbit` checks.  s_elem is the 3x3 matrix T^-1 S.  The system
-    is built over the Fraction log triples (`_log_triple`) of s_elem and
-    of the generators of G and H (`_logs`).
+    A feasible branch is turned into a witness pair by
+    `extract_orbit_witness`, and `decide_orbit` checks it.  The trace
+    entry records `branches_tried`, the `residues` of that branch, how
+    the witness was made (`witness`: "corner" or "inflated"), its
+    `shift` along the balancing combination and `witness_letters`.
+    s_elem is the 3x3 matrix T^-1 S.  The system is built over the
+    Fraction log triples (`_log_triple`) of s_elem and of the generators
+    of G and H (`_logs`).
     """
     options = options or {}
     K, M = G.K, H.K
@@ -626,11 +636,19 @@ def decide_hard(
             },
         )
         _check_relaxed(rows, rhs, relaxed)
-        v, w = extract_orbit_witness(s_elem, G, H, relaxed, logs=logs)
+        v, w, how, shift = extract_orbit_witness(s_elem, G, H, relaxed, logs=logs)
         return Decision(
             Verdict.NONEMPTY,
             witnesses=(v, w),
-            trace=[{"branches_tried": branches, "residues": residue}],
+            trace=[
+                {
+                    "branches_tried": branches,
+                    "residues": residue,
+                    "witness": how,
+                    "shift": shift,
+                    "witness_letters": total_letters((v, w)),
+                }
+            ],
             details={"case": "hard", "relaxed": relaxed},
         )
     return Decision(
@@ -688,17 +706,43 @@ def _positive_combination(g_logs, h_logs):
 def extract_orbit_witness(
     s_elem: UnipotentMatrix, G: GeneratorSystem, H: GeneratorSystem, sol: RelaxedSolution, *, logs=None
 ):
-    """Inflate a relaxed hard-case solution into witness words.
+    """Witness words for a relaxed hard-case solution, as (v, w, how, shift).
 
-    Mechanics: pick pair coefficients making a strictly positive combined
-    bracket value D (a single +-1 on a pair with nonzero corner bracket);
-    let E clear all relevant denominators; shift the solution by
-    multiples of the positive balancing combination (X, Y) scaled with an
-    integer N.  The shifts preserve the three equations and all parities,
-    and for N large enough every count is positive and the pair targets
-    fall inside the word-realization bounds.  The least such N is taken
-    and the two words are realized.  The identity product(v) =
-    S * product(w) is not checked here; `decide_orbit` checks it.
+    Both ways shift the counts along the positive balancing combination
+    (X, Y) (`_positive_combination`): l = x + shift X, m = y + shift Y
+    keeps both superdiagonal equations for every integer shift.
+
+    * "corner": take the triples of `_integer_logs`, units (D, D, 2 D^2),
+      with u the integer superdiagonal and g the corner entry of each.
+      By the 2-step BCH formula the corner of log(product v) is
+      sum_i l_i g(G_i) + sum_{i<j} delta_ij omega(u_i, u_j), and the
+      second sum is the signed area A(v) of `wordcraft.corner_area`.
+      The corner of log(S product w) adds g(S) and the halved bracket
+      omega(u(S), sum_j m_j u(H_j)).  So a word pair with counts l, m
+      meets the corner equation iff A(v) - A(w) = R with
+          R = g(S) + sum_j m_j (g(H_j) + omega(u(S), u(H_j)))
+                - sum_i l_i g(G_i),
+      an integer affine in the shift.  Shifts are tried upward from the
+      least one that makes every count positive, each by
+      `realize_corner`, which hits the area exactly with block orders.
+    * "inflated", the fallback, which always ends: pick pair coefficients
+      making a strictly positive combined bracket value D (a single +-1
+      on a pair with nonzero corner bracket); let E clear all relevant
+      denominators; shift the solution by 2 N D E (X, Y) and its pair
+      coefficients to match.  The shifts preserve the three equations
+      and all parities, and for N large enough every count is positive
+      and the pair targets fall inside the word-realization bounds
+      (`within_bounds`).  The least such N is taken and the two words
+      are realized by `realize_word`.
+
+    The inflation is computed first, since it is cheap, and the corner
+    search stops before its letter count passes the inflation's, so a
+    corner witness is never longer.  It also stops after CORNER_SHIFTS
+    shifts: the shifts up to the inflation's can number in the millions
+    when the relaxed counts start near zero, and a family that misses
+    the area lattice at every shift would try them all.  The identity
+    product(v) = S * product(w) is not checked here; `decide_orbit`
+    checks it.
     `logs` is the pair of Fraction log triples of G and H (`_logs`),
     computed here when not given.
     """
@@ -763,5 +807,26 @@ def extract_orbit_witness(
             and within_bounds(ys, dsh, M)
         )
 
-    xs, ys, cs, dsh = shifted(least_scale(bounds_ok, 1))
-    return realize_word(xs, cs), realize_word(ys, dsh)
+    n_scale = least_scale(bounds_ok, 1)
+    xs, ys, cs, dsh = shifted(n_scale)
+
+    units = _integer_logs(s_elem, G.mats, H.mats)
+    g_vecs = [x[:2] for x in units.g]
+    h_vecs = [y[:2] for y in units.h]
+    h_gammas = [y[2] + _corner(units.s, y) for y in units.h]
+    limit = sum(xs) + sum(ys)
+    first = max(-((x - 1) // c) for x, c in zip((*sol.x, *sol.y), (*X, *Y)))
+    for shift in range(first, first + CORNER_SHIFTS):
+        ls = [x + shift * c for x, c in zip(sol.x, X)]
+        ms = [y + shift * c for y, c in zip(sol.y, Y)]
+        if sum(ls) + sum(ms) > limit:
+            break
+        target = (
+            units.s[2]
+            + sum(m * gam for m, gam in zip(ms, h_gammas))
+            - sum(l * x[2] for l, x in zip(ls, units.g))
+        )
+        found = realize_corner(ls, g_vecs, ms, h_vecs, target)
+        if found is not None:
+            return (*found, "corner", shift)
+    return realize_word(xs, cs), realize_word(ys, dsh), "inflated", 2 * n_scale * de_int

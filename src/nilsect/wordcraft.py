@@ -15,6 +15,8 @@ runs, and both statistics and matrix products are computed from runs.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
+from math import gcd
 
 
 class Word:
@@ -292,3 +294,198 @@ def realize_word(counts, delta) -> Word:
                 f"construction defect: delta mismatch at pair {(i, j)}"
             )
     return word
+
+
+# ---- exact corners: one signed area per word, hit by block orders
+
+
+def _omega(u, v):
+    """The integer form u0 v1 - u1 v0 of two plane vectors."""
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def corner_area(word: Word, vectors) -> int:
+    """A(word) = sum over positions p < q of omega(u_{w_p}, u_{w_q}).
+
+    Equal to sum_{i<j} delta_ij omega(u_i, u_j): a pair "i then j"
+    counts omega(u_i, u_j), a pair "j then i" its negative, and equal
+    letters count 0.  It is twice the signed area between the path of
+    the steps u_{w_1}, u_{w_2}, ... and its chord.
+    """
+    return sum(
+        d * _omega(vectors[i], vectors[j]) for (i, j), d in delta_table(word).items()
+    )
+
+
+def _angular_order(vectors):
+    """Letter indices sorted by the angle of their vector in [0, 2 pi),
+    exactly (half-plane, then the sign of omega); zero vectors last."""
+
+    def half(u):
+        if u[0] == u[1] == 0:
+            return 2
+        return 0 if u[1] > 0 or (u[1] == 0 and u[0] > 0) else 1
+
+    def compare(i, j):
+        hi, hj = half(vectors[i]), half(vectors[j])
+        if hi != hj:
+            return hi - hj
+        turn = _omega(vectors[i], vectors[j])
+        return -turn if turn else i - j
+
+    return sorted(range(len(vectors)), key=cmp_to_key(compare))
+
+
+def _block_candidates(counts, vectors):
+    """The block-order family of one side, in a fixed order.
+
+    Each entry is (seq, k, base, step, cap): the word with every letter's
+    copies together in the order `seq` has area `base`; interleaving its
+    adjacent blocks k and k + 1, letters a = seq[k] and b = seq[k + 1],
+    with s of the l_a l_b pairs put "b before a" gives area
+    base - 2 s step, step = omega(u_a, u_b), for 0 <= s <= cap = l_a l_b.
+    The orders are the K rotations of the angular order, each read
+    forward and reversed; a single letter has one entry with cap 0.
+    """
+    order = _angular_order(vectors)
+    K = len(order)
+    seqs = []
+    for r in range(K):
+        seq = order[r:] + order[:r]
+        seqs += [seq, seq[::-1]]
+    out = []
+    for seq in seqs:
+        base = 0
+        acc = (0, 0)
+        for letter in seq:
+            u = vectors[letter]
+            base += counts[letter] * _omega(acc, u)
+            acc = (acc[0] + counts[letter] * u[0], acc[1] + counts[letter] * u[1])
+        if K == 1:
+            out.append((seq, 0, base, 0, 0))
+        for k in range(K - 1):
+            a, b = seq[k], seq[k + 1]
+            out.append(
+                (seq, k, base, _omega(vectors[a], vectors[b]), counts[a] * counts[b])
+            )
+    return out
+
+
+def _ext_gcd(a, b):
+    """(g, p, q) with a p + b q = g = gcd(a, b) >= 0."""
+    p0, q0, p1, q1 = 1, 0, 0, 1
+    while b:
+        quo, rem = divmod(a, b)
+        a, b = b, rem
+        p0, p1 = p1, p0 - quo * p1
+        q0, q1 = q1, q0 - quo * q1
+    if a < 0:
+        return -a, -p0, -q0
+    return a, p0, q0
+
+
+def _ceil_div(x, m):
+    return -((-x) // m)
+
+
+def _box_solution(a, b, r, cap_a, cap_b):
+    """Least s with (s, s') in [0, cap_a] x [0, cap_b] and a s + b s' = r,
+    as (s, s'); None if there is none."""
+    if a == 0 and b == 0:
+        return (0, 0) if r == 0 else None
+    g, p, q = _ext_gcd(a, b)
+    if r % g:
+        return None
+    # s = s0 + k bb, s' = t0 - k aa over all integers k
+    s0, t0, aa, bb = p * (r // g), q * (r // g), a // g, b // g
+    k_lo, k_hi = None, None
+    for c0, m, hi in ((s0, bb, cap_a), (t0, -aa, cap_b)):
+        if m == 0:
+            if not 0 <= c0 <= hi:
+                return None
+            continue
+        if m > 0:
+            lo_k, hi_k = _ceil_div(-c0, m), (hi - c0) // m
+        else:
+            lo_k, hi_k = _ceil_div(hi - c0, m), (-c0) // m
+        k_lo = lo_k if k_lo is None else max(k_lo, lo_k)
+        k_hi = hi_k if k_hi is None else min(k_hi, hi_k)
+    if k_lo > k_hi:
+        return None
+    k = k_lo if bb >= 0 else k_hi  # the least s
+    return s0 + k * bb, t0 - k * aa
+
+
+def _candidate_word(K, counts, seq, k, s):
+    """The word of a `_block_candidates` entry with s inverted pairs."""
+    if K == 1:
+        return Word(1, [(0, counts[0])])
+    a, b = seq[k], seq[k + 1]
+    la, lb = counts[a], counts[b]
+    middle = two_letter_permutation(la, lb, la * lb - 2 * s, letters=(a, b), K=K)
+    runs = [(x, counts[x]) for x in seq[:k]]
+    runs += middle.runs
+    runs += [(x, counts[x]) for x in seq[k + 2 :]]
+    return Word(K, runs)
+
+
+def realize_corner(v_counts, v_vectors, w_counts, w_vectors, target):
+    """Words v and w with the given letter counts and
+    corner_area(v) - corner_area(w) = target, or None.
+
+    `*_vectors` are integer plane vectors, one per letter, and every count
+    is positive.  The search runs over the block-order family of each
+    side (`_block_candidates`): at most 2K(K - 1) entries for K >= 2, so
+    O(K^2 M^2) pairs and never K! orders.  A pair of entries is one
+    equation step_v s - step_w s' = (base_v - base_w - target) / 2 in the
+    box [0, cap_v] x [0, cap_w], solved by the extended gcd
+    (`_box_solution`).  The first pair in the fixed order that has a
+    solution gives the words, each of at most K + 3 runs; they are
+    recounted before they are returned.
+
+    Two necessary conditions are checked first, since the family meets
+    neither bound nor lattice that no order meets.  Reversing a word
+    negates its area, and the largest area is that of a rotation of the
+    angular order (the convex-polygon argument on the path of steps), so
+    every area of a side lies in [-m, m], m the largest |base|.  An
+    adjacent swap of letters i, j moves the area by 2 omega(u_i, u_j), so
+    every area of a side is congruent to any base modulo 2 g, g the gcd
+    of all omega(u_i, u_j).
+    """
+    v_counts = [int(x) for x in v_counts]
+    w_counts = [int(x) for x in w_counts]
+    if min(v_counts + w_counts) < 1:
+        raise ValueError("every letter count must be positive")
+    v_cands = _block_candidates(v_counts, v_vectors)
+    w_cands = _block_candidates(w_counts, w_vectors)
+    reach = max(abs(c[2]) for c in v_cands) + max(abs(c[2]) for c in w_cands)
+    if abs(target) > reach:
+        return None
+    lattice = 2 * gcd(
+        *(
+            _omega(u, u2)
+            for vectors in (v_vectors, w_vectors)
+            for i, u in enumerate(vectors)
+            for u2 in vectors[i + 1 :]
+        )
+    )
+    offset = v_cands[0][2] - w_cands[0][2] - target
+    if lattice and offset % lattice or not lattice and offset:
+        return None
+    for seq_v, k_v, base_v, step_v, cap_v in v_cands:
+        for seq_w, k_w, base_w, step_w, cap_w in w_cands:
+            found = _box_solution(
+                step_v, -step_w, (base_v - base_w - target) // 2, cap_v, cap_w
+            )
+            if found is None:
+                continue
+            v = _candidate_word(len(v_counts), v_counts, seq_v, k_v, found[0])
+            w = _candidate_word(len(w_counts), w_counts, seq_w, k_w, found[1])
+            if (
+                parikh(v) != tuple(v_counts)
+                or parikh(w) != tuple(w_counts)
+                or corner_area(v, v_vectors) - corner_area(w, w_vectors) != target
+            ):
+                raise AssertionError("construction defect: corner mismatch")
+            return v, w
+    return None

@@ -890,6 +890,26 @@ def test_ilp_node_cap_bounds_a_diving_search():
     assert time.perf_counter() - start < 10
 
 
+ILP_DIVING_DEFECT = (
+    "linsolve._ilp_base still branches on x depth first, so it dives into a "
+    "branch without integer points and ends in BudgetExceeded after 5000 "
+    "relaxations instead of returning a point; branching in HNF lattice "
+    "coordinates (ROADMAP item 4) is the fix"
+)
+
+
+@pytest.mark.xfail(strict=True, raises=BudgetExceeded, reason=ILP_DIVING_DEFECT)
+@pytest.mark.parametrize(
+    "A, b, point",
+    [([[-2, 3, 2]], [-3], (3, 1, 0)), ([[-3, 2, -2]], [1], (1, 2, 0))],
+)
+def test_ilp_finds_point_past_a_diving_branch(A, b, point):
+    assert all(sum(a * v for a, v in zip(row, point)) == t for row, t in zip(A, b))
+    got = ilp_feasible_nonneg(A, b)
+    assert got is not None and all(v >= 0 for v in got)
+    assert all(sum(a * v for a, v in zip(row, got)) == t for row, t in zip(A, b))
+
+
 def test_cone_examples():
     m = cone_intersect_dim(Cone2D([(1, 0)]), Cone2D([(0, 1)]))
     assert m.dim == 0

@@ -26,6 +26,7 @@ from nilsect import (
     product_of_word,
     Word,
 )
+from nilsect import matlie
 from nilsect.matlie import (
     _fraction_rows,
     _integer_log,
@@ -793,6 +794,27 @@ def test_kernel_matches_reference_on_rational_ut():
         _assert_kernel_matches_reference(mats, rng)
         x = random_nilpotent(rng, n, bound=6)
         _assert_same_table(exp_nilpotent(x), _ref_exp(x))
+
+
+def test_powers_and_word_products_take_no_log(monkeypatch):
+    # a power is the binomial series of M = I + N, so a witness check by
+    # product_of_word never reaches the logarithm
+    rng = random.Random(43)
+    mats = [random_unipotent(rng, n, bound=6) for n in (2, 3, 4, 6) for _ in range(2)]
+    want = [[_ref_exp(_ref_log(m) * e) for e in POWERS] for m in mats]
+    words = [Word(1, [(0, c)]) for c in RUN_COUNTS]
+    products = [[_ref_product_of_word(GeneratorSystem([m]), w) for w in words] for m in mats]
+
+    def no_log(table, den):
+        raise AssertionError("a power took the logarithm")
+
+    monkeypatch.setattr(matlie, "_integer_log", no_log)
+    for m, powers, prods in zip(mats, want, products):
+        for e, table in zip(POWERS, powers):
+            _assert_same_table(m**e, table)
+        _assert_same_table(m.inverse() * m, UnipotentMatrix.identity(m.n))
+        for w, table in zip(words, prods):
+            _assert_same_table(product_of_word(GeneratorSystem([m]), w), table)
 
 
 def test_kernel_matches_reference_on_number_field_embeddings():

@@ -22,6 +22,7 @@ from nilsect import (
     delta_table,
     load_instance_file,
     log_unipotent,
+    parikh,
     product_of_word,
     reduce_to_identity,
     verify_orbit_witness,
@@ -31,6 +32,7 @@ from nilsect import (
 from nilsect import orbit as orbit_module
 from nilsect.linsolve import cone_intersect_dim
 from nilsect.matlie import bracket, common_denominator
+from nilsect.wordcraft import total_letters
 from nilsect.orbit import (
     _cone,
     _corner,
@@ -776,11 +778,12 @@ def test_balance_skip_matches_unskipped_loop_hypothesis(drawn_rng):
     assert_skip_matches_reference(random_easy_instance(drawn_rng))
 
 
-def f11_draw(index):
-    """Draw `index` (from 0) of the F11 fuzz family: random.Random(11);
-    each draw takes K, M in 1..3, then T, S, the K elements of G and the
-    M elements of H, each element's a, b and c a Fraction with numerator
-    in -3..3 and denominator in 1..3, drawn in that order."""
+def f11_draws(count=300):
+    """The first `count` draws of the F11 fuzz family, in order:
+    random.Random(11); each draw takes K, M in 1..3, then T, S, the K
+    elements of G and the M elements of H, each element's a, b and c a
+    Fraction with numerator in -3..3 and denominator in 1..3, drawn in
+    that order."""
     rng = random.Random(11)
 
     def elem():
@@ -788,12 +791,17 @@ def f11_draw(index):
             *(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3))
         )
 
-    for _ in range(index + 1):
+    for _ in range(count):
         K, M = rng.randint(1, 3), rng.randint(1, 3)
         T, S = elem(), elem()
         G = [elem() for _ in range(K)]
         H = [elem() for _ in range(M)]
-    return OrbitInstance(T, S, GeneratorSystem(G), GeneratorSystem(H))
+        yield OrbitInstance(T, S, GeneratorSystem(G), GeneratorSystem(H))
+
+
+def f11_draw(index):
+    """Draw `index` (from 0) of the F11 fuzz family (`f11_draws`)."""
+    return next(itertools.islice(f11_draws(index + 1), index, None))
 
 
 @pytest.mark.parametrize(
@@ -845,6 +853,69 @@ def test_orbit_witness_multiplied_once(monkeypatch):
     assert d.verdict is Verdict.NONEMPTY
     assert d.trace[0]["g_plus"] == [1]
     assert calls == list(d.witnesses)
+
+
+def test_hard_trace_reports_the_witness():
+    G = gsys(X, Y)
+    d = decide_orbit(orbit(IDENT, h3(0, 0, 1), G, G))
+    step = d.trace[0]
+    assert step["witness"] == "corner"
+    assert step["witness_letters"] == total_letters(d.witnesses)
+    v, w = d.witnesses
+    # the relaxed counts shifted along the balancing combination
+    relaxed = d.details["relaxed"]
+    X_, Y_ = orbit_module._positive_combination(_logs(G), _logs(G))
+    shift = step["shift"]
+    assert parikh(v) == tuple(x + shift * c for x, c in zip(relaxed.x, X_))
+    assert parikh(w) == tuple(y + shift * c for y, c in zip(relaxed.y, Y_))
+
+
+def test_f11_hard_census(monkeypatch):
+    # every hard draw of F11: verdicts, the corner/inflated split, and no
+    # corner witness longer than the inflation it replaces
+    hard = []
+    for index, inst in enumerate(f11_draws()):
+        units = _integer_logs(inst.S, inst.G.mats, inst.H.mats)
+        if cone_intersect_dim(_cone(units.g), _cone(units.h)).dim == 2:
+            hard.append((index, inst))
+    tried = {}  # letters of every count vector the corner search tried
+    real = orbit_module.realize_corner
+
+    def spy(ls, g_vecs, ms, h_vecs, target):
+        tried[index].append(sum(ls) + sum(ms))
+        return real(ls, g_vecs, ms, h_vecs, target)
+
+    monkeypatch.setattr(orbit_module, "realize_corner", spy)
+    decisions = {}
+    for index, inst in hard:
+        tried[index] = []
+        decisions[index] = decide_orbit(inst)
+    nonempty = [i for i, d in decisions.items() if d.verdict is Verdict.NONEMPTY]
+    assert len(hard) - len(nonempty) == 36 and len(nonempty) == 56
+    inflated = [i for i in nonempty if decisions[i].trace[0]["witness"] == "inflated"]
+    assert inflated == [159, 207]
+    assert all(decisions[i].trace[0]["witness"] == "corner" for i in nonempty if i not in inflated)
+
+    cap = orbit_module.CORNER_SHIFTS
+    monkeypatch.setattr(orbit_module, "CORNER_SHIFTS", 0)
+    for index, inst in hard:
+        d = decisions[index]
+        if index not in nonempty:
+            assert d.verdict is Verdict.EMPTY
+            continue
+        assert verify_orbit_witness(inst, *d.witnesses)
+        step = d.trace[0]
+        assert step["witness_letters"] == total_letters(d.witnesses)
+        fallback = decide_orbit(inst)
+        assert fallback.trace[0]["witness"] == "inflated"
+        assert verify_orbit_witness(inst, *fallback.witnesses)
+        # the search stops at the inflation's letter count, not at the cap
+        assert len(tried[index]) < cap
+        assert max(tried[index]) <= fallback.trace[0]["witness_letters"]
+        if step["witness"] == "inflated":
+            assert d.witnesses == fallback.witnesses
+        else:
+            assert step["witness_letters"] == tried[index][-1]
 
 
 def test_hard_half_central_shift_empty():

@@ -1,11 +1,22 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilsect import Word, delta_table, parikh, realize_word, two_letter_permutation
 from nilsect.intersect import _minimal_even_scale
-from nilsect.wordcraft import check_realizable, least_scale, within_bounds
+from nilsect.wordcraft import (
+    _block_candidates,
+    check_realizable,
+    corner_area,
+    least_scale,
+    realize_corner,
+    within_bounds,
+)
 
 
 def brute_delta(letters, K):
@@ -327,3 +338,106 @@ def test_least_scale_gives_up_past_2_64():
     with pytest.raises(AssertionError):
         least_scale(never, 2)
     assert probes == [2**k for k in range(1, 65)]
+
+
+def brute_area(letters, vectors):
+    """sum over positions p < q of omega(u_p, u_q), from the definition."""
+    return sum(
+        vectors[a][0] * vectors[b][1] - vectors[a][1] * vectors[b][0]
+        for (p, a), (q, b) in itertools.combinations(enumerate(letters), 2)
+    )
+
+
+def all_orders(counts):
+    """Every distinct word with the given letter counts, as letter tuples."""
+    letters = [i for i, c in enumerate(counts) for _ in range(c)]
+    return set(itertools.permutations(letters))
+
+
+def family_areas(counts, vectors):
+    """Areas of every word of the block-order family, recounted letter by
+    letter: each entry's blocks with its adjacent pair interleaved in
+    every possible way."""
+    areas = set()
+    for seq, k, _, _, _ in _block_candidates(counts, vectors):
+        if len(seq) == 1:
+            areas.add(0)
+            continue
+        a, b = seq[k], seq[k + 1]
+        head = [x for x in seq[:k] for _ in range(counts[x])]
+        tail = [x for x in seq[k + 2 :] for _ in range(counts[x])]
+        pair_counts = [c if i in (a, b) else 0 for i, c in enumerate(counts)]
+        for middle in all_orders(pair_counts):
+            areas.add(brute_area(head + list(middle) + tail, vectors))
+    return areas
+
+
+def test_corner_area_matches_definition(rng):
+    for _ in range(100):
+        K = rng.randint(1, 4)
+        vectors = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(K)]
+        letters = [rng.randrange(K) for _ in range(rng.randint(0, 12))]
+        word = Word.from_letters(K, letters)
+        assert corner_area(word, vectors) == brute_area(letters, vectors)
+
+
+def check_corner_against_brute_force(rng):
+    sides = []
+    for _ in range(2):
+        K = rng.randint(1, 4)
+        vectors = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(K)]
+        counts = [rng.randint(1, 3) for _ in range(K)]
+        while sum(counts) > 6:
+            counts[rng.randrange(K)] = 1
+        sides.append((counts, vectors))
+    (lv, uv), (lw, uw) = sides
+    reach = []
+    for counts, vectors in sides:
+        areas = {brute_area(w, vectors) for w in all_orders(counts)}
+        # the largest area is a rotation of the angular order, and every
+        # area lies in one class modulo twice the gcd of the brackets
+        bases = [c[2] for c in _block_candidates(counts, vectors)]
+        assert max(areas) == max(map(abs, bases)) == -min(areas)
+        k = len(counts)
+        g = 2 * math.gcd(*(brute_area([i, j], vectors) for j in range(k) for i in range(j)))
+        assert all((x - bases[0]) % g == 0 if g else x == bases[0] for x in areas)
+        reach.append((areas, family_areas(counts, vectors)))
+    (all_v, fam_v), (all_w, fam_w) = reach
+    hits_all = {a - b for a in all_v for b in all_w}
+    hits_family = {a - b for a in fam_v for b in fam_w}
+    span = max(hits_all) + 2
+    for target in range(-span, span + 1):
+        found = realize_corner(lv, uv, lw, uw, target)
+        if found is None:
+            assert target not in hits_family, (sides, target)
+            continue
+        v, w = found
+        assert parikh(v) == tuple(lv) and parikh(w) == tuple(lw)
+        assert brute_area(list(v.letters()), uv) - brute_area(list(w.letters()), uw) == target
+        assert len(v.runs) <= len(lv) + 3 and len(w.runs) <= len(lw) + 3
+        assert target in hits_all
+
+
+def test_realize_corner_matches_brute_force(rng):
+    for _ in range(40):
+        check_corner_against_brute_force(rng)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_realize_corner_matches_brute_force_hypothesis(drawn_rng):
+    check_corner_against_brute_force(drawn_rng)
+
+
+def test_realize_corner_examples():
+    # x and y steps: x y has area 1, y x area -1
+    x, y = (1, 0), (0, 1)
+    v, w = realize_corner([1, 1], [x, y], [1], [(0, 0)], 1)
+    assert list(v.letters()) == [0, 1] and list(w.letters()) == [0]
+    v, _ = realize_corner([1, 1], [x, y], [1], [(0, 0)], -1)
+    assert list(v.letters()) == [1, 0]
+    # out of reach, and off the area lattice (x^2 y has areas 2, 0, -2)
+    assert realize_corner([1, 1], [x, y], [1], [(0, 0)], 2) is None
+    assert realize_corner([2, 1], [x, y], [1], [(0, 0)], 1) is None
+    with pytest.raises(ValueError):
+        realize_corner([0, 1], [x, y], [1], [(0, 0)], 0)
