@@ -566,6 +566,16 @@ def hnf_solve(A, b) -> IntegerSolutionSet:
     system H y = b solves by forward substitution, requiring exact
     divisibility at every pivot.  Solutions are x = U y; kernel basis =
     columns of U over the pivot-free columns of H.
+
+    Row scaling: for positive integers c_r, the system diag(c) A x =
+    diag(c) b gets the same `particular` and `lattice_basis` as A x = b.
+    Column operations commute with scaling a row, so row r of H stays
+    c_r times its unscaled row throughout: its nonzero columns, its
+    entry of least absolute value (the first on ties), the floor
+    quotients and the sign flips are all the same, hence so are U and
+    the pivots.  In the substitution, row r's residual and pivot are c_r
+    times the unscaled ones, so the quotients agree and a remainder or a
+    pivot-free residual is nonzero in both systems or in neither.
     """
     A, b = _integer_system(A, b)
     m = len(A)

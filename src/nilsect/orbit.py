@@ -35,10 +35,11 @@ corners by D^2, so half a corner bracket in units of 2 D^2 is the
 integer bracket of the integer superdiagonals, and the BCH sums above
 stay integer sums.  The easy case skips every ordering pair that misses
 the balance its separating functional imposes (see `decide_easy`)
-before any integer program is solved.  The hard case still builds its
-relaxed system over Fraction log triples, read off the same tables by
-`_log_triple`; its corner search for witnesses runs on the integer
-triples.
+before any integer program is solved.  The hard case builds its relaxed
+system once from the same integer triples and branches over its parity
+residues in ints; its corner search for witnesses runs on them too.
+Only the inflation fallback and its balancing combination still read
+Fraction log triples (`_log_triple`).
 
 Nonempty verdicts always come with a verified witness pair.  One known
 configuration (dimension <= 1 but no separating functional, e.g. a full
@@ -126,13 +127,14 @@ def _corner(x, y):
 
 def _log_triple(m: UnipotentMatrix):
     """The Fraction triple (a, b, c - ab/2): entries (0,1), (1,2) and (0,2)
-    of log m, its only nonzero ones (hard case only)."""
+    of log m, its only nonzero ones (the inflation fallback only)."""
     a, b = m[0, 1], m[1, 2]
     return (a, b, m[0, 2] - a * b / 2)
 
 
 def _logs(sys: GeneratorSystem):
-    """Fraction log triples of the generators, in order (hard case only)."""
+    """Fraction log triples of the generators, in order (the inflation
+    fallback only)."""
     return [_log_triple(m) for m in sys.mats]
 
 
@@ -197,7 +199,7 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
     meet = cone_intersect_dim(_cone(units.g), _cone(units.h))
 
     if meet.dim == 2:
-        decision = decide_hard(s_elem, G, H, options=inst.options)
+        decision = decide_hard(s_elem, G, H, options=inst.options, units=units)
         case = "hard"
     else:
         decision = decide_easy(
@@ -539,35 +541,38 @@ def _pairs(k):
     return [(i, j) for i in range(k) for j in range(i + 1, k)]
 
 
-def _hard_system(s_log, g_logs, h_logs):
-    """Rows of the relaxed system over (x, y, c, d) with Fraction entries.
+def _hard_system(units: IntegerLogs):
+    """Integer rows R and right-hand side t of the relaxed system over
+    (x, y, c, d), read off `units` (triples in units (D, D, 2 D^2)).
 
     Returns (rows, rhs, g_pairs, h_pairs).  The variables are x, y, then
     one c per pair of g_pairs and one d per pair of h_pairs; the rows are
-    the two superdiagonal equations followed by the corner equation.  In
-    the corner row, x_i has coefficient gamma of G_i, y_j has gamma of H_j
-    plus 1/2 [log S, H_j] (negated), and each pair coefficient has half
-    the corner bracket of its pair.
+    the two superdiagonal equations, in units of D, followed by the
+    corner equation, in units of 2 D^2.  In the corner row, x_i has
+    coefficient g_i[2], y_j has -(h_j[2] + omega(s, h_j)), and each pair
+    coefficient has +-omega of its pair's integer superdiagonals (the
+    halved brackets of the rational system, see `IntegerLogs`).
     """
-    g_pairs = _pairs(len(g_logs))
-    h_pairs = _pairs(len(h_logs))
+    g, h, s = units.g, units.h, units.s
+    g_pairs = _pairs(len(g))
+    h_pairs = _pairs(len(h))
     rows = [
-        [x[comp] for x in g_logs]
-        + [-y[comp] for y in h_logs]
-        + [Fraction(0)] * (len(g_pairs) + len(h_pairs))
+        [x[comp] for x in g]
+        + [-y[comp] for y in h]
+        + [0] * (len(g_pairs) + len(h_pairs))
         for comp in range(2)
     ]
     rows.append(
-        [x[2] for x in g_logs]
-        + [-(y[2] + _corner(s_log, y) / 2) for y in h_logs]
-        + [_corner(g_logs[i], g_logs[j]) / 2 for i, j in g_pairs]
-        + [-_corner(h_logs[i], h_logs[j]) / 2 for i, j in h_pairs]
+        [x[2] for x in g]
+        + [-(y[2] + _corner(s, y)) for y in h]
+        + [_corner(g[i], g[j]) for i, j in g_pairs]
+        + [-_corner(h[i], h[j]) for i, j in h_pairs]
     )
-    return rows, list(s_log), g_pairs, h_pairs
+    return rows, list(s), g_pairs, h_pairs
 
 
 def decide_hard(
-    s_elem: UnipotentMatrix, G: GeneratorSystem, H: GeneratorSystem, *, options=None
+    s_elem: UnipotentMatrix, G: GeneratorSystem, H: GeneratorSystem, *, options=None, units=None
 ) -> Decision:
     """Relaxed-system decision when the cones meet with full dimension.
 
@@ -581,62 +586,63 @@ def decide_hard(
     entry records `branches_tried`, the `residues` of that branch, how
     the witness was made (`witness`: "corner" or "inflated"), its
     `shift` along the balancing combination and `witness_letters`.
-    s_elem is the 3x3 matrix T^-1 S.  The system is built over the
-    Fraction log triples (`_log_triple`) of s_elem and of the generators
-    of G and H (`_logs`).
+    s_elem is the 3x3 matrix T^-1 S.
+
+    The system is built once, as integer rows R and right-hand side t
+    (`_hard_system`), from `units`, the `IntegerLogs` of s_elem, G and H
+    (computed here when not given): the superdiagonal rows in units of
+    D, the corner row in units of 2 D^2.  A branch with residue vector r
+    writes the solution as 2 h + r and solves 2 R h = t - R r for integer
+    h, in ints only: the columns with r_i = 1 are subtracted from t.
+    Why this is the Fraction system's answer: clearing the rational
+    system by one common denominator E (entries times 2E, right-hand
+    sides times E) gives rows that row r of this system equals q_r times,
+    right-hand side included, with q_r = D/E for the superdiagonals and
+    2 D^2 / E for the corner.  Writing q_r = u/v with positive integers,
+    both systems scale to one integer system (the cleared row by u, this
+    one by v), and `hnf_solve` returns the same particular solution for
+    positively scaled rows (see its docstring).  So every branch, its
+    residues and the witness are those of the Fraction system, whatever
+    D is.
     """
     options = options or {}
     K, M = G.K, H.K
-    logs = (_logs(G), _logs(H))
     cap = options.get("parity_cap", DEFAULT_PARITY_CAP)
     if K + M > cap:
         raise BudgetExceeded(
             f"hard case would enumerate 2^{K + M} parity branches (cap {cap})",
             budget=cap,
         )
-    rows, rhs, g_pairs, h_pairs = _hard_system(_log_triple(s_elem), *logs)
-    width = len(rows[0])
-    nx, ny = K, M
-    den = common_denominator(itertools.chain(*rows, rhs))
+    if units is None:
+        units = _integer_logs(s_elem, G.mats, H.mats)
+    rows, rhs, g_pairs, h_pairs = _hard_system(units)
+    doubled = [[2 * coef for coef in row] for row in rows]
+    cut = K + M + len(g_pairs)  # first d column
 
     branches = 0
     for residue in itertools.product((0, 1), repeat=K + M):
         branches += 1
-        rho = residue[:K]
-        sigma = residue[K:]
-        res = [0] * width
-        res[:nx] = rho
-        res[nx : nx + ny] = sigma
-        for idx, (i, j) in enumerate(g_pairs):
-            res[nx + ny + idx] = rho[i] * rho[j]
-        for idx, (i, j) in enumerate(h_pairs):
-            res[nx + ny + len(g_pairs) + idx] = sigma[i] * sigma[j]
+        rho, sigma = residue[:K], residue[K:]
+        res = [
+            *residue,
+            *(rho[i] * rho[j] for i, j in g_pairs),
+            *(sigma[i] * sigma[j] for i, j in h_pairs),
+        ]
+        ones = [i for i, r in enumerate(res) if r]
+        shifted = [t - sum(row[i] for i in ones) for row, t in zip(rows, rhs)]
 
-        int_rows = []
-        int_rhs = []
-        for row, target in zip(rows, rhs):
-            shifted = target - sum(
-                coef * r for coef, r in zip(row, res) if r
-            )
-            int_rows.append([int(2 * coef * den) for coef in row])
-            int_rhs.append(int(shifted * den))
-
-        sol = hnf_solve(int_rows, int_rhs)
+        sol = hnf_solve(doubled, shifted)
         if not sol.feasible:
             continue
-        halves = sol.particular
-        full = [2 * h + r for h, r in zip(halves, res)]
+        full = [2 * h + r for h, r in zip(sol.particular, res)]
         relaxed = RelaxedSolution(
-            x=tuple(full[:nx]),
-            y=tuple(full[nx : nx + ny]),
-            c={p: full[nx + ny + idx] for idx, p in enumerate(g_pairs)},
-            d={
-                p: full[nx + ny + len(g_pairs) + idx]
-                for idx, p in enumerate(h_pairs)
-            },
+            x=tuple(full[:K]),
+            y=tuple(full[K : K + M]),
+            c=dict(zip(g_pairs, full[K + M : cut])),
+            d=dict(zip(h_pairs, full[cut:])),
         )
         _check_relaxed(rows, rhs, relaxed)
-        v, w, how, shift = extract_orbit_witness(s_elem, G, H, relaxed, logs=logs)
+        v, w, how, shift = extract_orbit_witness(s_elem, G, H, relaxed, units=units)
         return Decision(
             Verdict.NONEMPTY,
             witnesses=(v, w),
@@ -659,6 +665,8 @@ def decide_hard(
 
 
 def _check_relaxed(rows, rhs, sol: RelaxedSolution):
+    """Raise unless `sol` meets the integer rows and right-hand side of
+    `_hard_system` exactly, and the parities of its pair coefficients."""
     flat = (
         list(sol.x)
         + list(sol.y)
@@ -704,7 +712,7 @@ def _positive_combination(g_logs, h_logs):
 
 
 def extract_orbit_witness(
-    s_elem: UnipotentMatrix, G: GeneratorSystem, H: GeneratorSystem, sol: RelaxedSolution, *, logs=None
+    s_elem: UnipotentMatrix, G: GeneratorSystem, H: GeneratorSystem, sol: RelaxedSolution, *, units=None
 ):
     """Witness words for a relaxed hard-case solution, as (v, w, how, shift).
 
@@ -743,10 +751,12 @@ def extract_orbit_witness(
     the area lattice at every shift would try them all.  The identity
     product(v) = S * product(w) is not checked here; `decide_orbit`
     checks it.
-    `logs` is the pair of Fraction log triples of G and H (`_logs`),
-    computed here when not given.
+    `units` is the `IntegerLogs` of s_elem, G and H, computed here when
+    not given.  The inflation and the balancing combination read the
+    Fraction log triples (`_logs`), since the combination's LP vertex and
+    the denominator E set the corner search's letter limit.
     """
-    g_logs, h_logs = logs or (_logs(G), _logs(H))
+    g_logs, h_logs = _logs(G), _logs(H)
     K, M = len(g_logs), len(h_logs)
     s_log = _log_triple(s_elem)
     g_halves = [_corner(g_logs[i], g_logs[j]) / 2 for i, j in _pairs(K)]
@@ -810,7 +820,8 @@ def extract_orbit_witness(
     n_scale = least_scale(bounds_ok, 1)
     xs, ys, cs, dsh = shifted(n_scale)
 
-    units = _integer_logs(s_elem, G.mats, H.mats)
+    if units is None:
+        units = _integer_logs(s_elem, G.mats, H.mats)
     g_vecs = [x[:2] for x in units.g]
     h_vecs = [y[:2] for y in units.h]
     h_gammas = [y[2] + _corner(units.s, y) for y in units.h]

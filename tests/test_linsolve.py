@@ -809,6 +809,48 @@ def test_hnf_matches_box_brute_force(rng):
             assert solve_in_lattice(sol, x) is not None
 
 
+def assert_row_scaling_keeps_solution(A, b, scales):
+    """`hnf_solve` on diag(scales) A x = diag(scales) b returns the
+    particular solution and lattice basis of A x = b."""
+    scaled_A = [[c * v for v in row] for c, row in zip(scales, A)]
+    scaled_b = [c * v for c, v in zip(scales, b)]
+    want = hnf_solve(A, b)
+    got = hnf_solve(scaled_A, scaled_b)
+    assert got.particular == want.particular
+    assert got.lattice_basis == want.lattice_basis
+    return want.feasible
+
+
+def test_hnf_solve_ignores_positive_row_scaling(rng):
+    feasible = []
+    for _ in range(300):
+        m, k = rng.randint(1, 3), rng.randint(1, 5)
+        A = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(m)]
+        b = [rng.randint(-9, 9) for _ in range(m)]
+        scales = [rng.choice((1, 2, 3, 4, 6, 10, 2**40)) for _ in range(m)]
+        feasible.append(assert_row_scaling_keeps_solution(A, b, scales))
+    assert feasible.count(True) >= 50 and feasible.count(False) >= 50
+
+
+_scaled_systems = st.tuples(st.integers(1, 3), st.integers(1, 5)).flatmap(
+    lambda shape: st.tuples(
+        st.lists(
+            st.lists(st.integers(-8, 8), min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        ),
+        st.lists(st.integers(-12, 12), min_size=shape[0], max_size=shape[0]),
+        st.lists(st.integers(1, 50), min_size=shape[0], max_size=shape[0]),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_scaled_systems)
+def test_hnf_solve_ignores_positive_row_scaling_hypothesis(system):
+    assert_row_scaling_keeps_solution(*system)
+
+
 def test_ilp_examples():
     s = ilp_feasible_nonneg([[1, 1]], [2])
     assert s is not None and s[0] + s[1] == 2 and min(s) >= 0

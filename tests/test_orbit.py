@@ -30,14 +30,16 @@ from nilsect import (
 )
 
 from nilsect import orbit as orbit_module
-from nilsect.linsolve import cone_intersect_dim
+from nilsect.linsolve import cone_intersect_dim, hnf_solve
 from nilsect.matlie import bracket, common_denominator
 from nilsect.wordcraft import total_letters
 from nilsect.orbit import (
     _cone,
     _corner,
+    RelaxedSolution,
     _hard_system,
     _integer_logs,
+    _pairs,
     _interleavings,
     _log_triple,
     _logs,
@@ -306,6 +308,29 @@ def hard_system_by_matrix_logs(s_elem, G, H):
     return rows, rhs
 
 
+def fraction_hard_system(s_log, g_logs, h_logs):
+    """Reference: the relaxed hard-case system over Fraction log triples,
+    the form the integer rows of `_hard_system` replaced.  Returns (rows,
+    rhs, g_pairs, h_pairs); in the corner row, x_i has coefficient gamma
+    of G_i, y_j has gamma of H_j plus 1/2 [log S, H_j] (negated), and each
+    pair coefficient has half the corner bracket of its pair."""
+    g_pairs = _pairs(len(g_logs))
+    h_pairs = _pairs(len(h_logs))
+    rows = [
+        [x[comp] for x in g_logs]
+        + [-y[comp] for y in h_logs]
+        + [Fraction(0)] * (len(g_pairs) + len(h_pairs))
+        for comp in range(2)
+    ]
+    rows.append(
+        [x[2] for x in g_logs]
+        + [-(y[2] + _corner(s_log, y) / 2) for y in h_logs]
+        + [_corner(g_logs[i], g_logs[j]) / 2 for i, j in g_pairs]
+        + [-_corner(h_logs[i], h_logs[j]) / 2 for i, j in h_pairs]
+    )
+    return rows, list(s_log), g_pairs, h_pairs
+
+
 def assert_same_fractions(got, expected):
     assert got == expected
     assert all(isinstance(v, Fraction) for v in got)
@@ -406,19 +431,31 @@ def test_hard_system_matches_matrix_logs():
              for _ in range(rng.randint(1, 4))]
         )
         s_elem = h3(*(random_rational(rng) for _ in range(3)))
-        rows, rhs, _, _ = _hard_system(log_triple(s_elem), _logs(G), _logs(H))
+        frac_rows, frac_rhs, _, _ = fraction_hard_system(
+            log_triple(s_elem), _logs(G), _logs(H)
+        )
         ref_rows, ref_rhs = hard_system_by_matrix_logs(s_elem, G, H)
-        for row, ref in zip(rows, ref_rows):
+        for row, ref in zip(frac_rows, ref_rows):
             assert_same_fractions(row, ref)
-        assert_same_fractions(rhs, ref_rhs)
+        assert_same_fractions(frac_rhs, ref_rhs)
+        # the integer rows are the reference rows in units D, D and 2 D^2
+        units = _integer_logs(s_elem, G.mats, H.mats)
+        rows, rhs, _, _ = _hard_system(units)
+        den = units.den
+        scales = (den, den, 2 * den * den)
         assert len(rows) == len(ref_rows) == 3
+        for row, ref, scale in zip(rows, ref_rows, scales):
+            assert_same_ints(row, [scale * v for v in ref])
+        assert_same_ints(rhs, [scale * v for scale, v in zip(scales, ref_rhs)])
 
 
 def test_closed_forms_on_orbit_central_sample():
     path = Path(__file__).resolve().parent.parent / "samples" / "orbit-central.txt"
     inst = load_instance_file(path).build()
     s_elem = reduce_to_identity(inst).S
-    rows, rhs, _, _ = _hard_system(log_triple(s_elem), _logs(inst.G), _logs(inst.H))
+    rows, rhs, _, _ = fraction_hard_system(
+        log_triple(s_elem), _logs(inst.G), _logs(inst.H)
+    )
     assert (rows, rhs) == hard_system_by_matrix_logs(s_elem, inst.G, inst.H)
     # x on-line, y off-line, with S in front on the H side
     for length in range(3):
@@ -916,6 +953,198 @@ def test_f11_hard_census(monkeypatch):
             assert d.witnesses == fallback.witnesses
         else:
             assert step["witness_letters"] == tried[index][-1]
+
+
+def random_hard_instance(rng):
+    """A random orbit instance, T = I, whose cones meet in dimension 2:
+    K, M in 1..3, every entry a Fraction with numerator in -3..3 and
+    denominator in 1..3 (the entries of F11)."""
+
+    def elem():
+        return h3(*(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)))
+
+    while True:
+        G = GeneratorSystem([elem() for _ in range(rng.randint(1, 3))])
+        H = GeneratorSystem([elem() for _ in range(rng.randint(1, 3))])
+        S = elem()
+        units = _integer_logs(S, G.mats, H.mats)
+        if cone_intersect_dim(_cone(units.g), _cone(units.h)).dim == 2:
+            return OrbitInstance(IDENT, S, G, H)
+
+
+def reference_hard_branches(inst):
+    """The parity-branch loop over the Fraction rows of
+    `fraction_hard_system`: each branch clears the rows and the shifted
+    right-hand side by one common denominator, doubles the rows and
+    solves for the halves.  Returns (residues, branches tried, relaxed
+    solution), with None for the residues and the solution when no
+    branch is feasible."""
+    K, M = inst.G.K, inst.H.K
+    rows, rhs, g_pairs, h_pairs = fraction_hard_system(
+        log_triple(inst.S), _logs(inst.G), _logs(inst.H)
+    )
+    den = common_denominator(itertools.chain(*rows, rhs))
+
+    def cleared(values):
+        out = [den * v for v in values]
+        assert all(v.denominator == 1 for v in out)
+        return [int(v) for v in out]
+
+    int_rows = [cleared([2 * coef for coef in row]) for row in rows]
+    branches = 0
+    for residue in itertools.product((0, 1), repeat=K + M):
+        branches += 1
+        rho, sigma = residue[:K], residue[K:]
+        res = [
+            *rho,
+            *sigma,
+            *(rho[i] * rho[j] for i, j in g_pairs),
+            *(sigma[i] * sigma[j] for i, j in h_pairs),
+        ]
+        shifted = [
+            t - sum(coef * r for coef, r in zip(row, res)) for row, t in zip(rows, rhs)
+        ]
+        sol = hnf_solve(int_rows, cleared(shifted))
+        if sol.feasible:
+            full = [2 * h + r for h, r in zip(sol.particular, res)]
+            nc = len(g_pairs)
+            relaxed = RelaxedSolution(
+                x=tuple(full[:K]),
+                y=tuple(full[K : K + M]),
+                c={p: full[K + M + idx] for idx, p in enumerate(g_pairs)},
+                d={p: full[K + M + nc + idx] for idx, p in enumerate(h_pairs)},
+            )
+            return residue, branches, relaxed
+    return None, branches, None
+
+
+def assert_hard_matches_reference(inst):
+    """`decide_hard` tries the branches of the Fraction reference loop and
+    returns its residues and relaxed solution.  Returns the verdict."""
+    residues, branches, relaxed = reference_hard_branches(inst)
+    d = decide_hard(inst.S, inst.G, inst.H)
+    step = d.trace[0]
+    assert step["branches_tried"] == branches
+    assert step.get("residues") == residues
+    assert d.details.get("relaxed") == relaxed
+    assert (d.verdict is Verdict.NONEMPTY) == (relaxed is not None)
+    return d.verdict
+
+
+def test_hard_branches_match_fraction_reference():
+    rng = random.Random(73)
+    verdicts = [assert_hard_matches_reference(random_hard_instance(rng)) for _ in range(60)]
+    assert verdicts.count(Verdict.EMPTY) >= 10
+    assert verdicts.count(Verdict.NONEMPTY) >= 10
+
+
+_entries = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_lengths = st.builds(Fraction, st.integers(0, 3), st.integers(1, 3))
+
+
+@st.composite
+def hard_instances(draw):
+    """Orbit instances, T = I, whose cones both hold (1, 1) in their
+    interior, so they meet in dimension 2: each side has one generator
+    with superdiagonal strictly below the diagonal of the first quadrant,
+    one strictly above it, and at most one more of any direction."""
+
+    def elem(a, b):
+        return h3(a, b, draw(_entries))
+
+    def side():
+        lo, hi = draw(_lengths), draw(_lengths)
+        d1, d2 = draw(_lengths) + 1, draw(_lengths) + 1
+        mats = [elem(lo + d1, lo), elem(hi, hi + d2)]
+        if draw(st.booleans()):
+            mats.append(elem(draw(_entries), draw(_entries)))
+        return GeneratorSystem(mats)
+
+    G, H = side(), side()
+    return OrbitInstance(IDENT, elem(draw(_entries), draw(_entries)), G, H)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(hard_instances())
+def test_hard_branches_match_fraction_reference_hypothesis(inst):
+    units = _integer_logs(inst.S, inst.G.mats, inst.H.mats)
+    assert cone_intersect_dim(_cone(units.g), _cone(units.h)).dim == 2
+    assert_hard_matches_reference(inst)
+
+
+def test_hard_branch_loop_builds_no_fraction(monkeypatch):
+    # Empty hard instances try every branch; the loop runs on the integer
+    # rows alone, so no Fraction, Fraction log triple or Fraction
+    # denominator is needed
+    rng = random.Random(79)
+    empty = []
+    while len(empty) < 5:
+        inst = random_hard_instance(rng)
+        if decide_hard(inst.S, inst.G, inst.H).verdict is Verdict.EMPTY:
+            empty.append(inst)
+    empty.append(orbit(IDENT, h3(0, 0, Fraction(1, 2)), gsys(X, Y), gsys(X, Y)))
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    for name in ("Fraction", "_log_triple", "common_denominator"):
+        monkeypatch.setattr(orbit_module, name, refuse)
+    for inst in empty:
+        d = decide_hard(inst.S, inst.G, inst.H)
+        assert d.verdict is Verdict.EMPTY
+        assert d.trace[0]["branches_tried"] == 2 ** (inst.G.K + inst.H.K)
+
+
+def test_parity_cap_bounds_the_branches(monkeypatch):
+    calls = []
+    real = orbit_module.hnf_solve
+
+    def spy(A, b):
+        calls.append(1)
+        return real(A, b)
+
+    monkeypatch.setattr(orbit_module, "hnf_solve", spy)
+    s = h3(0, 0, Fraction(1, 2))
+    G = gsys(X, Y)
+    over = orbit(IDENT, s, G, gsys(X, Y, h3(1, 1, 0)), parity_cap=4)
+    with pytest.raises(BudgetExceeded) as info:
+        decide_orbit(over)
+    assert info.value.budget == 4
+    assert not calls
+    # K + M equal to the cap is decided, every branch tried
+    d = decide_orbit(orbit(IDENT, s, G, gsys(X, Y), parity_cap=4))
+    assert d.details["case"] == "hard"
+    assert d.verdict is Verdict.EMPTY
+    assert d.trace[0]["branches_tried"] == len(calls) == 16
+    calls.clear()
+    d = decide_orbit(orbit(IDENT, h3(0, 0, 1), G, gsys(X, Y), parity_cap=4))
+    assert d.verdict is Verdict.NONEMPTY
+    assert d.trace[0]["branches_tried"] == len(calls) <= 16
+
+
+def test_integer_logs_once_per_hard_decision(monkeypatch):
+    # decide_orbit converts the instance once and hands the units to
+    # decide_hard and on to extract_orbit_witness
+    conversions = []
+    real = orbit_module._integer_logs
+
+    def counting(*args):
+        conversions.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(orbit_module, "_integer_logs", counting)
+    rng = random.Random(83)
+    verdicts = set()
+    for _ in range(12):
+        inst = random_hard_instance(rng)
+        for run in (
+            lambda: decide_hard(inst.S, inst.G, inst.H),
+            lambda: decide_orbit(inst),
+        ):
+            conversions.clear()
+            verdicts.add(run().verdict)
+            assert len(conversions) == 1
+    assert verdicts == {Verdict.EMPTY, Verdict.NONEMPTY}
 
 
 def test_hard_half_central_shift_empty():
