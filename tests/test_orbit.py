@@ -457,6 +457,14 @@ def test_closed_forms_on_orbit_central_sample():
         log_triple(s_elem), _logs(inst.G), _logs(inst.H)
     )
     assert (rows, rhs) == hard_system_by_matrix_logs(s_elem, inst.G, inst.H)
+    # the production rows are those rows in units D, D and 2 D^2
+    units = _integer_logs(s_elem, inst.G.mats, inst.H.mats)
+    int_rows, int_rhs, _, _ = _hard_system(units)
+    scales = (units.den, units.den, 2 * units.den * units.den)
+    assert len(int_rows) == len(rows) == 3
+    for row, ref, scale in zip(int_rows, rows, scales):
+        assert_same_ints(row, [scale * v for v in ref])
+    assert_same_ints(int_rhs, [scale * v for scale, v in zip(scales, rhs)])
     # x on-line, y off-line, with S in front on the H side
     for length in range(3):
         interleaving = (1,) * length
