@@ -58,7 +58,6 @@ from .intersect import (
     build_condition_space,
     decide_intersection,
     extract_witness,
-    verify_witness,
 )
 from .orbit import (
     OrbitInstance,
@@ -68,7 +67,6 @@ from .orbit import (
     decide_easy,
     decide_hard,
     extract_orbit_witness,
-    verify_orbit_witness,
 )
 from .oracle import OracleResult, bfs_oracle
 from .instances import (

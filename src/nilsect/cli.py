@@ -42,11 +42,10 @@ from .intersect import (
     Verdict,
     decide_intersection,
     extract_witness,
-    verify_witness,
 )
 from .matlie import NilpotentMatrix, exp_nilpotent, log_unipotent
 from .oracle import bfs_oracle
-from .orbit import FALLBACK_DEPTH, OrbitInstance, decide_orbit, verify_orbit_witness
+from .orbit import FALLBACK_DEPTH, OrbitInstance, decide_orbit
 from .wordcraft import Word
 
 SCHEMA = "decide-report/1"
@@ -237,34 +236,6 @@ def run(command: str, inst_file: InstanceFile, *, trace=False, depth=None,
         }
     report.timing_s = time.monotonic() - start
     return report
-
-
-def reverify_report(report: dict, inst_file: InstanceFile) -> bool:
-    """Re-check a report's witnesses by plain multiplication only.
-
-    Rebuilds the words from their run-length encoding against the
-    instance file and multiplies; no trust is placed in the producing
-    run.  True when the products match the report's claim.
-    """
-    if report.get("schema") != SCHEMA:
-        raise ValueError("unknown report schema")
-    if "witnesses" not in report:
-        return True
-    built = inst_file.build()
-    by_set = {w["set"]: w["word"] for w in report["witnesses"]}
-    if isinstance(built, IntersectionInstance):
-        words = []
-        for set_name, sys in zip(inst_file.problem[1], built.systems):
-            runs = by_set[set_name]
-            idx = {name: i for i, name in enumerate(sys.names)}
-            words.append(Word(sys.K, [(idx[g], c) for g, c in runs]))
-        return verify_witness(built, words)
-    g_name, h_name = inst_file.problem[3], inst_file.problem[4]
-    gi = {name: i for i, name in enumerate(built.G.names)}
-    hi = {name: i for i, name in enumerate(built.H.names)}
-    v = Word(built.G.K, [(gi[g], c) for g, c in by_set[g_name]])
-    w = Word(built.H.K, [(hi[g], c) for g, c in by_set[h_name]])
-    return verify_orbit_witness(built, v, w)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -322,15 +322,3 @@ def _common_product(inst: IntersectionInstance, words):
     ]
     first = products[0]
     return first if all(p == first for p in products[1:]) else None
-
-
-def verify_witness(inst: IntersectionInstance, words) -> bool:
-    """True iff the word products over the M systems are all equal.
-
-    Pure matrix multiplication; independent of the decision machinery
-    and of the log-level identities.
-    """
-    words = list(words)
-    if len(words) != inst.M:
-        raise ValueError(f"expected {inst.M} words")
-    return _common_product(inst, words) is not None

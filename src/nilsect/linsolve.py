@@ -436,6 +436,30 @@ def lp_feasible(rows, rhs, nvars, *, nonneg=(), strict_lower=None):
     scaling).  Variables in neither are free.  Entries of rows and rhs
     are ints or Fractions.  Exact arithmetic, no tolerances: the returned
     point satisfies everything exactly.
+
+    Scaling: for one positive integer c, the system c A x = c b, with the
+    same sign constraints, returns the same point as A x = b.  The bounds
+    do not involve A, so the shifts and the split of free variables are
+    the same, and each standard-form row (shifted right-hand side
+    included) is c times the unscaled one, negated where the unscaled
+    one is.  Phase 1 solves min sum a_i over A' u + a = b', one
+    artificial a_i per row.  Over the rationals (where `_phase1` makes
+    its choices), row i of the scaled tableau is c (A'_i | e_i / c | b'_i)
+    and its cost row is c times the unscaled one (whose artificial
+    entries are 0).  So the scaled tableau, cost row included, is c times
+    the unscaled one, except that the artificial columns are not
+    multiplied by c.  A pivot keeps this form: the multiplier
+    T[i][e] / T[l][e] of each row update is a ratio within one column,
+    so the scales cancel.  Each choice agrees as well: every reduced cost
+    changes by a positive factor, so the first negative one is in the
+    same column; in the ratio test the entering column's scale divides
+    every ratio alike, so the least ratio and its tie break by basic
+    index pick the same row, among the same rows with a positive entry.
+    At the end the structural and right-hand-side columns carry the same
+    scale, so every basic value rhs / (basic entry) and the zero test of
+    the objective are unchanged.  The lemma needs one c for all rows:
+    distinct factors c_i weight the artificials in the cost differently,
+    and the pivots can then differ.
     """
     lower = [None] * nvars
     for j in nonneg:

@@ -37,9 +37,10 @@ stay integer sums.  The easy case skips every ordering pair that misses
 the balance its separating functional imposes (see `decide_easy`)
 before any integer program is solved.  The hard case builds its relaxed
 system once from the same integer triples and branches over its parity
-residues in ints; its corner search for witnesses runs on them too.
-Only the inflation fallback and its balancing combination still read
-Fraction log triples (`_log_triple`).
+residues in ints; its witnesses are built from them too: the balancing
+combination, the corner search and the inflation fallback with its
+scale constants (see `extract_orbit_witness`).  No Fraction log triple
+is formed anywhere.
 
 Nonempty verdicts always come with a verified witness pair.  One known
 configuration (dimension <= 1 but no separating functional, e.g. a full
@@ -123,19 +124,6 @@ def reduce_to_identity(inst: OrbitInstance) -> OrbitInstance:
 def _corner(x, y):
     """Corner entry a_x b_y - a_y b_x of [X, Y], its only nonzero entry."""
     return x[0] * y[1] - y[0] * x[1]
-
-
-def _log_triple(m: UnipotentMatrix):
-    """The Fraction triple (a, b, c - ab/2): entries (0,1), (1,2) and (0,2)
-    of log m, its only nonzero ones (the inflation fallback only)."""
-    a, b = m[0, 1], m[1, 2]
-    return (a, b, m[0, 2] - a * b / 2)
-
-
-def _logs(sys: GeneratorSystem):
-    """Fraction log triples of the generators, in order (the inflation
-    fallback only)."""
-    return [_log_triple(m) for m in sys.mats]
 
 
 @dataclass(frozen=True)
@@ -223,15 +211,6 @@ def _common_element(inst: OrbitInstance, v: Word, w: Word):
     left = inst.T * product_of_word(inst.G, v)
     right = inst.S * product_of_word(inst.H, w)
     return left if left == right else None
-
-
-def verify_orbit_witness(inst: OrbitInstance, v: Word, w: Word) -> bool:
-    """True iff T * product(v) = S * product(w), v over G and w over H.
-
-    Pure matrix multiplication against the original T and S; independent
-    of the decision machinery and of the log-level identities.
-    """
-    return _common_element(inst, v, w) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -684,23 +663,26 @@ def _check_relaxed(rows, rhs, sol: RelaxedSolution):
             raise AssertionError("relaxed solution fails parity (defect)")
 
 
-def _positive_combination(g_logs, h_logs):
-    """Strictly positive integers X, Y with sum X_i phi(G_i) = sum Y_j phi(H_j),
-    phi the superdiagonal pair (a, b) of a log triple.
+def _positive_combination(g_vecs, h_vecs):
+    """Strictly positive integers X, Y with sum X_i u(G_i) = sum Y_j u(H_j),
+    u the integer superdiagonal of a generator (`IntegerLogs`, units of D).
 
     Exists whenever the cones meet with dimension 2 (any interior vector
     of the intersection is a strictly positive combination on both
-    sides); found as one homogeneous LP with all variables >= 1.
+    sides); found as one homogeneous LP with all variables >= 1.  Its
+    rows are D times the rows over the rational superdiagonals, right-hand
+    side 0 included, so by the scaling lemma of `lp_feasible` the point,
+    and X, Y, are those of the rational LP.
     """
-    K, M = len(g_logs), len(h_logs)
+    K, M = len(g_vecs), len(h_vecs)
     rows = [
-        [x[comp] for x in g_logs] + [-y[comp] for y in h_logs] for comp in range(2)
+        [x[comp] for x in g_vecs] + [-y[comp] for y in h_vecs] for comp in range(2)
     ]
     point = lp_feasible(
         rows,
         [0, 0],
         K + M,
-        strict_lower={i: Fraction(1) for i in range(K + M)},
+        strict_lower={i: 1 for i in range(K + M)},
     )
     if point is None:
         raise AssertionError(
@@ -716,14 +698,16 @@ def extract_orbit_witness(
 ):
     """Witness words for a relaxed hard-case solution, as (v, w, how, shift).
 
-    Both ways shift the counts along the positive balancing combination
-    (X, Y) (`_positive_combination`): l = x + shift X, m = y + shift Y
-    keeps both superdiagonal equations for every integer shift.
+    Everything runs on `units`, the `IntegerLogs` of s_elem, G and H
+    (computed here when not given): triples in units (D, D, 2 D^2), u
+    the integer superdiagonal and g the corner entry of each, omega the
+    integer corner of two superdiagonals.  Both ways shift the counts
+    along the positive balancing combination (X, Y)
+    (`_positive_combination`): l = x + shift X, m = y + shift Y keeps
+    both superdiagonal equations for every integer shift.
 
-    * "corner": take the triples of `_integer_logs`, units (D, D, 2 D^2),
-      with u the integer superdiagonal and g the corner entry of each.
-      By the 2-step BCH formula the corner of log(product v) is
-      sum_i l_i g(G_i) + sum_{i<j} delta_ij omega(u_i, u_j), and the
+    * "corner": by the 2-step BCH formula the corner of log(product v)
+      is sum_i l_i g(G_i) + sum_{i<j} delta_ij omega(u_i, u_j), and the
       second sum is the signed area A(v) of `wordcraft.corner_area`.
       The corner of log(S product w) adds g(S) and the halved bracket
       omega(u(S), sum_j m_j u(H_j)).  So a word pair with counts l, m
@@ -734,79 +718,88 @@ def extract_orbit_witness(
       least one that makes every count positive, each by
       `realize_corner`, which hits the area exactly with block orders.
     * "inflated", the fallback, which always ends: pick pair coefficients
-      making a strictly positive combined bracket value D (a single +-1
-      on a pair with nonzero corner bracket); let E clear all relevant
-      denominators; shift the solution by 2 N D E (X, Y) and its pair
-      coefficients to match.  The shifts preserve the three equations
-      and all parities, and for N large enough every count is positive
-      and the pair targets fall inside the word-realization bounds
-      (`within_bounds`).  The least such N is taken and the two words
-      are realized by `realize_word`.
+      making a strictly positive combined bracket value d (a single +-1
+      on the first pair, G before H, with nonzero omega); let e clear the
+      denominators of the rational logs, halved brackets and d; shift
+      the solution by 2 N de (X, Y) and its pair coefficients by
+      -+4 N ep on the chosen pair, p the corner the balancing
+      combination adds.  The shifts preserve the three equations and all
+      parities, and for N large enough every count is positive and the
+      pair targets fall inside the word-realization bounds
+      (`within_bounds`).  The least such N is taken (`least_scale`) and
+      the two words are realized by `realize_word`.
 
-    The inflation is computed first, since it is cheap, and the corner
-    search stops before its letter count passes the inflation's, so a
-    corner witness is never longer.  It also stops after CORNER_SHIFTS
-    shifts: the shifts up to the inflation's can number in the millions
-    when the relaxed counts start near zero, and a family that misses
-    the area lattice at every shift would try them all.  The identity
-    product(v) = S * product(w) is not checked here; `decide_orbit`
-    checks it.
-    `units` is the `IntegerLogs` of s_elem, G and H, computed here when
-    not given.  The inflation and the balancing combination read the
-    Fraction log triples (`_logs`), since the combination's LP vertex and
-    the denominator E set the corner search's letter limit.
+    de and ep in integers: every rational that e clears is n / (2 D^2)
+    for an integer n, namely 2 D times a superdiagonal entry in units,
+    a corner entry g, or an omega.  The lcm of the reduced denominators
+    of such values is e = 2 D^2 / q with q = gcd(2 D^2, all those n).
+    Since d = 2 |omega_1| / (2 D^2) for the chosen pair's omega_1, and
+    p = P / (2 D^2) with P = sum_i X_i g(G_i) - sum_j Y_j (g(H_j) +
+    omega(u(S), u(H_j))), de = 2 |omega_1| / q and ep = P / q; q divides
+    both numerators, as it divides every n.
+
+    The corner search stops before its letter count passes the
+    inflation's, so a corner witness is never longer.  The counts at a
+    shift sum to sum(x) + sum(y) + shift (sum X + sum Y), and the
+    inflation's to the same with 2 N de in place of shift; sum X + sum Y
+    is positive, so the letter test is shift > 2 N de.  N >= 1, so no
+    shift up to 2 de can pass it, and N is only computed when a shift
+    first passes 2 de, or when the search ends without a witness.  The
+    search also stops after CORNER_SHIFTS shifts: the shifts up to the
+    inflation's can number in the millions when the relaxed counts start
+    near zero, and a family that misses the area lattice at every shift
+    would try them all.  The identity product(v) = S * product(w) is not
+    checked here; `decide_orbit` checks it.
     """
-    g_logs, h_logs = _logs(G), _logs(H)
-    K, M = len(g_logs), len(h_logs)
-    s_log = _log_triple(s_elem)
-    g_halves = [_corner(g_logs[i], g_logs[j]) / 2 for i, j in _pairs(K)]
-    h_halves = [_corner(h_logs[i], h_logs[j]) / 2 for i, j in _pairs(M)]
-    s_halves = [_corner(s_log, y) / 2 for y in h_logs]
+    if units is None:
+        units = _integer_logs(s_elem, G.mats, H.mats)
+    g, h, s = units.g, units.h, units.s
+    K, M = len(g), len(h)
+    g_omegas = [_corner(g[i], g[j]) for i, j in _pairs(K)]
+    h_omegas = [_corner(h[i], h[j]) for i, j in _pairs(M)]
+    s_omegas = [_corner(s, y) for y in h]
+    h_gammas = [y[2] + omega for y, omega in zip(h, s_omegas)]
 
     # choose the positive bracket witness: the first pair, G before H,
     # with nonzero corner bracket
     big_c = {}
     big_d = {}
-    d_value = None
-    for pairs, halves, big in ((_pairs(K), g_halves, big_c), (_pairs(M), h_halves, big_d)):
-        for pair, half in zip(pairs, halves):
-            if half:
-                big[pair] = 1 if half > 0 else -1
-                d_value = abs(2 * half)
+    omega_1 = None
+    for pairs, omegas, big in ((_pairs(K), g_omegas, big_c), (_pairs(M), h_omegas, big_d)):
+        for pair, omega in zip(pairs, omegas):
+            if omega:
+                big[pair] = 1 if omega > 0 else -1
+                omega_1 = abs(omega)
                 break
-        if d_value is not None:
+        if omega_1 is not None:
             break
-    if d_value is None:
+    if omega_1 is None:
         raise AssertionError(
             "no nonzero corner bracket despite a 2-dimensional meet (defect)"
         )
 
-    e_den = common_denominator(
-        itertools.chain(*g_logs, *h_logs, s_log, s_halves, g_halves, h_halves)
+    two_d = 2 * units.den
+    q = gcd(
+        two_d * units.den,
+        *(two_d * v for t in (s, *g, *h) for v in t[:2]),
+        *(t[2] for t in (s, *g, *h)),
+        *s_omegas,
+        *g_omegas,
+        *h_omegas,
     )
-    X, Y = _positive_combination(g_logs, h_logs)
-    p_val = sum(X[k] * g_logs[k][2] for k in range(K)) - sum(
-        Y[k] * (h_logs[k][2] + s_halves[k]) for k in range(M)
-    )
-    de_int = d_value * e_den
-    ep_int = p_val * e_den
-    if de_int.denominator != 1 or ep_int.denominator != 1:
-        raise AssertionError("denominator bookkeeping failed (defect)")
-    de_int = int(de_int)
-    ep_int = int(ep_int)
-
-    g_pairs = list(sol.c.keys())
-    h_pairs = list(sol.d.keys())
+    g_vecs = [x[:2] for x in g]
+    h_vecs = [y[:2] for y in h]
+    X, Y = _positive_combination(g_vecs, h_vecs)
+    de = 2 * omega_1 // q
+    ep = (
+        sum(c * x[2] for c, x in zip(X, g)) - sum(c * gam for c, gam in zip(Y, h_gammas))
+    ) // q
 
     def shifted(n_scale):
-        xs = [sol.x[i] + 2 * n_scale * de_int * X[i] for i in range(K)]
-        ys = [sol.y[j] + 2 * n_scale * de_int * Y[j] for j in range(M)]
-        cs = {
-            p: sol.c[p] - 4 * n_scale * big_c.get(p, 0) * ep_int for p in g_pairs
-        }
-        dsh = {
-            p: sol.d[p] + 4 * n_scale * big_d.get(p, 0) * ep_int for p in h_pairs
-        }
+        xs = [sol.x[i] + 2 * n_scale * de * X[i] for i in range(K)]
+        ys = [sol.y[j] + 2 * n_scale * de * Y[j] for j in range(M)]
+        cs = {p: v - 4 * n_scale * big_c.get(p, 0) * ep for p, v in sol.c.items()}
+        dsh = {p: v + 4 * n_scale * big_d.get(p, 0) * ep for p, v in sol.d.items()}
         return xs, ys, cs, dsh
 
     def bounds_ok(n_scale):
@@ -817,27 +810,23 @@ def extract_orbit_witness(
             and within_bounds(ys, dsh, M)
         )
 
-    n_scale = least_scale(bounds_ok, 1)
-    xs, ys, cs, dsh = shifted(n_scale)
-
-    if units is None:
-        units = _integer_logs(s_elem, G.mats, H.mats)
-    g_vecs = [x[:2] for x in units.g]
-    h_vecs = [y[:2] for y in units.h]
-    h_gammas = [y[2] + _corner(units.s, y) for y in units.h]
-    limit = sum(xs) + sum(ys)
+    n_scale = None
     first = max(-((x - 1) // c) for x, c in zip((*sol.x, *sol.y), (*X, *Y)))
     for shift in range(first, first + CORNER_SHIFTS):
+        if shift > 2 * de:
+            n_scale = n_scale or least_scale(bounds_ok, 1)
+            if shift > 2 * n_scale * de:
+                break
         ls = [x + shift * c for x, c in zip(sol.x, X)]
         ms = [y + shift * c for y, c in zip(sol.y, Y)]
-        if sum(ls) + sum(ms) > limit:
-            break
         target = (
-            units.s[2]
+            s[2]
             + sum(m * gam for m, gam in zip(ms, h_gammas))
-            - sum(l * x[2] for l, x in zip(ls, units.g))
+            - sum(l * x[2] for l, x in zip(ls, g))
         )
         found = realize_corner(ls, g_vecs, ms, h_vecs, target)
         if found is not None:
             return (*found, "corner", shift)
-    return realize_word(xs, cs), realize_word(ys, dsh), "inflated", 2 * n_scale * de_int
+    n_scale = n_scale or least_scale(bounds_ok, 1)
+    xs, ys, cs, dsh = shifted(n_scale)
+    return realize_word(xs, cs), realize_word(ys, dsh), "inflated", 2 * n_scale * de

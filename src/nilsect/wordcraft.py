@@ -14,7 +14,6 @@ runs, and both statistics and matrix products are computed from runs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 
@@ -157,20 +156,19 @@ def two_letter_permutation(s_i: int, s_j: int, C: int, *, letters=(0, 1), K: int
     )
 
 
-def _pair_bound(l_i: int, l_j: int, K: int) -> Fraction:
-    """Right hand side of the realizability bound for one letter pair."""
-    return Fraction(l_i * l_j, 4 * K * K) - 2 * K * (l_i + l_j) - 4 * K * K
-
-
 def within_bounds(counts, delta, K: int) -> bool:
     """Whether |C_ij| <= l_i*l_j/(4K^2) - 2K(l_i+l_j) - 4K^2 for every pair
     i < j of the counts (a pair missing from `delta` has C_ij = 0).
 
-    K is normally len(counts); a larger K gives a stricter bound.
+    K is normally len(counts); a larger K gives a stricter bound.  The
+    test runs in integers, both sides times 4K^2 > 0:
+        4K^2 |C_ij| <= l_i*l_j - 8K^3 (l_i + l_j) - 16K^4.
     """
     n = len(counts)
+    k2, k3, k4 = 4 * K**2, 8 * K**3, 16 * K**4
     return all(
-        abs(delta.get((i, j), 0)) <= _pair_bound(counts[i], counts[j], K)
+        k2 * abs(delta.get((i, j), 0))
+        <= counts[i] * counts[j] - k3 * (counts[i] + counts[j]) - k4
         for i in range(n)
         for j in range(i + 1, n)
     )

@@ -11,10 +11,13 @@ from nilsect import (
     OrbitInstance,
     ParseError,
     ValidationError,
+    Word,
     load_instance_file,
     parse_instance_text,
 )
-from nilsect.cli import EXIT_INTERNAL_ERROR, EXIT_NONEMPTY, main, reverify_report, run
+from nilsect.cli import EXIT_INTERNAL_ERROR, EXIT_NONEMPTY, SCHEMA, main, run
+
+from conftest import verify_orbit_witness, verify_witness
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -238,6 +241,34 @@ def test_run_intersect_report():
     payload = report.to_jsonable()
     assert payload["schema"] == "decide-report/1"
     assert payload["verdict"] == "empty"
+
+
+def reverify_report(report, inst_file):
+    """Re-check a report's witnesses by plain multiplication only.
+
+    Rebuilds the words from their run-length encoding against the
+    instance file and multiplies; no trust is placed in the producing
+    run.  True when the products match the report's claim.
+    """
+    if report.get("schema") != SCHEMA:
+        raise ValueError("unknown report schema")
+    if "witnesses" not in report:
+        return True
+    built = inst_file.build()
+    by_set = {w["set"]: w["word"] for w in report["witnesses"]}
+    if isinstance(built, IntersectionInstance):
+        words = []
+        for set_name, sys in zip(inst_file.problem[1], built.systems):
+            runs = by_set[set_name]
+            idx = {name: i for i, name in enumerate(sys.names)}
+            words.append(Word(sys.K, [(idx[g], c) for g, c in runs]))
+        return verify_witness(built, words)
+    g_name, h_name = inst_file.problem[3], inst_file.problem[4]
+    gi = {name: i for i, name in enumerate(built.G.names)}
+    hi = {name: i for i, name in enumerate(built.H.names)}
+    v = Word(built.G.K, [(gi[g], c) for g, c in by_set[g_name]])
+    w = Word(built.H.K, [(hi[g], c) for g, c in by_set[h_name]])
+    return verify_orbit_witness(built, v, w)
 
 
 def test_run_witness_and_reverify():

@@ -97,6 +97,52 @@ def test_every_export_used_outside_tests():
     assert unused_exports((SRC / "__init__.py").read_text(), sources) == []
 
 
+def unreferenced_definitions(init_source, sources):
+    """Top-level functions and classes of `sources` that no source names
+    outside the definition's own body and that the package __init__
+    does not export: code that only tests call."""
+    exported = {
+        a.asname or a.name
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    used = set()
+    defined = []
+    for source in sources:
+        for owner, names in referenced_names(source).items():
+            used |= names - {owner}
+        defined += [
+            node.name
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        ]
+    return [name for name in defined if name not in used | exported]
+
+
+def test_unreferenced_definitions_detected():
+    init = "from .m import f\n"
+    module = (
+        "def f():\n    return f()\n"
+        "def g():\n    return g()\n"
+        "def h():\n    return k\n"
+        "class C:\n    def new(self):\n        return C()\n"
+        "def k():\n    pass\n"
+        "TABLE = {'n': None}\n"
+        "def n():\n    pass\n"
+    )
+    assert unreferenced_definitions(init, [module]) == ["g", "h", "C"]
+
+
+def test_every_definition_used_in_the_package():
+    # a helper that only tests call belongs in the tests
+    sources = [
+        path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+    ]
+    init = (SRC / "__init__.py").read_text()
+    assert unreferenced_definitions(init, sources) == []
+
+
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 

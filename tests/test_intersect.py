@@ -24,12 +24,11 @@ from nilsect import (
     load_instance_file,
     log_unipotent,
     product_of_word,
-    verify_witness,
 )
 
 from nilsect.matlie import bracket, common_denominator
 
-from conftest import h3, random_h3_system, random_unipotent
+from conftest import h3, random_h3_system, random_unipotent, verify_witness
 
 
 def make(instance_sets):

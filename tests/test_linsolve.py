@@ -851,6 +851,105 @@ def test_hnf_solve_ignores_positive_row_scaling_hypothesis(system):
     assert_row_scaling_keeps_solution(*system)
 
 
+def assert_lp_scaling_keeps_point(rows, rhs, nvars, c, **signs):
+    """`lp_feasible` on c A x = c b returns the point of A x = b, for one
+    positive integer c on every row.  Returns whether it is feasible."""
+    want = lp_feasible(rows, rhs, nvars, **signs)
+    got = lp_feasible(
+        [[c * v for v in row] for row in rows], [c * v for v in rhs], nvars, **signs
+    )
+    assert got == want
+    return want is not None
+
+
+def random_signs(rng, nvars, strict):
+    """Sign constraints for `lp_feasible`: some variables nonnegative, and
+    with `strict` some bounded below by a rational, the rest free."""
+    kinds = [rng.choice(("nonneg", "lower", "free") if strict else ("nonneg", "free"))
+             for _ in range(nvars)]
+    signs = {"nonneg": [j for j, kind in enumerate(kinds) if kind == "nonneg"]}
+    if strict:
+        signs["strict_lower"] = {
+            j: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            for j, kind in enumerate(kinds)
+            if kind == "lower"
+        }
+    return signs
+
+
+def test_lp_ignores_one_positive_row_scale(rng):
+    # c = 3 clears the row denominators unevenly (2 and 6 become 2 and
+    # 2): a phase-1 cost that weighted rows by their denominators would
+    # end at another vertex here
+    rows = [[-1, -1, 1], [Fraction(1, 3), Fraction(1, 2), 0]]
+    assert assert_lp_scaling_keeps_point(rows, [Fraction(3, 2), 3], 3, 3, nonneg=range(3))
+    feasible = []
+    for trial in range(300):
+        nvars, m = rng.randint(2, 5), rng.randint(1, 3)
+        rows = [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nvars)]
+            for _ in range(m)
+        ]
+        rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(m)]
+        c = rng.choice((1, 2, 3, 6, 10, 2**40))
+        signs = random_signs(rng, nvars, strict=trial % 2 == 1)
+        feasible.append(assert_lp_scaling_keeps_point(rows, rhs, nvars, c, **signs))
+    assert feasible.count(True) >= 50 and feasible.count(False) >= 20
+    # the balancing-combination form: homogeneous, every variable >= 1
+    for _ in range(100):
+        k = rng.randint(2, 6)
+        rows = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(2)]
+        assert_lp_scaling_keeps_point(
+            rows, [0, 0], k, rng.randint(2, 36), strict_lower={j: 1 for j in range(k)}
+        )
+
+
+def test_lp_scaling_needs_one_factor():
+    # distinct factors per row weight the artificials differently, and
+    # phase 1 then ends at another vertex
+    rows, rhs = [[-2, -1, 1], [-1, 1, 1]], [0, 3]
+    assert lp_feasible(rows, rhs, 3, nonneg=range(3)) == [3, 0, 6]
+    tripled = [rows[0], [3 * v for v in rows[1]]]
+    assert lp_feasible(tripled, [0, 9], 3, nonneg=range(3)) == [
+        0, Fraction(3, 2), Fraction(3, 2)
+    ]
+    assert lp_feasible([[3 * v for v in row] for row in rows], [0, 9], 3, nonneg=range(3)) == [3, 0, 6]
+
+
+@st.composite
+def lp_systems(draw, strict):
+    nvars = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    rows = draw(st.lists(st.lists(entry, min_size=nvars, max_size=nvars), min_size=m, max_size=m))
+    rhs = draw(st.lists(entry, min_size=m, max_size=m))
+    kinds = draw(st.lists(
+        st.sampled_from(("nonneg", "lower", "free") if strict else ("nonneg", "free")),
+        min_size=nvars, max_size=nvars,
+    ))
+    signs = {"nonneg": [j for j, kind in enumerate(kinds) if kind == "nonneg"]}
+    if strict:
+        signs["strict_lower"] = {
+            j: draw(entry) for j, kind in enumerate(kinds) if kind == "lower"
+        }
+    c = draw(st.integers(1, 60))
+    return rows, rhs, nvars, c, signs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lp_systems(strict=False))
+def test_lp_ignores_one_positive_row_scale_hypothesis(system):
+    rows, rhs, nvars, c, signs = system
+    assert_lp_scaling_keeps_point(rows, rhs, nvars, c, **signs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(lp_systems(strict=True))
+def test_lp_ignores_one_positive_row_scale_strict_lower_hypothesis(system):
+    rows, rhs, nvars, c, signs = system
+    assert_lp_scaling_keeps_point(rows, rhs, nvars, c, **signs)
+
+
 def test_ilp_examples():
     s = ilp_feasible_nonneg([[1, 1]], [2])
     assert s is not None and s[0] + s[1] == 2 and min(s) >= 0

@@ -20,19 +20,19 @@ from nilsect import (
     decide_hard,
     decide_orbit,
     delta_table,
+    extract_orbit_witness,
     load_instance_file,
     log_unipotent,
     parikh,
     product_of_word,
     reduce_to_identity,
-    verify_orbit_witness,
     Word,
 )
 
 from nilsect import orbit as orbit_module
-from nilsect.linsolve import cone_intersect_dim, hnf_solve
+from nilsect.linsolve import cone_intersect_dim, hnf_solve, lp_feasible
 from nilsect.matlie import bracket, common_denominator
-from nilsect.wordcraft import total_letters
+from nilsect.wordcraft import realize_corner, realize_word, total_letters
 from nilsect.orbit import (
     _cone,
     _corner,
@@ -41,14 +41,13 @@ from nilsect.orbit import (
     _integer_logs,
     _pairs,
     _interleavings,
-    _log_triple,
-    _logs,
     _side_coefficients,
     _solve_interleaving,
     _word_from_layout,
 )
 
-from conftest import h3
+from conftest import h3, verify_orbit_witness
+from test_wordcraft import _reference_inflation_scale
 
 X, Y = h3(1, 0, 0), h3(0, 1, 0)
 IDENT = UnipotentMatrix.identity(3)
@@ -83,23 +82,44 @@ def log_triple(m):
     return tuple(log[e] for e in ENTRIES)
 
 
+def table_log_triple(m):
+    """Reference: the Fraction log triple (a, b, c - ab/2) read off the
+    entries (0,1), (1,2) and (0,2) of m, the form `_integer_logs`
+    replaced."""
+    a, b = m[0, 1], m[1, 2]
+    return (a, b, m[0, 2] - a * b / 2)
+
+
+def fraction_logs(sys):
+    """Reference: the Fraction log triples of the generators, in order."""
+    return [table_log_triple(m) for m in sys.mats]
+
+
 def test_log_triple_and_corner_bracket():
-    # `_log_triple` is the (0,1), (1,2), (0,2) entries of the matrix
-    # log, and the corner is the only nonzero entry of the bracket
+    # the table formula (a, b, c - ab/2) is the (0,1), (1,2), (0,2)
+    # entries of the matrix log, the corner is the only nonzero entry of
+    # the bracket, and `_integer_logs` is that triple in units (D, D,
+    # 2 D^2), its corner bracket D^2 times the rational one
     lx, ly = log_unipotent(X), log_unipotent(Y)
-    assert _log_triple(X) == (1, 0, 0)
-    assert _corner(_log_triple(X), _log_triple(Y)) == 1
+    assert table_log_triple(X) == (1, 0, 0)
+    assert _corner(table_log_triple(X), table_log_triple(Y)) == 1
     assert bracket(lx, ly)[0, 2] == 1
     rng = random.Random(31)
     for _ in range(200):
         e, f = (h3(*(random_rational(rng) for _ in range(3))) for _ in range(2))
         le, lf = log_unipotent(e), log_unipotent(f)
-        assert_same_fractions(_log_triple(e), log_triple(e))
+        assert_same_fractions(table_log_triple(e), log_triple(e))
         br = bracket(le, lf)
-        assert _corner(_log_triple(e), _log_triple(f)) == br[0, 2]
+        assert _corner(table_log_triple(e), table_log_triple(f)) == br[0, 2]
         assert all(
             not br[i, j] for i in range(3) for j in range(3) if (i, j) != (0, 2)
         )
+        units = _integer_logs(e, [f], [])
+        den = units.den
+        assert den == math.lcm(e.den, f.den)
+        assert_same_ints(units.s, in_units(table_log_triple(e), den))
+        assert_same_ints(units.g[0], in_units(table_log_triple(f), den))
+        assert _corner(units.s, units.g[0]) == den * den * br[0, 2]
 
 
 def test_orbit_instance_holds_3x3_matrices():
@@ -134,7 +154,7 @@ def test_integer_logs_are_the_fraction_logs_in_units():
         dens = [m.den for m in (s,) + G.mats + H.mats]
         assert units.den == math.lcm(*dens)
         assert_same_ints(units.s, in_units(log_triple(s), units.den))
-        for got, ref in zip(units.g + units.h, _logs(G) + _logs(H)):
+        for got, ref in zip(units.g + units.h, fraction_logs(G) + fraction_logs(H)):
             assert_same_ints(got, in_units(ref, units.den))
         assert len(units.g) == G.K and len(units.h) == H.K
 
@@ -419,6 +439,19 @@ def test_side_coefficients_affine_in_on_line_counts():
         assert in_units(tuple(log[e] for e in ENTRIES), units.den) == expected
 
 
+def assert_units_match_reference(s_elem, G, H, units):
+    """`units` are the reference Fraction log triples of S, G and H in
+    units (D, D, 2 D^2), and those are the matrix-log triples."""
+    den = units.den
+    assert den == math.lcm(*(m.den for m in (s_elem,) + G.mats + H.mats))
+    assert_same_ints(units.s, in_units(table_log_triple(s_elem), den))
+    refs = fraction_logs(G) + fraction_logs(H)
+    assert len(units.g) == G.K and len(units.h) == H.K
+    for got, ref, m in zip(units.g + units.h, refs, G.mats + H.mats):
+        assert_same_ints(got, in_units(ref, den))
+        assert_same_fractions(ref, log_triple(m))
+
+
 def test_hard_system_matches_matrix_logs():
     rng = random.Random(59)
     for _ in range(80):
@@ -432,7 +465,7 @@ def test_hard_system_matches_matrix_logs():
         )
         s_elem = h3(*(random_rational(rng) for _ in range(3)))
         frac_rows, frac_rhs, _, _ = fraction_hard_system(
-            log_triple(s_elem), _logs(G), _logs(H)
+            log_triple(s_elem), fraction_logs(G), fraction_logs(H)
         )
         ref_rows, ref_rhs = hard_system_by_matrix_logs(s_elem, G, H)
         for row, ref in zip(frac_rows, ref_rows):
@@ -440,6 +473,7 @@ def test_hard_system_matches_matrix_logs():
         assert_same_fractions(frac_rhs, ref_rhs)
         # the integer rows are the reference rows in units D, D and 2 D^2
         units = _integer_logs(s_elem, G.mats, H.mats)
+        assert_units_match_reference(s_elem, G, H, units)
         rows, rhs, _, _ = _hard_system(units)
         den = units.den
         scales = (den, den, 2 * den * den)
@@ -454,11 +488,12 @@ def test_closed_forms_on_orbit_central_sample():
     inst = load_instance_file(path).build()
     s_elem = reduce_to_identity(inst).S
     rows, rhs, _, _ = fraction_hard_system(
-        log_triple(s_elem), _logs(inst.G), _logs(inst.H)
+        log_triple(s_elem), fraction_logs(inst.G), fraction_logs(inst.H)
     )
     assert (rows, rhs) == hard_system_by_matrix_logs(s_elem, inst.G, inst.H)
     # the production rows are those rows in units D, D and 2 D^2
     units = _integer_logs(s_elem, inst.G.mats, inst.H.mats)
+    assert_units_match_reference(s_elem, inst.G, inst.H, units)
     int_rows, int_rhs, _, _ = _hard_system(units)
     scales = (units.den, units.den, 2 * units.den * units.den)
     assert len(int_rows) == len(rows) == 3
@@ -656,7 +691,7 @@ def record_easy_systems(inst, monkeypatch):
 def assert_rows_match_reference(inst, calls):
     """Every recorded system is, int for int, the reference's system."""
     s_log = log_triple(reduce_to_identity(inst).S)
-    g_logs, h_logs = _logs(inst.G), _logs(inst.H)
+    g_logs, h_logs = fraction_logs(inst.G), fraction_logs(inst.H)
     for (g0, h0, cs, ds), A, b, groups in calls:
         ref_rows, ref_rhs, ref_groups = reference_rows(
             s_log, g_logs, h_logs, g0, h0, cs, ds
@@ -699,7 +734,7 @@ def test_easy_rows_match_fraction_reference(monkeypatch):
             # shares the factor 3 that 2 D^2 = 2 lacks: the rows must not
             # be divided by it
             den = common_denominator(
-                itertools.chain(log_triple(inst.S), *_logs(inst.G), *_logs(inst.H))
+                itertools.chain(log_triple(inst.S), *fraction_logs(inst.G), *fraction_logs(inst.H))
             )
             scaled = dilated(inst, 3 * den)
             calls = record_easy_systems(scaled, monkeypatch)
@@ -909,7 +944,8 @@ def test_hard_trace_reports_the_witness():
     v, w = d.witnesses
     # the relaxed counts shifted along the balancing combination
     relaxed = d.details["relaxed"]
-    X_, Y_ = orbit_module._positive_combination(_logs(G), _logs(G))
+    vecs = [x[:2] for x in _integer_logs(IDENT, G.mats, []).g]
+    X_, Y_ = orbit_module._positive_combination(vecs, vecs)
     shift = step["shift"]
     assert parikh(v) == tuple(x + shift * c for x, c in zip(relaxed.x, X_))
     assert parikh(w) == tuple(y + shift * c for y, c in zip(relaxed.y, Y_))
@@ -963,6 +999,196 @@ def test_f11_hard_census(monkeypatch):
             assert step["witness_letters"] == tried[index][-1]
 
 
+def reference_positive_combination(g_logs, h_logs):
+    """Reference: the balancing combination from the Fraction
+    superdiagonals, the LP the integer one replaced."""
+    K, M = len(g_logs), len(h_logs)
+    rows = [
+        [x[comp] for x in g_logs] + [-y[comp] for y in h_logs] for comp in range(2)
+    ]
+    point = lp_feasible(
+        rows, [0, 0], K + M, strict_lower={i: Fraction(1) for i in range(K + M)}
+    )
+    den = common_denominator(point)
+    scaled = [int(v * den) for v in point]
+    return scaled[:K], scaled[K:]
+
+
+def reference_orbit_witness(s_elem, G, H, sol, corner_shifts=orbit_module.CORNER_SHIFTS):
+    """Reference: the Fraction form of `extract_orbit_witness` that the
+    integer one replaced.  It builds the Fraction log triples, brackets
+    and the denominator E, computes the inflation scale first (by the
+    former inline search, Fraction bounds) and lets the corner search
+    stop at the inflation's letter count.  Returns ((v, w, how, shift),
+    de), de = D E of the inflation."""
+    g_logs, h_logs = fraction_logs(G), fraction_logs(H)
+    K, M = len(g_logs), len(h_logs)
+    s_log = table_log_triple(s_elem)
+    g_halves = [_corner(g_logs[i], g_logs[j]) / 2 for i, j in _pairs(K)]
+    h_halves = [_corner(h_logs[i], h_logs[j]) / 2 for i, j in _pairs(M)]
+    s_halves = [_corner(s_log, y) / 2 for y in h_logs]
+    big_c, big_d, d_value = {}, {}, None
+    for pairs, halves, big in ((_pairs(K), g_halves, big_c), (_pairs(M), h_halves, big_d)):
+        for pair, half in zip(pairs, halves):
+            if half:
+                big[pair] = 1 if half > 0 else -1
+                d_value = abs(2 * half)
+                break
+        if d_value is not None:
+            break
+    e_den = common_denominator(
+        itertools.chain(*g_logs, *h_logs, s_log, s_halves, g_halves, h_halves)
+    )
+    X_, Y_ = reference_positive_combination(g_logs, h_logs)
+    p_val = sum(X_[k] * g_logs[k][2] for k in range(K)) - sum(
+        Y_[k] * (h_logs[k][2] + s_halves[k]) for k in range(M)
+    )
+    de, ep = d_value * e_den, p_val * e_den
+    assert de.denominator == ep.denominator == 1
+    de, ep = int(de), int(ep)
+
+    def shifted(n):
+        return (
+            [sol.x[i] + 2 * n * de * X_[i] for i in range(K)],
+            [sol.y[j] + 2 * n * de * Y_[j] for j in range(M)],
+            {p: v - 4 * n * big_c.get(p, 0) * ep for p, v in sol.c.items()},
+            {p: v + 4 * n * big_d.get(p, 0) * ep for p, v in sol.d.items()},
+        )
+
+    n_scale = _reference_inflation_scale(shifted, K, M)
+    xs, ys, cs, dsh = shifted(n_scale)
+    units = _integer_logs(s_elem, G.mats, H.mats)
+    g_vecs = [x[:2] for x in units.g]
+    h_vecs = [y[:2] for y in units.h]
+    h_gammas = [y[2] + _corner(units.s, y) for y in units.h]
+    limit = sum(xs) + sum(ys)
+    first = max(-((x - 1) // c) for x, c in zip((*sol.x, *sol.y), (*X_, *Y_)))
+    for shift in range(first, first + corner_shifts):
+        ls = [x + shift * c for x, c in zip(sol.x, X_)]
+        ms = [y + shift * c for y, c in zip(sol.y, Y_)]
+        if sum(ls) + sum(ms) > limit:
+            break
+        target = (
+            units.s[2]
+            + sum(m * gam for m, gam in zip(ms, h_gammas))
+            - sum(l * x[2] for l, x in zip(ls, units.g))
+        )
+        found = realize_corner(ls, g_vecs, ms, h_vecs, target)
+        if found is not None:
+            return (*found, "corner", shift), de
+    inflated = (realize_word(xs, cs), realize_word(ys, dsh), "inflated", 2 * n_scale * de)
+    return inflated, de
+
+
+def hard_nonempty_cases():
+    """(name, instance, decide_hard decision) of the NonEmpty hard draws
+    of F11 (reduced to T = I) and of 40 seeded random hard instances."""
+    cases = []
+    for index, inst in enumerate(f11_draws()):
+        reduced = reduce_to_identity(inst)
+        units = _integer_logs(reduced.S, inst.G.mats, inst.H.mats)
+        if cone_intersect_dim(_cone(units.g), _cone(units.h)).dim == 2:
+            cases.append((f"f11-{index}", reduced))
+    rng = random.Random(89)
+    cases += [(f"random-{k}", random_hard_instance(rng)) for k in range(40)]
+    out = []
+    for name, inst in cases:
+        d = decide_hard(inst.S, inst.G, inst.H)
+        if d.verdict is Verdict.NONEMPTY:
+            out.append((name, inst, d))
+    return out
+
+
+@pytest.fixture(scope="module")
+def hard_nonempty():
+    return hard_nonempty_cases()
+
+
+def test_orbit_witness_matches_fraction_reference(hard_nonempty, monkeypatch):
+    # the integer extraction returns the Fraction extraction's (v, w,
+    # how, shift), with and without the corner search
+    names = [name for name, _, _ in hard_nonempty]
+    assert {"f11-159", "f11-207"} <= set(names)
+    assert sum(name.startswith("f11") for name in names) == 56
+    assert sum(name.startswith("random") for name in names) >= 10
+    hows = set()
+    for name, inst, d in hard_nonempty:
+        relaxed = d.details["relaxed"]
+        want, _ = reference_orbit_witness(inst.S, inst.G, inst.H, relaxed)
+        got = extract_orbit_witness(inst.S, inst.G, inst.H, relaxed)
+        assert got == want, name
+        step = d.trace[0]
+        assert (*d.witnesses, step["witness"], step["shift"]) == want, name
+        hows.add(want[2])
+    assert hows == {"corner", "inflated"}
+    # the inflation alone: de, ep, the chosen pair and the scale
+    monkeypatch.setattr(orbit_module, "CORNER_SHIFTS", 0)
+    for name, inst, d in hard_nonempty:
+        relaxed = d.details["relaxed"]
+        want, _ = reference_orbit_witness(inst.S, inst.G, inst.H, relaxed, corner_shifts=0)
+        assert want[2] == "inflated"
+        assert extract_orbit_witness(inst.S, inst.G, inst.H, relaxed) == want, name
+
+
+def test_positive_combination_matches_fraction_reference(hard_nonempty):
+    for name, inst, _ in hard_nonempty:
+        units = _integer_logs(inst.S, inst.G.mats, inst.H.mats)
+        got = orbit_module._positive_combination(
+            [x[:2] for x in units.g], [y[:2] for y in units.h]
+        )
+        assert got == reference_positive_combination(
+            fraction_logs(inst.G), fraction_logs(inst.H)
+        ), name
+
+
+def test_inflation_scale_only_past_twice_de(hard_nonempty, monkeypatch):
+    # the letter limit is shift > 2 N de with N >= 1, so a corner witness
+    # at a shift up to 2 de is found without the inflation scale
+    calls = []
+    real = orbit_module.least_scale
+
+    def counting(ok, step):
+        calls.append(1)
+        return real(ok, step)
+
+    def refuse(ok, step):
+        raise AssertionError("least_scale called")
+
+    early = late = 0
+    for name, inst, d in hard_nonempty:
+        relaxed = d.details["relaxed"]
+        (v, w, how, shift), de = reference_orbit_witness(inst.S, inst.G, inst.H, relaxed)
+        if how == "corner" and shift <= 2 * de:
+            early += 1
+            monkeypatch.setattr(orbit_module, "least_scale", refuse)
+            again = decide_orbit(inst)
+            assert again.witnesses == (v, w), name
+            assert again.trace[0]["shift"] == shift
+        else:
+            late += 1
+            monkeypatch.setattr(orbit_module, "least_scale", counting)
+            calls.clear()
+            got = extract_orbit_witness(inst.S, inst.G, inst.H, relaxed)
+            assert got == (v, w, how, shift), name
+            assert len(calls) == 1, name
+    assert early >= 30 and late >= 30
+
+
+def test_hard_witnesses_build_no_fraction(hard_nonempty, monkeypatch):
+    # the balancing combination, the corner search and the inflation run
+    # on the integer units; the Fractions of the LP stay inside it
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(orbit_module, "Fraction", refuse)
+    hows = set()
+    for name, inst, d in hard_nonempty:
+        again = decide_hard(inst.S, inst.G, inst.H)
+        assert again.witnesses == d.witnesses, name
+        hows.add(again.trace[0]["witness"])
+    assert hows == {"corner", "inflated"}
+
+
 def random_hard_instance(rng):
     """A random orbit instance, T = I, whose cones meet in dimension 2:
     K, M in 1..3, every entry a Fraction with numerator in -3..3 and
@@ -989,7 +1215,7 @@ def reference_hard_branches(inst):
     branch is feasible."""
     K, M = inst.G.K, inst.H.K
     rows, rhs, g_pairs, h_pairs = fraction_hard_system(
-        log_triple(inst.S), _logs(inst.G), _logs(inst.H)
+        log_triple(inst.S), fraction_logs(inst.G), fraction_logs(inst.H)
     )
     den = common_denominator(itertools.chain(*rows, rhs))
 
@@ -1095,7 +1321,10 @@ def test_hard_branch_loop_builds_no_fraction(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Fraction was built")
 
-    for name in ("Fraction", "_log_triple", "common_denominator"):
+    # no Fraction log triple exists to call
+    assert not hasattr(orbit_module, "_log_triple")
+    assert not hasattr(orbit_module, "_logs")
+    for name in ("Fraction", "common_denominator"):
         monkeypatch.setattr(orbit_module, name, refuse)
     for inst in empty:
         d = decide_hard(inst.S, inst.G, inst.H)

@@ -202,6 +202,70 @@ def test_realize_word_rejects_out_of_bound():
         realize_word(counts, {(0, 1): bad})
 
 
+def pair_bound(l_i, l_j, K):
+    """Reference: the right-hand side of the realizability bound for one
+    letter pair, l_i*l_j/(4K^2) - 2K(l_i+l_j) - 4K^2, as a Fraction."""
+    return Fraction(l_i * l_j, 4 * K * K) - 2 * K * (l_i + l_j) - 4 * K * K
+
+
+def fraction_within_bounds(counts, delta, K):
+    """Reference for `within_bounds`: the bound tested over Fractions."""
+    n = len(counts)
+    return all(
+        abs(delta.get((i, j), 0)) <= pair_bound(counts[i], counts[j], K)
+        for i in range(n)
+        for j in range(i + 1, n)
+    )
+
+
+def bound_case(rng, K, n, lo, hi):
+    """Counts in [lo, hi] and targets within one of the reference bound,
+    either side of it, rounded down or up when it is not an integer."""
+    counts = [rng.randint(lo, hi) for _ in range(n)]
+    delta = {}
+    for i, j in _pairs(n):
+        if rng.random() < 0.2:
+            continue  # a missing pair has target 0
+        edge = pair_bound(counts[i], counts[j], K)
+        edge = math.floor(edge) if rng.random() < 0.5 else math.ceil(edge)
+        delta[(i, j)] = rng.choice((1, -1)) * (abs(edge) + rng.randint(-1, 1))
+    return counts, delta
+
+
+def test_within_bounds_matches_fraction_reference(rng):
+    answers, realizable = [], []
+    for _ in range(2000):
+        n = rng.randint(1, 4)
+        K = n + rng.randint(0, 2)
+        lo = rng.choice((0, 1, 40, 200))
+        counts, delta = bound_case(rng, K, n, lo, lo + rng.choice((10, 300, 3000)))
+        want = fraction_within_bounds(counts, delta, K)
+        assert within_bounds(counts, delta, K) is want
+        answers.append(want)
+        parity = all(
+            (delta.get((i, j), 0) - counts[i] * counts[j]) % 2 == 0 for i, j in _pairs(n)
+        )
+        if K == n and parity:
+            # check_realizable tests the same bound once parity holds
+            try:
+                check_realizable(counts, delta)
+            except ValueError:
+                assert not want
+            else:
+                assert want
+            realizable.append(want)
+    assert answers.count(True) >= 300 and answers.count(False) >= 300
+    assert realizable.count(True) >= 30 and realizable.count(False) >= 30
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 4), st.integers(0, 2))
+def test_within_bounds_matches_fraction_reference_hypothesis(drawn_rng, n, extra):
+    K = n + extra
+    counts, delta = bound_case(drawn_rng, K, n, 0, drawn_rng.choice((50, 5000)))
+    assert within_bounds(counts, delta, K) is fraction_within_bounds(counts, delta, K)
+
+
 def _reference_even_scale(counts_by_m, deltas_by_m, kmax):
     """The former intersect._minimal_even_scale, with its inline bound."""
 
