@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nilsect import GeneratorSystem, NilpotentMatrix, UnipotentMatrix, product_of_word
+from nilsect import GeneratorSystem, NilpotentMatrix, UnipotentMatrix, intersect, orbit
 
 
 def h3(a, b, c) -> UnipotentMatrix:
@@ -55,19 +55,20 @@ def random_h3_system(rng: random.Random, k: int, bound: int = 2) -> GeneratorSys
 
 def verify_witness(inst, words) -> bool:
     """True iff the word products over the M systems of an intersection
-    instance are all equal: plain matrix multiplication, independent of
-    the decision machinery and of the log-level identities."""
+    instance are all equal, by `intersect._common_product`: the plain
+    matrix multiplication that checks every NonEmpty intersection
+    verdict, independent of the decision machinery."""
     words = list(words)
     if len(words) != inst.M:
         raise ValueError(f"expected {inst.M} words")
-    products = [product_of_word(sys, w) for sys, w in zip(inst.systems, words)]
-    return all(p == products[0] for p in products[1:])
+    return intersect._common_product(inst, words) is not None
 
 
 def verify_orbit_witness(inst, v, w) -> bool:
-    """True iff T * product(v) = S * product(w), v over G and w over H,
-    by plain matrix multiplication against the original T and S."""
-    return inst.T * product_of_word(inst.G, v) == inst.S * product_of_word(inst.H, w)
+    """True iff T * product(v) = S * product(w), v over G and w over H, by
+    `orbit._common_element`: the plain multiplication against the original
+    T and S that checks every NonEmpty orbit verdict."""
+    return orbit._common_element(inst, v, w) is not None
 
 
 @pytest.fixture

@@ -111,15 +111,17 @@ def test_witness_extraction_requires_nonempty():
 
 
 def test_verify_witness_examples():
+    x = Word.from_letters(1, [0])
     inst = make([[X], [X]])
-    assert verify_witness(inst, [Word.from_letters(1, [0]), Word.from_letters(1, [0])])
+    assert verify_witness(inst, [x, x])
+    assert intersect._common_product(inst, [x, x]) == X
     inst = make([[X], [Y]])
-    assert not verify_witness(
-        inst, [Word.from_letters(1, [0]), Word.from_letters(1, [0])]
-    )
+    assert not verify_witness(inst, [x, x])
+    assert intersect._common_product(inst, [x, x]) is None
     inst = make([[X, Y], [X, Y]])
     w = Word.from_letters(2, [0, 1])
     assert verify_witness(inst, [w, w])
+    assert intersect._common_product(inst, [w, w]) == X * Y
 
 
 def test_monotone_support_loop(rng):

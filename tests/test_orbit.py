@@ -222,10 +222,15 @@ def test_verify_orbit_witness_checks_the_translated_products():
     assert d.verdict is Verdict.NONEMPTY and verified(inst, d)
     v, w = d.witnesses
     assert verify_orbit_witness(inst, v, w)
+    common = orbit_module._common_element(inst, v, w)
+    assert common == d.common_element
+    assert common == inst.T * product_of_word(inst.G, v)
     longer = Word(inst.H.K, [(letter, count + 1) for letter, count in w.runs])
     assert not verify_orbit_witness(inst, v, longer)
+    assert orbit_module._common_element(inst, v, longer) is None
     swapped = orbit(inst.S, inst.T, inst.G, inst.H)
     assert not verify_orbit_witness(swapped, v, w)
+    assert orbit_module._common_element(swapped, v, w) is None
 
 
 def test_easy_interleaving_deeper_caps():
@@ -1117,6 +1122,11 @@ def test_orbit_witness_matches_fraction_reference(hard_nonempty, monkeypatch):
         want, _ = reference_orbit_witness(inst.S, inst.G, inst.H, relaxed)
         got = extract_orbit_witness(inst.S, inst.G, inst.H, relaxed)
         assert got == want, name
+        # the balancing combination X, Y itself, from the integer units
+        units = _integer_logs(inst.S, inst.G.mats, inst.H.mats)
+        assert orbit_module._positive_combination(
+            [x[:2] for x in units.g], [y[:2] for y in units.h]
+        ) == reference_positive_combination(fraction_logs(inst.G), fraction_logs(inst.H)), name
         step = d.trace[0]
         assert (*d.witnesses, step["witness"], step["shift"]) == want, name
         hows.add(want[2])
@@ -1128,17 +1138,6 @@ def test_orbit_witness_matches_fraction_reference(hard_nonempty, monkeypatch):
         want, _ = reference_orbit_witness(inst.S, inst.G, inst.H, relaxed, corner_shifts=0)
         assert want[2] == "inflated"
         assert extract_orbit_witness(inst.S, inst.G, inst.H, relaxed) == want, name
-
-
-def test_positive_combination_matches_fraction_reference(hard_nonempty):
-    for name, inst, _ in hard_nonempty:
-        units = _integer_logs(inst.S, inst.G.mats, inst.H.mats)
-        got = orbit_module._positive_combination(
-            [x[:2] for x in units.g], [y[:2] for y in units.h]
-        )
-        assert got == reference_positive_combination(
-            fraction_logs(inst.G), fraction_logs(inst.H)
-        ), name
 
 
 def test_inflation_scale_only_past_twice_de(hard_nonempty, monkeypatch):
