@@ -47,8 +47,6 @@ from .linsolve import (
 )
 from .numfield import (
     NumberField,
-    FieldElem,
-    HeisenbergElemK,
     embed_heisenberg,
 )
 from .intersect import (

@@ -37,9 +37,11 @@ Heisenberg and product elements are embedded into UT(n*d, Q) (block
 substitution by the multiplication matrix of each field entry; factors
 go block-diagonally), so downstream code sees plain unipotent rational
 matrices regardless of the surface group.  Rationals are read as integer
-pairs, and every matrix, declared or embedded, is written as one integer
-table over a common denominator: the form the matrix kernel computes
-on, so no Fraction grid is built and converted back.
+pairs and field entries as an integer coordinate vector over one
+denominator (`numfield`), and every matrix, declared or embedded, is
+written as one integer table over a common denominator: the form the
+matrix kernel computes on, so no Fraction grid is built and converted
+back.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from fractions import Fraction
 from math import lcm
 
 from .matlie import GeneratorSystem, UnipotentMatrix, direct_sum
-from .numfield import HeisenbergElemK, NumberField, embed_heisenberg
+from .numfield import NumberField, embed_heisenberg
 from .intersect import IntersectionInstance
 from .orbit import OrbitInstance
 
@@ -164,13 +166,16 @@ def _int(tok, line_no, what, least=None):
 
 
 def _field_elem(field_obj, tok, line_no):
-    coords = [Fraction(*_rat(t, line_no)) for t in tok.split(",")]
+    """(U, q): the coordinates of tok as the integer vector U over q > 0,
+    q the lcm of the token denominators, unreduced."""
+    coords = [_rat(t, line_no) for t in tok.split(",")]
     if len(coords) != field_obj.degree:
         raise ParseError(
             line_no,
             f"field element needs {field_obj.degree} coordinates, got {len(coords)}",
         )
-    return field_obj.element(coords)
+    q = lcm(*(den for _, den in coords))
+    return [p * (q // den) for p, den in coords], q
 
 
 class _Lines:
@@ -247,6 +252,7 @@ def _parse_factor_spec(toks, no):
 
 
 def _parse_heis_body(lines, n, fld, name):
+    """The next a, b and c rows of element `name`, embedded."""
     vals = {}
     for key in ("a", "b", "c"):
         no, line = lines.next(f"'{key}' row of element {name}")
@@ -259,7 +265,7 @@ def _parse_heis_body(lines, n, fld, name):
                 no, f"'{key}' needs {want} field element(s), got {len(toks) - 1}"
             )
         vals[key] = [_field_elem(fld, t, no) for t in toks[1:]]
-    return HeisenbergElemK(n, vals["a"], vals["b"], vals["c"][0])
+    return embed_heisenberg(fld, n, vals["a"], vals["b"], vals["c"][0])
 
 
 def parse_instance_text(text: str) -> InstanceFile:
@@ -325,8 +331,7 @@ def parse_instance_text(text: str) -> InstanceFile:
                             no2, f"expected 'factor {idx}', got {line2!r}"
                         )
                     parts.append(_parse_heis_body(lines, n, fld, name))
-            embedded = direct_sum([embed_heisenberg(h) for h in parts])
-            elements[name] = embedded
+            elements[name] = direct_sum(parts)
         elif head == "semigroup":
             if len(toks) < 3:
                 raise ParseError(no, "usage: semigroup NAME MEMBER...")

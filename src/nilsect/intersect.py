@@ -53,10 +53,6 @@ class Decision:
     trace: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.verdict is Verdict.EMPTY
-
 
 class IntersectionInstance:
     """M generator systems sharing one ambient dimension.

@@ -74,7 +74,7 @@ def _bfs_products(gens, n, depth, state, budget):
     return seen
 
 
-def bfs_oracle(inst, depth: int = 8, *, memory_budget=None):
+def bfs_oracle(inst, depth: int, *, memory_budget=None):
     """First collision among the instance's sides, or None.
 
     For an intersection instance: a common product of all generator sets.

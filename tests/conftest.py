@@ -1,9 +1,17 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from nilsect import GeneratorSystem, NilpotentMatrix, UnipotentMatrix, intersect, orbit
+from nilsect import (
+    GeneratorSystem,
+    NilpotentMatrix,
+    UnipotentMatrix,
+    embed_heisenberg,
+    intersect,
+    orbit,
+)
 
 
 def h3(a, b, c) -> UnipotentMatrix:
@@ -51,6 +59,37 @@ def random_h3_system(rng: random.Random, k: int, bound: int = 2) -> GeneratorSys
             for _ in range(k)
         ]
     )
+
+
+def field_pair(coords):
+    """The field element with the given rational coordinates as the pair
+    (U, q), U an integer vector over q > 0, that `embed_heisenberg` reads."""
+    coords = [Fraction(x) for x in coords]
+    q = lcm(*(x.denominator for x in coords))
+    return [x.numerator * (q // x.denominator) for x in coords], q
+
+
+def embed_coords(field, n, a, b, c) -> UnipotentMatrix:
+    """`embed_heisenberg` of the element with row a, column b and corner
+    c, each field entry given by its rational coordinates."""
+    return embed_heisenberg(
+        field, n, [field_pair(x) for x in a], [field_pair(x) for x in b], field_pair(c)
+    )
+
+
+def field_times(field, x, y):
+    """x * y in Q[t]/(f) for rational coordinate lists: the polynomial
+    product, reduced from the top by t^d = -(f_0 + ... + f_(d-1) t^(d-1))."""
+    d = field.degree
+    prod = [Fraction(0)] * (2 * d - 1)
+    for i, u in enumerate(x):
+        for j, v in enumerate(y):
+            prod[i + j] += u * v
+    for k in range(2 * d - 2, d - 1, -1):
+        top = prod.pop()
+        for i, f in enumerate(field.coeffs[:-1]):
+            prod[k - d + i] -= top * f
+    return prod
 
 
 def verify_witness(inst, words) -> bool:

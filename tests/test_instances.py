@@ -1,35 +1,34 @@
 """Parsed elements against a Fraction reference builder.
 
-The parser reads rationals with int() and builds every matrix from its
-integer table.  The reference here reads each token with Fraction(tok),
-embeds a Heisenberg element through a Fraction grid of regular
-representations computed by field multiplication, joins product factors
-as a Fraction grid, and builds every matrix from its Fraction rows.  The
-two must agree on each element's rows and on its reduced integer table.
+The parser reads rationals with int(), field entries as unreduced
+integer coordinate vectors over one denominator, and builds every matrix
+from its integer table.  The reference here reads each token with
+Fraction(tok), embeds a Heisenberg element through a Fraction grid of
+regular representations computed by polynomial multiplication mod the
+modulus, joins product factors as a Fraction grid, and builds every
+matrix from its Fraction rows.  The two must agree on each element's
+rows and on its reduced integer table.
 """
 
 import random
 from fractions import Fraction
 from pathlib import Path
 
-from nilsect import HeisenbergElemK, NumberField, UnipotentMatrix, parse_instance_text
+from nilsect import NumberField, UnipotentMatrix, parse_instance_text
+from conftest import field_times
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
-def reference_representation(x):
+def reference_representation(fld, x):
     """Matrix of multiplication by x: column j holds x * alpha^j."""
-    d = x.field.degree
-    cols, cur, alpha = [], x, x.field.alpha()
-    for j in range(d):
-        cols.append(cur.coords)
-        if j + 1 < d:
-            cur = cur * alpha
+    d = fld.degree
+    cols = [field_times(fld, x, [int(i == j) for i in range(d)]) for j in range(d)]
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
-def reference_embed(h):
-    n, d = h.n, h.field.degree
+def reference_embed(fld, n, a, b, c):
+    d = fld.degree
     rows = [[Fraction(int(i == j)) for j in range(n * d)] for i in range(n * d)]
 
     def put(bi, bj, block):
@@ -37,11 +36,11 @@ def reference_embed(h):
             for j in range(d):
                 rows[bi * d + i][bj * d + j] = block[i][j]
 
-    for j, e in enumerate(h.a):
-        put(0, 1 + j, reference_representation(e))
-    for i, e in enumerate(h.b):
-        put(1 + i, n - 1, reference_representation(e))
-    put(0, n - 1, reference_representation(h.c))
+    for j, e in enumerate(a):
+        put(0, 1 + j, reference_representation(fld, e))
+    for i, e in enumerate(b):
+        put(1 + i, n - 1, reference_representation(fld, e))
+    put(0, n - 1, reference_representation(fld, c))
     return rows
 
 
@@ -76,10 +75,10 @@ def reference_elements(text):
 
     def heis_body(at, n, fld):
         vals = [
-            [fld.element([Fraction(t) for t in tok.split(",")]) for tok in lines[at + k][1:]]
+            [[Fraction(t) for t in tok.split(",")] for tok in lines[at + k][1:]]
             for k in range(3)
         ]
-        return HeisenbergElemK(n, vals[0], vals[1], vals[2][0])
+        return reference_embed(fld, n, vals[0], vals[1], vals[2][0])
 
     while pos < len(lines):
         toks = lines[pos]
@@ -89,13 +88,13 @@ def reference_elements(text):
             pos += 1 + n
         elif toks[0] == "element":
             if len(fields) == 1:
-                grids = [reference_embed(heis_body(pos + 1, *fields[0]))]
+                grids = [heis_body(pos + 1, *fields[0])]
                 pos += 4
             else:
                 grids = []
                 pos += 1
                 for n_f, fld in fields:
-                    grids.append(reference_embed(heis_body(pos + 1, n_f, fld)))
+                    grids.append(heis_body(pos + 1, n_f, fld))
                     pos += 4
             out[toks[1]] = UnipotentMatrix(reference_direct_sum(grids))
         else:
@@ -181,7 +180,44 @@ def _heisenberg_text(rng, factors, count):
     return "\n".join(out) + "\n"
 
 
+# Coordinates are read into (U, q) before any reduction: tokens such as
+# 2/4,3/6 give gcd(U, q) > 1, a coordinate may be 0 in every position,
+# and both moduli have denominators (alpha^d is not an integer vector).
+UNREDUCED_TEXT = """version 1
+group product
+factor heisenberg-k 3 minpoly 1 0 -1/2
+factor heisenberg-k 4 minpoly 1 1/3 0 -2/5
+element e0
+factor 1
+a 2/4,3/6
+b 0,0
+c 0/3,0/9
+factor 2
+a 2/4,3/6,4/8 0,0,0
+b 6/4,-9/6,0 10/15,0/2,-3/3
+c -4/6,8/12,0/5
+element e1
+factor 1
+a 0,0
+b 0/2,0/4
+c 0,0
+factor 2
+a 0,0,0 0/7,0,0
+b 0,0,0 0,0,0
+c 0,0,0
+semigroup A e0 e1
+problem intersection A
+"""
+
+
 def test_random_texts_parse_like_the_reference():
+    assert_same_elements(UNREDUCED_TEXT)
+    for token in ("2/4,3/6", "0,0", "0/3,0/9", "-6/4,+10/4"):
+        assert_same_elements(
+            f"version 1\ngroup heisenberg-k 3 minpoly 1 0 -1/2\n"
+            f"element e\na {token}\nb {token}\nc {token}\n"
+            "semigroup A e\nproblem intersection A\n"
+        )
     rng = random.Random(1107)
     for _ in range(40):
         assert_same_elements(_ut_text(rng, rng.randint(1, 6), rng.randint(1, 3)))

@@ -7,7 +7,6 @@ import pytest
 from nilsect import intersect, linsolve
 from nilsect import (
     GeneratorSystem,
-    HeisenbergElemK,
     IntersectionInstance,
     LinearSubspace,
     NumberField,
@@ -19,7 +18,6 @@ from nilsect import (
     decide_intersection,
     direct_sum,
     eliminate,
-    embed_heisenberg,
     extract_witness,
     load_instance_file,
     log_unipotent,
@@ -28,7 +26,7 @@ from nilsect import (
 
 from nilsect.matlie import bracket, common_denominator
 
-from conftest import h3, random_h3_system, random_unipotent, verify_witness
+from conftest import embed_coords, h3, random_h3_system, random_unipotent, verify_witness
 
 
 def make(instance_sets):
@@ -475,9 +473,9 @@ def _heisenberg(rng, n, bound=2, den=1):
 
 def _field_heisenberg(rng, field):
     def elem():
-        return field.element([Fraction(rng.randint(-2, 2)) for _ in range(field.degree)])
+        return [Fraction(rng.randint(-2, 2)) for _ in range(field.degree)]
 
-    return embed_heisenberg(HeisenbergElemK(3, [elem()], [elem()], elem()))
+    return embed_coords(field, 3, [elem()], [elem()], elem())
 
 
 def _space_instances(rng):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from nilsect import (
     GeneratorSystem,
-    HeisenbergElemK,
     IntersectionInstance,
     NumberField,
     NilpotentMatrix,
@@ -17,7 +16,6 @@ from nilsect import (
     bch_log,
     delta_table,
     direct_sum,
-    embed_heisenberg,
     exp_nilpotent,
     is_two_step,
     load_instance_file,
@@ -35,7 +33,7 @@ from nilsect.matlie import (
     common_denominator,
 )
 
-from conftest import h3, nil3, random_nilpotent, random_unipotent
+from conftest import embed_coords, h3, nil3, random_nilpotent, random_unipotent
 
 
 def test_constructor_rejects_bad_matrices():
@@ -173,13 +171,12 @@ def _differential_family(rng):
     for field in fields:
         for _ in range(4):
             heis = [
-                embed_heisenberg(
-                    HeisenbergElemK(
-                        3,
-                        [field.element([_random_rational(rng) for _ in range(field.degree)])],
-                        [field.element([_random_rational(rng) for _ in range(field.degree)])],
-                        field.element([_random_rational(rng) for _ in range(field.degree)]),
-                    )
+                embed_coords(
+                    field,
+                    3,
+                    [[_random_rational(rng) for _ in range(field.degree)]],
+                    [[_random_rational(rng) for _ in range(field.degree)]],
+                    [_random_rational(rng) for _ in range(field.degree)],
                 )
                 for _ in range(3)
             ]
@@ -243,10 +240,13 @@ def _ut_generators(draw):
 
 @st.composite
 def _field_heisenberg(draw, field, n):
+    """An embedded element of H_n over the field."""
     def elem():
-        return field.element([draw(_small) for _ in range(field.degree)])
+        return [draw(_small) for _ in range(field.degree)]
 
-    return HeisenbergElemK(n, [elem() for _ in range(n - 2)], [elem() for _ in range(n - 2)], elem())
+    return embed_coords(
+        field, n, [elem() for _ in range(n - 2)], [elem() for _ in range(n - 2)], elem()
+    )
 
 
 @st.composite
@@ -259,14 +259,14 @@ def _embedded_generators(draw):
     if kind == "product":
         mats = [
             direct_sum(
-                [embed_heisenberg(draw(_field_heisenberg(f, 3))) for f in _fields]
+                [draw(_field_heisenberg(f, 3)) for f in _fields]
             )
             for _ in range(k)
         ]
     else:
         field = _fields[kind == "cbrt2"]
         n = draw(st.integers(3, 4))
-        mats = [embed_heisenberg(draw(_field_heisenberg(field, n))) for _ in range(k)]
+        mats = [draw(_field_heisenberg(field, n)) for _ in range(k)]
     if draw(st.booleans()):
         size = mats[0].n
         rows = [[int(i == j) for j in range(size)] for i in range(size)]
@@ -782,9 +782,9 @@ def _assert_kernel_matches_reference(mats, rng):
 
 def _random_heisenberg_k(rng, field):
     def elem():
-        return field.element([_random_rational(rng) for _ in range(field.degree)])
+        return [_random_rational(rng) for _ in range(field.degree)]
 
-    return embed_heisenberg(HeisenbergElemK(3, [elem()], [elem()], elem()))
+    return embed_coords(field, 3, [elem()], [elem()], elem())
 
 
 def test_kernel_matches_reference_on_rational_ut():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from nilsect import (
     GeneratorSystem,
-    HeisenbergElemK,
     NumberField,
     UnipotentMatrix,
     embed_heisenberg,
@@ -24,6 +23,7 @@ from nilsect.numfield import (
     _sign_changes,
     _sturm_chain,
 )
+from conftest import embed_coords, field_pair, field_times
 
 SQRT2 = NumberField([-2, 0, 1])  # t^2 - 2
 CBRT2 = NumberField([-2, 0, 0, 1])  # t^3 - 2
@@ -32,15 +32,14 @@ SQRT_HALF = NumberField([Fraction(-1, 2), 0, 1])
 CUBIC = NumberField([Fraction(-2, 5), 0, Fraction(1, 3), 1])
 
 
-def regular_representation(x):
-    """The Fraction view of the integer regular representation."""
-    return _fraction_rows(*_integer_representation(x))
+def regular_representation(field, x):
+    """The Fraction view of the integer regular representation of the
+    element with rational coordinates x."""
+    return _fraction_rows(*_integer_representation(field, field_pair(x)))
 
 
 def rand_elem(rng, field, span=5):
-    return field.element(
-        [Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(field.degree)]
-    )
+    return [Fraction(rng.randint(-span, span), rng.randint(1, 3)) for _ in range(field.degree)]
 
 
 def matmul(A, B):
@@ -51,33 +50,9 @@ def matmul(A, B):
     )
 
 
-def test_field_multiplication_examples():
-    r2 = SQRT2.alpha()
-    assert (r2 * r2) == SQRT2.from_rational(2)
-    x = SQRT2.element([3, -7])
-    assert SQRT2.one() * x == x
-    assert r2.inverse().coords == (0, Fraction(1, 2))
-
-
-def test_field_inverse(rng):
-    for field in (SQRT2, CBRT2):
-        for _ in range(30):
-            x = rand_elem(rng, field)
-            if x.is_zero():
-                continue
-            assert x * x.inverse() == field.one()
-    with pytest.raises(ValueError):
-        SQRT2.zero().inverse()
-
-
-def test_field_mismatch_rejected():
-    with pytest.raises(ValueError):
-        SQRT2.alpha() + CBRT2.alpha()
-
-
 def test_regular_representation_examples():
-    assert regular_representation(SQRT2.one()) == ((1, 0), (0, 1))
-    R = regular_representation(SQRT2.alpha())
+    assert regular_representation(SQRT2, [1, 0]) == ((1, 0), (0, 1))
+    R = regular_representation(SQRT2, [0, 1])
     assert R == ((0, 2), (1, 0))
 
 
@@ -86,18 +61,12 @@ def test_representation_is_ring_homomorphism(rng):
         for _ in range(60):
             a = rand_elem(rng, field)
             b = rand_elem(rng, field)
-            assert matmul(
-                regular_representation(a), regular_representation(b)
-            ) == regular_representation(a * b)
-            add = regular_representation(a + b)
-            expect = tuple(
-                tuple(
-                    x + y
-                    for x, y in zip(regular_representation(a)[i], regular_representation(b)[i])
-                )
-                for i in range(field.degree)
+            ra, rb = regular_representation(field, a), regular_representation(field, b)
+            assert matmul(ra, rb) == regular_representation(field, field_times(field, a, b))
+            add = regular_representation(field, [x + y for x, y in zip(a, b)])
+            assert add == tuple(
+                tuple(x + y for x, y in zip(ra[i], rb[i])) for i in range(field.degree)
             )
-            assert add == expect
 
 
 def test_irreducibility_guard():
@@ -111,7 +80,7 @@ def test_irreducibility_guard():
         NumberField([2, 0, 0])  # not monic
     # degree 1 always fine: the field is Q itself
     q = NumberField([5, 1])
-    assert q.alpha() == q.from_rational(-5)
+    assert regular_representation(q, [Fraction(3, 2)]) == ((Fraction(3, 2),),)
 
 
 def _divisors(n: int):
@@ -280,23 +249,52 @@ def test_rational_root_test_is_fast_on_large_constants():
 
 
 def rand_heis(rng, field, n=3):
-    return HeisenbergElemK(
-        n,
+    """(a, b, c) of a random element of H_n over the field, as rational
+    coordinate lists."""
+    return (
         [rand_elem(rng, field, 3) for _ in range(n - 2)],
         [rand_elem(rng, field, 3) for _ in range(n - 2)],
         rand_elem(rng, field, 3),
     )
 
 
+def _plus(*xs):
+    return [sum(col) for col in zip(*xs)]
+
+
+def _minus(x):
+    return [-u for u in x]
+
+
+def _pairing(field, a, b):
+    """<a, b> = sum of a_i b_i in the field."""
+    return _plus(*(field_times(field, x, y) for x, y in zip(a, b)))
+
+
+def heis_times(field, g, h):
+    """The group law (a + a', b + b', c + c' + <a, b'>)."""
+    (a, b, c), (a2, b2, c2) = g, h
+    return (
+        [_plus(x, y) for x, y in zip(a, a2)],
+        [_plus(x, y) for x, y in zip(b, b2)],
+        _plus(c, c2, _pairing(field, a, b2)),
+    )
+
+
+def heis_inverse(field, g):
+    """(-a, -b, -c + <a, b>): its product with g either way is 1."""
+    a, b, c = g
+    return [_minus(x) for x in a], [_minus(x) for x in b], _plus(_minus(c), _pairing(field, a, b))
+
+
 def test_embed_identity():
-    assert embed_heisenberg(
-        HeisenbergElemK.identity(3, SQRT2)
-    ) == UnipotentMatrix.identity(6)
+    zero = field_pair([0, 0])
+    assert embed_heisenberg(SQRT2, 3, [zero], [zero], zero) == UnipotentMatrix.identity(6)
 
 
 def test_embed_block_structure():
-    h = HeisenbergElemK(3, [SQRT2.alpha()], [SQRT2.zero()], SQRT2.zero())
-    m = embed_heisenberg(h)
+    zero = field_pair([0, 0])
+    m = embed_heisenberg(SQRT2, 3, [field_pair([0, 1])], [zero], zero)
     assert m.n == 6
     # (1,2) block in Heisenberg coordinates holds the multiplication
     # matrix of sqrt(2)
@@ -308,14 +306,15 @@ def test_embed_multiplicative(rng):
     for field, n in ((SQRT2, 3), (SQRT2, 4), (CBRT2, 3)):
         for _ in range(25):
             h1, h2 = rand_heis(rng, field, n), rand_heis(rng, field, n)
-            assert embed_heisenberg(h1 * h2) == embed_heisenberg(h1) * embed_heisenberg(h2)
-            assert embed_heisenberg(h1.inverse()) == embed_heisenberg(h1).inverse()
+            m1, m2 = embed_coords(field, n, *h1), embed_coords(field, n, *h2)
+            assert embed_coords(field, n, *heis_times(field, h1, h2)) == m1 * m2
+            assert embed_coords(field, n, *heis_inverse(field, h1)) == m1.inverse()
 
 
 def test_embedded_sets_are_two_step(rng):
     for field, n in ((SQRT2, 3), (CBRT2, 3), (SQRT2, 4)):
         gens = GeneratorSystem(
-            [embed_heisenberg(rand_heis(rng, field, n)) for _ in range(4)]
+            [embed_coords(field, n, *rand_heis(rng, field, n)) for _ in range(4)]
         )
         assert is_two_step(gens)
 
@@ -333,8 +332,7 @@ def test_embedding_bitsize_monitor(rng):
     # monitored bound, deliberately loose: output size stays within a
     # generous quadratic envelope of the input size
     for _ in range(20):
-        h = rand_heis(rng, SQRT2, 3)
-        source = [e.coords for e in list(h.a) + list(h.b) + [h.c]]
-        in_bits = max(16, bits_of(source))
-        out_bits = bits_of(embed_heisenberg(h).rows)
+        a, b, c = h = rand_heis(rng, SQRT2, 3)
+        in_bits = max(16, bits_of(a + b + [c]))
+        out_bits = bits_of(embed_coords(SQRT2, 3, *h).rows)
         assert out_bits <= 64 * in_bits * in_bits
