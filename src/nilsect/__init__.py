@@ -16,10 +16,8 @@ decision runs over plain rational matrices.
 
 from .matlie import (
     UnipotentMatrix,
-    NilpotentMatrix,
     GeneratorSystem,
     log_unipotent,
-    exp_nilpotent,
     is_two_step,
     bch_log,
     product_of_word,

@@ -1,18 +1,20 @@
 """Command line interface: `decide <command> <instance file>`.
 
 Commands: intersect, orbit, witness (decide + force witness extraction),
-oracle (brute-force enumeration only), log, exp (exact matrix log/exp of
-a named element).  Exit codes are made for scripting ground truth:
+oracle (brute-force enumeration only).  Exit codes are made for
+scripting ground truth:
 
-    0  decided Empty (or: oracle found nothing / log/exp succeeded)
+    0  decided Empty (or: oracle found nothing)
     1  decided NonEmpty (or: oracle found a collision)
     2  Unsupported instance or a work/memory budget fired
-    3  input error (parse or validation, or a bad --budget or --depth:
-       like an option value, each is an INT >= 1 of the instance
-       grammar), and a usage error (an unknown command or flag, or a
-       missing argument); --help exits 0
-    4  internal error: any other exception (a defect); the traceback
-       goes to stderr
+    3  input error (an instance file that cannot be read, is not UTF-8
+       text, does not parse or does not validate, or a bad --budget or
+       --depth: like an option value, each is an INT >= 1 of the
+       instance grammar), and a usage error (an unknown command or flag,
+       --budget on intersect among them, or a missing argument); --help
+       exits 0
+    4  internal error: any other exception (a defect), a ValueError
+       raised while deciding included; the traceback goes to stderr
 
 Reports print as text by default; `--json` emits a versioned
 machine-readable report (schema "decide-report/1") with all rationals as
@@ -31,7 +33,6 @@ from dataclasses import dataclass, field
 from .errors import BudgetExceeded, UnsupportedInstance
 from .instances import (
     InstanceFile,
-    ParseError,
     ValidationError,
     load_instance_file,
     read_int,
@@ -43,7 +44,6 @@ from .intersect import (
     decide_intersection,
     extract_witness,
 )
-from .matlie import NilpotentMatrix, exp_nilpotent, log_unipotent
 from .oracle import bfs_oracle
 from .orbit import FALLBACK_DEPTH, OrbitInstance, decide_orbit
 from .wordcraft import Word
@@ -63,7 +63,6 @@ class ResultReport:
     verdict: str
     witnesses: list = field(default_factory=list)  # [(set name, [(gen, count), ...])]
     common_element: list | None = None
-    matrix: list | None = None
     trace: list | None = None
     oracle: dict | None = None
     timing_s: float = 0.0
@@ -83,8 +82,6 @@ class ResultReport:
             ]
         if self.common_element is not None:
             out["common_element"] = self.common_element
-        if self.matrix is not None:
-            out["matrix"] = self.matrix
         if self.trace is not None:
             out["trace"] = self.trace
         if self.oracle is not None:
@@ -101,10 +98,6 @@ class ResultReport:
         if self.common_element is not None:
             lines.append("common element:")
             for row in self.common_element:
-                lines.append("  " + " ".join(row))
-        if self.matrix is not None:
-            lines.append("matrix:")
-            for row in self.matrix:
                 lines.append("  " + " ".join(row))
         if self.oracle is not None:
             lines.append(f"oracle: {self.oracle}")
@@ -154,33 +147,10 @@ def _jsonable_trace(trace):
 
 
 def run(command: str, inst_file: InstanceFile, *, trace=False, depth=None,
-        matrix_name=None, check_oracle=False) -> ResultReport:
+        check_oracle=False) -> ResultReport:
     """Dispatch one command against a parsed instance file."""
     start = time.monotonic()
     options = inst_file.options
-
-    if command in ("log", "exp"):
-        if matrix_name is None:
-            raise ValidationError("log/exp need --matrix NAME")
-        if matrix_name not in inst_file.elements:
-            raise ValidationError(f"unknown element {matrix_name!r}")
-        mat = inst_file.elements[matrix_name]
-        if command == "log":
-            out = log_unipotent(mat)
-        else:
-            # instance files hold group elements, so the algebra input X
-            # is carried as the unipotent matrix I + X
-            x = NilpotentMatrix.from_integer_table(
-                [
-                    [v if i != j else 0 for j, v in enumerate(row)]
-                    for i, row in enumerate(mat.table)
-                ],
-                mat.den,
-            )
-            out = exp_nilpotent(x)
-        report = ResultReport(command, "ok", matrix=_mat_rows(out))
-        report.timing_s = time.monotonic() - start
-        return report
 
     built = inst_file.build()
 
@@ -255,22 +225,22 @@ def _build_parser():
         "problems in unipotent matrix groups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("intersect", "orbit", "witness", "oracle", "log", "exp"):
+    for name in ("intersect", "orbit", "witness", "oracle"):
         p = sub.add_parser(name)
         p.add_argument("file", help="instance file")
         p.add_argument("--json", action="store_true", help="machine-readable report")
         if name in ("intersect", "orbit", "witness"):
             p.add_argument("--trace", action="store_true",
                            help="include the decision trace in the report")
-            p.add_argument("--budget", default=None,
-                           help="override the interleaving budget (INT >= 1)")
             p.add_argument("--check-oracle", action="store_true",
                            help="cross-check the verdict against enumeration")
+        if name in ("orbit", "witness"):
+            # only the orbit easy case reads the interleaving budget
+            p.add_argument("--budget", default=None,
+                           help="override the interleaving budget (INT >= 1)")
         if name == "oracle":
             p.add_argument("--depth", default=None,
                            help="maximum word length to enumerate (INT >= 1)")
-        if name in ("log", "exp"):
-            p.add_argument("--matrix", required=True, help="element name")
     return parser
 
 
@@ -281,24 +251,33 @@ def _flag_int(args, key):
     return None if value is None else read_int(value, f"--{key}", least=1)
 
 
+def _input_error(exc) -> int:
+    print(f"input error: {exc}", file=sys.stderr)
+    return EXIT_INPUT_ERROR
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # a bad flag value, a parse error and a file that is not UTF-8
+        # text (UnicodeDecodeError) are ValueErrors; past this point a
+        # ValueError is a defect
         budget, depth = _flag_int(args, "budget"), _flag_int(args, "depth")
         inst_file = load_instance_file(args.file)
-        if budget is not None:
-            inst_file.options["interleave_budget"] = budget
+    except (OSError, ValueError) as exc:
+        return _input_error(exc)
+    if budget is not None:
+        inst_file.options["interleave_budget"] = budget
+    try:
         report = run(
             args.command,
             inst_file,
             trace=getattr(args, "trace", False),
             depth=depth,
-            matrix_name=getattr(args, "matrix", None),
             check_oracle=getattr(args, "check_oracle", False),
         )
-    except (ParseError, ValidationError, OSError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except ValidationError as exc:
+        return _input_error(exc)
     except UnsupportedInstance as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -315,7 +294,7 @@ def main(argv=None) -> int:
     else:
         print(report.to_text())
 
-    if report.verdict in ("empty", "none", "ok"):
+    if report.verdict in ("empty", "none"):
         return EXIT_EMPTY
     return EXIT_NONEMPTY
 

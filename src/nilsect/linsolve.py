@@ -18,8 +18,9 @@ Contents:
 * small-scale integer feasibility with sign constraints, by
   branch-and-bound over the exact LP relaxation, capped at
   ILP_NODE_CAP relaxations per search;
-* finitely generated cones in Q^2: dimension of an intersection,
-  interior vectors, separating functionals.
+* finitely generated cones in Q^2: dimension of an intersection and
+  separating functionals, on the exact plane forms `cross` and
+  `angular_order` that word realisation shares.
 
 Everything operates on immutable inputs and returns fresh values.  The
 LPs of `support_nonneg` run in coordinate order: whether one runs at all
@@ -772,7 +773,6 @@ class ConeMeet:
     """Outcome of intersecting two plane cones."""
 
     dim: int
-    interior_vector: tuple | None
     separating_functional: tuple | None
 
 
@@ -786,7 +786,10 @@ def _primitive(v):
     return (a // g, b // g)
 
 
-def _cross(u, v):
+def cross(u, v):
+    """The integer form u0 v1 - u1 v0 of two plane vectors: the signed
+    area they span, and the corner entry of the bracket of two 3x3 logs
+    with superdiagonals u and v."""
     return u[0] * v[1] - u[1] * v[0]
 
 
@@ -802,25 +805,23 @@ def _rot_cw(v):
     return (v[1], -v[0])
 
 
-def _angular_sort(dirs):
-    """Sort primitive directions counterclockwise starting at (1, 0)."""
+def angular_order(vectors):
+    """Indices of the plane vectors sorted by angle in [0, 2 pi) from
+    (1, 0), exactly (half-plane, then the sign of `cross`); zero vectors
+    last, and equal angles in index order."""
 
-    def half(d):
-        # 0 for polar angle in [0, pi), 1 for [pi, 2pi)
-        return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
+    def half(u):
+        if u[0] == u[1] == 0:
+            return 2
+        return 0 if u[1] > 0 or (u[1] == 0 and u[0] > 0) else 1
 
-    def cmp(a, b):
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cr = _cross(a, b)
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
+    def compare(i, j):
+        hi, hj = half(vectors[i]), half(vectors[j])
+        if hi != hj:
+            return hi - hj
+        return -cross(vectors[i], vectors[j])
 
-    return sorted(dirs, key=functools.cmp_to_key(cmp))
+    return sorted(range(len(vectors)), key=functools.cmp_to_key(compare))
 
 
 def _cone_form(generators):
@@ -845,19 +846,19 @@ def _cone_form(generators):
     if all(d == dirs[0] or d == neg0 for d in dirs):
         return ("line", dirs[0])
 
-    order = _angular_sort(dirs)
+    order = [dirs[i] for i in angular_order(dirs)]
     n = len(order)
     # classify the cyclic gaps; at most one gap can be >= pi
     for idx in range(n):
         a = order[idx]
         b = order[(idx + 1) % n]
-        if _cross(a, b) < 0:
+        if cross(a, b) < 0:
             # ccw gap from a to b exceeds pi: cone is the wedge from b to a
             return ("wedge", b, a)
     for idx in range(n):
         a = order[idx]
         b = order[(idx + 1) % n]
-        if _cross(a, b) == 0 and _dot(a, b) < 0:
+        if cross(a, b) == 0 and _dot(a, b) < 0:
             # a gap of exactly pi: the occupied side is a closed halfplane
             return ("halfplane", _rot_ccw(b))
     return ("plane",)
@@ -914,24 +915,9 @@ def _feasible_cone(constraints):
     return _cone_form(feasible)
 
 
-def _interior_vector(form):
-    """A rational vector interior to a 2-dimensional cone."""
-    kind = form[0]
-    if kind == "wedge":
-        r1, r2 = form[1], form[2]
-        # average of the extreme rays, denominators cleared
-        return (r1[0] + r2[0], r1[1] + r2[1])
-    if kind == "halfplane":
-        return form[1]  # the inward normal points strictly inside
-    if kind == "plane":
-        return (1, 0)
-    return None
-
-
 def cone_intersect_dim(c1: Cone2D, c2: Cone2D) -> ConeMeet:
-    """Dimension of the intersection cone, plus certificates.
+    """Dimension of the intersection cone, plus a certificate.
 
-    dim 2: also a rational vector strictly interior to both cones.
     dim <= 1: a nonzero functional n with n . g >= 0 on all generators of
     c1 and n . h <= 0 on all generators of c2 when one exists (classified
     exactly, no search), else absent.  Two zero cones report dim 0 with
@@ -942,7 +928,7 @@ def cone_intersect_dim(c1: Cone2D, c2: Cone2D) -> ConeMeet:
     meet = _feasible_cone(_halfplanes(f1) + _halfplanes(f2))
     dim = _form_dim(meet)
     if dim == 2:
-        return ConeMeet(2, _interior_vector(meet), None)
+        return ConeMeet(2, None)
 
     constraints = []
     for g in c1.generators:
@@ -954,14 +940,14 @@ def cone_intersect_dim(c1: Cone2D, c2: Cone2D) -> ConeMeet:
         if p is not None:
             constraints.append(p)
     if not constraints:
-        return ConeMeet(dim, None, (1, 0))
+        return ConeMeet(dim, (1, 0))
     form = _feasible_cone(constraints)
     if form[0] == "zero":
-        return ConeMeet(dim, None, None)
+        return ConeMeet(dim, None)
     if form[0] == "plane":
-        return ConeMeet(dim, None, (1, 0))
+        return ConeMeet(dim, (1, 0))
     if form[0] in ("ray", "line"):
-        return ConeMeet(dim, None, form[1])
+        return ConeMeet(dim, form[1])
     if form[0] == "wedge":
-        return ConeMeet(dim, None, min(form[1], form[2]))
-    return ConeMeet(dim, None, _rot_ccw(form[1]))  # halfplane boundary direction
+        return ConeMeet(dim, min(form[1], form[2]))
+    return ConeMeet(dim, _rot_ccw(form[1]))  # halfplane boundary direction

@@ -1,28 +1,27 @@
-"""Exact arithmetic for unipotent rational matrices and their Lie algebra.
+"""Exact arithmetic for unipotent rational matrices and their logarithms.
 
 The group side is UT(n, Q): upper triangular matrices with unit diagonal
-and rational entries.  The algebra side is the space of strictly upper
-triangular rational matrices.  The matrix logarithm and exponential are
-terminating series on these sets and are computed exactly; there is no
-floating point anywhere in this package.
+and rational entries.  The matrix logarithm is a terminating series on
+this set and is computed exactly; there is no floating point anywhere in
+this package.  The Lie algebra enters only through the 2-step BCH
+formula, so a log is never a matrix object: it is an integer table X
+over a denominator D, reduced (`log_unipotent`), and a bracket is the
+integer table XY - YX (`_integer_bracket`).
 
-The public classes are immutable, hashable, safe to share between
-threads, and compare by exact equality.  Products, powers, logs,
-exponentials and brackets are computed fraction-free, in the manner of
-Bareiss (1968): a UnipotentMatrix and a NilpotentMatrix are each one
+UnipotentMatrix is immutable, hashable, safe to share between threads,
+and compares by exact equality.  Products, powers and logs are computed
+fraction-free, in the manner of Bareiss (1968): a UnipotentMatrix is one
 integer table over a common denominator, reduced so that equal matrices
-have equal tables (their shared base, `_IntegerTable`).  A log is an
-integer table X over a denominator D, and every series, product, sum
-and bracket runs on integer tables; a denominator is divided out by one
-gcd per result.  A UnipotentMatrix keeps its log, so every generator
-system holding the matrix shares one.  No matrix holds a Fraction: a
-Fraction table is built only when asked for, by `rows` on each access.
+have equal tables, and a denominator is divided out by one gcd per
+result.  A UnipotentMatrix keeps its log, so every generator system
+holding the matrix shares one.  No matrix holds a Fraction: a Fraction
+table is built only when asked for, by `rows` on each access.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -43,12 +42,11 @@ def _freeze(rows):
     return n, out
 
 
-def _check_unit_upper(table, one):
-    """Raise ValueError unless the square table has `one` on the diagonal
-    and zeros below it (`one` is 1 for a Fraction table, the denominator
-    for an integer table)."""
+def _check_unit_upper(table, den):
+    """Raise ValueError unless the integer table over den has den on the
+    diagonal and zeros below it."""
     for i, row in enumerate(table):
-        if row[i] != one:
+        if row[i] != den:
             raise ValueError(f"diagonal entry ({i},{i}) is not 1")
         for j in range(i):
             if row[j]:
@@ -163,53 +161,6 @@ def _nonzero_powers(x, n):
     return powers
 
 
-def _integer_log(table, den):
-    """(X, D) with log(table/den) = X/D, for a unipotent matrix table/den.
-
-    With N' = table - den*I (the strictly upper part), p the last k with
-    N'^k != 0 and L = lcm(1..p), log M = sum_k (-1)^(k-1)/k (N'/den)^k
-    gives the integer identity
-
-        sum_{k<=p} (-1)^(k-1) (L/k) den^(p-k) N'^k  =  L den^p log M.
-
-    The left side and L den^p are divided by their common gcd, so X/D
-    is log M with D dividing L den^p.  For the identity p = 0, X = 0 and
-    D = 1.
-    """
-    n = len(table)
-    powers = _nonzero_powers(_strict_upper(table), n)
-    p = len(powers)
-    big_l = lcm(*range(1, p + 1))
-    acc = ((0,) * n,) * n
-    for k, power in enumerate(powers, start=1):
-        coef = (-1) ** (k - 1) * (big_l // k) * den ** (p - k)
-        acc = _add(acc, _scale(power, coef, n), n)
-    return _reduce(acc, big_l * den**p)
-
-
-def _exp_coefficients(x, den):
-    """(B, e) with exp(c x/den) = (sum_k c^k B[k]) / e for every integer c.
-
-    x is a strictly upper integer table.  With q the last k with
-    x^k != 0, B[k] = (q!/k!) den^(q-k) x^k for k = 0..q (x^0 = I) and
-    e = q! den^q, all divided by their common gcd.  For x = 0, B = [I]
-    and e = 1.
-    """
-    n = len(x)
-    powers = [_identity_rows(n)] + _nonzero_powers(x, n)
-    q = len(powers) - 1
-    coefs = [
-        _scale(power, factorial(q) // factorial(k) * den ** (q - k), n)
-        for k, power in enumerate(powers)
-    ]
-    e = factorial(q) * den**q
-    g = gcd(e, *(v for b in coefs for row in b for v in row))
-    if g > 1:
-        coefs = [tuple(tuple(v // g for v in row) for row in b) for b in coefs]
-        e //= g
-    return coefs, e
-
-
 def _binomial_coefficients(table, den):
     """(B, e) with (table/den)^c = (sum_k C(c, k) B[k]) / e for every integer c.
 
@@ -245,17 +196,18 @@ def _integer_bracket(x, y, n):
     return _sub(mul_upper_rows(x, y, n), mul_upper_rows(y, x, n), n)
 
 
-class _IntegerTable:
-    """An n x n rational matrix held as one reduced integer table.
+class UnipotentMatrix:
+    """Element of UT(n, Q): unit diagonal, zero below it, exact entries.
 
-    The matrix is table/den with den > 0 and gcd(den, every entry) = 1,
-    so two matrices of one class are equal iff their (table, den) are.
-    `rows` is the Fraction table, built on each access, and m[i, j] one
-    Fraction entry.  Subclasses name the shape they hold (`_check`).
+    Held as one reduced integer table: the matrix is table/den with
+    den > 0 and gcd(den, every entry) = 1, so two matrices are equal iff
+    their (table, den) are.  `rows` is the Fraction table, built on each
+    access, and m[i, j] one Fraction entry.  log M = X/D and the
+    coefficients of c -> M^c are computed on first use and kept; the
+    powers come from the binomial series, not from the log.
     """
 
-    __slots__ = ("n", "table", "den")
-    _TAG = ""
+    __slots__ = ("n", "table", "den", "_log", "_binomial")
 
     def __init__(self, rows):
         # the lcm of reduced denominators leaves gcd 1: for each prime p
@@ -263,16 +215,18 @@ class _IntegerTable:
         # den keeps a numerator prime to p
         n, frac = _freeze(rows)
         table, den = _integer_rows(frac)
-        self._check(table, den)
+        _check_unit_upper(table, den)
         self._set(n, table, den)
 
     def _set(self, n, table, den):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_log", None)
+        object.__setattr__(self, "_binomial", None)
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+        raise AttributeError("UnipotentMatrix is immutable")
 
     @classmethod
     def from_integer_table(cls, table, den):
@@ -287,7 +241,7 @@ class _IntegerTable:
             raise ValueError("matrix is not square")
         if den < 1:
             raise ValueError("denominator must be positive")
-        cls._check(table, den)
+        _check_unit_upper(table, den)
         return cls._from_integer(n, table, den)
 
     @classmethod
@@ -296,6 +250,10 @@ class _IntegerTable:
         m = object.__new__(cls)
         m._set(n, *_reduce(table, den))
         return m
+
+    @classmethod
+    def identity(cls, n) -> "UnipotentMatrix":
+        return cls._from_integer(n, _identity_rows(n), 1)
 
     @property
     def rows(self):
@@ -307,7 +265,7 @@ class _IntegerTable:
 
     def __eq__(self, other):
         return (
-            type(other) is type(self)
+            isinstance(other, UnipotentMatrix)
             and self.den == other.den
             and self.table == other.table
         )
@@ -317,36 +275,12 @@ class _IntegerTable:
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
-        return f"<{self._TAG}{self.n} [{body}]>"
-
-
-class UnipotentMatrix(_IntegerTable):
-    """Element of UT(n, Q): unit diagonal, zero below it, exact entries.
-
-    A reduced integer table over a denominator (`_IntegerTable`).
-    log M = X/D and the coefficients of c -> M^c are computed on first
-    use and kept; the powers come from the binomial series, not from
-    the log.
-    """
-
-    __slots__ = ("_log", "_binomial")
-    _TAG = "UT"
-
-    _check = staticmethod(_check_unit_upper)
-
-    def _set(self, n, table, den):
-        super()._set(n, table, den)
-        object.__setattr__(self, "_log", None)
-        object.__setattr__(self, "_binomial", None)
-
-    @classmethod
-    def identity(cls, n) -> "UnipotentMatrix":
-        return cls._from_integer(n, _identity_rows(n), 1)
+        return f"<UT{self.n} [{body}]>"
 
     def integer_log(self):
-        """(X, D) with log M = X/D."""
+        """(X, D) with log M = X/D (`log_unipotent`), computed once."""
         if self._log is None:
-            object.__setattr__(self, "_log", _integer_log(self.table, self.den))
+            object.__setattr__(self, "_log", log_unipotent(self))
         return self._log
 
     def integer_power(self, c: int):
@@ -376,100 +310,30 @@ class UnipotentMatrix(_IntegerTable):
         return self**-1
 
 
-class NilpotentMatrix(_IntegerTable):
-    """Strictly upper triangular rational matrix (a Lie algebra element).
+def log_unipotent(m: UnipotentMatrix):
+    """(X, D) with log M = X/D, X an integer table and D > 0 reduced
+    against it: the matrix logarithm sum_k (-1)^(k-1)/k (M-I)^k on UT(n, Q).
 
-    A reduced integer table over a denominator (`_IntegerTable`); sums,
-    differences, negation and rational multiples are integer-table
-    arithmetic, reduced once per result.
+    With M = T/d, N' = T - d*I (the strictly upper part), p the last k
+    with N'^k != 0 and L = lcm(1..p), the series gives the integer
+    identity
+
+        sum_{k<=p} (-1)^(k-1) (L/k) d^(p-k) N'^k  =  L d^p log M.
+
+    The left side and L d^p are divided by their common gcd, so X/D is
+    log M with D dividing L d^p, and equal logs have equal (X, D).  For
+    the identity p = 0, X = 0 and D = 1.  `UnipotentMatrix.integer_log`
+    keeps the result on the matrix.
     """
-
-    __slots__ = ()
-    _TAG = "nil"
-
-    @staticmethod
-    def _check(table, den):
-        for i, row in enumerate(table):
-            for j in range(i + 1):
-                if row[j]:
-                    raise ValueError(f"nonzero entry ({i},{j}) on or below the diagonal")
-
-    @classmethod
-    def zero(cls, n) -> "NilpotentMatrix":
-        return cls._from_integer(n, ((0,) * n,) * n, 1)
-
-    def _combine(self, other, sign):
-        """self + sign * other, over the lcm of the two denominators."""
-        if not isinstance(other, NilpotentMatrix):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        den = lcm(self.den, other.den)
-        ka, kb = den // self.den, sign * (den // other.den)
-        table = tuple(
-            tuple(ka * x + kb * y for x, y in zip(ra, rb))
-            for ra, rb in zip(self.table, other.table)
-        )
-        return NilpotentMatrix._from_integer(self.n, table, den)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return NilpotentMatrix._from_integer(self.n, _scale(self.table, -1, self.n), self.den)
-
-    def __mul__(self, coef):
-        if isinstance(coef, int):
-            num, den = coef, 1
-        elif isinstance(coef, Fraction):
-            num, den = coef.numerator, coef.denominator
-        else:
-            return NotImplemented
-        table = _scale(self.table, num, self.n)
-        return NilpotentMatrix._from_integer(self.n, table, self.den * den)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return _is_zero_rows(self.table)
-
-
-def log_unipotent(m: UnipotentMatrix) -> NilpotentMatrix:
-    """Matrix logarithm on UT(n, Q): sum_{k>=1} (-1)^(k-1)/k (M-I)^k.
-
-    The series stops because (M-I)^n = 0; the result is exact.  It is
-    the integer log X/D of m (`_integer_log`), which m keeps.
-    """
-    if not isinstance(m, UnipotentMatrix):
-        m = UnipotentMatrix(m)
-    return NilpotentMatrix._from_integer(m.n, *m.integer_log())
-
-
-def exp_nilpotent(x: NilpotentMatrix) -> UnipotentMatrix:
-    """Matrix exponential on strictly upper triangular matrices: sum X^k/k!.
-
-    Computed on the integer table of x over its denominator
-    (`_exp_coefficients` at c = 1, the sum of the coefficients).
-    """
-    if not isinstance(x, NilpotentMatrix):
-        x = NilpotentMatrix(x)
-    coefs, e = _exp_coefficients(x.table, x.den)
-    table = coefs[0]
-    for b in coefs[1:]:
-        table = _add(table, b, x.n)
-    return UnipotentMatrix._from_integer(x.n, table, e)
-
-
-def bracket(x: NilpotentMatrix, y: NilpotentMatrix) -> NilpotentMatrix:
-    """Lie bracket [X, Y] = XY - YX, on the integer tables over dx dy."""
-    if x.n != y.n:
-        raise ValueError("dimension mismatch")
-    n = x.n
-    table = _integer_bracket(x.table, y.table, n)
-    return NilpotentMatrix._from_integer(n, table, x.den * y.den)
+    n, table, den = m.n, m.table, m.den
+    powers = _nonzero_powers(_strict_upper(table), n)
+    p = len(powers)
+    big_l = lcm(*range(1, p + 1))
+    acc = ((0,) * n,) * n
+    for k, power in enumerate(powers, start=1):
+        coef = (-1) ** (k - 1) * (big_l // k) * den ** (p - k)
+        acc = _add(acc, _scale(power, coef, n), n)
+    return _reduce(acc, big_l * den**p)
 
 
 def direct_sum(mats) -> UnipotentMatrix:
@@ -604,29 +468,34 @@ def is_two_step(gens: GeneratorSystem) -> bool:
     return result
 
 
-def bch_log(gens: GeneratorSystem, parikh, delta) -> NilpotentMatrix:
-    """Logarithm of any word with the given letter counts and delta table.
+def bch_log(gens: GeneratorSystem, parikh, delta):
+    """(X, D) with log w = X/D for any word w with the given letter counts
+    and delta table, reduced like `log_unipotent`.
 
     Computes sum_i l_i log A_i + 1/2 sum_{i<j} delta_ij [log A_i, log A_j],
     which equals log of the word product whenever the generated group is
-    2-step nilpotent (a precondition, enforced here).
+    2-step nilpotent (a precondition, enforced here).  With the integer
+    logs X_i/D_i scaled to Y_i/L over L = lcm(D_i), the sum is
+    (2L sum_i l_i Y_i + sum_{i<j} delta_ij [Y_i, Y_j]) / (2 L^2).
     """
     if not is_two_step(gens):
         raise ValueError("generator system is not 2-step nilpotent")
-    k = gens.K
+    k, n = gens.K, gens.n
     if len(parikh) != k:
         raise ValueError("parikh vector length does not match alphabet size")
-    logs = [log_unipotent(m) for m in gens.mats]
-    acc = NilpotentMatrix.zero(gens.n)
-    for i, count in enumerate(parikh):
+    logs = [m.integer_log() for m in gens.mats]
+    big_l = lcm(*(d for _, d in logs))
+    scaled = [_scale(x, big_l // d, n) for x, d in logs]
+    acc = ((0,) * n,) * n
+    for count, y in zip(parikh, scaled):
         if count:
-            acc = acc + logs[i] * Fraction(count)
+            acc = _add(acc, _scale(y, 2 * big_l * count, n), n)
     for (i, j), d in delta.items():
         if not 0 <= i < j < k:
             raise ValueError(f"bad delta index pair {(i, j)}")
         if d:
-            acc = acc + bracket(logs[i], logs[j]) * Fraction(d, 2)
-    return acc
+            acc = _add(acc, _scale(_integer_bracket(scaled[i], scaled[j], n), d, n), n)
+    return _reduce(acc, 2 * big_l * big_l)
 
 
 def product_of_word(gens: GeneratorSystem, word) -> UnipotentMatrix:

@@ -19,7 +19,8 @@ plane cones spanned by the superdiagonal parts of the generator logs:
 
 Lie-algebra elements are log triples (a, b, gamma), the entries (0,1),
 (1,2) and (0,2) of a 3x3 log.  A bracket [X, Y] is nonzero only in the
-corner, a_X b_Y - a_Y b_X, so the 2-step BCH formula
+corner, a_X b_Y - a_Y b_X (`linsolve.cross` of the superdiagonals), so
+the 2-step BCH formula
 
     log(e^{X_1} ... e^{X_n}) = sum X_k + 1/2 sum_{k<l} [X_k, X_l]
 
@@ -58,7 +59,7 @@ from math import gcd, lcm
 
 from .errors import BudgetExceeded, UnsupportedInstance
 from .intersect import Decision, Verdict
-from .linsolve import Cone2D, cone_intersect_dim, hnf_solve, ilp_feasible_nonneg, lp_feasible
+from .linsolve import Cone2D, cone_intersect_dim, cross, hnf_solve, ilp_feasible_nonneg, lp_feasible
 from .matlie import GeneratorSystem, UnipotentMatrix, common_denominator, product_of_word
 from .oracle import bfs_oracle
 from .wordcraft import Word, least_scale, realize_corner, realize_word, total_letters, within_bounds
@@ -119,11 +120,6 @@ def reduce_to_identity(inst: OrbitInstance) -> OrbitInstance:
     """Equivalent instance with T = I (replaces S by T^-1 S)."""
     s_elem = inst.T.inverse() * inst.S
     return OrbitInstance(UnipotentMatrix.identity(3), s_elem, inst.G, inst.H, inst.options)
-
-
-def _corner(x, y):
-    """Corner entry a_x b_y - a_y b_x of [X, Y], its only nonzero entry."""
-    return x[0] * y[1] - y[0] * x[1]
 
 
 @dataclass(frozen=True)
@@ -543,9 +539,9 @@ def _hard_system(units: IntegerLogs):
     ]
     rows.append(
         [x[2] for x in g]
-        + [-(y[2] + _corner(s, y)) for y in h]
-        + [_corner(g[i], g[j]) for i, j in g_pairs]
-        + [-_corner(h[i], h[j]) for i, j in h_pairs]
+        + [-(y[2] + cross(s, y)) for y in h]
+        + [cross(g[i], g[j]) for i, j in g_pairs]
+        + [-cross(h[i], h[j]) for i, j in h_pairs]
     )
     return rows, list(s), g_pairs, h_pairs
 
@@ -755,9 +751,9 @@ def extract_orbit_witness(
         units = _integer_logs(s_elem, G.mats, H.mats)
     g, h, s = units.g, units.h, units.s
     K, M = len(g), len(h)
-    g_omegas = [_corner(g[i], g[j]) for i, j in _pairs(K)]
-    h_omegas = [_corner(h[i], h[j]) for i, j in _pairs(M)]
-    s_omegas = [_corner(s, y) for y in h]
+    g_omegas = [cross(g[i], g[j]) for i, j in _pairs(K)]
+    h_omegas = [cross(h[i], h[j]) for i, j in _pairs(M)]
+    s_omegas = [cross(s, y) for y in h]
     h_gammas = [y[2] + omega for y, omega in zip(h, s_omegas)]
 
     # choose the positive bracket witness: the first pair, G before H,

@@ -14,8 +14,9 @@ runs, and both statistics and matrix products are computed from runs.
 
 from __future__ import annotations
 
-from functools import cmp_to_key
 from math import gcd
+
+from .linsolve import angular_order, cross
 
 
 class Word:
@@ -297,13 +298,9 @@ def realize_word(counts, delta) -> Word:
 # ---- exact corners: one signed area per word, hit by block orders
 
 
-def _omega(u, v):
-    """The integer form u0 v1 - u1 v0 of two plane vectors."""
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def corner_area(word: Word, vectors) -> int:
-    """A(word) = sum over positions p < q of omega(u_{w_p}, u_{w_q}).
+    """A(word) = sum over positions p < q of omega(u_{w_p}, u_{w_q}), for
+    omega(u, v) = u0 v1 - u1 v0 (`linsolve.cross`).
 
     Equal to sum_{i<j} delta_ij omega(u_i, u_j): a pair "i then j"
     counts omega(u_i, u_j), a pair "j then i" its negative, and equal
@@ -311,27 +308,8 @@ def corner_area(word: Word, vectors) -> int:
     the steps u_{w_1}, u_{w_2}, ... and its chord.
     """
     return sum(
-        d * _omega(vectors[i], vectors[j]) for (i, j), d in delta_table(word).items()
+        d * cross(vectors[i], vectors[j]) for (i, j), d in delta_table(word).items()
     )
-
-
-def _angular_order(vectors):
-    """Letter indices sorted by the angle of their vector in [0, 2 pi),
-    exactly (half-plane, then the sign of omega); zero vectors last."""
-
-    def half(u):
-        if u[0] == u[1] == 0:
-            return 2
-        return 0 if u[1] > 0 or (u[1] == 0 and u[0] > 0) else 1
-
-    def compare(i, j):
-        hi, hj = half(vectors[i]), half(vectors[j])
-        if hi != hj:
-            return hi - hj
-        turn = _omega(vectors[i], vectors[j])
-        return -turn if turn else i - j
-
-    return sorted(range(len(vectors)), key=cmp_to_key(compare))
 
 
 def _block_candidates(counts, vectors):
@@ -345,7 +323,7 @@ def _block_candidates(counts, vectors):
     The orders are the K rotations of the angular order, each read
     forward and reversed; a single letter has one entry with cap 0.
     """
-    order = _angular_order(vectors)
+    order = angular_order(vectors)
     K = len(order)
     seqs = []
     for r in range(K):
@@ -357,14 +335,14 @@ def _block_candidates(counts, vectors):
         acc = (0, 0)
         for letter in seq:
             u = vectors[letter]
-            base += counts[letter] * _omega(acc, u)
+            base += counts[letter] * cross(acc, u)
             acc = (acc[0] + counts[letter] * u[0], acc[1] + counts[letter] * u[1])
         if K == 1:
             out.append((seq, 0, base, 0, 0))
         for k in range(K - 1):
             a, b = seq[k], seq[k + 1]
             out.append(
-                (seq, k, base, _omega(vectors[a], vectors[b]), counts[a] * counts[b])
+                (seq, k, base, cross(vectors[a], vectors[b]), counts[a] * counts[b])
             )
     return out
 
@@ -461,7 +439,7 @@ def realize_corner(v_counts, v_vectors, w_counts, w_vectors, target):
         return None
     lattice = 2 * gcd(
         *(
-            _omega(u, u2)
+            cross(u, u2)
             for vectors in (v_vectors, w_vectors)
             for i, u in enumerate(vectors)
             for u2 in vectors[i + 1 :]

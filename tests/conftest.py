@@ -6,7 +6,6 @@ import pytest
 
 from nilsect import (
     GeneratorSystem,
-    NilpotentMatrix,
     UnipotentMatrix,
     embed_heisenberg,
     intersect,
@@ -16,10 +15,6 @@ from nilsect import (
 
 def h3(a, b, c) -> UnipotentMatrix:
     return UnipotentMatrix([[1, a, c], [0, 1, b], [0, 0, 1]])
-
-
-def nil3(a, b, c) -> NilpotentMatrix:
-    return NilpotentMatrix([[0, a, c], [0, 0, b], [0, 0, 0]])
 
 
 def random_unipotent(rng: random.Random, n: int, bound: int = 100) -> UnipotentMatrix:
@@ -35,19 +30,6 @@ def random_unipotent(rng: random.Random, n: int, bound: int = 100) -> UnipotentM
     return UnipotentMatrix(rows)
 
 
-def random_nilpotent(rng: random.Random, n: int, bound: int = 100) -> NilpotentMatrix:
-    rows = [
-        [
-            Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-            if j > i
-            else 0
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return NilpotentMatrix(rows)
-
-
 def random_h3_system(rng: random.Random, k: int, bound: int = 2) -> GeneratorSystem:
     return GeneratorSystem(
         [
@@ -59,6 +41,80 @@ def random_h3_system(rng: random.Random, k: int, bound: int = 2) -> GeneratorSys
             for _ in range(k)
         ]
     )
+
+
+# ---- the Fraction reference for the Lie side: a log is a square table of
+# Fractions, the package's integer log (X, D) the table X/D
+
+
+def ref_mul(a, b):
+    """Product of two upper triangular Fraction tables."""
+    n = len(a)
+    rows = []
+    for i in range(n):
+        acc = [Fraction(0)] * n
+        for k in range(i, n):
+            if a[i][k]:
+                for j in range(k, n):
+                    acc[j] += a[i][k] * b[k][j]
+        rows.append(tuple(acc))
+    return tuple(rows)
+
+
+def ref_combine(a, b, coef=1):
+    """a + coef * b entrywise."""
+    return tuple(tuple(x + coef * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def ref_scale(a, coef):
+    return tuple(tuple(coef * x for x in row) for row in a)
+
+
+def ref_identity(n):
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def ref_log(m):
+    """log M = sum_k (-1)^(k-1)/k (M - I)^k, as a Fraction table."""
+    n = m.n
+    s = ref_combine(m.rows, ref_identity(n), -1)
+    acc = tuple((Fraction(0),) * n for _ in range(n))
+    power = s
+    for k in range(1, n):
+        acc = ref_combine(acc, power, Fraction((-1) ** (k - 1), k))
+        power = ref_mul(power, s)
+    return acc
+
+
+def ref_exp(x):
+    """exp X = sum_k X^k / k! for a strictly upper Fraction table."""
+    n = len(x)
+    acc = power = ref_identity(n)
+    fact = 1
+    for k in range(1, n):
+        power = ref_mul(power, x)
+        fact *= k
+        acc = ref_combine(acc, power, Fraction(1, fact))
+    return UnipotentMatrix(acc)
+
+
+def ref_bracket(x, y):
+    """[X, Y] = XY - YX on Fraction tables."""
+    return ref_combine(ref_mul(x, y), ref_mul(y, x), -1)
+
+
+def reduced_table(rows):
+    """(X, D) with rows = X/D, D the lcm of the entries' denominators: the
+    reduced integer form in which the package returns a log."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(int(x * d) for x in row) for row in rows), d
+
+
+def log_rows(log):
+    """The Fraction table X/D of an integer log (X, D)."""
+    table, den = log
+    return tuple(tuple(Fraction(x, den) for x in row) for row in table)
 
 
 def field_pair(coords):

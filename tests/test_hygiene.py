@@ -207,13 +207,13 @@ def unresolved(names):
 def test_traced_names_detected():
     source = (
         "import json\nOTHER = {'a': ('b',)}\n"
-        "LAYERS = {'matlie': ('bracket', 'UnipotentMatrix.inverse'),"
+        "LAYERS = {'matlie': ('direct_sum', 'UnipotentMatrix.inverse'),"
         " 'orbit': ('decide_orbit', 'no_such_function', 'FALLBACK_DEPTH'),"
         " 'no_module': ('f',)}\n"
     )
     names = traced_names(source)
     assert names == [
-        "matlie.bracket",
+        "matlie.direct_sum",
         "matlie.UnipotentMatrix.inverse",
         "orbit.decide_orbit",
         "orbit.no_such_function",

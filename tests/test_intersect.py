@@ -20,13 +20,20 @@ from nilsect import (
     eliminate,
     extract_witness,
     load_instance_file,
-    log_unipotent,
     product_of_word,
 )
 
-from nilsect.matlie import bracket, common_denominator
+from nilsect.matlie import common_denominator
 
-from conftest import embed_coords, h3, random_h3_system, random_unipotent, verify_witness
+from conftest import (
+    embed_coords,
+    h3,
+    random_h3_system,
+    random_unipotent,
+    ref_bracket,
+    ref_log,
+    verify_witness,
+)
 
 
 def make(instance_sets):
@@ -422,7 +429,7 @@ def _reference_build_condition_space(inst, supports):
     index = {name: i for i, name in enumerate(coords)}
 
     def expression_columns(m):
-        logs = [log_unipotent(mat) for mat in inst.systems[m].mats]
+        logs = [ref_log(mat) for mat in inst.systems[m].mats]
         cols = []
         for j, x in enumerate(logs):
             cols.append((index[("l", m, j)], x))
@@ -430,7 +437,7 @@ def _reference_build_condition_space(inst, supports):
         for a in range(len(ordered)):
             for b in range(a + 1, len(ordered)):
                 i, j = ordered[a], ordered[b]
-                cols.append((index[("c", m, i, j)], bracket(logs[i], logs[j])))
+                cols.append((index[("c", m, i, j)], ref_bracket(logs[i], logs[j])))
         return cols
 
     rows = []
@@ -441,12 +448,12 @@ def _reference_build_condition_space(inst, supports):
                 row = [Fraction(0)] * len(coords)
                 nonzero = False
                 for col, mat in per_m[m]:
-                    v = mat[r, c]
+                    v = mat[r][c]
                     if v:
                         row[col] += v
                         nonzero = True
                 for col, mat in per_m[m + 1]:
-                    v = mat[r, c]
+                    v = mat[r][c]
                     if v:
                         row[col] -= v
                         nonzero = True

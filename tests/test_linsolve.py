@@ -1058,9 +1058,7 @@ def test_cone_examples():
     assert n is not None and n[0] >= 0 and n[1] <= 0
 
     m = cone_intersect_dim(Cone2D([(1, 0), (0, 1)]), Cone2D([(1, 0), (0, 1)]))
-    assert m.dim == 2
-    v = m.interior_vector
-    assert v is not None and v[0] > 0 and v[1] > 0
+    assert m.dim == 2 and m.separating_functional is None
 
     m = cone_intersect_dim(Cone2D([(1, 1), (1, -1)]), Cone2D([(1, 1), (-1, 1)]))
     assert m.dim == 1
@@ -1069,6 +1067,16 @@ def test_cone_examples():
         assert n[0] * g[0] + n[1] * g[1] >= 0
     for h in [(1, 1), (-1, 1)]:
         assert n[0] * h[0] + n[1] * h[1] <= 0
+
+
+def test_cross_and_angular_order_examples():
+    assert linsolve.cross((2, 3), (5, 7)) == 2 * 7 - 3 * 5
+    assert linsolve.cross((1, 2), (2, 4)) == 0
+    # counterclockwise from (1, 0), equal angles in index order, zero
+    # vectors last
+    vecs = [(0, 0), (-1, 0), (0, -2), (2, 0), (1, 1), (0, 1), (1, 0), (2, 2), (1, -1), (-1, -1)]
+    assert linsolve.angular_order(vecs) == [3, 6, 4, 7, 5, 1, 9, 2, 8, 0]
+    assert linsolve.angular_order([]) == []
 
 
 def test_cone_degenerate_convention():
@@ -1092,31 +1100,6 @@ def test_cone_scaling_invariance(rng):
             Cone2D([(scale * a, scale * b) for a, b in g1]), Cone2D(g2)
         )
         assert base.dim == scaled.dim
-
-
-def test_cone_interior_vector_certificates(rng):
-    # a returned interior vector is a strictly positive combination of
-    # each cone's generators (checked by LP with a scale variable)
-    for _ in range(30):
-        g1 = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
-        g2 = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
-        meet = cone_intersect_dim(Cone2D(g1), Cone2D(g2))
-        if meet.dim != 2:
-            continue
-        v = meet.interior_vector
-        for gens in (g1, g2):
-            nonzero = [g for g in gens if g != (0, 0)]
-            rows = [
-                [Fraction(g[0]) for g in nonzero] + [-Fraction(v[0])],
-                [Fraction(g[1]) for g in nonzero] + [-Fraction(v[1])],
-            ]
-            pt = lp_feasible(
-                rows,
-                [0, 0],
-                len(nonzero) + 1,
-                strict_lower={i: 1 for i in range(len(nonzero) + 1)},
-            )
-            assert pt is not None
 
 
 CONE_FORMS = ("zero", "ray", "line", "wedge", "halfplane", "plane")
@@ -1168,8 +1151,8 @@ def test_cone_takes_int_generators_only():
             g1 = _generators_of_form(rng, kind1)
             g2 = _generators_of_form(rng, kind2)
             meet = cone_intersect_dim(Cone2D(g1), Cone2D(g2))
-            for vec in (meet.interior_vector, meet.separating_functional):
-                assert vec is None or all(type(x) is int for x in vec)
+            vec = meet.separating_functional
+            assert vec is None or all(type(x) is int for x in vec)
             seen.add((kind1, kind2, meet.dim))
     assert {kind for kind, _, _ in seen} == set(CONE_FORMS)
     assert {dim for _, _, dim in seen} == {0, 1, 2}

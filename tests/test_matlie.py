@@ -11,12 +11,10 @@ from nilsect import (
     GeneratorSystem,
     IntersectionInstance,
     NumberField,
-    NilpotentMatrix,
     UnipotentMatrix,
     bch_log,
     delta_table,
     direct_sum,
-    exp_nilpotent,
     is_two_step,
     load_instance_file,
     log_unipotent,
@@ -27,13 +25,45 @@ from nilsect import (
 from nilsect import matlie
 from nilsect.matlie import (
     _fraction_rows,
-    _integer_log,
+    _integer_bracket,
     _integer_rows,
-    bracket,
     common_denominator,
 )
 
-from conftest import embed_coords, h3, nil3, random_nilpotent, random_unipotent
+from conftest import (
+    embed_coords,
+    h3,
+    log_rows,
+    random_unipotent,
+    reduced_table,
+    ref_bracket,
+    ref_combine,
+    ref_exp,
+    ref_identity,
+    ref_log,
+    ref_mul,
+    ref_scale,
+)
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def _zero(n):
+    return ((0,) * n,) * n
+
+
+def _is_zero(rows):
+    return all(not x for row in rows for x in row)
+
+
+def _random_strict_upper(rng, n, bound, den=None):
+    """A strictly upper triangular table of random ints, or of Fractions
+    with denominators up to `den` when it is given."""
+    def entry():
+        num = rng.randint(-bound, bound)
+        return num if den is None else Fraction(num, rng.randint(1, den))
+
+    return tuple(tuple(entry() if j > i else 0 for j in range(n)) for i in range(n))
 
 
 def test_constructor_rejects_bad_matrices():
@@ -42,58 +72,79 @@ def test_constructor_rejects_bad_matrices():
     with pytest.raises(ValueError):
         UnipotentMatrix([[2, 0], [0, 1]])
     with pytest.raises(ValueError):
-        NilpotentMatrix([[1, 0], [0, 0]])
+        UnipotentMatrix([[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError):
+        UnipotentMatrix.from_integer_table(((1, 1), (0, 1)), 0)
+    with pytest.raises(ValueError):
+        UnipotentMatrix.from_integer_table(((2, 1), (1, 2)), 2)
+    with pytest.raises(ValueError):
+        UnipotentMatrix.from_integer_table(((2, 1), (0, 1)), 2)
+    with pytest.raises(ValueError):
+        UnipotentMatrix.from_integer_table(((1, 0),), 1)
 
 
 def test_log_examples():
-    assert log_unipotent(UnipotentMatrix.identity(3)).is_zero()
-    assert log_unipotent(h3(1, 0, 0)) == nil3(1, 0, 0)
+    # a log is the reduced pair (X, D) with log M = X/D
+    assert log_unipotent(UnipotentMatrix.identity(3)) == (_zero(3), 1)
+    assert log_unipotent(h3(1, 0, 0)) == (((0, 1, 0), (0, 0, 0), (0, 0, 0)), 1)
     # only the corner changes: c - a*b/2
-    assert log_unipotent(h3(1, 1, 1)) == nil3(1, 1, Fraction(1, 2))
-
-
-def test_exp_examples():
-    assert exp_nilpotent(NilpotentMatrix.zero(3)) == UnipotentMatrix.identity(3)
-    assert exp_nilpotent(nil3(1, 0, 0)) == h3(1, 0, 0)
-    assert exp_nilpotent(nil3(1, 1, Fraction(1, 2))) == h3(1, 1, 1)
+    assert log_unipotent(h3(1, 1, 1)) == (((0, 2, 1), (0, 0, 2), (0, 0, 0)), 2)
+    assert h3(1, 1, 1).integer_log() == log_unipotent(h3(1, 1, 1))
+    assert log_unipotent(h3(Fraction(1, 3), 0, Fraction(1, 2))) == (
+        ((0, 2, 3), (0, 0, 0), (0, 0, 0)),
+        6,
+    )
 
 
 def test_log_exp_round_trip(rng):
+    # the integer log against the reference exponential, both ways round
     for n in (2, 3, 4, 5, 6):
         for _ in range(25):
             m = random_unipotent(rng, n, bound=20)
-            assert exp_nilpotent(log_unipotent(m)) == m
-            x = random_nilpotent(rng, n, bound=20)
-            assert log_unipotent(exp_nilpotent(x)) == x
+            assert ref_exp(log_rows(log_unipotent(m))) == m
+            x = _random_strict_upper(rng, n, bound=20, den=20)
+            assert log_unipotent(ref_exp(x)) == reduced_table(x)
+
+
+def test_log_unipotent_matches_reference_on_every_sample_element():
+    count = 0
+    for path in sorted(SAMPLES.glob("*.txt")):
+        inst_file = load_instance_file(path)
+        for name in sorted(inst_file.elements):
+            mat = inst_file.elements[name]
+            want = ref_log(mat)
+            assert log_unipotent(mat) == reduced_table(want), (path.name, name)
+            assert log_rows(mat.integer_log()) == want
+            count += 1
+    assert count == 13
 
 
 def test_bracket_examples():
-    x = log_unipotent(h3(1, 0, 0))
-    y = log_unipotent(h3(0, 1, 0))
-    assert bracket(x, x).is_zero()
-    assert bracket(x, y) == nil3(0, 0, 1)
-    assert bracket(y, x) == nil3(0, 0, -1)
-    with pytest.raises(ValueError):
-        bracket(x, NilpotentMatrix.zero(4))
+    (x, _), (y, _) = log_unipotent(h3(1, 0, 0)), log_unipotent(h3(0, 1, 0))
+    assert _integer_bracket(x, x, 3) == _zero(3)
+    assert _integer_bracket(x, y, 3) == ((0, 0, 1), (0, 0, 0), (0, 0, 0))
+    assert _integer_bracket(y, x, 3) == ((0, 0, -1), (0, 0, 0), (0, 0, 0))
 
 
 def test_bracket_bilinear_antisymmetric(rng):
     for _ in range(30):
-        x = random_nilpotent(rng, 4, bound=9)
-        y = random_nilpotent(rng, 4, bound=9)
-        z = random_nilpotent(rng, 4, bound=9)
-        assert bracket(x, y) == -bracket(y, x)
-        assert bracket(x + z, y) == bracket(x, y) + bracket(z, y)
-        c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        assert bracket(c * x, y) == c * bracket(x, y)
+        x, y, z = (_random_strict_upper(rng, 4, bound=9) for _ in range(3))
+        xy = _integer_bracket(x, y, 4)
+        assert xy == ref_bracket(x, y)
+        assert xy == ref_scale(_integer_bracket(y, x, 4), -1)
+        assert _integer_bracket(ref_combine(x, z), y, 4) == ref_combine(
+            xy, _integer_bracket(z, y, 4)
+        )
+        c = rng.randint(-5, 5)
+        assert _integer_bracket(ref_scale(x, c), y, 4) == ref_scale(xy, c)
 
 
 def test_h3_bracket_vanishes_iff_superdiagonals_dependent(rng):
     for _ in range(60):
-        x = random_nilpotent(rng, 3, bound=5)
-        y = random_nilpotent(rng, 3, bound=5)
-        det = x[0, 1] * y[1, 2] - x[1, 2] * y[0, 1]
-        assert bracket(x, y).is_zero() == (det == 0)
+        x = _random_strict_upper(rng, 3, bound=5)
+        y = _random_strict_upper(rng, 3, bound=5)
+        det = x[0][1] * y[1][2] - x[1][2] * y[0][1]
+        assert _is_zero(_integer_bracket(x, y, 3)) == (det == 0)
 
 
 def test_is_two_step():
@@ -208,9 +259,9 @@ def test_is_two_step_matches_group_commutator_definition():
 
 def reference_is_two_step(mats):
     """All K(K-1)/2 * K triples: [[x_i, x_j], x_k] = 0 on the rational logs."""
-    logs = [log_unipotent(m) for m in mats]
+    logs = [ref_log(m) for m in mats]
     return all(
-        bracket(bracket(logs[i], logs[j]), xk).is_zero()
+        _is_zero(ref_bracket(ref_bracket(logs[i], logs[j]), xk))
         for i in range(len(logs))
         for j in range(i + 1, len(logs))
         for xk in logs
@@ -316,14 +367,13 @@ def test_integer_log_is_positive_multiple_of_log(rng):
             m = random_unipotent(rng, n, bound=9)
             table, den = _integer_rows(m.rows)
             assert UnipotentMatrix(_fraction_rows(table, den)) == m
-            scaled, d_log = _integer_log(table, den)
-            assert all(isinstance(x, int) for row in scaled for x in row)
+            scaled, d_log = log_unipotent(m)
+            assert all(type(x) is int for row in scaled for x in row)
             assert d_log > 0
             # X = D log M exactly, D dividing L d^p (p = n - 1 for these)
-            assert NilpotentMatrix(_fraction_rows(scaled, d_log)) == _ref_log(m)
+            assert log_rows((scaled, d_log)) == ref_log(m)
             assert (math.lcm(*range(1, n)) * den ** (n - 1)) % d_log == 0
-    ident = _integer_rows(UnipotentMatrix.identity(4).rows)
-    assert _integer_log(*ident) == (((0,) * 4,) * 4, 1)
+    assert log_unipotent(UnipotentMatrix.identity(4)) == (_zero(4), 1)
 
 
 def test_bch_log_examples():
@@ -332,8 +382,13 @@ def test_bch_log_examples():
     assert bch_log(gens, (1, 0), {}) == log_unipotent(x)
     assert bch_log(gens, (1, 1), {(0, 1): 1}) == log_unipotent(x * y)
     assert bch_log(gens, (1, 1), {(0, 1): -1}) == log_unipotent(y * x)
-    assert log_unipotent(x * y) == nil3(1, 1, Fraction(1, 2))
-    assert log_unipotent(y * x) == nil3(1, 1, Fraction(-1, 2))
+    assert bch_log(gens, (0, 0), {}) == (_zero(3), 1)
+    assert log_unipotent(x * y) == reduced_table([[0, 1, Fraction(1, 2)], [0, 0, 1], [0, 0, 0]])
+    assert log_unipotent(y * x) == reduced_table([[0, 1, Fraction(-1, 2)], [0, 0, 1], [0, 0, 0]])
+    with pytest.raises(ValueError):
+        bch_log(gens, (1, 1, 1), {})
+    with pytest.raises(ValueError):
+        bch_log(gens, (1, 1), {(1, 0): 1})
 
 
 def test_bch_log_requires_two_step():
@@ -348,21 +403,33 @@ def test_bch_log_requires_two_step():
 
 
 def test_bch_matches_products_on_short_words(rng):
-    # cross-module consistency: log(product(w)) == bch from word statistics
-    for _ in range(20):
-        gens = GeneratorSystem(
+    # cross-module consistency: the integer log of the product of w is
+    # bch_log of its statistics, as the same reduced (X, D), on H3(Q) with
+    # integer entries and on the Heisenberg shape in UT(n, Q)
+    systems = [
+        GeneratorSystem(
             [
                 h3(rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2))
                 for _ in range(3)
             ]
         )
+        for _ in range(20)
+    ]
+    systems += [
+        GeneratorSystem(
+            [_random_sparse_unipotent(rng, n, _heisenberg_shape(n)) for _ in range(3)]
+        )
+        for n in (3, 4, 5, 6)
+        for _ in range(5)
+    ]
+    for gens in systems:
         for _ in range(10):
             length = rng.randint(0, 8)
             letters = [rng.randrange(3) for _ in range(length)]
             w = Word.from_letters(3, letters)
-            lhs = log_unipotent(product_of_word(gens, w))
-            rhs = bch_log(gens, parikh(w), delta_table(w))
-            assert lhs == rhs
+            lhs = product_of_word(gens, w).integer_log()
+            assert bch_log(gens, parikh(w), delta_table(w)) == lhs
+            assert log_rows(lhs) == ref_log(product_of_word(gens, w))
 
 
 def test_product_of_word():
@@ -449,12 +516,10 @@ def test_matrix_tables_stay_fraction(rng):
     # product reaches must still be Fraction zeros in the matrix classes
     sparse = [h3(1, 0, 0), h3(0, 1, 0), UnipotentMatrix.identity(4)]
     dense = [random_unipotent(rng, 5, bound=10) for _ in range(2)]
-    nils = [nil3(1, 0, 0), nil3(0, 1, 0), random_nilpotent(rng, 5, bound=10)]
     tables = []
     for a in sparse + dense:
-        tables += [a * a, a**3, a**-2, a.inverse(), log_unipotent(a)]
-    tables += [dense[0] * dense[1], exp_nilpotent(nils[2])]
-    tables += [bracket(nils[0], nils[1]), bracket(nils[0], nils[0]), exp_nilpotent(nils[0])]
+        tables += [a * a, a**3, a**-2, a.inverse()]
+    tables += [dense[0] * dense[1]]
     for m in tables:
         assert all(type(v) is Fraction for row in m.rows for v in row), m
 
@@ -464,6 +529,9 @@ def test_matrices_hashable_immutable():
     assert hash(m) == hash(h3(1, 2, 3))
     with pytest.raises(AttributeError):
         m.n = 4
+    with pytest.raises(AttributeError):
+        m.den = 1
+    assert repr(h3(Fraction(1, 2), 0, 3)) == "<UT3 [1 1/2 3; 0 1 0; 0 0 1]>"
 
 
 def _holds_fraction(value):
@@ -495,6 +563,7 @@ def test_matrix_stores_one_reduced_integer_table(rng):
         for _ in range(10):
             m = random_unipotent(rng, n, bound=9)
             m.integer_power(3)  # the caches are filled too
+            m.integer_log()
             _assert_one_reduced_table(m)
 
 
@@ -513,7 +582,7 @@ def test_equal_matrices_have_one_form_however_built(rng):
                 m * UnipotentMatrix.identity(n),
                 m**3 * m**-2,
                 m.inverse().inverse(),
-                exp_nilpotent(log_unipotent(m)),
+                ref_exp(log_rows(log_unipotent(m))),
                 product_of_word(gens, Word(2, [(0, 2), (1, 1)])),
                 direct_sum([m]),
             ]
@@ -564,182 +633,93 @@ def test_products_build_no_fraction_table(rng, monkeypatch):
     assert products(fresh) == want
 
 
+def _assert_reduced_log(log, n):
+    """A log is one integer table over a positive denominator: strictly
+    upper triangular, and gcd(D, every entry) = 1."""
+    table, den = log
+    assert type(den) is int and den > 0
+    assert len(table) == n and all(len(row) == n for row in table)
+    assert all(type(x) is int for row in table for x in row)
+    assert all(not row[j] for i, row in enumerate(table) for j in range(i + 1))
+    assert math.gcd(den, *(x for row in table for x in row)) == 1
+
+
 def test_nilpotent_matrix_stores_one_reduced_integer_table(rng):
     for n in range(1, 7):
         for _ in range(10):
-            x = random_nilpotent(rng, n, bound=9)
-            y = random_nilpotent(rng, n, bound=9)
-            c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-            built = [
-                x, x + y, x - y, -x, c * x, x * 4, x * 0, bracket(x, y),
-                log_unipotent(exp_nilpotent(x)), NilpotentMatrix.zero(n),
-            ]
-            for z in built:
-                _assert_one_reduced_table(z)
+            m = random_unipotent(rng, n, bound=9)
+            gens = GeneratorSystem([m, m**2])  # powers of one element commute
+            w = Word(2, [(0, 3), (1, 1), (0, 2)])
+            for log in (
+                log_unipotent(m),
+                m.integer_log(),
+                (m * m.inverse()).integer_log(),
+                bch_log(gens, parikh(w), delta_table(w)),
+                bch_log(gens, (0, 0), {}),
+            ):
+                _assert_reduced_log(log, n)
 
 
 def test_equal_nilpotent_matrices_have_one_form_however_built(rng):
+    # equal logs are equal (X, D) pairs, whatever computed them
     for n in range(2, 7):
         for _ in range(10):
             m = random_unipotent(rng, n, bound=9)
-            x = log_unipotent(m)
-            y = random_nilpotent(rng, n, bound=9)
             k = rng.randint(2, 30)
-            scaled = tuple(tuple(k * v for v in row) for row in x.table)
-            same_x = [
-                NilpotentMatrix(x.rows),
-                NilpotentMatrix([[str(v) for v in row] for row in x.rows]),
-                NilpotentMatrix.from_integer_table(scaled, k * x.den),
-                NilpotentMatrix.from_integer_table(list(map(list, x.table)), x.den),
-                log_unipotent(UnipotentMatrix(m.rows)),  # a fresh log
-                _ref_log(m),
-                (x + y) - y,
-                x + NilpotentMatrix.zero(n),
-                (x * k) * Fraction(1, k),
-                -(-x),
+            scaled = tuple(tuple(k * x for x in row) for row in m.table)
+            want = log_unipotent(m)
+            same = [
+                m.integer_log(),
+                UnipotentMatrix(m.rows).integer_log(),  # a fresh log
+                UnipotentMatrix.from_integer_table(scaled, k * m.den).integer_log(),
+                reduced_table(ref_log(m)),
                 bch_log(GeneratorSystem([m]), [1], {}),
+                bch_log(GeneratorSystem([m, m.inverse()]), [2, 1], {(0, 1): 2}),
             ]
-            same_bracket = [
-                _ref_bracket(x, y),
-                -bracket(y, x),
-                bracket(x * k, y) * Fraction(1, k),
-                bracket(x + y, y),
-            ]
-            same_sum = [NilpotentMatrix(_ref_combine(x.rows, y.rows, 1)), y + x, x - (-y)]
-            for want, builds in (
-                (x, same_x),
-                (bracket(x, y), same_bracket),
-                (x + y, same_sum),
-            ):
-                for other in builds:
-                    assert other == want and hash(other) == hash(want)
-                    assert (other.table, other.den) == (want.table, want.den)
-            zero = x - x
-            assert zero == NilpotentMatrix.zero(n) and zero.is_zero()
-            assert zero.den == 1 and hash(zero) == hash(NilpotentMatrix.zero(n))
-            assert x != m and m != x  # no equality across the two classes
-
-
-def test_nilpotent_rows_and_entries_are_exact_fractions(rng):
-    for n in range(1, 7):
-        for _ in range(10):
-            rows = [
-                [
-                    Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if j > i else 0
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            x = NilpotentMatrix(rows)
-            assert x.rows == tuple(tuple(map(Fraction, row)) for row in rows)
-            assert _all_fraction(x)
-            for i in range(n):
-                for j in range(n):
-                    assert type(x[i, j]) is Fraction
-                    assert x[i, j] == rows[i][j]
-    x = nil3(Fraction(1, 2), 0, 3)
-    assert repr(x) == "<nil3 [0 1/2 3; 0 0 0; 0 0 0]>"
-    with pytest.raises(AttributeError):
-        x.den = 1
-    with pytest.raises(ValueError):
-        NilpotentMatrix.from_integer_table(((0, 1), (0, 0)), 0)
-    with pytest.raises(ValueError):
-        NilpotentMatrix.from_integer_table(((0, 1), (1, 0)), 2)
+            for other in same:
+                assert other == want
+            # log M^k = k log M, and log(M M^-1) = 0 over D = 1
+            assert (m**k).integer_log() == reduced_table(ref_scale(ref_log(m), k))
+            assert bch_log(GeneratorSystem([m]), [k], {}) == (m**k).integer_log()
+            assert (m * m.inverse()).integer_log() == (_zero(n), 1)
 
 
 def test_nilpotent_arithmetic_builds_no_fraction_table(rng, monkeypatch):
-    import nilsect.matlie as matlie
+    # logs, the 2-step test, brackets and bch_log run on integer tables
+    def algebra(mats):
+        gens = GeneratorSystem(mats)
+        w = Word(3, [(0, 2), (1, 1), (2, 5), (0, 1)])
+        logs = [m.integer_log() for m in mats]
+        return (
+            logs,
+            is_two_step(gens),
+            bch_log(gens, parikh(w), delta_table(w)),
+            _integer_bracket(logs[0][0], logs[1][0], mats[0].n),
+        )
 
-    def algebra(x, y):
-        return x + y, x - y, -x, x * 3, bracket(x, y), exp_nilpotent(x), x.is_zero()
-
-    x, y = (random_nilpotent(rng, 5, bound=9) for _ in range(2))
-    want = algebra(x, y)
+    mats = [_random_sparse_unipotent(rng, 5, _heisenberg_shape(5)) for _ in range(3)]
+    want = algebra(mats)
 
     def refuse(*args):
         raise AssertionError("a Fraction table was built")
 
     for name in ("Fraction", "_fraction_rows", "_freeze"):
         monkeypatch.setattr(matlie, name, refuse)
-    assert algebra(x, y) == want
+    # fresh copies, so their logs are computed here
+    fresh = [UnipotentMatrix.from_integer_table(m.table, m.den) for m in mats]
+    assert algebra(fresh) == want
 
 
-# ---- the former Fraction kernel, kept as the reference for the integer one
-
-_FZERO = Fraction(0)
-
-
-def _ref_mul(a, b, n):
-    """Upper triangular product on Fraction tables, as before."""
-    rows = []
-    for i in range(n):
-        acc = [_FZERO] * n
-        for k in range(i, n):
-            x = a[i][k]
-            if x:
-                for j in range(k, n):
-                    y = b[k][j]
-                    if y:
-                        acc[j] = acc[j] + x * y
-        rows.append(tuple(acc))
-    return tuple(rows)
-
-
-def _ref_identity(n):
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
-
-
-def _ref_combine(a, b, coef):
-    """a + coef * b entrywise."""
-    return tuple(tuple(x + coef * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _is_zero(rows):
-    return all(not x for row in rows for x in row)
-
-
-def _ref_log(m):
-    """The Fraction series sum_k (-1)^(k-1)/k (M - I)^k."""
-    n = m.n
-    s = _ref_combine(m.rows, _ref_identity(n), -1)
-    acc = tuple((_FZERO,) * n for _ in range(n))
-    power = s
-    k = 1
-    while k < n and not _is_zero(power):
-        acc = _ref_combine(acc, power, Fraction((-1) ** (k - 1), k))
-        power = _ref_mul(power, s, n)
-        k += 1
-    return NilpotentMatrix(acc)
-
-
-def _ref_exp(x):
-    """The Fraction series sum_k X^k / k!."""
-    n = x.n
-    acc = power = _ref_identity(n)
-    fact = 1
-    for k in range(1, n):
-        power = _ref_mul(power, x.rows, n)
-        if _is_zero(power):
-            break
-        fact *= k
-        acc = _ref_combine(acc, power, Fraction(1, fact))
-    return UnipotentMatrix(acc)
-
-
-def _ref_bracket(x, y):
-    n = x.n
-    xy, yx = _ref_mul(x.rows, y.rows, n), _ref_mul(y.rows, x.rows, n)
-    return NilpotentMatrix(_ref_combine(xy, yx, -1))
+# ---- the kernel against the Fraction reference of conftest
 
 
 def _ref_product_of_word(gens, word):
     """One copy of A multiplied in as A, a run of c > 1 as exp(c log A)."""
-    n = gens.n
-    acc = _ref_identity(n)
+    acc = ref_identity(gens.n)
     for letter, count in word.runs:
         a = gens.mats[letter]
-        factor = a if count == 1 else _ref_exp(_ref_log(a) * count)
-        acc = _ref_mul(acc, factor.rows, n)
+        factor = a if count == 1 else ref_exp(ref_scale(ref_log(a), count))
+        acc = ref_mul(acc, factor.rows)
     return UnipotentMatrix(acc)
 
 
@@ -754,18 +734,18 @@ POWERS = (-5, 0, 1, 7, 2**65)
 
 
 def _assert_kernel_matches_reference(mats, rng):
-    """log, exp, bracket, powers and word products against the reference."""
+    """log, bracket, powers and word products against the reference."""
     gens = GeneratorSystem(mats)
     logs = [log_unipotent(m) for m in mats]
     for m, log_m in zip(mats, logs):
-        want_log = _ref_log(m)
-        _assert_same_table(log_m, want_log)
-        _assert_same_table(exp_nilpotent(want_log), m)
+        want_log = ref_log(m)
+        assert log_m == reduced_table(want_log)
         for e in POWERS:
-            _assert_same_table(m**e, _ref_exp(want_log * e))
+            _assert_same_table(m**e, ref_exp(ref_scale(want_log, e)))
         for other, log_other in zip(mats, logs):
-            want = _ref_bracket(want_log, _ref_log(other))
-            _assert_same_table(bracket(log_m, log_other), want)
+            # the integer bracket of X/D and X'/D' is D D' times the bracket
+            got = _integer_bracket(log_m[0], log_other[0], m.n), log_m[1] * log_other[1]
+            assert log_rows(got) == ref_bracket(want_log, ref_log(other))
     for _ in range(3):
         runs = [
             (rng.randrange(len(mats)), rng.choice(RUN_COUNTS))
@@ -792,8 +772,6 @@ def test_kernel_matches_reference_on_rational_ut():
     for n in range(3, 13):
         mats = [random_unipotent(rng, n, bound=6) for _ in range(2)]
         _assert_kernel_matches_reference(mats, rng)
-        x = random_nilpotent(rng, n, bound=6)
-        _assert_same_table(exp_nilpotent(x), _ref_exp(x))
 
 
 def test_powers_and_word_products_take_no_log(monkeypatch):
@@ -801,14 +779,14 @@ def test_powers_and_word_products_take_no_log(monkeypatch):
     # product_of_word never reaches the logarithm
     rng = random.Random(43)
     mats = [random_unipotent(rng, n, bound=6) for n in (2, 3, 4, 6) for _ in range(2)]
-    want = [[_ref_exp(_ref_log(m) * e) for e in POWERS] for m in mats]
+    want = [[ref_exp(ref_scale(ref_log(m), e)) for e in POWERS] for m in mats]
     words = [Word(1, [(0, c)]) for c in RUN_COUNTS]
     products = [[_ref_product_of_word(GeneratorSystem([m]), w) for w in words] for m in mats]
 
-    def no_log(table, den):
+    def no_log(m):
         raise AssertionError("a power took the logarithm")
 
-    monkeypatch.setattr(matlie, "_integer_log", no_log)
+    monkeypatch.setattr(matlie, "log_unipotent", no_log)
     for m, powers, prods in zip(mats, want, products):
         for e, table in zip(POWERS, powers):
             _assert_same_table(m**e, table)
@@ -871,12 +849,11 @@ def test_identity_generator_has_zero_log():
     ident = UnipotentMatrix.identity(4)
     other = random_unipotent(random.Random(44), 4, bound=5)
     gens = GeneratorSystem([ident, other])
-    assert ident.integer_log() == (((0,) * 4,) * 4, 1)
-    assert log_unipotent(ident).is_zero()
-    assert _all_fraction(log_unipotent(ident))
-    assert bracket(log_unipotent(ident), log_unipotent(other)).is_zero()
-    assert bracket(log_unipotent(other), log_unipotent(ident)).is_zero()
-    assert _all_fraction(bracket(log_unipotent(ident), log_unipotent(other)))
+    assert ident.integer_log() == log_unipotent(ident) == (_zero(4), 1)
+    (x0, _), (x1, _) = ident.integer_log(), other.integer_log()
+    assert _integer_bracket(x0, x1, 4) == _integer_bracket(x1, x0, 4) == _zero(4)
+    # the identity letter drops out of bch_log, whatever its count
+    assert bch_log(gens, (5, 1), {(0, 1): 3}) == other.integer_log()
     for c in RUN_COUNTS:
         assert product_of_word(gens, Word(2, [(0, c)])) == ident
         assert product_of_word(gens, Word(2, [(1, 1), (0, c), (1, 2)])) == other**3

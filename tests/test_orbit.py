@@ -22,7 +22,6 @@ from nilsect import (
     delta_table,
     extract_orbit_witness,
     load_instance_file,
-    log_unipotent,
     parikh,
     product_of_word,
     reduce_to_identity,
@@ -30,12 +29,11 @@ from nilsect import (
 )
 
 from nilsect import orbit as orbit_module
-from nilsect.linsolve import cone_intersect_dim, hnf_solve, lp_feasible
-from nilsect.matlie import bracket, common_denominator
+from nilsect.linsolve import cone_intersect_dim, cross, hnf_solve, lp_feasible
+from nilsect.matlie import common_denominator
 from nilsect.wordcraft import realize_corner, realize_word, total_letters
 from nilsect.orbit import (
     _cone,
-    _corner,
     RelaxedSolution,
     _hard_system,
     _integer_logs,
@@ -46,7 +44,7 @@ from nilsect.orbit import (
     _word_from_layout,
 )
 
-from conftest import h3, verify_orbit_witness
+from conftest import h3, ref_bracket, ref_combine, ref_log, verify_orbit_witness
 from test_wordcraft import _reference_inflation_scale
 
 X, Y = h3(1, 0, 0), h3(0, 1, 0)
@@ -78,8 +76,8 @@ ENTRIES = ((0, 1), (1, 2), (0, 2))
 def log_triple(m):
     """The Fraction log triple (a, b, gamma) of a 3x3 unipotent matrix,
     read off its matrix log."""
-    log = log_unipotent(m)
-    return tuple(log[e] for e in ENTRIES)
+    log = ref_log(m)
+    return tuple(log[i][j] for i, j in ENTRIES)
 
 
 def table_log_triple(m):
@@ -100,26 +98,26 @@ def test_log_triple_and_corner_bracket():
     # entries of the matrix log, the corner is the only nonzero entry of
     # the bracket, and `_integer_logs` is that triple in units (D, D,
     # 2 D^2), its corner bracket D^2 times the rational one
-    lx, ly = log_unipotent(X), log_unipotent(Y)
+    lx, ly = ref_log(X), ref_log(Y)
     assert table_log_triple(X) == (1, 0, 0)
-    assert _corner(table_log_triple(X), table_log_triple(Y)) == 1
-    assert bracket(lx, ly)[0, 2] == 1
+    assert cross(table_log_triple(X), table_log_triple(Y)) == 1
+    assert ref_bracket(lx, ly)[0][2] == 1
     rng = random.Random(31)
     for _ in range(200):
         e, f = (h3(*(random_rational(rng) for _ in range(3))) for _ in range(2))
-        le, lf = log_unipotent(e), log_unipotent(f)
+        le, lf = ref_log(e), ref_log(f)
         assert_same_fractions(table_log_triple(e), log_triple(e))
-        br = bracket(le, lf)
-        assert _corner(table_log_triple(e), table_log_triple(f)) == br[0, 2]
+        br = ref_bracket(le, lf)
+        assert cross(table_log_triple(e), table_log_triple(f)) == br[0][2]
         assert all(
-            not br[i, j] for i in range(3) for j in range(3) if (i, j) != (0, 2)
+            not br[i][j] for i in range(3) for j in range(3) if (i, j) != (0, 2)
         )
         units = _integer_logs(e, [f], [])
         den = units.den
         assert den == math.lcm(e.den, f.den)
         assert_same_ints(units.s, in_units(table_log_triple(e), den))
         assert_same_ints(units.g[0], in_units(table_log_triple(f), den))
-        assert _corner(units.s, units.g[0]) == den * den * br[0, 2]
+        assert cross(units.s, units.g[0]) == den * den * br[0][2]
 
 
 def test_orbit_instance_holds_3x3_matrices():
@@ -282,7 +280,7 @@ def side_coefficients_by_products(sys, interleaving, on_line, prefix):
         p = product_of_word(sys, word)
         if prefix is not None:
             p = prefix * p
-        return log_unipotent(p)
+        return ref_log(p)
 
     zero_counts = [[0] * len(on_line) for _ in range(len(interleaving) + 1)]
     base = log_of(zero_counts)
@@ -291,10 +289,10 @@ def side_coefficients_by_products(sys, interleaving, on_line, prefix):
         for pos in range(len(on_line)):
             bumped = [row[:] for row in zero_counts]
             bumped[gap][pos] = 1
-            cols.append(log_of(bumped) - base)
+            cols.append(ref_combine(log_of(bumped), base, -1))
     return (
-        tuple(base[e] for e in ENTRIES),
-        [tuple(col[e] for e in ENTRIES) for col in cols],
+        tuple(base[i][j] for i, j in ENTRIES),
+        [tuple(col[i][j] for i, j in ENTRIES) for col in cols],
     )
 
 
@@ -302,34 +300,34 @@ def hard_system_by_matrix_logs(s_elem, G, H):
     """Reference: the relaxed hard-case system from 3x3 matrix logs and
     matrix brackets."""
     K, M = G.K, H.K
-    log_s = log_unipotent(s_elem)
+    log_s = ref_log(s_elem)
     g_pairs = [(i, j) for i in range(K) for j in range(i + 1, K)]
     h_pairs = [(i, j) for i in range(M) for j in range(i + 1, M)]
     nx, ny, nc = K, M, len(g_pairs)
     width = nx + ny + nc + len(h_pairs)
-    g_logs = [log_unipotent(m) for m in G.mats]
-    h_logs = [log_unipotent(m) for m in H.mats]
+    g_logs = [ref_log(m) for m in G.mats]
+    h_logs = [ref_log(m) for m in H.mats]
     rows, rhs = [], []
-    for e in ENTRIES[:2]:
+    for r, c in ENTRIES[:2]:
         row = [Fraction(0)] * width
         for i in range(K):
-            row[i] = g_logs[i][e]
+            row[i] = g_logs[i][r][c]
         for i in range(M):
-            row[nx + i] = -h_logs[i][e]
+            row[nx + i] = -h_logs[i][r][c]
         rows.append(row)
-        rhs.append(log_s[e])
+        rhs.append(log_s[r][c])
     row = [Fraction(0)] * width
     for i in range(K):
-        row[i] = g_logs[i][0, 2]
+        row[i] = g_logs[i][0][2]
     for i in range(M):
-        adj = bracket(log_s, h_logs[i])
-        row[nx + i] = -(h_logs[i][0, 2] + Fraction(1, 2) * adj[0, 2])
+        adj = ref_bracket(log_s, h_logs[i])
+        row[nx + i] = -(h_logs[i][0][2] + Fraction(1, 2) * adj[0][2])
     for idx, (i, j) in enumerate(g_pairs):
-        row[nx + ny + idx] = Fraction(1, 2) * bracket(g_logs[i], g_logs[j])[0, 2]
+        row[nx + ny + idx] = Fraction(1, 2) * ref_bracket(g_logs[i], g_logs[j])[0][2]
     for idx, (i, j) in enumerate(h_pairs):
-        row[nx + ny + nc + idx] = -Fraction(1, 2) * bracket(h_logs[i], h_logs[j])[0, 2]
+        row[nx + ny + nc + idx] = -Fraction(1, 2) * ref_bracket(h_logs[i], h_logs[j])[0][2]
     rows.append(row)
-    rhs.append(log_s[0, 2])
+    rhs.append(log_s[0][2])
     return rows, rhs
 
 
@@ -349,9 +347,9 @@ def fraction_hard_system(s_log, g_logs, h_logs):
     ]
     rows.append(
         [x[2] for x in g_logs]
-        + [-(y[2] + _corner(s_log, y) / 2) for y in h_logs]
-        + [_corner(g_logs[i], g_logs[j]) / 2 for i, j in g_pairs]
-        + [-_corner(h_logs[i], h_logs[j]) / 2 for i, j in h_pairs]
+        + [-(y[2] + cross(s_log, y) / 2) for y in h_logs]
+        + [cross(g_logs[i], g_logs[j]) / 2 for i, j in g_pairs]
+        + [-cross(h_logs[i], h_logs[j]) / 2 for i, j in h_pairs]
     )
     return rows, list(s_log), g_pairs, h_pairs
 
@@ -436,12 +434,12 @@ def test_side_coefficients_affine_in_on_line_counts():
             [rng.randint(0, 3) for _ in on_line] for _ in range(len(interleaving) + 1)
         ]
         word = _word_from_layout(sys.K, interleaving, on_line, counts)
-        log = log_unipotent(product_of_word(sys, word))
+        log = ref_log(product_of_word(sys, word))
         flat = [c for row in counts for c in row]
         expected = tuple(
             base[e] + sum(c * col[e] for c, col in zip(flat, cols)) for e in range(3)
         )
-        assert in_units(tuple(log[e] for e in ENTRIES), units.den) == expected
+        assert in_units(tuple(log[i][j] for i, j in ENTRIES), units.den) == expected
 
 
 def assert_units_match_reference(s_elem, G, H, units):
@@ -531,7 +529,7 @@ def reference_side_coefficients(logs, interleaving, on_line, prefix):
     ahead = [(a, b)]
     for i in interleaving:
         x = logs[i]
-        gamma += x[2] + _corner((a, b), x) / 2
+        gamma += x[2] + cross((a, b), x) / 2
         a += x[0]
         b += x[1]
         ahead.append((a, b))
@@ -540,7 +538,7 @@ def reference_side_coefficients(logs, interleaving, on_line, prefix):
         diff = (2 * pa - a, 2 * pb - b)
         for j in on_line:
             x = logs[j]
-            cols.append((x[0], x[1], x[2] + _corner(diff, x) / 2))
+            cols.append((x[0], x[1], x[2] + cross(diff, x) / 2))
     return (a, b, gamma), cols
 
 
@@ -1029,9 +1027,9 @@ def reference_orbit_witness(s_elem, G, H, sol, corner_shifts=orbit_module.CORNER
     g_logs, h_logs = fraction_logs(G), fraction_logs(H)
     K, M = len(g_logs), len(h_logs)
     s_log = table_log_triple(s_elem)
-    g_halves = [_corner(g_logs[i], g_logs[j]) / 2 for i, j in _pairs(K)]
-    h_halves = [_corner(h_logs[i], h_logs[j]) / 2 for i, j in _pairs(M)]
-    s_halves = [_corner(s_log, y) / 2 for y in h_logs]
+    g_halves = [cross(g_logs[i], g_logs[j]) / 2 for i, j in _pairs(K)]
+    h_halves = [cross(h_logs[i], h_logs[j]) / 2 for i, j in _pairs(M)]
+    s_halves = [cross(s_log, y) / 2 for y in h_logs]
     big_c, big_d, d_value = {}, {}, None
     for pairs, halves, big in ((_pairs(K), g_halves, big_c), (_pairs(M), h_halves, big_d)):
         for pair, half in zip(pairs, halves):
@@ -1065,7 +1063,7 @@ def reference_orbit_witness(s_elem, G, H, sol, corner_shifts=orbit_module.CORNER
     units = _integer_logs(s_elem, G.mats, H.mats)
     g_vecs = [x[:2] for x in units.g]
     h_vecs = [y[:2] for y in units.h]
-    h_gammas = [y[2] + _corner(units.s, y) for y in units.h]
+    h_gammas = [y[2] + cross(units.s, y) for y in units.h]
     limit = sum(xs) + sum(ys)
     first = max(-((x - 1) // c) for x, c in zip((*sol.x, *sol.y), (*X_, *Y_)))
     for shift in range(first, first + corner_shifts):
