@@ -8,11 +8,12 @@ scripting ground truth:
     1  decided NonEmpty (or: oracle found a collision)
     2  Unsupported instance or a work/memory budget fired
     3  input error (an instance file that cannot be read, is not UTF-8
-       text, does not parse or does not validate, or a bad --budget or
+       text, does not parse or does not validate, a bad --budget or
        --depth: like an option value, each is an INT >= 1 of the
-       instance grammar), and a usage error (an unknown command or flag,
-       --budget on intersect among them, or a missing argument); --help
-       exits 0
+       instance grammar, or --budget on an instance that declares an
+       intersection problem), and a usage error (an unknown command or
+       flag, --budget on intersect among them, or a missing argument);
+       --help exits 0
     4  internal error: any other exception (a defect), a ValueError
        raised while deciding included; the traceback goes to stderr
 
@@ -237,7 +238,8 @@ def _build_parser():
         if name in ("orbit", "witness"):
             # only the orbit easy case reads the interleaving budget
             p.add_argument("--budget", default=None,
-                           help="override the interleaving budget (INT >= 1)")
+                           help="override the interleaving budget of an orbit "
+                           "problem (INT >= 1)")
         if name == "oracle":
             p.add_argument("--depth", default=None,
                            help="maximum word length to enumerate (INT >= 1)")
@@ -267,6 +269,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         return _input_error(exc)
     if budget is not None:
+        if inst_file.problem[0] != "orbit":
+            return _input_error("--budget applies to orbit problems only")
         inst_file.options["interleave_budget"] = budget
     try:
         report = run(

@@ -8,16 +8,17 @@ Contents:
 * an exact phase-1 simplex with Bland's rule on a fraction-free
   tableau: integer rows, each a positive multiple of its rational row,
   so no Fraction arithmetic in the pivots and no floating point or
-  epsilon anywhere;
+  epsilon anywhere; every variable has a lower bound, so there are no
+  free variables to split;
 * a nonnegative integer point of a rational subspace with maximal
   support (a cover loop: one feasibility LP per coordinate that the sum
   of the certificates found so far does not cover; a rational point
   scales to an integer one by homogeneity);
 * complete integer solution sets of A x = b via a column Hermite
   reduction with recorded transformation;
-* small-scale integer feasibility with sign constraints, by
-  branch-and-bound over the exact LP relaxation, capped at
-  ILP_NODE_CAP relaxations per search;
+* small-scale integer feasibility with sign constraints, by one
+  depth-first branch-and-bound over the exact LP relaxation per call,
+  capped at ILP_NODE_CAP relaxations per call;
 * finitely generated cones in Q^2: dimension of an intersection and
   separating functionals, on the exact plane forms `cross` and
   `angular_order` that word realisation shares.
@@ -358,59 +359,38 @@ def _primitive_row(row):
     return row
 
 
-def _simplex_feasible(rows, rhs, nvars, lower, upper):
+def _simplex_feasible(rows, rhs, lower, upper=None):
     """Feasible x for {rows . x = rhs, lower_j <= x_j <= upper_j}, or None.
 
-    lower/upper are per-variable bound lists (None entries = unbounded),
-    entries of rows, rhs and bounds ints or Fractions.  Lower-bounded
-    variables are shifted to nonnegative ones; free variables are split
-    into differences; upper bounds become slack rows.  Each standard-form
-    row goes to `_phase1` as integers, times the common denominator of
-    its rational entries.
+    `lower` has one bound per variable; `upper` is a per-variable list
+    whose None entries are unbounded, or None for no upper bounds at all.
+    Entries of rows, rhs and bounds are ints or Fractions.  Variables are
+    shifted to nonnegative ones, and upper bounds become slack rows.  Each
+    standard-form row goes to `_phase1` as integers, times the common
+    denominator of its rational entries.
     """
-    col_map = []  # per variable: (col, None) or split (col_p, col_q)
-    shifts = []
-    ncols = 0
-    for j in range(nvars):
-        lo = lower[j] if lower else None
-        if lo is not None:
-            col_map.append((ncols, None))
-            shifts.append(lo)
-            ncols += 1
-        else:
-            col_map.append((ncols, ncols + 1))
-            shifts.append(0)
-            ncols += 2
+    nvars = len(lower)
     bounded = [j for j in range(nvars) if upper and upper[j] is not None]
-    width = ncols + len(bounded)
+    width = nvars + len(bounded)
 
     int_rows = []
     dens = []
     for row, target in zip(rows, rhs):
-        b = target - sum(
-            coef * shifts[j] for j, coef in enumerate(row) if coef and shifts[j]
-        )
+        b = target - sum(coef * lower[j] for j, coef in enumerate(row) if coef and lower[j])
         d = common_denominator(itertools.chain(row, (b,)))
         out = [0] * (width + 1)
         for j, coef in enumerate(row):
             if coef:
-                c = coef.numerator * (d // coef.denominator)
-                p, q = col_map[j]
-                out[p] = c
-                if q is not None:
-                    out[q] = -c
+                out[j] = coef.numerator * (d // coef.denominator)
         out[width] = b.numerator * (d // b.denominator)
         int_rows.append(out)
         dens.append(d)
     for s, j in enumerate(bounded):
-        b = upper[j] - shifts[j]
+        b = upper[j] - lower[j]
         d = b.denominator
         out = [0] * (width + 1)
-        p, q = col_map[j]
-        out[p] = d
-        if q is not None:
-            out[q] = -d
-        out[ncols + s] = d
+        out[j] = d
+        out[nvars + s] = d
         out[width] = b.numerator
         int_rows.append(out)
         dens.append(d)
@@ -418,38 +398,29 @@ def _simplex_feasible(rows, rhs, nvars, lower, upper):
     u = _phase1(int_rows, dens, width)
     if u is None:
         return None
-    x = []
-    for j in range(nvars):
-        p, q = col_map[j]
-        if q is None:
-            x.append(shifts[j] + u[p])
-        else:
-            x.append(u[p] - u[q])
-    return x
+    return [lo + v for lo, v in zip(lower, u)]
 
 
-def lp_feasible(rows, rhs, nvars, *, nonneg=(), strict_lower=None):
-    """Rational point satisfying rows . x = rhs with sign constraints, or None.
+def lp_feasible(rows, rhs, lower):
+    """Rational point satisfying rows . x = rhs and x_j >= lower[j], or None.
 
-    `nonneg` lists variables constrained to x_j >= 0; `strict_lower` maps
-    variables to rational lower bounds x_j >= value (for a homogeneous
-    system, a lower bound of 1 expresses strict positivity up to
-    scaling).  Variables in neither are free.  Entries of rows and rhs
-    are ints or Fractions.  Exact arithmetic, no tolerances: the returned
-    point satisfies everything exactly.
+    `lower` gives every variable a rational lower bound (for a
+    homogeneous system, a lower bound of 1 expresses strict positivity
+    up to scaling).  Entries of rows, rhs and lower are ints or
+    Fractions.  Exact arithmetic, no tolerances: the returned point
+    satisfies everything exactly.
 
     Scaling: for one positive integer c, the system c A x = c b, with the
-    same sign constraints, returns the same point as A x = b.  The bounds
-    do not involve A, so the shifts and the split of free variables are
-    the same, and each standard-form row (shifted right-hand side
-    included) is c times the unscaled one, negated where the unscaled
-    one is.  Phase 1 solves min sum a_i over A' u + a = b', one
-    artificial a_i per row.  Over the rationals (where `_phase1` makes
-    its choices), row i of the scaled tableau is c (A'_i | e_i / c | b'_i)
-    and its cost row is c times the unscaled one (whose artificial
-    entries are 0).  So the scaled tableau, cost row included, is c times
-    the unscaled one, except that the artificial columns are not
-    multiplied by c.  A pivot keeps this form: the multiplier
+    same bounds, returns the same point as A x = b.  The bounds do not
+    involve A, so the shifts are the same, and each standard-form row
+    (shifted right-hand side included) is c times the unscaled one,
+    negated where the unscaled one is.  Phase 1 solves min sum a_i over
+    A' u + a = b', one artificial a_i per row.  Over the rationals (where
+    `_phase1` makes its choices), row i of the scaled tableau is
+    c (A'_i | e_i / c | b'_i) and its cost row is c times the unscaled
+    one (whose artificial entries are 0).  So the scaled tableau, cost
+    row included, is c times the unscaled one, except that the artificial
+    columns are not multiplied by c.  A pivot keeps this form: the multiplier
     T[i][e] / T[l][e] of each row update is a ratio within one column,
     so the scales cancel.  Each choice agrees as well: every reduced cost
     changes by a positive factor, so the first negative one is in the
@@ -462,13 +433,7 @@ def lp_feasible(rows, rhs, nvars, *, nonneg=(), strict_lower=None):
     distinct factors c_i weight the artificials in the cost differently,
     and the pivots can then differ.
     """
-    lower = [None] * nvars
-    for j in nonneg:
-        lower[j] = _ZERO
-    if strict_lower:
-        for j, v in strict_lower.items():
-            lower[j] = Fraction(v)
-    return _simplex_feasible(rows, rhs, nvars, lower, None)
+    return _simplex_feasible(rows, rhs, lower)
 
 
 def support_nonneg(space: LinearSubspace) -> tuple:
@@ -491,7 +456,9 @@ def support_nonneg(space: LinearSubspace) -> tuple:
     for i in range(k):
         if total[i]:
             continue
-        point = lp_feasible(rows, rhs, k, nonneg=range(k), strict_lower={i: _ONE})
+        lower = [0] * k
+        lower[i] = 1
+        point = lp_feasible(rows, rhs, lower)
         if point is not None:
             total = [a + b for a, b in zip(total, point)]
     den = common_denominator(total)
@@ -641,19 +608,23 @@ def hnf_solve(A, b) -> IntegerSolutionSet:
     return IntegerSolutionSet(particular, kernel)
 
 
-# LP relaxations one branch-and-bound search may solve before it gives up
+# LP relaxations one call of `ilp_feasible_nonneg` may solve, over all
+# of its roots, before it gives up
 ILP_NODE_CAP = 5000
 
 
-def _solution_box_bound(A, b, k):
-    """B such that {Ax=b, x>=0} feasible implies a solution in [0, B]^k.
+def _solution_box_bound(A, b, lower):
+    """B such that {Ax=b, x>=lower} feasible implies a solution with
+    lower <= x <= lower + B.
 
     Standard small-solution bound for equality-form integer programs,
-    taken with generous constants; only used to prune branch-and-bound.
+    taken with generous constants, applied to x - lower >= 0; only used
+    to prune branch-and-bound.
     """
     m = len(A)
-    amax = max([2] + [abs(x) for row in A for x in row] + [abs(x) for x in b])
-    return (k + 2) * ((m + 2) * amax) ** (2 * m + 3)
+    shifted = [t - sum(a * lo for a, lo in zip(row, lower) if lo) for row, t in zip(A, b)]
+    amax = max([2] + [abs(x) for row in A for x in row] + [abs(x) for x in shifted])
+    return (len(lower) + 2) * ((m + 2) * amax) ** (2 * m + 3)
 
 
 def ilp_feasible_nonneg(A, b, nonzero_groups=()):
@@ -661,64 +632,56 @@ def ilp_feasible_nonneg(A, b, nonzero_groups=()):
     None, for int entries (any other entry is a TypeError).
 
     `nonzero_groups` is a list of index groups; each group must not be
-    all-zero in the solution.  Groups are handled disjunctively: one
-    branch per group member, requiring that member >= 1 (substituted
-    away, keeping the base problem in pure nonnegative form).
+    all-zero in the solution.  Groups are handled disjunctively: one root
+    per choice of one member from each group, in `itertools.product`
+    order, whose chosen members are bounded below by 1 (by the number of
+    times chosen, when groups share a member).
 
-    The base solver does a Hermite pre-reduction (no integer solutions at
-    all, or a zero-dimensional kernel, settle immediately), then
-    branch-and-bound over the exact LP relaxation, branching on the
-    smallest-index fractional variable, depth first with the lower
-    branch first.  Branch bounds are clamped to a finite solution box,
-    which makes the search finite; a search that needs more than
-    ILP_NODE_CAP LP relaxations raises BudgetExceeded.
+    A Hermite pre-reduction comes first (no integer solutions at all, or
+    a zero-dimensional kernel, settle the call at once).  Then one
+    branch-and-bound over the exact LP relaxation searches every root,
+    branching on the smallest-index fractional variable, depth first with
+    the lower branch first; each root's subtree is searched whole before
+    the next root.  Branch bounds are clamped to the finite solution box
+    of their root, which makes the search finite; a call that needs more
+    than ILP_NODE_CAP LP relaxations over all its roots raises
+    BudgetExceeded.
     """
     A, b = _integer_system(A, b)
     k = len(A[0]) if A else 0
-    if not nonzero_groups:
-        return _ilp_base(A, b, k)
-    groups = [list(g) for g in nonzero_groups]
-    if any(not g for g in groups):
-        return None  # an empty group can never be made nonzero
-
-    for choice in itertools.product(*groups):
-        shifted = list(b)
-        bump = [0] * k
+    roots = []
+    for choice in itertools.product(*nonzero_groups):
+        lower = [0] * k
         for g in choice:
-            for i in range(len(A)):
-                shifted[i] -= A[i][g]
-            bump[g] += 1
-        sol = _ilp_base(A, shifted, k)
-        if sol is not None:
-            return tuple(s + extra for s, extra in zip(sol, bump))
-    return None
-
-
-def _ilp_base(A, b, k):
-    """Nonnegative integer solution of A x = b, or None."""
-    if k == 0:
-        return () if not any(b) else None
+            lower[g] += 1
+        roots.append(lower)
+    if not roots:
+        return None  # an empty group can never be made nonzero
     zsol = hnf_solve(A, b)
     if not zsol.feasible:
         return None
     if not zsol.lattice_basis:
         x = zsol.particular
-        return x if all(v >= 0 for v in x) else None
+        fits = any(all(v >= lo for v, lo in zip(x, lower)) for lower in roots)
+        return x if fits else None
 
-    box = _solution_box_bound(A, b, k)
     # depth first: the down branch x_frac <= floor is pushed last, so its
-    # whole subtree is searched before the up branch x_frac >= floor + 1
-    stack = [([0] * k, [None] * k)]
+    # whole subtree is searched before the up branch x_frac >= floor + 1;
+    # the roots go on in reverse, so the first choice is searched first
+    stack = []
+    for lower in reversed(roots):
+        box = _solution_box_bound(A, b, lower)
+        stack.append((lower, [None] * k, [lo + box for lo in lower]))
     nodes = 0
     while stack:
-        lower, upper = stack.pop()
+        lower, upper, cap = stack.pop()
         nodes += 1
         if nodes > ILP_NODE_CAP:
             raise BudgetExceeded(
                 f"branch-and-bound passed {ILP_NODE_CAP} LP relaxations",
                 budget=ILP_NODE_CAP,
             )
-        point = _simplex_feasible(A, b, k, lower, upper)
+        point = _simplex_feasible(A, b, lower, upper)
         if point is None:
             continue
         frac = None
@@ -730,17 +693,17 @@ def _ilp_base(A, b, k):
             return tuple(int(v) for v in point)
         v = point[frac]
         fl = v.numerator // v.denominator
-        down = min(fl, box)
+        down = min(fl, cap[frac])
         up = fl + 1
-        if up <= box and (upper[frac] is None or up <= upper[frac]):
+        if up <= cap[frac] and (upper[frac] is None or up <= upper[frac]):
             l2 = list(lower)
             l2[frac] = up
-            stack.append((l2, upper))
+            stack.append((l2, upper, cap))
         if down >= lower[frac]:
             u2 = list(upper)
             if u2[frac] is None or down < u2[frac]:
                 u2[frac] = down
-            stack.append((lower, u2))
+            stack.append((lower, u2, cap))
     return None
 
 

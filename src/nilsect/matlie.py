@@ -363,12 +363,11 @@ def direct_sum(mats) -> UnipotentMatrix:
 class GeneratorSystem:
     """A named finite alphabet of unipotent matrices.
 
-    Immutable after construction; the verdict of `is_two_step` is
-    memoised.  The integer logs live on the matrices, so systems sharing
-    a matrix share its log.
+    Immutable after construction.  The integer logs live on the
+    matrices, so systems sharing a matrix share its log.
     """
 
-    __slots__ = ("n", "mats", "names", "_two_step")
+    __slots__ = ("n", "mats", "names")
 
     def __init__(self, mats, names=None):
         mats = tuple(m if isinstance(m, UnipotentMatrix) else UnipotentMatrix(m) for m in mats)
@@ -386,7 +385,6 @@ class GeneratorSystem:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mats", mats)
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "_two_step", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorSystem is immutable")
@@ -446,12 +444,9 @@ def is_two_step(gens: GeneratorSystem) -> bool:
     and so is the span, so the verdict is the one of the rational logs.  Each basis element is
     tested against every X_k as soon as it is found.
     """
-    if gens._two_step is not None:
-        return gens._two_step
     n = gens.n
     logs = [m.integer_log()[0] for m in gens.mats]
     basis = []
-    result = True
     for i in range(len(logs)):
         for j in range(i + 1, len(logs)):
             inner = _integer_bracket(logs[i], logs[j], n)
@@ -460,12 +455,8 @@ def is_two_step(gens: GeneratorSystem) -> bool:
                 continue
             b = tuple(row[k * n:(k + 1) * n] for k in range(n))
             if any(mul_upper_rows(b, xk, n) != mul_upper_rows(xk, b, n) for xk in logs):
-                result = False
-                break
-        if not result:
-            break
-    object.__setattr__(gens, "_two_step", result)
-    return result
+                return False
+    return True
 
 
 def bch_log(gens: GeneratorSystem, parikh, delta):

@@ -43,11 +43,15 @@ combination, the corner search and the inflation fallback with its
 scale constants (see `extract_orbit_witness`).  No Fraction log triple
 is formed anywhere.
 
-Nonempty verdicts always come with a verified witness pair.  One known
+`decide_orbit` builds the `IntegerLogs` and the cone meet once and
+dispatches on them; `decide_easy`, `decide_hard` and
+`extract_orbit_witness` read only those.  Nonempty verdicts always come
+with a witness pair that `decide_orbit` verifies.  One known
 configuration (dimension <= 1 but no separating functional, e.g. a full
 plane cone against a ray inside it) is outside the supported procedure;
-the breadth-first oracle is then tried as a semi-decision, and the run
-reports Unsupported when it finds nothing.
+`decide_orbit` then tries the breadth-first oracle as a semi-decision
+(`_easy_fallback`), and the run reports Unsupported when it finds
+nothing.
 """
 
 from __future__ import annotations
@@ -168,7 +172,8 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
     """Dispatch on the dimension of the cone intersection.
 
     Reduces to T = I, builds the two superdiagonal cones, and runs the
-    easy or hard case.  The cones get the integer superdiagonals of
+    hard case, the easy case, or, without a separating functional, the
+    breadth-first fallback.  The cones get the integer superdiagonals of
     `_integer_logs`, read straight off the integer tables: scaling every
     generator by the same D > 0 moves no direction, so the meet and its
     certificates are those of the rational cones.  Nonempty verdicts
@@ -177,23 +182,18 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
     T * product(v).
     """
     reduced = reduce_to_identity(inst)
-    s_elem = reduced.S
-    G, H = inst.G, inst.H
-    units = _integer_logs(s_elem, G.mats, H.mats)
+    units = _integer_logs(reduced.S, inst.G.mats, inst.H.mats)
     meet = cone_intersect_dim(_cone(units.g), _cone(units.h))
 
     if meet.dim == 2:
-        decision = decide_hard(s_elem, G, H, options=inst.options, units=units)
-        case = "hard"
+        decision = decide_hard(units, inst.options)
+    elif meet.separating_functional is None:
+        decision = _easy_fallback(reduced)
     else:
-        decision = decide_easy(
-            s_elem, G, H, meet=meet, options=inst.options, units=units
-        )
-        case = decision.details.get("case", "easy")
+        decision = decide_easy(units, meet, inst.options)
 
     decision.details["dim"] = meet.dim
-    decision.details["case"] = case
-    decision.details["reduced_S"] = s_elem
+    decision.details["reduced_S"] = reduced.S
     if decision.verdict is Verdict.NONEMPTY:
         common = _common_element(inst, *decision.witnesses)
         if common is None:
@@ -243,10 +243,9 @@ def _interleavings(letters, caps, length):
         start = last + 1
 
 
-def decide_easy(
-    s_elem: UnipotentMatrix, G: GeneratorSystem, H: GeneratorSystem, *, meet=None, options=None, units=None
-) -> Decision:
-    """Finite Diophantine search when the cones meet in dimension <= 1.
+def decide_easy(units: IntegerLogs, meet, options) -> Decision:
+    """Finite Diophantine search when the cones meet in dimension <= 1
+    and `meet` carries a separating functional.
 
     A separating functional n (nonnegative on the G directions,
     nonpositive on the H directions) bounds the number of off-line
@@ -269,29 +268,22 @@ def decide_easy(
     `systems_solved` counts the pairs that reach `ilp_feasible_nonneg`.
 
     Everything here is integer arithmetic on `units`, the `IntegerLogs`
-    of the instance (computed here when not given): triples in units
-    (D, D, 2 D^2), D the lcm of the denominators of the integer tables,
-    one D for the whole search.  Scaling n.x and n.log S by the same D
+    of the instance reduced to T = I: triples in units (D, D, 2 D^2), D
+    the lcm of the denominators of the integer tables, one D for the
+    whole search.  Scaling n.x and n.log S by the same D
     leaves every letter cap ns / val and the balance as they are, and
     `_solve_interleaving` turns each ordering's integer rows into exactly
     the rows the rational system clears to, whatever D is.
 
-    Without a separating functional the bounding argument has no footing;
-    the breadth-first oracle is tried as a semi-decision, and Unsupported
-    is raised when it finds nothing.  A nonempty witness pair is not
-    checked here; `decide_orbit` checks it.
+    Without a separating functional the bounding argument has no footing,
+    and `decide_orbit` runs `_easy_fallback` instead.  A nonempty witness
+    pair is not checked here; `decide_orbit` checks it.
     """
-    options = options or {}
-    budget = options.get("interleave_budget", DEFAULT_INTERLEAVING_BUDGET)
-    if units is None:
-        units = _integer_logs(s_elem, G.mats, H.mats)
-    if meet is None:
-        meet = cone_intersect_dim(_cone(units.g), _cone(units.h))
-    if meet.dim > 1:
-        raise ValueError("easy case requires cone intersection of dimension <= 1")
-
     if meet.separating_functional is None:
-        return _easy_fallback(s_elem, G, H, options)
+        raise ValueError(
+            "easy case requires a separating functional (cone meet of dimension <= 1)"
+        )
+    budget = options.get("interleave_budget", DEFAULT_INTERLEAVING_BUDGET)
 
     n_fun = meet.separating_functional
     n0, n1 = n_fun
@@ -488,11 +480,12 @@ def _solve_interleaving(units, g0, h0, cs, ds, g_coefs, h_coefs):
     return v, w
 
 
-def _easy_fallback(s_elem, G, H, options):
-    """Semi-decision by enumeration when no separating functional exists."""
+def _easy_fallback(reduced: OrbitInstance) -> Decision:
+    """Semi-decision by enumeration when no separating functional exists,
+    on the instance reduced to T = I."""
+    options = reduced.options
     depth = options.get("oracle_depth", FALLBACK_DEPTH)
-    inst = OrbitInstance(UnipotentMatrix.identity(3), s_elem, G, H)
-    found = bfs_oracle(inst, depth, memory_budget=options.get("memory_budget"))
+    found = bfs_oracle(reduced, depth, memory_budget=options.get("memory_budget"))
     if found is not None:
         v, w = found.words
         return Decision(
@@ -546,9 +539,7 @@ def _hard_system(units: IntegerLogs):
     return rows, list(s), g_pairs, h_pairs
 
 
-def decide_hard(
-    s_elem: UnipotentMatrix, G: GeneratorSystem, H: GeneratorSystem, *, options=None, units=None
-) -> Decision:
+def decide_hard(units: IntegerLogs, options) -> Decision:
     """Relaxed-system decision when the cones meet with full dimension.
 
     Solvability is equivalent to integer x, y, c, d satisfying the two
@@ -561,12 +552,11 @@ def decide_hard(
     entry records `branches_tried`, the `residues` of that branch, how
     the witness was made (`witness`: "corner" or "inflated"), its
     `shift` along the balancing combination and `witness_letters`.
-    s_elem is the 3x3 matrix T^-1 S.
 
     The system is built once, as integer rows R and right-hand side t
-    (`_hard_system`), from `units`, the `IntegerLogs` of s_elem, G and H
-    (computed here when not given): the superdiagonal rows in units of
-    D, the corner row in units of 2 D^2.  A branch with residue vector r
+    (`_hard_system`), from `units`, the `IntegerLogs` of the instance
+    reduced to T = I: the superdiagonal rows in units of D, the corner
+    row in units of 2 D^2.  A branch with residue vector r
     writes the solution as 2 h + r and solves 2 R h = t - R r for integer
     h, in ints only: the columns with r_i = 1 are subtracted from t.
     Why this is the Fraction system's answer: clearing the rational
@@ -580,16 +570,13 @@ def decide_hard(
     residues and the witness are those of the Fraction system, whatever
     D is.
     """
-    options = options or {}
-    K, M = G.K, H.K
+    K, M = len(units.g), len(units.h)
     cap = options.get("parity_cap", DEFAULT_PARITY_CAP)
     if K + M > cap:
         raise BudgetExceeded(
             f"hard case would enumerate 2^{K + M} parity branches (cap {cap})",
             budget=cap,
         )
-    if units is None:
-        units = _integer_logs(s_elem, G.mats, H.mats)
     rows, rhs, g_pairs, h_pairs = _hard_system(units)
     doubled = [[2 * coef for coef in row] for row in rows]
     cut = K + M + len(g_pairs)  # first d column
@@ -617,7 +604,7 @@ def decide_hard(
             d=dict(zip(h_pairs, full[cut:])),
         )
         _check_relaxed(rows, rhs, relaxed)
-        v, w, how, shift = extract_orbit_witness(s_elem, G, H, relaxed, units=units)
+        v, w, how, shift = extract_orbit_witness(units, relaxed)
         return Decision(
             Verdict.NONEMPTY,
             witnesses=(v, w),
@@ -674,12 +661,7 @@ def _positive_combination(g_vecs, h_vecs):
     rows = [
         [x[comp] for x in g_vecs] + [-y[comp] for y in h_vecs] for comp in range(2)
     ]
-    point = lp_feasible(
-        rows,
-        [0, 0],
-        K + M,
-        strict_lower={i: 1 for i in range(K + M)},
-    )
+    point = lp_feasible(rows, [0, 0], [1] * (K + M))
     if point is None:
         raise AssertionError(
             "no positive balancing combination despite a 2-dimensional meet (defect)"
@@ -689,15 +671,13 @@ def _positive_combination(g_vecs, h_vecs):
     return scaled[:K], scaled[K:]
 
 
-def extract_orbit_witness(
-    s_elem: UnipotentMatrix, G: GeneratorSystem, H: GeneratorSystem, sol: RelaxedSolution, *, units=None
-):
+def extract_orbit_witness(units: IntegerLogs, sol: RelaxedSolution):
     """Witness words for a relaxed hard-case solution, as (v, w, how, shift).
 
-    Everything runs on `units`, the `IntegerLogs` of s_elem, G and H
-    (computed here when not given): triples in units (D, D, 2 D^2), u
-    the integer superdiagonal and g the corner entry of each, omega the
-    integer corner of two superdiagonals.  Both ways shift the counts
+    Everything runs on `units`, the `IntegerLogs` of the instance reduced
+    to T = I: triples in units (D, D, 2 D^2), u the integer superdiagonal
+    and g the corner entry of each, omega the integer corner of two
+    superdiagonals.  Both ways shift the counts
     along the positive balancing combination (X, Y)
     (`_positive_combination`): l = x + shift X, m = y + shift Y keeps
     both superdiagonal equations for every integer shift.
@@ -747,8 +727,6 @@ def extract_orbit_witness(
     would try them all.  The identity product(v) = S * product(w) is not
     checked here; `decide_orbit` checks it.
     """
-    if units is None:
-        units = _integer_logs(s_elem, G.mats, H.mats)
     g, h, s = units.g, units.h, units.s
     K, M = len(g), len(h)
     g_omegas = [cross(g[i], g[j]) for i, j in _pairs(K)]

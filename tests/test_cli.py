@@ -318,6 +318,9 @@ def test_usage_errors_exit_as_input_errors(capsys):
             main(argv)
         assert exit_.value.code == 3, argv
         assert "usage: decide" in capsys.readouterr().err
+    # witness takes --budget, but only an orbit problem has a budget to set
+    assert main(["witness", str(SAMPLES / "commutator.txt"), "--budget", "1"]) == 3
+    assert "input error: --budget applies to orbit problems only" in capsys.readouterr().err
     for argv in (["--help"], ["orbit", "--help"]):
         with pytest.raises(SystemExit) as exit_:
             main(argv)

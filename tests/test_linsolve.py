@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -273,11 +274,13 @@ def test_subspace_value_equality():
 
 
 def test_lp_examples():
-    pt = lp_feasible([(1, 1)], [1], 2, nonneg=[0, 1])
+    pt = lp_feasible([(1, 1)], [1], [0, 0])
     assert pt is not None and pt[0] + pt[1] == 1 and min(pt) >= 0
-    assert lp_feasible([(1, 0)], [-1], 2, nonneg=[0]) is None
-    pt = lp_feasible([(1, -1)], [0], 2, strict_lower={0: 1})
+    assert lp_feasible([(1, 0)], [-1], [0, 0]) is None
+    pt = lp_feasible([(1, -1)], [0], [1, 0])
     assert pt is not None and pt[0] == pt[1] and pt[0] >= 1
+    pt = lp_feasible([(1, 1)], [0], [-2, Fraction(1, 2)])
+    assert pt is not None and pt[0] == -pt[1] and pt[0] >= -2 and pt[1] >= Fraction(1, 2)
 
 
 def test_lp_exactness(rng):
@@ -288,7 +291,7 @@ def test_lp_exactness(rng):
             for _ in range(rng.randint(1, 3))
         ]
         rhs = [Fraction(rng.randint(-6, 6)) for _ in rows]
-        pt = lp_feasible(rows, rhs, nvars, nonneg=range(nvars))
+        pt = lp_feasible(rows, rhs, [0] * nvars)
         if pt is not None:
             assert all(v >= 0 for v in pt)
             for row, target in zip(rows, rhs):
@@ -375,11 +378,12 @@ def _reference_phase1(A, b, n, stats):
     return u
 
 
-def _reference_simplex_feasible(rows, rhs, nvars, lower, upper, stats=None):
+def _reference_simplex_feasible(rows, rhs, lower, upper=None, stats=None):
     """The standard form of `_simplex_feasible`, built over Fractions."""
     if stats is None:
         stats = {"ties": 0, "pivots": 0}
     zero, one = Fraction(0), Fraction(1)
+    nvars = len(lower)
     eq_rows = [list(map(Fraction, r)) for r in rows]
     eq_rhs = [Fraction(x) for x in rhs]
     upper_rows = []
@@ -391,79 +395,90 @@ def _reference_simplex_feasible(rows, rhs, nvars, lower, upper, stats=None):
             eq_rows.append(extra)
             eq_rhs.append(Fraction(u))
             upper_rows.append(len(eq_rows) - 1)
-    col_map = []
-    shifts = []
-    ncols = 0
-    for j in range(nvars):
-        lo = lower[j] if lower else None
-        if lo is not None:
-            col_map.append(("pos", ncols))
-            shifts.append(Fraction(lo))
-            ncols += 1
-        else:
-            col_map.append(("split", ncols, ncols + 1))
-            shifts.append(zero)
-            ncols += 2
-    slack_base = ncols
-    ncols += len(upper_rows)
+    shifts = [Fraction(lo) for lo in lower]
+    ncols = nvars + len(upper_rows)
     A = [[zero] * ncols for _ in eq_rows]
     b = []
     for i, row in enumerate(eq_rows):
         acc = eq_rhs[i]
         for j in range(nvars):
             coef = row[j]
-            if not coef:
-                continue
-            acc -= coef * shifts[j]
-            spec = col_map[j]
-            A[i][spec[1]] += coef
-            if spec[0] == "split":
-                A[i][spec[2]] -= coef
+            if coef:
+                acc -= coef * shifts[j]
+                A[i][j] += coef
         b.append(acc)
     for s, i in enumerate(upper_rows):
-        A[i][slack_base + s] = one
+        A[i][nvars + s] = one
     u = _reference_phase1(A, b, ncols, stats)
     if u is None:
         return None
-    x = []
-    for j in range(nvars):
-        spec = col_map[j]
-        if spec[0] == "pos":
-            x.append(shifts[j] + u[spec[1]])
-        else:
-            x.append(u[spec[1]] - u[spec[2]])
-    return x
+    return [shifts[j] + u[j] for j in range(nvars)]
 
 
-def _reference_ilp_search(A, b, k):
-    """The recursive branch-and-bound of `_ilp_base` after its HNF checks."""
-    box = linsolve._solution_box_bound(A, b, k)
-
-    def recurse(lower, upper):
-        point = _reference_simplex_feasible(A, b, k, lower, upper)
-        if point is None:
-            return None
-        frac = next((j for j in range(k) if point[j].denominator != 1), None)
-        if frac is None:
-            return tuple(int(v) for v in point)
-        v = point[frac]
-        fl = v.numerator // v.denominator
-        down = min(fl, box)
-        up = fl + 1
-        if down >= lower[frac]:
-            u2 = list(upper)
-            if u2[frac] is None or down < u2[frac]:
-                u2[frac] = Fraction(down)
-            found = recurse(lower, u2)
-            if found is not None:
-                return found
-        if up <= box and (upper[frac] is None or up <= upper[frac]):
-            l2 = list(lower)
-            l2[frac] = Fraction(up)
-            return recurse(l2, upper)
+def _reference_ilp_search(A, b, nonzero_groups=(), lp=_reference_simplex_feasible):
+    """The ILP as one branch-and-bound per choice of nonzero-group
+    members: the choice is substituted away (x = x' + bump, b shifted by
+    A bump), and each choice runs its own Hermite checks and recursive
+    branch-and-bound on x' >= 0, over the LP `lp` (the Fraction tableau
+    by default).  Nodes are counted over the whole call, against
+    `linsolve.ILP_NODE_CAP` as it is at call time."""
+    k = len(A[0]) if A else 0
+    groups = [list(g) for g in nonzero_groups]
+    if any(not g for g in groups):
         return None
+    cap = linsolve.ILP_NODE_CAP
+    nodes = 0
 
-    return recurse([Fraction(0)] * k, [None] * k)
+    def search(rhs):
+        zsol = hnf_solve(A, rhs)
+        if not zsol.feasible:
+            return None
+        if not zsol.lattice_basis:
+            x = zsol.particular
+            return x if all(v >= 0 for v in x) else None
+        box = linsolve._solution_box_bound(A, rhs, [0] * k)
+
+        def recurse(lower, upper):
+            nonlocal nodes
+            nodes += 1
+            if nodes > cap:
+                raise BudgetExceeded("reference node cap", budget=cap)
+            point = lp(A, rhs, lower, upper)
+            if point is None:
+                return None
+            frac = next((j for j in range(k) if point[j].denominator != 1), None)
+            if frac is None:
+                return tuple(int(v) for v in point)
+            v = point[frac]
+            fl = v.numerator // v.denominator
+            down = min(fl, box)
+            up = fl + 1
+            if down >= lower[frac]:
+                u2 = list(upper)
+                if u2[frac] is None or down < u2[frac]:
+                    u2[frac] = Fraction(down)
+                found = recurse(lower, u2)
+                if found is not None:
+                    return found
+            if up <= box and (upper[frac] is None or up <= upper[frac]):
+                l2 = list(lower)
+                l2[frac] = Fraction(up)
+                return recurse(l2, upper)
+            return None
+
+        return recurse([Fraction(0)] * k, [None] * k)
+
+    for choice in itertools.product(*groups):
+        shifted = list(b)
+        bump = [0] * k
+        for g in choice:
+            for i in range(len(A)):
+                shifted[i] -= A[i][g]
+            bump[g] += 1
+        sol = search(shifted)
+        if sol is not None:
+            return tuple(v + extra for v, extra in zip(sol, bump))
+    return None
 
 
 def _random_rational(rng, bound):
@@ -485,17 +500,16 @@ def _random_bounded_system(rng):
         rhs = [_random_rational(rng, 6) for _ in range(m)]
     lower, upper = [], []
     for _ in range(nvars):
-        kind = rng.choice(("free", "zero", "rational", "one"))
-        lo = {"free": None, "zero": 0, "one": Fraction(1)}.get(kind)
+        kind = rng.choice(("zero", "rational", "one"))
+        lo = {"zero": 0, "one": Fraction(1)}.get(kind)
         if kind == "rational":
             lo = _random_rational(rng, 3)
         lower.append(lo)
         if rng.random() < 0.35:
-            base = lo if lo is not None else _random_rational(rng, 3)
-            upper.append(base + _random_rational(rng, 4))
+            upper.append(lo + _random_rational(rng, 4))
         else:
             upper.append(None)
-    return rows, rhs, nvars, lower, upper
+    return rows, rhs, lower, upper
 
 
 def test_simplex_returns_reference_points(rng):
@@ -504,9 +518,9 @@ def test_simplex_returns_reference_points(rng):
     stats = {"ties": 0, "pivots": 0}
     feasible = infeasible = 0
     for _ in range(600):
-        rows, rhs, nvars, lower, upper = _random_bounded_system(rng)
-        want = _reference_simplex_feasible(rows, rhs, nvars, lower, upper, stats)
-        got = _simplex_feasible(rows, rhs, nvars, lower, upper)
+        rows, rhs, lower, upper = _random_bounded_system(rng)
+        want = _reference_simplex_feasible(rows, rhs, lower, upper, stats)
+        got = _simplex_feasible(rows, rhs, lower, upper)
         assert got == want, (rows, rhs, lower, upper)
         if got is None:
             infeasible += 1
@@ -530,8 +544,8 @@ def test_simplex_reference_points_on_degenerate_supports(rng):
         for i in range(k):
             lower = [0] * k
             lower[i] = Fraction(1)
-            want = _reference_simplex_feasible(rows, [0] * len(rows), k, lower, None, stats)
-            got = lp_feasible(rows, [0] * len(rows), k, nonneg=range(k), strict_lower={i: 1})
+            want = _reference_simplex_feasible(rows, [0] * len(rows), lower, None, stats)
+            got = lp_feasible(rows, [0] * len(rows), lower)
             assert got == want
     assert stats["ties"] > 100
 
@@ -548,18 +562,17 @@ def _bounded_systems(draw):
     row = st.lists(_rationals, min_size=nvars, max_size=nvars)
     rows = draw(st.lists(row, min_size=m, max_size=m))
     rhs = draw(st.lists(_rationals, min_size=m, max_size=m))
-    bound = st.one_of(st.none(), _rationals)
-    lower = draw(st.lists(bound, min_size=nvars, max_size=nvars))
-    upper = draw(st.lists(bound, min_size=nvars, max_size=nvars))
-    return rows, rhs, nvars, lower, upper
+    lower = draw(st.lists(_rationals, min_size=nvars, max_size=nvars))
+    upper = draw(st.lists(st.one_of(st.none(), _rationals), min_size=nvars, max_size=nvars))
+    return rows, rhs, lower, upper
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_bounded_systems())
 def test_simplex_matches_reference_hypothesis(system):
-    rows, rhs, nvars, lower, upper = system
-    want = _reference_simplex_feasible(rows, rhs, nvars, lower, upper)
-    assert _simplex_feasible(rows, rhs, nvars, lower, upper) == want
+    rows, rhs, lower, upper = system
+    want = _reference_simplex_feasible(rows, rhs, lower, upper)
+    assert _simplex_feasible(rows, rhs, lower, upper) == want
 
 
 def test_witnesses_match_reference_lp(monkeypatch):
@@ -593,14 +606,18 @@ def test_witnesses_match_reference_lp(monkeypatch):
 # reference: one LP for every coordinate, whatever earlier LPs returned.
 
 
+def _unit_lower(k, i):
+    """Lower bounds 0 on every variable but x_i >= 1."""
+    return [int(j == i) for j in range(k)]
+
+
 def _reference_support(space):
     k = len(space.coords)
     rows = space.equations
     return frozenset(
         i
         for i in range(k)
-        if lp_feasible(rows, [0] * len(rows), k, nonneg=range(k), strict_lower={i: 1})
-        is not None
+        if lp_feasible(rows, [0] * len(rows), _unit_lower(k, i)) is not None
     )
 
 
@@ -659,9 +676,10 @@ def _check_cover_loop(space, monkeypatch):
     want = _reference_support(space)
     calls = []
 
-    def counting(rows, rhs, nvars, **kwargs):
-        point = lp_feasible(rows, rhs, nvars, **kwargs)
-        calls.append((next(iter(kwargs["strict_lower"])), point))
+    def counting(rows, rhs, lower):
+        point = lp_feasible(rows, rhs, lower)
+        assert lower == _unit_lower(len(lower), lower.index(1))
+        calls.append((lower.index(1), point))
         return point
 
     with monkeypatch.context() as patch:
@@ -851,30 +869,24 @@ def test_hnf_solve_ignores_positive_row_scaling_hypothesis(system):
     assert_row_scaling_keeps_solution(*system)
 
 
-def assert_lp_scaling_keeps_point(rows, rhs, nvars, c, **signs):
+def assert_lp_scaling_keeps_point(rows, rhs, lower, c):
     """`lp_feasible` on c A x = c b returns the point of A x = b, for one
     positive integer c on every row.  Returns whether it is feasible."""
-    want = lp_feasible(rows, rhs, nvars, **signs)
-    got = lp_feasible(
-        [[c * v for v in row] for row in rows], [c * v for v in rhs], nvars, **signs
-    )
+    want = lp_feasible(rows, rhs, lower)
+    got = lp_feasible([[c * v for v in row] for row in rows], [c * v for v in rhs], lower)
     assert got == want
     return want is not None
 
 
-def random_signs(rng, nvars, strict):
-    """Sign constraints for `lp_feasible`: some variables nonnegative, and
-    with `strict` some bounded below by a rational, the rest free."""
-    kinds = [rng.choice(("nonneg", "lower", "free") if strict else ("nonneg", "free"))
-             for _ in range(nvars)]
-    signs = {"nonneg": [j for j, kind in enumerate(kinds) if kind == "nonneg"]}
-    if strict:
-        signs["strict_lower"] = {
-            j: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            for j, kind in enumerate(kinds)
-            if kind == "lower"
-        }
-    return signs
+def random_lower(rng, nvars, strict):
+    """Lower bounds for `lp_feasible`: 0 on every variable, or with
+    `strict` a rational on some of them."""
+    return [
+        Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        if strict and rng.random() < 0.5
+        else 0
+        for _ in range(nvars)
+    ]
 
 
 def test_lp_ignores_one_positive_row_scale(rng):
@@ -882,7 +894,7 @@ def test_lp_ignores_one_positive_row_scale(rng):
     # 2): a phase-1 cost that weighted rows by their denominators would
     # end at another vertex here
     rows = [[-1, -1, 1], [Fraction(1, 3), Fraction(1, 2), 0]]
-    assert assert_lp_scaling_keeps_point(rows, [Fraction(3, 2), 3], 3, 3, nonneg=range(3))
+    assert assert_lp_scaling_keeps_point(rows, [Fraction(3, 2), 3], [0] * 3, 3)
     feasible = []
     for trial in range(300):
         nvars, m = rng.randint(2, 5), rng.randint(1, 3)
@@ -892,15 +904,15 @@ def test_lp_ignores_one_positive_row_scale(rng):
         ]
         rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(m)]
         c = rng.choice((1, 2, 3, 6, 10, 2**40))
-        signs = random_signs(rng, nvars, strict=trial % 2 == 1)
-        feasible.append(assert_lp_scaling_keeps_point(rows, rhs, nvars, c, **signs))
+        lower = random_lower(rng, nvars, strict=trial % 2 == 1)
+        feasible.append(assert_lp_scaling_keeps_point(rows, rhs, lower, c))
     assert feasible.count(True) >= 50 and feasible.count(False) >= 20
     # the balancing-combination form: homogeneous, every variable >= 1
     for _ in range(100):
         k = rng.randint(2, 6)
         rows = [[rng.randint(-5, 5) for _ in range(k)] for _ in range(2)]
         assert_lp_scaling_keeps_point(
-            rows, [0, 0], k, rng.randint(2, 36), strict_lower={j: 1 for j in range(k)}
+            rows, [0, 0], [1] * k, rng.randint(2, 36)
         )
 
 
@@ -908,12 +920,12 @@ def test_lp_scaling_needs_one_factor():
     # distinct factors per row weight the artificials differently, and
     # phase 1 then ends at another vertex
     rows, rhs = [[-2, -1, 1], [-1, 1, 1]], [0, 3]
-    assert lp_feasible(rows, rhs, 3, nonneg=range(3)) == [3, 0, 6]
+    assert lp_feasible(rows, rhs, [0] * 3) == [3, 0, 6]
     tripled = [rows[0], [3 * v for v in rows[1]]]
-    assert lp_feasible(tripled, [0, 9], 3, nonneg=range(3)) == [
+    assert lp_feasible(tripled, [0, 9], [0] * 3) == [
         0, Fraction(3, 2), Fraction(3, 2)
     ]
-    assert lp_feasible([[3 * v for v in row] for row in rows], [0, 9], 3, nonneg=range(3)) == [3, 0, 6]
+    assert lp_feasible([[3 * v for v in row] for row in rows], [0, 9], [0] * 3) == [3, 0, 6]
 
 
 @st.composite
@@ -923,31 +935,22 @@ def lp_systems(draw, strict):
     entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
     rows = draw(st.lists(st.lists(entry, min_size=nvars, max_size=nvars), min_size=m, max_size=m))
     rhs = draw(st.lists(entry, min_size=m, max_size=m))
-    kinds = draw(st.lists(
-        st.sampled_from(("nonneg", "lower", "free") if strict else ("nonneg", "free")),
-        min_size=nvars, max_size=nvars,
-    ))
-    signs = {"nonneg": [j for j, kind in enumerate(kinds) if kind == "nonneg"]}
-    if strict:
-        signs["strict_lower"] = {
-            j: draw(entry) for j, kind in enumerate(kinds) if kind == "lower"
-        }
+    bound = st.one_of(st.just(0), entry) if strict else st.just(0)
+    lower = draw(st.lists(bound, min_size=nvars, max_size=nvars))
     c = draw(st.integers(1, 60))
-    return rows, rhs, nvars, c, signs
+    return rows, rhs, lower, c
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(lp_systems(strict=False))
 def test_lp_ignores_one_positive_row_scale_hypothesis(system):
-    rows, rhs, nvars, c, signs = system
-    assert_lp_scaling_keeps_point(rows, rhs, nvars, c, **signs)
+    assert_lp_scaling_keeps_point(*system)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(lp_systems(strict=True))
 def test_lp_ignores_one_positive_row_scale_strict_lower_hypothesis(system):
-    rows, rhs, nvars, c, signs = system
-    assert_lp_scaling_keeps_point(rows, rhs, nvars, c, **signs)
+    assert_lp_scaling_keeps_point(*system)
 
 
 def test_ilp_examples():
@@ -1006,19 +1009,97 @@ def test_ilp_search_matches_reference_order(rng):
         if not zsol.feasible or not zsol.lattice_basis:
             continue
         try:
-            want = _reference_ilp_search(A, b, k)
+            want = ilp_outcome(_reference_ilp_search, A, b)
         except RecursionError:
             # the recursion gave out; the stack search must end cleanly
-            try:
-                got = linsolve._ilp_base(A, b, k)
-            except BudgetExceeded:
+            got = ilp_outcome(ilp_feasible_nonneg, A, b)
+            if got is not None and got[0] == "BudgetExceeded":
                 continue
             assert got is not None and all(v >= 0 for v in got)
             assert all(sum(a * v for a, v in zip(row, got)) == t for row, t in zip(A, b))
             continue
-        assert linsolve._ilp_base(A, b, k) == want, (A, b)
+        assert ilp_outcome(ilp_feasible_nonneg, A, b) == want, (A, b)
         compared += 1
     assert compared > 40
+
+
+def ilp_outcome(solve, A, b, nonzero_groups=()):
+    """The point or None that `solve` returns, or ("BudgetExceeded",
+    budget) when it gives up."""
+    try:
+        return solve(A, b, nonzero_groups)
+    except BudgetExceeded as exc:
+        return ("BudgetExceeded", exc.budget)
+
+
+def seeded_ilp_system(rng, index):
+    """A system shaped like the orbit easy case's: 1 to 3 rows, 2 to 6
+    columns, entries of absolute value at most 16, and in half of the
+    draws a right-hand side A x0 for a small nonnegative x0.  Every
+    second draw (index 2 and 3 mod 4) has two nonzero groups that split
+    the columns, as the two sides of a pair without off-line letters
+    do; index 1 mod 4 has one group of all columns."""
+    m, k = rng.randint(1, 3), rng.randint(2, 6)
+    A = [[rng.randint(-16, 16) if rng.random() < 0.7 else 0 for _ in range(k)] for _ in range(m)]
+    if rng.random() < 0.5:
+        x0 = [rng.randint(0, 3) for _ in range(k)]
+        b = [sum(a * x for a, x in zip(row, x0)) for row in A]
+    else:
+        b = [rng.randint(-16, 16) for _ in range(m)]
+    cut = rng.randint(1, k - 1)
+    split = [range(cut), range(cut, k)]
+    return A, b, ([], [range(k)], split, split)[index % 4]
+
+
+def test_ilp_matches_per_choice_search(rng, monkeypatch):
+    # one search over every root returns the point, None or budget of one
+    # search per choice of group members; a cap of 150 keeps the budget
+    # draws quick and the reference's recursion shallow, and the integer
+    # tableau, pinned to the Fraction one above, keeps the reference quick
+    monkeypatch.setattr(linsolve, "ILP_NODE_CAP", 150)
+    kinds = collections.Counter()
+
+    def reference(A, b, groups):
+        return _reference_ilp_search(A, b, groups, lp=_simplex_feasible)
+
+    for index in range(600):
+        A, b, groups = seeded_ilp_system(rng, index)
+        want = ilp_outcome(reference, A, b, groups)
+        assert ilp_outcome(ilp_feasible_nonneg, A, b, groups) == want, (A, b, groups)
+        if want is None:
+            kinds["none"] += 1
+        elif want[0] == "BudgetExceeded":
+            kinds["budget"] += 1
+        else:
+            kinds["point", len(groups)] += 1
+    assert kinds["none"] + sum(v for key, v in kinds.items() if key[0] == "point") >= 500
+    assert kinds["none"] >= 50 and kinds["budget"] >= 1
+    assert all(kinds["point", n] >= 50 for n in (0, 1, 2))
+
+
+def test_ilp_node_cap_counts_relaxations_over_all_roots(monkeypatch):
+    # 3x + 3y + 2z = 4 has the point (0, 0, 2), but none with x >= 1 or
+    # y >= 1: each of the two roots is refuted after 7 relaxations, and
+    # the cap counts the 14 of the call
+    A, b, groups = [[3, 3, 2]], [4], [[0, 1]]
+    assert ilp_feasible_nonneg(A, b) == (0, 0, 2)
+    calls = []
+    real = linsolve._simplex_feasible
+
+    def counting(rows, rhs, lower, upper=None):
+        calls.append((list(lower), list(upper)))
+        return real(rows, rhs, lower, upper)
+
+    monkeypatch.setattr(linsolve, "_simplex_feasible", counting)
+    second_root = ([0, 1, 0], [None] * 3)
+    assert ilp_feasible_nonneg(A, b, groups) is None
+    assert len(calls) == 14 and calls.index(second_root) == 7
+    calls.clear()
+    monkeypatch.setattr(linsolve, "ILP_NODE_CAP", 10)
+    with pytest.raises(BudgetExceeded) as caught:
+        ilp_feasible_nonneg(A, b, groups)
+    assert caught.value.budget == linsolve.ILP_NODE_CAP == 10
+    assert len(calls) == 10 and calls[7] == second_root
 
 
 def test_ilp_node_cap_bounds_a_diving_search():
@@ -1032,7 +1113,7 @@ def test_ilp_node_cap_bounds_a_diving_search():
 
 
 ILP_DIVING_DEFECT = (
-    "linsolve._ilp_base still branches on x depth first, so it dives into a "
+    "linsolve.ilp_feasible_nonneg still branches on x depth first, so it dives into a "
     "branch without integer points and ends in BudgetExceeded after 5000 "
     "relaxations instead of returning a point; branching in HNF lattice "
     "coordinates (ROADMAP item 4) is the fix"

@@ -59,6 +59,12 @@ def orbit(T, S, G, H, **opts):
     return OrbitInstance(T, S, G, H, options=opts or None)
 
 
+def units_of(inst):
+    """The `IntegerLogs` that `decide_orbit` builds for `inst` and hands
+    to `decide_easy`, `decide_hard` and `extract_orbit_witness`."""
+    return _integer_logs(reduce_to_identity(inst).S, inst.G.mats, inst.H.mats)
+
+
 def verified(inst, decision):
     v, w = decision.witnesses
     left = inst.T * product_of_word(inst.G, v)
@@ -763,11 +769,12 @@ def test_easy_rows_match_fraction_reference_hypothesis(drawn_rng):
 
 
 def test_common_denominator_once_per_decide_easy(monkeypatch):
-    # the easy case converts the instance to integers once, from the
-    # integer tables (`_integer_logs`, one lcm D of their denominators);
-    # no ordering pair computes a denominator of its own, and no Fraction
-    # denominator is taken at all.  No system is let be feasible, so
-    # every ordering pair within the caps is enumerated.
+    # decide_orbit converts the instance to integers once, from the
+    # integer tables (`_integer_logs`, one lcm D of their denominators),
+    # and decide_easy converts nothing; no ordering pair computes a
+    # denominator of its own, and no Fraction denominator is taken at
+    # all.  No system is let be feasible, so every ordering pair within
+    # the caps is enumerated.
     conversions = []
     fraction_denominators = []
     real = orbit_module._integer_logs
@@ -787,15 +794,16 @@ def test_common_denominator_once_per_decide_easy(monkeypatch):
     pairs = []
     for _ in range(20):
         inst = random_easy_instance(rng)
-        s_elem = reduce_to_identity(inst).S
-        for run in (
-            lambda: decide_easy(s_elem, inst.G, inst.H),
-            lambda: decide_orbit(inst),
+        units = units_of(inst)
+        meet = cone_intersect_dim(_cone(units.g), _cone(units.h))
+        for run, converts in (
+            (lambda: decide_easy(units, meet, inst.options), 0),
+            (lambda: decide_orbit(inst), 1),
         ):
             conversions.clear()
             d = run()
             assert d.verdict is Verdict.EMPTY
-            assert len(conversions) == 1
+            assert len(conversions) == converts
             pairs.append(d.trace[0]["pairs_tried"])
     assert not fraction_denominators
     assert sum(p > 1 for p in pairs) >= 30
@@ -832,7 +840,7 @@ def assert_skip_matches_reference(inst):
             assert _solve_interleaving(units, g0, h0, cs, ds, {}, {}) is None
 
     def decided():
-        d = decide_easy(reduce_to_identity(inst).S, inst.G, inst.H)
+        d = decide_easy(units, cone_intersect_dim(_cone(units.g), _cone(units.h)), inst.options)
         tried = d.trace[0]["pairs_tried"]
         assert d.trace[0]["systems_solved"] == skips[:tried].count(False)
         return (d.witnesses if d.verdict is Verdict.NONEMPTY else None), tried
@@ -1009,9 +1017,7 @@ def reference_positive_combination(g_logs, h_logs):
     rows = [
         [x[comp] for x in g_logs] + [-y[comp] for y in h_logs] for comp in range(2)
     ]
-    point = lp_feasible(
-        rows, [0, 0], K + M, strict_lower={i: Fraction(1) for i in range(K + M)}
-    )
+    point = lp_feasible(rows, [0, 0], [Fraction(1)] * (K + M))
     den = common_denominator(point)
     scaled = [int(v * den) for v in point]
     return scaled[:K], scaled[K:]
@@ -1096,7 +1102,7 @@ def hard_nonempty_cases():
     cases += [(f"random-{k}", random_hard_instance(rng)) for k in range(40)]
     out = []
     for name, inst in cases:
-        d = decide_hard(inst.S, inst.G, inst.H)
+        d = decide_hard(units_of(inst), inst.options)
         if d.verdict is Verdict.NONEMPTY:
             out.append((name, inst, d))
     return out
@@ -1118,10 +1124,10 @@ def test_orbit_witness_matches_fraction_reference(hard_nonempty, monkeypatch):
     for name, inst, d in hard_nonempty:
         relaxed = d.details["relaxed"]
         want, _ = reference_orbit_witness(inst.S, inst.G, inst.H, relaxed)
-        got = extract_orbit_witness(inst.S, inst.G, inst.H, relaxed)
+        units = units_of(inst)
+        got = extract_orbit_witness(units, relaxed)
         assert got == want, name
         # the balancing combination X, Y itself, from the integer units
-        units = _integer_logs(inst.S, inst.G.mats, inst.H.mats)
         assert orbit_module._positive_combination(
             [x[:2] for x in units.g], [y[:2] for y in units.h]
         ) == reference_positive_combination(fraction_logs(inst.G), fraction_logs(inst.H)), name
@@ -1135,7 +1141,7 @@ def test_orbit_witness_matches_fraction_reference(hard_nonempty, monkeypatch):
         relaxed = d.details["relaxed"]
         want, _ = reference_orbit_witness(inst.S, inst.G, inst.H, relaxed, corner_shifts=0)
         assert want[2] == "inflated"
-        assert extract_orbit_witness(inst.S, inst.G, inst.H, relaxed) == want, name
+        assert extract_orbit_witness(units_of(inst), relaxed) == want, name
 
 
 def test_inflation_scale_only_past_twice_de(hard_nonempty, monkeypatch):
@@ -1165,7 +1171,7 @@ def test_inflation_scale_only_past_twice_de(hard_nonempty, monkeypatch):
             late += 1
             monkeypatch.setattr(orbit_module, "least_scale", counting)
             calls.clear()
-            got = extract_orbit_witness(inst.S, inst.G, inst.H, relaxed)
+            got = extract_orbit_witness(units_of(inst), relaxed)
             assert got == (v, w, how, shift), name
             assert len(calls) == 1, name
     assert early >= 30 and late >= 30
@@ -1180,7 +1186,7 @@ def test_hard_witnesses_build_no_fraction(hard_nonempty, monkeypatch):
     monkeypatch.setattr(orbit_module, "Fraction", refuse)
     hows = set()
     for name, inst, d in hard_nonempty:
-        again = decide_hard(inst.S, inst.G, inst.H)
+        again = decide_hard(units_of(inst), inst.options)
         assert again.witnesses == d.witnesses, name
         hows.add(again.trace[0]["witness"])
     assert hows == {"corner", "inflated"}
@@ -1253,7 +1259,7 @@ def assert_hard_matches_reference(inst):
     """`decide_hard` tries the branches of the Fraction reference loop and
     returns its residues and relaxed solution.  Returns the verdict."""
     residues, branches, relaxed = reference_hard_branches(inst)
-    d = decide_hard(inst.S, inst.G, inst.H)
+    d = decide_hard(units_of(inst), inst.options)
     step = d.trace[0]
     assert step["branches_tried"] == branches
     assert step.get("residues") == residues
@@ -1311,7 +1317,7 @@ def test_hard_branch_loop_builds_no_fraction(monkeypatch):
     empty = []
     while len(empty) < 5:
         inst = random_hard_instance(rng)
-        if decide_hard(inst.S, inst.G, inst.H).verdict is Verdict.EMPTY:
+        if decide_hard(units_of(inst), inst.options).verdict is Verdict.EMPTY:
             empty.append(inst)
     empty.append(orbit(IDENT, h3(0, 0, Fraction(1, 2)), gsys(X, Y), gsys(X, Y)))
 
@@ -1324,7 +1330,7 @@ def test_hard_branch_loop_builds_no_fraction(monkeypatch):
     for name in ("Fraction", "common_denominator"):
         monkeypatch.setattr(orbit_module, name, refuse)
     for inst in empty:
-        d = decide_hard(inst.S, inst.G, inst.H)
+        d = decide_hard(units_of(inst), inst.options)
         assert d.verdict is Verdict.EMPTY
         assert d.trace[0]["branches_tried"] == 2 ** (inst.G.K + inst.H.K)
 
@@ -1358,7 +1364,7 @@ def test_parity_cap_bounds_the_branches(monkeypatch):
 
 def test_integer_logs_once_per_hard_decision(monkeypatch):
     # decide_orbit converts the instance once and hands the units to
-    # decide_hard and on to extract_orbit_witness
+    # decide_hard and on to extract_orbit_witness, which convert nothing
     conversions = []
     real = orbit_module._integer_logs
 
@@ -1371,13 +1377,14 @@ def test_integer_logs_once_per_hard_decision(monkeypatch):
     verdicts = set()
     for _ in range(12):
         inst = random_hard_instance(rng)
-        for run in (
-            lambda: decide_hard(inst.S, inst.G, inst.H),
-            lambda: decide_orbit(inst),
+        units = units_of(inst)
+        for run, converts in (
+            (lambda: decide_hard(units, inst.options), 0),
+            (lambda: decide_orbit(inst), 1),
         ):
             conversions.clear()
             verdicts.add(run().verdict)
-            assert len(conversions) == 1
+            assert len(conversions) == converts
     assert verdicts == {Verdict.EMPTY, Verdict.NONEMPTY}
 
 
@@ -1482,5 +1489,12 @@ def test_membership_specialization(rng):
 
 
 def test_decide_easy_requires_low_dimension():
-    with pytest.raises(ValueError):
-        decide_easy(IDENT, gsys(X, Y), gsys(X, Y))
+    # a meet of dimension 2, and one of dimension 1 without a separating
+    # functional (the plane against a ray), carry no functional
+    plane = gsys(X, Y, h3(-1, 0, 0), h3(0, -1, 0))
+    for G, H in ((gsys(X, Y), gsys(X, Y)), (plane, gsys(h3(1, 1, 0)))):
+        units = units_of(orbit(IDENT, IDENT, G, H))
+        meet = cone_intersect_dim(_cone(units.g), _cone(units.h))
+        assert meet.separating_functional is None
+        with pytest.raises(ValueError):
+            decide_easy(units, meet, {})
