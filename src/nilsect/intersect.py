@@ -170,18 +170,23 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
     Starting from full supports, repeatedly: build the condition space,
     project it onto the count coordinates, compute the support of its
     nonnegative integer points, and intersect each system's support set
-    with it.  Stops at the first stable iteration (at most sum K_m rounds,
-    since the total support size strictly shrinks otherwise); the
-    intersection is empty iff some support set ended empty.
+    with it.  Supports only shrink, so once a round empties some support
+    set the intersection is empty: the loop returns Empty at that round,
+    without the further round that would only confirm a stable state.
+    Otherwise it stops at the first stable round, with a NonEmpty
+    verdict.  The total support size strictly shrinks in every round but
+    the last, so there are at most sum K_m + 1 rounds (`max_rounds`).
 
-    `details["support_point"]` keeps the final round's nonnegative
-    integer point of the projection, over the ("l", m, j) coordinates;
-    its support is exactly the final support sets.  `details["lift"]`
-    keeps that round's `Lift`, which `eliminate` read off the pivot rows
-    of the elimination it ran anyway: it solves the pair coordinates of
-    the condition space for the counts.  `extract_witness` evaluates it
-    on the point, so the space is built and reduced once per round and
-    never again for the witness.
+    An Empty decision's `details` holds only `final_supports` (the
+    supports its last round left, one of them empty) and `iterations`.
+    On a NonEmpty decision, `details["support_point"]` keeps the final
+    round's nonnegative integer point of the projection, over the
+    ("l", m, j) coordinates; its support is exactly the final support
+    sets.  `details["lift"]` keeps that round's `Lift`, which
+    `eliminate` read off the pivot rows of the elimination it ran anyway:
+    it solves the pair coordinates of the condition space for the counts.
+    `extract_witness` evaluates it on the point, so the space is built
+    and reduced once per round and never again for the witness.
     """
     supports = [frozenset(range(sys.K)) for sys in inst.systems]
     trace = []
@@ -211,15 +216,18 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
                 ),
             }
         )
+        if any(not s for s in new_supports):
+            return Decision(
+                Verdict.EMPTY,
+                trace=trace,
+                details={"final_supports": new_supports, "iterations": rounds},
+            )
         if new_supports == supports:
             break
         supports = new_supports
 
-    verdict = (
-        Verdict.EMPTY if any(not s for s in supports) else Verdict.NONEMPTY
-    )
     return Decision(
-        verdict,
+        Verdict.NONEMPTY,
         trace=trace,
         details={
             "final_supports": supports,

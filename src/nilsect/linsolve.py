@@ -12,8 +12,10 @@ Contents:
   free variables to split;
 * a nonnegative integer point of a rational subspace with maximal
   support (a cover loop: one feasibility LP per coordinate that the sum
-  of the certificates found so far does not cover; a rational point
-  scales to an integer one by homogeneity);
+  of the certificates found so far does not cover, and after each
+  infeasible one a remainder LP that ends the loop when no later
+  uncovered coordinate can be positive; a rational point scales to an
+  integer one by homogeneity);
 * complete integer solution sets of A x = b via a column Hermite
   reduction with recorded transformation;
 * small-scale integer feasibility with sign constraints, by one
@@ -25,7 +27,8 @@ Contents:
 
 Everything operates on immutable inputs and returns fresh values.  The
 LPs of `support_nonneg` run in coordinate order: whether one runs at all
-depends on the certificates found before it.
+depends on the certificates found before it, and on whether the last
+remainder LP was feasible.
 """
 
 from __future__ import annotations
@@ -448,6 +451,17 @@ def support_nonneg(space: LinearSubspace) -> tuple:
     the running sum already covers needs no LP, since its LP is feasible.
     The support of the returned point (its nonzero entries) is the
     support of the nonnegative integer points.
+
+    After each infeasible coordinate LP at i, one remainder LP asks for
+    {x in space, x >= 0, sum_{j in U} x_j = 1}, U the coordinates after i
+    that the running sum does not cover; its point is discarded.  When it
+    is infeasible, or U is empty, the loop stops, and the point is the
+    one the loop without remainder LPs returns: every nonnegative point
+    of the space is 0 on all of U (a positive sum on U scales to 1), so
+    each later coordinate LP would be infeasible or skipped, and none
+    would add to the sum.  So the LPs number at most the feasible coordinate LPs plus
+    twice the infeasible ones, and exactly 2 on a space of k >= 2
+    coordinates whose support is empty.
     """
     k = len(space.coords)
     rows = space.equations
@@ -461,6 +475,10 @@ def support_nonneg(space: LinearSubspace) -> tuple:
         point = lp_feasible(rows, rhs, lower)
         if point is not None:
             total = [a + b for a, b in zip(total, point)]
+            continue
+        rest = [int(j > i and not total[j]) for j in range(k)]
+        if not any(rest) or lp_feasible([*rows, rest], [*rhs, 1], [0] * k) is None:
+            break
     den = common_denominator(total)
     return tuple(int(v * den) for v in total)
 

@@ -6,6 +6,7 @@ import pytest
 
 from nilsect import intersect, linsolve
 from nilsect import (
+    Decision,
     GeneratorSystem,
     IntersectionInstance,
     LinearSubspace,
@@ -259,12 +260,19 @@ def _lift_instances(rng):
 
 
 def test_lift_lies_in_condition_space(rng):
-    # the stored lift keeps the projected counts, solves every equation
-    # of the final space and is the reference solve's point
-    lifted = 0
+    # on a NonEmpty decision, the stored lift keeps the projected counts,
+    # solves every equation of the final space and is the reference
+    # solve's point; an Empty decision stops at an empty support set and
+    # keeps no point and no lift
+    lifted = empty = 0
     for inst in _lift_instances(rng):
         d = decide_intersection(inst)
         supports = d.details["final_supports"]
+        if d.verdict is Verdict.EMPTY:
+            assert any(not s for s in supports)
+            assert "lift" not in d.details and "support_point" not in d.details
+            empty += 1
+            continue
         ell = d.details["support_point"]
         space = build_condition_space(inst, supports)
         lift = d.details["lift"]
@@ -278,6 +286,7 @@ def test_lift_lies_in_condition_space(rng):
         ]
         lifted += any(point[len(ell):])
     assert lifted > 10  # nonzero pair coordinates were solved for
+    assert empty > 5
 
 
 def test_lift_matches_reference_solve(rng):
@@ -569,3 +578,115 @@ def test_decisions_match_reference_space(rng, monkeypatch):
         assert got == want
         witnessed += got[3] is not None
     assert witnessed > 10
+
+
+# ---------------------------------------------------------------------------
+# The support loop without the early stop, kept as the reference: it runs
+# until a round leaves every support set unchanged, even after one is empty.
+
+
+def _reference_decide(inst):
+    supports = [frozenset(range(sys.K)) for sys in inst.systems]
+    trace = []
+    rounds = 0
+    while True:
+        rounds += 1
+        space = build_condition_space(inst, supports)
+        ell_coords = [name for name in space.coords if name[0] == "l"]
+        projected, lift = eliminate(space, ell_coords)
+        point = linsolve.support_nonneg(projected)
+        support_names = {name for name, v in zip(ell_coords, point) if v}
+        new_supports = [
+            frozenset(j for j in supports[m] if ("l", m, j) in support_names)
+            for m in range(inst.M)
+        ]
+        trace.append(
+            {
+                "iteration": rounds,
+                "supports": [sorted(s) for s in supports],
+                "projected_support": sorted((m, j) for (_, m, j) in support_names),
+            }
+        )
+        if new_supports == supports:
+            break
+        supports = new_supports
+    verdict = Verdict.EMPTY if any(not s for s in supports) else Verdict.NONEMPTY
+    details = {
+        "final_supports": supports,
+        "iterations": rounds,
+        "support_point": point,
+        "lift": lift,
+    }
+    return Decision(verdict, trace=trace, details=details)
+
+
+def _left_by(step):
+    """The support sets a trace entry leaves."""
+    projected = set(map(tuple, step["projected_support"]))
+    return [
+        frozenset(j for j in sup if (m, j) in projected)
+        for m, sup in enumerate(step["supports"])
+    ]
+
+
+def test_early_stop_matches_reference_loop(rng):
+    instances = list(_lift_instances(rng)) + _space_instances(rng)
+    for _ in range(40):
+        instances.append(
+            IntersectionInstance(
+                [random_h3_system(rng, rng.randint(1, 3)) for _ in range(rng.choice((2, 2, 3)))]
+            )
+        )
+    shortened = witnessed = 0
+    for inst in instances:
+        got = decide_intersection(inst)
+        want = _reference_decide(inst)
+        assert got.verdict is want.verdict
+        if got.verdict is Verdict.NONEMPTY:
+            assert got.trace == want.trace
+            assert got.details == want.details
+            runs = [w.runs for w in extract_witness(inst, got).witnesses]
+            assert runs == [w.runs for w in extract_witness(inst, want).witnesses]
+            witnessed += 1
+            continue
+        first = next(
+            r for r, step in enumerate(want.trace) if any(not s for s in _left_by(step))
+        )
+        assert got.trace == want.trace[: first + 1]
+        assert got.details == {
+            "final_supports": _left_by(want.trace[first]),
+            "iterations": first + 1,
+        }
+        shortened += len(got.trace) < len(want.trace)
+    assert witnessed > 30 and shortened > 30
+
+
+def _count_lps(monkeypatch, inst):
+    calls = []
+    real = linsolve.lp_feasible
+    with monkeypatch.context() as patch:
+        patch.setattr(linsolve, "lp_feasible", lambda *a: calls.append(a) or real(*a))
+        d = decide_intersection(inst)
+    return d, len(calls)
+
+
+@pytest.mark.parametrize(
+    "name, verdict, rounds, lps, reference_rounds",
+    [
+        ("disjoint.txt", Verdict.EMPTY, 1, 2, 2),
+        ("sqrt2-intersection.txt", Verdict.EMPTY, 1, 2, 2),
+        ("commutator.txt", Verdict.NONEMPTY, 1, 3, 1),
+    ],
+)
+def test_sample_lp_counts(monkeypatch, name, verdict, rounds, lps, reference_rounds):
+    # without the early stop and the remainder LPs, each Empty sample
+    # took 2 rounds and 4 LPs
+    inst = load_instance_file(SAMPLES / name).build()
+    d, calls = _count_lps(monkeypatch, inst)
+    assert (d.verdict, d.details["iterations"], len(d.trace), calls) == (
+        verdict,
+        rounds,
+        rounds,
+        lps,
+    )
+    assert _reference_decide(inst).details["iterations"] == reference_rounds

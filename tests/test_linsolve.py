@@ -26,6 +26,7 @@ from nilsect import (
 )
 from nilsect import intersect, linsolve
 from nilsect.linsolve import ILP_NODE_CAP, _row_reduce, _simplex_feasible
+from nilsect.matlie import common_denominator
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -602,8 +603,10 @@ def test_witnesses_match_reference_lp(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The per-coordinate support loop that the cover loop replaced, kept as the
-# reference: one LP for every coordinate, whatever earlier LPs returned.
+# Two loops kept as references.  The per-coordinate loop solves one LP for
+# every coordinate, whatever earlier LPs returned.  The cover loop without
+# remainder LPs skips the coordinates that the running sum covers and
+# solves one LP for each of the others, up to the last coordinate.
 
 
 def _unit_lower(k, i):
@@ -619,6 +622,20 @@ def _reference_support(space):
         for i in range(k)
         if lp_feasible(rows, [0] * len(rows), _unit_lower(k, i)) is not None
     )
+
+
+def _reference_cover_loop(space):
+    k = len(space.coords)
+    rows = space.equations
+    total = [Fraction(0)] * k
+    for i in range(k):
+        if total[i]:
+            continue
+        point = lp_feasible(rows, [0] * len(rows), _unit_lower(k, i))
+        if point is not None:
+            total = [a + b for a, b in zip(total, point)]
+    den = common_denominator(total)
+    return tuple(int(v * den) for v in total)
 
 
 def support_of(space):
@@ -671,36 +688,60 @@ def test_support_monotone_under_dropped_equations(rng):
 
 
 def _check_cover_loop(space, monkeypatch):
-    """The cover loop's support is the reference's, and it solves an LP
-    for exactly the coordinates no earlier certificate covers."""
-    want = _reference_support(space)
+    """`support_nonneg` returns the reference cover loop's point, with
+    exactly this LP sequence: a coordinate LP for each coordinate that the
+    running sum does not cover, in order; after each infeasible one, a
+    remainder LP whose extra row is 1 exactly on the later uncovered
+    coordinates, with right-hand side 1; and a stop at the first
+    infeasible remainder LP or empty remainder.  Returns the LP calls as
+    (is_remainder, point) pairs."""
+    k = len(space.coords)
+    rows = list(space.equations)
+    zeros = [0] * len(rows)
+    want = _reference_cover_loop(space)
     calls = []
 
-    def counting(rows, rhs, lower):
-        point = lp_feasible(rows, rhs, lower)
-        assert lower == _unit_lower(len(lower), lower.index(1))
-        calls.append((lower.index(1), point))
+    def counting(lp_rows, rhs, lower):
+        point = lp_feasible(lp_rows, rhs, lower)
+        calls.append((list(lp_rows), list(rhs), list(lower), point))
         return point
 
     with monkeypatch.context() as patch:
         patch.setattr(linsolve, "lp_feasible", counting)
-        got = support_of(space)
-    assert got == want
-    covered = set()
+        point = support_nonneg(space)
+    assert point == want
+    assert support_of(space) == _reference_support(space)
+
+    seen = []
+    total = [Fraction(0)] * k
     pending = iter(calls)
-    for i in range(len(space.coords)):
-        if i in covered:
+    for i in range(k):
+        if total[i]:
             continue
-        target, point = next(pending)
-        assert target == i
-        if point is not None:
-            covered.update(j for j, v in enumerate(point) if v)
+        lp_rows, rhs, lower, found = next(pending)
+        assert (lp_rows, rhs, lower) == (rows, zeros, _unit_lower(k, i))
+        seen.append((False, found))
+        if found is not None:
+            total = [a + b for a, b in zip(total, found)]
+            continue
+        rest = [int(j > i and total[j] == 0) for j in range(k)]
+        if not any(rest):
+            break
+        lp_rows, rhs, lower, found = next(pending)
+        assert (lp_rows, rhs, lower) == (rows + [rest], zeros + [1], [0] * k)
+        seen.append((True, found))
+        if found is None:
+            break
+        assert space.contains(found) and min(found) >= 0
+        assert sum(v for v, r in zip(found, rest) if r) == 1
     assert next(pending, None) is None
-    return len(calls)
+    if k >= 2 and not any(want):
+        assert len(calls) == 2
+    return seen
 
 
 def test_cover_loop_matches_per_coordinate_loop(rng, monkeypatch):
-    solved = coords = 0
+    kinds = collections.Counter()
     for _ in range(120):
         k = rng.randint(2, 7)
         rows = [
@@ -710,9 +751,39 @@ def test_cover_loop_matches_per_coordinate_loop(rng, monkeypatch):
         if rng.random() < 0.3:
             rows.append(list(rows[0]))
         space = LinearSubspace(tuple(range(k)), rows)
-        solved += _check_cover_loop(space, monkeypatch)
-        coords += k
-    assert solved < coords  # some coordinates were covered, not solved
+        seen = _check_cover_loop(space, monkeypatch)
+        solved = sum(not remainder for remainder, _ in seen)
+        kinds["covered"] += solved < k
+        kinds["feasible remainder"] += any(r and p is not None for r, p in seen)
+        kinds["early stop"] += any(r and p is None for r, p in seen)
+        kinds["empty support"] += not any(support_nonneg(space))
+    # every branch of the loop ran on some space
+    assert min(kinds.values()) > 5, kinds
+
+
+def test_cover_loop_lp_counts():
+    calls = []
+    real = linsolve.lp_feasible
+
+    def count(space):
+        calls.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linsolve, "lp_feasible", lambda *a: calls.append(a) or real(*a))
+            support_nonneg(space)
+        return len(calls)
+
+    # empty support: one coordinate LP and one remainder LP, for any k >= 2
+    for k in range(2, 7):
+        assert count(LinearSubspace(tuple(range(k)), [(1,) * k])) == 2
+    assert count(LinearSubspace((0,), [(1,)])) == 1
+    # x_0 = 0 and x_1 = x_2: the remainder LP over {1, 2} is feasible,
+    # and the point of the LP at 1 covers 2
+    assert count(LinearSubspace((0, 1, 2), [(1, 0, 0), (0, 1, -1)])) == 3
+    # x_0 = x_1 = 0 and x_2 = x_3: the remainder LPs after 0 and 1 are
+    # feasible, and the point of the LP at 2 covers 3
+    assert count(LinearSubspace((0, 1, 2, 3), [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, -1)])) == 5
+    # full support, covered by the first point: one LP
+    assert count(LinearSubspace((0, 1, 2), [(1, -1, 0), (0, 1, -1)])) == 1
 
 
 _small_rows = st.integers(1, 6).flatmap(
