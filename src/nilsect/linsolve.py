@@ -1,15 +1,22 @@
 """Exact linear algebra over Q and Z.
 
+The one row type is an integer row.  Every solver here takes int
+entries only (rows, right-hand sides, bounds, cone generators) and
+raises TypeError on any other, since a truncated entry would change the
+system; a rational system comes in with its denominators cleared.
+
 Contents:
 
 * Gauss-Jordan elimination, fraction-free: integer rows, each a
-  nonzero multiple of its rational row, gcd-reduced after every update;
-  nullspaces and subspace projection (variable elimination) on it;
+  nonzero multiple of its rational row, gcd-reduced after every update
+  by one pivot step (`matlie._pivot_step`); each pivot row ends primitive
+  and positive on its pivot; nullspaces and subspace projection
+  (variable elimination) on it;
 * an exact phase-1 simplex with Bland's rule on a fraction-free
   tableau: integer rows, each a positive multiple of its rational row,
-  so no Fraction arithmetic in the pivots and no floating point or
-  epsilon anywhere; every variable has a lower bound, so there are no
-  free variables to split;
+  one unit artificial column per row, so no Fraction arithmetic in the
+  pivots and no floating point or epsilon anywhere; every variable has
+  a lower bound, so there are no free variables to split;
 * a nonnegative integer point of a rational subspace with maximal
   support (a cover loop: one feasibility LP per coordinate that the sum
   of the certificates found so far does not cover, and after each
@@ -37,10 +44,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import BudgetExceeded
-from .matlie import common_denominator
+from .matlie import _pivot_step, _primitive_row, common_denominator
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -50,26 +57,36 @@ _ONE = Fraction(1)
 # Gaussian elimination
 
 
+def _require_ints(values, what):
+    """Raise TypeError unless every value is an int, since a truncated
+    one would change the system."""
+    for x in values:
+        if type(x) is not int:
+            raise TypeError(f"entry {x!r} of {what} is not an int")
+
+
 def _row_reduce(rows, ncols, pivot_order):
     """Gauss-Jordan reduction choosing pivot columns in the given order.
 
-    Entries are ints or Fractions.  Returns (reduced_rows, pivots), where
-    pivots lists (row_index, col_index) in the order found: the pivot for
-    a column is the first row not yet used whose entry there is nonzero.
-    Each pivot row comes back as Fractions, normalised to 1 on its pivot
-    and 0 on every other pivot column.  Every other row comes back as an
-    integer list, a nonzero rational multiple of the row that elimination
-    over Q (pivot row scaled to 1, then r - r[col] * p) leaves there.
+    Entries are ints; any other entry is a TypeError.  Returns
+    (reduced_rows, pivots), where pivots lists (row_index, col_index) in
+    the order found: the pivot for a column is the first row not yet used
+    whose entry there is nonzero.  Every row comes back as a primitive
+    integer list (gcd of its entries 1), a nonzero multiple of the row
+    that elimination over Q (pivot row scaled to 1, then r - r[col] * p)
+    leaves there; each pivot row is positive on its pivot and 0 on every
+    other pivot column, so divided by its pivot entry it is the pivot row
+    over Q.
 
-    The elimination is fraction-free.  Each row is scaled to integers by
-    its own common denominator; a pivot on entry a of row p replaces each
-    other row r by a * r - r[col] * p, divided by the gcd of its entries;
-    pivot rows are divided by their pivot entries only at the end.  By
-    induction every integer row is a nonzero multiple of its rational
-    counterpart at the same step, so the zero pattern, the pivot choices
-    and the normalised pivot rows are exactly those over Q.
+    The elimination is fraction-free: a pivot on row p replaces each
+    other row r by the pivot step (`_pivot_step`), divided by the gcd of
+    its entries.  By induction every row is a nonzero multiple of its
+    rational counterpart at the same step, so the zero pattern and the
+    pivot choices are exactly those over Q.
     """
-    mat = [_primitive_row(_integer_row(r)) for r in rows]
+    rows = [list(r) for r in rows]
+    _require_ints(itertools.chain(*rows), "a linear system")
+    mat = [_primitive_row(r) for r in rows]
     pivots = []
     used_rows = set()
     for col in pivot_order:
@@ -81,29 +98,21 @@ def _row_reduce(rows, ncols, pivot_order):
         if pivot_row is None:
             continue
         prow = mat[pivot_row]
-        a = prow[col]
         for i in range(len(mat)):
-            f = mat[i][col]
-            if f and i != pivot_row:
-                mat[i] = _primitive_row([a * x - f * p for x, p in zip(mat[i], prow)])
+            if mat[i][col] and i != pivot_row:
+                mat[i] = _pivot_step(mat[i], prow, col)
         used_rows.add(pivot_row)
         pivots.append((pivot_row, col))
     for r, c in pivots:
-        a = mat[r][c]
-        mat[r] = [Fraction(x, a) if x else _ZERO for x in mat[r]]
+        if mat[r][c] < 0:
+            mat[r] = [-x for x in mat[r]]
     return mat, pivots
-
-
-def _integer_row(row):
-    """The row times the common denominator of its entries, as ints."""
-    d = common_denominator(row)
-    return [x.numerator * (d // x.denominator) for x in row]
 
 
 def nullspace(rows, ncols=None):
     """Basis of {x : row . x = 0 for all rows}, as a list of Fraction tuples.
 
-    Entries of the rows are ints or Fractions.
+    Entries of the rows are ints.
     """
     rows = list(rows)
     if ncols is None:
@@ -121,7 +130,7 @@ def nullspace(rows, ncols=None):
         vec = [_ZERO] * ncols
         vec[free] = _ONE
         for r, c in pivots:
-            vec[c] = -mat[r][free]
+            vec[c] = Fraction(-mat[r][free], mat[r][c])
         basis.append(tuple(vec))
     return basis
 
@@ -129,10 +138,11 @@ def nullspace(rows, ncols=None):
 class LinearSubspace:
     """Q-linear subspace of Q^len(coords), given by homogeneous equations.
 
-    `coords` are hashable names in a fixed order; `equations` are rows
-    with row . x = 0, of ints or Fractions, kept as given: a row and any
-    nonzero multiple of it define the same space, so a builder may pass
-    integer rows.  A basis is computed on demand and cached.
+    `coords` are hashable names in a fixed order; `equations` are integer
+    rows with row . x = 0, kept as given (any other entry is a
+    TypeError): a rational row and any nonzero multiple of it define the
+    same space, so a builder clears its denominators first.  A basis is
+    computed on demand and cached.
 
     Two subspaces compare equal when their coordinates and their equation
     rows are equal, entry by entry and in order: equality of the
@@ -148,6 +158,7 @@ class LinearSubspace:
         for row in eqs:
             if len(row) != len(coords):
                 raise ValueError("equation length does not match coordinates")
+        _require_ints(itertools.chain(*eqs), "a subspace equation")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "equations", eqs)
         object.__setattr__(self, "_basis", None)
@@ -194,13 +205,14 @@ class Lift:
     `coords` are the space's coordinates and `kept` the positions of the
     kept ones among them.  `solved` pairs the position c of each dropped
     coordinate that `eliminate` pivoted on with its pivot row r over
-    `coords`, normalised to 1 on c and 0 on the other pivot columns:
-    x_c = -(r . x) over the kept positions once every dropped coordinate
-    without a pivot is set to 0.  `equations` are integer rows over the
-    kept coordinates that span the projection's equations.  Called on a
-    point of the projection, the lift returns the point of the space
-    with those kept coordinates; a point outside the projection is a
-    defect of the caller.
+    `coords`, an integer row positive on c and 0 on the other pivot
+    columns: x_c = -(r . x) / r[c] over the kept positions once every
+    dropped coordinate without a pivot is set to 0.  `equations` are
+    integer rows over the kept coordinates that span the projection's
+    equations.  Called on an integer point of the projection (any other
+    entry is a TypeError), the lift returns the rational point of the
+    space with those kept coordinates; a point outside the projection is
+    a defect of the caller.
     """
 
     coords: tuple
@@ -209,13 +221,15 @@ class Lift:
     equations: tuple
 
     def __call__(self, point) -> list:
+        _require_ints(point, "a point to lift")
         if any(sum(a * v for a, v in zip(row, point) if a and v) for row in self.equations):
             raise AssertionError("point lies outside the projection (defect)")
         full = [0] * len(self.coords)
         for i, v in zip(self.kept, point):
             full[i] = v
         for c, row in self.solved:
-            full[c] = -sum(row[i] * v for i, v in zip(self.kept, point) if v and row[i])
+            dot = sum(row[i] * v for i, v in zip(self.kept, point) if v and row[i])
+            full[c] = Fraction(-dot, row[c])
         return full
 
 
@@ -225,19 +239,20 @@ def eliminate(space: LinearSubspace, keep):
 
     A vector over `keep` lies in the projection iff it extends to a
     vector of the input space.  Implemented by fraction-free elimination
-    pivoting on the dropped columns first: the rows that get no pivot
-    then carry zero coefficients on every dropped column and span the
-    equations of the projection.  They come back as integer multiples of
-    the rational rows, which changes no span; the projection's equations
-    are the reduced row echelon form of that span, Fraction rows with
-    pivot entries 1, which is unique, so the output is the same as
-    elimination over Q gives.
+    (`_row_reduce`) pivoting on the dropped columns first: the rows that
+    get no pivot then carry zero coefficients on every dropped column and
+    span the equations of the projection.  The projection's equations are
+    the reduced echelon form of that span as primitive integer rows, each
+    positive on its pivot: the reduced row echelon form over Q, which is
+    unique, times the least common denominator of each row (a row holding
+    a 1 scales to a row with gcd 1).  So the output is the same as
+    elimination over Q gives, with each row cleared of its denominators.
 
-    Each pivot row, normalised to 1 on its dropped column c and 0 on the
-    other pivot columns, reads x_c + (dropped terms without a pivot) +
-    row . x_keep = 0.  With those dropped coordinates set to 0,
-    x_c = -row . x_keep extends any point of the projection to the
-    space: that is the lift.
+    Each pivot row r, which is positive on its dropped column c and 0 on
+    the other pivot columns, reads r[c] x_c + (dropped terms without a
+    pivot) + row . x_keep = 0.  With those dropped coordinates set to 0,
+    x_c = -(row . x_keep) / r[c] extends any point of the projection to
+    the space: that is the lift.
     """
     keep = list(keep)
     keep_set = set(keep)
@@ -267,13 +282,13 @@ def eliminate(space: LinearSubspace, keep):
 # Exact simplex (phase-1 feasibility)
 
 
-def _phase1(rows, dens, n):
+def _phase1(rows, n):
     """Point of {A u = b, u >= 0}, or None, by phase-1 simplex, Bland's rule.
 
-    `rows[i]` is the integer list dens[i] * (A_i | b_i) for a positive
-    integer dens[i].  The LP is the one over the rational rows (A_i | b_i),
-    each with its own artificial variable of cost 1; dens[i] only clears
-    that row's denominators.
+    `rows[i]` is the integer list (A_i | b_i).  Each row gets its own
+    artificial variable, with coefficient 1 and cost 1, so the cost row
+    starts as minus the sum of the rows (made nonnegative on the right)
+    and 0 on the artificial columns.
 
     The tableau is fraction-free: every row, and the cost row z, is kept
     as an integer list equal to its rational counterpart times some
@@ -284,34 +299,26 @@ def _phase1(rows, dens, n):
     (first negative reduced cost), the leaving row (least ratio, ties to
     the smallest basic index) and hence every pivot and the returned point
     are exactly those of the rational tableau.  A pivot on entry p of the
-    leaving row l replaces each other row r by p * r - r[e] * l.
+    leaving row l replaces each other row r by the pivot step
+    p * r - r[e] * l (`_pivot_step`).
     """
     m = len(rows)
     if m == 0:
         return [_ZERO] * n
     total = n + m
     T = []
-    for i, (row, d) in enumerate(zip(rows, dens)):
-        coefs = row[:n]
-        r = row[n]
-        if r < 0:
-            coefs = [-x for x in coefs]
-            r = -r
-        art = [0] * m
-        art[i] = d
-        T.append(coefs + art + [r])
-    basis = list(range(n, total))
-    # reduced costs for min sum(artificials), times lcm(dens): each row
-    # enters at weight 1, i.e. lcm/d_i in integers; artificial columns 0
-    big_l = lcm(*dens)
     z = [0] * (total + 1)
-    for row, d in zip(T, dens):
-        w = big_l // d
+    for i, row in enumerate(rows):
+        if row[n] < 0:
+            row = [-x for x in row]
+        art = [0] * m
+        art[i] = 1
+        T.append(row[:n] + art + [row[n]])
         for j in range(n):
-            if row[j]:
-                z[j] -= w * row[j]
-        z[total] -= w * row[total]
+            z[j] -= row[j]
+        z[total] -= row[n]
     z = _primitive_row(z)
+    basis = list(range(n, total))
 
     while True:
         enter = None
@@ -335,14 +342,11 @@ def _phase1(rows, dens, n):
         if leave is None:
             raise AssertionError("phase-1 objective unbounded (impossible)")
         prow = T[leave]
-        piv = prow[enter]
         for i in range(m):
-            f = T[i][enter]
-            if f and i != leave:
-                T[i] = _primitive_row([piv * a - f * p for a, p in zip(T[i], prow)])
-        f = z[enter]
-        if f:
-            z = _primitive_row([piv * a - f * p for a, p in zip(z, prow)])
+            if T[i][enter] and i != leave:
+                T[i] = _pivot_step(T[i], prow, enter)
+        if z[enter]:
+            z = _pivot_step(z, prow, enter)
         basis[leave] = enter
 
     if z[total] != 0:  # -(objective); nonzero means artificials stuck
@@ -354,51 +358,37 @@ def _phase1(rows, dens, n):
     return u
 
 
-def _primitive_row(row):
-    """The row divided by the gcd of its entries (unchanged if all zero)."""
-    g = gcd(*row)
-    if g > 1:
-        return [x // g for x in row]
-    return row
-
-
 def _simplex_feasible(rows, rhs, lower, upper=None):
     """Feasible x for {rows . x = rhs, lower_j <= x_j <= upper_j}, or None.
 
     `lower` has one bound per variable; `upper` is a per-variable list
     whose None entries are unbounded, or None for no upper bounds at all.
-    Entries of rows, rhs and bounds are ints or Fractions.  Variables are
-    shifted to nonnegative ones, and upper bounds become slack rows.  Each
-    standard-form row goes to `_phase1` as integers, times the common
-    denominator of its rational entries.
+    Entries of rows, rhs and bounds are ints; any other entry is a
+    TypeError.  Variables are shifted to nonnegative ones, and upper
+    bounds become slack rows; the standard-form rows go to `_phase1` as
+    they are.
     """
     nvars = len(lower)
     bounded = [j for j in range(nvars) if upper and upper[j] is not None]
+    _require_ints(
+        itertools.chain(*rows, rhs, lower, (upper[j] for j in bounded)), "an LP"
+    )
     width = nvars + len(bounded)
 
     int_rows = []
-    dens = []
     for row, target in zip(rows, rhs):
-        b = target - sum(coef * lower[j] for j, coef in enumerate(row) if coef and lower[j])
-        d = common_denominator(itertools.chain(row, (b,)))
         out = [0] * (width + 1)
-        for j, coef in enumerate(row):
-            if coef:
-                out[j] = coef.numerator * (d // coef.denominator)
-        out[width] = b.numerator * (d // b.denominator)
+        out[:nvars] = row
+        out[width] = target - sum(coef * lower[j] for j, coef in enumerate(row) if coef and lower[j])
         int_rows.append(out)
-        dens.append(d)
     for s, j in enumerate(bounded):
-        b = upper[j] - lower[j]
-        d = b.denominator
         out = [0] * (width + 1)
-        out[j] = d
-        out[nvars + s] = d
-        out[width] = b.numerator
+        out[j] = 1
+        out[nvars + s] = 1
+        out[width] = upper[j] - lower[j]
         int_rows.append(out)
-        dens.append(d)
 
-    u = _phase1(int_rows, dens, width)
+    u = _phase1(int_rows, width)
     if u is None:
         return None
     return [lo + v for lo, v in zip(lower, u)]
@@ -407,34 +397,34 @@ def _simplex_feasible(rows, rhs, lower, upper=None):
 def lp_feasible(rows, rhs, lower):
     """Rational point satisfying rows . x = rhs and x_j >= lower[j], or None.
 
-    `lower` gives every variable a rational lower bound (for a
+    `lower` gives every variable an integer lower bound (for a
     homogeneous system, a lower bound of 1 expresses strict positivity
-    up to scaling).  Entries of rows, rhs and lower are ints or
-    Fractions.  Exact arithmetic, no tolerances: the returned point
-    satisfies everything exactly.
+    up to scaling).  Entries of rows, rhs and lower are ints; any other
+    entry is a TypeError, so a rational system is passed with each row
+    cleared of its denominators.  Exact arithmetic, no tolerances: the
+    returned point satisfies everything exactly.
 
     Scaling: for one positive integer c, the system c A x = c b, with the
     same bounds, returns the same point as A x = b.  The bounds do not
     involve A, so the shifts are the same, and each standard-form row
     (shifted right-hand side included) is c times the unscaled one,
     negated where the unscaled one is.  Phase 1 solves min sum a_i over
-    A' u + a = b', one artificial a_i per row.  Over the rationals (where
-    `_phase1` makes its choices), row i of the scaled tableau is
-    c (A'_i | e_i / c | b'_i) and its cost row is c times the unscaled
-    one (whose artificial entries are 0).  So the scaled tableau, cost
-    row included, is c times the unscaled one, except that the artificial
-    columns are not multiplied by c.  A pivot keeps this form: the multiplier
-    T[i][e] / T[l][e] of each row update is a ratio within one column,
-    so the scales cancel.  Each choice agrees as well: every reduced cost
-    changes by a positive factor, so the first negative one is in the
-    same column; in the ratio test the entering column's scale divides
-    every ratio alike, so the least ratio and its tie break by basic
-    index pick the same row, among the same rows with a positive entry.
-    At the end the structural and right-hand-side columns carry the same
-    scale, so every basic value rhs / (basic entry) and the zero test of
-    the objective are unchanged.  The lemma needs one c for all rows:
-    distinct factors c_i weight the artificials in the cost differently,
-    and the pivots can then differ.
+    A' u + a = b', one artificial a_i of coefficient 1 per row.  Row i of
+    the scaled tableau is (c A'_i | e_i | c b'_i) and its cost row is c
+    times the unscaled one (whose artificial entries are 0).  So the
+    scaled tableau, cost row included, is c times the unscaled one,
+    except that the artificial columns are not multiplied by c.  A pivot
+    keeps this form: the multiplier T[i][e] / T[l][e] of each row update
+    is a ratio within one column, so the scales cancel.  Each choice
+    agrees as well: every reduced cost changes by a positive factor, so
+    the first negative one is in the same column; in the ratio test the
+    entering column's scale divides every ratio alike, so the least ratio
+    and its tie break by basic index pick the same row, among the same
+    rows with a positive entry.  At the end the structural and
+    right-hand-side columns carry the same scale, so every basic value
+    rhs / (basic entry) and the zero test of the objective are unchanged.
+    The lemma needs one c for all rows: distinct factors c_i weight the
+    artificials in the cost differently, and the pivots can then differ.
     """
     return _simplex_feasible(rows, rhs, lower)
 
@@ -462,10 +452,14 @@ def support_nonneg(space: LinearSubspace) -> tuple:
     would add to the sum.  So the LPs number at most the feasible coordinate LPs plus
     twice the infeasible ones, and exactly 2 on a space of k >= 2
     coordinates whose support is empty.
+
+    The LPs run on the space's integer equations as they are: the point
+    each returns depends on that presentation (see `lp_feasible`), the
+    support does not.
     """
     k = len(space.coords)
     rows = space.equations
-    rhs = [_ZERO] * len(rows)
+    rhs = [0] * len(rows)
     total = [_ZERO] * k
     for i in range(k):
         if total[i]:
@@ -560,12 +554,10 @@ def _column_echelon(A, m, k):
 
 def _integer_system(A, b):
     """A and b as lists of their int entries; any other entry is a
-    TypeError, since a truncated one would change the system."""
+    TypeError (`_require_ints`)."""
     A = [list(row) for row in A]
     b = list(b)
-    for x in itertools.chain(*A, b):
-        if type(x) is not int:
-            raise TypeError(f"entry {x!r} of an integer system is not an int")
+    _require_ints(itertools.chain(*A, b), "an integer system")
     return A, b
 
 
@@ -922,11 +914,11 @@ def cone_intersect_dim(c1: Cone2D, c2: Cone2D) -> ConeMeet:
             constraints.append(p)
     if not constraints:
         return ConeMeet(dim, (1, 0))
+    # some c is nonzero and n = -c fails c . n >= 0, so the feasible cone
+    # lies in a closed half-plane and is never the plane
     form = _feasible_cone(constraints)
     if form[0] == "zero":
         return ConeMeet(dim, None)
-    if form[0] == "plane":
-        return ConeMeet(dim, (1, 0))
     if form[0] in ("ray", "line"):
         return ConeMeet(dim, form[1])
     if form[0] == "wedge":

@@ -112,6 +112,23 @@ def common_denominator(values) -> int:
     return d
 
 
+def _primitive_row(row):
+    """The row divided by the gcd of its entries (unchanged if all zero)."""
+    g = gcd(*row)
+    if g > 1:
+        return [x // g for x in row]
+    return row
+
+
+def _pivot_step(row, prow, col):
+    """The fraction-free pivot step p * row - row[col] * prow, p =
+    prow[col] != 0, divided by the gcd of its entries: zero at `col`, and
+    a nonzero multiple (positive when p is) of the rational update
+    row - (row[col] / p) * prow."""
+    p, f = prow[col], row[col]
+    return _primitive_row([p * a - f * b for a, b in zip(row, prow)])
+
+
 # ---- the integer kernel: a table T over a denominator d stands for T/d
 
 
@@ -402,24 +419,17 @@ def _echelon_insert(basis, vec):
     its span; return the added row, or None.
 
     basis is a list of (pivot, row): each row is zero at the pivots of
-    the rows before it and nonzero at its own.  vec is reduced by
-    vec <- row[p] vec - vec[p] row against each row in turn, which keeps
-    it zero at the pivots already cleared, and every result is divided by
-    the gcd of its entries.
+    the rows before it and nonzero at its own.  vec is reduced by the
+    pivot step (`_pivot_step`) against each row in turn, which keeps it
+    zero at the pivots already cleared; the added row is primitive.
     """
     for p, row in basis:
-        c = vec[p]
-        if c:
-            r = row[p]
-            vec = [r * v - c * w for v, w in zip(vec, row)]
-            g = gcd(*vec)
-            if g > 1:
-                vec = [v // g for v in vec]
+        if vec[p]:
+            vec = _pivot_step(vec, row, p)
     pivot = next((i for i, v in enumerate(vec) if v), None)
     if pivot is None:
         return None
-    g = gcd(*vec)
-    row = tuple(v // g for v in vec)
+    row = tuple(_primitive_row(vec))
     basis.append((pivot, row))
     return row
 

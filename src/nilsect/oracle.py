@@ -78,9 +78,10 @@ def bfs_oracle(inst, depth: int, *, memory_budget=None):
     """First collision among the instance's sides, or None.
 
     For an intersection instance: a common product of all generator sets.
-    For an orbit instance: matching elements of T<G> and S<H>.  The
-    reported collision minimizes (total word length, letter tuples), so
-    reruns are deterministic.
+    For an orbit instance: matching elements of T<G> and S<H>, each side's
+    products translated by T or S; translation is injective, so no two
+    words of one side share a key.  The reported collision minimizes
+    (total word length, letter tuples), so reruns are deterministic.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -89,56 +90,30 @@ def bfs_oracle(inst, depth: int, *, memory_budget=None):
 
     if hasattr(inst, "systems"):  # intersection instance
         n = inst.n
-        maps = []
-        for sys in inst.systems:
-            gens = [(m.table, m.den) for m in sys.mats]
-            maps.append(_bfs_products(gens, n, depth, state, budget))
-        smallest = min(maps, key=len)
-        common = [
-            key for key in smallest if all(key in mp for mp in maps)
-        ]
-        if not common:
-            return None
-        best = min(
-            common,
-            key=lambda key: (
-                sum(len(mp[key]) for mp in maps),
-                tuple(mp[key] for mp in maps),
-            ),
-        )
-        words = tuple(
-            Word.from_letters(sys.K, mp[best])
-            for sys, mp in zip(inst.systems, maps)
-        )
-        return OracleResult(words, UnipotentMatrix.from_integer_table(*best))
-
-    # orbit instance: T * <G> vs S * <H>
-    n = 3
-    t_pair = inst.T.table, inst.T.den
-    s_pair = inst.S.table, inst.S.den
-    g_gens = [(m.table, m.den) for m in inst.G.mats]
-    h_gens = [(m.table, m.den) for m in inst.H.mats]
-    left_raw = _bfs_products(g_gens, n, depth, state, budget)
-    right_raw = _bfs_products(h_gens, n, depth, state, budget)
-    left = {}
-    for p, w in left_raw.items():
-        key = _times(t_pair, p, n)
-        if key not in left:
-            left[key] = w
-    right = {}
-    for q, w in right_raw.items():
-        key = _times(s_pair, q, n)
-        if key not in right:
-            right[key] = w
-    common = [key for key in left if key in right]
+        sides = [(sys, None) for sys in inst.systems]
+    else:  # orbit instance: T * <G> vs S * <H>
+        n = 3
+        sides = [(inst.G, inst.T), (inst.H, inst.S)]
+    maps = []
+    for sys, shift in sides:
+        gens = [(m.table, m.den) for m in sys.mats]
+        products = _bfs_products(gens, n, depth, state, budget)
+        if shift is not None:
+            pair = shift.table, shift.den
+            products = {_times(pair, p, n): w for p, w in products.items()}
+        maps.append(products)
+    smallest = min(maps, key=len)
+    common = [key for key in smallest if all(key in mp for mp in maps)]
     if not common:
         return None
     best = min(
         common,
-        key=lambda key: (len(left[key]) + len(right[key]), left[key], right[key]),
+        key=lambda key: (
+            sum(len(mp[key]) for mp in maps),
+            tuple(mp[key] for mp in maps),
+        ),
     )
-    words = (
-        Word.from_letters(inst.G.K, left[best]),
-        Word.from_letters(inst.H.K, right[best]),
+    words = tuple(
+        Word.from_letters(sys.K, mp[best]) for (sys, _), mp in zip(sides, maps)
     )
     return OracleResult(words, UnipotentMatrix.from_integer_table(*best))

@@ -17,6 +17,13 @@ def h3(a, b, c) -> UnipotentMatrix:
     return UnipotentMatrix([[1, a, c], [0, 1, b], [0, 0, 1]])
 
 
+def cleared(row):
+    """The rational row times the least common denominator of its entries,
+    as a list of ints: the integer row the linear solvers take for it."""
+    d = lcm(*(Fraction(x).denominator for x in row))
+    return [int(x * d) for x in row]
+
+
 def random_unipotent(rng: random.Random, n: int, bound: int = 100) -> UnipotentMatrix:
     rows = [
         [

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import nilsect
 from nilsect import (
     IntersectionInstance,
     OrbitInstance,
@@ -19,6 +21,19 @@ from nilsect.cli import EXIT_INTERNAL_ERROR, EXIT_NONEMPTY, SCHEMA, main, run
 from conftest import verify_orbit_witness, verify_witness
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def run_module(*args):
+    """`python -m nilsect.cli` with the arguments, in a child process that
+    imports the package these tests import."""
+    src = str(Path(nilsect.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "nilsect.cli", *map(str, args)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 UT3 = """
 version 1
@@ -326,11 +341,7 @@ def test_usage_errors_exit_as_input_errors(capsys):
             main(argv)
         assert exit_.value.code == 0
         assert "usage: decide" in capsys.readouterr().out
-    out = subprocess.run(
-        [sys.executable, "-m", "nilsect.cli", "orbit", orbit_file, "--bogus"],
-        capture_output=True,
-        text=True,
-    )
+    out = run_module("orbit", orbit_file, "--bogus")
     assert out.returncode == 3 and "unrecognized arguments: --bogus" in out.stderr
 
 
@@ -393,12 +404,7 @@ def test_witness_longer_than_index_sized_exits_nonempty(capsys):
 
 
 def test_console_script_installed():
-    out = subprocess.run(
-        [sys.executable, "-m", "nilsect.cli", "oracle",
-         str(SAMPLES / "commutator.txt"), "--depth", "4", "--json"],
-        capture_output=True,
-        text=True,
-    )
+    out = run_module("oracle", SAMPLES / "commutator.txt", "--depth", "4", "--json")
     assert out.returncode == 1
     payload = json.loads(out.stdout)
     assert payload["verdict"] == "collision"

@@ -27,6 +27,7 @@ from nilsect import (
 from nilsect.matlie import common_denominator
 
 from conftest import (
+    cleared,
     embed_coords,
     h3,
     random_h3_system,
@@ -221,7 +222,8 @@ def test_witness_past_index_sized_length():
 # ---------------------------------------------------------------------------
 # The solve that the stored lift replaced, kept as the reference: one
 # exact row reduction of the final condition space with the counts fixed,
-# every free pair coordinate set to 0, scaled to integers.
+# every free pair coordinate set to 0 and each pivot row divided by its
+# pivot entry, scaled to integers.
 
 
 def _reference_lift(space, fixed):
@@ -237,7 +239,7 @@ def _reference_lift(space, fixed):
         raise AssertionError("point lies outside the projection (defect)")
     rest = [Fraction(0)] * nfree
     for r, c in pivots:
-        rest[c] = mat[r][nfree]
+        rest[c] = Fraction(mat[r][nfree], mat[r][c])
     return [Fraction(v) for v in fixed] + rest
 
 
@@ -421,10 +423,12 @@ def test_extract_witness_runs_no_row_reduction(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # The condition space on Fraction rows, from the Fraction logs and brackets
-# of the generators, that the integer rows replaced; kept as the reference.
+# of the generators, that the integer rows replaced; kept as the reference,
+# as coordinates and Fraction rows, and as a space on those rows each
+# cleared of its own denominators.
 
 
-def _reference_build_condition_space(inst, supports):
+def _reference_condition_rows(inst, supports):
     n = inst.n
     coords = []
     for m, sys in enumerate(inst.systems):
@@ -468,7 +472,12 @@ def _reference_build_condition_space(inst, supports):
                         nonzero = True
                 if nonzero:
                     rows.append(tuple(row))
-    return LinearSubspace(coords, rows)
+    return coords, rows
+
+
+def _reference_build_condition_space(inst, supports):
+    coords, rows = _reference_condition_rows(inst, supports)
+    return LinearSubspace(coords, [cleared(row) for row in rows])
 
 
 SQRT2 = NumberField([-2, 0, 1])
@@ -546,10 +555,10 @@ def test_condition_space_matches_reference(rng):
         ]
         for supports in (full, shrunk):
             got = build_condition_space(inst, supports)
-            want = _reference_build_condition_space(inst, supports)
-            assert got.coords == want.coords
-            assert len(got.equations) == len(want.equations)
-            for row, ref in zip(got.equations, want.equations):
+            coords, want = _reference_condition_rows(inst, supports)
+            assert got.coords == tuple(coords)
+            assert len(got.equations) == len(want)
+            for row, ref in zip(got.equations, want):
                 assert all(type(v) is int for v in row)
                 assert _positive_multiple(row, ref), (row, ref)
             rows += len(got.equations)
@@ -690,3 +699,25 @@ def test_sample_lp_counts(monkeypatch, name, verdict, rounds, lps, reference_rou
         lps,
     )
     assert _reference_decide(inst).details["iterations"] == reference_rounds
+
+
+def test_commutator_sample_point_scale_and_runs():
+    # pinned: the support point of the projection, the witness scale and
+    # the witness runs of samples/commutator.txt, which a change of the
+    # phase-1 simplex's choices (its costs or its pivot rule) would move
+    inst = load_instance_file(SAMPLES / "commutator.txt").build()
+    d = decide_intersection(inst)
+    assert d.details["support_point"] == (1, 1, 1, 1, 1)
+    w = extract_witness(inst, d)
+    assert w.details["scale"] == 1156
+    assert [word.runs for word in w.witnesses] == [
+        (
+            (0, 4), (1, 4), (2, 4), (3, 4), (0, 192), (1, 192), (0, 191),
+            (2, 8), (0, 1), (2, 184), (0, 191), (3, 8), (0, 1), (3, 184),
+            (1, 191), (2, 8), (1, 1), (2, 184), (1, 191), (3, 8), (1, 1),
+            (3, 184), (2, 191), (3, 8), (2, 1), (3, 376), (2, 192), (3, 192),
+            (1, 192), (2, 192), (1, 192), (3, 192), (0, 192), (2, 192),
+            (0, 197), (1, 4), (0, 1), (1, 188), (0, 186),
+        ),
+        ((0, 1156),),
+    ]

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -28,6 +29,8 @@ from nilsect import intersect, linsolve
 from nilsect.linsolve import ILP_NODE_CAP, _row_reduce, _simplex_feasible
 from nilsect.matlie import common_denominator
 
+from conftest import cleared
+
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
@@ -42,7 +45,7 @@ def test_nullspace_spans_kernel(rng):
     for _ in range(40):
         ncols = rng.randint(2, 5)
         rows = [
-            tuple(Fraction(rng.randint(-4, 4)) for _ in range(ncols))
+            tuple(rng.randint(-4, 4) for _ in range(ncols))
             for _ in range(rng.randint(0, 4))
         ]
         basis = nullspace(rows, ncols)
@@ -72,8 +75,11 @@ def test_eliminate_examples():
     # the kept coordinates in any order, a dropped one free: c = 0
     s = LinearSubspace(("c", "x", "d", "y"), [(0, 2, 0, -1), (1, 0, 1, 3)])
     p, lift = eliminate(s, ["y", "x"])
-    assert p.equations == ((Fraction(1), Fraction(-2)),)
-    assert lift([Fraction(1, 2), Fraction(1, 4)]) == [Fraction(-3, 2), Fraction(1, 4), 0, Fraction(1, 2)]
+    assert p.equations == ((1, -2),)
+    assert lift([2, 1]) == [-6, 1, 0, 2]
+    # the lift divides by the pivot entry: x = 2c gives c = 1/2 at x = 1
+    p, lift = eliminate(LinearSubspace(("x", "c"), [(-1, 2)]), ["x"])
+    assert p.equations == () and lift([1]) == [1, Fraction(1, 2)]
 
 
 def test_eliminate_matches_enumeration(rng):
@@ -85,7 +91,7 @@ def test_eliminate_matches_enumeration(rng):
         keep_count = rng.randint(1, ncols - 1)
         names = tuple(range(ncols))
         rows = [
-            tuple(Fraction(rng.randint(-3, 3)) for _ in range(ncols))
+            tuple(rng.randint(-3, 3) for _ in range(ncols))
             for _ in range(rng.randint(1, 3))
         ]
         space = LinearSubspace(names, rows)
@@ -105,22 +111,27 @@ def test_eliminate_matches_enumeration(rng):
             assert projected.contains(point)
         # completeness: the projected space has no more dimensions than
         # the span of the enumerated points
-        span_rows = [list(p) for p in enumerated]
+        span_rows = [cleared(p) for p in enumerated]
         _, pivots = _row_reduce(span_rows, keep_count, range(keep_count))
         span_dim = len(pivots)
         assert projected.dim() == span_dim
-        # the lift extends each point of the projection into the space
+        # the lift extends each point of the projection, scaled to an
+        # integer point, into the space
         for point in list(enumerated)[:10] + list(projected.basis()):
+            point = cleared(point)
             lifted = lift(point)
-            assert space.contains(lifted) and tuple(lifted[:keep_count]) == tuple(point)
+            assert space.contains(lifted) and lifted[:keep_count] == point
 
 
 # ---------------------------------------------------------------------------
 # The Gauss-Jordan reduction over Fraction that the fraction-free one
-# replaced, kept as the reference: the integer reduction must take its
-# pivots, return its normalised pivot rows exactly and every other row up
-# to a nonzero rational factor, and `eliminate` and `nullspace` built on
-# it must return exactly what they return on the reference.
+# replaced, kept as the reference on the same integer rows: the integer
+# reduction must take its pivots, return each of its rows up to a nonzero
+# rational factor as a primitive integer row, and each pivot row positive
+# on its pivot, so that divided by that entry it is the reference's
+# normalised pivot row; and `eliminate` and `nullspace` built on it must
+# return exactly what they return on the reference with every row cleared
+# of its denominators (`_cleared_reference_row_reduce`).
 
 
 def _reference_row_reduce(rows, ncols, pivot_order):
@@ -146,6 +157,15 @@ def _reference_row_reduce(rows, ncols, pivot_order):
     return mat, pivots
 
 
+def _cleared_reference_row_reduce(rows, ncols, pivot_order):
+    mat, pivots = _reference_row_reduce(rows, ncols, pivot_order)
+    return [cleared(row) for row in mat], pivots
+
+
+def _is_primitive(row):
+    return all(type(v) is int for v in row) and math.gcd(*row) in (0, 1)
+
+
 def _nonzero_multiple(row, ref):
     """Whether row = q * ref for a rational q != 0."""
     k = next((i for i, v in enumerate(ref) if v), None)
@@ -162,10 +182,9 @@ def _check_row_reduce(rows, ncols, order):
     assert len(got) == len(want)
     pivot_rows = {r for r, _ in pivots}
     for i, (row, ref) in enumerate(zip(got, want)):
-        if i in pivot_rows:
-            assert row == ref and all(type(v) is Fraction for v in row)
-        else:
-            assert _nonzero_multiple(row, ref), (rows, order, i)
+        assert _is_primitive(row) and _nonzero_multiple(row, ref), (rows, order, i)
+    for r, c in pivots:
+        assert got[r][c] > 0 and [Fraction(v, got[r][c]) for v in got[r]] == want[r]
     return len(pivots)
 
 
@@ -175,7 +194,7 @@ def _check_on_reference(rows, ncols, keep):
     space = LinearSubspace(range(ncols), rows)
     got = eliminate(space, keep), nullspace(rows, ncols)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linsolve, "_row_reduce", _reference_row_reduce)
+        patch.setattr(linsolve, "_row_reduce", _cleared_reference_row_reduce)
         want = eliminate(space, keep), nullspace(rows, ncols)
     (projected, lift), basis = got
     (want_projected, want_lift), want_basis = want
@@ -184,12 +203,13 @@ def _check_on_reference(rows, ncols, keep):
     ), (rows, keep)
     assert len(lift.equations) == len(want_lift.equations)
     for row, ref in zip(lift.equations, want_lift.equations):
-        assert all(type(v) is int for v in row) and _nonzero_multiple(row, ref)
-    assert all(type(v) is Fraction for row in projected.equations for v in row)
+        assert _is_primitive(row) and _nonzero_multiple(row, ref)
+    assert all(_is_primitive(row) for row in projected.equations)
     assert all(type(v) is Fraction for vec in basis for v in vec)
     for vec in projected.basis():
+        vec = cleared(vec)
         point = lift(vec)
-        assert space.contains(point) and [point[i] for i in keep] == list(vec)
+        assert space.contains(point) and [point[i] for i in keep] == vec
 
 
 def _random_entry(rng):
@@ -202,8 +222,9 @@ def _random_entry(rng):
 
 
 def _random_rows(rng, ncols):
-    """Rows of int and Fraction entries with mixed denominators, with
-    zero rows, duplicates and rational multiples of earlier rows."""
+    """Integer rows: rows of int and Fraction entries with mixed
+    denominators, with zero rows, duplicates and rational multiples of
+    earlier rows, each cleared of its denominators."""
     rows = []
     for _ in range(rng.randint(0, 6)):
         kind = rng.random()
@@ -216,6 +237,7 @@ def _random_rows(rng, ncols):
             rows.append([rng.choice((0, Fraction(0)))] * ncols)
         else:
             rows.append([_random_entry(rng) for _ in range(ncols)])
+    rows = [cleared(r) for r in rows]
     if rows and rng.random() < 0.5:
         rows = [tuple(r) for r in rows]
     return rows
@@ -246,6 +268,7 @@ _entries = st.one_of(
 def _reductions(draw):
     ncols = draw(st.integers(1, 6))
     rows = draw(st.lists(st.lists(_entries, min_size=ncols, max_size=ncols), max_size=5))
+    rows = [cleared(r) for r in rows]
     if rows and draw(st.booleans()):
         rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
     if draw(st.booleans()):
@@ -267,9 +290,9 @@ def test_row_reduce_matches_reference_hypothesis(drawn):
 
 def test_subspace_value_equality():
     a = LinearSubspace(("x", "y"), [(1, 2)])
-    b = LinearSubspace(("x", "y"), [(Fraction(1), Fraction(2))])
+    b = LinearSubspace(["x", "y"], [[1, 2]])
     assert a == b and hash(a) == hash(b)
-    assert a.equations == ((1, 2),)  # rows are kept as given
+    assert a.equations == ((1, 2),)  # rows are kept as given, as tuples
     assert a != LinearSubspace(("x", "y"), [(2, 4)])  # same space, other rows
     assert a != LinearSubspace(("y", "x"), [(1, 2)])
 
@@ -280,8 +303,8 @@ def test_lp_examples():
     assert lp_feasible([(1, 0)], [-1], [0, 0]) is None
     pt = lp_feasible([(1, -1)], [0], [1, 0])
     assert pt is not None and pt[0] == pt[1] and pt[0] >= 1
-    pt = lp_feasible([(1, 1)], [0], [-2, Fraction(1, 2)])
-    assert pt is not None and pt[0] == -pt[1] and pt[0] >= -2 and pt[1] >= Fraction(1, 2)
+    pt = lp_feasible([(1, 1)], [0], [-2, 1])
+    assert pt is not None and pt[0] == -pt[1] and pt[0] >= -2 and pt[1] >= 1
 
 
 def test_lp_exactness(rng):
@@ -292,17 +315,24 @@ def test_lp_exactness(rng):
             for _ in range(rng.randint(1, 3))
         ]
         rhs = [Fraction(rng.randint(-6, 6)) for _ in rows]
-        pt = lp_feasible(rows, rhs, [0] * nvars)
+        pt = lp_feasible(*_cleared_system(rows, rhs), [0] * nvars)
         if pt is not None:
             assert all(v >= 0 for v in pt)
             for row, target in zip(rows, rhs):
                 assert sum(a * x for a, x in zip(row, pt)) == target
 
 
+def _cleared_system(rows, rhs):
+    """(rows, rhs) with each row and its right-hand side cleared of their
+    denominators: the integer system of the same points."""
+    full = [cleared([*row, t]) for row, t in zip(rows, rhs)]
+    return [r[:-1] for r in full], [r[-1] for r in full]
+
+
 # ---------------------------------------------------------------------------
 # The rational phase-1 simplex that the fraction-free tableau replaced, kept
-# as the reference: the integer tableau must take exactly its pivots and
-# return exactly its points.
+# as the reference on the same integer rows: the integer tableau must take
+# exactly its pivots and return exactly its points.
 
 
 def _reference_phase1(A, b, n, stats):
@@ -457,17 +487,17 @@ def _reference_ilp_search(A, b, nonzero_groups=(), lp=_reference_simplex_feasibl
             if down >= lower[frac]:
                 u2 = list(upper)
                 if u2[frac] is None or down < u2[frac]:
-                    u2[frac] = Fraction(down)
+                    u2[frac] = down
                 found = recurse(lower, u2)
                 if found is not None:
                     return found
             if up <= box and (upper[frac] is None or up <= upper[frac]):
                 l2 = list(lower)
-                l2[frac] = Fraction(up)
+                l2[frac] = up
                 return recurse(l2, upper)
             return None
 
-        return recurse([Fraction(0)] * k, [None] * k)
+        return recurse([0] * k, [None] * k)
 
     for choice in itertools.product(*groups):
         shifted = list(b)
@@ -487,6 +517,9 @@ def _random_rational(rng, bound):
 
 
 def _random_bounded_system(rng):
+    """Integer rows with rational ones cleared, and integer bounds: 0, 1
+    or anything in -3..3 below, and in some variables an upper bound at
+    most 4 above (or below) the lower one."""
     nvars = rng.randint(1, 5)
     m = rng.randint(0, 4)
     if rng.random() < 0.3:
@@ -499,15 +532,13 @@ def _random_bounded_system(rng):
             for _ in range(m)
         ]
         rhs = [_random_rational(rng, 6) for _ in range(m)]
+        rows, rhs = _cleared_system(rows, rhs)
     lower, upper = [], []
     for _ in range(nvars):
-        kind = rng.choice(("zero", "rational", "one"))
-        lo = {"zero": 0, "one": Fraction(1)}.get(kind)
-        if kind == "rational":
-            lo = _random_rational(rng, 3)
+        lo = rng.choice((0, 1, rng.randint(-3, 3)))
         lower.append(lo)
         if rng.random() < 0.35:
-            upper.append(lo + _random_rational(rng, 4))
+            upper.append(lo + rng.randint(-4, 4))
         else:
             upper.append(None)
     return rows, rhs, lower, upper
@@ -538,13 +569,13 @@ def test_simplex_reference_points_on_degenerate_supports(rng):
     for _ in range(150):
         k = rng.randint(2, 6)
         rows = [
-            [Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(k)]
+            cleared([Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(k)])
             for _ in range(rng.randint(1, 4))
         ]
         rows.append(list(rows[0]))  # a duplicated row ties every ratio
         for i in range(k):
             lower = [0] * k
-            lower[i] = Fraction(1)
+            lower[i] = 1
             want = _reference_simplex_feasible(rows, [0] * len(rows), lower, None, stats)
             got = lp_feasible(rows, [0] * len(rows), lower)
             assert got == want
@@ -563,9 +594,10 @@ def _bounded_systems(draw):
     row = st.lists(_rationals, min_size=nvars, max_size=nvars)
     rows = draw(st.lists(row, min_size=m, max_size=m))
     rhs = draw(st.lists(_rationals, min_size=m, max_size=m))
-    lower = draw(st.lists(_rationals, min_size=nvars, max_size=nvars))
-    upper = draw(st.lists(st.one_of(st.none(), _rationals), min_size=nvars, max_size=nvars))
-    return rows, rhs, lower, upper
+    bound = st.integers(-5, 5)
+    lower = draw(st.lists(bound, min_size=nvars, max_size=nvars))
+    upper = draw(st.lists(st.one_of(st.none(), bound), min_size=nvars, max_size=nvars))
+    return *_cleared_system(rows, rhs), lower, upper
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -668,7 +700,7 @@ def test_support_matches_brute_force(rng):
     for _ in range(25):
         k = rng.randint(2, 3)
         rows = [
-            tuple(Fraction(rng.randint(-2, 2)) for _ in range(k))
+            tuple(rng.randint(-2, 2) for _ in range(k))
             for _ in range(rng.randint(1, 2))
         ]
         space = LinearSubspace(tuple(range(k)), rows)
@@ -679,7 +711,7 @@ def test_support_monotone_under_dropped_equations(rng):
     for _ in range(20):
         k = rng.randint(2, 4)
         rows = [
-            tuple(Fraction(rng.randint(-2, 2)) for _ in range(k))
+            tuple(rng.randint(-2, 2) for _ in range(k))
             for _ in range(2)
         ]
         big = support_of(LinearSubspace(tuple(range(k)), rows[:1]))
@@ -745,7 +777,7 @@ def test_cover_loop_matches_per_coordinate_loop(rng, monkeypatch):
     for _ in range(120):
         k = rng.randint(2, 7)
         rows = [
-            [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(k)]
+            cleared([Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(k)])
             for _ in range(rng.randint(1, 4))
         ]
         if rng.random() < 0.3:
@@ -789,7 +821,7 @@ def test_cover_loop_lp_counts():
 _small_rows = st.integers(1, 6).flatmap(
     lambda k: st.lists(
         st.lists(_rationals, min_size=k, max_size=k), min_size=0, max_size=4
-    ).map(lambda rows: (k, rows))
+    ).map(lambda rows: (k, [cleared(r) for r in rows]))
 )
 
 
@@ -822,12 +854,12 @@ def solve_in_lattice(sol: IntegerSolutionSet, x):
     if not basis:
         return [] if all(v == 0 for v in diff) else None
     ncols = len(basis)
-    rows = [[Fraction(basis[j][i]) for j in range(ncols)] for i in range(len(diff))]
-    mat = [row + [Fraction(d)] for row, d in zip(rows, diff)]
+    rows = [[basis[j][i] for j in range(ncols)] for i in range(len(diff))]
+    mat = [row + [d] for row, d in zip(rows, diff)]
     reduced, pivots = _row_reduce(mat, ncols + 1, range(ncols))
     coeffs = [Fraction(0)] * ncols
     for r, c in pivots:
-        coeffs[c] = reduced[r][ncols]
+        coeffs[c] = Fraction(reduced[r][ncols], reduced[r][c])
     # consistency and integrality
     for i in range(len(diff)):
         if sum(rows[i][j] * coeffs[j] for j in range(ncols)) != diff[i]:
@@ -876,6 +908,29 @@ def test_integer_solvers_refuse_non_int_entries():
             call()
     assert hnf_solve([[2]], [4]).particular == (2,)
     assert ilp_feasible_nonneg([[1, 1]], [5]) is not None
+
+
+# a Fraction entry, even one of denominator 1, in each input of each
+# solver; every solver takes int entries only
+FRACTION_ENTRIES = {
+    "LinearSubspace": lambda: LinearSubspace((0, 1), [(1, Fraction(1, 2))]),
+    "LinearSubspace-integral": lambda: LinearSubspace((0, 1), [(1, Fraction(2))]),
+    "nullspace": lambda: nullspace([(Fraction(1, 2), 1)]),
+    "lift": lambda: eliminate(LinearSubspace((0, 1), [(1, -1)]), [0])[1]([Fraction(1, 2)]),
+    "lp_feasible-row": lambda: lp_feasible([(Fraction(1, 2), 1)], [1], [0, 0]),
+    "lp_feasible-rhs": lambda: lp_feasible([(1, 1)], [Fraction(1, 2)], [0, 0]),
+    "lp_feasible-lower": lambda: lp_feasible([(1, 1)], [1], [0, Fraction(1, 2)]),
+    "simplex-upper": lambda: _simplex_feasible([(1, 1)], [1], [0, 0], [None, Fraction(1, 2)]),
+    "hnf_solve": lambda: hnf_solve([[Fraction(1, 2)]], [1]),
+    "ilp_feasible_nonneg": lambda: ilp_feasible_nonneg([[1, 1]], [Fraction(5, 2)]),
+    "Cone2D": lambda: Cone2D([(Fraction(1, 2), 1)]),
+}
+
+
+@pytest.mark.parametrize("call", FRACTION_ENTRIES.values(), ids=FRACTION_ENTRIES.keys())
+def test_solvers_refuse_fraction_entries(call):
+    with pytest.raises(TypeError, match="is not an int|is not a pair of ints"):
+        call()
 
 
 def test_hnf_matches_box_brute_force(rng):
@@ -951,21 +1006,18 @@ def assert_lp_scaling_keeps_point(rows, rhs, lower, c):
 
 def random_lower(rng, nvars, strict):
     """Lower bounds for `lp_feasible`: 0 on every variable, or with
-    `strict` a rational on some of them."""
+    `strict` an integer in -3..3 on some of them."""
     return [
-        Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        if strict and rng.random() < 0.5
-        else 0
+        rng.randint(-3, 3) if strict and rng.random() < 0.5 else 0
         for _ in range(nvars)
     ]
 
 
 def test_lp_ignores_one_positive_row_scale(rng):
-    # c = 3 clears the row denominators unevenly (2 and 6 become 2 and
-    # 2): a phase-1 cost that weighted rows by their denominators would
-    # end at another vertex here
-    rows = [[-1, -1, 1], [Fraction(1, 3), Fraction(1, 2), 0]]
-    assert assert_lp_scaling_keeps_point(rows, [Fraction(3, 2), 3], [0] * 3, 3)
+    # the rows of a rational system with denominators 2 and 6, each
+    # cleared of its own, and one factor c = 3 on both
+    rows = [[-2, -2, 2], [2, 3, 0]]
+    assert assert_lp_scaling_keeps_point(rows, [3, 18], [0] * 3, 3)
     feasible = []
     for trial in range(300):
         nvars, m = rng.randint(2, 5), rng.randint(1, 3)
@@ -976,7 +1028,7 @@ def test_lp_ignores_one_positive_row_scale(rng):
         rhs = [Fraction(rng.randint(-6, 6), rng.randint(1, 2)) for _ in range(m)]
         c = rng.choice((1, 2, 3, 6, 10, 2**40))
         lower = random_lower(rng, nvars, strict=trial % 2 == 1)
-        feasible.append(assert_lp_scaling_keeps_point(rows, rhs, lower, c))
+        feasible.append(assert_lp_scaling_keeps_point(*_cleared_system(rows, rhs), lower, c))
     assert feasible.count(True) >= 50 and feasible.count(False) >= 20
     # the balancing-combination form: homogeneous, every variable >= 1
     for _ in range(100):
@@ -1006,10 +1058,10 @@ def lp_systems(draw, strict):
     entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
     rows = draw(st.lists(st.lists(entry, min_size=nvars, max_size=nvars), min_size=m, max_size=m))
     rhs = draw(st.lists(entry, min_size=m, max_size=m))
-    bound = st.one_of(st.just(0), entry) if strict else st.just(0)
+    bound = st.one_of(st.just(0), st.integers(-6, 6)) if strict else st.just(0)
     lower = draw(st.lists(bound, min_size=nvars, max_size=nvars))
     c = draw(st.integers(1, 60))
-    return rows, rhs, lower, c
+    return *_cleared_system(rows, rhs), lower, c
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -1012,12 +1012,16 @@ def test_f11_hard_census(monkeypatch):
 
 def reference_positive_combination(g_logs, h_logs):
     """Reference: the balancing combination from the Fraction
-    superdiagonals, the LP the integer one replaced."""
+    superdiagonals, the LP the integer one replaced, with its two rows
+    cleared by one common denominator (the one-factor lemma of
+    `lp_feasible`)."""
     K, M = len(g_logs), len(h_logs)
     rows = [
         [x[comp] for x in g_logs] + [-y[comp] for y in h_logs] for comp in range(2)
     ]
-    point = lp_feasible(rows, [0, 0], [Fraction(1)] * (K + M))
+    den = common_denominator(itertools.chain(*rows))
+    rows = [[int(v * den) for v in row] for row in rows]
+    point = lp_feasible(rows, [0, 0], [1] * (K + M))
     den = common_denominator(point)
     scaled = [int(v * den) for v in point]
     return scaled[:K], scaled[K:]
