@@ -61,7 +61,9 @@ class IntersectionInstance:
     2-step nilpotent group: [[x_i, x_j], x_k] = 0 for the generator logs
     x_i, which by the Mal'cev correspondence and Jacobi is equivalent (see
     `is_two_step`).  The decision procedure's guarantees do not extend
-    beyond that class.
+    beyond that class.  When no path of length 3 runs through the logs'
+    support, all their triple products vanish and no bracket is taken;
+    the check reads the logs, which the decision needs anyway.
     """
 
     __slots__ = ("n", "systems", "set_names")

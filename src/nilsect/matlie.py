@@ -434,6 +434,33 @@ def _echelon_insert(basis, vec):
     return row
 
 
+def _support_has_path_of_length_3(tables, n):
+    """Whether S, the positions (r, c) where some table is nonzero, holds
+    a path r -> s -> t -> c: whether S^3 != 0 as a boolean product.
+
+    Row r of S is a bit mask of its columns; a row of S^(k+1) is the OR
+    of the rows of S at the columns set in that row of S^k.
+    """
+    step = [0] * n
+    for x in tables:
+        for r, row in enumerate(x):
+            for c, v in enumerate(row):
+                if v:
+                    step[r] |= 1 << c
+    reach = step
+    for _ in range(2):
+        nxt = []
+        for mask in reach:
+            acc = 0
+            while mask:
+                low = mask & -mask
+                acc |= step[low.bit_length() - 1]
+                mask ^= low
+            nxt.append(acc)
+        reach = nxt
+    return any(reach)
+
+
 def is_two_step(gens: GeneratorSystem) -> bool:
     """Whether the group generated is 2-step nilpotent.
 
@@ -444,18 +471,32 @@ def is_two_step(gens: GeneratorSystem) -> bool:
     [x_i, x_j] is a subalgebra; it holds every generator, hence the whole
     algebra, so every bracket of three or more elements vanishes.
 
-    The condition is tested on a basis, not on every triple: ad x_k is
-    linear, so it kills every [x_i, x_j] iff it kills each element of a
-    basis of their span, and that span has dimension at most dim [g, g].
-    The basis is an integer echelon basis (`_echelon_insert`) of the
-    brackets [X_i, X_j] of the integer logs X_i = D_i x_i that the
+    First the support pattern: let S be the set of positions (r, c) where
+    some log is nonzero.  Entry (r, c) of a product x_a x_b x_c is the sum
+    over s, t of x_a[r][s] x_b[s][t] x_c[t][c], and a term is nonzero only
+    if (r, s), (s, t) and (t, c) all lie in S: a path of length 3 in S.
+    So if S has no such path (S^3 = 0 as a boolean product), every triple
+    product of logs vanishes, with it every [[x_i, x_j], x_k], and the
+    answer is yes without a bracket.  Embedded Heisenberg, number-field
+    and product elements all pass this way.  The test reads the logs, not
+    the matrices, because the decision needs the logs anyway: they are
+    computed here once and cached on the matrices.
+
+    Otherwise the condition is tested on a basis, not on every triple:
+    ad x_k is linear, so it kills every [x_i, x_j] iff it kills each
+    element of a basis of their span, and that span has dimension at most
+    dim [g, g].  The basis is an integer echelon basis (`_echelon_insert`)
+    of the brackets [X_i, X_j] of the integer logs X_i = D_i x_i that the
     matrices cache (`UnipotentMatrix.integer_log`).  A zero test is
     unchanged when each x_i is replaced by a positive multiple of itself,
-    and so is the span, so the verdict is the one of the rational logs.  Each basis element is
-    tested against every X_k as soon as it is found.
+    and so are the span and the support S, so the verdict is the one of
+    the rational logs.  Each basis element is tested against every X_k as
+    soon as it is found.
     """
     n = gens.n
     logs = [m.integer_log()[0] for m in gens.mats]
+    if not _support_has_path_of_length_3(logs, n):
+        return True
     basis = []
     for i in range(len(logs)):
         for j in range(i + 1, len(logs)):

@@ -333,20 +333,132 @@ def test_is_two_step_matches_all_triples_hypothesis(mats):
     assert is_two_step(GeneratorSystem(mats)) == reference_is_two_step(mats)
 
 
-def test_is_two_step_tests_a_basis_of_the_brackets(monkeypatch):
-    # H3(Q) has dim [g, g] = 1: one basis element, tested against each of
-    # the K logs (2 products each), after the K(K-1)/2 brackets (2 each)
-    import nilsect.matlie as matlie
-
-    gens = GeneratorSystem([h3(i, i * i - 3, 1) for i in range(1, 7)])
-    for m in gens.mats:
-        m.integer_log()  # the logs are cached before counting
+def _count_products(monkeypatch):
+    """A list that gets one entry per `mul_upper_rows` call from now on."""
     calls = []
     real = matlie.mul_upper_rows
     monkeypatch.setattr(matlie, "mul_upper_rows", lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def _unit_upper(n, entries):
+    """I plus the given {(r, c): value} entries, as a UnipotentMatrix."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for (r, c), v in entries.items():
+        rows[r][c] = v
+    return UnipotentMatrix(rows)
+
+
+# a = I + E12 + E23 + E34: its log fills the whole strict upper triangle
+_CHAIN4 = _unit_upper(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
+
+
+def reference_has_long_support_path(mats):
+    """Reference: S S S != 0 for S the 0/1 table of positions where some
+    rational log is nonzero."""
+    logs = [ref_log(m) for m in mats]
+    n = mats[0].n
+    s = tuple(
+        tuple(int(any(x[r][c] for x in logs)) for c in range(n)) for r in range(n)
+    )
+    return not _is_zero(ref_mul(ref_mul(s, s), s))
+
+
+def test_is_two_step_takes_no_product_when_the_support_has_no_long_path(monkeypatch):
+    # H3(Q) logs live on (0,1), (1,2), (0,2): no path of length 3, so no
+    # bracket and no product once the logs are cached
+    gens = GeneratorSystem([h3(i, i * i - 3, 1) for i in range(1, 7)])
+    for m in gens.mats:
+        m.integer_log()
+    calls = _count_products(monkeypatch)
     assert is_two_step(gens)
-    assert len(calls) == 6 * 5 + 2 * 6
+    assert calls == []
+    assert not reference_has_long_support_path(gens.mats)
     assert reference_is_two_step(gens.mats)
+
+
+def test_is_two_step_tests_a_basis_of_the_brackets(monkeypatch):
+    # {a, a^2} commute: the loop takes its one bracket (2 products), which
+    # is zero and adds no basis element.  {a, I + E13}: the bracket is a
+    # multiple of E14, one basis element tested against both logs
+    # (2 products each)
+    for mats, products in (
+        ([_CHAIN4, _CHAIN4**2], 2),
+        ([_CHAIN4, _unit_upper(4, {(0, 2): 1})], 2 + 2 * 2),
+    ):
+        gens = GeneratorSystem(mats)
+        for m in gens.mats:
+            m.integer_log()
+        assert reference_has_long_support_path(mats)
+        calls = _count_products(monkeypatch)
+        assert is_two_step(gens)
+        assert len(calls) == products
+        monkeypatch.undo()
+        assert reference_is_two_step(mats)
+
+
+def _random_dense_unipotent(rng, n):
+    """Nonzero rationals on every strictly upper position, so the log's
+    superdiagonal is nonzero and its support holds a path of length 3
+    from n = 4 up."""
+    entries = {}
+    for r in range(n):
+        for c in range(r + 1, n):
+            entries[r, c] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+    return _unit_upper(n, entries)
+
+
+def _long_path_family(rng):
+    """Seeded systems whose logs' support has a path of length 3, 2-step
+    and not: the systems the basis loop decides."""
+    family = []
+    for n in (4, 5):
+        # a central ideal of UT(n): positions (0, n-2), (1, n-1), (0, n-1)
+        corner = [(0, n - 2), (1, n - 1), (0, n - 1)]
+        for _ in range(4):
+            a = _random_dense_unipotent(rng, n)
+            family.append([a])  # cyclic
+            family.append([a, a ** rng.choice((-2, 2, 3, 5))])
+            family.append(
+                [a] + [_random_sparse_unipotent(rng, n, corner) for _ in range(2)]
+            )
+            family.append([a, _random_dense_unipotent(rng, n)])
+            family.append([_random_dense_unipotent(rng, n) for _ in range(3)])
+    family.append([_CHAIN4])
+    family.append([_CHAIN4, _CHAIN4**2, _CHAIN4**-3])
+    family.append([_CHAIN4, _unit_upper(4, {(0, 2): 1, (1, 3): -2})])
+    family.append(
+        [_unit_upper(4, {(0, 1): 1, (2, 3): 1}), _unit_upper(4, {(1, 2): 1})]
+    )
+    return family
+
+
+def test_is_two_step_matches_reference_on_long_support_paths():
+    family = _long_path_family(random.Random(25))
+    verdicts = []
+    for mats in family:
+        assert reference_has_long_support_path(mats)
+        expected = reference_is_two_step(mats)
+        assert is_two_step(GeneratorSystem(mats)) == expected
+        verdicts.append(expected)
+    # both answers come out of the loop
+    assert set(verdicts) == {True, False}
+    # {E12 + E34, E23}: [[x, y], x] = 2 E14
+    assert verdicts[-1] is False
+    assert all(verdicts[-4:-1])
+
+
+def test_every_sample_intersection_builds_without_a_bracket(monkeypatch):
+    def no_bracket(*args):
+        raise AssertionError("is_two_step took a bracket")
+
+    monkeypatch.setattr(matlie, "_integer_bracket", no_bracket)
+    data = Path(__file__).resolve().parent / "data"
+    paths = sorted(SAMPLES.glob("*.txt")) + sorted(data.glob("*.txt"))
+    built = [load_instance_file(path).build() for path in paths]
+    intersections = [b for b in built if isinstance(b, IntersectionInstance)]
+    # build ran is_two_step on each union of generator systems
+    assert len(intersections) == 4
 
 
 def test_common_denominator_is_lcm_of_all(rng):
