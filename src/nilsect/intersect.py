@@ -242,7 +242,22 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
 
 def _minimal_even_scale(counts_by_m, deltas_by_m, kmax):
     """Smallest even N such that counts N*l and targets 2*N*c of every
-    system are within the realizability bound at K = kmax."""
+    system are within the realizability bound at K = kmax.
+
+    ok(N) is monotone in N and true for every large N, as `least_scale`
+    needs.  Every count l is at least 1: the support letters are those on
+    which the point is positive.  In integers (`within_bounds`), pair
+    i < j of a system holds at N iff f(N) >= 0 for
+
+        f(N) = l_i l_j N^2 - (8K^3 (l_i + l_j) + 8K^2 |c_ij|) N - 16K^4,
+
+    K = kmax.  f is a quadratic with l_i l_j >= 1 > 0 before N^2 and
+    f(0) = -16K^4 < 0, so it has one positive root r and, for N > 0,
+    f(N) >= 0 iff N >= r: once a pair holds it holds for every larger N,
+    and so does ok, the conjunction over all pairs.  With b the middle
+    coefficient, f(N) >= N (N - b) - 16K^4 >= 0 for every
+    N >= b + 16K^4, so ok holds from the largest such bound on.
+    """
 
     def ok(N):
         return all(

@@ -13,9 +13,19 @@ and compares by exact equality.  Products, powers and logs are computed
 fraction-free, in the manner of Bareiss (1968): a UnipotentMatrix is one
 integer table over a common denominator, reduced so that equal matrices
 have equal tables, and a denominator is divided out by one gcd per
-result.  A UnipotentMatrix keeps its log, so every generator system
-holding the matrix shares one.  No matrix holds a Fraction: a Fraction
-table is built only when asked for, by `rows` on each access.
+result.  No matrix holds a Fraction: a Fraction table is built only when
+asked for, by `rows` on each access.
+
+A matrix A = (d I + N)/d keeps, once computed, the nonzero powers
+N, ..., N^q of its nilpotent part as sparse rows (an embedded
+Heisenberg matrix has q <= 2 and is mostly zeros), and its log.  One
+binomial step over those powers,
+
+    R A^c = (d^q R + sum_k C(c, k) d^(q-k) R N^k) / d^q   (`_power_step`),
+
+serves both `UnipotentMatrix.integer_power` and `product_of_word`;
+`log_unipotent` sums the same powers with the log series' coefficients.
+Every generator system holding a matrix shares its powers and its log.
 """
 
 from __future__ import annotations
@@ -97,10 +107,6 @@ def _scale(a, coef, n):
     return tuple(tuple(coef * x for x in row) for row in a)
 
 
-def _is_zero_rows(a):
-    return all(not x for row in a for x in row)
-
-
 def common_denominator(values) -> int:
     """Least common multiple of the denominators of the given rationals.
 
@@ -151,62 +157,87 @@ def _fraction_rows(table, den):
 
 
 def _reduce(table, den):
-    """(table/g, den/g) for g the gcd of den > 0 and every entry."""
-    if den == 1:
-        return table, den
-    g = gcd(den, *(x for row in table for x in row))
+    """(table/g, den/g) for g the gcd of den > 0 and every entry.
+
+    The gcd is taken row by row and stops at 1, where the table is
+    returned as it is.
+    """
+    g = den
+    for row in table:
+        if g == 1:
+            return table, den
+        g = gcd(g, *row)
     if g == 1:
         return table, den
     return tuple(tuple(x // g for x in row) for row in table), den // g
 
 
-def _strict_upper(table):
-    """The table with its diagonal and everything below it set to 0."""
-    return tuple(
-        tuple(x if j > i else 0 for j, x in enumerate(row))
+def _sparse_powers(table):
+    """(N, N^2, ..., N^q) for N the strictly upper part of the integer
+    table and q the last k with N^k != 0, each power as sparse rows: row i
+    is a tuple of the (j, v) with v != 0."""
+    n = len(table)
+    first = tuple(
+        tuple([(j, row[j]) for j in range(i + 1, n) if row[j]])
         for i, row in enumerate(table)
     )
-
-
-def _nonzero_powers(x, n):
-    """[x, x^2, ..., x^p] for p the last k with x^k != 0 (x nilpotent)."""
     powers = []
-    power = x
-    while not _is_zero_rows(power):
+    power = first
+    while any(power):
         powers.append(power)
-        power = mul_upper_rows(power, x, n)
-    return powers
+        power = tuple(_sparse_row_times(row, first) if row else () for row in power)
+    return tuple(powers)
 
 
-def _binomial_coefficients(table, den):
-    """(B, e) with (table/den)^c = (sum_k C(c, k) B[k]) / e for every integer c.
+def _sparse_row_times(row, b):
+    """The sparse row times the sparse rows b."""
+    acc = {}
+    for k, x in row:
+        for j, y in b[k]:
+            acc[j] = acc.get(j, 0) + x * y
+    return tuple([(j, v) for j, v in acc.items() if v])
 
-    table/den is unipotent, N = table - den*I its strictly upper part and
-    q the last k with N^k != 0.  (I + N/den)^c = sum_k C(c, k) (N/den)^k
-    is the binomial series, which stops at k = q because N is nilpotent;
-    I and N commute, and C(c, k) = c (c-1) ... (c-k+1) / k! is an integer
-    for every integer c, negative ones included, so the sum is exact for
-    every c.  B[k] = den^(q-k) N^k (N^0 = I) and e = den^q.
+
+def _power_step(rows, m, c):
+    """(R', e) with R A^c = R'/e, for R an upper triangular integer table,
+    A = m and c any integer.
+
+    With A = (d I + N)/d and N = table - d I nilpotent, the binomial
+    series A^c = sum_k C(c, k) (N/d)^k stops at the last nonzero power of
+    N that `UnipotentMatrix.nilpotent_powers` keeps, since I and N
+    commute.  C(c, k) = c (c-1) ... (c-k+1) / k! is an integer for every
+    integer c, negative ones included; the binomials are built one from
+    the last and stop at the first zero (k > c >= 0), after q terms.  So
+
+        R A^c = (d^q R + sum_{k=1..q} C(c, k) d^(q-k) R N^k) / d^q,
+
+    e = d^q, and R' is computed as d^q R plus each term: row k of N^k,
+    times its coefficient and R[i][k], is added to row i for every
+    i <= k with R[i][k] != 0.
     """
-    n = len(table)
-    powers = [_identity_rows(n)] + _nonzero_powers(_strict_upper(table), n)
-    q = len(powers) - 1
-    coefs = [_scale(power, den ** (q - k), n) for k, power in enumerate(powers)]
-    return coefs, den**q
-
-
-def _binomial_table(coefs, c):
-    """sum_k C(c, k) coefs[k], the binomials built one from the last."""
-    acc = coefs[0]
+    powers = m.nilpotent_powers()
+    binoms = []
     binom = 1
-    for k, b in enumerate(coefs[1:], start=1):
+    for k in range(1, len(powers) + 1):
         binom = binom * (c - k + 1) // k
         if not binom:
             break
-        acc = tuple(
-            tuple(u + binom * v for u, v in zip(ra, rb)) for ra, rb in zip(acc, b)
-        )
-    return acc
+        binoms.append(binom)
+    q, d = len(binoms), m.den
+    coefs = [b * d ** (q - k) for k, b in enumerate(binoms, start=1)]
+    e = d**q
+    out = [[e * x for x in row] for row in rows]
+    for coef, power in zip(coefs, powers):
+        for k, step in enumerate(power):
+            if step:
+                for i in range(k + 1):
+                    x = rows[i][k]
+                    if x:
+                        x *= coef
+                        new = out[i]
+                        for j, v in step:
+                            new[j] += x * v
+    return out, e
 
 
 def _integer_bracket(x, y, n):
@@ -219,12 +250,14 @@ class UnipotentMatrix:
     Held as one reduced integer table: the matrix is table/den with
     den > 0 and gcd(den, every entry) = 1, so two matrices are equal iff
     their (table, den) are.  `rows` is the Fraction table, built on each
-    access, and m[i, j] one Fraction entry.  log M = X/D and the
-    coefficients of c -> M^c are computed on first use and kept; the
-    powers come from the binomial series, not from the log.
+    access, and m[i, j] one Fraction entry.  Two things are computed on
+    first use and kept: log M = X/D, and the nonzero powers N, ..., N^q of
+    N = table - den*I, as sparse rows (`nilpotent_powers`).  The log, the
+    powers M^c and the word products that multiply M in all read those
+    powers; M^c comes from the binomial series, not from the log.
     """
 
-    __slots__ = ("n", "table", "den", "_log", "_binomial")
+    __slots__ = ("n", "table", "den", "_log", "_powers")
 
     def __init__(self, rows):
         # the lcm of reduced denominators leaves gcd 1: for each prime p
@@ -240,7 +273,7 @@ class UnipotentMatrix:
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_log", None)
-        object.__setattr__(self, "_binomial", None)
+        object.__setattr__(self, "_powers", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("UnipotentMatrix is immutable")
@@ -300,15 +333,19 @@ class UnipotentMatrix:
             object.__setattr__(self, "_log", log_unipotent(self))
         return self._log
 
+    def nilpotent_powers(self):
+        """(N, N^2, ..., N^q) for N = table - den*I, q the last k with
+        N^k != 0, as sparse rows (`_sparse_powers`), computed once."""
+        if self._powers is None:
+            object.__setattr__(self, "_powers", _sparse_powers(self.table))
+        return self._powers
+
     def integer_power(self, c: int):
-        """(T, t) with M^c = T/t, for any integer c, by the binomial
-        series of M = I + N (`_binomial_coefficients`)."""
-        if self._binomial is None:
-            object.__setattr__(
-                self, "_binomial", _binomial_coefficients(self.table, self.den)
-            )
-        coefs, e = self._binomial
-        return _binomial_table(coefs, c), e
+        """(T, t) with M^c = T/t, for any integer c: the binomial step
+        (`_power_step`) applied to the identity, so T = t*I + sum_k
+        C(c, k) den^(q-k) N^k over t = den^q."""
+        rows, e = _power_step(_identity_rows(self.n), self, c)
+        return tuple(map(tuple, rows)), e
 
     def __mul__(self, other):
         if not isinstance(other, UnipotentMatrix):
@@ -319,8 +356,9 @@ class UnipotentMatrix:
         return UnipotentMatrix._from_integer(self.n, table, self.den * other.den)
 
     def __pow__(self, e: int) -> "UnipotentMatrix":
-        """A^e, exact for every integer e; the binomial series has at most
-        n terms, so the cost does not grow with |e|."""
+        """A^e, exact for every integer e: `integer_power`, reduced.  The
+        binomial series has at most n - 1 terms past I, over the kept
+        powers of N, so the cost grows only with the bits of e."""
         return UnipotentMatrix._from_integer(self.n, *self.integer_power(e))
 
     def inverse(self) -> "UnipotentMatrix":
@@ -331,26 +369,30 @@ def log_unipotent(m: UnipotentMatrix):
     """(X, D) with log M = X/D, X an integer table and D > 0 reduced
     against it: the matrix logarithm sum_k (-1)^(k-1)/k (M-I)^k on UT(n, Q).
 
-    With M = T/d, N' = T - d*I (the strictly upper part), p the last k
-    with N'^k != 0 and L = lcm(1..p), the series gives the integer
+    With M = T/d, N = T - d*I (the strictly upper part), p the last k
+    with N^k != 0 and L = lcm(1..p), the series gives the integer
     identity
 
-        sum_{k<=p} (-1)^(k-1) (L/k) d^(p-k) N'^k  =  L d^p log M.
+        sum_{k<=p} (-1)^(k-1) (L/k) d^(p-k) N^k  =  L d^p log M.
 
-    The left side and L d^p are divided by their common gcd, so X/D is
-    log M with D dividing L d^p, and equal logs have equal (X, D).  For
-    the identity p = 0, X = 0 and D = 1.  `UnipotentMatrix.integer_log`
-    keeps the result on the matrix.
+    The left side is scattered into a zero table from the sparse powers
+    the matrix keeps (`UnipotentMatrix.nilpotent_powers`); it and L d^p
+    are divided by their common gcd, so X/D is log M with D dividing
+    L d^p, and equal logs have equal (X, D).  For the identity p = 0,
+    X = 0 and D = 1.  `UnipotentMatrix.integer_log` keeps the result on
+    the matrix.
     """
-    n, table, den = m.n, m.table, m.den
-    powers = _nonzero_powers(_strict_upper(table), n)
+    n, den = m.n, m.den
+    powers = m.nilpotent_powers()
     p = len(powers)
     big_l = lcm(*range(1, p + 1))
-    acc = ((0,) * n,) * n
-    for k, power in enumerate(powers, start=1):
-        coef = (-1) ** (k - 1) * (big_l // k) * den ** (p - k)
-        acc = _add(acc, _scale(power, coef, n), n)
-    return _reduce(acc, big_l * den**p)
+    coefs = [(-1) ** (k - 1) * (big_l // k) * den ** (p - k) for k in range(1, p + 1)]
+    acc = [[0] * n for _ in range(n)]
+    for coef, power in zip(coefs, powers):
+        for out, row in zip(acc, power):
+            for j, v in row:
+                out[j] += coef * v
+    return _reduce(tuple(map(tuple, acc)), big_l * den**p)
 
 
 def direct_sum(mats) -> UnipotentMatrix:
@@ -543,25 +585,20 @@ def bch_log(gens: GeneratorSystem, parikh, delta):
 def product_of_word(gens: GeneratorSystem, word) -> UnipotentMatrix:
     """Ordered product of the word's generators; empty word gives I.
 
-    Runs on integer tables with one running denominator: a single copy
-    of A is multiplied in as its integer table over its denominator, and
-    a run of c > 1 copies as A^c, the integer table of
-    `UnipotentMatrix.integer_power` (a binomial series in c whose
-    coefficients A keeps), so a run costs the same whatever its length.
-    After each factor the table and the denominator are divided by their
+    Runs on one integer table over one running denominator, each run
+    building it anew as int lists.  A run of c copies of A is multiplied
+    in by one binomial step (`_power_step`) over the sparse powers of N
+    that A keeps, whatever c is, so a run costs the same at any length.
+    After each run the table and the denominator are divided by their
     gcd.  This is plain matrix multiplication, independent of the
     logarithm, of the BCH identity and of the generated group being
     2-step nilpotent.
     """
     n = gens.n
-    table, den = _identity_rows(n), 1
+    rows, den = _identity_rows(n), 1
     for letter, count in word.runs:
         if not 0 <= letter < gens.K:
             raise IndexError(f"letter {letter} out of range for {gens.K} generators")
-        mat = gens.mats[letter]
-        if count == 1:
-            factor, f = mat.table, mat.den
-        else:
-            factor, f = mat.integer_power(count)
-        table, den = _reduce(mul_upper_rows(table, factor, n), den * f)
-    return UnipotentMatrix._from_integer(n, table, den)
+        rows, e = _power_step(rows, gens.mats[letter], count)
+        rows, den = _reduce(rows, den * e)
+    return UnipotentMatrix._from_integer(n, tuple(map(tuple, rows)), den)

@@ -176,16 +176,15 @@ def within_bounds(counts, delta, K: int) -> bool:
 
 
 def least_scale(ok, step: int) -> int:
-    """Least positive multiple N of `step` with ok(N), for ok monotone in N.
+    """Least positive multiple N of `step` with ok(N), for ok monotone in
+    N and true for every large N (each caller proves both).
 
     Doubles from `step` until ok holds, then binary searches the multiples
-    of `step` below.  Raises AssertionError once the scale passes 2^64.
+    of `step` below: about 2 log2 N probes, so no cap is needed.
     """
     hi = 1
     while not ok(hi * step):
         hi *= 2
-        if hi * step > 2**64:
-            raise AssertionError("no admissible scale below 2^64 (defect)")
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2

@@ -414,3 +414,15 @@ def test_check_oracle_flag():
     inst_file = parse_instance_text(UT3)
     report = run("intersect", inst_file, check_oracle=True)
     assert report.oracle["consistent"]
+
+
+def test_wide_entry_orbit_witness_exits_nonempty(capsys):
+    # draw 9 of OW(1000, 100): its witness search passes a scale of 2^64,
+    # where a cap once raised AssertionError and the command exited 4
+    path = Path(__file__).resolve().parent / "data" / "ow-1000-100-draw9.txt"
+    assert main(["witness", str(path), "--json"]) == EXIT_NONEMPTY
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["verdict"] == "nonempty"
+    assert reverify_report(payload, load_instance_file(path))

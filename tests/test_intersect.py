@@ -36,6 +36,7 @@ from conftest import (
     ref_log,
     verify_witness,
 )
+from test_orbit import iw_draws
 
 
 def make(instance_sets):
@@ -721,3 +722,19 @@ def test_commutator_sample_point_scale_and_runs():
         ),
         ((0, 1156),),
     ]
+
+
+def test_iw_wide_entry_draws_have_witnesses():
+    # 3- and 4-digit entries over denominators up to 100: the witness runs
+    # reach about 2^99 letters, and the products multiply them out by one
+    # binomial step per run on wide integers
+    widest = 0
+    for index, (inst, w1, p) in enumerate(iw_draws(1000, 100, count=20)):
+        m = inst.systems[1].K - 1  # C, the last letter of the second set
+        assert verify_witness(inst, [w1, Word(m + 1, [*p.runs, (m, 1)])]), index
+        d = decide_intersection(inst)
+        assert d.verdict is Verdict.NONEMPTY, index
+        d = extract_witness(inst, d)
+        assert verify_witness(inst, d.witnesses), index
+        widest = max(widest, *(c.bit_length() for w in d.witnesses for _, c in w.runs))
+    assert widest > 64

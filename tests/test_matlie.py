@@ -563,7 +563,8 @@ def test_product_of_word_run_length_powers():
 
 def _binary_power(m, e):
     """m^e by repeated squaring, through the inverse for e < 0: the former
-    UnipotentMatrix.__pow__, kept as the reference for exp(e log m)."""
+    UnipotentMatrix.__pow__, kept as the reference for the binomial step
+    over the powers of N that m keeps."""
     if e < 0:
         return _binary_power(m.inverse(), -e)
     acc = UnipotentMatrix.identity(m.n)
@@ -600,7 +601,8 @@ def test_powers_match_binary_powering(rng):
 
 
 def test_product_of_word_matches_binary_powering(rng):
-    # runs of 1 take the generator itself, longer runs exp(count log A)
+    # every run, of 1 letter or of 2^70, is one binomial step over the
+    # powers of N that its generator keeps
     for n in range(3, 7):
         gens = GeneratorSystem([random_unipotent(rng, n, bound=10) for _ in range(3)])
         for _ in range(4):
@@ -676,6 +678,7 @@ def test_matrix_stores_one_reduced_integer_table(rng):
             m = random_unipotent(rng, n, bound=9)
             m.integer_power(3)  # the caches are filled too
             m.integer_log()
+            assert m._powers is not None and m._log is not None
             _assert_one_reduced_table(m)
 
 
@@ -833,6 +836,59 @@ def _ref_product_of_word(gens, word):
         factor = a if count == 1 else ref_exp(ref_scale(ref_log(a), count))
         acc = ref_mul(acc, factor.rows)
     return UnipotentMatrix(acc)
+
+
+def _dense_powers(m):
+    """[N, N^2, ..., N^q] for N = den*(M - I), as Fraction tables from the
+    reference product, up to the last nonzero power."""
+    x = ref_scale(ref_combine(m.rows, ref_identity(m.n), -1), m.den)
+    powers = []
+    power = x
+    while not _is_zero(power):
+        powers.append(power)
+        power = ref_mul(power, x)
+    return powers
+
+
+def _densify(sparse, n):
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(sparse):
+        for j, v in row:
+            rows[i][j] = v
+    return tuple(map(tuple, rows))
+
+
+def test_kept_powers_are_the_sparse_powers_of_n(rng):
+    shapes = [random_unipotent(rng, n, bound=9) for n in range(1, 8)]
+    shapes += [_random_sparse_unipotent(rng, n, _heisenberg_shape(n)) for n in (3, 5, 7)]
+    shapes += [UnipotentMatrix.identity(4), _CHAIN4]
+    for m in shapes:
+        powers = m.nilpotent_powers()
+        assert [_densify(p, m.n) for p in powers] == _dense_powers(m)
+        for power in powers:
+            assert len(power) == m.n
+            for i, row in enumerate(power):
+                assert all(j > i and v and type(v) is int for j, v in row)
+                assert len({j for j, _ in row}) == len(row)
+
+
+def test_powers_of_n_built_once_per_matrix(monkeypatch):
+    # the log, every power, the inverse and every word product read the
+    # one tuple of sparse powers that the matrix keeps
+    real = matlie._sparse_powers
+    calls = []
+    monkeypatch.setattr(matlie, "_sparse_powers", lambda table: calls.append(table) or real(table))
+    m = random_unipotent(random.Random(46), 5, bound=9)
+    m.integer_log()
+    m.integer_power(7)
+    for e in POWERS:
+        m**e
+    m.inverse()
+    for c in RUN_COUNTS:
+        product_of_word(GeneratorSystem([m]), Word(1, [(0, c)]))
+    assert calls == [m.table]
+    assert m._powers == real(m.table)
+    _assert_one_reduced_table(m)
 
 
 def _assert_same_table(got, want):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nilsect import (
     BudgetExceeded,
     GeneratorSystem,
+    IntersectionInstance,
     OrbitInstance,
     UnipotentMatrix,
     UnsupportedInstance,
@@ -47,6 +48,7 @@ from nilsect.orbit import (
 from conftest import h3, ref_bracket, ref_combine, ref_log, verify_orbit_witness
 from test_wordcraft import _reference_inflation_scale
 
+DATA = Path(__file__).resolve().parent / "data"
 X, Y = h3(1, 0, 0), h3(0, 1, 0)
 IDENT = UnipotentMatrix.identity(3)
 
@@ -893,6 +895,78 @@ def f11_draws(count=300):
 def f11_draw(index):
     """Draw `index` (from 0) of the F11 fuzz family (`f11_draws`)."""
     return next(itertools.islice(f11_draws(index + 1), index, None))
+
+
+def _planted_elem(rng, P, Q):
+    """h3(a, b, c), each entry Fraction(randint(-P, P), randint(1, Q)),
+    drawn in the order a, b, c."""
+    return h3(*(Fraction(rng.randint(-P, P), rng.randint(1, Q)) for _ in range(3)))
+
+
+def _planted_word(rng, k, length):
+    """A word over k letters: randint(1, length) runs, each the letter
+    randrange(k), then the count randint(1, 3)."""
+    runs = rng.randint(1, length)
+    return Word(k, [(rng.randrange(k), rng.randint(1, 3)) for _ in range(runs)])
+
+
+def ow_draws(P, Q, count=100):
+    """The planted orbit family OW(P, Q), NonEmpty by construction:
+    random.Random(5); each draw takes K, M in 1..3, then T, the K
+    elements of G and the M of H (`_planted_elem`), then v over G and w
+    over H (`_planted_word`, at most 4 runs each), and sets
+    S = T prod(v) prod(w)^-1.  Yields (instance, v, w)."""
+    rng = random.Random(5)
+    for _ in range(count):
+        K, M = rng.randint(1, 3), rng.randint(1, 3)
+        T = _planted_elem(rng, P, Q)
+        G = GeneratorSystem([_planted_elem(rng, P, Q) for _ in range(K)])
+        H = GeneratorSystem([_planted_elem(rng, P, Q) for _ in range(M)])
+        v, w = _planted_word(rng, K, 4), _planted_word(rng, M, 4)
+        S = T * product_of_word(G, v) * product_of_word(H, w).inverse()
+        yield OrbitInstance(T, S, G, H), v, w
+
+
+def iw_draws(P, Q, count=100):
+    """The planted intersection family IW(P, Q), NonEmpty by
+    construction: random.Random(7); each draw takes k, m in 1..3, then
+    the k elements of G and the m of H (`_planted_elem`), then w1 over G
+    (at most 4 runs) and p over H (at most 3 runs), and
+    C = prod(p)^-1 prod(w1).  The instance is the two sets G and
+    H + [C], on which w1 and p C are a common element.  Yields
+    (instance, w1, p)."""
+    rng = random.Random(7)
+    for _ in range(count):
+        k, m = rng.randint(1, 3), rng.randint(1, 3)
+        G = GeneratorSystem([_planted_elem(rng, P, Q) for _ in range(k)])
+        H = [_planted_elem(rng, P, Q) for _ in range(m)]
+        w1, p = _planted_word(rng, k, 4), _planted_word(rng, m, 3)
+        C = product_of_word(GeneratorSystem(H), p).inverse() * product_of_word(G, w1)
+        yield IntersectionInstance([G, GeneratorSystem(H + [C])]), w1, p
+
+
+def test_ow_draw_9_is_the_data_file():
+    inst, v, w = next(itertools.islice(ow_draws(1000, 100), 9, None))
+    assert (v.runs, w.runs) == (((0, 2),), ((0, 3), (1, 5)))
+    stored = load_instance_file(DATA / "ow-1000-100-draw9.txt").build()
+    assert (stored.T, stored.S) == (inst.T, inst.S)
+    assert (stored.G.mats, stored.H.mats) == (inst.G.mats, inst.H.mats)
+
+
+def test_ow_wide_entry_draws_decide():
+    # 3- and 4-digit entries: the relaxed start, and with it the witness
+    # scale, can pass 2^64 (draws 8, 9, 10, 13, 15 and 16 do)
+    decided = 0
+    for index, (inst, v, w) in enumerate(ow_draws(1000, 100, count=20)):
+        assert verify_orbit_witness(inst, v, w), index  # planted
+        try:
+            d = decide_orbit(inst)
+        except UnsupportedInstance:
+            continue
+        assert d.verdict is Verdict.NONEMPTY, index
+        assert verify_orbit_witness(inst, *d.witnesses), index
+        decided += 1
+    assert decided >= 18
 
 
 @pytest.mark.parametrize(

@@ -286,8 +286,6 @@ def _reference_even_scale(counts_by_m, deltas_by_m, kmax):
     hi = 2
     while not ok(hi):
         hi *= 2
-        if hi > 2**64:
-            raise AssertionError("no admissible scale found (defect)")
     lo = 2
     while lo < hi:
         mid = (lo + hi) // 2
@@ -325,8 +323,6 @@ def _reference_inflation_scale(shifted, K, M):
     hi = 1
     while not bounds_ok(hi):
         hi *= 2
-        if hi > 2**64:
-            raise AssertionError("no admissible inflation scale (defect)")
     lo = 1
     while lo < hi:
         mid = (lo + hi) // 2
@@ -392,16 +388,20 @@ def test_inflation_scale_matches_reference(rng):
         assert least_scale(ok, 1) == _reference_inflation_scale(shifted, K, M)
 
 
-def test_least_scale_gives_up_past_2_64():
-    probes = []
+def test_least_scale_searches_past_2_64():
+    # no cap: the least scale is found however large, by doubling to
+    # 2^200 and bisecting below it
+    for step, least in ((1, 2**200), (2, 2**200), (1, 2**199 + 1), (2, 2**199 + 2)):
+        probes = []
 
-    def never(n):
-        probes.append(n)
-        return False
+        def ok(n):
+            probes.append(n)
+            return n >= least
 
-    with pytest.raises(AssertionError):
-        least_scale(never, 2)
-    assert probes == [2**k for k in range(1, 65)]
+        assert least_scale(ok, step) == least
+        doubling = probes[: probes.index(2**200) + 1]
+        assert doubling == [2**k for k in range(step.bit_length() - 1, 201)]
+        assert len(probes) <= 2 * 200 + 1
 
 
 def brute_area(letters, vectors):
