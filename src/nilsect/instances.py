@@ -3,7 +3,8 @@
 Grammar (one directive per line; blank lines and '#' comments ignored;
 matrix and field entries are exact rationals RAT, never floats):
 
-    file        = "version 1" group element* semigroup+ problem option*
+    file        = "version 1" group directive*
+    directive   = element | semigroup | problem | option
     group       = "group ut-q" N
                 | "group heisenberg-k" N "minpoly" COEFF+      ; descending,
                                                                ; monic
@@ -21,6 +22,10 @@ matrix and field entries are exact rationals RAT, never floats):
     N, INT      = [+-]?[0-9]+             ; decimal digits only
     RAT         = [+-]?[0-9]+ ("/" [0-9]+)?
 
+After the group, directives come in any order (an option may precede the
+problem) as long as each name is declared before a line uses it.  No
+element, semigroup or option is given twice; there is exactly one problem.
+
 Each option bounds some work by its value:
 
     oracle-depth       longest word the breadth-first oracle enumerates
@@ -36,12 +41,12 @@ Each option bounds some work by its value:
 Heisenberg and product elements are embedded into UT(n*d, Q) (block
 substitution by the multiplication matrix of each field entry; factors
 go block-diagonally), so downstream code sees plain unipotent rational
-matrices regardless of the surface group.  Rationals are read as integer
-pairs and field entries as an integer coordinate vector over one
-denominator (`numfield`), and every matrix, declared or embedded, is
-written as one integer table over a common denominator: the form the
-matrix kernel computes on, so no Fraction grid is built and converted
-back.
+matrices regardless of the surface group.  Each line is split once.  The
+rows of a matrix, a field element or a minimal polynomial are checked by
+one regex and read by int() over one denominator, the lcm of those of
+its "/" tokens (`_integers`).  Every matrix, declared or embedded, is
+one integer table over a common denominator: the form the matrix kernel
+computes on, so no Fraction grid is built and converted back.
 """
 
 from __future__ import annotations
@@ -92,64 +97,69 @@ class InstanceFile:
 
     def build(self):
         """Validated IntersectionInstance or OrbitInstance."""
-        kind = self.problem[0]
-        if kind == "intersection":
-            names = self.problem[1]
-            systems = []
-            for set_name in names:
-                members = self.semigroups[set_name]
-                systems.append(
-                    GeneratorSystem(
-                        [self.elements[m] for m in members], names=members
-                    )
-                )
-            try:
-                return IntersectionInstance(systems, set_names=names)
-            except ValueError as exc:
-                raise ValidationError(str(exc)) from exc
-        t_name, s_name, g_name, h_name = self.problem[1:]
-        g_members = self.semigroups[g_name]
-        h_members = self.semigroups[h_name]
+
+        def system(set_name):
+            members = self.semigroups[set_name]
+            return GeneratorSystem([self.elements[m] for m in members], names=members)
+
         try:
-            return OrbitInstance(
-                self.elements[t_name],
-                self.elements[s_name],
-                GeneratorSystem([self.elements[m] for m in g_members], names=g_members),
-                GeneratorSystem([self.elements[m] for m in h_members], names=h_members),
-                options=self.options,
-            )
-        except ValueError as exc:  # a group of another dimension than 3
+            if self.problem[0] == "intersection":
+                names = self.problem[1]
+                return IntersectionInstance([system(s) for s in names], set_names=names)
+            t_name, s_name, g_name, h_name = self.problem[1:]
+            T, S = self.elements[t_name], self.elements[s_name]
+            return OrbitInstance(T, S, system(g_name), system(h_name), options=self.options)
+        except ValueError as exc:  # e.g. an orbit group of another dimension than 3
             raise ValidationError(str(exc)) from exc
 
 
 _INT_SHAPE = re.compile(r"[+-]?[0-9]+")
-_RAT_SHAPE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+# only integers and p/q are rationals here; no decimal or float forms
+_RAT = r"[+-]?[0-9]+(?:/[0-9]+)?"
+_RAT_SHAPE = re.compile(_RAT)
+# a ROW line (\s is what str.split() splits on) and a FIELDELEM token
+_ROW_SHAPE = re.compile(rf"{_RAT}(?:\s+{_RAT})*")
+_FIELD_SHAPE = re.compile(rf"{_RAT}(?:,{_RAT})*")
 
 
-def _rat(tok, line_no):
-    """(p, q) with tok = p/q and q > 0, read by int(); q = 1 for "p"."""
-    # only integers and p/q are rationals here; no decimal or float forms
-    if not _RAT_SHAPE.fullmatch(tok):
-        raise ParseError(line_no, f"bad rational {tok!r} (use p or p/q)")
-    num, _, den = tok.partition("/")
+def _check_rats(toks, line_no):
+    """Raise the ParseError naming the first token of toks that is not a
+    rational: not of the shape RAT, too long for int(), or p/0."""
+    for tok in toks:
+        if not _RAT_SHAPE.fullmatch(tok):
+            raise ParseError(line_no, f"bad rational {tok!r} (use p or p/q)")
+        try:
+            Fraction(*map(int, tok.split("/")))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(line_no, f"bad rational {tok!r}: {exc}") from exc
+
+
+def _scaled(tok, q):
+    num, _, den = tok.partition("/")  # tok = num/den, den dividing q
+    return int(num) * (q // int(den))
+
+
+def _integers(rows):
+    """(T, q): the rows of RAT-shaped tokens as integer rows T over q > 0,
+    the lcm of the denominators of the "/" tokens (1 without any),
+    unreduced.  None when a token is too long for int() or is p/0.
+    """
     try:
-        num, den = int(num), int(den) if den else 1
-    except ValueError as exc:  # more digits than int() converts
-        raise ParseError(line_no, f"bad rational {tok!r}: {exc}") from exc
-    if not den:
-        raise ParseError(line_no, f"bad rational {tok!r}: Fraction({num}, 0)")
-    return num, den
+        q = lcm(*[int(t.partition("/")[2]) for row in rows for t in row if "/" in t])
+        if q:
+            return [[int(t) * q if "/" not in t else _scaled(t, q) for t in row] for row in rows], q
+    except ValueError:  # more digits than int() converts
+        pass
+    return None
 
 
 def read_int(tok, what, least=None):
     """The integer tok, of the shape INT = [+-]?[0-9]+ only, and at least
     `least` when given; a ValueError naming `what` otherwise."""
-    value = None
-    if _INT_SHAPE.fullmatch(tok):
-        try:
-            value = int(tok)
-        except ValueError:  # more digits than int() converts
-            pass
+    try:
+        value = int(tok) if _INT_SHAPE.fullmatch(tok) else None
+    except ValueError:  # more digits than int() converts
+        value = None
     if value is None:
         raise ValueError(f"{what} must be an integer, got {tok!r}")
     if least is not None and value < least:
@@ -165,43 +175,58 @@ def _int(tok, line_no, what, least=None):
         raise ParseError(line_no, str(exc)) from None
 
 
+def _vector(toks, shaped, line_no):
+    """(U, q) of the row toks by `_integers` if `shaped`, else a ParseError."""
+    ints = _integers([toks]) if shaped else None
+    if ints is None:
+        _check_rats(toks, line_no)
+    (vec,), q = ints
+    return vec, q
+
+
 def _field_elem(field_obj, tok, line_no):
-    """(U, q): the coordinates of tok as the integer vector U over q > 0,
-    q the lcm of the token denominators, unreduced."""
-    coords = [_rat(t, line_no) for t in tok.split(",")]
+    """(U, q): the coordinates of tok as in `_integers`."""
+    coords = tok.split(",")
+    elem = _vector(coords, _FIELD_SHAPE.fullmatch(tok), line_no)
     if len(coords) != field_obj.degree:
-        raise ParseError(
-            line_no,
-            f"field element needs {field_obj.degree} coordinates, got {len(coords)}",
-        )
-    q = lcm(*(den for _, den in coords))
-    return [p * (q // den) for p, den in coords], q
+        d, got = field_obj.degree, len(coords)
+        raise ParseError(line_no, f"field element needs {d} coordinates, got {got}")
+    return elem
 
 
 class _Lines:
+    """(line number, line) of each line not blank once its comment is cut."""
+
     def __init__(self, text):
-        self.items = []
-        for no, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped:
-                self.items.append((no, stripped))
+        stripped = [raw.partition("#")[0].strip() for raw in text.splitlines()]
+        self.items = [(no, line) for no, line in enumerate(stripped, 1) if line]
         self.pos = 0
+
+    def __iter__(self):
+        """The lines not read yet, also by `next` and `take` in the loop."""
+        while self.pos < len(self.items):
+            self.pos += 1
+            yield self.items[self.pos - 1]
 
     def peek(self):
         return self.items[self.pos] if self.pos < len(self.items) else (None, None)
 
-    def next(self, context):
+    def next(self, context, *args):
+        """The next line; at the end, a ParseError naming context.format(*args)."""
         if self.pos >= len(self.items):
-            raise ParseError(
-                self.items[-1][0] if self.items else 0,
-                f"unexpected end of file while reading {context}",
-            )
-        item = self.items[self.pos]
+            raise self.at_end("unexpected end of file while reading " + context.format(*args))
         self.pos += 1
-        return item
+        return self.items[self.pos - 1]
 
-    def done(self):
-        return self.pos >= len(self.items)
+    def take(self, count):
+        """The next count pairs, fewer at the end."""
+        block = self.items[self.pos:self.pos + count]
+        self.pos += len(block)
+        return block
+
+    def at_end(self, message):
+        """A ParseError at the last line, line 0 in a text without one."""
+        return ParseError(self.items[-1][0] if self.items else 0, message)
 
 
 def _parse_group(lines):
@@ -219,17 +244,12 @@ def _parse_group(lines):
             raise ParseError(no, "dimension must be positive")
         return ("ut-q", n)
     if toks[1] == "heisenberg-k":
-        factor = _parse_factor_spec(toks[1:], no)
-        return ("heisenberg", (factor,))
+        return ("heisenberg", (_parse_factor_spec(toks[1:], no),))
     if toks[1] == "product":
         factors = []
-        while True:
-            no2, line2 = lines.peek()
-            if line2 is None or not line2.startswith("factor "):
-                break
-            lines.next("factor")
-            toks2 = line2.split()
-            factors.append(_parse_factor_spec(toks2[1:], no2))
+        while (lines.peek()[1] or "").startswith("factor "):
+            no2, line2 = lines.next("factor")
+            factors.append(_parse_factor_spec(line2.split()[1:], no2))
         if not factors:
             raise ParseError(no, "product group needs at least one factor")
         return ("heisenberg", tuple(factors))
@@ -243,29 +263,60 @@ def _parse_factor_spec(toks, no):
     n = _int(toks[1], no, "Heisenberg dimension")
     if n < 3:
         raise ParseError(no, "Heisenberg dimension must be >= 3")
-    coeffs_desc = [Fraction(*_rat(t, no)) for t in toks[3:]]
+    coeffs, q = _vector(toks[3:], all(map(_RAT_SHAPE.fullmatch, toks[3:])), no)
     try:
-        fld = NumberField(list(reversed(coeffs_desc)))
+        fld = NumberField([Fraction(c, q) for c in reversed(coeffs)])
     except ValueError as exc:
         raise ParseError(no, f"bad minimal polynomial: {exc}") from exc
     return (n, fld)
 
 
-def _parse_heis_body(lines, n, fld, name):
-    """The next a, b and c rows of element `name`, embedded."""
-    vals = {}
-    for key in ("a", "b", "c"):
-        no, line = lines.next(f"'{key}' row of element {name}")
-        toks = line.split()
-        if toks[0] != key:
-            raise ParseError(no, f"expected '{key} ...', got {line!r}")
-        want = 1 if key == "c" else n - 2
-        if len(toks) - 1 != want:
-            raise ParseError(
-                no, f"'{key}' needs {want} field element(s), got {len(toks) - 1}"
-            )
-        vals[key] = [_field_elem(fld, t, no) for t in toks[1:]]
-    return embed_heisenberg(fld, n, vals["a"], vals["b"], vals["c"][0])
+def _parse_element(lines, factors, name):
+    """The a, b and c rows of element `name` for each factor, embedded and
+    joined; in a product group each factor's rows follow `factor IDX`."""
+    parts = []
+    for idx, (n, fld) in enumerate(factors, start=1):
+        if len(factors) > 1:
+            no, line = lines.next("factor {} of element {}", idx, name)
+            if line.split() != ["factor", str(idx)]:
+                raise ParseError(no, f"expected 'factor {idx}', got {line!r}")
+        vals = []
+        for key, want in (("a", n - 2), ("b", n - 2), ("c", 1)):
+            no, line = lines.next("'{}' row of element {}", key, name)
+            toks = line.split()
+            if toks[0] != key:
+                raise ParseError(no, f"expected '{key} ...', got {line!r}")
+            if len(toks) - 1 != want:
+                raise ParseError(no, f"'{key}' needs {want} field element(s), got {len(toks) - 1}")
+            vals.append([_field_elem(fld, t, no) for t in toks[1:]])
+        a, b, (c,) = vals
+        parts.append(embed_heisenberg(fld, n, a, b, c))
+    return direct_sum(parts)
+
+
+def _check_known(names, declared, what, no):
+    for name in names:
+        if name not in declared:
+            raise ParseError(no, f"unknown {what} {name!r}")
+
+
+def _parse_matrix(lines, n, name, no):
+    """The n rows of `matrix name` (on line no) as one checked matrix."""
+    block = lines.take(n)
+    # the rows of the shape ROW: all n of them, each of n tokens, or a fault
+    rows = [line.split() for _, line in block if _ROW_SHAPE.fullmatch(line)]
+    ints = _integers(rows) if len(rows) == n and set(map(len, rows)) == {n} else None
+    if ints is None:  # name the first fault, in reading order
+        for row_no, line in block:
+            row = line.split()
+            _check_rats(row, row_no)
+            if len(row) != n:
+                raise ParseError(row_no, f"row needs {n} entries")
+        raise lines.at_end(f"unexpected end of file while reading row of matrix {name}")
+    try:
+        return UnipotentMatrix.from_integer_table(*ints)
+    except ValueError as exc:
+        raise ParseError(no, f"matrix {name!r}: {exc}") from exc
 
 
 def parse_instance_text(text: str) -> InstanceFile:
@@ -279,94 +330,48 @@ def parse_instance_text(text: str) -> InstanceFile:
         raise ParseError(no, f"unsupported version {version}")
 
     group = _parse_group(lines)
-    elements = {}
-    semigroups = {}
-    problem = None
-    options = {}
+    elements, semigroups, options, problem = {}, {}, {}, None
 
-    while not lines.done():
-        no, line = lines.next("directive")
+    for no, line in lines:
         toks = line.split()
         head = toks[0]
-        if head == "matrix":
-            if group[0] != "ut-q":
-                raise ParseError(no, "'matrix' is only valid in ut-q groups")
+        if head in ("matrix", "element"):
+            kind = "ut-q" if head == "matrix" else "heisenberg"
+            if group[0] != kind:
+                raise ParseError(no, f"'{head}' is only valid in {kind} groups")
             if len(toks) != 2:
-                raise ParseError(no, "usage: matrix NAME")
+                raise ParseError(no, f"usage: {head} NAME")
             name = toks[1]
             if name in elements:
                 raise ParseError(no, f"duplicate element name {name!r}")
-            n = group[1]
-            rows = []
-            for _ in range(n):
-                no2, row_line = lines.next(f"row of matrix {name}")
-                entries = [_rat(t, no2) for t in row_line.split()]
-                if len(entries) != n:
-                    raise ParseError(no2, f"row needs {n} entries")
-                rows.append(entries)
-            den = lcm(*(q for row in rows for _, q in row))
-            table = tuple(tuple(p * (den // q) for p, q in row) for row in rows)
-            try:
-                mat = UnipotentMatrix.from_integer_table(table, den)
-            except ValueError as exc:
-                raise ParseError(no, f"matrix {name!r}: {exc}") from exc
-            elements[name] = mat
-        elif head == "element":
-            if group[0] != "heisenberg":
-                raise ParseError(no, "'element' is only valid in heisenberg groups")
-            if len(toks) != 2:
-                raise ParseError(no, "usage: element NAME")
-            name = toks[1]
-            if name in elements:
-                raise ParseError(no, f"duplicate element name {name!r}")
-            factors = group[1]
-            parts = []
-            if len(factors) == 1:
-                parts.append(_parse_heis_body(lines, factors[0][0], factors[0][1], name))
+            if head == "matrix":
+                elements[name] = _parse_matrix(lines, group[1], name, no)
             else:
-                for idx, (n, fld) in enumerate(factors, start=1):
-                    no2, line2 = lines.next(f"factor {idx} of element {name}")
-                    if line2.split() != ["factor", str(idx)]:
-                        raise ParseError(
-                            no2, f"expected 'factor {idx}', got {line2!r}"
-                        )
-                    parts.append(_parse_heis_body(lines, n, fld, name))
-            elements[name] = direct_sum(parts)
+                elements[name] = _parse_element(lines, group[1], name)
         elif head == "semigroup":
             if len(toks) < 3:
                 raise ParseError(no, "usage: semigroup NAME MEMBER...")
             name = toks[1]
             if name in semigroups:
                 raise ParseError(no, f"duplicate semigroup name {name!r}")
-            members = tuple(toks[2:])
-            for m in members:
-                if m not in elements:
-                    raise ParseError(no, f"unknown element {m!r}")
-            semigroups[name] = members
+            _check_known(toks[2:], elements, "element", no)
+            semigroups[name] = tuple(toks[2:])
         elif head == "problem":
             if problem is not None:
                 raise ParseError(no, "duplicate problem declaration")
             if len(toks) < 2:
                 raise ParseError(no, "usage: problem intersection|orbit ...")
             if toks[1] == "intersection":
-                names = tuple(toks[2:])
-                if len(names) < 1:
+                if len(toks) < 3:
                     raise ParseError(no, "intersection needs at least one set")
-                for s in names:
-                    if s not in semigroups:
-                        raise ParseError(no, f"unknown semigroup {s!r}")
-                problem = ("intersection", names)
+                _check_known(toks[2:], semigroups, "semigroup", no)
+                problem = ("intersection", tuple(toks[2:]))
             elif toks[1] == "orbit":
                 if len(toks) != 6:
                     raise ParseError(no, "usage: problem orbit T S G H")
-                t_name, s_name, g_name, h_name = toks[2:]
-                for e in (t_name, s_name):
-                    if e not in elements:
-                        raise ParseError(no, f"unknown element {e!r}")
-                for s in (g_name, h_name):
-                    if s not in semigroups:
-                        raise ParseError(no, f"unknown semigroup {s!r}")
-                problem = ("orbit", t_name, s_name, g_name, h_name)
+                _check_known(toks[2:4], elements, "element", no)
+                _check_known(toks[4:], semigroups, "semigroup", no)
+                problem = ("orbit", *toks[2:])
             else:
                 raise ParseError(no, f"unknown problem kind {toks[1]!r}")
         elif head == "option":
@@ -375,20 +380,15 @@ def parse_instance_text(text: str) -> InstanceFile:
             key = toks[1]
             if key not in KNOWN_OPTIONS:
                 raise ParseError(no, f"unknown option {key!r}")
+            if KNOWN_OPTIONS[key] in options:
+                raise ParseError(no, f"duplicate option {key!r}")
             options[KNOWN_OPTIONS[key]] = _int(toks[2], no, key, least=1)
         else:
             raise ParseError(no, f"unknown directive {head!r}")
 
     if problem is None:
-        raise ParseError(0, "missing problem declaration")
-    return InstanceFile(
-        version=version,
-        group=group,
-        elements=elements,
-        semigroups=semigroups,
-        problem=problem,
-        options=options,
-    )
+        raise lines.at_end("missing problem declaration")
+    return InstanceFile(version, group, elements, semigroups, problem, options)
 
 
 def load_instance_file(path) -> InstanceFile:

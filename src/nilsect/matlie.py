@@ -43,19 +43,18 @@ def _as_fraction(x):
 
 
 def _freeze(rows):
-    """Coerce a row-major table to a square tuple-of-tuples of Fractions."""
+    """Coerce a row-major table to a tuple-of-tuples of Fractions."""
     out = tuple(tuple(map(_as_fraction, row)) for row in rows)
-    n = len(out)
-    for row in out:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    return n, out
+    return len(out), out
 
 
 def _check_unit_upper(table, den):
-    """Raise ValueError unless the integer table over den has den on the
-    diagonal and zeros below it."""
+    """Raise ValueError unless the integer table over den is square, with
+    den on the diagonal and zeros below it."""
+    n = len(table)
     for i, row in enumerate(table):
+        if len(row) != n:
+            raise ValueError("matrix is not square")
         if row[i] != den:
             raise ValueError(f"diagonal entry ({i},{i}) is not 1")
         for j in range(i):
@@ -269,11 +268,11 @@ class UnipotentMatrix:
         self._set(n, table, den)
 
     def _set(self, n, table, den):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_log", None)
-        object.__setattr__(self, "_powers", None)
+        _SET_N(self, n)
+        _SET_TABLE(self, table)
+        _SET_DEN(self, den)
+        _SET_LOG(self, None)
+        _SET_POWERS(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("UnipotentMatrix is immutable")
@@ -286,13 +285,10 @@ class UnipotentMatrix:
         reduced.
         """
         table = tuple(map(tuple, table))
-        n = len(table)
-        if any(len(row) != n for row in table):
-            raise ValueError("matrix is not square")
         if den < 1:
             raise ValueError("denominator must be positive")
         _check_unit_upper(table, den)
-        return cls._from_integer(n, table, den)
+        return cls._from_integer(len(table), table, den)
 
     @classmethod
     def _from_integer(cls, n, table, den):
@@ -330,14 +326,14 @@ class UnipotentMatrix:
     def integer_log(self):
         """(X, D) with log M = X/D (`log_unipotent`), computed once."""
         if self._log is None:
-            object.__setattr__(self, "_log", log_unipotent(self))
+            _SET_LOG(self, log_unipotent(self))
         return self._log
 
     def nilpotent_powers(self):
         """(N, N^2, ..., N^q) for N = table - den*I, q the last k with
         N^k != 0, as sparse rows (`_sparse_powers`), computed once."""
         if self._powers is None:
-            object.__setattr__(self, "_powers", _sparse_powers(self.table))
+            _SET_POWERS(self, _sparse_powers(self.table))
         return self._powers
 
     def integer_power(self, c: int):
@@ -393,6 +389,14 @@ def log_unipotent(m: UnipotentMatrix):
             for j, v in row:
                 out[j] += coef * v
     return _reduce(tuple(map(tuple, acc)), big_l * den**p)
+
+
+# The slots' own setters, for the constructors and the values computed on
+# first use: UnipotentMatrix refuses __setattr__, and object.__setattr__
+# looks each slot up by name.
+_SET_N, _SET_TABLE, _SET_DEN, _SET_LOG, _SET_POWERS = (
+    getattr(UnipotentMatrix, name).__set__ for name in UnipotentMatrix.__slots__
+)
 
 
 def direct_sum(mats) -> UnipotentMatrix:

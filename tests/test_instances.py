@@ -1,20 +1,26 @@
-"""Parsed elements against a Fraction reference builder.
+"""Parsed files against a Fraction reference reader.
 
-The parser reads rationals with int(), field entries as unreduced
-integer coordinate vectors over one denominator, and builds every matrix
-from its integer table.  The reference here reads each token with
-Fraction(tok), embeds a Heisenberg element through a Fraction grid of
-regular representations computed by polynomial multiplication mod the
-modulus, joins product factors as a Fraction grid, and builds every
-matrix from its Fraction rows.  The two must agree on each element's
-rows and on its reduced integer table.
+The parser checks each matrix row, field element and minimal polynomial
+against its shape with one regex, reads its tokens with int() over one
+denominator, the lcm of the denominators of the "/" tokens, and hands
+each matrix block to one checked constructor as an integer table.  The
+reference here reads each token with Fraction(tok), embeds a Heisenberg
+element through a Fraction grid of regular representations computed by
+polynomial multiplication mod the modulus, joins product factors as a
+Fraction grid, builds every matrix from its Fraction rows, and reads the
+semigroups, the problem and the options off their directive lines.  The
+two must agree on each element's rows and reduced integer table, and on
+the semigroups, problem and options.  Malformed texts pin the line
+number and message of each ParseError.
 """
 
 import random
 from fractions import Fraction
 from pathlib import Path
 
-from nilsect import NumberField, UnipotentMatrix, parse_instance_text
+import pytest
+
+from nilsect import NumberField, ParseError, UnipotentMatrix, parse_instance_text
 from conftest import field_times
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -102,12 +108,37 @@ def reference_elements(text):
     return out
 
 
-def assert_same_elements(text):
-    parsed = parse_instance_text(text).elements
+OPTION_FIELDS = {
+    "oracle-depth": "oracle_depth",
+    "interleave-budget": "interleave_budget",
+    "parity-cap": "parity_cap",
+    "memory-budget": "memory_budget",
+}
+
+
+def reference_directives(text):
+    """(semigroups, problem, options), read from the directive lines."""
+    semigroups, problem, options = {}, None, {}
+    for line in text.splitlines():
+        toks = line.split("#", 1)[0].split()
+        if toks[:1] == ["semigroup"]:
+            semigroups[toks[1]] = tuple(toks[2:])
+        elif toks[:2] == ["problem", "intersection"]:
+            problem = ("intersection", tuple(toks[2:]))
+        elif toks[:2] == ["problem", "orbit"]:
+            problem = ("orbit", *toks[2:])
+        elif toks[:1] == ["option"]:
+            options[OPTION_FIELDS[toks[1]]] = int(toks[2])
+    return semigroups, problem, options
+
+
+def assert_same_parse(text):
+    parsed = parse_instance_text(text)
+    assert (parsed.semigroups, parsed.problem, parsed.options) == reference_directives(text)
     expected = reference_elements(text)
-    assert parsed.keys() == expected.keys()
+    assert parsed.elements.keys() == expected.keys()
     for name, want in expected.items():
-        got = parsed[name]
+        got = parsed.elements[name]
         assert got.rows == want.rows, name
         assert all(type(x) is Fraction for row in got.rows for x in row)
         assert (got.table, got.den) == (want.table, want.den), name
@@ -118,7 +149,7 @@ def test_samples_parse_like_the_reference():
     paths = sorted(SAMPLES.glob("*.txt"))
     assert paths
     for path in paths:
-        assert_same_elements(path.read_text())
+        assert_same_parse(path.read_text())
 
 
 def _token(rng):
@@ -129,18 +160,36 @@ def _token(rng):
     return f"{sign}{num}" if den is None else f"{sign}{num}/{den}"
 
 
+def _int_token(rng):
+    num = rng.choice([0, 0, 1, -1, rng.randint(-3, 3), rng.randint(-10**12, 10**12)])
+    return f"{rng.choice(['', '', '+']) if num >= 0 else ''}{num}"
+
+
 def _ut_text(rng, n, count):
+    """count matrices; each is rational or, as often, integer-only, its
+    rows joined by spaces or tabs and some with a trailing comment."""
     out = ["version 1", f"group ut-q {n}"]
     for k in range(count):
         out.append(f"matrix m{k}")
+        integer = rng.random() < 0.5
         for i in range(n):
             row = [
-                "0" if j < i else rng.choice(["1", "+1", "2/2"]) if j == i else _token(rng)
+                "0" if j < i
+                else rng.choice(["1", "+1"] if integer else ["1", "+1", "2/2"]) if j == i
+                else _int_token(rng) if integer
+                else _token(rng)
                 for j in range(n)
             ]
-            out.append(" ".join(row))
+            line = rng.choice([" ", "\t", " \t "]).join(row)
+            out.append(line + rng.choice(["", "", "\t# row", "  # m"]))
     out.append("semigroup A " + " ".join(f"m{k}" for k in range(count)))
-    out.append("problem intersection A")
+    if count > 1:
+        out.append("semigroup B m0 m1 # two")
+    out.append("problem intersection A" + (" B" if count > 1 else ""))
+    # options may come anywhere after the group, also before the problem
+    at = rng.choice([2, len(out) - 1, len(out)])
+    for key in rng.sample(sorted(OPTION_FIELDS), rng.randint(0, 2)):
+        out.insert(at, f"option {key} {rng.randint(1, 99)}")
     return "\n".join(out) + "\n"
 
 
@@ -211,21 +260,105 @@ problem intersection A
 
 
 def test_random_texts_parse_like_the_reference():
-    assert_same_elements(UNREDUCED_TEXT)
+    assert_same_parse(UNREDUCED_TEXT)
     for token in ("2/4,3/6", "0,0", "0/3,0/9", "-6/4,+10/4"):
-        assert_same_elements(
+        assert_same_parse(
             f"version 1\ngroup heisenberg-k 3 minpoly 1 0 -1/2\n"
             f"element e\na {token}\nb {token}\nc {token}\n"
             "semigroup A e\nproblem intersection A\n"
         )
     rng = random.Random(1107)
     for _ in range(40):
-        assert_same_elements(_ut_text(rng, rng.randint(1, 6), rng.randint(1, 3)))
+        assert_same_parse(_ut_text(rng, rng.randint(1, 6), rng.randint(1, 3)))
     for _ in range(30):
         factors = [(rng.randint(3, 4), rng.choice(MODULI))]
-        assert_same_elements(_heisenberg_text(rng, factors, rng.randint(1, 3)))
+        assert_same_parse(_heisenberg_text(rng, factors, rng.randint(1, 3)))
     for _ in range(20):
         factors = [
             (rng.randint(3, 4), rng.choice(MODULI + LINEAR)) for _ in range(rng.randint(2, 3))
         ]
-        assert_same_elements(_heisenberg_text(rng, factors, rng.randint(1, 2)))
+        assert_same_parse(_heisenberg_text(rng, factors, rng.randint(1, 2)))
+
+
+UT_ROWS = "version 1\ngroup ut-q 3\nmatrix m\n{}\n{}\n{}\nsemigroup A m\nproblem intersection A\n"
+HEIS_BODY = (
+    "version 1\ngroup heisenberg-k 3 minpoly 1 0 -2\nelement e\na {}\nb {}\nc {}\n"
+    "semigroup A e\nproblem intersection A\n"
+)
+PRODUCT_FACTOR = (
+    "version 1\ngroup product\nfactor heisenberg-k 3 minpoly 1 0 -2\n"
+    "factor heisenberg-k 3 minpoly 1 1\nelement e\nfactor 1\na 1,0\nb 0,1\nc 0,0\n"
+    "{}\na {}\nb 0\nc 0\nsemigroup A e\nproblem intersection A\n"
+)
+LONG_TOKEN = "1" + "0" * 4999
+
+
+def _digit_limit_message():
+    try:
+        int(LONG_TOKEN)
+    except ValueError as exc:
+        return f"bad rational {LONG_TOKEN!r}: {exc}"
+    return None  # no digit limit in this interpreter: the token parses
+
+
+def _malformed_cases():
+    """(text, line number, message) of malformed ut-q rows, Heisenberg
+    tokens and product factors."""
+    cases = []
+    bad = {
+        "1/0": "bad rational '1/0': Fraction(1, 0)",
+        "0/00": "bad rational '0/00': Fraction(0, 0)",
+        "1.5": "bad rational '1.5' (use p or p/q)",
+        "1_0": "bad rational '1_0' (use p or p/q)",
+        "+-1": "bad rational '+-1' (use p or p/q)",
+        "９": "bad rational '９' (use p or p/q)",
+    }
+    if _digit_limit_message():
+        bad[LONG_TOKEN] = _digit_limit_message()
+    for tok, message in bad.items():
+        cases.append((UT_ROWS.format(f"1 {tok} 0", "0 1 0", "0 0 1"), 4, message))
+        # the first bad token of a row is named, before its length is checked
+        cases.append((UT_ROWS.format("1 0 0", f"0 1 {tok} 2 x", "0 0 1"), 5, message))
+        cases.append((HEIS_BODY.format(f"1,{tok}", "0,0", "0,0"), 4, message))
+        cases.append((HEIS_BODY.format("1,0", "0,0", f"{tok},3,x"), 6, message))
+        cases.append((PRODUCT_FACTOR.format("factor 2", tok), 11, message))
+    cases += [
+        (UT_ROWS.format("1 0 0", "0 1", "0 0 1"), 5, "row needs 3 entries"),
+        (UT_ROWS.format("1 0 0", "0 1 0 0", "0 0 1"), 5, "row needs 3 entries"),
+        (UT_ROWS.format("1 0 0", "0 2 0", "0 0 1"), 3,
+         "matrix 'm': diagonal entry (1,1) is not 1"),
+        (UT_ROWS.format("1 0 0", "0 1/2 0", "0 0 1"), 3,
+         "matrix 'm': diagonal entry (1,1) is not 1"),
+        (UT_ROWS.format("1 0 0", "0 1 0", "0 3 1"), 3,
+         "matrix 'm': nonzero entry (2,1) below the diagonal"),
+        # a matrix is checked after all its rows are read
+        (UT_ROWS.format("1 0 0", "0 2 0", "0 0 1.5"), 6, "bad rational '1.5' (use p or p/q)"),
+        ("version 1\ngroup ut-q 3\nmatrix m\n1 0 0\n", 4,
+         "unexpected end of file while reading row of matrix m"),
+        (HEIS_BODY.format("1,2,3", "0,0", "0,0"), 4, "field element needs 2 coordinates, got 3"),
+        (HEIS_BODY.format("1", "0,0", "0,0"), 4, "field element needs 2 coordinates, got 1"),
+        (HEIS_BODY.format("1,0", "0,0 1,1", "0,0"), 5, "'b' needs 1 field element(s), got 2"),
+        ("version 1\ngroup heisenberg-k 3 minpoly 1 0 -2\nelement e\na 1,0\n", 4,
+         "unexpected end of file while reading 'b' row of element e"),
+        (PRODUCT_FACTOR.format("factor 2", "1,2"), 11, "field element needs 1 coordinates, got 2"),
+        (PRODUCT_FACTOR.format("factor 3", "1"), 10, "expected 'factor 2', got 'factor 3'"),
+    ]
+    return cases
+
+
+def test_malformed_texts_name_their_line_and_fault():
+    for text, line_no, message in _malformed_cases():
+        with pytest.raises(ParseError) as err:
+            parse_instance_text(text)
+        assert err.value.line_no == line_no, text
+        assert str(err.value) == f"line {line_no}: {message}", text
+
+
+def test_a_repeated_option_is_an_error():
+    text = UT_ROWS.format("1 0 0", "0 1 0", "0 0 1") + (
+        "option oracle-depth 3\noption parity-cap 4\n# again\noption oracle-depth 5\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text)
+    assert err.value.line_no == 12
+    assert str(err.value) == "line 12: duplicate option 'oracle-depth'"

@@ -245,6 +245,7 @@ def test_rational_root_test_is_fast_on_large_constants():
     with pytest.raises(ParseError) as err:  # no elements: stops at the problem check
         parse_instance_text(text)
     assert "missing problem" in str(err.value)
+    assert err.value.line_no == 2  # the last line read
     assert time.perf_counter() - start < 1.0
 
 
