@@ -32,7 +32,6 @@ from .wordcraft import (
 )
 from .linsolve import (
     LinearSubspace,
-    nullspace,
     eliminate,
     lp_feasible,
     support_nonneg,

@@ -91,10 +91,6 @@ class InstanceFile:
     problem: tuple  # ("intersection", names) | ("orbit", T, S, G, H)
     options: dict = field(default_factory=dict)
 
-    @property
-    def dimension(self) -> int:
-        return next(iter(self.elements.values())).n if self.elements else 0
-
     def build(self):
         """Validated IntersectionInstance or OrbitInstance."""
 

@@ -18,7 +18,6 @@ from .matlie import (
     GeneratorSystem,
     UnipotentMatrix,
     _integer_bracket,
-    common_denominator,
     is_two_step,
     product_of_word,
 )
@@ -278,22 +277,20 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
     Evaluates the final round's lift (`details["lift"]`) on that round's
     point of the projection (`details["support_point"]`, positive
     exactly on the support letters), which solves for the pair
-    coordinates with no LP, no row reduction and no condition space, and
-    scales the rational result by its common denominator to an integer
-    point (l, c) of the condition space.  Then scales that by an even
-    factor N large enough that the word-realization bounds hold,
-    realizes one word per system with counts N*l and delta targets
-    2*N*c (restricted to the support letters), and checks by plain
-    matrix multiplication that all word products agree, however many
-    letters the words have.
+    coordinates with no LP, no row reduction and no condition space; the
+    numerators of the lift's point (nums, den) are an integer point
+    (l, c) of the condition space.  Then scales that by an even factor N
+    large enough that the word-realization bounds hold, realizes one word
+    per system with counts N*l and delta targets 2*N*c (restricted to the
+    support letters), and checks by plain matrix multiplication that all
+    word products agree, however many letters the words have.
     """
     if decision.verdict is not Verdict.NONEMPTY:
         raise ValueError("witness extraction requires a nonempty verdict")
     supports = decision.details["final_supports"]
     lift = decision.details["lift"]
-    point = lift(decision.details["support_point"])
-    den = common_denominator(point)
-    by_name = {name: int(v * den) for name, v in zip(lift.coords, point)}
+    nums, _ = lift(decision.details["support_point"])
+    by_name = dict(zip(lift.coords, nums))
 
     kmax = max(sys.K for sys in inst.systems)
     counts_by_m = []

@@ -4,17 +4,21 @@ The one row type is an integer row.  Every solver here takes int
 entries only (rows, right-hand sides, bounds, cone generators) and
 raises TypeError on any other, since a truncated entry would change the
 system; a rational system comes in with its denominators cleared.
+The one point type is (nums, den): a rational point nums/den, `nums` a
+list of ints and `den` >= 1 an int with gcd(den, *nums) == 1, so `den`
+is the least common denominator of the point and `nums` the point times
+it.  The LPs and a `Lift` return their points in this form.
 
 Contents:
 
 * Gauss-Jordan elimination, fraction-free: integer rows, each a
   nonzero multiple of its rational row, gcd-reduced after every update
   by one pivot step (`matlie._pivot_step`); each pivot row ends primitive
-  and positive on its pivot; nullspaces and subspace projection
-  (variable elimination) on it;
+  and positive on its pivot; subspace projection (variable
+  elimination) on it;
 * an exact phase-1 simplex with Bland's rule on a fraction-free
   tableau: integer rows, each a positive multiple of its rational row,
-  one unit artificial column per row, so no Fraction arithmetic in the
+  one unit artificial column per row, so no rational arithmetic in the
   pivots and no floating point or epsilon anywhere; every variable has
   a lower bound, so there are no free variables to split;
 * a nonnegative integer point of a rational subspace with maximal
@@ -43,14 +47,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import BudgetExceeded
-from .matlie import _pivot_step, _primitive_row, common_denominator
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .matlie import _pivot_step, _primitive_row
 
 
 # ---------------------------------------------------------------------------
@@ -109,40 +109,13 @@ def _row_reduce(rows, ncols, pivot_order):
     return mat, pivots
 
 
-def nullspace(rows, ncols=None):
-    """Basis of {x : row . x = 0 for all rows}, as a list of Fraction tuples.
-
-    Entries of the rows are ints.
-    """
-    rows = list(rows)
-    if ncols is None:
-        if not rows:
-            raise ValueError("ncols required when there are no rows")
-        ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("inconsistent row lengths")
-    mat, pivots = _row_reduce(rows, ncols, range(ncols))
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = [_ZERO] * ncols
-        vec[free] = _ONE
-        for r, c in pivots:
-            vec[c] = Fraction(-mat[r][free], mat[r][c])
-        basis.append(tuple(vec))
-    return basis
-
-
 class LinearSubspace:
     """Q-linear subspace of Q^len(coords), given by homogeneous equations.
 
     `coords` are hashable names in a fixed order; `equations` are integer
     rows with row . x = 0, kept as given (any other entry is a
     TypeError): a rational row and any nonzero multiple of it define the
-    same space, so a builder clears its denominators first.  A basis is
-    computed on demand and cached.
+    same space, so a builder clears its denominators first.
 
     Two subspaces compare equal when their coordinates and their equation
     rows are equal, entry by entry and in order: equality of the
@@ -150,7 +123,7 @@ class LinearSubspace:
     spaces.
     """
 
-    __slots__ = ("coords", "equations", "_basis")
+    __slots__ = ("coords", "equations")
 
     def __init__(self, coords, equations=()):
         coords = tuple(coords)
@@ -161,28 +134,9 @@ class LinearSubspace:
         _require_ints(itertools.chain(*eqs), "a subspace equation")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "equations", eqs)
-        object.__setattr__(self, "_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearSubspace is immutable")
-
-    def basis(self):
-        if self._basis is None:
-            object.__setattr__(
-                self, "_basis", tuple(nullspace(self.equations, len(self.coords)))
-            )
-        return self._basis
-
-    def dim(self) -> int:
-        return len(self.basis())
-
-    def contains(self, point) -> bool:
-        point = [Fraction(x) for x in point]
-        if len(point) != len(self.coords):
-            raise ValueError("point has wrong length")
-        return all(
-            sum(a * x for a, x in zip(row, point)) == 0 for row in self.equations
-        )
 
     def __eq__(self, other):
         if not isinstance(other, LinearSubspace):
@@ -210,9 +164,10 @@ class Lift:
     dropped coordinate without a pivot is set to 0.  `equations` are
     integer rows over the kept coordinates that span the projection's
     equations.  Called on an integer point of the projection (any other
-    entry is a TypeError), the lift returns the rational point of the
-    space with those kept coordinates; a point outside the projection is
-    a defect of the caller.
+    entry is a TypeError), the lift returns the point of the space with
+    those kept coordinates, as (nums, den) over the least common
+    denominator; a point outside the projection is a defect of the
+    caller.
     """
 
     coords: tuple
@@ -220,17 +175,19 @@ class Lift:
     solved: tuple
     equations: tuple
 
-    def __call__(self, point) -> list:
+    def __call__(self, point) -> tuple:
         _require_ints(point, "a point to lift")
         if any(sum(a * v for a, v in zip(row, point) if a and v) for row in self.equations):
             raise AssertionError("point lies outside the projection (defect)")
+        den = lcm(*(row[c] for c, row in self.solved))
         full = [0] * len(self.coords)
         for i, v in zip(self.kept, point):
-            full[i] = v
+            full[i] = v * den
         for c, row in self.solved:
             dot = sum(row[i] * v for i, v in zip(self.kept, point) if v and row[i])
-            full[c] = Fraction(-dot, row[c])
-        return full
+            full[c] = -dot * (den // row[c])
+        *nums, den = _primitive_row([*full, den])
+        return nums, den
 
 
 def eliminate(space: LinearSubspace, keep):
@@ -283,7 +240,8 @@ def eliminate(space: LinearSubspace, keep):
 
 
 def _phase1(rows, n):
-    """Point of {A u = b, u >= 0}, or None, by phase-1 simplex, Bland's rule.
+    """Point (nums, den) of {A u = b, u >= 0}, or None, by phase-1
+    simplex, Bland's rule.
 
     `rows[i]` is the integer list (A_i | b_i).  Each row gets its own
     artificial variable, with coefficient 1 and cost 1, so the cost row
@@ -300,11 +258,12 @@ def _phase1(rows, n):
     the smallest basic index) and hence every pivot and the returned point
     are exactly those of the rational tableau.  A pivot on entry p of the
     leaving row l replaces each other row r by the pivot step
-    p * r - r[e] * l (`_pivot_step`).
+    p * r - r[e] * l (`_pivot_step`).  The point's denominator is the
+    lcm of the basic entries, reduced with its numerators.
     """
     m = len(rows)
     if m == 0:
-        return [_ZERO] * n
+        return [0] * n, 1
     total = n + m
     T = []
     z = [0] * (total + 1)
@@ -351,22 +310,26 @@ def _phase1(rows, n):
 
     if z[total] != 0:  # -(objective); nonzero means artificials stuck
         return None
-    u = [_ZERO] * n
+    den = lcm(*(T[i][var] for i, var in enumerate(basis) if var < n))
+    u = [0] * n
     for i, var in enumerate(basis):
         if var < n:
-            u[var] = Fraction(T[i][total], T[i][var])
-    return u
+            u[var] = T[i][total] * (den // T[i][var])
+    *nums, den = _primitive_row([*u, den])
+    return nums, den
 
 
 def _simplex_feasible(rows, rhs, lower, upper=None):
-    """Feasible x for {rows . x = rhs, lower_j <= x_j <= upper_j}, or None.
+    """Feasible x for {rows . x = rhs, lower_j <= x_j <= upper_j}, as
+    (nums, den), or None.
 
     `lower` has one bound per variable; `upper` is a per-variable list
     whose None entries are unbounded, or None for no upper bounds at all.
     Entries of rows, rhs and bounds are ints; any other entry is a
     TypeError.  Variables are shifted to nonnegative ones, and upper
     bounds become slack rows; the standard-form rows go to `_phase1` as
-    they are.
+    they are.  A slack is an integer minus its shifted variable, so
+    dropping the slacks keeps the point reduced.
     """
     nvars = len(lower)
     bounded = [j for j in range(nvars) if upper and upper[j] is not None]
@@ -388,14 +351,16 @@ def _simplex_feasible(rows, rhs, lower, upper=None):
         out[width] = upper[j] - lower[j]
         int_rows.append(out)
 
-    u = _phase1(int_rows, width)
-    if u is None:
+    point = _phase1(int_rows, width)
+    if point is None:
         return None
-    return [lo + v for lo, v in zip(lower, u)]
+    u, den = point
+    return [lo * den + v for lo, v in zip(lower, u)], den
 
 
 def lp_feasible(rows, rhs, lower):
-    """Rational point satisfying rows . x = rhs and x_j >= lower[j], or None.
+    """A point (nums, den) with rows . nums = den * rhs and nums_j >=
+    den * lower[j], or None.
 
     `lower` gives every variable an integer lower bound (for a
     homogeneous system, a lower bound of 1 expresses strict positivity
@@ -434,13 +399,15 @@ def support_nonneg(space: LinearSubspace) -> tuple:
 
     Coordinate i lies in the support of some nonnegative integer point iff
     {x in space, x >= 0, x_i >= 1} has a rational point: by homogeneity,
-    scaling such a point by its common denominator yields an integer
-    point, and conversely.  Nonnegative points are closed under addition,
-    so the sum of one such certificate per supported coordinate is
-    positive on every one of them.  Coordinates are visited in order; one
-    the running sum already covers needs no LP, since its LP is feasible.
-    The support of the returned point (its nonzero entries) is the
-    support of the nonnegative integer points.
+    the numerators of such a point (nums, den) are an integer point, and
+    conversely.  Nonnegative points are closed under addition, so the sum
+    of one such certificate per supported coordinate is positive on every
+    one of them.  The certificates are summed over the lcm of their
+    denominators, and the returned point is the numerators of the
+    reduced sum.  Coordinates are visited in order; one the running sum
+    already covers needs no LP, since its LP is feasible.  The support of
+    the returned point (its nonzero entries) is the support of the
+    nonnegative integer points.
 
     After each infeasible coordinate LP at i, one remainder LP asks for
     {x in space, x >= 0, sum_{j in U} x_j = 1}, U the coordinates after i
@@ -460,7 +427,7 @@ def support_nonneg(space: LinearSubspace) -> tuple:
     k = len(space.coords)
     rows = space.equations
     rhs = [0] * len(rows)
-    total = [_ZERO] * k
+    total, den = [0] * k, 1
     for i in range(k):
         if total[i]:
             continue
@@ -468,13 +435,15 @@ def support_nonneg(space: LinearSubspace) -> tuple:
         lower[i] = 1
         point = lp_feasible(rows, rhs, lower)
         if point is not None:
-            total = [a + b for a, b in zip(total, point)]
+            nums, d = point
+            m = lcm(den, d)
+            total = [a * (m // den) + b * (m // d) for a, b in zip(total, nums)]
+            den = m
             continue
         rest = [int(j > i and not total[j]) for j in range(k)]
         if not any(rest) or lp_feasible([*rows, rest], [*rhs, 1], [0] * k) is None:
             break
-    den = common_denominator(total)
-    return tuple(int(v * den) for v in total)
+    return tuple(_primitive_row([*total, den])[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -694,15 +663,11 @@ def ilp_feasible_nonneg(A, b, nonzero_groups=()):
         point = _simplex_feasible(A, b, lower, upper)
         if point is None:
             continue
-        frac = None
-        for j in range(k):
-            if point[j].denominator != 1:
-                frac = j
-                break
-        if frac is None:
-            return tuple(int(v) for v in point)
-        v = point[frac]
-        fl = v.numerator // v.denominator
+        nums, den = point
+        if den == 1:
+            return tuple(nums)
+        frac = next(j for j in range(k) if nums[j] % den)
+        fl = nums[frac] // den
         down = min(fl, cap[frac])
         up = fl + 1
         if up <= cap[frac] and (upper[frac] is None or up <= upper[frac]):

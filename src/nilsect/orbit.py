@@ -64,7 +64,7 @@ from math import gcd, lcm
 from .errors import BudgetExceeded, UnsupportedInstance
 from .intersect import Decision, Verdict
 from .linsolve import Cone2D, cone_intersect_dim, cross, hnf_solve, ilp_feasible_nonneg, lp_feasible
-from .matlie import GeneratorSystem, UnipotentMatrix, common_denominator, product_of_word
+from .matlie import GeneratorSystem, UnipotentMatrix, product_of_word
 from .oracle import bfs_oracle
 from .wordcraft import Word, least_scale, realize_corner, realize_word, total_letters, within_bounds
 
@@ -655,7 +655,8 @@ def _positive_combination(g_vecs, h_vecs):
     sides); found as one homogeneous LP with all variables >= 1.  Its
     rows are D times the rows over the rational superdiagonals, right-hand
     side 0 included, so by the scaling lemma of `lp_feasible` the point,
-    and X, Y, are those of the rational LP.
+    and X, Y, are those of the rational LP.  X, Y are the numerators of
+    the point (nums, den): it times its least common denominator.
     """
     K, M = len(g_vecs), len(h_vecs)
     rows = [
@@ -666,9 +667,8 @@ def _positive_combination(g_vecs, h_vecs):
         raise AssertionError(
             "no positive balancing combination despite a 2-dimensional meet (defect)"
         )
-    den = common_denominator(point)
-    scaled = [int(v * den) for v in point]
-    return scaled[:K], scaled[K:]
+    nums, _ = point
+    return nums[:K], nums[K:]
 
 
 def extract_orbit_witness(units: IntegerLogs, sol: RelaxedSolution):

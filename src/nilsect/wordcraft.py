@@ -51,12 +51,6 @@ class Word:
     def from_letters(cls, K: int, letters) -> "Word":
         return cls(K, [(a, 1) for a in letters])
 
-    def letters(self):
-        """Iterate the individual letters (avoid for huge words)."""
-        for letter, count in self.runs:
-            for _ in range(count):
-                yield letter
-
     def __len__(self):
         return total_letters((self,))
 
@@ -66,9 +60,6 @@ class Word:
         if self.K != other.K:
             raise ValueError("alphabet size mismatch")
         return Word(self.K, self.runs + other.runs)
-
-    def reversed(self) -> "Word":
-        return Word(self.K, tuple(reversed(self.runs)))
 
     def relabel(self, mapping, K: int) -> "Word":
         """New word with letters replaced via `mapping` (a sequence or dict)."""

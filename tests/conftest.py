@@ -7,8 +7,10 @@ import pytest
 from nilsect import (
     GeneratorSystem,
     UnipotentMatrix,
+    Word,
     embed_heisenberg,
     intersect,
+    linsolve,
     orbit,
 )
 
@@ -48,6 +50,69 @@ def random_h3_system(rng: random.Random, k: int, bound: int = 2) -> GeneratorSys
             for _ in range(k)
         ]
     )
+
+
+# ---- the forms the package does not keep: a point over Fractions, a
+# subspace's basis and membership, a word's letters
+
+
+def fractions_of(point):
+    """The Fraction list nums/den of a solver point (nums, den), or None
+    for None."""
+    if point is None:
+        return None
+    nums, den = point
+    return [Fraction(x, den) for x in nums]
+
+
+def nullspace(rows, ncols=None):
+    """Basis of {x : row . x = 0 for all rows}, as a list of Fraction
+    tuples, one per column without a pivot (`linsolve._row_reduce`, looked
+    up at call time so that a test can patch it), that column's entry 1
+    and the other free columns' 0."""
+    rows = list(rows)
+    if ncols is None:
+        if not rows:
+            raise ValueError("ncols required when there are no rows")
+        ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("inconsistent row lengths")
+    mat, pivots = linsolve._row_reduce(rows, ncols, range(ncols))
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, c in pivots:
+            vec[c] = Fraction(-mat[r][free], mat[r][c])
+        basis.append(tuple(vec))
+    return basis
+
+
+def subspace_basis(space):
+    """`nullspace` of a `LinearSubspace`'s equations."""
+    return nullspace(space.equations, len(space.coords))
+
+
+def subspace_contains(space, point) -> bool:
+    """Whether the rational point satisfies every equation of the space."""
+    if len(point) != len(space.coords):
+        raise ValueError("point has wrong length")
+    return all(
+        sum(a * Fraction(x) for a, x in zip(row, point)) == 0 for row in space.equations
+    )
+
+
+def word_letters(word):
+    """The word's letters one by one, as a list (avoid for huge words)."""
+    return [letter for letter, count in word.runs for _ in range(count)]
+
+
+def reversed_word(word):
+    """The word read backwards."""
+    return Word(word.K, reversed(word.runs))
 
 
 # ---- the Fraction reference for the Lie side: a log is a square table of

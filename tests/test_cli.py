@@ -120,7 +120,7 @@ def test_parse_basic():
 
 def test_parse_sqrt2_embeds_to_dimension_6():
     inst_file = parse_instance_text(SQRT2)
-    assert inst_file.dimension == 6
+    assert next(iter(inst_file.elements.values())).n == 6
     built = inst_file.build()
     assert built.n == 6
 
@@ -128,7 +128,7 @@ def test_parse_sqrt2_embeds_to_dimension_6():
 def test_parse_product_group_block_diagonal():
     inst_file = parse_instance_text(PRODUCT)
     # 3*2 + 3*1 = 9
-    assert inst_file.dimension == 9
+    assert next(iter(inst_file.elements.values())).n == 9
     g = inst_file.elements["g"]
     assert g[0, 3] == 2  # sqrt(2) block sits in the first factor
     assert g[6, 7] == 2  # second factor is rational (degree 1)

@@ -1,6 +1,7 @@
 """Static checks on the package source, in place of a linter."""
 
 import ast
+import collections
 import importlib
 from pathlib import Path
 
@@ -141,6 +142,102 @@ def test_every_definition_used_in_the_package():
     ]
     init = (SRC / "__init__.py").read_text()
     assert unreferenced_definitions(init, sources) == []
+
+
+def _external_bases(tree):
+    """{class name: its base classes that resolve through the module's
+    absolute imports or the builtins}, for the module's top-level
+    classes; a base defined in the package, or imported from a module
+    that only runs beside the package's own files, resolves to nothing."""
+    namespace = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and not getattr(node, "level", 0):
+            try:
+                exec(compile(ast.Module([node], []), "<imports>", "exec"), namespace)
+            except ImportError:
+                pass
+    bases = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            bases[node.name] = []
+            for base in node.bases:
+                try:
+                    bases[node.name].append(eval(ast.unparse(base), namespace))
+                except NameError:
+                    pass
+    return bases
+
+
+def _attribute_names(node):
+    """Attribute names and string constants under an AST node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def unreferenced_members(sources):
+    """`Class.member` for every method or property of a top-level class of
+    `sources` that no source names, as an attribute or a string, outside
+    the member's own body.  Dunder methods are exempt, and so are
+    overrides of a method of a base class from outside the package (an
+    argparse parser's `error`), which that base class calls."""
+    trees = [ast.parse(source) for source in sources]
+    named = collections.Counter()
+    for tree in trees:
+        named.update(_attribute_names(tree))
+    found = []
+    for tree in trees:
+        external = _external_bases(tree)
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = member.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if any(hasattr(base, name) for base in external[cls.name]):
+                    continue
+                own = collections.Counter(_attribute_names(member))
+                if named[name] <= own[name]:
+                    found.append(f"{cls.name}.{name}")
+    return found
+
+
+def test_unreferenced_members_detected():
+    module = (
+        "import argparse\n"
+        "class P(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n        raise SystemExit(message)\n"
+        "    def extra(self):\n        return self.extra()\n"
+        "class A:\n"
+        "    def __len__(self):\n        return 0\n"
+        "    def used(self):\n        return 1\n"
+        "    def unused(self):\n        return self.unused()\n"
+        "    def named(self):\n        return reversed(named)\n"
+        "    @property\n    def size(self):\n        return 2\n"
+        "    @property\n    def shown(self):\n        return 3\n"
+        "class B(A):\n"
+        "    def run(self, a):\n        return a.used() + a.shown\n"
+        "    def reversed(self):\n        return reversed(self)\n"
+        "def f(b):\n    return b.run\n"
+    )
+    tool = "TABLE = {'named': None}\n"
+    assert unreferenced_members([module, tool]) == [
+        "P.extra", "A.unused", "A.size", "B.reversed"
+    ]
+
+
+def test_every_member_used_outside_tests():
+    # a method that only tests call belongs in the tests
+    sources = [
+        path.read_text()
+        for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    ]
+    assert unreferenced_members(sources) == []
 
 
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}

@@ -22,14 +22,12 @@ from nilsect import (
     ilp_feasible_nonneg,
     load_instance_file,
     lp_feasible,
-    nullspace,
     support_nonneg,
 )
 from nilsect import intersect, linsolve
 from nilsect.linsolve import ILP_NODE_CAP, _row_reduce, _simplex_feasible
-from nilsect.matlie import common_denominator
 
-from conftest import cleared
+from conftest import cleared, fractions_of, nullspace, subspace_basis, subspace_contains
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -61,25 +59,27 @@ def test_nullspace_spans_kernel(rng):
 def test_eliminate_examples():
     s = LinearSubspace(("x", "c"), [(1, -1)])
     p, lift = eliminate(s, ["x"])
-    assert p.equations == () and lift([3]) == [3, 3]
+    assert p.equations == () and lift([3]) == ([3, 3], 1)
     s = LinearSubspace(("x", "c"), [(1, 0), (0, 1)])
     p, lift = eliminate(s, ["x"])
-    assert p.contains([0]) and not p.contains([1])
-    assert lift([0]) == [0, 0]
+    assert subspace_contains(p, [0]) and not subspace_contains(p, [1])
+    assert lift([0]) == ([0, 0], 1)
     s = LinearSubspace(("x", "y", "c"), [(1, 1, 0), (0, 1, -1)])
     p, lift = eliminate(s, ["x", "y"])
-    assert p.contains([1, -1]) and not p.contains([0, 1])
-    assert lift([2, -2]) == [2, -2, -2]
+    assert subspace_contains(p, [1, -1]) and not subspace_contains(p, [0, 1])
+    assert lift([2, -2]) == ([2, -2, -2], 1)
     with pytest.raises(AssertionError, match="outside the projection"):
         lift([0, 1])
     # the kept coordinates in any order, a dropped one free: c = 0
     s = LinearSubspace(("c", "x", "d", "y"), [(0, 2, 0, -1), (1, 0, 1, 3)])
     p, lift = eliminate(s, ["y", "x"])
     assert p.equations == ((1, -2),)
-    assert lift([2, 1]) == [-6, 1, 0, 2]
-    # the lift divides by the pivot entry: x = 2c gives c = 1/2 at x = 1
+    assert lift([2, 1]) == ([-6, 1, 0, 2], 1)
+    # the lift divides by the pivot entry: x = 2c gives c = 1/2 at x = 1,
+    # the point (1, 1/2) over its least common denominator 2
     p, lift = eliminate(LinearSubspace(("x", "c"), [(-1, 2)]), ["x"])
-    assert p.equations == () and lift([1]) == [1, Fraction(1, 2)]
+    assert p.equations == () and lift([1]) == ([2, 1], 2)
+    assert lift([2]) == ([2, 1], 1)
 
 
 def test_eliminate_matches_enumeration(rng):
@@ -98,7 +98,7 @@ def test_eliminate_matches_enumeration(rng):
         keep = list(names[:keep_count])
         projected, lift = eliminate(space, keep)
 
-        basis = space.basis()
+        basis = subspace_basis(space)
         enumerated = set()
         for combo in itertools.product((-2, -1, 0, 1, 2), repeat=len(basis)):
             vec = [Fraction(0)] * ncols
@@ -108,19 +108,19 @@ def test_eliminate_matches_enumeration(rng):
             enumerated.add(tuple(vec[:keep_count]))
         # soundness: every enumerated projection satisfies the equations
         for point in enumerated:
-            assert projected.contains(point)
+            assert subspace_contains(projected, point)
         # completeness: the projected space has no more dimensions than
         # the span of the enumerated points
         span_rows = [cleared(p) for p in enumerated]
         _, pivots = _row_reduce(span_rows, keep_count, range(keep_count))
         span_dim = len(pivots)
-        assert projected.dim() == span_dim
+        assert len(subspace_basis(projected)) == span_dim
         # the lift extends each point of the projection, scaled to an
         # integer point, into the space
-        for point in list(enumerated)[:10] + list(projected.basis()):
+        for point in list(enumerated)[:10] + subspace_basis(projected):
             point = cleared(point)
-            lifted = lift(point)
-            assert space.contains(lifted) and lifted[:keep_count] == point
+            lifted = fractions_of(lift(point))
+            assert subspace_contains(space, lifted) and lifted[:keep_count] == point
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +206,10 @@ def _check_on_reference(rows, ncols, keep):
         assert _is_primitive(row) and _nonzero_multiple(row, ref)
     assert all(_is_primitive(row) for row in projected.equations)
     assert all(type(v) is Fraction for vec in basis for v in vec)
-    for vec in projected.basis():
+    for vec in subspace_basis(projected):
         vec = cleared(vec)
-        point = lift(vec)
-        assert space.contains(point) and [point[i] for i in keep] == vec
+        point = fractions_of(lift(vec))
+        assert subspace_contains(space, point) and [point[i] for i in keep] == vec
 
 
 def _random_entry(rng):
@@ -298,12 +298,12 @@ def test_subspace_value_equality():
 
 
 def test_lp_examples():
-    pt = lp_feasible([(1, 1)], [1], [0, 0])
+    pt = fractions_of(lp_feasible([(1, 1)], [1], [0, 0]))
     assert pt is not None and pt[0] + pt[1] == 1 and min(pt) >= 0
     assert lp_feasible([(1, 0)], [-1], [0, 0]) is None
-    pt = lp_feasible([(1, -1)], [0], [1, 0])
+    pt = fractions_of(lp_feasible([(1, -1)], [0], [1, 0]))
     assert pt is not None and pt[0] == pt[1] and pt[0] >= 1
-    pt = lp_feasible([(1, 1)], [0], [-2, 1])
+    pt = fractions_of(lp_feasible([(1, 1)], [0], [-2, 1]))
     assert pt is not None and pt[0] == -pt[1] and pt[0] >= -2 and pt[1] >= 1
 
 
@@ -315,7 +315,7 @@ def test_lp_exactness(rng):
             for _ in range(rng.randint(1, 3))
         ]
         rhs = [Fraction(rng.randint(-6, 6)) for _ in rows]
-        pt = lp_feasible(*_cleared_system(rows, rhs), [0] * nvars)
+        pt = fractions_of(lp_feasible(*_cleared_system(rows, rhs), [0] * nvars))
         if pt is not None:
             assert all(v >= 0 for v in pt)
             for row, target in zip(rows, rhs):
@@ -553,12 +553,14 @@ def test_simplex_returns_reference_points(rng):
         rows, rhs, lower, upper = _random_bounded_system(rng)
         want = _reference_simplex_feasible(rows, rhs, lower, upper, stats)
         got = _simplex_feasible(rows, rhs, lower, upper)
-        assert got == want, (rows, rhs, lower, upper)
+        assert fractions_of(got) == want, (rows, rhs, lower, upper)
         if got is None:
             infeasible += 1
         else:
             feasible += 1
-            assert all(isinstance(v, Fraction) for v in got)
+            nums, den = got
+            assert all(type(v) is int for v in nums) and type(den) is int
+            assert den >= 1 and math.gcd(den, *nums) == 1
     assert feasible > 100 and infeasible > 100
     assert stats["ties"] > 25  # Bland's tie-break was exercised
 
@@ -578,7 +580,7 @@ def test_simplex_reference_points_on_degenerate_supports(rng):
             lower[i] = 1
             want = _reference_simplex_feasible(rows, [0] * len(rows), lower, None, stats)
             got = lp_feasible(rows, [0] * len(rows), lower)
-            assert got == want
+            assert fractions_of(got) == want
     assert stats["ties"] > 100
 
 
@@ -605,7 +607,17 @@ def _bounded_systems(draw):
 def test_simplex_matches_reference_hypothesis(system):
     rows, rhs, lower, upper = system
     want = _reference_simplex_feasible(rows, rhs, lower, upper)
-    assert _simplex_feasible(rows, rhs, lower, upper) == want
+    assert fractions_of(_simplex_feasible(rows, rhs, lower, upper)) == want
+
+
+def _reference_simplex_point(rows, rhs, lower, upper=None):
+    """`_reference_simplex_feasible`'s point as (nums, den) over its least
+    common denominator, the form the solvers return."""
+    point = _reference_simplex_feasible(rows, rhs, lower, upper)
+    if point is None:
+        return None
+    den = math.lcm(*(v.denominator for v in point))
+    return [int(v * den) for v in point], den
 
 
 def test_witnesses_match_reference_lp(monkeypatch):
@@ -626,7 +638,7 @@ def test_witnesses_match_reference_lp(monkeypatch):
 
         got = answer()
         with monkeypatch.context() as patch:
-            patch.setattr(linsolve, "_simplex_feasible", _reference_simplex_feasible)
+            patch.setattr(linsolve, "_simplex_feasible", _reference_simplex_point)
             want = answer()
         assert got == want
         checked += 1
@@ -663,11 +675,10 @@ def _reference_cover_loop(space):
     for i in range(k):
         if total[i]:
             continue
-        point = lp_feasible(rows, [0] * len(rows), _unit_lower(k, i))
+        point = fractions_of(lp_feasible(rows, [0] * len(rows), _unit_lower(k, i)))
         if point is not None:
             total = [a + b for a, b in zip(total, point)]
-    den = common_denominator(total)
-    return tuple(int(v * den) for v in total)
+    return tuple(cleared(total))
 
 
 def support_of(space):
@@ -676,7 +687,7 @@ def support_of(space):
     point = support_nonneg(space)
     assert len(point) == len(space.coords)
     assert all(type(v) is int and v >= 0 for v in point)
-    assert space.contains(point)
+    assert subspace_contains(space, point)
     return frozenset(i for i, v in enumerate(point) if v)
 
 
@@ -691,7 +702,7 @@ def brute_support(space, bound=20):
     k = len(space.coords)
     out = set()
     for point in itertools.product(range(bound + 1), repeat=k):
-        if space.contains(point):
+        if subspace_contains(space, point):
             out.update(i for i, v in enumerate(point) if v > 0)
     return frozenset(out)
 
@@ -751,6 +762,7 @@ def _check_cover_loop(space, monkeypatch):
         if total[i]:
             continue
         lp_rows, rhs, lower, found = next(pending)
+        found = fractions_of(found)
         assert (lp_rows, rhs, lower) == (rows, zeros, _unit_lower(k, i))
         seen.append((False, found))
         if found is not None:
@@ -760,11 +772,12 @@ def _check_cover_loop(space, monkeypatch):
         if not any(rest):
             break
         lp_rows, rhs, lower, found = next(pending)
+        found = fractions_of(found)
         assert (lp_rows, rhs, lower) == (rows + [rest], zeros + [1], [0] * k)
         seen.append((True, found))
         if found is None:
             break
-        assert space.contains(found) and min(found) >= 0
+        assert subspace_contains(space, found) and min(found) >= 0
         assert sum(v for v, r in zip(found, rest) if r) == 1
     assert next(pending, None) is None
     if k >= 2 and not any(want):
@@ -915,7 +928,6 @@ def test_integer_solvers_refuse_non_int_entries():
 FRACTION_ENTRIES = {
     "LinearSubspace": lambda: LinearSubspace((0, 1), [(1, Fraction(1, 2))]),
     "LinearSubspace-integral": lambda: LinearSubspace((0, 1), [(1, Fraction(2))]),
-    "nullspace": lambda: nullspace([(Fraction(1, 2), 1)]),
     "lift": lambda: eliminate(LinearSubspace((0, 1), [(1, -1)]), [0])[1]([Fraction(1, 2)]),
     "lp_feasible-row": lambda: lp_feasible([(Fraction(1, 2), 1)], [1], [0, 0]),
     "lp_feasible-rhs": lambda: lp_feasible([(1, 1)], [Fraction(1, 2)], [0, 0]),
@@ -1043,12 +1055,10 @@ def test_lp_scaling_needs_one_factor():
     # distinct factors per row weight the artificials differently, and
     # phase 1 then ends at another vertex
     rows, rhs = [[-2, -1, 1], [-1, 1, 1]], [0, 3]
-    assert lp_feasible(rows, rhs, [0] * 3) == [3, 0, 6]
+    assert lp_feasible(rows, rhs, [0] * 3) == ([3, 0, 6], 1)
     tripled = [rows[0], [3 * v for v in rows[1]]]
-    assert lp_feasible(tripled, [0, 9], [0] * 3) == [
-        0, Fraction(3, 2), Fraction(3, 2)
-    ]
-    assert lp_feasible([[3 * v for v in row] for row in rows], [0, 9], [0] * 3) == [3, 0, 6]
+    assert lp_feasible(tripled, [0, 9], [0] * 3) == ([0, 3, 3], 2)
+    assert lp_feasible([[3 * v for v in row] for row in rows], [0, 9], [0] * 3) == ([3, 0, 6], 1)
 
 
 @st.composite
@@ -1183,7 +1193,9 @@ def test_ilp_matches_per_choice_search(rng, monkeypatch):
     kinds = collections.Counter()
 
     def reference(A, b, groups):
-        return _reference_ilp_search(A, b, groups, lp=_simplex_feasible)
+        return _reference_ilp_search(
+            A, b, groups, lp=lambda *args: fractions_of(_simplex_feasible(*args))
+        )
 
     for index in range(600):
         A, b, groups = seeded_ilp_system(rng, index)

@@ -11,7 +11,7 @@ from nilsect import (
     product_of_word,
 )
 
-from conftest import h3
+from conftest import h3, word_letters
 
 # ---------------------------------------------------------------------------
 # The breadth-first enumeration on Fraction rows that the reduced integer
@@ -133,7 +133,7 @@ def test_oracle_matches_fraction_reference():
             assert found is None
             continue
         letters, table = want
-        assert tuple(tuple(w.letters()) for w in found.words) == letters
+        assert tuple(tuple(word_letters(w)) for w in found.words) == letters
         assert found.element == UnipotentMatrix(table)
         collisions += 1
     assert collisions > 15

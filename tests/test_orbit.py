@@ -45,7 +45,15 @@ from nilsect.orbit import (
     _word_from_layout,
 )
 
-from conftest import h3, ref_bracket, ref_combine, ref_log, verify_orbit_witness
+from conftest import (
+    cleared,
+    fractions_of,
+    h3,
+    ref_bracket,
+    ref_combine,
+    ref_log,
+    verify_orbit_witness,
+)
 from test_wordcraft import _reference_inflation_scale
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -775,10 +783,10 @@ def test_common_denominator_once_per_decide_easy(monkeypatch):
     # integer tables (`_integer_logs`, one lcm D of their denominators),
     # and decide_easy converts nothing; no ordering pair computes a
     # denominator of its own, and no Fraction denominator is taken at
-    # all.  No system is let be feasible, so every ordering pair within
-    # the caps is enumerated.
+    # all: `orbit` names no `common_denominator`.  No system is let be
+    # feasible, so every ordering pair within the caps is enumerated.
+    assert not hasattr(orbit_module, "common_denominator")
     conversions = []
-    fraction_denominators = []
     real = orbit_module._integer_logs
 
     def counting(*args):
@@ -786,11 +794,6 @@ def test_common_denominator_once_per_decide_easy(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(orbit_module, "_integer_logs", counting)
-    monkeypatch.setattr(
-        orbit_module,
-        "common_denominator",
-        lambda values: fraction_denominators.append(1),
-    )
     monkeypatch.setattr(orbit_module, "ilp_feasible_nonneg", lambda *args: None)
     rng = random.Random(67)
     pairs = []
@@ -807,7 +810,6 @@ def test_common_denominator_once_per_decide_easy(monkeypatch):
             assert d.verdict is Verdict.EMPTY
             assert len(conversions) == converts
             pairs.append(d.trace[0]["pairs_tried"])
-    assert not fraction_denominators
     assert sum(p > 1 for p in pairs) >= 30
 
 
@@ -1095,9 +1097,8 @@ def reference_positive_combination(g_logs, h_logs):
     ]
     den = common_denominator(itertools.chain(*rows))
     rows = [[int(v * den) for v in row] for row in rows]
-    point = lp_feasible(rows, [0, 0], [1] * (K + M))
-    den = common_denominator(point)
-    scaled = [int(v * den) for v in point]
+    point = fractions_of(lp_feasible(rows, [0, 0], [1] * (K + M)))
+    scaled = cleared(point)
     return scaled[:K], scaled[K:]
 
 
@@ -1402,11 +1403,11 @@ def test_hard_branch_loop_builds_no_fraction(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Fraction was built")
 
-    # no Fraction log triple exists to call
+    # no Fraction log triple exists to call, and no Fraction denominator
     assert not hasattr(orbit_module, "_log_triple")
     assert not hasattr(orbit_module, "_logs")
-    for name in ("Fraction", "common_denominator"):
-        monkeypatch.setattr(orbit_module, name, refuse)
+    assert not hasattr(orbit_module, "common_denominator")
+    monkeypatch.setattr(orbit_module, "Fraction", refuse)
     for inst in empty:
         d = decide_hard(units_of(inst), inst.options)
         assert d.verdict is Verdict.EMPTY

@@ -18,6 +18,8 @@ from nilsect.wordcraft import (
     within_bounds,
 )
 
+from conftest import reversed_word, word_letters
+
 
 def brute_delta(letters, K):
     """Quadratic recount straight from the definition."""
@@ -36,14 +38,14 @@ def test_word_runs_merge():
     w = Word(2, [(0, 2), (0, 3), (1, 0), (1, 1)])
     assert w.runs == ((0, 5), (1, 1))
     assert len(w) == 6
-    assert list(w.letters()) == [0, 0, 0, 0, 0, 1]
+    assert word_letters(w) == [0, 0, 0, 0, 0, 1]
 
 
 def test_word_concat_reverse_relabel():
     u = Word.from_letters(2, [0, 1])
     v = Word.from_letters(2, [1, 0])
     assert (u + v).runs == ((0, 1), (1, 2), (0, 1))
-    assert u.reversed() == v
+    assert reversed_word(u) == v
     assert u.relabel({0: 2, 1: 0}, 3) == Word.from_letters(3, [2, 0])
 
 
@@ -83,7 +85,7 @@ def test_palindrome_delta_vanishes(rng):
         K = rng.randint(2, 4)
         letters = [rng.randrange(K) for _ in range(rng.randint(0, 25))]
         w = Word.from_letters(K, letters)
-        pal = w + w.reversed()
+        pal = w + reversed_word(w)
         assert all(v == 0 for v in delta_table(pal).values())
 
 
@@ -113,8 +115,8 @@ def test_concatenation_law(rng):
 
 
 def test_two_letter_permutation_examples():
-    assert list(two_letter_permutation(1, 1, 1).letters()) == [0, 1]
-    assert list(two_letter_permutation(1, 1, -1).letters()) == [1, 0]
+    assert word_letters(two_letter_permutation(1, 1, 1)) == [0, 1]
+    assert word_letters(two_letter_permutation(1, 1, -1)) == [1, 0]
     w = two_letter_permutation(2, 2, 0)
     assert parikh(w) == (2, 2) and delta_table(w)[(0, 1)] == 0
 
@@ -477,7 +479,7 @@ def check_corner_against_brute_force(rng):
             continue
         v, w = found
         assert parikh(v) == tuple(lv) and parikh(w) == tuple(lw)
-        assert brute_area(list(v.letters()), uv) - brute_area(list(w.letters()), uw) == target
+        assert brute_area(word_letters(v), uv) - brute_area(word_letters(w), uw) == target
         assert len(v.runs) <= len(lv) + 3 and len(w.runs) <= len(lw) + 3
         assert target in hits_all
 
@@ -497,9 +499,9 @@ def test_realize_corner_examples():
     # x and y steps: x y has area 1, y x area -1
     x, y = (1, 0), (0, 1)
     v, w = realize_corner([1, 1], [x, y], [1], [(0, 0)], 1)
-    assert list(v.letters()) == [0, 1] and list(w.letters()) == [0]
+    assert word_letters(v) == [0, 1] and word_letters(w) == [0]
     v, _ = realize_corner([1, 1], [x, y], [1], [(0, 0)], -1)
-    assert list(v.letters()) == [1, 0]
+    assert word_letters(v) == [1, 0]
     # out of reach, and off the area lattice (x^2 y has areas 2, 0, -2)
     assert realize_corner([1, 1], [x, y], [1], [(0, 0)], 2) is None
     assert realize_corner([2, 1], [x, y], [1], [(0, 0)], 1) is None
