@@ -32,9 +32,11 @@ Contents:
 * small-scale integer feasibility with sign constraints, by one
   depth-first branch-and-bound over the exact LP relaxation per call,
   capped at ILP_NODE_CAP relaxations per call;
-* finitely generated cones in Q^2: dimension of an intersection and
-  separating functionals, on the exact plane forms `cross` and
-  `angular_order` that word realisation shares.
+* finitely generated cones in Q^2: whether two meet with full
+  dimension, and a separating functional, both from the one polar cone
+  of functionals nonnegative on one side and nonpositive on the other;
+  on the exact plane forms `cross` and `angular_order` that word
+  realisation shares.
 
 Everything operates on immutable inputs and returns fresh values.  The
 LPs of `support_nonneg` run in coordinate order: whether one runs at all
@@ -65,10 +67,11 @@ def _require_ints(values, what):
             raise TypeError(f"entry {x!r} of {what} is not an int")
 
 
-def _row_reduce(rows, ncols, pivot_order):
+def _row_reduce(rows, pivot_order):
     """Gauss-Jordan reduction choosing pivot columns in the given order.
 
-    Entries are ints; any other entry is a TypeError.  Returns
+    Entries are ints, checked where the rows are made: `eliminate`
+    passes `LinearSubspace` equations and its own primitive rows.  Returns
     (reduced_rows, pivots), where pivots lists (row_index, col_index) in
     the order found: the pivot for a column is the first row not yet used
     whose entry there is nonzero.  Every row comes back as a primitive
@@ -84,9 +87,7 @@ def _row_reduce(rows, ncols, pivot_order):
     rational counterpart at the same step, so the zero pattern and the
     pivot choices are exactly those over Q.
     """
-    rows = [list(r) for r in rows]
-    _require_ints(itertools.chain(*rows), "a linear system")
-    mat = [_primitive_row(r) for r in rows]
+    mat = [_primitive_row(list(r)) for r in rows]
     pivots = []
     used_rows = set()
     for col in pivot_order:
@@ -219,7 +220,7 @@ def eliminate(space: LinearSubspace, keep):
     keep_idx = [index[name] for name in keep]
     drop_idx = [i for i, name in enumerate(space.coords) if name not in keep_set]
 
-    mat, pivots = _row_reduce(space.equations, len(space.coords), drop_idx)
+    mat, pivots = _row_reduce(space.equations, drop_idx)
     pivot_rows = {r for r, _ in pivots}
     projected = []
     for i, row in enumerate(mat):
@@ -229,7 +230,7 @@ def eliminate(space: LinearSubspace, keep):
         if any(new_row):
             projected.append(new_row)
     # normalize the output representation
-    reduced, pivs = _row_reduce(projected, len(keep), range(len(keep)))
+    reduced, pivs = _row_reduce(projected, range(len(keep)))
     projection = LinearSubspace(keep, [tuple(reduced[r]) for r, _ in pivs])
     solved = tuple((c, tuple(mat[r])) for r, c in pivots)
     return projection, Lift(space.coords, tuple(keep_idx), solved, tuple(projected))
@@ -708,9 +709,10 @@ class Cone2D:
 
 @dataclass(frozen=True)
 class ConeMeet:
-    """Outcome of intersecting two plane cones."""
+    """Outcome of intersecting two plane cones: whether they meet with
+    full dimension, and a separating functional when one exists."""
 
-    dim: int
+    full: bool
     separating_functional: tuple | None
 
 
@@ -802,35 +804,6 @@ def _cone_form(generators):
     return ("plane",)
 
 
-def _halfplanes(form):
-    """Constraints n . x >= 0 whose intersection is exactly the cone."""
-    kind = form[0]
-    if kind == "zero":
-        return [(1, 0), (-1, 0), (0, 1), (0, -1)]
-    if kind == "ray":
-        d = form[1]
-        return [_rot_ccw(d), _rot_cw(d), d]
-    if kind == "line":
-        d = form[1]
-        return [_rot_ccw(d), _rot_cw(d)]
-    if kind == "wedge":
-        return [_rot_ccw(form[1]), _rot_cw(form[2])]
-    if kind == "halfplane":
-        return [form[1]]
-    return []
-
-
-def _form_dim(form):
-    return {
-        "zero": 0,
-        "ray": 1,
-        "line": 1,
-        "wedge": 2,
-        "halfplane": 2,
-        "plane": 2,
-    }[form[0]]
-
-
 def _feasible_cone(constraints):
     """Canonical form of {x : n . x >= 0 for all n in constraints}.
 
@@ -853,39 +826,49 @@ def _feasible_cone(constraints):
     return _cone_form(feasible)
 
 
+def _spans_plane(generators):
+    """Whether the vectors span Q^2: some pair has nonzero `cross`."""
+    return any(cross(u, v) for u, v in itertools.combinations(generators, 2))
+
+
 def cone_intersect_dim(c1: Cone2D, c2: Cone2D) -> ConeMeet:
-    """Dimension of the intersection cone, plus a certificate.
+    """Whether the two cones meet with full dimension, plus a separating
+    functional, both read off one polar cone.
 
-    dim <= 1: a nonzero functional n with n . g >= 0 on all generators of
-    c1 and n . h <= 0 on all generators of c2 when one exists (classified
-    exactly, no search), else absent.  Two zero cones report dim 0 with
-    the conventional functional (1, 0).
+    With c running over the generators g of c1 and the negated
+    generators -h of c2, let P = {n : n . c >= 0 for all c}: the
+    functionals with n . g >= 0 on c1 and n . h <= 0 on c2
+    (`_feasible_cone`, classified exactly, no search).
+
+    * P = {0}: no functional separates, and the cones meet with full
+      dimension iff each spans the plane (`full`).  The relative
+      interior of a finitely generated cone is the set of its strictly
+      positive combinations, and by Stiemke's alternative strictly
+      positive X, Y with sum X_i g_i = sum Y_j h_j exist iff no n in P
+      is nonzero on some c.  So for P = {0} the relative interiors
+      meet; if both are open (rank 2 on each side) they meet in an open
+      set, and if one side has rank <= 1 the meet lies in its line.
+      Conversely, a meet of full dimension has a point interior to both
+      cones, so every n in P vanishes on every c, and n = 0 when a side
+      spans the plane.
+    * P != {0}: any nonzero n in P separates, so the meet lies in the
+      line n . x = 0.  The functional is the direction of a ray or
+      line, the lesser ray of a wedge, or the boundary direction of a
+      half-plane; P is never the plane, since n = -c fails n . c >= 0
+      for a nonzero c.
+    * No nonzero generator on either side: the functional is the
+      conventional (1, 0).
     """
-    f1 = _cone_form(c1.generators)
-    f2 = _cone_form(c2.generators)
-    meet = _feasible_cone(_halfplanes(f1) + _halfplanes(f2))
-    dim = _form_dim(meet)
-    if dim == 2:
-        return ConeMeet(2, None)
-
-    constraints = []
-    for g in c1.generators:
-        p = _primitive(g)
-        if p is not None:
-            constraints.append(p)
-    for h in c2.generators:
-        p = _primitive((-h[0], -h[1]))
-        if p is not None:
-            constraints.append(p)
+    signed = list(c1.generators) + [(-a, -b) for a, b in c2.generators]
+    constraints = [p for p in map(_primitive, signed) if p is not None]
     if not constraints:
-        return ConeMeet(dim, (1, 0))
-    # some c is nonzero and n = -c fails c . n >= 0, so the feasible cone
-    # lies in a closed half-plane and is never the plane
+        return ConeMeet(False, (1, 0))
     form = _feasible_cone(constraints)
     if form[0] == "zero":
-        return ConeMeet(dim, None)
+        full = _spans_plane(c1.generators) and _spans_plane(c2.generators)
+        return ConeMeet(full, None)
     if form[0] in ("ray", "line"):
-        return ConeMeet(dim, form[1])
+        return ConeMeet(False, form[1])
     if form[0] == "wedge":
-        return ConeMeet(dim, min(form[1], form[2]))
-    return ConeMeet(dim, _rot_ccw(form[1]))  # halfplane boundary direction
+        return ConeMeet(False, min(form[1], form[2]))
+    return ConeMeet(False, _rot_ccw(form[1]))  # halfplane boundary direction

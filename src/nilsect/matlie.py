@@ -102,7 +102,7 @@ def _sub(a, b, n):
     )
 
 
-def _scale(a, coef, n):
+def _scale(a, coef):
     return tuple(tuple(coef * x for x in row) for row in a)
 
 
@@ -573,16 +573,16 @@ def bch_log(gens: GeneratorSystem, parikh, delta):
         raise ValueError("parikh vector length does not match alphabet size")
     logs = [m.integer_log() for m in gens.mats]
     big_l = lcm(*(d for _, d in logs))
-    scaled = [_scale(x, big_l // d, n) for x, d in logs]
+    scaled = [_scale(x, big_l // d) for x, d in logs]
     acc = ((0,) * n,) * n
     for count, y in zip(parikh, scaled):
         if count:
-            acc = _add(acc, _scale(y, 2 * big_l * count, n), n)
+            acc = _add(acc, _scale(y, 2 * big_l * count), n)
     for (i, j), d in delta.items():
         if not 0 <= i < j < k:
             raise ValueError(f"bad delta index pair {(i, j)}")
         if d:
-            acc = _add(acc, _scale(_integer_bracket(scaled[i], scaled[j], n), d, n), n)
+            acc = _add(acc, _scale(_integer_bracket(scaled[i], scaled[j], n), d), n)
     return _reduce(acc, 2 * big_l * big_l)
 
 

@@ -2,13 +2,16 @@
 
 Decides whether T<G> and S<H> meet, for finite generator sets G, H and
 translations T, S, all 3x3 unipotent rational matrices.  After reducing
-to T = I, the case split is on the dimension of the intersection of the
-plane cones spanned by the superdiagonal parts of the generator logs:
+to T = I, the case split is on one plane cone: the polar cone P of the
+functionals n with n . g >= 0 on the superdiagonal g of every log of G
+and n . h <= 0 on that h of every log of H (`linsolve.cone_intersect_dim`):
 
-* dimension 0 or 1 ("easy"): a separating functional bounds how many
-  off-line letters a witness can use; the remaining search is a finite
-  family of linear Diophantine systems over nonnegative integers.
-* dimension 2 ("hard"): solvability is equivalent to a relaxed integer
+* P != {0} ("easy"): a nonzero n in P separates the two superdiagonal
+  cones and bounds how many off-line letters a witness can use; the
+  remaining search is a finite family of linear Diophantine systems
+  over nonnegative integers.
+* P = {0} and both sides span the plane ("hard"): the cones meet with
+  full dimension, and solvability is equivalent to a relaxed integer
   system on counts and pair coefficients plus parity constraints, solved
   by enumerating residues and checking integer feasibility.  A solution
   is turned into explicit witness words: the counts are shifted along a
@@ -46,9 +49,9 @@ is formed anywhere.
 `decide_orbit` builds the `IntegerLogs` and the cone meet once and
 dispatches on them; `decide_easy`, `decide_hard` and
 `extract_orbit_witness` read only those.  Nonempty verdicts always come
-with a witness pair that `decide_orbit` verifies.  One known
-configuration (dimension <= 1 but no separating functional, e.g. a full
-plane cone against a ray inside it) is outside the supported procedure;
+with a witness pair that `decide_orbit` verifies.  The remainder,
+P = {0} while one side's superdiagonals span at most a line (e.g. a full
+plane cone against a ray inside it), is outside the supported procedure;
 `decide_orbit` then tries the breadth-first oracle as a semi-decision
 (`_easy_fallback`), and the run reports Unsupported when it finds
 nothing.
@@ -169,14 +172,16 @@ def _cone(triples):
 
 
 def decide_orbit(inst: OrbitInstance) -> Decision:
-    """Dispatch on the dimension of the cone intersection.
+    """Dispatch on the polar cone P of the two superdiagonal cones.
 
     Reduces to T = I, builds the two superdiagonal cones, and runs the
-    hard case, the easy case, or, without a separating functional, the
-    breadth-first fallback.  The cones get the integer superdiagonals of
+    hard case when they meet with full dimension (P = {0} and both sides
+    span the plane), the easy case when P holds a separating functional,
+    and otherwise (P = {0}, some side of rank <= 1) the breadth-first
+    fallback.  The cones get the integer superdiagonals of
     `_integer_logs`, read straight off the integer tables: scaling every
-    generator by the same D > 0 moves no direction, so the meet and its
-    certificates are those of the rational cones.  Nonempty verdicts
+    generator by the same D > 0 moves no direction, so P and the
+    functional are those of the rational cones.  Nonempty verdicts
     carry a witness pair (v over G, w over H), and this is the one place
     it is checked, by `_common_element`.  The common element reported is
     T * product(v).
@@ -185,14 +190,13 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
     units = _integer_logs(reduced.S, inst.G.mats, inst.H.mats)
     meet = cone_intersect_dim(_cone(units.g), _cone(units.h))
 
-    if meet.dim == 2:
+    if meet.full:
         decision = decide_hard(units, inst.options)
     elif meet.separating_functional is None:
         decision = _easy_fallback(reduced)
     else:
         decision = decide_easy(units, meet, inst.options)
 
-    decision.details["dim"] = meet.dim
     decision.details["reduced_S"] = reduced.S
     if decision.verdict is Verdict.NONEMPTY:
         common = _common_element(inst, *decision.witnesses)
@@ -210,7 +214,7 @@ def _common_element(inst: OrbitInstance, v: Word, w: Word):
 
 
 # ---------------------------------------------------------------------------
-# Easy case: cone intersection of dimension 0 or 1
+# Easy case: a separating functional
 
 
 def _interleavings(letters, caps, length):
@@ -244,8 +248,9 @@ def _interleavings(letters, caps, length):
 
 
 def decide_easy(units: IntegerLogs, meet, options) -> Decision:
-    """Finite Diophantine search when the cones meet in dimension <= 1
-    and `meet` carries a separating functional.
+    """Finite Diophantine search when `meet` carries a separating
+    functional: a nonzero n in the polar cone P, so the cones meet in
+    at most a line.
 
     A separating functional n (nonnegative on the G directions,
     nonpositive on the H directions) bounds the number of off-line
@@ -275,13 +280,14 @@ def decide_easy(units: IntegerLogs, meet, options) -> Decision:
     `_solve_interleaving` turns each ordering's integer rows into exactly
     the rows the rational system clears to, whatever D is.
 
-    Without a separating functional the bounding argument has no footing,
-    and `decide_orbit` runs `_easy_fallback` instead.  A nonempty witness
+    Without a separating functional (P = {0}) the bounding argument has
+    no footing: `decide_orbit` runs `decide_hard` when both sides span
+    the plane, and `_easy_fallback` otherwise.  A nonempty witness
     pair is not checked here; `decide_orbit` checks it.
     """
     if meet.separating_functional is None:
         raise ValueError(
-            "easy case requires a separating functional (cone meet of dimension <= 1)"
+            "easy case requires a separating functional (a nonzero polar cone)"
         )
     budget = options.get("interleave_budget", DEFAULT_INTERLEAVING_BUDGET)
 
@@ -481,8 +487,10 @@ def _solve_interleaving(units, g0, h0, cs, ds, g_coefs, h_coefs):
 
 
 def _easy_fallback(reduced: OrbitInstance) -> Decision:
-    """Semi-decision by enumeration when no separating functional exists,
-    on the instance reduced to T = I."""
+    """Semi-decision by enumeration on the instance reduced to T = I, for
+    the one configuration neither case covers: the polar cone P is {0}
+    (no separating functional) while some side's superdiagonals span at
+    most a line (so the cones do not meet with full dimension)."""
     options = reduced.options
     depth = options.get("oracle_depth", FALLBACK_DEPTH)
     found = bfs_oracle(reduced, depth, memory_budget=options.get("memory_budget"))
@@ -495,14 +503,15 @@ def _easy_fallback(reduced: OrbitInstance) -> Decision:
             details={"case": "fallback"},
         )
     raise UnsupportedInstance(
-        "no separating functional exists for the cone pair and the "
+        "no separating functional exists for the cone pair while one side "
+        "spans at most a line, and the "
         f"enumeration fallback found no witness up to length {depth}; "
         "the emptiness question is undecided for this configuration"
     )
 
 
 # ---------------------------------------------------------------------------
-# Hard case: cone intersection of dimension 2
+# Hard case: cones meeting with full dimension
 
 
 def _pairs(k):
@@ -650,9 +659,9 @@ def _positive_combination(g_vecs, h_vecs):
     """Strictly positive integers X, Y with sum X_i u(G_i) = sum Y_j u(H_j),
     u the integer superdiagonal of a generator (`IntegerLogs`, units of D).
 
-    Exists whenever the cones meet with dimension 2 (any interior vector
-    of the intersection is a strictly positive combination on both
-    sides); found as one homogeneous LP with all variables >= 1.  Its
+    Exists whenever the polar cone P is {0} (Stiemke's alternative, see
+    `linsolve.cone_intersect_dim`), so in the hard case; found as one
+    homogeneous LP with all variables >= 1.  Its
     rows are D times the rows over the rational superdiagonals, right-hand
     side 0 included, so by the scaling lemma of `lp_feasible` the point,
     and X, Y, are those of the rational LP.  X, Y are the numerators of
@@ -665,7 +674,7 @@ def _positive_combination(g_vecs, h_vecs):
     point = lp_feasible(rows, [0, 0], [1] * (K + M))
     if point is None:
         raise AssertionError(
-            "no positive balancing combination despite a 2-dimensional meet (defect)"
+            "no positive balancing combination despite a zero polar cone (defect)"
         )
     nums, _ = point
     return nums[:K], nums[K:]
@@ -695,7 +704,8 @@ def extract_orbit_witness(units: IntegerLogs, sol: RelaxedSolution):
       `realize_corner`, which hits the area exactly with block orders.
     * "inflated", the fallback, which always ends: pick pair coefficients
       making a strictly positive combined bracket value d (a single +-1
-      on the first pair, G before H, with nonzero omega); let e clear the
+      on the first pair, G before H, with nonzero omega, which exists
+      since in the hard case both sides span the plane); let e clear the
       denominators of the rational logs, halved brackets and d; shift
       the solution by 2 N de (X, Y) and its pair coefficients by
       -+4 N ep on the chosen pair, p the corner the balancing
@@ -749,7 +759,7 @@ def extract_orbit_witness(units: IntegerLogs, sol: RelaxedSolution):
             break
     if omega_1 is None:
         raise AssertionError(
-            "no nonzero corner bracket despite a 2-dimensional meet (defect)"
+            "no nonzero corner bracket despite a full-dimensional meet (defect)"
         )
 
     two_d = 2 * units.den

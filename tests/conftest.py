@@ -77,7 +77,7 @@ def nullspace(rows, ncols=None):
         ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise ValueError("inconsistent row lengths")
-    mat, pivots = linsolve._row_reduce(rows, ncols, range(ncols))
+    mat, pivots = linsolve._row_reduce(rows, range(ncols))
     pivot_cols = {c for _, c in pivots}
     basis = []
     for free in range(ncols):

@@ -240,6 +240,77 @@ def test_every_member_used_outside_tests():
     assert unreferenced_members(sources) == []
 
 
+def _functions(body, prefix=""):
+    """(qualified name, node) of every function and method defined in a
+    statement list, nested ones included, in source order."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if not isinstance(node, ast.ClassDef):
+                yield name, node
+            yield from _functions(node.body, name + ".")
+        elif hasattr(node, "body"):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _functions(getattr(node, field, []), prefix)
+
+
+def unused_parameters(sources):
+    """`function.parameter` for every parameter of a function or method of
+    `sources` that its body never reads as a name.  Dunder methods are
+    exempt, and so are overrides of a method of a base class from outside
+    the package, whose signature that base class fixes."""
+    found = []
+    for source in sources:
+        tree = ast.parse(source)
+        external = _external_bases(tree)
+        for qualname, node in _functions(tree.body):
+            owner, _, name = qualname.rpartition(".")
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if any(hasattr(base, name) for base in external.get(owner, [])):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                sub.id
+                for stmt in node.body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            found += [f"{qualname}.{p}" for p in params if p not in read]
+    return found
+
+
+def test_unused_parameters_detected():
+    module = (
+        "import argparse\n"
+        "class P(argparse.ArgumentParser):\n"
+        "    def error(self, message):\n        raise SystemExit(1)\n"
+        "    def extra(self, flag):\n        return self\n"
+        "class A:\n"
+        "    def __exit__(self, *exc):\n        return False\n"
+        "    def run(self, a, *rest, key=0, **kw):\n"
+        "        a = 1\n"
+        "        def inner(b, c=0):\n            return b + rest[0]\n"
+        "        return inner(self) + kw['x']\n"
+        "def f(x, y: int = 0, *, z):\n    return x\n"
+        "if True:\n    def g(u):\n        return u\n"
+    )
+    assert unused_parameters([module]) == [
+        "P.extra.flag", "A.run.a", "A.run.key", "A.run.inner.c", "f.y", "f.z"
+    ]
+
+
+def test_no_unused_parameters():
+    # a parameter that no call can influence is dead weight at every caller
+    sources = [
+        path.read_text()
+        for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    ]
+    assert unused_parameters(sources) == []
+
+
 ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
 
 

@@ -234,7 +234,7 @@ def _reference_lift(space, fixed):
         list(row[nfix:]) + [-sum(a * v for a, v in zip(row, fixed) if a and v)]
         for row in space.equations
     ]
-    mat, pivots = linsolve._row_reduce(rows, nfree + 1, range(nfree))
+    mat, pivots = linsolve._row_reduce(rows, range(nfree))
     pivot_rows = {r for r, _ in pivots}
     if any(row[nfree] for i, row in enumerate(mat) if i not in pivot_rows):
         raise AssertionError("point lies outside the projection (defect)")

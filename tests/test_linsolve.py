@@ -52,7 +52,7 @@ def test_nullspace_spans_kernel(rng):
                 sum(a * x for a, x in zip(row, vec)) == 0 for row in rows
             )
         # rank-nullity
-        _, pivots = _row_reduce(rows, ncols, range(ncols))
+        _, pivots = _row_reduce(rows, range(ncols))
         assert len(basis) == ncols - len(pivots)
 
 
@@ -112,7 +112,7 @@ def test_eliminate_matches_enumeration(rng):
         # completeness: the projected space has no more dimensions than
         # the span of the enumerated points
         span_rows = [cleared(p) for p in enumerated]
-        _, pivots = _row_reduce(span_rows, keep_count, range(keep_count))
+        _, pivots = _row_reduce(span_rows, range(keep_count))
         span_dim = len(pivots)
         assert len(subspace_basis(projected)) == span_dim
         # the lift extends each point of the projection, scaled to an
@@ -134,7 +134,7 @@ def test_eliminate_matches_enumeration(rng):
 # of its denominators (`_cleared_reference_row_reduce`).
 
 
-def _reference_row_reduce(rows, ncols, pivot_order):
+def _reference_row_reduce(rows, pivot_order):
     mat = [list(r) for r in rows]
     pivots = []
     used_rows = set()
@@ -157,8 +157,8 @@ def _reference_row_reduce(rows, ncols, pivot_order):
     return mat, pivots
 
 
-def _cleared_reference_row_reduce(rows, ncols, pivot_order):
-    mat, pivots = _reference_row_reduce(rows, ncols, pivot_order)
+def _cleared_reference_row_reduce(rows, pivot_order):
+    mat, pivots = _reference_row_reduce(rows, pivot_order)
     return [cleared(row) for row in mat], pivots
 
 
@@ -175,9 +175,9 @@ def _nonzero_multiple(row, ref):
     return q != 0 and all(a == q * b for a, b in zip(row, ref))
 
 
-def _check_row_reduce(rows, ncols, order):
-    want, want_pivots = _reference_row_reduce(rows, ncols, order)
-    got, pivots = _row_reduce(rows, ncols, order)
+def _check_row_reduce(rows, order):
+    want, want_pivots = _reference_row_reduce(rows, order)
+    got, pivots = _row_reduce(rows, order)
     assert pivots == want_pivots, (rows, order)
     assert len(got) == len(want)
     pivot_rows = {r for r, _ in pivots}
@@ -253,7 +253,7 @@ def test_row_reduce_matches_reference(rng):
         # dropped columns; and an augmented last column, as a linear
         # system solves (`solve_in_lattice`)
         for order in (range(ncols), partial, range(ncols - 1)):
-            pivoted += _check_row_reduce(rows, ncols, list(order))
+            pivoted += _check_row_reduce(rows, list(order))
         _check_on_reference(rows, ncols, sorted(rng.sample(range(ncols), rng.randint(1, ncols))))
     assert pivoted > 500
 
@@ -283,8 +283,8 @@ def _reductions(draw):
 @given(_reductions())
 def test_row_reduce_matches_reference_hypothesis(drawn):
     ncols, rows, order, keep = drawn
-    _check_row_reduce(rows, ncols, order)
-    _check_row_reduce(rows, ncols, range(ncols))
+    _check_row_reduce(rows, order)
+    _check_row_reduce(rows, range(ncols))
     _check_on_reference(rows, ncols, keep)
 
 
@@ -869,7 +869,7 @@ def solve_in_lattice(sol: IntegerSolutionSet, x):
     ncols = len(basis)
     rows = [[basis[j][i] for j in range(ncols)] for i in range(len(diff))]
     mat = [row + [d] for row, d in zip(rows, diff)]
-    reduced, pivots = _row_reduce(mat, ncols + 1, range(ncols))
+    reduced, pivots = _row_reduce(mat, range(ncols))
     coeffs = [Fraction(0)] * ncols
     for r, c in pivots:
         coeffs[c] = Fraction(reduced[r][ncols], reduced[r][c])
@@ -1269,15 +1269,15 @@ def test_ilp_finds_point_past_a_diving_branch(A, b, point):
 
 def test_cone_examples():
     m = cone_intersect_dim(Cone2D([(1, 0)]), Cone2D([(0, 1)]))
-    assert m.dim == 0
+    assert not m.full
     n = m.separating_functional
     assert n is not None and n[0] >= 0 and n[1] <= 0
 
     m = cone_intersect_dim(Cone2D([(1, 0), (0, 1)]), Cone2D([(1, 0), (0, 1)]))
-    assert m.dim == 2 and m.separating_functional is None
+    assert m.full and m.separating_functional is None
 
     m = cone_intersect_dim(Cone2D([(1, 1), (1, -1)]), Cone2D([(1, 1), (-1, 1)]))
-    assert m.dim == 1
+    assert not m.full
     n = m.separating_functional
     for g in [(1, 1), (1, -1)]:
         assert n[0] * g[0] + n[1] * g[1] >= 0
@@ -1297,13 +1297,13 @@ def test_cross_and_angular_order_examples():
 
 def test_cone_degenerate_convention():
     m = cone_intersect_dim(Cone2D([(0, 0)]), Cone2D([]))
-    assert m.dim == 0 and m.separating_functional == (1, 0)
+    assert not m.full and m.separating_functional == (1, 0)
 
 
 def test_cone_no_functional_configuration():
     plane = Cone2D([(1, 0), (0, 1), (-1, 0), (0, -1)])
     m = cone_intersect_dim(plane, Cone2D([(1, 1)]))
-    assert m.dim == 1 and m.separating_functional is None
+    assert not m.full and m.separating_functional is None
 
 
 def test_cone_scaling_invariance(rng):
@@ -1315,7 +1315,8 @@ def test_cone_scaling_invariance(rng):
         scaled = cone_intersect_dim(
             Cone2D([(scale * a, scale * b) for a, b in g1]), Cone2D(g2)
         )
-        assert base.dim == scaled.dim
+        assert base.full == scaled.full
+        assert base.separating_functional == scaled.separating_functional
 
 
 CONE_FORMS = ("zero", "ray", "line", "wedge", "halfplane", "plane")
@@ -1369,6 +1370,49 @@ def test_cone_takes_int_generators_only():
             meet = cone_intersect_dim(Cone2D(g1), Cone2D(g2))
             vec = meet.separating_functional
             assert vec is None or all(type(x) is int for x in vec)
-            seen.add((kind1, kind2, meet.dim))
+            seen.add((kind1, kind2, meet.full))
     assert {kind for kind, _, _ in seen} == set(CONE_FORMS)
-    assert {dim for _, _, dim in seen} == {0, 1, 2}
+    assert {full for _, _, full in seen} == {False, True}
+
+
+def test_cone_meet_matches_independent_reference():
+    # full: both sides of rank 2 (by elimination) and a strictly positive
+    # balancing combination (the LP of orbit._positive_combination); the
+    # functional: None exactly when no nonzero n in the box -3..3
+    # separates, else a nonzero int pair that separates.  The polar
+    # cone's extreme rays are perpendicular to generators with entries
+    # in -3..3, so the box holds a separating n whenever one exists.
+    rng = random.Random(29)
+    box = [n for n in itertools.product(range(-3, 4), repeat=2) if n != (0, 0)]
+
+    def rank(vecs):
+        return 2 - len(nullspace(vecs, 2))
+
+    def separates(n, g, h):
+        return all(n[0] * a + n[1] * b >= 0 for a, b in g) and all(
+            n[0] * a + n[1] * b <= 0 for a, b in h
+        )
+
+    kinds = collections.Counter()
+    for _ in range(3000):
+        g, h = (
+            [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
+            for _ in range(2)
+        )
+        meet = cone_intersect_dim(Cone2D(g), Cone2D(h))
+        rows = [[x[c] for x in g] + [-y[c] for y in h] for c in range(2)]
+        want_full = (
+            rank(g) == 2
+            and rank(h) == 2
+            and lp_feasible(rows, [0, 0], [1] * (len(g) + len(h))) is not None
+        )
+        assert meet.full == want_full, (g, h)
+        n = meet.separating_functional
+        if n is not None:
+            assert not meet.full
+            assert all(type(x) is int for x in n) and n != (0, 0), (g, h)
+            assert separates(n, g, h), (g, h)
+        assert (n is None) == (not any(separates(m, g, h) for m in box)), (g, h)
+        kinds[meet.full, n is None] += 1
+    # every outcome occurs: full, the fallback remainder, and a functional
+    assert set(kinds) == {(True, True), (False, True), (False, False)}

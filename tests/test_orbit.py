@@ -201,7 +201,10 @@ def test_easy_disjoint_rays_empty():
     inst = orbit(IDENT, IDENT, gsys(X), gsys(Y))
     d = decide_orbit(inst)
     assert d.verdict is Verdict.EMPTY
-    assert d.details["dim"] == 0
+    assert d.details["case"] == "easy"
+    # the polar cone is the wedge from (0, -1) to (1, 0), and its lesser
+    # ray separates: 0 on the superdiagonal of X, -1 on that of Y
+    assert d.trace[0]["functional"] == (0, -1)
 
 
 def test_easy_with_off_line_letters():
@@ -209,7 +212,10 @@ def test_easy_with_off_line_letters():
     s = h3(0, 0, 1)
     inst = orbit(IDENT, s, gsys(X, Y), gsys(Y))
     d = decide_orbit(inst)
-    assert d.details["dim"] == 1
+    assert d.details["case"] == "easy"
+    # the polar cone is the ray of (1, 0): 1 on the superdiagonal of X,
+    # 0 on that of Y
+    assert d.trace[0]["functional"] == (1, 0)
     if d.verdict is Verdict.NONEMPTY:
         assert verified(inst, d)
     # oracle agreement either way
@@ -1044,7 +1050,7 @@ def test_f11_hard_census(monkeypatch):
     hard = []
     for index, inst in enumerate(f11_draws()):
         units = _integer_logs(inst.S, inst.G.mats, inst.H.mats)
-        if cone_intersect_dim(_cone(units.g), _cone(units.h)).dim == 2:
+        if cone_intersect_dim(_cone(units.g), _cone(units.h)).full:
             hard.append((index, inst))
     tried = {}  # letters of every count vector the corner search tried
     real = orbit_module.realize_corner
@@ -1175,7 +1181,7 @@ def hard_nonempty_cases():
     for index, inst in enumerate(f11_draws()):
         reduced = reduce_to_identity(inst)
         units = _integer_logs(reduced.S, inst.G.mats, inst.H.mats)
-        if cone_intersect_dim(_cone(units.g), _cone(units.h)).dim == 2:
+        if cone_intersect_dim(_cone(units.g), _cone(units.h)).full:
             cases.append((f"f11-{index}", reduced))
     rng = random.Random(89)
     cases += [(f"random-{k}", random_hard_instance(rng)) for k in range(40)]
@@ -1284,7 +1290,7 @@ def random_hard_instance(rng):
         H = GeneratorSystem([elem() for _ in range(rng.randint(1, 3))])
         S = elem()
         units = _integer_logs(S, G.mats, H.mats)
-        if cone_intersect_dim(_cone(units.g), _cone(units.h)).dim == 2:
+        if cone_intersect_dim(_cone(units.g), _cone(units.h)).full:
             return OrbitInstance(IDENT, S, G, H)
 
 
@@ -1384,7 +1390,7 @@ def hard_instances(draw):
 @given(hard_instances())
 def test_hard_branches_match_fraction_reference_hypothesis(inst):
     units = _integer_logs(inst.S, inst.G.mats, inst.H.mats)
-    assert cone_intersect_dim(_cone(units.g), _cone(units.h)).dim == 2
+    assert cone_intersect_dim(_cone(units.g), _cone(units.h)).full
     assert_hard_matches_reference(inst)
 
 
