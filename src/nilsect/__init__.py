@@ -38,7 +38,6 @@ from .linsolve import (
     IntegerSolutionSet,
     hnf_solve,
     ilp_feasible_nonneg,
-    Cone2D,
     ConeMeet,
     cone_intersect_dim,
 )

@@ -196,10 +196,8 @@ def run(command: str, inst_file: InstanceFile, *, trace=False, depth=None,
     if check_oracle:
         d = options.get("oracle_depth", FALLBACK_DEPTH)
         found = bfs_oracle(built, d, memory_budget=options.get("memory_budget"))
-        agree = (found is not None) == (decision.verdict is Verdict.NONEMPTY)
-        # a missing collision at bounded depth cannot contradict nonempty
-        if found is None and decision.verdict is Verdict.NONEMPTY:
-            agree = True
+        # a missing collision at bounded depth contradicts no verdict
+        agree = found is None or decision.verdict is Verdict.NONEMPTY
         report.oracle = {
             "depth": d,
             "collision": found is not None,

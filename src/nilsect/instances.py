@@ -41,12 +41,12 @@ Each option bounds some work by its value:
 Heisenberg and product elements are embedded into UT(n*d, Q) (block
 substitution by the multiplication matrix of each field entry; factors
 go block-diagonally), so downstream code sees plain unipotent rational
-matrices regardless of the surface group.  Each line is split once.  The
-rows of a matrix, a field element or a minimal polynomial are checked by
-one regex and read by int() over one denominator, the lcm of those of
-its "/" tokens (`_integers`).  Every matrix, declared or embedded, is
-one integer table over a common denominator: the form the matrix kernel
-computes on, so no Fraction grid is built and converted back.
+matrices regardless of the surface group.  Each line is split once.  A
+matrix, an a/b/c row of field elements or a minimal polynomial has its
+shape checked by regex and is read by int() over one denominator, the
+lcm of those of its "/" tokens (`_integers`).  Every matrix is one
+integer table over a common denominator, the form the matrix kernel
+computes on: no Fraction grid is built and converted back.
 """
 
 from __future__ import annotations
@@ -171,23 +171,20 @@ def _int(tok, line_no, what, least=None):
         raise ParseError(line_no, str(exc)) from None
 
 
-def _vector(toks, shaped, line_no):
-    """(U, q) of the row toks by `_integers` if `shaped`, else a ParseError."""
-    ints = _integers([toks]) if shaped else None
-    if ints is None:
-        _check_rats(toks, line_no)
-    (vec,), q = ints
-    return vec, q
-
-
-def _field_elem(field_obj, tok, line_no):
-    """(U, q): the coordinates of tok as in `_integers`."""
-    coords = tok.split(",")
-    elem = _vector(coords, _FIELD_SHAPE.fullmatch(tok), line_no)
-    if len(coords) != field_obj.degree:
-        d, got = field_obj.degree, len(coords)
-        raise ParseError(line_no, f"field element needs {d} coordinates, got {got}")
-    return elem
+def _field_row(d, toks, line_no):
+    """[(U, q)] of the field elements toks, d coordinates each, by one
+    `_integers` call; else the ParseError of the first faulty element."""
+    elems = [tok.split(",") for tok in toks]
+    shaped = set(map(len, elems)) == {d} and all(map(_FIELD_SHAPE.fullmatch, toks))
+    ints = _integers(elems) if shaped else None
+    if ints is None:  # diagnose element by element, in reading order
+        for coords in elems:
+            _check_rats(coords, line_no)
+            if len(coords) != d:
+                got = len(coords)
+                raise ParseError(line_no, f"field element needs {d} coordinates, got {got}")
+    rows, q = ints
+    return [(row, q) for row in rows]
 
 
 class _Lines:
@@ -259,7 +256,10 @@ def _parse_factor_spec(toks, no):
     n = _int(toks[1], no, "Heisenberg dimension")
     if n < 3:
         raise ParseError(no, "Heisenberg dimension must be >= 3")
-    coeffs, q = _vector(toks[3:], all(map(_RAT_SHAPE.fullmatch, toks[3:])), no)
+    ints = _integers([toks[3:]]) if all(map(_RAT_SHAPE.fullmatch, toks[3:])) else None
+    if ints is None:
+        _check_rats(toks[3:], no)
+    (coeffs,), q = ints
     try:
         fld = NumberField([Fraction(c, q) for c in reversed(coeffs)])
     except ValueError as exc:
@@ -284,7 +284,7 @@ def _parse_element(lines, factors, name):
                 raise ParseError(no, f"expected '{key} ...', got {line!r}")
             if len(toks) - 1 != want:
                 raise ParseError(no, f"'{key}' needs {want} field element(s), got {len(toks) - 1}")
-            vals.append([_field_elem(fld, t, no) for t in toks[1:]])
+            vals.append(_field_row(fld.degree, toks[1:], no))
         a, b, (c,) = vals
         parts.append(embed_heisenberg(fld, n, a, b, c))
     return direct_sum(parts)

@@ -32,10 +32,11 @@ Contents:
 * small-scale integer feasibility with sign constraints, by one
   depth-first branch-and-bound over the exact LP relaxation per call,
   capped at ILP_NODE_CAP relaxations per call;
-* finitely generated cones in Q^2: whether two meet with full
-  dimension, and a separating functional, both from the one polar cone
-  of functionals nonnegative on one side and nonpositive on the other;
-  on the exact plane forms `cross` and `angular_order` that word
+* finitely generated cones in Q^2, each given as the list of its
+  int-pair generators: whether two meet with full dimension, and a
+  separating functional, both from the feasible rays of the one polar
+  cone of functionals nonnegative on one side and nonpositive on the
+  other; on the exact plane forms `cross` and `angular_order` that word
   realisation shares.
 
 Everything operates on immutable inputs and returns fresh values.  The
@@ -688,26 +689,6 @@ def ilp_feasible_nonneg(A, b, nonzero_groups=()):
 
 
 @dataclass(frozen=True)
-class Cone2D:
-    """Finitely generated cone in Q^2 (nonnegative rational combinations).
-
-    Generators are integer pairs; any other entry is a TypeError.  Only
-    the directions matter, so a rational cone is given by its generators
-    scaled by positive integers, as the orbit superdiagonals are given in
-    units of their common denominator D.
-    """
-
-    generators: tuple
-
-    def __init__(self, generators):
-        gens = tuple((a, b) for a, b in generators)
-        for g in gens:
-            if not all(type(x) is int for x in g):
-                raise TypeError(f"cone generator {g!r} is not a pair of ints")
-        object.__setattr__(self, "generators", gens)
-
-
-@dataclass(frozen=True)
 class ConeMeet:
     """Outcome of intersecting two plane cones: whether they meet with
     full dimension, and a separating functional when one exists."""
@@ -733,18 +714,6 @@ def cross(u, v):
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _dot(u, v):
-    return u[0] * v[0] + u[1] * v[1]
-
-
-def _rot_ccw(v):
-    return (-v[1], v[0])
-
-
-def _rot_cw(v):
-    return (v[1], -v[0])
-
-
 def angular_order(vectors):
     """Indices of the plane vectors sorted by angle in [0, 2 pi) from
     (1, 0), exactly (half-plane, then the sign of `cross`); zero vectors
@@ -764,111 +733,57 @@ def angular_order(vectors):
     return sorted(range(len(vectors)), key=functools.cmp_to_key(compare))
 
 
-def _cone_form(generators):
-    """Canonical form of the cone generated by the given vectors.
+def cone_intersect_dim(g, h) -> ConeMeet:
+    """Whether the cones generated by the int pairs g and h meet with
+    full dimension, plus a separating functional, both read off one
+    polar cone.
 
-    One of ("zero",), ("ray", d), ("line", d), ("wedge", r1, r2) running
-    counterclockwise from r1 to r2 through an angle < pi,
-    ("halfplane", n) with inward normal n, or ("plane",).
-    """
-    dirs = []
-    seen = set()
-    for g in generators:
-        p = _primitive(g)
-        if p is not None and p not in seen:
-            seen.add(p)
-            dirs.append(p)
-    if not dirs:
-        return ("zero",)
-    if len(dirs) == 1:
-        return ("ray", dirs[0])
-    neg0 = (-dirs[0][0], -dirs[0][1])
-    if all(d == dirs[0] or d == neg0 for d in dirs):
-        return ("line", dirs[0])
+    Only directions matter, so a rational cone comes in as its
+    generators scaled by positive integers, as the orbit superdiagonals
+    come in units of their common denominator D; any other entry is a
+    TypeError.  With c running over the primitive g_i and -h_j, let
+    P = {n : n . c >= 0 for all c}: the functionals with n . g >= 0 on
+    g and n . h <= 0 on h.  Each extreme ray of P is a quarter turn of
+    some c, and a half-plane P also holds its own c; so the feasible
+    ones among those candidates (each c's two quarter turns, then c,
+    first occurrences kept) generate P exactly, with no search.
 
-    order = [dirs[i] for i in angular_order(dirs)]
-    n = len(order)
-    # classify the cyclic gaps; at most one gap can be >= pi
-    for idx in range(n):
-        a = order[idx]
-        b = order[(idx + 1) % n]
-        if cross(a, b) < 0:
-            # ccw gap from a to b exceeds pi: cone is the wedge from b to a
-            return ("wedge", b, a)
-    for idx in range(n):
-        a = order[idx]
-        b = order[(idx + 1) % n]
-        if cross(a, b) == 0 and _dot(a, b) < 0:
-            # a gap of exactly pi: the occupied side is a closed halfplane
-            return ("halfplane", _rot_ccw(b))
-    return ("plane",)
-
-
-def _feasible_cone(constraints):
-    """Canonical form of {x : n . x >= 0 for all n in constraints}.
-
-    The extreme rays of such a cone lie on constraint boundaries, and a
-    halfplane result additionally needs an interior representative; so it
-    suffices to classify the cone generated by the feasible ones among
-    the boundary directions and the normals themselves.
-    """
-    if not constraints:
-        return ("plane",)
-    candidates = []
-    seen = set()
-    for c in constraints:
-        for cand in (_rot_ccw(c), _rot_cw(c), c):
-            p = _primitive(cand)
-            if p is not None and p not in seen:
-                seen.add(p)
-                candidates.append(p)
-    feasible = [c for c in candidates if all(_dot(n, c) >= 0 for n in constraints)]
-    return _cone_form(feasible)
-
-
-def _spans_plane(generators):
-    """Whether the vectors span Q^2: some pair has nonzero `cross`."""
-    return any(cross(u, v) for u, v in itertools.combinations(generators, 2))
-
-
-def cone_intersect_dim(c1: Cone2D, c2: Cone2D) -> ConeMeet:
-    """Whether the two cones meet with full dimension, plus a separating
-    functional, both read off one polar cone.
-
-    With c running over the generators g of c1 and the negated
-    generators -h of c2, let P = {n : n . c >= 0 for all c}: the
-    functionals with n . g >= 0 on c1 and n . h <= 0 on c2
-    (`_feasible_cone`, classified exactly, no search).
-
-    * P = {0}: no functional separates, and the cones meet with full
-      dimension iff each spans the plane (`full`).  The relative
-      interior of a finitely generated cone is the set of its strictly
-      positive combinations, and by Stiemke's alternative strictly
-      positive X, Y with sum X_i g_i = sum Y_j h_j exist iff no n in P
-      is nonzero on some c.  So for P = {0} the relative interiors
-      meet; if both are open (rank 2 on each side) they meet in an open
-      set, and if one side has rank <= 1 the meet lies in its line.
-      Conversely, a meet of full dimension has a point interior to both
-      cones, so every n in P vanishes on every c, and n = 0 when a side
-      spans the plane.
+    * No feasible ray, P = {0}: no functional separates, and the cones
+      meet with full dimension iff each side spans the plane (`full`).
+      The relative interior of a finitely generated cone is the set of
+      its strictly positive combinations, and by Stiemke's alternative
+      strictly positive X, Y with sum X_i g_i = sum Y_j h_j exist iff no
+      n in P is nonzero on some c.  So for P = {0} the relative
+      interiors meet; if both are open (rank 2 on each side) they meet
+      in an open set, and if one side has rank <= 1 the meet lies in
+      its line.  Conversely, a meet of full dimension has a point
+      interior to both cones, so every n in P vanishes on every c, and
+      n = 0 when a side spans the plane.
     * P != {0}: any nonzero n in P separates, so the meet lies in the
-      line n . x = 0.  The functional is the direction of a ray or
-      line, the lesser ray of a wedge, or the boundary direction of a
-      half-plane; P is never the plane, since n = -c fails n . c >= 0
-      for a nonzero c.
+      line n . x = 0.  The functional is the first ray when all rays are
+      collinear (P a ray or a line); otherwise, in `angular_order`, the
+      lesser (as a tuple) of the two rays of the one gap wider than pi
+      (P a wedge), and failing that the first ray of the gap of exactly
+      pi (P a half-plane).  P is never the plane, since n = -c fails
+      n . c >= 0 for a nonzero c, so one such gap exists.
     * No nonzero generator on either side: the functional is the
       conventional (1, 0).
     """
-    signed = list(c1.generators) + [(-a, -b) for a, b in c2.generators]
+    _require_ints(itertools.chain(*g, *h), "a cone generator")
+    signed = [*g, *((-a, -b) for a, b in h)]
     constraints = [p for p in map(_primitive, signed) if p is not None]
     if not constraints:
         return ConeMeet(False, (1, 0))
-    form = _feasible_cone(constraints)
-    if form[0] == "zero":
-        full = _spans_plane(c1.generators) and _spans_plane(c2.generators)
-        return ConeMeet(full, None)
-    if form[0] in ("ray", "line"):
-        return ConeMeet(False, form[1])
-    if form[0] == "wedge":
-        return ConeMeet(False, min(form[1], form[2]))
-    return ConeMeet(False, _rot_ccw(form[1]))  # halfplane boundary direction
+    candidates = dict.fromkeys(r for a, b in constraints for r in ((-b, a), (b, -a), (a, b)))
+    rays = [r for r in candidates if all(r[0] * c[0] + r[1] * c[1] >= 0 for c in constraints)]
+    if not rays:
+        spans = [any(cross(u, v) for u, v in itertools.combinations(side, 2)) for side in (g, h)]
+        return ConeMeet(all(spans), None)
+    if all(cross(rays[0], r) == 0 for r in rays):
+        return ConeMeet(False, rays[0])
+    order = [rays[i] for i in angular_order(rays)]
+    gaps = list(zip(order, order[1:] + order[:1]))
+    for a, b in gaps:
+        if cross(a, b) < 0:
+            return ConeMeet(False, min(a, b))
+    return ConeMeet(False, next(a for a, b in gaps if cross(a, b) == 0))

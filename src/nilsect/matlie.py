@@ -452,9 +452,6 @@ class GeneratorSystem:
     def __setattr__(self, name, value):
         raise AttributeError("GeneratorSystem is immutable")
 
-    def __len__(self):
-        return len(self.mats)
-
     @property
     def K(self) -> int:
         return len(self.mats)

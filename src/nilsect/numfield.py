@@ -80,14 +80,14 @@ def _sign_changes(chain, x):
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _has_rational_root(coeffs) -> bool:
+def _has_rational_root(coeffs, big_l) -> bool:
     """Whether a monic polynomial over Q has a rational root.
 
-    coeffs are ascending Fractions, c0 + c1 t + ... + t^d with d >= 2.
-    With L the lcm of their denominators, g(u) = L^d f(u/L) is monic
-    with the integer coefficients g_k = c_k L^(d-k); f(t) = 0 iff
-    g(L t) = 0, and the rational roots of a monic integer polynomial are
-    integers.  So the test looks for an integer root of g:
+    coeffs are ascending Fractions, c0 + c1 t + ... + t^d with d >= 2,
+    and big_l is L, the lcm of their denominators.  Then g(u) =
+    L^d f(u/L) is monic with the integer coefficients g_k = c_k L^(d-k);
+    f(t) = 0 iff g(L t) = 0, and the rational roots of a monic integer
+    polynomial are integers.  So the test looks for an integer root of g:
 
     * every root of g lies strictly inside (-B, B) for B = L (1 + max
       |c_k|), k < d: the roots t of f satisfy |t| < 1 + max |c_k| (Cauchy),
@@ -103,7 +103,6 @@ def _has_rational_root(coeffs) -> bool:
     the bit size of the coefficients (a search over the divisors of c0
     would take sqrt|c0| steps).
     """
-    big_l = common_denominator(coeffs)
     d = len(coeffs) - 1
     g = [int(c * big_l ** (d - k)) for k, c in enumerate(coeffs)]
     if not g[0]:
@@ -137,7 +136,9 @@ class NumberField:
         if coeffs[-1] != 1:
             raise ValueError("modulus must be monic")
         d = len(coeffs) - 1
-        if d >= 2 and _has_rational_root(coeffs):
+        # the lcm of the denominators, the monic top coefficient adding none
+        m = common_denominator(coeffs[:-1])
+        if d >= 2 and _has_rational_root(coeffs, m):
             raise ValueError(
                 "modulus has a rational root, so it is reducible over Q"
             )
@@ -145,7 +146,6 @@ class NumberField:
         object.__setattr__(self, "degree", d)
         # alpha^d = -(c0 + c1 a + ... + c_{d-1} a^{d-1}) = h/m over the
         # integers, for `_integer_representation`
-        m = common_denominator(coeffs[:-1])
         h = tuple(-c.numerator * (m // c.denominator) for c in coeffs[:-1])
         object.__setattr__(self, "_alpha_d", (m, h))
 

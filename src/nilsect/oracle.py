@@ -38,22 +38,15 @@ def _bfs_products(gens, n, depth, state, budget):
     """All products of nonempty words of length <= depth, as
     {reduced pair: letters}.
 
-    Breadth-first with dedup; the first word reaching a product is the
-    length-lexicographically least one because levels are expanded in
-    insertion order and generators in index order.
+    Breadth-first with dedup, one level per letter from the empty word;
+    the first word reaching a product is the length-lexicographically
+    least one because levels are expanded in insertion order and
+    generators in index order.
     """
+    one = UnipotentMatrix.identity(n)
     seen = {}
-    frontier = {}
-    for i, g in enumerate(gens):
-        if g not in seen:
-            seen[g] = (i,)
-            frontier[g] = (i,)
-    state[0] += len(seen)
-    if state[0] > budget:
-        raise MemoryBudgetExceeded(
-            f"oracle stored more than {budget} matrices", budget=budget
-        )
-    for _ in range(depth - 1):
+    frontier = {(one.table, one.den): ()}
+    for _ in range(depth):
         nxt = {}
         for p, word in frontier.items():
             for i, g in enumerate(gens):

@@ -31,9 +31,10 @@ is exact here, and every equation below is written with it.
 
 Group elements (T, S and the generators) are 3x3 `UnipotentMatrix`es,
 each a reduced integer table over a denominator; there is no separate
-element type.  The easy case and the cone classification run on
-integers read straight off those tables.  With D the lcm of the table denominators of S, G and H,
-each log triple (a, b, gamma) becomes the integer triple
+element type.  The easy case and the polar cone run on integers read
+straight off those tables: each superdiagonal cone is the list of the
+int pairs of its side.  With D the lcm of the table denominators of S,
+G and H, each log triple (a, b, gamma) becomes the integer triple
 (D a, D b, 2 D^2 gamma) (`_integer_logs`).  Superdiagonals scale by D and
 corners by D^2, so half a corner bracket in units of 2 D^2 is the
 integer bracket of the integer superdiagonals, and the BCH sums above
@@ -47,14 +48,14 @@ scale constants (see `extract_orbit_witness`).  No Fraction log triple
 is formed anywhere.
 
 `decide_orbit` builds the `IntegerLogs` and the cone meet once and
-dispatches on them; `decide_easy`, `decide_hard` and
-`extract_orbit_witness` read only those.  Nonempty verdicts always come
-with a witness pair that `decide_orbit` verifies.  The remainder,
-P = {0} while one side's superdiagonals span at most a line (e.g. a full
-plane cone against a ray inside it), is outside the supported procedure;
-`decide_orbit` then tries the breadth-first oracle as a semi-decision
-(`_easy_fallback`), and the run reports Unsupported when it finds
-nothing.
+dispatches on them; `decide_hard` and `extract_orbit_witness` read only
+the `IntegerLogs`, and `decide_easy` those and the meet's separating
+functional.  Nonempty verdicts always come with a witness pair that
+`decide_orbit` verifies.  The remainder, P = {0} while one side's
+superdiagonals span at most a line (e.g. a full plane cone against a ray
+inside it), is outside the supported procedure; `decide_orbit` then
+tries the breadth-first oracle as a semi-decision (`_easy_fallback`),
+and the run reports Unsupported when it finds nothing.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ from math import gcd, lcm
 
 from .errors import BudgetExceeded, UnsupportedInstance
 from .intersect import Decision, Verdict
-from .linsolve import Cone2D, cone_intersect_dim, cross, hnf_solve, ilp_feasible_nonneg, lp_feasible
+from .linsolve import cone_intersect_dim, cross, hnf_solve, ilp_feasible_nonneg, lp_feasible
 from .matlie import GeneratorSystem, UnipotentMatrix, product_of_word
 from .oracle import bfs_oracle
 from .wordcraft import Word, least_scale, realize_corner, realize_word, total_letters, within_bounds
@@ -167,10 +168,6 @@ def _integer_logs(s: UnipotentMatrix, g_mats, h_mats) -> IntegerLogs:
     return IntegerLogs(den, triples[0], triples[1:split], triples[split:])
 
 
-def _cone(triples):
-    return Cone2D([x[:2] for x in triples])
-
-
 def decide_orbit(inst: OrbitInstance) -> Decision:
     """Dispatch on the polar cone P of the two superdiagonal cones.
 
@@ -178,8 +175,8 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
     hard case when they meet with full dimension (P = {0} and both sides
     span the plane), the easy case when P holds a separating functional,
     and otherwise (P = {0}, some side of rank <= 1) the breadth-first
-    fallback.  The cones get the integer superdiagonals of
-    `_integer_logs`, read straight off the integer tables: scaling every
+    fallback.  The cones are the int pairs of the integer superdiagonals
+    of `_integer_logs`, read straight off the integer tables: scaling every
     generator by the same D > 0 moves no direction, so P and the
     functional are those of the rational cones.  Nonempty verdicts
     carry a witness pair (v over G, w over H), and this is the one place
@@ -188,14 +185,14 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
     """
     reduced = reduce_to_identity(inst)
     units = _integer_logs(reduced.S, inst.G.mats, inst.H.mats)
-    meet = cone_intersect_dim(_cone(units.g), _cone(units.h))
+    meet = cone_intersect_dim([x[:2] for x in units.g], [x[:2] for x in units.h])
 
     if meet.full:
         decision = decide_hard(units, inst.options)
     elif meet.separating_functional is None:
         decision = _easy_fallback(reduced)
     else:
-        decision = decide_easy(units, meet, inst.options)
+        decision = decide_easy(units, meet.separating_functional, inst.options)
 
     decision.details["reduced_S"] = reduced.S
     if decision.verdict is Verdict.NONEMPTY:
@@ -247,10 +244,10 @@ def _interleavings(letters, caps, length):
         start = last + 1
 
 
-def decide_easy(units: IntegerLogs, meet, options) -> Decision:
-    """Finite Diophantine search when `meet` carries a separating
-    functional: a nonzero n in the polar cone P, so the cones meet in
-    at most a line.
+def decide_easy(units: IntegerLogs, functional, options) -> Decision:
+    """Finite Diophantine search along a separating functional: a
+    nonzero n in the polar cone P (an int pair), so the cones meet in at
+    most a line.
 
     A separating functional n (nonnegative on the G directions,
     nonpositive on the H directions) bounds the number of off-line
@@ -285,14 +282,13 @@ def decide_easy(units: IntegerLogs, meet, options) -> Decision:
     the plane, and `_easy_fallback` otherwise.  A nonempty witness
     pair is not checked here; `decide_orbit` checks it.
     """
-    if meet.separating_functional is None:
+    if functional is None:
         raise ValueError(
             "easy case requires a separating functional (a nonzero polar cone)"
         )
     budget = options.get("interleave_budget", DEFAULT_INTERLEAVING_BUDGET)
 
-    n_fun = meet.separating_functional
-    n0, n1 = n_fun
+    n0, n1 = functional
     ns = n0 * units.s[0] + n1 * units.s[1]  # D * (n . log S)
 
     def side_split(triples, sign):
@@ -310,7 +306,7 @@ def decide_easy(units: IntegerLogs, meet, options) -> Decision:
     gplus, hplus = list(g_vals), list(h_vals)
 
     trace = {
-        "functional": n_fun,
+        "functional": functional,
         "ns": Fraction(ns, units.den),
         "g_plus": gplus,
         "h_plus": hplus,

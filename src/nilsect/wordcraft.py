@@ -51,9 +51,6 @@ class Word:
     def from_letters(cls, K: int, letters) -> "Word":
         return cls(K, [(a, 1) for a in letters])
 
-    def __len__(self):
-        return total_letters((self,))
-
     def __add__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
@@ -81,8 +78,8 @@ class Word:
 def total_letters(words) -> int:
     """Number of letters in all the given words, summed over their runs.
 
-    Use this rather than len(): witness words can have more than
-    2^63 - 1 letters, past which len() raises OverflowError.
+    A word has no len(): witness words can have more than 2^63 - 1
+    letters, past which len() raises OverflowError.
     """
     return sum(count for word in words for _, count in word.runs)
 

@@ -23,6 +23,7 @@ from nilsect import (
     load_instance_file,
     product_of_word,
 )
+from nilsect.wordcraft import total_letters
 
 from conftest import (
     cleared,
@@ -85,7 +86,7 @@ def test_shared_generator_nonempty():
     assert d.verdict is Verdict.NONEMPTY
     d = extract_witness(inst, d)
     assert verify_witness(inst, d.witnesses)
-    assert d.common_element == X ** (len(d.witnesses[0]))
+    assert d.common_element == X ** total_letters(d.witnesses[:1])
 
 
 def test_disjoint_singletons_empty():

@@ -15,6 +15,7 @@ from nilsect.wordcraft import (
     corner_area,
     least_scale,
     realize_corner,
+    total_letters,
     within_bounds,
 )
 
@@ -37,7 +38,9 @@ def brute_delta(letters, K):
 def test_word_runs_merge():
     w = Word(2, [(0, 2), (0, 3), (1, 0), (1, 1)])
     assert w.runs == ((0, 5), (1, 1))
-    assert len(w) == 6
+    assert total_letters([w]) == 6
+    # past 2^63 - 1 letters, where len() could not count them
+    assert total_letters([w, Word(2, [(0, 2**70), (1, 3)])]) == 2**70 + 9
     assert word_letters(w) == [0, 0, 0, 0, 0, 1]
 
 
