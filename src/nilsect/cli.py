@@ -45,6 +45,7 @@ from .intersect import (
     decide_intersection,
     extract_witness,
 )
+from .matlie import rational_str
 from .oracle import bfs_oracle
 from .orbit import FALLBACK_DEPTH, OrbitInstance, decide_orbit
 from .wordcraft import Word
@@ -111,7 +112,7 @@ class ResultReport:
 
 
 def _mat_rows(mat):
-    return [[str(x) for x in row] for row in mat.rows]
+    return [[rational_str(x, mat.den) for x in row] for row in mat.table]
 
 
 def _word_runs(word: Word, names):
@@ -133,16 +134,15 @@ def _witness_entries(inst_file: InstanceFile, built, decision: Decision):
 
 
 def _jsonable_trace(trace):
+    """The trace with its tuples as lists: every trace holds only dicts
+    keyed by strings, lists, tuples, ints and strings."""
+
     def conv(obj):
         if isinstance(obj, dict):
-            return {str(k): conv(v) for k, v in obj.items()}
+            return {k: conv(v) for k, v in obj.items()}
         if isinstance(obj, (list, tuple)):
             return [conv(v) for v in obj]
-        if isinstance(obj, (frozenset, set)):
-            return sorted(conv(v) for v in obj)
-        if isinstance(obj, (int, str, type(None), bool)):
-            return obj
-        return str(obj)
+        return obj
 
     return conv(trace)
 

@@ -44,16 +44,17 @@ go block-diagonally), so downstream code sees plain unipotent rational
 matrices regardless of the surface group.  Each line is split once.  A
 matrix, an a/b/c row of field elements or a minimal polynomial has its
 shape checked by regex and is read by int() over one denominator, the
-lcm of those of its "/" tokens (`_integers`).  Every matrix is one
-integer table over a common denominator, the form the matrix kernel
-computes on: no Fraction grid is built and converted back.
+lcm of those of its "/" tokens (`_integers`).  Those ints over their
+denominator are the one form a rational matrix or modulus takes from
+here on: a matrix is built from its integer table over that
+denominator, and a minimal polynomial from its integer coefficients
+over it; no rational entry is formed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 
 from .matlie import GeneratorSystem, UnipotentMatrix, direct_sum
@@ -125,9 +126,11 @@ def _check_rats(toks, line_no):
         if not _RAT_SHAPE.fullmatch(tok):
             raise ParseError(line_no, f"bad rational {tok!r} (use p or p/q)")
         try:
-            Fraction(*map(int, tok.split("/")))
-        except (ValueError, ZeroDivisionError) as exc:
+            num, *den = map(int, tok.split("/"))
+        except ValueError as exc:  # more digits than int() converts
             raise ParseError(line_no, f"bad rational {tok!r}: {exc}") from exc
+        if den == [0]:
+            raise ParseError(line_no, f"bad rational {tok!r}: Fraction({num}, 0)")
 
 
 def _scaled(tok, q):
@@ -261,7 +264,7 @@ def _parse_factor_spec(toks, no):
         _check_rats(toks[3:], no)
     (coeffs,), q = ints
     try:
-        fld = NumberField([Fraction(c, q) for c in reversed(coeffs)])
+        fld = NumberField(coeffs[::-1], q)
     except ValueError as exc:
         raise ParseError(no, f"bad minimal polynomial: {exc}") from exc
     return (n, fld)
@@ -310,7 +313,7 @@ def _parse_matrix(lines, n, name, no):
                 raise ParseError(row_no, f"row needs {n} entries")
         raise lines.at_end(f"unexpected end of file while reading row of matrix {name}")
     try:
-        return UnipotentMatrix.from_integer_table(*ints)
+        return UnipotentMatrix(*ints)
     except ValueError as exc:
         raise ParseError(no, f"matrix {name!r}: {exc}") from exc
 

@@ -56,22 +56,24 @@ class Decision:
 class IntersectionInstance:
     """M generator systems sharing one ambient dimension.
 
-    Construction verifies that the union of all generators lies in a
-    2-step nilpotent group: [[x_i, x_j], x_k] = 0 for the generator logs
-    x_i, which by the Mal'cev correspondence and Jacobi is equivalent (see
-    `is_two_step`).  The decision procedure's guarantees do not extend
-    beyond that class.  When no path of length 3 runs through the logs'
-    support, all their triple products vanish and no bracket is taken;
-    the check reads the logs, which the decision needs anyway.
+    Each set is a `GeneratorSystem`; anything else is a TypeError naming
+    its position.  Construction verifies that the union of all generators
+    lies in a 2-step nilpotent group: [[x_i, x_j], x_k] = 0 for the
+    generator logs x_i, which by the Mal'cev correspondence and Jacobi is
+    equivalent (see `is_two_step`).  The decision procedure's guarantees
+    do not extend beyond that class.  When no path of length 3 runs
+    through the logs' support, all their triple products vanish and no
+    bracket is taken; the check reads the logs, which the decision needs
+    anyway.
     """
 
     __slots__ = ("n", "systems", "set_names")
 
     def __init__(self, systems, set_names=None):
-        systems = tuple(
-            s if isinstance(s, GeneratorSystem) else GeneratorSystem(s)
-            for s in systems
-        )
+        systems = tuple(systems)
+        for m, s in enumerate(systems):
+            if not isinstance(s, GeneratorSystem):
+                raise TypeError(f"generator set {m} is not a GeneratorSystem")
         if not systems:
             raise ValueError("need at least one generator set")
         n = systems[0].n

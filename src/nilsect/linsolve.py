@@ -53,19 +53,11 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import BudgetExceeded
-from .matlie import _pivot_step, _primitive_row
+from .matlie import _pivot_step, _primitive_row, _require_ints
 
 
 # ---------------------------------------------------------------------------
 # Gaussian elimination
-
-
-def _require_ints(values, what):
-    """Raise TypeError unless every value is an int, since a truncated
-    one would change the system."""
-    for x in values:
-        if type(x) is not int:
-            raise TypeError(f"entry {x!r} of {what} is not an int")
 
 
 def _row_reduce(rows, pivot_order):

@@ -13,8 +13,9 @@ and compares by exact equality.  Products, powers and logs are computed
 fraction-free, in the manner of Bareiss (1968): a UnipotentMatrix is one
 integer table over a common denominator, reduced so that equal matrices
 have equal tables, and a denominator is divided out by one gcd per
-result.  No matrix holds a Fraction: a Fraction table is built only when
-asked for, by `rows` on each access.
+result.  A rational matrix enters as such a pair (table, den) of ints
+and nothing else, and an entry is printed off the pair as "p/q"
+(`rational_str`).
 
 A matrix A = (d I + N)/d keeps, once computed, the nonzero powers
 N, ..., N^q of its nilpotent part as sparse rows (an embedded
@@ -30,36 +31,24 @@ Every generator system holding a matrix shares its powers and its log.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _require_ints(values, what):
+    """Raise TypeError unless every value is an int, since a truncated
+    one would change the input."""
+    for x in values:
+        if type(x) is not int:
+            raise TypeError(f"entry {x!r} of {what} is not an int")
 
 
-def _as_fraction(x):
-    """x as a Fraction; a Fraction is returned as it is, not re-wrapped."""
-    return x if type(x) is Fraction else Fraction(x)
-
-
-def _freeze(rows):
-    """Coerce a row-major table to a tuple-of-tuples of Fractions."""
-    out = tuple(tuple(map(_as_fraction, row)) for row in rows)
-    return len(out), out
-
-
-def _check_unit_upper(table, den):
-    """Raise ValueError unless the integer table over den is square, with
-    den on the diagonal and zeros below it."""
-    n = len(table)
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-        if row[i] != den:
-            raise ValueError(f"diagonal entry ({i},{i}) is not 1")
-        for j in range(i):
-            if row[j]:
-                raise ValueError(f"nonzero entry ({i},{j}) below the diagonal")
+def rational_str(num, den):
+    """The rational num/den, for ints num and den > 0, as the string "p/q"
+    of its lowest terms p/q with q > 0, or "p" when q is 1."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _identity_rows(n):
@@ -70,9 +59,8 @@ def _identity_rows(n):
 def mul_upper_rows(a, b, n):
     """Product of two upper triangular row tables, skipping zero entries.
 
-    Works for any numeric entry type (plain int or Fraction); relies on
-    both inputs being upper triangular.  Entries no product reaches are
-    the int 0.
+    Relies on both inputs being upper triangular.  Entries no product
+    reaches are 0.
     """
     rows = []
     for i in range(n):
@@ -106,17 +94,6 @@ def _scale(a, coef):
     return tuple(tuple(coef * x for x in row) for row in a)
 
 
-def common_denominator(values) -> int:
-    """Least common multiple of the denominators of the given rationals.
-
-    A fold, so no argument tuple of every denominator is built.
-    """
-    d = 1
-    for v in values:
-        d = lcm(d, v.denominator)
-    return d
-
-
 def _primitive_row(row):
     """The row divided by the gcd of its entries (unchanged if all zero)."""
     g = gcd(*row)
@@ -135,24 +112,6 @@ def _pivot_step(row, prow, col):
 
 
 # ---- the integer kernel: a table T over a denominator d stands for T/d
-
-
-def _integer_rows(rows):
-    """(T, d) with T = d * rows an integer table, d the common denominator."""
-    d = common_denominator(x for row in rows for x in row)
-    return tuple(
-        tuple(x.numerator * (d // x.denominator) for x in row) for row in rows
-    ), d
-
-
-def _fraction_rows(table, den):
-    """The Fraction table table/den; entries 0 and 1 share one Fraction each."""
-    return tuple(
-        tuple(
-            (_ONE if x == den else Fraction(x, den)) if x else _ZERO for x in row
-        )
-        for row in table
-    )
 
 
 def _reduce(table, den):
@@ -248,9 +207,8 @@ class UnipotentMatrix:
 
     Held as one reduced integer table: the matrix is table/den with
     den > 0 and gcd(den, every entry) = 1, so two matrices are equal iff
-    their (table, den) are.  `rows` is the Fraction table, built on each
-    access, and m[i, j] one Fraction entry.  Two things are computed on
-    first use and kept: log M = X/D, and the nonzero powers N, ..., N^q of
+    their (table, den) are.  Two things are computed on first use and
+    kept: log M = X/D, and the nonzero powers N, ..., N^q of
     N = table - den*I, as sparse rows (`nilpotent_powers`).  The log, the
     powers M^c and the word products that multiply M in all read those
     powers; M^c comes from the binomial series, not from the log.
@@ -258,14 +216,25 @@ class UnipotentMatrix:
 
     __slots__ = ("n", "table", "den", "_log", "_powers")
 
-    def __init__(self, rows):
-        # the lcm of reduced denominators leaves gcd 1: for each prime p
-        # of den, an entry whose denominator holds all of p's power in
-        # den keeps a numerator prime to p
-        n, frac = _freeze(rows)
-        table, den = _integer_rows(frac)
-        _check_unit_upper(table, den)
-        self._set(n, table, den)
+    def __init__(self, table, den):
+        """The matrix table/den, for a square table of ints and an int
+        den >= 1: any other entry type is a TypeError, and a table that
+        is not den on the diagonal and zero below it a ValueError.  Held
+        as tuples, reduced."""
+        table = tuple(map(tuple, table))
+        _require_ints(chain((den,), *table), "a matrix (table, den)")
+        if den < 1:
+            raise ValueError("denominator must be positive")
+        n = len(table)
+        for i, row in enumerate(table):
+            if len(row) != n:
+                raise ValueError("matrix is not square")
+            if row[i] != den:
+                raise ValueError(f"diagonal entry ({i},{i}) is not 1")
+            for j in range(i):
+                if row[j]:
+                    raise ValueError(f"nonzero entry ({i},{j}) below the diagonal")
+        self._set(n, *_reduce(table, den))
 
     def _set(self, n, table, den):
         _SET_N(self, n)
@@ -278,19 +247,6 @@ class UnipotentMatrix:
         raise AttributeError("UnipotentMatrix is immutable")
 
     @classmethod
-    def from_integer_table(cls, table, den):
-        """The matrix table/den, for a square integer table and den > 0.
-
-        Checked like the constructor's input, then held as tuples and
-        reduced.
-        """
-        table = tuple(map(tuple, table))
-        if den < 1:
-            raise ValueError("denominator must be positive")
-        _check_unit_upper(table, den)
-        return cls._from_integer(len(table), table, den)
-
-    @classmethod
     def _from_integer(cls, n, table, den):
         """The matrix table/den, unchecked, reduced by their gcd."""
         m = object.__new__(cls)
@@ -300,14 +256,6 @@ class UnipotentMatrix:
     @classmethod
     def identity(cls, n) -> "UnipotentMatrix":
         return cls._from_integer(n, _identity_rows(n), 1)
-
-    @property
-    def rows(self):
-        """The Fraction table, built on each access."""
-        return _fraction_rows(self.table, self.den)
-
-    def __getitem__(self, ij):
-        return Fraction(self.table[ij[0]][ij[1]], self.den)
 
     def __eq__(self, other):
         return (
@@ -320,7 +268,8 @@ class UnipotentMatrix:
         return hash((self.table, self.den))
 
     def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
+        den = self.den
+        body = "; ".join(" ".join(rational_str(x, den) for x in row) for row in self.table)
         return f"<UT{self.n} [{body}]>"
 
     def integer_log(self):
@@ -339,7 +288,10 @@ class UnipotentMatrix:
     def integer_power(self, c: int):
         """(T, t) with M^c = T/t, for any integer c: the binomial step
         (`_power_step`) applied to the identity, so T = t*I + sum_k
-        C(c, k) den^(q-k) N^k over t = den^q."""
+        C(c, k) den^(q-k) N^k over t = den^q.  Another type of c is a
+        TypeError: the binomials of c = 0.5 floor to 0, which would give
+        the identity."""
+        _require_ints([c], "an exponent")
         rows, e = _power_step(_identity_rows(self.n), self, c)
         return tuple(map(tuple, rows)), e
 
@@ -426,14 +378,18 @@ def direct_sum(mats) -> UnipotentMatrix:
 class GeneratorSystem:
     """A named finite alphabet of unipotent matrices.
 
-    Immutable after construction.  The integer logs live on the
-    matrices, so systems sharing a matrix share its log.
+    Every generator is a `UnipotentMatrix`; anything else is a TypeError
+    naming its position.  Immutable after construction.  The integer logs
+    live on the matrices, so systems sharing a matrix share its log.
     """
 
     __slots__ = ("n", "mats", "names")
 
     def __init__(self, mats, names=None):
-        mats = tuple(m if isinstance(m, UnipotentMatrix) else UnipotentMatrix(m) for m in mats)
+        mats = tuple(mats)
+        for i, m in enumerate(mats):
+            if not isinstance(m, UnipotentMatrix):
+                raise TypeError(f"generator {i} is not a UnipotentMatrix")
         if not mats:
             raise ValueError("generator system needs at least one matrix")
         n = mats[0].n

@@ -1,9 +1,10 @@
 """Number fields Q(alpha) and their embedding into rational matrices.
 
-A number field is given by a monic polynomial over Q; elements are
-coordinate vectors in the power basis 1, alpha, ..., alpha^(d-1).  The
-parser reads each element as a pair (U, q): an integer coordinate vector
-U over a positive denominator q, standing for U/q.  Elements are only
+A number field is given by a monic polynomial over Q, as the parser
+reads it: integer coefficients over one positive denominator.  Elements
+are coordinate vectors in the power basis 1, alpha, ..., alpha^(d-1),
+each read as a pair (U, q): an integer coordinate vector U over a
+positive denominator q, standing for U/q.  Elements are only
 embedded, never multiplied.  Multiplication by a fixed element is a
 Q-linear endomorphism, and its matrix (the regular representation) gives
 a unital ring embedding of the field into d x d rational matrices.
@@ -24,10 +25,9 @@ coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from .matlie import UnipotentMatrix, common_denominator
+from .matlie import UnipotentMatrix, _require_ints, rational_str
 
 
 def _evaluate(poly, x):
@@ -80,17 +80,18 @@ def _sign_changes(chain, x):
     return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
-def _has_rational_root(coeffs, big_l) -> bool:
+def _has_rational_root(coeffs) -> bool:
     """Whether a monic polynomial over Q has a rational root.
 
-    coeffs are ascending Fractions, c0 + c1 t + ... + t^d with d >= 2,
-    and big_l is L, the lcm of their denominators.  Then g(u) =
-    L^d f(u/L) is monic with the integer coefficients g_k = c_k L^(d-k);
-    f(t) = 0 iff g(L t) = 0, and the rational roots of a monic integer
-    polynomial are integers.  So the test looks for an integer root of g:
+    coeffs are the ascending integer coefficients a_0, ..., a_d, d >= 2,
+    of L times the polynomial f, for an int L >= 1: so a_d = L and
+    f(t) = (a_0 + a_1 t + ... + L t^d) / L.  Then g(u) = L^d f(u/L) is
+    monic with the integer coefficients g_k = a_k L^(d-1-k); f(t) = 0 iff
+    g(L t) = 0, and the rational roots of a monic integer polynomial are
+    integers.  So the test looks for an integer root of g:
 
-    * every root of g lies strictly inside (-B, B) for B = L (1 + max
-      |c_k|), k < d: the roots t of f satisfy |t| < 1 + max |c_k| (Cauchy),
+    * every root of g lies strictly inside (-B, B) for B = L + max |a_k|,
+      k < d: the roots t of f satisfy |t| < 1 + max |a_k / L| (Cauchy),
       and u = L t;
     * along the Sturm chain of g (`_sturm_chain`), the drop V(a) - V(b)
       in sign changes counts the distinct real roots in (a, b) whenever
@@ -99,16 +100,16 @@ def _has_rational_root(coeffs, big_l) -> bool:
       integer midpoint m after g(m) = 0 is tested directly.
 
     At most d intervals are live on each of the log2(2B) levels of
-    halving, and B has the bit size of L c_k, so the cost is polynomial in
-    the bit size of the coefficients (a search over the divisors of c0
-    would take sqrt|c0| steps).
+    halving, and B has the bit size of the a_k, so the cost is polynomial
+    in the bit size of the coefficients (a search over the divisors of
+    a_0 would take sqrt|a_0| steps).
     """
-    d = len(coeffs) - 1
-    g = [int(c * big_l ** (d - k)) for k, c in enumerate(coeffs)]
+    d, big_l = len(coeffs) - 1, coeffs[-1]
+    g = [a * big_l ** (d - 1 - k) for k, a in enumerate(coeffs[:-1])] + [1]
     if not g[0]:
         return True  # root at 0
     chain = _sturm_chain(g)
-    bound = big_l + max(abs(int(c * big_l)) for c in coeffs[:-1])
+    bound = big_l + max(abs(a) for a in coeffs[:-1])
     live = [(-bound, bound, _sign_changes(chain, -bound), _sign_changes(chain, bound))]
     while live:
         a, b, va, vb = live.pop()
@@ -124,30 +125,38 @@ def _has_rational_root(coeffs, big_l) -> bool:
 
 
 class NumberField:
-    """Q[t] / (monic modulus), with elements in the power basis."""
+    """Q[t] / (monic modulus), with elements in the power basis.
 
-    __slots__ = ("coeffs", "degree", "_alpha_d")
+    `coeffs` are the modulus' ascending coefficients as ints over their
+    last one, the lcm of the reduced denominators: c_0/m, ..., c_d/m with
+    c_d = m and gcd(c_0, ..., c_d) = 1, so equal moduli have equal coeffs.
+    """
 
-    def __init__(self, coeffs):
-        """coeffs: ascending coefficients c0..cd of a monic polynomial."""
-        coeffs = tuple(Fraction(c) for c in coeffs)
+    __slots__ = ("coeffs", "degree")
+
+    def __init__(self, coeffs, q):
+        """coeffs/q: ascending coefficients c0..cd of a monic polynomial,
+        as ints over an int q >= 1."""
+        coeffs = tuple(coeffs)
+        _require_ints([q, *coeffs], "a modulus")
+        if q < 1:
+            raise ValueError("denominator must be positive")
         if len(coeffs) < 2:
             raise ValueError("modulus must have degree >= 1")
-        if coeffs[-1] != 1:
+        if coeffs[-1] != q:
             raise ValueError("modulus must be monic")
+        # dividing by the gcd leaves c_d = m, the lcm of the reduced
+        # denominators: for each prime p of q, p's power in q/g is the
+        # largest it has in the denominator of some c_k/q
+        g = gcd(*coeffs)
+        coeffs = tuple(c // g for c in coeffs)
         d = len(coeffs) - 1
-        # the lcm of the denominators, the monic top coefficient adding none
-        m = common_denominator(coeffs[:-1])
-        if d >= 2 and _has_rational_root(coeffs, m):
+        if d >= 2 and _has_rational_root(coeffs):
             raise ValueError(
                 "modulus has a rational root, so it is reducible over Q"
             )
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "degree", d)
-        # alpha^d = -(c0 + c1 a + ... + c_{d-1} a^{d-1}) = h/m over the
-        # integers, for `_integer_representation`
-        h = tuple(-c.numerator * (m // c.denominator) for c in coeffs[:-1])
-        object.__setattr__(self, "_alpha_d", (m, h))
 
     def __setattr__(self, name, value):
         raise AttributeError("NumberField is immutable")
@@ -159,8 +168,9 @@ class NumberField:
         return hash(self.coeffs)
 
     def __repr__(self):
+        m = self.coeffs[-1]
         terms = " + ".join(
-            f"{c}*t^{i}" for i, c in enumerate(self.coeffs) if c
+            f"{rational_str(c, m)}*t^{i}" for i, c in enumerate(self.coeffs) if c
         )
         return f"<NumberField t^{self.degree}: {terms}>"
 
@@ -175,19 +185,18 @@ def _integer_representation(field: NumberField, x):
     multiplication and x -> B/e is a unital ring homomorphism.
 
     Multiplying by alpha shifts the coordinates up one place and adds the
-    top one times alpha^d = h/m, for h the integer vector -m (c_0, ...,
-    c_{d-1}) and m the lcm of the modulus' denominators.  So
-    x alpha^j = U_j / (q m^j) for the integer vectors U_0 = U and
-    U_{j+1} = m shift(U_j) + top(U_j) h, and e = q m^(d-1) with column j
-    scaled by m^(d-1-j).
+    top one times alpha^d = -c/m, for the modulus' coeffs (c_0, ...,
+    c_{d-1}, m) (`NumberField`).  So x alpha^j = U_j / (q m^j) for the
+    integer vectors U_0 = U and U_{j+1} = m shift(U_j) - top(U_j) c, and
+    e = q m^(d-1) with column j scaled by m^(d-1-j).
     """
     col, q = x
     d = field.degree
-    m, h = field._alpha_d
+    *c, m = field.coeffs
     cols = [col]
     for _ in range(d - 1):
         top = col[-1]
-        col = [top * h[0]] + [m * u + top * hi for u, hi in zip(col, h[1:])]
+        col = [-top * c[0]] + [m * u - top * ci for u, ci in zip(col, c[1:])]
         cols.append(col)
     scales = [m ** (d - 1 - j) for j in range(d)]
     table = tuple(

@@ -109,4 +109,4 @@ def bfs_oracle(inst, depth: int, *, memory_budget=None):
     words = tuple(
         Word.from_letters(sys.K, mp[best]) for (sys, _), mp in zip(sides, maps)
     )
-    return OracleResult(words, UnipotentMatrix.from_integer_table(*best))
+    return OracleResult(words, UnipotentMatrix(*best))

@@ -44,8 +44,9 @@ before any integer program is solved.  The hard case builds its relaxed
 system once from the same integer triples and branches over its parity
 residues in ints; its witnesses are built from them too: the balancing
 combination, the corner search and the inflation fallback with its
-scale constants (see `extract_orbit_witness`).  No Fraction log triple
-is formed anywhere.
+scale constants (see `extract_orbit_witness`).  No rational log triple
+is formed anywhere; the easy trace reports n . log S as the string "p/q"
+(`matlie.rational_str`).
 
 `decide_orbit` builds the `IntegerLogs` and the cone meet once and
 dispatches on them; `decide_hard` and `extract_orbit_witness` read only
@@ -62,13 +63,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import BudgetExceeded, UnsupportedInstance
 from .intersect import Decision, Verdict
 from .linsolve import cone_intersect_dim, cross, hnf_solve, ilp_feasible_nonneg, lp_feasible
-from .matlie import GeneratorSystem, UnipotentMatrix, product_of_word
+from .matlie import GeneratorSystem, UnipotentMatrix, product_of_word, rational_str
 from .oracle import bfs_oracle
 from .wordcraft import Word, least_scale, realize_corner, realize_word, total_letters, within_bounds
 
@@ -82,18 +82,21 @@ class OrbitInstance:
     """T<G> vs S<H> inside the 3x3 unipotent rational group.
 
     T and S are 3x3 `UnipotentMatrix`es, G and H `GeneratorSystem`s of
-    3x3 matrices; other inputs are converted the same way, and any part
-    of another dimension is a ValueError naming it.
+    3x3 matrices.  A part of another type is a TypeError naming it, and
+    one of another dimension a ValueError naming it.
     """
 
     __slots__ = ("T", "S", "G", "H", "options")
 
     def __init__(self, T, S, G, H, options=None):
-        T = T if isinstance(T, UnipotentMatrix) else UnipotentMatrix(T)
-        S = S if isinstance(S, UnipotentMatrix) else UnipotentMatrix(S)
-        G = G if isinstance(G, GeneratorSystem) else GeneratorSystem(G)
-        H = H if isinstance(H, GeneratorSystem) else GeneratorSystem(H)
-        for name, part in (("T", T), ("S", S), ("G", G), ("H", H)):
+        for name, part, kind in (
+            ("T", T, UnipotentMatrix),
+            ("S", S, UnipotentMatrix),
+            ("G", G, GeneratorSystem),
+            ("H", H, GeneratorSystem),
+        ):
+            if not isinstance(part, kind):
+                raise TypeError(f"{name} is not a {kind.__name__}")
             if part.n != 3:
                 raise ValueError(
                     f"orbit problems live in dimension 3; {name} has dimension {part.n}"
@@ -307,7 +310,7 @@ def decide_easy(units: IntegerLogs, functional, options) -> Decision:
 
     trace = {
         "functional": functional,
-        "ns": Fraction(ns, units.den),
+        "ns": rational_str(ns, units.den),
         "g_plus": gplus,
         "h_plus": hplus,
         "pairs_tried": 0,
@@ -564,7 +567,7 @@ def decide_hard(units: IntegerLogs, options) -> Decision:
     row in units of 2 D^2.  A branch with residue vector r
     writes the solution as 2 h + r and solves 2 R h = t - R r for integer
     h, in ints only: the columns with r_i = 1 are subtracted from t.
-    Why this is the Fraction system's answer: clearing the rational
+    Why this is the rational system's answer: clearing the rational
     system by one common denominator E (entries times 2E, right-hand
     sides times E) gives rows that row r of this system equals q_r times,
     right-hand side included, with q_r = D/E for the superdiagonals and
@@ -572,7 +575,7 @@ def decide_hard(units: IntegerLogs, options) -> Decision:
     both systems scale to one integer system (the cleared row by u, this
     one by v), and `hnf_solve` returns the same particular solution for
     positively scaled rows (see its docstring).  So every branch, its
-    residues and the witness are those of the Fraction system, whatever
+    residues and the witness are those of the rational system, whatever
     D is.
     """
     K, M = len(units.g), len(units.h)

@@ -17,20 +17,25 @@ from __future__ import annotations
 from math import gcd
 
 from .linsolve import angular_order, cross
+from .matlie import _require_ints
 
 
 class Word:
-    """Immutable word over letters 0..K-1, stored as (letter, count) runs."""
+    """Immutable word over letters 0..K-1, stored as (letter, count) runs.
+
+    The alphabet size, letters and counts are ints; any other type is a
+    TypeError, since a truncated one would change the word.
+    """
 
     __slots__ = ("K", "runs")
 
     def __init__(self, K: int, runs=()):
+        _require_ints([K], "an alphabet size")
         if K < 1:
             raise ValueError("alphabet size must be >= 1")
         merged = []
         for letter, count in runs:
-            letter = int(letter)
-            count = int(count)
+            _require_ints((letter, count), "a word run")
             if not 0 <= letter < K:
                 raise ValueError(f"letter {letter} out of range 0..{K - 1}")
             if count < 0:

@@ -6,6 +6,7 @@ import pytest
 
 from nilsect import (
     GeneratorSystem,
+    NumberField,
     UnipotentMatrix,
     Word,
     embed_heisenberg,
@@ -15,14 +16,68 @@ from nilsect import (
 )
 
 
+# ---- rational matrices and moduli as rows of Fractions: the package
+# takes only ints over one denominator, the tests write rationals
+
+
+def common_denominator(values) -> int:
+    """Least common multiple of the denominators of the given rationals
+    (ints, Fractions or their strings), 1 for none."""
+    d = 1
+    for v in values:
+        d = lcm(d, Fraction(v).denominator)
+    return d
+
+
+def from_rows(rows) -> UnipotentMatrix:
+    """The matrix with the given rational rows: the rows over their
+    common denominator, as the integer table `UnipotentMatrix` takes."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    d = common_denominator(x for row in rows for x in row)
+    return UnipotentMatrix([[int(x * d) for x in row] for row in rows], d)
+
+
+def rows_of(m):
+    """The Fraction rows of a matrix: its table over its denominator."""
+    return tuple(tuple(Fraction(x, m.den) for x in row) for row in m.table)
+
+
+def entry(m, i, j) -> Fraction:
+    """Entry (i, j) of a matrix, as a Fraction."""
+    return Fraction(m.table[i][j], m.den)
+
+
+def number_field(coeffs) -> NumberField:
+    """The number field of the monic modulus with the given ascending
+    rational coefficients, over their common denominator."""
+    d = common_denominator(coeffs)
+    return NumberField([int(Fraction(c) * d) for c in coeffs], d)
+
+
+def modulus(field):
+    """The Fraction coefficients of a field's modulus, ascending."""
+    *low, m = field.coeffs
+    return [Fraction(c, m) for c in low] + [Fraction(1)]
+
+
+def refuse_fractions(monkeypatch):
+    """Make building any Fraction, anywhere, an AssertionError, for a
+    test that a computation runs on ints alone."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+
+
 def h3(a, b, c) -> UnipotentMatrix:
-    return UnipotentMatrix([[1, a, c], [0, 1, b], [0, 0, 1]])
+    return from_rows([[1, a, c], [0, 1, b], [0, 0, 1]])
 
 
 def cleared(row):
     """The rational row times the least common denominator of its entries,
     as a list of ints: the integer row the linear solvers take for it."""
-    d = lcm(*(Fraction(x).denominator for x in row))
+    d = common_denominator(row)
     return [int(x * d) for x in row]
 
 
@@ -36,7 +91,7 @@ def random_unipotent(rng: random.Random, n: int, bound: int = 100) -> UnipotentM
         ]
         for i in range(n)
     ]
-    return UnipotentMatrix(rows)
+    return from_rows(rows)
 
 
 def random_h3_system(rng: random.Random, k: int, bound: int = 2) -> GeneratorSystem:
@@ -149,7 +204,7 @@ def ref_identity(n):
 def ref_log(m):
     """log M = sum_k (-1)^(k-1)/k (M - I)^k, as a Fraction table."""
     n = m.n
-    s = ref_combine(m.rows, ref_identity(n), -1)
+    s = ref_combine(rows_of(m), ref_identity(n), -1)
     acc = tuple((Fraction(0),) * n for _ in range(n))
     power = s
     for k in range(1, n):
@@ -167,7 +222,7 @@ def ref_exp(x):
         power = ref_mul(power, x)
         fact *= k
         acc = ref_combine(acc, power, Fraction(1, fact))
-    return UnipotentMatrix(acc)
+    return from_rows(acc)
 
 
 def ref_bracket(x, y):
@@ -215,7 +270,7 @@ def field_times(field, x, y):
             prod[i + j] += u * v
     for k in range(2 * d - 2, d - 1, -1):
         top = prod.pop()
-        for i, f in enumerate(field.coeffs[:-1]):
+        for i, f in enumerate(modulus(field)[:-1]):
             prod[k - d + i] -= top * f
     return prod
 

@@ -398,3 +398,86 @@ def test_every_traced_function_resolves():
     names = traced_names((ROOT / "bench" / "tracer.py").read_text())
     assert len(names) == 23
     assert unresolved(names) == []
+
+
+def fractions_imports(source):
+    """Line numbers where a module imports the standard `fractions`
+    module or a name from it, at any depth."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == "fractions" for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if (node.module or "").split(".")[0] == "fractions":
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_fractions_imports_detected():
+    source = (
+        "import os, fractions\nfrom fractions import Fraction as F\n"
+        "from .fractions import x\nfrom math import gcd\n"
+        "def f():\n    import fractions as q\n    return q, F, x, gcd, os\n"
+    )
+    assert fractions_imports(source) == [1, 2, 6]
+
+
+def test_package_imports_no_fractions():
+    # a rational is ints over one positive denominator from parser to
+    # report; Fractions live only in the tests' references
+    found = {
+        path.name: fractions_imports(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def inexact_arithmetic(source, exempt=()):
+    """(line, what) of every float literal, name `float` and true
+    division (`/` or `/=`) in a module, outside the class-level annotated
+    fields that `exempt` names as "Class.field"."""
+    tree = ast.parse(source)
+    skipped = set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for stmt in cls.body:
+                if (
+                    isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and f"{cls.name}.{stmt.target.id}" in exempt
+                ):
+                    skipped.update(map(id, ast.walk(stmt)))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append((node.lineno, "float literal"))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "/"))
+    return sorted(found)
+
+
+def test_inexact_arithmetic_detected():
+    source = (
+        "class R:\n    t: float = 0.0\n    u: float = 1e3\n"
+        "def f(a, b):\n    a /= 2\n    return a / b, a // b, float(b), 2j, '1/2'\n"
+    )
+    assert inexact_arithmetic(source, exempt={"R.t"}) == [
+        (3, "float"), (3, "float literal"), (5, "/"), (6, "/"), (6, "float"), (6, "float literal")
+    ]
+
+
+def test_package_arithmetic_is_exact():
+    # no float and no true division in the package; the one float is a
+    # report's wall time
+    found = {
+        path.name: inexact_arithmetic(path.read_text(), exempt={"ResultReport.timing_s"})
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    cli = (SRC / "cli.py").read_text()
+    assert [what for _, what in inexact_arithmetic(cli)] == ["float", "float literal"]

@@ -7,7 +7,7 @@ each matrix block to one checked constructor as an integer table.  The
 reference here reads each token with Fraction(tok), embeds a Heisenberg
 element through a Fraction grid of regular representations computed by
 polynomial multiplication mod the modulus, joins product factors as a
-Fraction grid, builds every matrix from its Fraction rows, and reads the
+Fraction grid, builds every matrix from its Fraction rows (`conftest.from_rows`), and reads the
 semigroups, the problem and the options off their directive lines.  The
 two must agree on each element's rows and reduced integer table, and on
 the semigroups, problem and options.  Malformed texts pin the line
@@ -20,8 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from nilsect import NumberField, ParseError, UnipotentMatrix, parse_instance_text
-from conftest import field_times
+from nilsect import ParseError, parse_instance_text
+from conftest import field_times, from_rows, number_field, rows_of
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -75,7 +75,7 @@ def reference_elements(text):
             factors.append(lines[pos][1:])
             pos += 1
     fields = [
-        (int(spec[1]), NumberField([Fraction(t) for t in reversed(spec[3:])]))
+        (int(spec[1]), number_field([Fraction(t) for t in reversed(spec[3:])]))
         for spec in factors
     ]
 
@@ -90,7 +90,7 @@ def reference_elements(text):
         toks = lines[pos]
         if toks[0] == "matrix":
             rows = [[Fraction(t) for t in lines[pos + 1 + i]] for i in range(n)]
-            out[toks[1]] = UnipotentMatrix(rows)
+            out[toks[1]] = from_rows(rows)
             pos += 1 + n
         elif toks[0] == "element":
             if len(fields) == 1:
@@ -102,7 +102,7 @@ def reference_elements(text):
                 for n_f, fld in fields:
                     grids.append(heis_body(pos + 1, n_f, fld))
                     pos += 4
-            out[toks[1]] = UnipotentMatrix(reference_direct_sum(grids))
+            out[toks[1]] = from_rows(reference_direct_sum(grids))
         else:
             pos += 1
     return out
@@ -139,8 +139,7 @@ def assert_same_parse(text):
     assert parsed.elements.keys() == expected.keys()
     for name, want in expected.items():
         got = parsed.elements[name]
-        assert got.rows == want.rows, name
-        assert all(type(x) is Fraction for row in got.rows for x in row)
+        assert rows_of(got) == rows_of(want), name
         assert (got.table, got.den) == (want.table, want.den), name
         assert all(type(x) is int for row in got.table for x in row)
 

@@ -28,7 +28,9 @@ from nilsect.wordcraft import total_letters
 from conftest import (
     cleared,
     embed_coords,
+    entry,
     fractions_of,
+    from_rows,
     h3,
     random_h3_system,
     random_unipotent,
@@ -74,10 +76,10 @@ def test_rejects_non_two_step():
     def e(i, j):
         rows = [[1 if a == b else 0 for b in range(4)] for a in range(4)]
         rows[i][j] = 1
-        return UnipotentMatrix(rows)
+        return from_rows(rows)
 
     with pytest.raises(ValueError):
-        IntersectionInstance([[e(0, 1), e(1, 2)], [e(2, 3)]])
+        make([[e(0, 1), e(1, 2)], [e(2, 3)]])
 
 
 def test_shared_generator_nonempty():
@@ -102,7 +104,7 @@ def test_commutator_instance_nonempty_with_witness():
     assert verify_witness(inst, d.witnesses)
     # the common element is a power of the central generator
     ce = d.common_element
-    assert ce[0, 1] == 0 and ce[1, 2] == 0 and ce[0, 2] > 0
+    assert entry(ce, 0, 1) == 0 and entry(ce, 1, 2) == 0 and entry(ce, 0, 2) > 0
 
 
 def test_mixed_products_nonempty():
@@ -481,8 +483,8 @@ def _reference_build_condition_space(inst, supports):
     return LinearSubspace(coords, [cleared(row) for row in rows])
 
 
-SQRT2 = NumberField([-2, 0, 1])
-CBRT2 = NumberField([-2, 0, 0, 1])
+SQRT2 = NumberField([-2, 0, 1], 1)
+CBRT2 = NumberField([-2, 0, 0, 1], 1)
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
@@ -494,7 +496,7 @@ def _heisenberg(rng, n, bound=2, den=1):
         rows[0][j] = Fraction(rng.randint(-bound, bound), rng.randint(1, den))
         rows[j][n - 1] = Fraction(rng.randint(-bound, bound), rng.randint(1, den))
     rows[0][n - 1] = Fraction(rng.randint(-bound, bound), rng.randint(1, den))
-    return UnipotentMatrix(rows)
+    return from_rows(rows)
 
 
 def _field_heisenberg(rng, field):
@@ -534,7 +536,7 @@ def _space_instances(rng):
                 gens = GeneratorSystem(sets[0])
                 runs = [(rng.randrange(gens.K), rng.randint(1, 2)) for _ in range(3)]
                 sets[-1].append(product_of_word(gens, Word(gens.K, runs)))
-            out.append(IntersectionInstance(sets))
+            out.append(make(sets))
     return out
 
 

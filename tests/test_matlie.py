@@ -11,6 +11,7 @@ from nilsect import (
     GeneratorSystem,
     IntersectionInstance,
     NumberField,
+    OrbitInstance,
     UnipotentMatrix,
     bch_log,
     delta_table,
@@ -23,19 +24,19 @@ from nilsect import (
     Word,
 )
 from nilsect import matlie
-from nilsect.matlie import (
-    _fraction_rows,
-    _integer_bracket,
-    _integer_rows,
-    common_denominator,
-)
+from nilsect.matlie import _integer_bracket, rational_str
 
 from conftest import (
+    common_denominator,
     embed_coords,
+    entry,
+    from_rows,
     h3,
     log_rows,
     random_unipotent,
     reduced_table,
+    refuse_fractions,
+    rows_of,
     ref_bracket,
     ref_combine,
     ref_exp,
@@ -68,19 +69,69 @@ def _random_strict_upper(rng, n, bound, den=None):
 
 def test_constructor_rejects_bad_matrices():
     with pytest.raises(ValueError):
-        UnipotentMatrix([[1, 0], [1, 1]])
+        UnipotentMatrix([[1, 0], [1, 1]], 1)
     with pytest.raises(ValueError):
-        UnipotentMatrix([[2, 0], [0, 1]])
+        UnipotentMatrix([[2, 0], [0, 1]], 1)
     with pytest.raises(ValueError):
-        UnipotentMatrix([[1, 0, 0], [0, 1, 0]])
+        UnipotentMatrix([[1, 0, 0], [0, 1, 0]], 1)
     with pytest.raises(ValueError):
-        UnipotentMatrix.from_integer_table(((1, 1), (0, 1)), 0)
+        UnipotentMatrix(((1, 1), (0, 1)), 0)
     with pytest.raises(ValueError):
-        UnipotentMatrix.from_integer_table(((2, 1), (1, 2)), 2)
+        UnipotentMatrix(((2, 1), (1, 2)), 2)
     with pytest.raises(ValueError):
-        UnipotentMatrix.from_integer_table(((2, 1), (0, 1)), 2)
+        UnipotentMatrix(((2, 1), (0, 1)), 2)
     with pytest.raises(ValueError):
-        UnipotentMatrix.from_integer_table(((1, 0),), 1)
+        UnipotentMatrix(((1, 0),), 1)
+
+
+@pytest.mark.parametrize(
+    "table, den",
+    [
+        ([[1, 0.1, 0], [0, 1, 0], [0, 0, 1]], 1),  # once stored as 3602879701896397/2^55
+        ([[2, 0.5, 0], [0, 2, 0], [0, 0, 2]], 2),  # once kept as a float entry
+        ([[1, Fraction(1, 2)], [0, 1]], 1),
+        ([[1, Fraction(2)], [0, 1]], 1),
+        ([[1, "1"], [0, 1]], 1),
+        ([[1.0, 0], [0, 1]], 1),
+        ([[True, 0], [0, True]], True),
+        ([[2, 1], [0, 2]], 2.0),
+        ([[2, 1], [0, 2]], Fraction(2)),
+        ([[1, 0.5], [1, 1]], 1),  # also nonzero below the diagonal
+    ],
+)
+def test_constructor_takes_ints_only(table, den):
+    # a float or Fraction entry, or denominator, is a TypeError before any
+    # other check: the one rational form is ints over one int den
+    with pytest.raises(TypeError, match="is not an int"):
+        UnipotentMatrix(table, den)
+
+
+def test_generator_systems_and_instances_take_built_parts():
+    m = h3(1, 2, 3)
+    rows = [[1, 1, 3], [0, 1, 2], [0, 0, 1]]
+    with pytest.raises(TypeError, match="generator 1 is not a UnipotentMatrix"):
+        GeneratorSystem([m, rows])
+    with pytest.raises(TypeError, match="generator set 0 is not a GeneratorSystem"):
+        IntersectionInstance([[m]])
+    gens = GeneratorSystem([m])
+    with pytest.raises(TypeError, match="S is not a UnipotentMatrix"):
+        OrbitInstance(m, rows, gens, gens)
+    with pytest.raises(TypeError, match="H is not a GeneratorSystem"):
+        OrbitInstance(m, m, gens, [m])
+
+
+def test_rational_str_is_the_fraction_string(rng):
+    cases = [(0, 1), (0, 7), (-0, 3), (5, 1), (-5, 1), (6, 4), (-6, 4), (-12, 6), (7, 21), (2**70 + 1, 2**35)]
+    cases += [(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(500)]
+    for num, den in cases:
+        assert rational_str(num, den) == str(Fraction(num, den)), (num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(), st.integers(min_value=1), st.integers(min_value=1, max_value=50))
+def test_rational_str_is_the_fraction_string_hypothesis(num, den, k):
+    assert rational_str(num, den) == str(Fraction(num, den))
+    assert rational_str(k * num, k * den) == rational_str(num, den)  # not reduced
 
 
 def test_log_examples():
@@ -154,7 +205,7 @@ def test_is_two_step():
     def e(i, j):
         rows = [[1 if a == b else 0 for b in range(4)] for a in range(4)]
         rows[i][j] = 1
-        return UnipotentMatrix(rows)
+        return from_rows(rows)
 
     bad = GeneratorSystem([e(0, 1), e(1, 2), e(2, 3)])
     assert not is_two_step(bad)
@@ -163,7 +214,7 @@ def test_is_two_step():
     c12 = g1.inverse() * g2.inverse() * g1 * g2
     outer = c12.inverse() * g3.inverse() * c12 * g3
     assert outer != UnipotentMatrix.identity(4)
-    assert outer[0, 3] != 0
+    assert entry(outer, 0, 3) != 0
 
 
 def _two_step_by_group_commutators(mats):
@@ -184,7 +235,7 @@ def _random_sparse_unipotent(rng, n, positions):
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for i, j in positions:
         rows[i][j] = _random_rational(rng)
-    return UnipotentMatrix(rows)
+    return from_rows(rows)
 
 
 def _heisenberg_shape(n):
@@ -218,7 +269,7 @@ def _differential_family(rng):
             base = random_unipotent(rng, n, bound=4)
             central = _random_sparse_unipotent(rng, n, [(0, n - 1)])
             family.append([base, base**2, central])
-    fields = (NumberField([-2, 0, 1]), NumberField([-2, 0, 0, 1]))
+    fields = (NumberField([-2, 0, 1], 1), NumberField([-2, 0, 0, 1], 1))
     for field in fields:
         for _ in range(4):
             heis = [
@@ -269,7 +320,7 @@ def reference_is_two_step(mats):
 
 
 _small = st.builds(Fraction, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.sampled_from((1, 2, 3)))
-_fields = (NumberField([-2, 0, 1]), NumberField([-2, 0, 0, 1]))
+_fields = (NumberField([-2, 0, 1], 1), NumberField([-2, 0, 0, 1], 1))
 
 
 @st.composite
@@ -285,7 +336,7 @@ def _ut_generators(draw):
         positions = upper if dense else draw(st.lists(st.sampled_from(upper), min_size=1))
         for i, j in positions:
             rows[i][j] = draw(_small)
-        mats.append(UnipotentMatrix(rows))
+        mats.append(from_rows(rows))
     return mats
 
 
@@ -323,7 +374,7 @@ def _embedded_generators(draw):
         rows = [[int(i == j) for j in range(size)] for i in range(size)]
         for j in range(size - 1):
             rows[j][j + 1] = draw(_small)
-        mats.append(UnipotentMatrix(rows))
+        mats.append(from_rows(rows))
     return mats
 
 
@@ -346,7 +397,7 @@ def _unit_upper(n, entries):
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for (r, c), v in entries.items():
         rows[r][c] = v
-    return UnipotentMatrix(rows)
+    return from_rows(rows)
 
 
 # a = I + E12 + E23 + E34: its log fills the whole strict upper triangle
@@ -477,8 +528,8 @@ def test_integer_log_is_positive_multiple_of_log(rng):
     for n in range(2, 8):
         for _ in range(20):
             m = random_unipotent(rng, n, bound=9)
-            table, den = _integer_rows(m.rows)
-            assert UnipotentMatrix(_fraction_rows(table, den)) == m
+            den = m.den
+            assert from_rows(rows_of(m)) == m
             scaled, d_log = log_unipotent(m)
             assert all(type(x) is int for row in scaled for x in row)
             assert d_log > 0
@@ -507,7 +558,7 @@ def test_bch_log_requires_two_step():
     def e(i, j):
         rows = [[1 if a == b else 0 for b in range(4)] for a in range(4)]
         rows[i][j] = 1
-        return UnipotentMatrix(rows)
+        return from_rows(rows)
 
     bad = GeneratorSystem([e(0, 1), e(1, 2), e(2, 3)])
     with pytest.raises(ValueError):
@@ -586,8 +637,8 @@ def _product_by_binary_powering(gens, word):
     return acc
 
 
-def _all_fraction(m):
-    return all(type(v) is Fraction for row in m.rows for v in row)
+def _all_int(m):
+    return type(m.den) is int and all(type(v) is int for row in m.table for v in row)
 
 
 def test_powers_match_binary_powering(rng):
@@ -597,7 +648,7 @@ def test_powers_match_binary_powering(rng):
             for e in (-5, 0, 1, 7, 2**65):
                 got = m**e
                 assert got == _binary_power(m, e), (n, e)
-                assert _all_fraction(got)
+                assert _all_int(got)
 
 
 def test_product_of_word_matches_binary_powering(rng):
@@ -613,7 +664,17 @@ def test_product_of_word_matches_binary_powering(rng):
             w = Word(3, runs)
             got = product_of_word(gens, w)
             assert got == _product_by_binary_powering(gens, w), (n, w)
-            assert _all_fraction(got)
+            assert _all_int(got)
+
+
+def test_powers_take_int_exponents_only():
+    # c = 0.5 once gave the identity: its binomials floor to 0
+    m = h3(1, 1, 1)
+    for e in (0.5, 2.0, Fraction(2), True):
+        with pytest.raises(TypeError, match="of an exponent is not an int"):
+            m**e
+        with pytest.raises(TypeError, match="of an exponent is not an int"):
+            m.integer_power(e)
 
 
 def test_inverse_and_powers(rng):
@@ -625,9 +686,9 @@ def test_inverse_and_powers(rng):
         assert m**0 == UnipotentMatrix.identity(5)
 
 
-def test_matrix_tables_stay_fraction(rng):
-    # products share mul_upper_rows with the integer tables; entries no
-    # product reaches must still be Fraction zeros in the matrix classes
+def test_matrix_tables_stay_int(rng):
+    # products share mul_upper_rows with the logs' tables; entries no
+    # product reaches must be int zeros too
     sparse = [h3(1, 0, 0), h3(0, 1, 0), UnipotentMatrix.identity(4)]
     dense = [random_unipotent(rng, 5, bound=10) for _ in range(2)]
     tables = []
@@ -635,7 +696,7 @@ def test_matrix_tables_stay_fraction(rng):
         tables += [a * a, a**3, a**-2, a.inverse()]
     tables += [dense[0] * dense[1]]
     for m in tables:
-        assert all(type(v) is Fraction for row in m.rows for v in row), m
+        assert _all_int(m), m
 
 
 def test_matrices_hashable_immutable():
@@ -690,10 +751,10 @@ def test_equal_matrices_have_one_form_however_built(rng):
             scaled = tuple(tuple(k * x for x in row) for row in m.table)
             gens = GeneratorSystem([m, m.inverse()])
             builds = [
-                UnipotentMatrix(m.rows),
-                UnipotentMatrix([[str(x) for x in row] for row in m.rows]),
-                UnipotentMatrix.from_integer_table(scaled, k * m.den),
-                UnipotentMatrix.from_integer_table(list(map(list, m.table)), m.den),
+                from_rows(rows_of(m)),
+                from_rows([[str(x) for x in row] for row in rows_of(m)]),
+                UnipotentMatrix(scaled, k * m.den),
+                UnipotentMatrix(list(map(list, m.table)), m.den),
                 m * UnipotentMatrix.identity(n),
                 m**3 * m**-2,
                 m.inverse().inverse(),
@@ -719,32 +780,26 @@ def test_rows_and_entries_are_exact_fractions(rng):
                 ]
                 for i in range(n)
             ]
-            m = UnipotentMatrix(rows)
-            assert m.rows == tuple(tuple(map(Fraction, row)) for row in rows)
-            assert _all_fraction(m)
+            m = from_rows(rows)
+            assert rows_of(m) == tuple(tuple(map(Fraction, row)) for row in rows)
+            assert all(type(v) is Fraction for row in rows_of(m) for v in row)
+            assert _all_int(m)
             for i in range(n):
                 for j in range(n):
-                    assert type(m[i, j]) is Fraction
-                    assert m[i, j] == rows[i][j]
+                    assert type(entry(m, i, j)) is Fraction
+                    assert entry(m, i, j) == rows[i][j]
 
 
 def test_products_build_no_fraction_table(rng, monkeypatch):
-    import nilsect.matlie as matlie
-
     def products(mats):
         word = Word(3, [(0, 1), (1, 4), (2, 2**40), (0, 3)])
         return product_of_word(GeneratorSystem(mats), word), mats[0] * mats[1], mats[2] ** 5
 
     mats = [random_unipotent(rng, 5, bound=9) for _ in range(3)]
     want = products(mats)
-
-    def refuse(*args):
-        raise AssertionError("a Fraction table was built")
-
-    for name in ("Fraction", "_fraction_rows", "_freeze"):
-        monkeypatch.setattr(matlie, name, refuse)
+    refuse_fractions(monkeypatch)
     # fresh copies, so their logs and power coefficients are computed here
-    fresh = [UnipotentMatrix.from_integer_table(m.table, m.den) for m in mats]
+    fresh = [UnipotentMatrix(m.table, m.den) for m in mats]
     assert products(fresh) == want
 
 
@@ -785,8 +840,8 @@ def test_equal_nilpotent_matrices_have_one_form_however_built(rng):
             want = log_unipotent(m)
             same = [
                 m.integer_log(),
-                UnipotentMatrix(m.rows).integer_log(),  # a fresh log
-                UnipotentMatrix.from_integer_table(scaled, k * m.den).integer_log(),
+                from_rows(rows_of(m)).integer_log(),  # a fresh log
+                UnipotentMatrix(scaled, k * m.den).integer_log(),
                 reduced_table(ref_log(m)),
                 bch_log(GeneratorSystem([m]), [1], {}),
                 bch_log(GeneratorSystem([m, m.inverse()]), [2, 1], {(0, 1): 2}),
@@ -814,14 +869,9 @@ def test_nilpotent_arithmetic_builds_no_fraction_table(rng, monkeypatch):
 
     mats = [_random_sparse_unipotent(rng, 5, _heisenberg_shape(5)) for _ in range(3)]
     want = algebra(mats)
-
-    def refuse(*args):
-        raise AssertionError("a Fraction table was built")
-
-    for name in ("Fraction", "_fraction_rows", "_freeze"):
-        monkeypatch.setattr(matlie, name, refuse)
+    refuse_fractions(monkeypatch)
     # fresh copies, so their logs are computed here
-    fresh = [UnipotentMatrix.from_integer_table(m.table, m.den) for m in mats]
+    fresh = [UnipotentMatrix(m.table, m.den) for m in mats]
     assert algebra(fresh) == want
 
 
@@ -834,14 +884,14 @@ def _ref_product_of_word(gens, word):
     for letter, count in word.runs:
         a = gens.mats[letter]
         factor = a if count == 1 else ref_exp(ref_scale(ref_log(a), count))
-        acc = ref_mul(acc, factor.rows)
-    return UnipotentMatrix(acc)
+        acc = ref_mul(acc, rows_of(factor))
+    return from_rows(acc)
 
 
 def _dense_powers(m):
     """[N, N^2, ..., N^q] for N = den*(M - I), as Fraction tables from the
     reference product, up to the last nonzero power."""
-    x = ref_scale(ref_combine(m.rows, ref_identity(m.n), -1), m.den)
+    x = ref_scale(ref_combine(rows_of(m), ref_identity(m.n), -1), m.den)
     powers = []
     power = x
     while not _is_zero(power):
@@ -893,8 +943,8 @@ def test_powers_of_n_built_once_per_matrix(monkeypatch):
 
 def _assert_same_table(got, want):
     assert type(got) is type(want)
-    assert got.rows == want.rows, (got, want)
-    assert all(type(v) is Fraction for row in got.rows for v in row), got
+    assert rows_of(got) == rows_of(want), (got, want)
+    assert _all_int(got), got
 
 
 RUN_COUNTS = (1, 2, 3, 2**70)
@@ -965,7 +1015,7 @@ def test_powers_and_word_products_take_no_log(monkeypatch):
 
 def test_kernel_matches_reference_on_number_field_embeddings():
     rng = random.Random(42)
-    for field in (NumberField([-2, 0, 1]), NumberField([-2, 0, 0, 1])):
+    for field in (NumberField([-2, 0, 1], 1), NumberField([-2, 0, 0, 1], 1)):
         for _ in range(3):
             mats = [_random_heisenberg_k(rng, field) for _ in range(3)]
             _assert_kernel_matches_reference(mats, rng)
@@ -973,7 +1023,7 @@ def test_kernel_matches_reference_on_number_field_embeddings():
 
 def test_kernel_matches_reference_on_direct_sums():
     rng = random.Random(43)
-    field = NumberField([-2, 0, 1])
+    field = NumberField([-2, 0, 1], 1)
     for _ in range(3):
         mats = [
             direct_sum(
@@ -1000,7 +1050,7 @@ def _generator_sets(draw):
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
         for i, j in upper:
             rows[i][j] = draw(_entries)
-        return UnipotentMatrix(rows)
+        return from_rows(rows)
 
     return [matrix() for _ in range(draw(st.integers(1, 3)))], draw(st.integers(0, 2**32))
 
@@ -1027,6 +1077,6 @@ def test_identity_generator_has_zero_log():
         assert product_of_word(gens, Word(2, [(1, 1), (0, c), (1, 2)])) == other**3
     for e in POWERS:
         assert ident**e == ident
-        assert _all_fraction(ident**e)
+        assert _all_int(ident**e)
     assert is_two_step(gens)
     _assert_kernel_matches_reference([ident, other], random.Random(45))

@@ -1,0 +1,184 @@
+"""Oracle-free checks of verdicts: an instance and its image under a map
+that preserves the problem must be decided alike.
+
+`bfs_oracle` checks an Empty verdict only up to its depth.  A map that
+sends an instance to an equivalent one checks the verdict at every
+depth, and it moves the denominators, the cone orientation, the LP
+presentation and the letter order, so the two decisions take different
+numeric paths.
+
+* Orbits in H3(Q) (the fuzz family F11, `test_orbit.f11_draws`): the
+  side swap (T, S, G, H) -> (S, T, H, G), and the automorphism
+  (v, gamma) -> (A v, det A gamma) of the log coordinates, for A in
+  GL2(Q), followed by conjugation by an element X.
+* Intersections in UT(3, Q) (the planted family IW(3, 3),
+  `test_orbit.iw_draws`): conjugation by X, conjugation by a positive
+  diagonal matrix (entry (i, j) scaled by d_j / d_i), and a permutation
+  of the sets and of each set's generators.
+
+Every map sends products to products, so a witness of the original,
+relabelled as the map permutes letters, must verify on the image by
+plain multiplication.  The verdicts must agree whenever both runs
+decide.  A change of outcome class (a budget fired, or `Unsupported`)
+is printed, not asserted: the easy orbit case picks its functional by
+a rule that depends on the presentation, and some F11 draws exhaust
+the interleaving budget on one side of the swap only.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+from nilsect import (
+    BudgetExceeded,
+    GeneratorSystem,
+    IntersectionInstance,
+    OrbitInstance,
+    UnsupportedInstance,
+    Verdict,
+    decide_intersection,
+    decide_orbit,
+    extract_witness,
+)
+
+from conftest import entry, from_rows, h3, rows_of, verify_orbit_witness, verify_witness
+from test_orbit import f11_draws, iw_draws
+
+F11_DRAWS = 300
+IW_DRAWS = 100
+# every orbit decision here runs under these options: the budget bounds
+# the easy case's enumeration, and the depth the fallback's oracle
+ORBIT_OPTIONS = {"interleave_budget": 2000, "oracle_depth": 5}
+
+# A of det 1, -1, 2, 7, 3/2, 1 and 7/6
+AUTOMORPHISMS = [
+    ((1, 1), (0, 1)),
+    ((0, 1), (1, 0)),
+    ((2, 0), (0, 1)),
+    ((2, 1), (1, 4)),
+    ((Fraction(3, 2), 0), (0, 1)),
+    ((-1, 0), (0, -1)),
+    ((1, Fraction(-1, 2)), (Fraction(1, 3), 1)),
+]
+
+
+def _rational(rng):
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+
+def _outcome(decide):
+    """(class, decision): the verdict's value, or the name of the
+    exception that ended the run, with the decision or None."""
+    try:
+        d = decide()
+    except (BudgetExceeded, UnsupportedInstance) as exc:
+        return type(exc).__name__, None
+    return d.verdict.value, d
+
+
+def _decided(kind):
+    return kind in (Verdict.EMPTY.value, Verdict.NONEMPTY.value)
+
+
+def _orbit_outcome(inst):
+    bounded = OrbitInstance(inst.T, inst.S, inst.G, inst.H, options=ORBIT_OPTIONS)
+    return _outcome(lambda: decide_orbit(bounded))
+
+
+def _h3_automorphism(A, X):
+    """M -> X phi_A(M) X^-1, with phi_A the automorphism of H3(Q) that
+    maps the log (a, b, gamma), gamma = c - ab/2, to (A (a, b), det A
+    gamma)."""
+    (p, q), (r, s) = A
+    det = p * s - q * r
+    x_inv = X.inverse()
+
+    def image(m):
+        a, b, c = entry(m, 0, 1), entry(m, 1, 2), entry(m, 0, 2)
+        a2, b2 = p * a + q * b, r * a + s * b
+        return X * h3(a2, b2, det * (c - a * b / 2) + a2 * b2 / 2) * x_inv
+
+    return image
+
+
+def _mapped_orbit(inst, image):
+    def system(gens):
+        return GeneratorSystem([image(m) for m in gens.mats])
+
+    return OrbitInstance(image(inst.T), image(inst.S), system(inst.G), system(inst.H))
+
+
+def test_f11_verdicts_survive_swap_and_automorphism():
+    rng = random.Random(2111)
+    moves, compared, transported = [], 0, 0
+    for index, inst in enumerate(itertools.islice(f11_draws(), F11_DRAWS)):
+        kind, d = _orbit_outcome(inst)
+        X = h3(_rational(rng), _rational(rng), _rational(rng))
+        A = AUTOMORPHISMS[index % len(AUTOMORPHISMS)]
+        images = {
+            "swap": (OrbitInstance(inst.S, inst.T, inst.H, inst.G), True),
+            f"A={A}": (_mapped_orbit(inst, _h3_automorphism(A, X)), False),
+        }
+        for name, (mapped, swapped) in images.items():
+            other, _ = _orbit_outcome(mapped)
+            if _decided(kind) and _decided(other):
+                assert other == kind, (index, name)
+                compared += 1
+            elif other != kind:
+                moves.append(f"F11 draw {index} under {name}: {kind} -> {other}")
+            if kind == Verdict.NONEMPTY.value:
+                v, w = d.witnesses
+                assert verify_orbit_witness(mapped, *((w, v) if swapped else (v, w))), (index, name)
+                transported += 1
+    for line in moves:
+        print("outcome moved:", line)
+    # 481 verdict pairs compared and 112 witnesses transported today
+    assert compared >= 450 and transported >= 100
+
+
+def _conjugation(X):
+    x_inv = X.inverse()
+    return lambda m: X * m * x_inv
+
+
+def _diagonal_scaling(d):
+    """M -> D^-1 M D for D = diag(d): entry (i, j) times d_j / d_i."""
+
+    def image(m):
+        rows = rows_of(m)
+        return from_rows(
+            [[x * d[j] / d[i] for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        )
+
+    return image
+
+
+def test_iw_verdicts_survive_conjugation_scaling_and_permutation():
+    rng = random.Random(2112)
+    checked = 0
+    for index, (inst, _, _) in enumerate(iw_draws(3, 3, count=IW_DRAWS)):
+        d = extract_witness(inst, decide_intersection(inst))
+        assert d.verdict is Verdict.NONEMPTY, index
+        words = d.witnesses
+        X = h3(_rational(rng), _rational(rng), _rational(rng))
+        scale = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(3)]
+        for image in (_conjugation(X), _diagonal_scaling(scale)):
+            mapped = IntersectionInstance(
+                [GeneratorSystem([image(m) for m in s.mats]) for s in inst.systems]
+            )
+            assert decide_intersection(mapped).verdict is d.verdict, index
+            assert verify_witness(mapped, words), index
+        # sets in reverse order, each set's generators shuffled: letter a
+        # of a set is letter inv[a] of its image
+        systems, moved = [], []
+        for s, word in reversed(list(zip(inst.systems, words))):
+            perm = list(range(s.K))
+            rng.shuffle(perm)
+            inv = {a: k for k, a in enumerate(perm)}
+            systems.append(GeneratorSystem([s.mats[a] for a in perm]))
+            moved.append(word.relabel(inv, s.K))
+        mapped = IntersectionInstance(systems)
+        assert decide_intersection(mapped).verdict is d.verdict, index
+        assert verify_witness(mapped, moved), index
+        checked += 1
+    assert checked == IW_DRAWS

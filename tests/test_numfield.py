@@ -16,33 +16,43 @@ from nilsect import (
     parse_instance_text,
     ParseError,
 )
-from nilsect.matlie import _fraction_rows, common_denominator
 from nilsect.numfield import (
     _has_rational_root,
     _integer_representation,
     _sign_changes,
     _sturm_chain,
 )
-from conftest import embed_coords, field_pair, field_times
+from conftest import (
+    common_denominator,
+    embed_coords,
+    entry,
+    field_pair,
+    field_times,
+    modulus,
+    number_field,
+    rows_of,
+)
 
 
 def has_rational_root(coeffs):
-    """`_has_rational_root` given the lcm of the denominators, as
-    `NumberField` computes it once per modulus."""
-    return _has_rational_root(coeffs, common_denominator(coeffs))
+    """`_has_rational_root` of the monic rational coefficients over the
+    lcm of their denominators, as `NumberField` holds a modulus."""
+    d = common_denominator(coeffs)
+    return _has_rational_root([int(Fraction(c) * d) for c in coeffs])
 
 
-SQRT2 = NumberField([-2, 0, 1])  # t^2 - 2
-CBRT2 = NumberField([-2, 0, 0, 1])  # t^3 - 2
+SQRT2 = NumberField([-2, 0, 1], 1)  # t^2 - 2
+CBRT2 = NumberField([-2, 0, 0, 1], 1)  # t^3 - 2
 # moduli with denominators: alpha^d is not an integer vector
-SQRT_HALF = NumberField([Fraction(-1, 2), 0, 1])
-CUBIC = NumberField([Fraction(-2, 5), 0, Fraction(1, 3), 1])
+SQRT_HALF = number_field([Fraction(-1, 2), 0, 1])
+CUBIC = number_field([Fraction(-2, 5), 0, Fraction(1, 3), 1])
 
 
 def regular_representation(field, x):
     """The Fraction view of the integer regular representation of the
     element with rational coordinates x."""
-    return _fraction_rows(*_integer_representation(field, field_pair(x)))
+    table, den = _integer_representation(field, field_pair(x))
+    return tuple(tuple(Fraction(v, den) for v in row) for row in table)
 
 
 def rand_elem(rng, field, span=5):
@@ -78,16 +88,41 @@ def test_representation_is_ring_homomorphism(rng):
 
 def test_irreducibility_guard():
     with pytest.raises(ValueError):
-        NumberField([-1, 0, 1])  # (t-1)(t+1)
+        NumberField([-1, 0, 1], 1)  # (t-1)(t+1)
     with pytest.raises(ValueError):
-        NumberField([0, 0, 1])  # t^2
+        NumberField([0, 0, 1], 1)  # t^2
     with pytest.raises(ValueError):
-        NumberField([6, -5, 1])  # (t-2)(t-3)
+        NumberField([6, -5, 1], 1)  # (t-2)(t-3)
     with pytest.raises(ValueError):
-        NumberField([2, 0, 0])  # not monic
+        NumberField([2, 0, 0], 1)  # not monic
     # degree 1 always fine: the field is Q itself
-    q = NumberField([5, 1])
+    q = NumberField([5, 1], 1)
     assert regular_representation(q, [Fraction(3, 2)]) == ((Fraction(3, 2),),)
+
+
+def test_modulus_is_ints_over_one_denominator():
+    # the parser's form: integer coefficients over one q >= 1, held
+    # reduced over m, the lcm of the reduced denominators
+    assert CUBIC.coeffs == (-6, 0, 5, 15)
+    assert modulus(CUBIC) == [Fraction(-2, 5), 0, Fraction(1, 3), 1]
+    half = NumberField([-2, 0, 4], 4)  # "minpoly 1 0 -2/4"
+    assert half.coeffs == (-1, 0, 2)
+    assert half == SQRT_HALF and hash(half) == hash(SQRT_HALF)
+    assert NumberField([-6, 0, 3], 3) == SQRT2  # integer coefficients over 3
+    assert repr(CUBIC) == "<NumberField t^3: -2/5*t^0 + 1/3*t^2 + 1*t^3>"
+    assert repr(SQRT_HALF) == "<NumberField t^2: -1/2*t^0 + 1*t^2>"
+    for coeffs, q in (
+        ([Fraction(-1, 2), 0, 1], 1),
+        ([-2, 0, 1.0], 1),
+        ([-2, 0, 1], 1.0),
+        ([-2, 0, 1], Fraction(1)),
+    ):
+        with pytest.raises(TypeError, match="is not an int"):
+            NumberField(coeffs, q)
+    with pytest.raises(ValueError, match="denominator must be positive"):
+        NumberField([2, 0, 0], 0)
+    with pytest.raises(ValueError, match="monic"):
+        NumberField([-2, 0, 2], 1)
 
 
 def _divisors(n: int):
@@ -306,8 +341,8 @@ def test_embed_block_structure():
     assert m.n == 6
     # (1,2) block in Heisenberg coordinates holds the multiplication
     # matrix of sqrt(2)
-    assert m[0, 2] == 0 and m[0, 3] == 2
-    assert m[1, 2] == 1 and m[1, 3] == 0
+    assert entry(m, 0, 2) == 0 and entry(m, 0, 3) == 2
+    assert entry(m, 1, 2) == 1 and entry(m, 1, 3) == 0
 
 
 def test_embed_multiplicative(rng):
@@ -342,5 +377,5 @@ def test_embedding_bitsize_monitor(rng):
     for _ in range(20):
         a, b, c = h = rand_heis(rng, SQRT2, 3)
         in_bits = max(16, bits_of(a + b + [c]))
-        out_bits = bits_of(embed_coords(SQRT2, 3, *h).rows)
+        out_bits = bits_of(rows_of(embed_coords(SQRT2, 3, *h)))
         assert out_bits <= 64 * in_bits * in_bits

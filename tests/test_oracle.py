@@ -5,13 +5,12 @@ from nilsect import (
     GeneratorSystem,
     IntersectionInstance,
     OrbitInstance,
-    UnipotentMatrix,
     Word,
     bfs_oracle,
     product_of_word,
 )
 
-from conftest import h3, word_letters
+from conftest import from_rows, h3, rows_of, word_letters
 
 # ---------------------------------------------------------------------------
 # The breadth-first enumeration on Fraction rows that the reduced integer
@@ -45,7 +44,7 @@ def _reference_products(gens, depth):
 
 
 def _rows(mat):
-    return tuple(tuple(row) for row in mat.rows)
+    return tuple(tuple(row) for row in rows_of(mat))
 
 
 def _reference_oracle(inst, depth):
@@ -103,7 +102,7 @@ def _rational_instances(rng, count):
         if idx % 2 == 0:
             if planted:
                 sets[1].append(product_of_word(GeneratorSystem(sets[0]), word))
-            out.append(IntersectionInstance(sets))
+            out.append(IntersectionInstance([GeneratorSystem(s) for s in sets]))
         else:
             G, H = (GeneratorSystem(s) for s in sets)
             T = _rational_h3(rng)
@@ -134,6 +133,6 @@ def test_oracle_matches_fraction_reference():
             continue
         letters, table = want
         assert tuple(tuple(word_letters(w)) for w in found.words) == letters
-        assert found.element == UnipotentMatrix(table)
+        assert found.element == from_rows(table)
         collisions += 1
     assert collisions > 15

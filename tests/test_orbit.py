@@ -31,7 +31,6 @@ from nilsect import (
 
 from nilsect import orbit as orbit_module
 from nilsect.linsolve import cone_intersect_dim, cross, hnf_solve, lp_feasible
-from nilsect.matlie import common_denominator
 from nilsect.wordcraft import realize_corner, realize_word, total_letters
 from nilsect.orbit import (
     RelaxedSolution,
@@ -46,7 +45,11 @@ from nilsect.orbit import (
 
 from conftest import (
     cleared,
+    common_denominator,
+    entry,
     fractions_of,
+    refuse_fractions,
+    rows_of,
     h3,
     ref_bracket,
     ref_combine,
@@ -105,8 +108,8 @@ def table_log_triple(m):
     """Reference: the Fraction log triple (a, b, c - ab/2) read off the
     entries (0,1), (1,2) and (0,2) of m, the form `_integer_logs`
     replaced."""
-    a, b = m[0, 1], m[1, 2]
-    return (a, b, m[0, 2] - a * b / 2)
+    a, b = entry(m, 0, 1), entry(m, 1, 2)
+    return (a, b, entry(m, 0, 2) - a * b / 2)
 
 
 def fraction_logs(sys):
@@ -142,12 +145,15 @@ def test_log_triple_and_corner_bracket():
 
 
 def test_orbit_instance_holds_3x3_matrices():
-    # T and S are held as the matrices given (rows are converted), and
-    # each part of another dimension is refused by name
+    # T and S are held as the matrices given, and each part of another
+    # type or dimension is refused by name: rows are not converted
     t, s = h3(1, 2, 3), h3(0, Fraction(1, 2), 1)
     inst = orbit(t, s, gsys(X), gsys(Y))
     assert inst.T is t and inst.S is s
-    assert orbit(t.rows, s.rows, [X], [Y]).S == s
+    with pytest.raises(TypeError, match="T is not a UnipotentMatrix"):
+        orbit(rows_of(t), s, gsys(X), gsys(Y))
+    with pytest.raises(TypeError, match="G is not a GeneratorSystem"):
+        orbit(t, s, [X], gsys(Y))
     big = UnipotentMatrix.identity(4)
     for name, parts in (
         ("T", (big, s, gsys(X), gsys(Y))),
@@ -210,6 +216,28 @@ def test_easy_disjoint_rays_empty():
     # the polar cone is the wedge from (0, -1) to (1, 0), and its lesser
     # ray separates: 0 on the superdiagonal of X, -1 on that of Y
     assert d.trace[0]["functional"] == (0, -1)
+
+
+def test_easy_trace_reports_ns_as_its_fraction_string():
+    # ns = n . log S of the instance reduced to T = I, printed as "p/q"
+    inst = orbit(IDENT, h3(Fraction(1, 2), Fraction(-1, 3), 5), gsys(X), gsys(Y))
+    d = decide_orbit(inst)
+    assert d.trace[0]["functional"] == (0, -1)
+    assert d.trace[0]["ns"] == "1/3"
+    seen = 0
+    for inst in itertools.islice(f11_draws(), 40):
+        inst = orbit(inst.T, inst.S, inst.G, inst.H, interleave_budget=2000)
+        try:
+            d = decide_orbit(inst)
+        except (BudgetExceeded, UnsupportedInstance):
+            continue
+        if d.details["case"] != "easy":
+            continue
+        s = inst.T.inverse() * inst.S
+        n0, n1 = d.trace[0]["functional"]
+        assert d.trace[0]["ns"] == str(n0 * entry(s, 0, 1) + n1 * entry(s, 1, 2))
+        seen += 1
+    assert seen >= 15
 
 
 def test_easy_with_off_line_letters():
@@ -1267,11 +1295,8 @@ def test_inflation_scale_only_past_twice_de(hard_nonempty, monkeypatch):
 
 def test_hard_witnesses_build_no_fraction(hard_nonempty, monkeypatch):
     # the balancing combination, the corner search and the inflation run
-    # on the integer units; the Fractions of the LP stay inside it
-    def refuse(*args):
-        raise AssertionError("a Fraction was built")
-
-    monkeypatch.setattr(orbit_module, "Fraction", refuse)
+    # on the integer units, and so does the LP: no Fraction is built
+    refuse_fractions(monkeypatch)
     hows = set()
     for name, inst, d in hard_nonempty:
         again = decide_hard(units_of(inst), inst.options)
@@ -1409,14 +1434,11 @@ def test_hard_branch_loop_builds_no_fraction(monkeypatch):
             empty.append(inst)
     empty.append(orbit(IDENT, h3(0, 0, Fraction(1, 2)), gsys(X, Y), gsys(X, Y)))
 
-    def refuse(*args):
-        raise AssertionError("a Fraction was built")
-
     # no Fraction log triple exists to call, and no Fraction denominator
     assert not hasattr(orbit_module, "_log_triple")
     assert not hasattr(orbit_module, "_logs")
     assert not hasattr(orbit_module, "common_denominator")
-    monkeypatch.setattr(orbit_module, "Fraction", refuse)
+    refuse_fractions(monkeypatch)
     for inst in empty:
         d = decide_hard(units_of(inst), inst.options)
         assert d.verdict is Verdict.EMPTY

@@ -44,6 +44,28 @@ def test_word_runs_merge():
     assert word_letters(w) == [0, 0, 0, 0, 0, 1]
 
 
+@pytest.mark.parametrize(
+    "runs",
+    [
+        [(0, 2.5)],  # once truncated to ((0, 2),)
+        [(1.9, 1)],  # once read as letter 1
+        [(0, 2.0)],
+        [(0, Fraction(3))],
+        [(Fraction(1), 1)],
+        [(0, "3")],
+        [(True, 1)],
+        [(0, 1), (1, 1.0)],
+    ],
+)
+def test_word_takes_int_letters_and_counts_only(runs):
+    # int() would truncate a letter or count silently; any other type
+    # is a TypeError
+    with pytest.raises(TypeError, match="of a word run is not an int"):
+        Word(2, runs)
+    with pytest.raises(TypeError, match="of an alphabet size is not an int"):
+        Word(2.5, [(0, 1)])
+
+
 def test_word_concat_reverse_relabel():
     u = Word.from_letters(2, [0, 1])
     v = Word.from_letters(2, [1, 0])
