@@ -31,7 +31,6 @@ from .wordcraft import (
     realize_word,
 )
 from .linsolve import (
-    LinearSubspace,
     eliminate,
     lp_feasible,
     support_nonneg,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate, combinations
 from math import lcm
 
 from .matlie import (
@@ -21,7 +22,7 @@ from .matlie import (
     is_two_step,
     product_of_word,
 )
-from .linsolve import LinearSubspace, eliminate, support_nonneg
+from .linsolve import eliminate, support_nonneg
 from .wordcraft import (
     least_scale,
     realize_word,
@@ -100,13 +101,27 @@ class IntersectionInstance:
         return len(self.systems)
 
 
-def build_condition_space(inst: IntersectionInstance, supports) -> LinearSubspace:
-    """The linear space of (l, c) tuples equating the M log expressions.
+def _columns(inst: IntersectionInstance, supports):
+    """(starts, pairs): the column layout of the condition space.
 
-    Coordinates: ("l", m, j) for every generator (all j, not only the
-    current support), and ("c", m, i, j) for pairs i < j inside the
-    current support set of system m.  Equations equate, entry by entry of
-    the strictly-upper-triangular matrices, the expression
+    The count l_mj of generator j of system m (every j, not only the
+    current support) is column starts[m] + j, so starts[-1] is the number
+    of counts.  The pair coefficient c_mij of a pair i < j inside the
+    current support set S_m is column starts[-1] plus the index of
+    (m, i, j) in `pairs`, which lists the pairs of each system in turn,
+    in `combinations(sorted(S_m), 2)` order.
+    """
+    starts = [0, *accumulate(sys.K for sys in inst.systems)]
+    pairs = [(m, i, j) for m, sup in enumerate(supports) for i, j in combinations(sorted(sup), 2)]
+    return starts, pairs
+
+
+def build_condition_space(inst: IntersectionInstance, supports) -> list:
+    """The integer rows of the linear space of (l, c) tuples equating
+    the M log expressions, over the columns `_columns` lays out.
+
+    Equations equate, entry by entry of the strictly-upper-triangular
+    matrices, the expression
 
         sum_j l_mj log A_mj + sum_{i<j in S_m} c_mij [log A_mi, log A_mj]
 
@@ -118,39 +133,22 @@ def build_condition_space(inst: IntersectionInstance, supports) -> LinearSubspac
     so each row is L times its rational row.
     """
     n = inst.n
-    coords = []
-    for m, sys in enumerate(inst.systems):
-        for j in range(sys.K):
-            coords.append(("l", m, j))
-    for m, sup in enumerate(supports):
-        ordered = sorted(sup)
-        for a in range(len(ordered)):
-            for b in range(a + 1, len(ordered)):
-                coords.append(("c", m, ordered[a], ordered[b]))
-    index = {name: i for i, name in enumerate(coords)}
+    starts, pairs = _columns(inst, supports)
+    logs = [[mat.integer_log() for mat in sys.mats] for sys in inst.systems]
+    # per system, triples (column, integer table, its denominator)
+    per_m = [[(starts[m] + j, x, d) for j, (x, d) in enumerate(logs[m])] for m in range(inst.M)]
+    for col, (m, i, j) in enumerate(pairs, starts[-1]):
+        (xi, di), (xj, dj) = logs[m][i], logs[m][j]
+        per_m[m].append((col, _integer_bracket(xi, xj, n), di * dj))
 
-    def expression_columns(m):
-        """Triples (coordinate index, integer table, its denominator)."""
-        logs = [mat.integer_log() for mat in inst.systems[m].mats]
-        cols = [(index[("l", m, j)], x, d) for j, (x, d) in enumerate(logs)]
-        ordered = sorted(supports[m])
-        for a in range(len(ordered)):
-            for b in range(a + 1, len(ordered)):
-                i, j = ordered[a], ordered[b]
-                (xi, di), (xj, dj) = logs[i], logs[j]
-                cols.append(
-                    (index[("c", m, i, j)], _integer_bracket(xi, xj, n), di * dj)
-                )
-        return cols
-
-    per_m = [expression_columns(m) for m in range(inst.M)]
     big = lcm(*(d for cols in per_m for _, _, d in cols))
     per_m = [[(col, x, big // d) for col, x, d in cols] for cols in per_m]
+    width = starts[-1] + len(pairs)
     rows = []
     for m in range(inst.M - 1):
         for r in range(n):
             for c in range(r + 1, n):
-                row = [0] * len(coords)
+                row = [0] * width
                 nonzero = False
                 for col, x, f in per_m[m]:
                     v = x[r][c]
@@ -164,14 +162,14 @@ def build_condition_space(inst: IntersectionInstance, supports) -> LinearSubspac
                         nonzero = True
                 if nonzero:
                     rows.append(tuple(row))
-    return LinearSubspace(coords, rows)
+    return rows
 
 
 def decide_intersection(inst: IntersectionInstance) -> Decision:
     """Support-refinement decision for intersection emptiness.
 
     Starting from full supports, repeatedly: build the condition space,
-    project it onto the count coordinates, compute the support of its
+    project it onto the count columns, compute the support of its
     nonnegative integer points, and intersect each system's support set
     with it.  Supports only shrink, so once a round empties some support
     set the intersection is empty: the loop returns Empty at that round,
@@ -183,11 +181,11 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
     An Empty decision's `details` holds only `final_supports` (the
     supports its last round left, one of them empty) and `iterations`.
     On a NonEmpty decision, `details["support_point"]` keeps the final
-    round's nonnegative integer point of the projection, over the
-    ("l", m, j) coordinates; its support is exactly the final support
-    sets.  `details["lift"]` keeps that round's `Lift`, which
-    `eliminate` read off the pivot rows of the elimination it ran anyway:
-    it solves the pair coordinates of the condition space for the counts.
+    round's nonnegative integer point of the projection, over the count
+    columns; its support is exactly the final support sets.
+    `details["lift"]` keeps that round's `Lift`, which `eliminate` read
+    off the pivot rows of the elimination it ran anyway: it solves the
+    pair columns of the condition space for the counts.
     `extract_witness` evaluates it on the point, so the space is built
     and reduced once per round and never again for the witness.
     """
@@ -199,24 +197,25 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
         rounds += 1
         if rounds > max_rounds:
             raise AssertionError("support loop exceeded its termination bound")
-        space = build_condition_space(inst, supports)
-        ell_coords = [name for name in space.coords if name[0] == "l"]
-        projected, lift = eliminate(space, ell_coords)
-        point = support_nonneg(projected)
-        support_names = {name for name, v in zip(ell_coords, point) if v}
+        starts, pairs = _columns(inst, supports)
+        counts = starts[-1]
+        rows = build_condition_space(inst, supports)
+        projected, lift = eliminate(rows, counts + len(pairs), counts)
+        point = support_nonneg(projected, counts)
         new_supports = [
-            frozenset(
-                j for j in supports[m] if ("l", m, j) in support_names
-            )
+            frozenset(j for j in supports[m] if point[starts[m] + j])
             for m in range(inst.M)
         ]
         trace.append(
             {
                 "iteration": rounds,
                 "supports": [sorted(s) for s in supports],
-                "projected_support": sorted(
-                    (m, j) for (_, m, j) in support_names
-                ),
+                "projected_support": [
+                    (m, j)
+                    for m, sys in enumerate(inst.systems)
+                    for j in range(sys.K)
+                    if point[starts[m] + j]
+                ],
             }
         )
         if any(not s for s in new_supports):
@@ -279,7 +278,7 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
     Evaluates the final round's lift (`details["lift"]`) on that round's
     point of the projection (`details["support_point"]`, positive
     exactly on the support letters), which solves for the pair
-    coordinates with no LP, no row reduction and no condition space; the
+    columns with no LP, no row reduction and no condition space; the
     numerators of the lift's point (nums, den) are an integer point
     (l, c) of the condition space.  Then scales that by an even factor N
     large enough that the word-realization bounds hold, realizes one word
@@ -290,9 +289,10 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
     if decision.verdict is not Verdict.NONEMPTY:
         raise ValueError("witness extraction requires a nonempty verdict")
     supports = decision.details["final_supports"]
-    lift = decision.details["lift"]
-    nums, _ = lift(decision.details["support_point"])
-    by_name = dict(zip(lift.coords, nums))
+    starts, _ = _columns(inst, supports)
+    nums, _ = decision.details["lift"](decision.details["support_point"])
+    # the pair columns, system by system, in combinations order
+    pair_values = iter(nums[starts[-1]:])
 
     kmax = max(sys.K for sys in inst.systems)
     counts_by_m = []
@@ -301,14 +301,10 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
     for m, sys in enumerate(inst.systems):
         letters = sorted(supports[m])
         sub_alphabets.append(letters)
-        counts = [by_name[("l", m, j)] for j in letters]
-        deltas = {}
-        for a in range(len(letters)):
-            for b in range(a + 1, len(letters)):
-                i, j = letters[a], letters[b]
-                deltas[(a, b)] = by_name[("c", m, i, j)]
-        counts_by_m.append(counts)
-        deltas_by_m.append(deltas)
+        counts_by_m.append([nums[starts[m] + j] for j in letters])
+        deltas_by_m.append(
+            {ab: next(pair_values) for ab in combinations(range(len(letters)), 2)}
+        )
 
     N = _minimal_even_scale(counts_by_m, deltas_by_m, kmax)
     words = []

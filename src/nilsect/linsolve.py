@@ -4,6 +4,9 @@ The one row type is an integer row.  Every solver here takes int
 entries only (rows, right-hand sides, bounds, cone generators) and
 raises TypeError on any other, since a truncated entry would change the
 system; a rational system comes in with its denominators cleared.
+Columns are positions: a subspace of Q^width is the list of integer rows
+of its homogeneous equations, column j of every row the coefficient of
+x_j, and a projection keeps a leading block of columns.
 The one point type is (nums, den): a rational point nums/den, `nums` a
 list of ints and `den` >= 1 an int with gcd(den, *nums) == 1, so `den`
 is the least common denominator of the point and `nums` the point times
@@ -14,18 +17,18 @@ Contents:
 * Gauss-Jordan elimination, fraction-free: integer rows, each a
   nonzero multiple of its rational row, gcd-reduced after every update
   by one pivot step (`matlie._pivot_step`); each pivot row ends primitive
-  and positive on its pivot; subspace projection (variable
-  elimination) on it;
+  and positive on its pivot; on it, the projection of a subspace onto
+  its first columns (variable elimination) and the lift back;
 * an exact phase-1 simplex with Bland's rule on a fraction-free
   tableau: integer rows, each a positive multiple of its rational row,
   one unit artificial column per row, so no rational arithmetic in the
   pivots and no floating point or epsilon anywhere; every variable has
   a lower bound, so there are no free variables to split;
 * a nonnegative integer point of a rational subspace with maximal
-  support (a cover loop: one feasibility LP per coordinate that the sum
-  of the certificates found so far does not cover, and after each
+  support (a cover loop: one feasibility LP per column that the sum of
+  the certificates found so far does not cover, and after each
   infeasible one a remainder LP that ends the loop when no later
-  uncovered coordinate can be positive; a rational point scales to an
+  uncovered column can be positive; a rational point scales to an
   integer one by homogeneity);
 * complete integer solution sets of A x = b via a column Hermite
   reduction with recorded transformation;
@@ -40,7 +43,7 @@ Contents:
   realisation shares.
 
 Everything operates on immutable inputs and returns fresh values.  The
-LPs of `support_nonneg` run in coordinate order: whether one runs at all
+LPs of `support_nonneg` run in column order: whether one runs at all
 depends on the certificates found before it, and on whether the last
 remainder LP was feasible.
 """
@@ -64,7 +67,7 @@ def _row_reduce(rows, pivot_order):
     """Gauss-Jordan reduction choosing pivot columns in the given order.
 
     Entries are ints, checked where the rows are made: `eliminate`
-    passes `LinearSubspace` equations and its own primitive rows.  Returns
+    passes rows it has checked, and its own primitive rows.  Returns
     (reduced_rows, pivots), where pivots lists (row_index, col_index) in
     the order found: the pivot for a column is the first row not yet used
     whose entry there is nonzero.  Every row comes back as a primitive
@@ -103,69 +106,25 @@ def _row_reduce(rows, pivot_order):
     return mat, pivots
 
 
-class LinearSubspace:
-    """Q-linear subspace of Q^len(coords), given by homogeneous equations.
-
-    `coords` are hashable names in a fixed order; `equations` are integer
-    rows with row . x = 0, kept as given (any other entry is a
-    TypeError): a rational row and any nonzero multiple of it define the
-    same space, so a builder clears its denominators first.
-
-    Two subspaces compare equal when their coordinates and their equation
-    rows are equal, entry by entry and in order: equality of the
-    presentations, which implies but is not implied by equality of the
-    spaces.
-    """
-
-    __slots__ = ("coords", "equations")
-
-    def __init__(self, coords, equations=()):
-        coords = tuple(coords)
-        eqs = tuple(tuple(row) for row in equations)
-        for row in eqs:
-            if len(row) != len(coords):
-                raise ValueError("equation length does not match coordinates")
-        _require_ints(itertools.chain(*eqs), "a subspace equation")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "equations", eqs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearSubspace is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearSubspace):
-            return NotImplemented
-        return self.coords == other.coords and self.equations == other.equations
-
-    def __hash__(self):
-        return hash((self.coords, self.equations))
-
-    def __repr__(self):
-        return (
-            f"<subspace of Q^{len(self.coords)}, {len(self.equations)} equations>"
-        )
-
-
 @dataclass(frozen=True)
 class Lift:
     """A linear map from the projection of a space back into the space.
 
-    `coords` are the space's coordinates and `kept` the positions of the
-    kept ones among them.  `solved` pairs the position c of each dropped
-    coordinate that `eliminate` pivoted on with its pivot row r over
-    `coords`, an integer row positive on c and 0 on the other pivot
-    columns: x_c = -(r . x) / r[c] over the kept positions once every
-    dropped coordinate without a pivot is set to 0.  `equations` are
-    integer rows over the kept coordinates that span the projection's
-    equations.  Called on an integer point of the projection (any other
-    entry is a TypeError), the lift returns the point of the space with
-    those kept coordinates, as (nums, den) over the least common
-    denominator; a point outside the projection is a defect of the
-    caller.
+    The space's columns are positions 0 .. `width` - 1, and the
+    projection keeps the first k of them, k the length of the point
+    lifted.  `solved` pairs each dropped column c >= k that `eliminate`
+    pivoted on with its pivot row r over all `width` columns, an integer
+    row positive on c and 0 on the other pivot columns: x_c = -(r . x) /
+    r[c] over the first k columns once every dropped column without a
+    pivot is set to 0.  `equations` are integer rows over the first k
+    columns that span the projection's equations.  Called on an integer
+    point of the projection (any other entry is a TypeError), the lift
+    returns the point of the space that starts with it, as (nums, den)
+    over the least common denominator; a point outside the projection is
+    a defect of the caller.
     """
 
-    coords: tuple
-    kept: tuple
+    width: int
     solved: tuple
     equations: tuple
 
@@ -174,26 +133,30 @@ class Lift:
         if any(sum(a * v for a, v in zip(row, point) if a and v) for row in self.equations):
             raise AssertionError("point lies outside the projection (defect)")
         den = lcm(*(row[c] for c, row in self.solved))
-        full = [0] * len(self.coords)
-        for i, v in zip(self.kept, point):
-            full[i] = v * den
+        full = [v * den for v in point] + [0] * (self.width - len(point))
         for c, row in self.solved:
-            dot = sum(row[i] * v for i, v in zip(self.kept, point) if v and row[i])
+            dot = sum(a * v for a, v in zip(row, point) if a and v)
             full[c] = -dot * (den // row[c])
         *nums, den = _primitive_row([*full, den])
         return nums, den
 
 
-def eliminate(space: LinearSubspace, keep):
-    """(projection, lift): the exact projection of the subspace onto the
-    `keep` coordinates, and a `Lift` back into the subspace.
+def eliminate(rows, width, keep):
+    """(projection rows, lift): the exact projection of the subspace
+    {x in Q^width : row . x = 0 for every row} onto its first `keep`
+    columns, and a `Lift` back into the subspace.
 
-    A vector over `keep` lies in the projection iff it extends to a
-    vector of the input space.  Implemented by fraction-free elimination
-    (`_row_reduce`) pivoting on the dropped columns first: the rows that
-    get no pivot then carry zero coefficients on every dropped column and
-    span the equations of the projection.  The projection's equations are
-    the reduced echelon form of that span as primitive integer rows, each
+    The rows are integer rows of length `width` (any other entry is a
+    TypeError): a rational row and any nonzero multiple of it define the
+    same space, so a caller clears its denominators first.
+
+    A vector over the first `keep` columns lies in the projection iff it
+    extends to a vector of the input space.  Implemented by
+    fraction-free elimination (`_row_reduce`) pivoting on the dropped
+    columns `keep` .. `width` - 1 first: the rows that get no pivot then
+    carry zero coefficients on every dropped column and span the
+    equations of the projection.  The projection's equations are the
+    reduced echelon form of that span as primitive integer rows, each
     positive on its pivot: the reduced row echelon form over Q, which is
     unique, times the least common denominator of each row (a row holding
     a 1 scales to a row with gcd 1).  So the output is the same as
@@ -201,32 +164,23 @@ def eliminate(space: LinearSubspace, keep):
 
     Each pivot row r, which is positive on its dropped column c and 0 on
     the other pivot columns, reads r[c] x_c + (dropped terms without a
-    pivot) + row . x_keep = 0.  With those dropped coordinates set to 0,
+    pivot) + row . x_keep = 0.  With those dropped columns set to 0,
     x_c = -(row . x_keep) / r[c] extends any point of the projection to
     the space: that is the lift.
     """
-    keep = list(keep)
-    keep_set = set(keep)
-    if not keep_set.issubset(space.coords):
-        raise ValueError("keep must be a subset of the coordinates")
-    index = {name: i for i, name in enumerate(space.coords)}
-    keep_idx = [index[name] for name in keep]
-    drop_idx = [i for i, name in enumerate(space.coords) if name not in keep_set]
-
-    mat, pivots = _row_reduce(space.equations, drop_idx)
+    if any(len(row) != width for row in rows):
+        raise ValueError("row length does not match the width")
+    _require_ints(itertools.chain(*rows), "a subspace equation")
+    mat, pivots = _row_reduce(rows, range(keep, width))
     pivot_rows = {r for r, _ in pivots}
     projected = []
     for i, row in enumerate(mat):
-        if i in pivot_rows:
-            continue
-        new_row = tuple(row[j] for j in keep_idx)
-        if any(new_row):
-            projected.append(new_row)
+        if i not in pivot_rows and any(row[:keep]):
+            projected.append(tuple(row[:keep]))
     # normalize the output representation
-    reduced, pivs = _row_reduce(projected, range(len(keep)))
-    projection = LinearSubspace(keep, [tuple(reduced[r]) for r, _ in pivs])
+    reduced, pivs = _row_reduce(projected, range(keep))
     solved = tuple((c, tuple(mat[r])) for r, c in pivots)
-    return projection, Lift(space.coords, tuple(keep_idx), solved, tuple(projected))
+    return tuple(tuple(reduced[r]) for r, _ in pivs), Lift(width, solved, tuple(projected))
 
 
 # ---------------------------------------------------------------------------
@@ -388,38 +342,37 @@ def lp_feasible(rows, rhs, lower):
     return _simplex_feasible(rows, rhs, lower)
 
 
-def support_nonneg(space: LinearSubspace) -> tuple:
-    """A nonnegative integer point of the subspace with maximal support.
+def support_nonneg(rows, k) -> tuple:
+    """A nonnegative integer point with maximal support of the subspace
+    {x in Q^k : row . x = 0 for every row}, the rows integer rows over
+    columns 0 .. k - 1.
 
-    Coordinate i lies in the support of some nonnegative integer point iff
+    Column i lies in the support of some nonnegative integer point iff
     {x in space, x >= 0, x_i >= 1} has a rational point: by homogeneity,
     the numerators of such a point (nums, den) are an integer point, and
     conversely.  Nonnegative points are closed under addition, so the sum
-    of one such certificate per supported coordinate is positive on every
+    of one such certificate per supported column is positive on every
     one of them.  The certificates are summed over the lcm of their
     denominators, and the returned point is the numerators of the
-    reduced sum.  Coordinates are visited in order; one the running sum
+    reduced sum.  Columns are visited in order; one the running sum
     already covers needs no LP, since its LP is feasible.  The support of
     the returned point (its nonzero entries) is the support of the
     nonnegative integer points.
 
-    After each infeasible coordinate LP at i, one remainder LP asks for
-    {x in space, x >= 0, sum_{j in U} x_j = 1}, U the coordinates after i
+    After each infeasible column LP at i, one remainder LP asks for
+    {x in space, x >= 0, sum_{j in U} x_j = 1}, U the columns after i
     that the running sum does not cover; its point is discarded.  When it
     is infeasible, or U is empty, the loop stops, and the point is the
     one the loop without remainder LPs returns: every nonnegative point
     of the space is 0 on all of U (a positive sum on U scales to 1), so
-    each later coordinate LP would be infeasible or skipped, and none
-    would add to the sum.  So the LPs number at most the feasible coordinate LPs plus
-    twice the infeasible ones, and exactly 2 on a space of k >= 2
-    coordinates whose support is empty.
+    each later column LP would be infeasible or skipped, and none would
+    add to the sum.  So the LPs number at most the feasible column LPs
+    plus twice the infeasible ones, and exactly 2 on a space of k >= 2
+    columns whose support is empty.
 
-    The LPs run on the space's integer equations as they are: the point
-    each returns depends on that presentation (see `lp_feasible`), the
-    support does not.
+    The LPs run on the rows as they are: the point each returns depends
+    on that presentation (see `lp_feasible`), the support does not.
     """
-    k = len(space.coords)
-    rows = space.equations
     rhs = [0] * len(rows)
     total, den = [0] * k, 1
     for i in range(k):

@@ -197,7 +197,6 @@ def decide_orbit(inst: OrbitInstance) -> Decision:
     else:
         decision = decide_easy(units, meet.separating_functional, inst.options)
 
-    decision.details["reduced_S"] = reduced.S
     if decision.verdict is Verdict.NONEMPTY:
         common = _common_element(inst, *decision.witnesses)
         if common is None:

@@ -211,7 +211,9 @@ def check_realizable(counts, delta) -> None:
 def realize_word(counts, delta) -> Word:
     """A word with the prescribed letter counts and delta table.
 
-    Preconditions (checked): K >= 1; for K >= 2 every pair satisfies the
+    Preconditions (checked): counts and delta targets are ints, any
+    other entry a TypeError (`_require_ints`), since a truncated one
+    would change the word; K >= 1; for K >= 2 every pair satisfies the
     bound and parity conditions of `check_realizable`.
 
     Construction: write l_i = 2(K-1) s_i + r_i; start from
@@ -226,7 +228,9 @@ def realize_word(counts, delta) -> Word:
     The output is re-counted and must match exactly (an internal failure
     here is a defect, not an input error).
     """
-    counts = [int(x) for x in counts]
+    counts = list(counts)
+    _require_ints(counts, "a letter count")
+    _require_ints(delta.values(), "a delta target")
     K = len(counts)
     if K == 0:
         raise ValueError("empty alphabet")
@@ -402,7 +406,7 @@ def realize_corner(v_counts, v_vectors, w_counts, w_vectors, target):
     corner_area(v) - corner_area(w) = target, or None.
 
     `*_vectors` are integer plane vectors, one per letter, and every count
-    is positive.  The search runs over the block-order family of each
+    is a positive int (any other type is a TypeError).  The search runs over the block-order family of each
     side (`_block_candidates`): at most 2K(K - 1) entries for K >= 2, so
     O(K^2 M^2) pairs and never K! orders.  A pair of entries is one
     equation step_v s - step_w s' = (base_v - base_w - target) / 2 in the
@@ -420,8 +424,8 @@ def realize_corner(v_counts, v_vectors, w_counts, w_vectors, target):
     every area of a side is congruent to any base modulo 2 g, g the gcd
     of all omega(u_i, u_j).
     """
-    v_counts = [int(x) for x in v_counts]
-    w_counts = [int(x) for x in w_counts]
+    v_counts, w_counts = list(v_counts), list(w_counts)
+    _require_ints(v_counts + w_counts, "a letter count")
     if min(v_counts + w_counts) < 1:
         raise ValueError("every letter count must be positive")
     v_cands = _block_candidates(v_counts, v_vectors)

@@ -146,18 +146,18 @@ def nullspace(rows, ncols=None):
     return basis
 
 
-def subspace_basis(space):
-    """`nullspace` of a `LinearSubspace`'s equations."""
-    return nullspace(space.equations, len(space.coords))
+def subspace_basis(rows, width):
+    """`nullspace` of a subspace of Q^width, given by the integer rows of
+    its equations over columns 0 .. width - 1."""
+    return nullspace(rows, width)
 
 
-def subspace_contains(space, point) -> bool:
-    """Whether the rational point satisfies every equation of the space."""
-    if len(point) != len(space.coords):
+def subspace_contains(rows, width, point) -> bool:
+    """Whether the rational point satisfies every equation row of the
+    subspace of Q^width."""
+    if len(point) != width:
         raise ValueError("point has wrong length")
-    return all(
-        sum(a * Fraction(x) for a, x in zip(row, point)) == 0 for row in space.equations
-    )
+    return all(sum(a * Fraction(x) for a, x in zip(row, point)) == 0 for row in rows)
 
 
 def word_letters(word):

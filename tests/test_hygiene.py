@@ -36,9 +36,10 @@ def test_unused_imports_detected():
 
 
 def test_no_unused_imports_in_package():
+    # the package modules and the test modules
     found = {
-        path.name: unused_imports(path.read_text())
-        for path in sorted(SRC.glob("*.py"))
+        str(path.relative_to(ROOT)): unused_imports(path.read_text())
+        for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
         if path.name != "__init__.py"
     }
     assert {name: names for name, names in found.items() if names} == {}

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +8,6 @@ from nilsect import (
     Decision,
     GeneratorSystem,
     IntersectionInstance,
-    LinearSubspace,
     NumberField,
     UnipotentMatrix,
     Verdict,
@@ -51,25 +49,28 @@ X, Y, Z = h3(1, 0, 0), h3(0, 1, 0), h3(0, 0, 1)
 
 def test_condition_space_single_shared_generator():
     inst = make([[X], [X]])
-    space = build_condition_space(inst, [frozenset({0}), frozenset({0})])
-    assert subspace_contains(space, [1, 1])
-    assert subspace_contains(space, [5, 5])
-    assert not subspace_contains(space, [1, 2])
+    rows = build_condition_space(inst, [frozenset({0}), frozenset({0})])
+    assert subspace_contains(rows, 2, [1, 1])
+    assert subspace_contains(rows, 2, [5, 5])
+    assert not subspace_contains(rows, 2, [1, 2])
 
 
 def test_condition_space_disjoint_generators():
     inst = make([[X], [Y]])
-    space = build_condition_space(inst, [frozenset({0}), frozenset({0})])
+    rows = build_condition_space(inst, [frozenset({0}), frozenset({0})])
     # the a-entry forces l11 = 0, the b-entry forces l21 = 0
-    assert subspace_contains(space, [0, 0])
-    assert not subspace_contains(space, [1, 0])
-    assert not subspace_contains(space, [0, 1])
+    assert subspace_contains(rows, 2, [0, 0])
+    assert not subspace_contains(rows, 2, [1, 0])
+    assert not subspace_contains(rows, 2, [0, 1])
 
 
 def test_condition_space_empty_supports_has_no_pair_coords():
     inst = make([[X, Y], [Z]])
-    space = build_condition_space(inst, [frozenset(), frozenset()])
-    assert all(name[0] == "l" for name in space.coords)
+    supports = [frozenset(), frozenset()]
+    assert intersect._columns(inst, supports) == ([0, 2, 3], [])
+    rows = build_condition_space(inst, supports)
+    # l1 X + l2 Y = l3 Z, entries (0, 1), (0, 2) and (1, 2): count columns only
+    assert rows == [(1, 0, 0), (0, 0, -1), (0, 1, 0)]
 
 
 def test_rejects_non_two_step():
@@ -230,12 +231,12 @@ def test_witness_past_index_sized_length():
 # pivot entry, scaled to integers.
 
 
-def _reference_lift(space, fixed):
+def _reference_lift(rows, width, fixed):
     nfix = len(fixed)
-    nfree = len(space.coords) - nfix
+    nfree = width - nfix
     rows = [
         list(row[nfix:]) + [-sum(a * v for a, v in zip(row, fixed) if a and v)]
-        for row in space.equations
+        for row in rows
     ]
     mat, pivots = linsolve._row_reduce(rows, range(nfree))
     pivot_rows = {r for r, _ in pivots}
@@ -247,8 +248,10 @@ def _reference_lift(space, fixed):
     return [Fraction(v) for v in fixed] + rest
 
 
-def _reference_support_sample(space, ell_point):
-    return space.coords, cleared(_reference_lift(space, ell_point))
+def _width(inst, supports):
+    """The number of columns of the condition space."""
+    starts, pairs = intersect._columns(inst, supports)
+    return starts[-1] + len(pairs)
 
 
 def _lift_instances(rng):
@@ -278,15 +281,16 @@ def test_lift_lies_in_condition_space(rng):
             empty += 1
             continue
         ell = d.details["support_point"]
-        space = build_condition_space(inst, supports)
+        rows = build_condition_space(inst, supports)
+        width = _width(inst, supports)
         lift = d.details["lift"]
-        assert lift.coords == space.coords
+        assert lift.width == width
         point = fractions_of(lift(ell))
-        assert subspace_contains(space, point)
+        assert subspace_contains(rows, width, point)
         assert point[: len(ell)] == list(ell)
-        assert point == _reference_lift(space, ell)
+        assert point == _reference_lift(rows, width, ell)
         assert [bool(v) for v in ell] == [
-            j in supports[m] for (_, m, j) in space.coords[: len(ell)]
+            j in supports[m] for m, sys in enumerate(inst.systems) for j in range(sys.K)
         ]
         lifted += any(point[len(ell):])
     assert lifted > 10  # nonzero pair coordinates were solved for
@@ -302,8 +306,10 @@ def test_lift_matches_reference_solve(rng):
         d = decide_intersection(inst)
         if d.verdict is not Verdict.NONEMPTY:
             continue
-        space = build_condition_space(inst, d.details["final_supports"])
-        coords, want = _reference_support_sample(space, d.details["support_point"])
+        supports = d.details["final_supports"]
+        starts, pairs = intersect._columns(inst, supports)
+        rows = build_condition_space(inst, supports)
+        want = cleared(_reference_lift(rows, _width(inst, supports), d.details["support_point"]))
         seen = []
         with pytest.MonkeyPatch.context() as patch:
             real = intersect.realize_word
@@ -313,14 +319,13 @@ def test_lift_matches_reference_solve(rng):
                 lambda counts, deltas: seen.append((counts, deltas)) or real(counts, deltas),
             )
             w = extract_witness(inst, d)
-        by_name = dict(zip(coords, want))
         N = w.details["scale"]
         assert len(seen) == inst.M
         for m, (counts, deltas) in enumerate(seen):
-            letters = sorted(d.details["final_supports"][m])
-            assert counts == [N * by_name[("l", m, j)] for j in letters]
+            letters = sorted(supports[m])
+            assert counts == [N * want[starts[m] + j] for j in letters]
             assert deltas == {
-                (a, b): 2 * N * by_name[("c", m, letters[a], letters[b])]
+                (a, b): 2 * N * want[starts[-1] + pairs.index((m, letters[a], letters[b]))]
                 for a in range(len(letters))
                 for b in range(a + 1, len(letters))
             }
@@ -330,16 +335,16 @@ def test_lift_matches_reference_solve(rng):
 
 def test_lift_outside_projection_is_a_defect():
     inst = make([[X, Y], [Z]])
-    space = build_condition_space(inst, [frozenset({0, 1}), frozenset({0})])
+    rows = build_condition_space(inst, [frozenset({0, 1}), frozenset({0})])
     # l1 X + l2 Y + c [X, Y] = l3 Z forces l1 = l2 = 0 and c = l3
-    _, lift = eliminate(space, space.coords[:3])
+    _, lift = eliminate(rows, 4, 3)
     assert lift((0, 0, 5)) == ([0, 0, 5, 5], 1)
-    assert _reference_lift(space, (0, 0, 5)) == [0, 0, 5, 5]
+    assert _reference_lift(rows, 4, (0, 0, 5)) == [0, 0, 5, 5]
     with pytest.raises(AssertionError, match="outside the projection"):
         lift((1, 0, 1))
     inst = make([[X], [Y]])
-    space = build_condition_space(inst, [frozenset({0}), frozenset({0})])
-    _, lift = eliminate(space, space.coords)
+    rows = build_condition_space(inst, [frozenset({0}), frozenset({0})])
+    _, lift = eliminate(rows, 2, 2)
     with pytest.raises(AssertionError, match="outside the projection"):
         lift((1, 0))
 
@@ -399,9 +404,10 @@ def test_extract_witness_builds_no_condition_space(monkeypatch):
         assert verify_witness(inst, w.witnesses)
     assert calls == []
     for inst, d in zip(instances, decisions):
-        space = real(inst, d.details["final_supports"])
-        ell_coords = [name for name in space.coords if name[0] == "l"]
-        assert d.details["lift"] == eliminate(space, ell_coords)[1]
+        supports = d.details["final_supports"]
+        counts = sum(sys.K for sys in inst.systems)
+        rows = real(inst, supports)
+        assert d.details["lift"] == eliminate(rows, _width(inst, supports), counts)[1]
 
 
 def test_extract_witness_runs_no_row_reduction(monkeypatch):
@@ -427,8 +433,8 @@ def test_extract_witness_runs_no_row_reduction(monkeypatch):
 # ---------------------------------------------------------------------------
 # The condition space on Fraction rows, from the Fraction logs and brackets
 # of the generators, that the integer rows replaced; kept as the reference,
-# as coordinates and Fraction rows, and as a space on those rows each
-# cleared of its own denominators.
+# as named columns and Fraction rows, and as those rows each cleared of
+# its own denominators.
 
 
 def _reference_condition_rows(inst, supports):
@@ -479,8 +485,8 @@ def _reference_condition_rows(inst, supports):
 
 
 def _reference_build_condition_space(inst, supports):
-    coords, rows = _reference_condition_rows(inst, supports)
-    return LinearSubspace(coords, [cleared(row) for row in rows])
+    _, rows = _reference_condition_rows(inst, supports)
+    return [cleared(row) for row in rows]
 
 
 SQRT2 = NumberField([-2, 0, 1], 1)
@@ -559,12 +565,19 @@ def test_condition_space_matches_reference(rng):
         for supports in (full, shrunk):
             got = build_condition_space(inst, supports)
             coords, want = _reference_condition_rows(inst, supports)
-            assert got.coords == tuple(coords)
-            assert len(got.equations) == len(want)
-            for row, ref in zip(got.equations, want):
-                assert all(type(v) is int for v in row)
+            # the layout names the reference's columns in its order
+            starts, pairs = intersect._columns(inst, supports)
+            assert coords == [
+                ("l", m, j) for m, sys in enumerate(inst.systems) for j in range(sys.K)
+            ] + [("c", *pair) for pair in pairs]
+            assert starts == [coords.index(("l", m, 0)) for m in range(inst.M)] + [
+                len(coords) - len(pairs)
+            ]
+            assert len(got) == len(want)
+            for row, ref in zip(got, want):
+                assert len(row) == len(coords) and all(type(v) is int for v in row)
                 assert _positive_multiple(row, ref), (row, ref)
-            rows += len(got.equations)
+            rows += len(got)
     assert rows > 500
 
 
@@ -603,20 +616,21 @@ def _reference_decide(inst):
     rounds = 0
     while True:
         rounds += 1
-        space = build_condition_space(inst, supports)
-        ell_coords = [name for name in space.coords if name[0] == "l"]
-        projected, lift = eliminate(space, ell_coords)
-        point = linsolve.support_nonneg(projected)
-        support_names = {name for name, v in zip(ell_coords, point) if v}
+        counts = sum(sys.K for sys in inst.systems)
+        rows = build_condition_space(inst, supports)
+        projected, lift = eliminate(rows, _width(inst, supports), counts)
+        point = linsolve.support_nonneg(projected, counts)
+        ell = [(m, j) for m, sys in enumerate(inst.systems) for j in range(sys.K)]
+        support = [name for name, v in zip(ell, point) if v]
         new_supports = [
-            frozenset(j for j in supports[m] if ("l", m, j) in support_names)
+            frozenset(j for j in supports[m] if (m, j) in support)
             for m in range(inst.M)
         ]
         trace.append(
             {
                 "iteration": rounds,
                 "supports": [sorted(s) for s in supports],
-                "projected_support": sorted((m, j) for (_, m, j) in support_names),
+                "projected_support": support,
             }
         )
         if new_supports == supports:

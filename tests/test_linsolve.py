@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from nilsect import (
     BudgetExceeded,
     IntegerSolutionSet,
-    LinearSubspace,
     cone_intersect_dim,
     decide_intersection,
     eliminate,
@@ -56,29 +55,33 @@ def test_nullspace_spans_kernel(rng):
 
 
 def test_eliminate_examples():
-    s = LinearSubspace(("x", "c"), [(1, -1)])
-    p, lift = eliminate(s, ["x"])
-    assert p.equations == () and lift([3]) == ([3, 3], 1)
-    s = LinearSubspace(("x", "c"), [(1, 0), (0, 1)])
-    p, lift = eliminate(s, ["x"])
-    assert subspace_contains(p, [0]) and not subspace_contains(p, [1])
+    # columns (x, c): x = c
+    p, lift = eliminate([(1, -1)], 2, 1)
+    assert p == () and lift([3]) == ([3, 3], 1)
+    p, lift = eliminate([(1, 0), (0, 1)], 2, 1)
+    assert subspace_contains(p, 1, [0]) and not subspace_contains(p, 1, [1])
     assert lift([0]) == ([0, 0], 1)
-    s = LinearSubspace(("x", "y", "c"), [(1, 1, 0), (0, 1, -1)])
-    p, lift = eliminate(s, ["x", "y"])
-    assert subspace_contains(p, [1, -1]) and not subspace_contains(p, [0, 1])
+    # columns (x, y, c)
+    p, lift = eliminate([(1, 1, 0), (0, 1, -1)], 3, 2)
+    assert subspace_contains(p, 2, [1, -1]) and not subspace_contains(p, 2, [0, 1])
     assert lift([2, -2]) == ([2, -2, -2], 1)
     with pytest.raises(AssertionError, match="outside the projection"):
         lift([0, 1])
-    # the kept coordinates in any order, a dropped one free: c = 0
-    s = LinearSubspace(("c", "x", "d", "y"), [(0, 2, 0, -1), (1, 0, 1, 3)])
-    p, lift = eliminate(s, ["y", "x"])
-    assert p.equations == ((1, -2),)
-    assert lift([2, 1]) == ([-6, 1, 0, 2], 1)
+    # columns (y, x, c, d): 2x = y and c + d + 3y = 0, a dropped column
+    # free: d = 0
+    p, lift = eliminate([(-1, 2, 0, 0), (3, 0, 1, 1)], 4, 2)
+    assert p == ((1, -2),)
+    assert lift([2, 1]) == ([2, 1, -6, 0], 1)
     # the lift divides by the pivot entry: x = 2c gives c = 1/2 at x = 1,
     # the point (1, 1/2) over its least common denominator 2
-    p, lift = eliminate(LinearSubspace(("x", "c"), [(-1, 2)]), ["x"])
-    assert p.equations == () and lift([1]) == ([2, 1], 2)
+    p, lift = eliminate([(-1, 2)], 2, 1)
+    assert p == () and lift([1]) == ([2, 1], 2)
     assert lift([2]) == ([2, 1], 1)
+    # no equations: every point lifts, padded with zeros
+    p, lift = eliminate([], 3, 1)
+    assert p == () and lift([4]) == ([4, 0, 0], 1)
+    with pytest.raises(ValueError, match="row length"):
+        eliminate([(1, 2)], 3, 1)
 
 
 def test_eliminate_matches_enumeration(rng):
@@ -88,16 +91,13 @@ def test_eliminate_matches_enumeration(rng):
     for _ in range(25):
         ncols = rng.randint(3, 5)
         keep_count = rng.randint(1, ncols - 1)
-        names = tuple(range(ncols))
         rows = [
             tuple(rng.randint(-3, 3) for _ in range(ncols))
             for _ in range(rng.randint(1, 3))
         ]
-        space = LinearSubspace(names, rows)
-        keep = list(names[:keep_count])
-        projected, lift = eliminate(space, keep)
+        projected, lift = eliminate(rows, ncols, keep_count)
 
-        basis = subspace_basis(space)
+        basis = subspace_basis(rows, ncols)
         enumerated = set()
         for combo in itertools.product((-2, -1, 0, 1, 2), repeat=len(basis)):
             vec = [Fraction(0)] * ncols
@@ -107,19 +107,19 @@ def test_eliminate_matches_enumeration(rng):
             enumerated.add(tuple(vec[:keep_count]))
         # soundness: every enumerated projection satisfies the equations
         for point in enumerated:
-            assert subspace_contains(projected, point)
+            assert subspace_contains(projected, keep_count, point)
         # completeness: the projected space has no more dimensions than
         # the span of the enumerated points
         span_rows = [cleared(p) for p in enumerated]
         _, pivots = _row_reduce(span_rows, range(keep_count))
         span_dim = len(pivots)
-        assert len(subspace_basis(projected)) == span_dim
+        assert len(subspace_basis(projected, keep_count)) == span_dim
         # the lift extends each point of the projection, scaled to an
         # integer point, into the space
-        for point in list(enumerated)[:10] + subspace_basis(projected):
+        for point in list(enumerated)[:10] + subspace_basis(projected, keep_count):
             point = cleared(point)
             lifted = fractions_of(lift(point))
-            assert subspace_contains(space, lifted) and lifted[:keep_count] == point
+            assert subspace_contains(rows, ncols, lifted) and lifted[:keep_count] == point
 
 
 # ---------------------------------------------------------------------------
@@ -188,27 +188,30 @@ def _check_row_reduce(rows, order):
 
 
 def _check_on_reference(rows, ncols, keep):
-    """`eliminate` onto `keep` and `nullspace` equal their results with
-    the reference reduction patched in."""
-    space = LinearSubspace(range(ncols), rows)
-    got = eliminate(space, keep), nullspace(rows, ncols)
+    """`eliminate` onto the `keep` columns, moved to the front, and
+    `nullspace` equal their results with the reference reduction patched
+    in."""
+    order = keep + [c for c in range(ncols) if c not in keep]
+    moved = [[row[c] for c in order] for row in rows]
+    k = len(keep)
+    got = eliminate(moved, ncols, k), nullspace(rows, ncols)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linsolve, "_row_reduce", _cleared_reference_row_reduce)
-        want = eliminate(space, keep), nullspace(rows, ncols)
+        want = eliminate(moved, ncols, k), nullspace(rows, ncols)
     (projected, lift), basis = got
     (want_projected, want_lift), want_basis = want
-    assert (projected, lift.coords, lift.kept, lift.solved, basis) == (
-        want_projected, want_lift.coords, want_lift.kept, want_lift.solved, want_basis
+    assert (projected, lift.width, lift.solved, basis) == (
+        want_projected, want_lift.width, want_lift.solved, want_basis
     ), (rows, keep)
     assert len(lift.equations) == len(want_lift.equations)
     for row, ref in zip(lift.equations, want_lift.equations):
         assert _is_primitive(row) and _nonzero_multiple(row, ref)
-    assert all(_is_primitive(row) for row in projected.equations)
+    assert all(_is_primitive(row) for row in projected)
     assert all(type(v) is Fraction for vec in basis for v in vec)
-    for vec in subspace_basis(projected):
+    for vec in subspace_basis(projected, k):
         vec = cleared(vec)
         point = fractions_of(lift(vec))
-        assert subspace_contains(space, point) and [point[i] for i in keep] == vec
+        assert subspace_contains(moved, ncols, point) and point[:k] == vec
 
 
 def _random_entry(rng):
@@ -285,15 +288,6 @@ def test_row_reduce_matches_reference_hypothesis(drawn):
     _check_row_reduce(rows, order)
     _check_row_reduce(rows, range(ncols))
     _check_on_reference(rows, ncols, keep)
-
-
-def test_subspace_value_equality():
-    a = LinearSubspace(("x", "y"), [(1, 2)])
-    b = LinearSubspace(["x", "y"], [[1, 2]])
-    assert a == b and hash(a) == hash(b)
-    assert a.equations == ((1, 2),)  # rows are kept as given, as tuples
-    assert a != LinearSubspace(("x", "y"), [(2, 4)])  # same space, other rows
-    assert a != LinearSubspace(("y", "x"), [(1, 2)])
 
 
 def test_lp_examples():
@@ -657,9 +651,7 @@ def _unit_lower(k, i):
     return [int(j == i) for j in range(k)]
 
 
-def _reference_support(space):
-    k = len(space.coords)
-    rows = space.equations
+def _reference_support(rows, k):
     return frozenset(
         i
         for i in range(k)
@@ -667,9 +659,7 @@ def _reference_support(space):
     )
 
 
-def _reference_cover_loop(space):
-    k = len(space.coords)
-    rows = space.equations
+def _reference_cover_loop(rows, k):
     total = [Fraction(0)] * k
     for i in range(k):
         if total[i]:
@@ -680,28 +670,29 @@ def _reference_cover_loop(space):
     return tuple(cleared(total))
 
 
-def support_of(space):
+def support_of(rows, k):
     """Support of `support_nonneg`'s point, after checking that the point
-    is a nonnegative integer point of the space."""
-    point = support_nonneg(space)
-    assert len(point) == len(space.coords)
+    is a nonnegative integer point of the space of the rows over k
+    columns."""
+    point = support_nonneg(rows, k)
+    assert len(point) == k
     assert all(type(v) is int and v >= 0 for v in point)
-    assert subspace_contains(space, point)
+    assert subspace_contains(rows, k, point)
     return frozenset(i for i, v in enumerate(point) if v)
 
 
 def test_support_examples():
-    assert support_of(LinearSubspace((0, 1), [(1, 1)])) == frozenset()
-    assert support_of(LinearSubspace((0, 1), [(1, -1)])) == {0, 1}
-    assert support_of(LinearSubspace((0, 1, 2), [(1, -2, 0)])) == {0, 1, 2}
-    assert support_nonneg(LinearSubspace((0, 1), [(2, -3)])) == (3, 2)
+    assert support_of([(1, 1)], 2) == frozenset()
+    assert support_of([(1, -1)], 2) == {0, 1}
+    assert support_of([(1, -2, 0)], 3) == {0, 1, 2}
+    assert support_nonneg([(2, -3)], 2) == (3, 2)
+    assert support_nonneg([], 2) == (1, 1)
 
 
-def brute_support(space, bound=20):
-    k = len(space.coords)
+def brute_support(rows, k, bound=20):
     out = set()
     for point in itertools.product(range(bound + 1), repeat=k):
-        if subspace_contains(space, point):
+        if subspace_contains(rows, k, point):
             out.update(i for i, v in enumerate(point) if v > 0)
     return frozenset(out)
 
@@ -713,8 +704,7 @@ def test_support_matches_brute_force(rng):
             tuple(rng.randint(-2, 2) for _ in range(k))
             for _ in range(rng.randint(1, 2))
         ]
-        space = LinearSubspace(tuple(range(k)), rows)
-        assert support_of(space) == brute_support(space)
+        assert support_of(rows, k) == brute_support(rows, k)
 
 
 def test_support_monotone_under_dropped_equations(rng):
@@ -724,12 +714,12 @@ def test_support_monotone_under_dropped_equations(rng):
             tuple(rng.randint(-2, 2) for _ in range(k))
             for _ in range(2)
         ]
-        big = support_of(LinearSubspace(tuple(range(k)), rows[:1]))
-        small = support_of(LinearSubspace(tuple(range(k)), rows))
+        big = support_of(rows[:1], k)
+        small = support_of(rows, k)
         assert small <= big
 
 
-def _check_cover_loop(space, monkeypatch):
+def _check_cover_loop(rows, k, monkeypatch):
     """`support_nonneg` returns the reference cover loop's point, with
     exactly this LP sequence: a coordinate LP for each coordinate that the
     running sum does not cover, in order; after each infeasible one, a
@@ -737,10 +727,9 @@ def _check_cover_loop(space, monkeypatch):
     coordinates, with right-hand side 1; and a stop at the first
     infeasible remainder LP or empty remainder.  Returns the LP calls as
     (is_remainder, point) pairs."""
-    k = len(space.coords)
-    rows = list(space.equations)
+    rows = list(rows)
     zeros = [0] * len(rows)
-    want = _reference_cover_loop(space)
+    want = _reference_cover_loop(rows, k)
     calls = []
 
     def counting(lp_rows, rhs, lower):
@@ -750,9 +739,9 @@ def _check_cover_loop(space, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(linsolve, "lp_feasible", counting)
-        point = support_nonneg(space)
+        point = support_nonneg(rows, k)
     assert point == want
-    assert support_of(space) == _reference_support(space)
+    assert support_of(rows, k) == _reference_support(rows, k)
 
     seen = []
     total = [Fraction(0)] * k
@@ -776,7 +765,7 @@ def _check_cover_loop(space, monkeypatch):
         seen.append((True, found))
         if found is None:
             break
-        assert subspace_contains(space, found) and min(found) >= 0
+        assert subspace_contains(rows, k, found) and min(found) >= 0
         assert sum(v for v, r in zip(found, rest) if r) == 1
     assert next(pending, None) is None
     if k >= 2 and not any(want):
@@ -794,13 +783,12 @@ def test_cover_loop_matches_per_coordinate_loop(rng, monkeypatch):
         ]
         if rng.random() < 0.3:
             rows.append(list(rows[0]))
-        space = LinearSubspace(tuple(range(k)), rows)
-        seen = _check_cover_loop(space, monkeypatch)
+        seen = _check_cover_loop(rows, k, monkeypatch)
         solved = sum(not remainder for remainder, _ in seen)
         kinds["covered"] += solved < k
         kinds["feasible remainder"] += any(r and p is not None for r, p in seen)
         kinds["early stop"] += any(r and p is None for r, p in seen)
-        kinds["empty support"] += not any(support_nonneg(space))
+        kinds["empty support"] += not any(support_nonneg(rows, k))
     # every branch of the loop ran on some space
     assert min(kinds.values()) > 5, kinds
 
@@ -809,25 +797,25 @@ def test_cover_loop_lp_counts():
     calls = []
     real = linsolve.lp_feasible
 
-    def count(space):
+    def count(rows, k):
         calls.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(linsolve, "lp_feasible", lambda *a: calls.append(a) or real(*a))
-            support_nonneg(space)
+            support_nonneg(rows, k)
         return len(calls)
 
     # empty support: one coordinate LP and one remainder LP, for any k >= 2
     for k in range(2, 7):
-        assert count(LinearSubspace(tuple(range(k)), [(1,) * k])) == 2
-    assert count(LinearSubspace((0,), [(1,)])) == 1
+        assert count([(1,) * k], k) == 2
+    assert count([(1,)], 1) == 1
     # x_0 = 0 and x_1 = x_2: the remainder LP over {1, 2} is feasible,
     # and the point of the LP at 1 covers 2
-    assert count(LinearSubspace((0, 1, 2), [(1, 0, 0), (0, 1, -1)])) == 3
+    assert count([(1, 0, 0), (0, 1, -1)], 3) == 3
     # x_0 = x_1 = 0 and x_2 = x_3: the remainder LPs after 0 and 1 are
     # feasible, and the point of the LP at 2 covers 3
-    assert count(LinearSubspace((0, 1, 2, 3), [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, -1)])) == 5
+    assert count([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, -1)], 4) == 5
     # full support, covered by the first point: one LP
-    assert count(LinearSubspace((0, 1, 2), [(1, -1, 0), (0, 1, -1)])) == 1
+    assert count([(1, -1, 0), (0, 1, -1)], 3) == 1
 
 
 _small_rows = st.integers(1, 6).flatmap(
@@ -842,7 +830,7 @@ _small_rows = st.integers(1, 6).flatmap(
 def test_cover_loop_matches_per_coordinate_loop_hypothesis(shape):
     k, rows = shape
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _check_cover_loop(LinearSubspace(tuple(range(k)), rows), monkeypatch)
+        _check_cover_loop(rows, k, monkeypatch)
 
 
 def test_hnf_examples():
@@ -925,9 +913,10 @@ def test_integer_solvers_refuse_non_int_entries():
 # a Fraction entry, even one of denominator 1, in each input of each
 # solver; every solver takes int entries only
 FRACTION_ENTRIES = {
-    "LinearSubspace": lambda: LinearSubspace((0, 1), [(1, Fraction(1, 2))]),
-    "LinearSubspace-integral": lambda: LinearSubspace((0, 1), [(1, Fraction(2))]),
-    "lift": lambda: eliminate(LinearSubspace((0, 1), [(1, -1)]), [0])[1]([Fraction(1, 2)]),
+    "eliminate": lambda: eliminate([(1, Fraction(1, 2))], 2, 1),
+    "eliminate-integral": lambda: eliminate([(1, Fraction(2))], 2, 1),
+    "lift": lambda: eliminate([(1, -1)], 2, 1)[1]([Fraction(1, 2)]),
+    "support_nonneg": lambda: support_nonneg([(1, Fraction(2))], 2),
     "lp_feasible-row": lambda: lp_feasible([(Fraction(1, 2), 1)], [1], [0, 0]),
     "lp_feasible-rhs": lambda: lp_feasible([(1, 1)], [Fraction(1, 2)], [0, 0]),
     "lp_feasible-lower": lambda: lp_feasible([(1, 1)], [1], [0, Fraction(1, 2)]),

@@ -12,7 +12,10 @@ numeric paths.
   (v, gamma) -> (A v, det A gamma) of the log coordinates, for A in
   GL2(Q), followed by conjugation by an element X.
 * Intersections in UT(3, Q) (the planted family IW(3, 3),
-  `test_orbit.iw_draws`): conjugation by X, conjugation by a positive
+  `test_orbit.iw_draws`), and in H5(Q) and in H3 over Q(sqrt 2)
+  embedded into UT(6, Q) (seeded draws of 2-3 sets of 1-3 generators,
+  about half planted nonempty, whose condition spaces have more pair
+  columns): conjugation by an X in UT(n, Q), conjugation by a positive
   diagonal matrix (entry (i, j) scaled by d_j / d_i), and a permutation
   of the sets and of each set's generators.
 
@@ -25,6 +28,7 @@ a rule that depends on the presentation, and some F11 draws exhaust
 the interleaving budget on one side of the swap only.
 """
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -36,16 +40,28 @@ from nilsect import (
     OrbitInstance,
     UnsupportedInstance,
     Verdict,
+    Word,
     decide_intersection,
     decide_orbit,
     extract_witness,
+    product_of_word,
 )
 
-from conftest import entry, from_rows, h3, rows_of, verify_orbit_witness, verify_witness
+from conftest import (
+    entry,
+    from_rows,
+    h3,
+    random_unipotent,
+    rows_of,
+    verify_orbit_witness,
+    verify_witness,
+)
+from test_intersect import SQRT2, _field_heisenberg, _heisenberg
 from test_orbit import f11_draws, iw_draws
 
 F11_DRAWS = 300
 IW_DRAWS = 100
+H5_SQRT2_DRAWS = 160
 # every orbit decision here runs under these options: the budget bounds
 # the easy case's enumeration, and the depth the fallback's oracle
 ORBIT_OPTIONS = {"interleave_budget": 2000, "oracle_depth": 5}
@@ -153,32 +169,78 @@ def _diagonal_scaling(d):
     return image
 
 
+def _check_images(rng, inst, d, X, index):
+    """Conjugation by X, a positive diagonal scaling and a permutation of
+    the sets and generators each keep the verdict of the decision d, and
+    carry its witnesses, if any, to witnesses of the image."""
+    words = d.witnesses or [None] * inst.M
+    scale = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(inst.n)]
+    for image in (_conjugation(X), _diagonal_scaling(scale)):
+        mapped = IntersectionInstance(
+            [GeneratorSystem([image(m) for m in s.mats]) for s in inst.systems]
+        )
+        assert decide_intersection(mapped).verdict is d.verdict, index
+        assert d.witnesses is None or verify_witness(mapped, words), index
+    # sets in reverse order, each set's generators shuffled: letter a
+    # of a set is letter inv[a] of its image
+    systems, moved = [], []
+    for s, word in reversed(list(zip(inst.systems, words))):
+        perm = list(range(s.K))
+        rng.shuffle(perm)
+        inv = {a: k for k, a in enumerate(perm)}
+        systems.append(GeneratorSystem([s.mats[a] for a in perm]))
+        moved.append(word and word.relabel(inv, s.K))
+    mapped = IntersectionInstance(systems)
+    assert decide_intersection(mapped).verdict is d.verdict, index
+    assert d.witnesses is None or verify_witness(mapped, moved), index
+
+
 def test_iw_verdicts_survive_conjugation_scaling_and_permutation():
     rng = random.Random(2112)
     checked = 0
     for index, (inst, _, _) in enumerate(iw_draws(3, 3, count=IW_DRAWS)):
         d = extract_witness(inst, decide_intersection(inst))
         assert d.verdict is Verdict.NONEMPTY, index
-        words = d.witnesses
         X = h3(_rational(rng), _rational(rng), _rational(rng))
-        scale = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(3)]
-        for image in (_conjugation(X), _diagonal_scaling(scale)):
-            mapped = IntersectionInstance(
-                [GeneratorSystem([image(m) for m in s.mats]) for s in inst.systems]
-            )
-            assert decide_intersection(mapped).verdict is d.verdict, index
-            assert verify_witness(mapped, words), index
-        # sets in reverse order, each set's generators shuffled: letter a
-        # of a set is letter inv[a] of its image
-        systems, moved = [], []
-        for s, word in reversed(list(zip(inst.systems, words))):
-            perm = list(range(s.K))
-            rng.shuffle(perm)
-            inv = {a: k for k, a in enumerate(perm)}
-            systems.append(GeneratorSystem([s.mats[a] for a in perm]))
-            moved.append(word.relabel(inv, s.K))
-        mapped = IntersectionInstance(systems)
-        assert decide_intersection(mapped).verdict is d.verdict, index
-        assert verify_witness(mapped, moved), index
+        _check_images(rng, inst, d, X, index)
         checked += 1
     assert checked == IW_DRAWS
+
+
+def _h5_sqrt2_draws(rng, count):
+    """Intersection instances in H5(Q), as 4 x 4 matrices, and in H3 over
+    Q(sqrt 2), embedded into UT(6, Q), in turn: 2-3 sets of 1-3
+    generators each.  About half have the last generator of every later
+    set replaced by one word over the first set, which makes them
+    nonempty."""
+    families = [lambda: _heisenberg(rng, 4), lambda: _field_heisenberg(rng, SQRT2)]
+    for index in range(count):
+        family = families[index % 2]
+        sets = [
+            [family() for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(2, 3))
+        ]
+        if rng.random() < 0.5:
+            gens = GeneratorSystem(sets[0])
+            runs = [(rng.randrange(gens.K), rng.randint(1, 2)) for _ in range(3)]
+            planted = product_of_word(gens, Word(gens.K, runs))
+            for later in sets[1:]:
+                later[-1] = planted
+        yield IntersectionInstance([GeneratorSystem(s) for s in sets])
+
+
+def test_h5_and_sqrt2_verdicts_survive_conjugation_scaling_and_permutation():
+    rng = random.Random(2113)
+    verdicts = collections.Counter()
+    pair_columns = []
+    for index, inst in enumerate(_h5_sqrt2_draws(rng, H5_SQRT2_DRAWS)):
+        d = decide_intersection(inst)
+        if d.verdict is Verdict.NONEMPTY:
+            d = extract_witness(inst, d)
+            pair_columns.append(d.details["lift"].width - len(d.details["support_point"]))
+        _check_images(rng, inst, d, random_unipotent(rng, inst.n, 3), index)
+        verdicts[d.verdict] += 1
+    # both verdicts, and witnesses lifted through pair columns, up to
+    # several in one final condition space: 91 NonEmpty and 69 Empty
+    # today, 50 witnesses with pair columns and at most 6 of them
+    assert min(verdicts.values()) >= 50 and len(verdicts) == 2, verdicts
+    assert sum(map(bool, pair_columns)) >= 30 and max(pair_columns) >= 4

@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -64,6 +63,32 @@ def test_word_takes_int_letters_and_counts_only(runs):
         Word(2, runs)
     with pytest.raises(TypeError, match="of an alphabet size is not an int"):
         Word(2.5, [(0, 1)])
+
+
+# a non-int count or target in each argument of each realiser
+REALIZER_ENTRIES = {
+    "word-float-count": (lambda: realize_word([7.9], {}), "letter count"),  # once 0^7
+    "word-integral-float-count": (lambda: realize_word([2, 2.0], {(0, 1): 0}), "letter count"),
+    "word-float-target": (lambda: realize_word([4, 4], {(0, 1): 2.0}), "delta target"),
+    "word-fraction-target": (lambda: realize_word([4, 4], {(0, 1): Fraction(2)}), "delta target"),
+    # once two one-letter words
+    "corner-float-counts": (
+        lambda: realize_corner([1.9], [(1, 0)], [1.5], [(1, 0)], 0),
+        "letter count",
+    ),
+    "corner-fraction-count": (
+        lambda: realize_corner([1], [(1, 0)], [Fraction(1)], [(1, 0)], 0),
+        "letter count",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, what", REALIZER_ENTRIES.values(), ids=REALIZER_ENTRIES.keys())
+def test_realizers_take_int_counts_and_targets_only(call, what):
+    # int() would truncate a count or a target silently
+    with pytest.raises(TypeError, match=f"of a {what} is not an int"):
+        call()
+    assert realize_word([7], {}).runs == ((0, 7),)
 
 
 def test_word_concat_reverse_relabel():
