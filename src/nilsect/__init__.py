@@ -54,7 +54,6 @@ from .intersect import (
 )
 from .orbit import (
     OrbitInstance,
-    RelaxedSolution,
     reduce_to_identity,
     decide_orbit,
     decide_easy,

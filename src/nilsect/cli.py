@@ -39,7 +39,6 @@ from .instances import (
     read_int,
 )
 from .intersect import (
-    Decision,
     IntersectionInstance,
     Verdict,
     decide_intersection,
@@ -119,15 +118,15 @@ def _word_runs(word: Word, names):
     return [(names[letter], count) for letter, count in word.runs]
 
 
-def _witness_entries(inst_file: InstanceFile, built, decision: Decision):
+def _witness_entries(inst_file: InstanceFile, built, words):
     entries = []
     if isinstance(built, IntersectionInstance):
         set_names = inst_file.problem[1]
-        for set_name, sys, word in zip(set_names, built.systems, decision.witnesses):
+        for set_name, sys, word in zip(set_names, built.systems, words):
             entries.append((set_name, _word_runs(word, sys.names)))
     else:
         g_name, h_name = inst_file.problem[3], inst_file.problem[4]
-        v, w = decision.witnesses
+        v, w = words
         entries.append((g_name, _word_runs(v, built.G.names)))
         entries.append((h_name, _word_runs(w, built.H.names)))
     return entries
@@ -160,8 +159,7 @@ def run(command: str, inst_file: InstanceFile, *, trace=False, depth=None,
         found = bfs_oracle(built, d, memory_budget=options.get("memory_budget"))
         report = ResultReport("oracle", "collision" if found else "none")
         if found:
-            fake = Decision(Verdict.NONEMPTY, witnesses=found.words)
-            report.witnesses = _witness_entries(inst_file, built, fake)
+            report.witnesses = _witness_entries(inst_file, built, found.words)
             report.common_element = _mat_rows(found.element)
         report.oracle = {"depth": d}
         report.timing_s = time.monotonic() - start
@@ -188,7 +186,7 @@ def run(command: str, inst_file: InstanceFile, *, trace=False, depth=None,
 
     report = ResultReport(command, decision.verdict.value)
     if decision.witnesses is not None:
-        report.witnesses = _witness_entries(inst_file, built, decision)
+        report.witnesses = _witness_entries(inst_file, built, decision.witnesses)
     if decision.common_element is not None:
         report.common_element = _mat_rows(decision.common_element)
     if trace:

@@ -26,7 +26,6 @@ from .linsolve import eliminate, support_nonneg
 from .wordcraft import (
     least_scale,
     realize_word,
-    total_letters,
     within_bounds,
 )
 
@@ -326,7 +325,6 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
         details=dict(decision.details),
     )
     out.details["scale"] = N
-    out.details["witness_letters"] = total_letters(words)
     return out
 
 

@@ -11,7 +11,7 @@ and n . h <= 0 on that h of every log of H (`linsolve.cone_intersect_dim`):
   remaining search is a finite family of linear Diophantine systems
   over nonnegative integers.
 * P = {0} and both sides span the plane ("hard"): the cones meet with
-  full dimension, and solvability is equivalent to a relaxed integer
+  full dimension, and solvability is equivalent to one relaxed integer
   system on counts and pair coefficients plus parity constraints, solved
   by enumerating residues and checking integer feasibility.  A solution
   is turned into explicit witness words: the counts are shifted along a
@@ -40,13 +40,18 @@ corners by D^2, so half a corner bracket in units of 2 D^2 is the
 integer bracket of the integer superdiagonals, and the BCH sums above
 stay integer sums.  The easy case skips every ordering pair that misses
 the balance its separating functional imposes (see `decide_easy`)
-before any integer program is solved.  The hard case builds its relaxed
-system once from the same integer triples and branches over its parity
-residues in ints; its witnesses are built from them too: the balancing
-combination, the corner search and the inflation fallback with its
-scale constants (see `extract_orbit_witness`).  No rational log triple
-is formed anywhere; the easy trace reports n . log S as the string "p/q"
-(`matlie.rational_str`).
+before any integer program is solved; its solution stays one flat
+count vector, read by position (`_word_from_layout`).  The hard case
+writes its relaxed system once, in `_hard_system`, from the same integer
+triples, over one column layout: x (K columns), y (M), then one c per
+pair of G letters and one d per pair of H letters.  It branches over
+the parity residues in ints, and its solution is one int tuple over
+those columns (`details["relaxed"]`).  The witness is built from the
+rows of that system: the balancing combination solves on its two
+superdiagonal rows, and the corner search and the inflation fallback
+read its corner row (see `extract_orbit_witness`).  No rational log
+triple is formed anywhere; the easy trace reports n . log S as the
+string "p/q" (`matlie.rational_str`).
 
 `decide_orbit` builds the `IntegerLogs` and the cone meet once and
 dispatches on them; `decide_hard` and `extract_orbit_witness` read only
@@ -64,6 +69,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 
 from .errors import BudgetExceeded, UnsupportedInstance
 from .intersect import Decision, Verdict
@@ -109,22 +115,6 @@ class OrbitInstance:
 
     def __setattr__(self, name, value):
         raise AttributeError("OrbitInstance is immutable")
-
-
-@dataclass(frozen=True)
-class RelaxedSolution:
-    """Integer solution of the relaxed hard-case system.
-
-    x, y are signed letter-count surrogates; c, d the pair coefficients.
-    Satisfies the two superdiagonal equations, the corner equation, and
-    the parity constraints exactly (checked at construction time by the
-    solver that produces it).
-    """
-
-    x: tuple
-    y: tuple
-    c: dict
-    d: dict
 
 
 def reduce_to_identity(inst: OrbitInstance) -> OrbitInstance:
@@ -362,13 +352,15 @@ def decide_easy(units: IntegerLogs, functional, options) -> Decision:
     return Decision(Verdict.EMPTY, trace=[trace], details={"case": "easy"})
 
 
-def _word_from_layout(k, interleaving, on_line, counts_by_gap):
+def _word_from_layout(k, interleaving, on_line, counts):
     """Word over k letters: the on-line runs of each gap, then the
-    off-line letter that closes the gap."""
+    off-line letter that closes the gap.  `counts` is flat, ordered by
+    gap, then by `on_line`: the count of on_line[pos] in gap `gap` is
+    counts[gap * len(on_line) + pos]."""
     runs = []
     for gap in range(len(interleaving) + 1):
         for pos, letter in enumerate(on_line):
-            c = counts_by_gap[gap][pos]
+            c = counts[gap * len(on_line) + pos]
             if c:
                 runs.append((letter, c))
         if gap < len(interleaving):
@@ -421,8 +413,9 @@ def _side_coefficients(triples, interleaving, on_line, prefix):
 def _solve_interleaving(units, g0, h0, cs, ds, g_coefs, h_coefs):
     """One linear Diophantine system for fixed off-line letter orderings.
 
-    Variables: counts x[gap][j] of on-line G letters in each of the
-    len(cs)+1 gaps, same for H.  The log of each side is affine in these
+    Variables: the count of each on-line G letter in each of the
+    len(cs)+1 gaps, ordered by gap, then by `g0`, then the same for H;
+    the solution stays flat and `_word_from_layout` reads it.  The log of each side is affine in these
     counts (`_side_coefficients`); its three coordinates give the
     equation rows.  The coefficients of each side are memoised in
     `g_coefs` / `h_coefs`, keyed by its ordering.  Side conditions: a
@@ -439,8 +432,6 @@ def _solve_interleaving(units, g0, h0, cs, ds, g_coefs, h_coefs):
     side by g = gcd(M, all of them) gives n_i / g, the rational entry
     times that lcm.
     """
-    kg, kh = len(g0), len(h0)
-    gaps_g, gaps_h = len(cs) + 1, len(ds) + 1
     if cs not in g_coefs:
         g_coefs[cs] = _side_coefficients(units.g, cs, g0, None)
     if ds not in h_coefs:
@@ -462,25 +453,17 @@ def _solve_interleaving(units, g0, h0, cs, ds, g_coefs, h_coefs):
         rhs = [v // g for v in rhs]
 
     nonzero_groups = []
-    nv = gaps_g * kg
+    nv = len(cols_v)
     if not cs:
         nonzero_groups.append(list(range(nv)))
     if not ds:
-        nonzero_groups.append(list(range(nv, nv + gaps_h * kh)))
+        nonzero_groups.append(list(range(nv, nv + len(cols_w))))
 
     sol = ilp_feasible_nonneg(rows, rhs, nonzero_groups)
     if sol is None:
         return None
-    xs = sol[:nv]
-    ys = sol[nv:]
-    counts_g = [
-        [xs[gap * kg + pos] for pos in range(kg)] for gap in range(gaps_g)
-    ]
-    counts_h = [
-        [ys[gap * kh + pos] for pos in range(kh)] for gap in range(gaps_h)
-    ]
-    v = _word_from_layout(len(units.g), cs, g0, counts_g)
-    w = _word_from_layout(len(units.h), ds, h0, counts_h)
+    v = _word_from_layout(len(units.g), cs, g0, sol[:nv])
+    w = _word_from_layout(len(units.h), ds, h0, sol[nv:])
     return v, w
 
 
@@ -517,16 +500,18 @@ def _pairs(k):
 
 
 def _hard_system(units: IntegerLogs):
-    """Integer rows R and right-hand side t of the relaxed system over
-    (x, y, c, d), read off `units` (triples in units (D, D, 2 D^2)).
+    """Integer rows R and right-hand side t of the relaxed system, read
+    off `units` (triples in units (D, D, 2 D^2)); the one place its
+    coefficients are written.
 
-    Returns (rows, rhs, g_pairs, h_pairs).  The variables are x, y, then
-    one c per pair of g_pairs and one d per pair of h_pairs; the rows are
-    the two superdiagonal equations, in units of D, followed by the
-    corner equation, in units of 2 D^2.  In the corner row, x_i has
-    coefficient g_i[2], y_j has -(h_j[2] + omega(s, h_j)), and each pair
-    coefficient has +-omega of its pair's integer superdiagonals (the
-    halved brackets of the rational system, see `IntegerLogs`).
+    Returns (rows, rhs).  The columns are x (K of them), y (M), then one
+    c per pair of `_pairs(K)` and one d per pair of `_pairs(M)`, and a
+    solution is one int tuple over them.  The rows are the two
+    superdiagonal equations, in units of D, followed by the corner
+    equation, in units of 2 D^2.  In the corner row, x_i has coefficient
+    g_i[2], y_j has -(h_j[2] + omega(s, h_j)), and each pair coefficient
+    has +-omega of its pair's integer superdiagonals (the halved brackets
+    of the rational system, see `IntegerLogs`).
     """
     g, h, s = units.g, units.h, units.s
     g_pairs = _pairs(len(g))
@@ -543,7 +528,17 @@ def _hard_system(units: IntegerLogs):
         + [cross(g[i], g[j]) for i, j in g_pairs]
         + [-cross(h[i], h[j]) for i, j in h_pairs]
     )
-    return rows, list(s), g_pairs, h_pairs
+    return rows, list(s)
+
+
+def _parities(vec, K, M):
+    """The parities the pair columns of the hard system must have, read
+    off the counts vec[:K + M]: x_i x_j mod 2 for each pair of
+    `_pairs(K)`, then y_i y_j mod 2 for each pair of `_pairs(M)`."""
+    x, y = vec[:K], vec[K : K + M]
+    return [x[i] * x[j] % 2 for i, j in _pairs(K)] + [
+        y[i] * y[j] % 2 for i, j in _pairs(M)
+    ]
 
 
 def decide_hard(units: IntegerLogs, options) -> Decision:
@@ -553,9 +548,12 @@ def decide_hard(units: IntegerLogs, options) -> Decision:
     superdiagonal equations, the corner equation, and the parities
     c_ij == x_i x_j, d_ij == y_i y_j (mod 2).  Residues of (x, y) are
     enumerated (2^(K+M) branches, lowest branch wins); they determine the
-    pair parities, and each branch is a pure integer linear system.
-    A feasible branch is turned into a witness pair by
-    `extract_orbit_witness`, and `decide_orbit` checks it.  The trace
+    pair parities (`_parities`), and each branch is a pure integer linear
+    system.  A feasible branch's solution is one int tuple over the
+    columns of `_hard_system` (x, y, then the c and d of each pair),
+    checked against the rows and the parities and kept as
+    `details["relaxed"]`.  It is turned into a witness pair by
+    `extract_orbit_witness`, and `decide_orbit` checks that.  The trace
     entry records `branches_tried`, the `residues` of that branch, how
     the witness was made (`witness`: "corner" or "inflated"), its
     `shift` along the balancing combination and `witness_letters`.
@@ -584,33 +582,23 @@ def decide_hard(units: IntegerLogs, options) -> Decision:
             f"hard case would enumerate 2^{K + M} parity branches (cap {cap})",
             budget=cap,
         )
-    rows, rhs, g_pairs, h_pairs = _hard_system(units)
+    rows, rhs = _hard_system(units)
     doubled = [[2 * coef for coef in row] for row in rows]
-    cut = K + M + len(g_pairs)  # first d column
 
     branches = 0
     for residue in itertools.product((0, 1), repeat=K + M):
         branches += 1
-        rho, sigma = residue[:K], residue[K:]
-        res = [
-            *residue,
-            *(rho[i] * rho[j] for i, j in g_pairs),
-            *(sigma[i] * sigma[j] for i, j in h_pairs),
-        ]
-        ones = [i for i, r in enumerate(res) if r]
-        shifted = [t - sum(row[i] for i in ones) for row, t in zip(rows, rhs)]
+        res = [*residue, *_parities(residue, K, M)]
+        shifted = [t - sum(map(mul, row, res)) for row, t in zip(rows, rhs)]
 
         sol = hnf_solve(doubled, shifted)
         if not sol.feasible:
             continue
-        full = [2 * h + r for h, r in zip(sol.particular, res)]
-        relaxed = RelaxedSolution(
-            x=tuple(full[:K]),
-            y=tuple(full[K : K + M]),
-            c=dict(zip(g_pairs, full[K + M : cut])),
-            d=dict(zip(h_pairs, full[cut:])),
-        )
-        _check_relaxed(rows, rhs, relaxed)
+        relaxed = tuple(2 * h + r for h, r in zip(sol.particular, res))
+        if any(sum(map(mul, row, relaxed)) != t for row, t in zip(rows, rhs)):
+            raise AssertionError("relaxed solution fails its system (defect)")
+        if any((v - p) % 2 for v, p in zip(relaxed[K + M :], _parities(relaxed, K, M))):
+            raise AssertionError("relaxed solution fails parity (defect)")
         v, w, how, shift = extract_orbit_witness(units, relaxed)
         return Decision(
             Verdict.NONEMPTY,
@@ -633,29 +621,12 @@ def decide_hard(units: IntegerLogs, options) -> Decision:
     )
 
 
-def _check_relaxed(rows, rhs, sol: RelaxedSolution):
-    """Raise unless `sol` meets the integer rows and right-hand side of
-    `_hard_system` exactly, and the parities of its pair coefficients."""
-    flat = (
-        list(sol.x)
-        + list(sol.y)
-        + list(sol.c.values())
-        + list(sol.d.values())
-    )
-    for row, target in zip(rows, rhs):
-        if sum(coef * v for coef, v in zip(row, flat)) != target:
-            raise AssertionError("relaxed solution fails its system (defect)")
-    for (i, j), v in sol.c.items():
-        if (v - sol.x[i] * sol.x[j]) % 2:
-            raise AssertionError("relaxed solution fails parity (defect)")
-    for (i, j), v in sol.d.items():
-        if (v - sol.y[i] * sol.y[j]) % 2:
-            raise AssertionError("relaxed solution fails parity (defect)")
-
-
-def _positive_combination(g_vecs, h_vecs):
-    """Strictly positive integers X, Y with sum X_i u(G_i) = sum Y_j u(H_j),
-    u the integer superdiagonal of a generator (`IntegerLogs`, units of D).
+def _positive_combination(rows, n):
+    """Strictly positive integers (X, Y), one per count column, with
+    R (X, Y) = 0 on the two superdiagonal rows of `_hard_system`: sum X_i
+    u(G_i) = sum Y_j u(H_j), u the integer superdiagonal of a generator
+    (`IntegerLogs`, units of D).  `n` = K + M is the number of count
+    columns, and the result is one list over them.
 
     Exists whenever the polar cone P is {0} (Stiemke's alternative, see
     `linsolve.cone_intersect_dim`), so in the hard case; found as one
@@ -665,27 +636,36 @@ def _positive_combination(g_vecs, h_vecs):
     and X, Y, are those of the rational LP.  X, Y are the numerators of
     the point (nums, den): it times its least common denominator.
     """
-    K, M = len(g_vecs), len(h_vecs)
-    rows = [
-        [x[comp] for x in g_vecs] + [-y[comp] for y in h_vecs] for comp in range(2)
-    ]
-    point = lp_feasible(rows, [0, 0], [1] * (K + M))
+    point = lp_feasible([row[:n] for row in rows[:2]], [0, 0], [1] * n)
     if point is None:
         raise AssertionError(
             "no positive balancing combination despite a zero polar cone (defect)"
         )
-    nums, _ = point
-    return nums[:K], nums[K:]
+    return point[0]
 
 
-def extract_orbit_witness(units: IntegerLogs, sol: RelaxedSolution):
+def _sides(vec, K, M):
+    """The (counts, delta table) of each side of a vector over the
+    columns of `_hard_system`: (x, c) over G, then (y, d) over H, each
+    pair coefficient keyed by its pair."""
+    n, g_pairs = K + M, _pairs(K)
+    return (
+        (vec[:K], dict(zip(g_pairs, vec[n : n + len(g_pairs)]))),
+        (vec[K:n], dict(zip(_pairs(M), vec[n + len(g_pairs) :]))),
+    )
+
+
+def extract_orbit_witness(units: IntegerLogs, sol):
     """Witness words for a relaxed hard-case solution, as (v, w, how, shift).
 
-    Everything runs on `units`, the `IntegerLogs` of the instance reduced
-    to T = I: triples in units (D, D, 2 D^2), u the integer superdiagonal
-    and g the corner entry of each, omega the integer corner of two
-    superdiagonals.  Both ways shift the counts
-    along the positive balancing combination (X, Y)
+    `sol` is one int tuple over the columns of `_hard_system`: x (K), y
+    (M), then the c of each pair of `_pairs(K)` and the d of each pair
+    of `_pairs(M)`.  Everything runs on `units`, the `IntegerLogs` of
+    the instance reduced to T = I: triples in units (D, D, 2 D^2), u the
+    integer superdiagonal and g the corner entry of each, omega the
+    integer corner of two superdiagonals.  The coefficients are read
+    from the rows of `_hard_system`, never rewritten here.  Both ways
+    shift the counts along the positive balancing combination (X, Y)
     (`_positive_combination`): l = x + shift X, m = y + shift Y keeps
     both superdiagonal equations for every integer shift.
 
@@ -694,7 +674,8 @@ def extract_orbit_witness(units: IntegerLogs, sol: RelaxedSolution):
       second sum is the signed area A(v) of `wordcraft.corner_area`.
       The corner of log(S product w) adds g(S) and the halved bracket
       omega(u(S), sum_j m_j u(H_j)).  So a word pair with counts l, m
-      meets the corner equation iff A(v) - A(w) = R with
+      meets the corner equation iff A(v) - A(w) = R with R = t_2 minus
+      the corner row applied to the counts (l, m):
           R = g(S) + sum_j m_j (g(H_j) + omega(u(S), u(H_j)))
                 - sum_i l_i g(G_i),
       an integer affine in the shift.  Shifts are tried upward from the
@@ -702,25 +683,30 @@ def extract_orbit_witness(units: IntegerLogs, sol: RelaxedSolution):
       `realize_corner`, which hits the area exactly with block orders.
     * "inflated", the fallback, which always ends: pick pair coefficients
       making a strictly positive combined bracket value d (a single +-1
-      on the first pair, G before H, with nonzero omega, which exists
-      since in the hard case both sides span the plane); let e clear the
-      denominators of the rational logs, halved brackets and d; shift
-      the solution by 2 N de (X, Y) and its pair coefficients by
-      -+4 N ep on the chosen pair, p the corner the balancing
-      combination adds.  The shifts preserve the three equations and all
-      parities, and for N large enough every count is positive and the
-      pair targets fall inside the word-realization bounds
-      (`within_bounds`).  The least such N is taken (`least_scale`) and
-      the two words are realized by `realize_word`.
+      on the first pair column with a nonzero corner coefficient, so G
+      before H; one exists since in the hard case both sides span the
+      plane); let e clear the denominators of the rational logs, halved
+      brackets and d; shift the solution by 2 N de (X, Y) and the chosen
+      pair column by -4 N ep times the sign of its corner coefficient,
+      p the corner the balancing combination adds.  The shifts preserve
+      the three equations and all parities, and for N large enough every
+      count is positive and the pair targets fall inside the
+      word-realization bounds (`within_bounds`).  The least such N is
+      taken (`least_scale`) and the two words are realized by
+      `realize_word`.
 
     de and ep in integers: every rational that e clears is n / (2 D^2)
     for an integer n, namely 2 D times a superdiagonal entry in units,
     a corner entry g, or an omega.  The lcm of the reduced denominators
     of such values is e = 2 D^2 / q with q = gcd(2 D^2, all those n).
     Since d = 2 |omega_1| / (2 D^2) for the chosen pair's omega_1, and
-    p = P / (2 D^2) with P = sum_i X_i g(G_i) - sum_j Y_j (g(H_j) +
-    omega(u(S), u(H_j))), de = 2 |omega_1| / q and ep = P / q; q divides
-    both numerators, as it divides every n.
+    p = P / (2 D^2) with P the corner row applied to (X, Y), de = 2
+    |omega_1| / q and ep = P / q; q divides both numerators, as it
+    divides every n.  The gcd takes each g(H_j) and each omega(u(S),
+    u(H_j)) as a term of its own: e clears the rational log and the
+    halved bracket, two separate values.  Their sum, the corner
+    coefficient of y_j, can share a larger factor with the other terms,
+    and a larger q gives another e, N and witness.
 
     The corner search stops before its letter count passes the
     inflation's, so a corner witness is never longer.  The counts at a
@@ -737,78 +723,56 @@ def extract_orbit_witness(units: IntegerLogs, sol: RelaxedSolution):
     """
     g, h, s = units.g, units.h, units.s
     K, M = len(g), len(h)
-    g_omegas = [cross(g[i], g[j]) for i, j in _pairs(K)]
-    h_omegas = [cross(h[i], h[j]) for i, j in _pairs(M)]
-    s_omegas = [cross(s, y) for y in h]
-    h_gammas = [y[2] + omega for y, omega in zip(h, s_omegas)]
+    n = K + M
+    rows, rhs = _hard_system(units)
+    corner = rows[2]
 
-    # choose the positive bracket witness: the first pair, G before H,
-    # with nonzero corner bracket
-    big_c = {}
-    big_d = {}
-    omega_1 = None
-    for pairs, omegas, big in ((_pairs(K), g_omegas, big_c), (_pairs(M), h_omegas, big_d)):
-        for pair, omega in zip(pairs, omegas):
-            if omega:
-                big[pair] = 1 if omega > 0 else -1
-                omega_1 = abs(omega)
-                break
-        if omega_1 is not None:
-            break
-    if omega_1 is None:
+    # the positive bracket witness: the first pair column, G before H,
+    # with a nonzero corner coefficient
+    pick = next((i for i in range(n, len(corner)) if corner[i]), None)
+    if pick is None:
         raise AssertionError(
             "no nonzero corner bracket despite a full-dimensional meet (defect)"
         )
+    sign = 1 if corner[pick] > 0 else -1
 
     two_d = 2 * units.den
     q = gcd(
         two_d * units.den,
         *(two_d * v for t in (s, *g, *h) for v in t[:2]),
         *(t[2] for t in (s, *g, *h)),
-        *s_omegas,
-        *g_omegas,
-        *h_omegas,
+        *(cross(s, y) for y in h),
+        *corner[n:],
     )
-    g_vecs = [x[:2] for x in g]
-    h_vecs = [y[:2] for y in h]
-    X, Y = _positive_combination(g_vecs, h_vecs)
-    de = 2 * omega_1 // q
-    ep = (
-        sum(c * x[2] for c, x in zip(X, g)) - sum(c * gam for c, gam in zip(Y, h_gammas))
-    ) // q
+    XY = _positive_combination(rows, n)
+    de = 2 * abs(corner[pick]) // q
+    ep = sum(map(mul, corner, XY)) // q
 
     def shifted(n_scale):
-        xs = [sol.x[i] + 2 * n_scale * de * X[i] for i in range(K)]
-        ys = [sol.y[j] + 2 * n_scale * de * Y[j] for j in range(M)]
-        cs = {p: v - 4 * n_scale * big_c.get(p, 0) * ep for p, v in sol.c.items()}
-        dsh = {p: v + 4 * n_scale * big_d.get(p, 0) * ep for p, v in sol.d.items()}
-        return xs, ys, cs, dsh
+        vec = [v + 2 * n_scale * de * c for v, c in zip(sol, XY)] + list(sol[n:])
+        vec[pick] -= 4 * n_scale * ep * sign
+        return vec
 
     def bounds_ok(n_scale):
-        xs, ys, cs, dsh = shifted(n_scale)
-        return (
-            all(v > 0 for v in xs + ys)
-            and within_bounds(xs, cs, K)
-            and within_bounds(ys, dsh, M)
+        vec = shifted(n_scale)
+        return all(v > 0 for v in vec[:n]) and all(
+            within_bounds(counts, delta, len(counts))
+            for counts, delta in _sides(vec, K, M)
         )
 
+    vecs = [t[:2] for t in (*g, *h)]
     n_scale = None
-    first = max(-((x - 1) // c) for x, c in zip((*sol.x, *sol.y), (*X, *Y)))
+    first = max(-((v - 1) // c) for v, c in zip(sol, XY))
     for shift in range(first, first + CORNER_SHIFTS):
         if shift > 2 * de:
             n_scale = n_scale or least_scale(bounds_ok, 1)
             if shift > 2 * n_scale * de:
                 break
-        ls = [x + shift * c for x, c in zip(sol.x, X)]
-        ms = [y + shift * c for y, c in zip(sol.y, Y)]
-        target = (
-            s[2]
-            + sum(m * gam for m, gam in zip(ms, h_gammas))
-            - sum(l * x[2] for l, x in zip(ls, g))
-        )
-        found = realize_corner(ls, g_vecs, ms, h_vecs, target)
+        counts = [v + shift * c for v, c in zip(sol, XY)]
+        target = rhs[2] - sum(map(mul, corner, counts))
+        found = realize_corner(counts[:K], vecs[:K], counts[K:], vecs[K:], target)
         if found is not None:
             return (*found, "corner", shift)
     n_scale = n_scale or least_scale(bounds_ok, 1)
-    xs, ys, cs, dsh = shifted(n_scale)
-    return realize_word(xs, cs), realize_word(ys, dsh), "inflated", 2 * n_scale * de
+    (xs, cs), (ys, ds) = _sides(shifted(n_scale), K, M)
+    return realize_word(xs, cs), realize_word(ys, ds), "inflated", 2 * n_scale * de

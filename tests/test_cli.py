@@ -450,7 +450,7 @@ def test_reports_match_the_golden_files(command, path, flags, capsys):
 
 
 def test_golden_files_cover_every_sample_and_data_file():
-    assert len(GOLDEN_RUNS) == 10
+    assert len(GOLDEN_RUNS) == 11
     assert sorted(p.name for p in GOLDEN.glob("*.json")) == sorted(
         f"{c}-{p.stem}.json" for c, p, _ in GOLDEN_RUNS
     )

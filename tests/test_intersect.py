@@ -218,10 +218,9 @@ def test_witness_past_index_sized_length():
     assert d.verdict is Verdict.NONEMPTY
     w = extract_witness(inst, d)
     assert verify_witness(inst, w.witnesses)
-    assert w.details["witness_letters"] > 2**63
-    assert w.details["witness_letters"] == sum(
-        count for word in w.witnesses for _, count in word.runs
-    )
+    letters = total_letters(w.witnesses)
+    assert letters > 2**63
+    assert letters == sum(count for word in w.witnesses for _, count in word.runs)
 
 
 # ---------------------------------------------------------------------------

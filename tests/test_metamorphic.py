@@ -7,15 +7,16 @@ depth, and it moves the denominators, the cone orientation, the LP
 presentation and the letter order, so the two decisions take different
 numeric paths.
 
-* Orbits in H3(Q) (the fuzz family F11, `test_orbit.f11_draws`): the
-  side swap (T, S, G, H) -> (S, T, H, G), and the automorphism
+* Orbits in H3(Q) (the fuzz family F11, `test_orbit.f11_draws`, and
+  the degenerate-letter family E99, `e99_draws`): the side swap
+  (T, S, G, H) -> (S, T, H, G), and the automorphism
   (v, gamma) -> (A v, det A gamma) of the log coordinates, for A in
   GL2(Q), followed by conjugation by an element X.
 * Intersections in UT(3, Q) (the planted family IW(3, 3),
-  `test_orbit.iw_draws`), and in H5(Q) and in H3 over Q(sqrt 2)
-  embedded into UT(6, Q) (seeded draws of 2-3 sets of 1-3 generators,
-  about half planted nonempty, whose condition spaces have more pair
-  columns): conjugation by an X in UT(n, Q), conjugation by a positive
+  `test_orbit.iw_draws`, and the two sets G and H of each E99 draw),
+  and in H5(Q) and in H3 over Q(sqrt 2) embedded into UT(6, Q)
+  (seeded draws of 2-3 sets of 1-3 generators, about half planted
+  nonempty, whose condition spaces have more pair columns): conjugation by an X in UT(n, Q), conjugation by a positive
   diagonal matrix (entry (i, j) scaled by d_j / d_i), and a permutation
   of the sets and of each set's generators.
 
@@ -24,8 +25,8 @@ relabelled as the map permutes letters, must verify on the image by
 plain multiplication.  The verdicts must agree whenever both runs
 decide.  A change of outcome class (a budget fired, or `Unsupported`)
 is printed, not asserted: the easy orbit case picks its functional by
-a rule that depends on the presentation, and some F11 draws exhaust
-the interleaving budget on one side of the swap only.
+a rule that depends on the presentation, and some F11 and E99 draws
+exhaust the interleaving budget on one side of the swap only.
 """
 
 import collections
@@ -61,6 +62,7 @@ from test_orbit import f11_draws, iw_draws
 
 F11_DRAWS = 300
 IW_DRAWS = 100
+E99_DRAWS = 400
 H5_SQRT2_DRAWS = 160
 # every orbit decision here runs under these options: the budget bounds
 # the easy case's enumeration, and the depth the fallback's oracle
@@ -124,10 +126,14 @@ def _mapped_orbit(inst, image):
     return OrbitInstance(image(inst.T), image(inst.S), system(inst.G), system(inst.H))
 
 
-def test_f11_verdicts_survive_swap_and_automorphism():
-    rng = random.Random(2111)
+def _check_orbit_images(family, draws, rng):
+    """Decide each orbit draw and its images under the side swap and
+    under one of `AUTOMORPHISMS`, in turn, composed with conjugation by
+    a random X.  The verdicts must agree where both runs decide, and
+    every witness must transport; each move of outcome class is printed.
+    Returns (verdict pairs compared, witnesses transported)."""
     moves, compared, transported = [], 0, 0
-    for index, inst in enumerate(itertools.islice(f11_draws(), F11_DRAWS)):
+    for index, inst in enumerate(draws):
         kind, d = _orbit_outcome(inst)
         X = h3(_rational(rng), _rational(rng), _rational(rng))
         A = AUTOMORPHISMS[index % len(AUTOMORPHISMS)]
@@ -138,18 +144,72 @@ def test_f11_verdicts_survive_swap_and_automorphism():
         for name, (mapped, swapped) in images.items():
             other, _ = _orbit_outcome(mapped)
             if _decided(kind) and _decided(other):
-                assert other == kind, (index, name)
+                assert other == kind, (family, index, name)
                 compared += 1
             elif other != kind:
-                moves.append(f"F11 draw {index} under {name}: {kind} -> {other}")
+                moves.append(f"{family} draw {index} under {name}: {kind} -> {other}")
             if kind == Verdict.NONEMPTY.value:
                 v, w = d.witnesses
-                assert verify_orbit_witness(mapped, *((w, v) if swapped else (v, w))), (index, name)
+                pair = (w, v) if swapped else (v, w)
+                assert verify_orbit_witness(mapped, *pair), (family, index, name)
                 transported += 1
     for line in moves:
         print("outcome moved:", line)
+    return compared, transported
+
+
+def test_f11_verdicts_survive_swap_and_automorphism():
+    draws = itertools.islice(f11_draws(), F11_DRAWS)
+    compared, transported = _check_orbit_images("F11", draws, random.Random(2111))
     # 481 verdict pairs compared and 112 witnesses transported today
     assert compared >= 450 and transported >= 100
+
+
+def e99_draws(count=E99_DRAWS):
+    """The degenerate-letter family E99, as orbit instances:
+    random.Random(99); each draw takes K, M in 1..3, then the K letters
+    of G and the M of H, then G gains G[0]'s inverse if rng.random() <
+    0.3, then H gains H[0]'s inverse under the same test, then T and S
+    are drawn as letters.  A letter takes r = rng.random(): below 0.15
+    the identity, below 0.3 a central h3(0, 0, c) with c =
+    Fraction(randint(-2, 2), randint(1, 2)), below 0.45 h3(randint(-2,
+    2), 0, 0), below 0.6 h3(0, randint(-2, 2), 0), and otherwise h3(a,
+    b, c), each entry Fraction(randint(-2, 2), randint(1, 2)), drawn in
+    the order a, b, c."""
+    rng = random.Random(99)
+
+    def entry_2():
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+
+    def letter():
+        r = rng.random()
+        if r < 0.15:
+            return h3(0, 0, 0)
+        if r < 0.3:
+            return h3(0, 0, entry_2())
+        if r < 0.45:
+            return h3(rng.randint(-2, 2), 0, 0)
+        if r < 0.6:
+            return h3(0, rng.randint(-2, 2), 0)
+        return h3(*(entry_2() for _ in range(3)))
+
+    for _ in range(count):
+        K, M = rng.randint(1, 3), rng.randint(1, 3)
+        G = [letter() for _ in range(K)]
+        H = [letter() for _ in range(M)]
+        if rng.random() < 0.3:
+            G.append(G[0].inverse())
+        if rng.random() < 0.3:
+            H.append(H[0].inverse())
+        T, S = letter(), letter()
+        yield OrbitInstance(T, S, GeneratorSystem(G), GeneratorSystem(H))
+
+
+def test_e99_verdicts_survive_swap_and_automorphism():
+    compared, transported = _check_orbit_images("E99", e99_draws(), random.Random(2114))
+    # 728 verdict pairs compared and 100 witnesses transported today; the
+    # two draws that exhaust the budget (298 and 337) decide Empty swapped
+    assert compared >= 700 and transported >= 90
 
 
 def _conjugation(X):
@@ -205,6 +265,22 @@ def test_iw_verdicts_survive_conjugation_scaling_and_permutation():
         _check_images(rng, inst, d, X, index)
         checked += 1
     assert checked == IW_DRAWS
+
+
+def test_e99_intersections_survive_conjugation_scaling_and_permutation():
+    # the intersection of G and H of every E99 draw: identity, central,
+    # on-axis and inverse letters
+    rng = random.Random(2115)
+    verdicts = collections.Counter()
+    for index, orbit in enumerate(e99_draws()):
+        inst = IntersectionInstance([orbit.G, orbit.H])
+        d = decide_intersection(inst)
+        if d.verdict is Verdict.NONEMPTY:
+            d = extract_witness(inst, d)
+        X = h3(_rational(rng), _rational(rng), _rational(rng))
+        _check_images(rng, inst, d, X, index)
+        verdicts[d.verdict] += 1
+    assert verdicts == {Verdict.EMPTY: 196, Verdict.NONEMPTY: 204}
 
 
 def _h5_sqrt2_draws(rng, count):

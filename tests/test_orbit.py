@@ -33,7 +33,6 @@ from nilsect import orbit as orbit_module
 from nilsect.linsolve import cone_intersect_dim, cross, hnf_solve, lp_feasible
 from nilsect.wordcraft import realize_corner, realize_word, total_letters
 from nilsect.orbit import (
-    RelaxedSolution,
     _hard_system,
     _integer_logs,
     _pairs,
@@ -330,21 +329,20 @@ def side_coefficients_by_products(sys, interleaving, on_line, prefix):
     at each unit count, by multiplying out the words and taking matrix
     logs; returned as (a, b, gamma) triples."""
 
-    def log_of(counts_by_gap):
-        word = _word_from_layout(sys.K, interleaving, on_line, counts_by_gap)
+    def log_of(counts):
+        word = _word_from_layout(sys.K, interleaving, on_line, counts)
         p = product_of_word(sys, word)
         if prefix is not None:
             p = prefix * p
         return ref_log(p)
 
-    zero_counts = [[0] * len(on_line) for _ in range(len(interleaving) + 1)]
+    zero_counts = [0] * (len(on_line) * (len(interleaving) + 1))
     base = log_of(zero_counts)
     cols = []
-    for gap in range(len(zero_counts)):
-        for pos in range(len(on_line)):
-            bumped = [row[:] for row in zero_counts]
-            bumped[gap][pos] = 1
-            cols.append(ref_combine(log_of(bumped), base, -1))
+    for index in range(len(zero_counts)):
+        bumped = zero_counts[:]
+        bumped[index] = 1
+        cols.append(ref_combine(log_of(bumped), base, -1))
     return (
         tuple(base[i][j] for i, j in ENTRIES),
         [tuple(col[i][j] for i, j in ENTRIES) for col in cols],
@@ -486,13 +484,12 @@ def test_side_coefficients_affine_in_on_line_counts():
         units = side_units(sys, None)
         base, cols = _side_coefficients(units.g, interleaving, on_line, None)
         counts = [
-            [rng.randint(0, 3) for _ in on_line] for _ in range(len(interleaving) + 1)
+            rng.randint(0, 3) for _ in range((len(interleaving) + 1) * len(on_line))
         ]
         word = _word_from_layout(sys.K, interleaving, on_line, counts)
         log = ref_log(product_of_word(sys, word))
-        flat = [c for row in counts for c in row]
         expected = tuple(
-            base[e] + sum(c * col[e] for c, col in zip(flat, cols)) for e in range(3)
+            base[e] + sum(c * col[e] for c, col in zip(counts, cols)) for e in range(3)
         )
         assert in_units(tuple(log[i][j] for i, j in ENTRIES), units.den) == expected
 
@@ -532,7 +529,7 @@ def test_hard_system_matches_matrix_logs():
         # the integer rows are the reference rows in units D, D and 2 D^2
         units = _integer_logs(s_elem, G.mats, H.mats)
         assert_units_match_reference(s_elem, G, H, units)
-        rows, rhs, _, _ = _hard_system(units)
+        rows, rhs = _hard_system(units)
         den = units.den
         scales = (den, den, 2 * den * den)
         assert len(rows) == len(ref_rows) == 3
@@ -552,7 +549,7 @@ def test_closed_forms_on_orbit_central_sample():
     # the production rows are those rows in units D, D and 2 D^2
     units = _integer_logs(s_elem, inst.G.mats, inst.H.mats)
     assert_units_match_reference(s_elem, inst.G, inst.H, units)
-    int_rows, int_rhs, _, _ = _hard_system(units)
+    int_rows, int_rhs = _hard_system(units)
     scales = (units.den, units.den, 2 * units.den * units.den)
     assert len(int_rows) == len(rows) == 3
     for row, ref, scale in zip(int_rows, rows, scales):
@@ -992,6 +989,14 @@ def test_ow_draw_9_is_the_data_file():
     assert (stored.G.mats, stored.H.mats) == (inst.G.mats, inst.H.mats)
 
 
+def test_f11_draw_159_is_the_data_file():
+    # the one file whose golden report pins an inflated hard witness
+    inst = f11_draw(159)
+    stored = load_instance_file(DATA / "f11-draw159.txt").build()
+    assert (stored.T, stored.S) == (inst.T, inst.S)
+    assert (stored.G.mats, stored.H.mats) == (inst.G.mats, inst.H.mats)
+
+
 def test_ow_wide_entry_draws_decide():
     # 3- and 4-digit entries: the relaxed start, and with it the witness
     # scale, can pass 2^64 (draws 8, 9, 10, 13, 15 and 16 do)
@@ -1068,11 +1073,12 @@ def test_hard_trace_reports_the_witness():
     v, w = d.witnesses
     # the relaxed counts shifted along the balancing combination
     relaxed = d.details["relaxed"]
-    vecs = [x[:2] for x in _integer_logs(IDENT, G.mats, []).g]
-    X_, Y_ = orbit_module._positive_combination(vecs, vecs)
+    assert len(relaxed) == 2 + 2 + 1 + 1  # x, y, one c, one d
+    assert all(type(x) is int for x in relaxed)
+    rows, _ = _hard_system(_integer_logs(IDENT, G.mats, G.mats))
+    XY = orbit_module._positive_combination(rows, 4)
     shift = step["shift"]
-    assert parikh(v) == tuple(x + shift * c for x, c in zip(relaxed.x, X_))
-    assert parikh(w) == tuple(y + shift * c for y, c in zip(relaxed.y, Y_))
+    assert parikh(v) + parikh(w) == tuple(x + shift * c for x, c in zip(relaxed, XY))
 
 
 def test_f11_hard_census(monkeypatch):
@@ -1121,6 +1127,19 @@ def test_f11_hard_census(monkeypatch):
             assert d.witnesses == fallback.witnesses
         else:
             assert step["witness_letters"] == tried[index][-1]
+
+
+def split_relaxed(sol, K, M):
+    """A relaxed solution, one int tuple over the columns of
+    `_hard_system`, as (x, y, c, d): the counts of each side, then the
+    pair coefficients of each side as a dict keyed by pair."""
+    n, nc = K + M, len(_pairs(K))
+    return (
+        sol[:K],
+        sol[K:n],
+        dict(zip(_pairs(K), sol[n : n + nc])),
+        dict(zip(_pairs(M), sol[n + nc :])),
+    )
 
 
 def reference_positive_combination(g_logs, h_logs):
@@ -1172,12 +1191,14 @@ def reference_orbit_witness(s_elem, G, H, sol, corner_shifts=orbit_module.CORNER
     assert de.denominator == ep.denominator == 1
     de, ep = int(de), int(ep)
 
+    sol_x, sol_y, sol_c, sol_d = split_relaxed(sol, K, M)
+
     def shifted(n):
         return (
-            [sol.x[i] + 2 * n * de * X_[i] for i in range(K)],
-            [sol.y[j] + 2 * n * de * Y_[j] for j in range(M)],
-            {p: v - 4 * n * big_c.get(p, 0) * ep for p, v in sol.c.items()},
-            {p: v + 4 * n * big_d.get(p, 0) * ep for p, v in sol.d.items()},
+            [sol_x[i] + 2 * n * de * X_[i] for i in range(K)],
+            [sol_y[j] + 2 * n * de * Y_[j] for j in range(M)],
+            {p: v - 4 * n * big_c.get(p, 0) * ep for p, v in sol_c.items()},
+            {p: v + 4 * n * big_d.get(p, 0) * ep for p, v in sol_d.items()},
         )
 
     n_scale = _reference_inflation_scale(shifted, K, M)
@@ -1187,10 +1208,10 @@ def reference_orbit_witness(s_elem, G, H, sol, corner_shifts=orbit_module.CORNER
     h_vecs = [y[:2] for y in units.h]
     h_gammas = [y[2] + cross(units.s, y) for y in units.h]
     limit = sum(xs) + sum(ys)
-    first = max(-((x - 1) // c) for x, c in zip((*sol.x, *sol.y), (*X_, *Y_)))
+    first = max(-((x - 1) // c) for x, c in zip((*sol_x, *sol_y), (*X_, *Y_)))
     for shift in range(first, first + corner_shifts):
-        ls = [x + shift * c for x, c in zip(sol.x, X_)]
-        ms = [y + shift * c for y, c in zip(sol.y, Y_)]
+        ls = [x + shift * c for x, c in zip(sol_x, X_)]
+        ms = [y + shift * c for y, c in zip(sol_y, Y_)]
         if sum(ls) + sum(ms) > limit:
             break
         target = (
@@ -1243,10 +1264,10 @@ def test_orbit_witness_matches_fraction_reference(hard_nonempty, monkeypatch):
         units = units_of(inst)
         got = extract_orbit_witness(units, relaxed)
         assert got == want, name
-        # the balancing combination X, Y itself, from the integer units
-        assert orbit_module._positive_combination(
-            [x[:2] for x in units.g], [y[:2] for y in units.h]
-        ) == reference_positive_combination(fraction_logs(inst.G), fraction_logs(inst.H)), name
+        # the balancing combination X, Y itself, from the integer rows
+        X_, Y_ = reference_positive_combination(fraction_logs(inst.G), fraction_logs(inst.H))
+        rows, _ = _hard_system(units)
+        assert orbit_module._positive_combination(rows, inst.G.K + inst.H.K) == [*X_, *Y_], name
         step = d.trace[0]
         assert (*d.witnesses, step["witness"], step["shift"]) == want, name
         hows.add(want[2])
@@ -1356,14 +1377,7 @@ def reference_hard_branches(inst):
         ]
         sol = hnf_solve(int_rows, cleared(shifted))
         if sol.feasible:
-            full = [2 * h + r for h, r in zip(sol.particular, res)]
-            nc = len(g_pairs)
-            relaxed = RelaxedSolution(
-                x=tuple(full[:K]),
-                y=tuple(full[K : K + M]),
-                c={p: full[K + M + idx] for idx, p in enumerate(g_pairs)},
-                d={p: full[K + M + nc + idx] for idx, p in enumerate(h_pairs)},
-            )
+            relaxed = tuple(2 * h + r for h, r in zip(sol.particular, res))
             return residue, branches, relaxed
     return None, branches, None
 
