@@ -32,6 +32,10 @@ Contents:
   integer one by homogeneity);
 * complete integer solution sets of A x = b via a column Hermite
   reduction with recorded transformation;
+* the integer points of A x = b with x >= lower, in nondecreasing
+  sum(x) and lexicographic order within one sum, by a depth-first walk
+  over an echelon basis of the lattice, under a cap on sum(x) and a
+  node budget (`PointSearch`);
 * small-scale integer feasibility with sign constraints, by one
   depth-first branch-and-bound over the exact LP relaxation per call,
   capped at ILP_NODE_CAP relaxations per call;
@@ -54,6 +58,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import mul
 
 from .errors import BudgetExceeded
 from .matlie import _pivot_step, _primitive_row, _require_ints
@@ -414,58 +419,82 @@ class IntegerSolutionSet:
         return self.particular is not None
 
 
-def _column_echelon(A, m, k):
-    """Integer column echelon: returns (H, U, pivots) with A U = H, U unimodular.
+def _column_echelon(A, m):
+    """Integer column echelon form of the first m rows of A, by
+    unimodular column operations on all of A: returns (H, pivots), H the
+    rows of A after them and pivots the (row, column) of each pivot, in
+    order.
 
-    Scanning rows top to bottom, each row either gets a pivot column
-    (the only nonzero among not-yet-pivoted columns, made positive by a
-    sign flip) or is zero on all of them.
+    Scanning rows 0 .. m - 1, each row either gets a pivot column (the
+    only nonzero among not-yet-pivoted columns, made positive by a sign
+    flip) or is zero on all of them; pivot columns are numbered 0, 1, ...
+    Rows from m on take part in every operation without being scanned,
+    so A stacked over the identity ends as A U stacked over U: the
+    recorded transformation.
     """
     H = [list(r) for r in A]
-    U = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-    def col_op(dst, src, q):
-        for i in range(m):
-            H[i][dst] -= q * H[i][src]
-        for i in range(k):
-            U[i][dst] -= q * U[i][src]
-
-    def col_swap(a, b):
-        for i in range(m):
-            H[i][a], H[i][b] = H[i][b], H[i][a]
-        for i in range(k):
-            U[i][a], U[i][b] = U[i][b], U[i][a]
-
-    def col_neg(a):
-        for i in range(m):
-            H[i][a] = -H[i][a]
-        for i in range(k):
-            U[i][a] = -U[i][a]
-
+    k = len(H[0])
     pivots = []
     col = 0
     for r in range(m):
         if col >= k:
             break
+        row = H[r]
         while True:
-            nz = [j for j in range(col, k) if H[r][j]]
+            nz = [j for j in range(col, k) if row[j]]
             if not nz:
                 break
             if len(nz) == 1:
                 j0 = nz[0]
-                col_swap(col, j0)
-                if H[r][col] < 0:
-                    col_neg(col)
+                for h in H:
+                    h[col], h[j0] = h[j0], h[col]
+                if row[col] < 0:
+                    for h in H:
+                        h[col] = -h[col]
                 pivots.append((r, col))
                 col += 1
                 break
-            j0 = min(nz, key=lambda j: abs(H[r][j]))
+            j0 = min(nz, key=lambda j: abs(row[j]))
             for j in nz:
                 if j != j0:
-                    q = H[r][j] // H[r][j0]
+                    q = row[j] // row[j0]
                     if q:
-                        col_op(j, j0, q)
-    return H, U, pivots
+                        for h in H:
+                            h[j] -= q * h[j0]
+    return H, pivots
+
+
+def _identity(k):
+    """The rows of the k x k identity matrix."""
+    rows = [[0] * k for _ in range(k)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
+
+
+def _substitute(H, pivots, b):
+    """The integer y, one entry per column of H, with H y = b on the
+    first len(b) rows and y = 0 off the pivot columns of those rows, by
+    forward substitution down the column echelon form H
+    (`_column_echelon`); None when a pivot does not divide its residual
+    or a row without a pivot keeps a nonzero one."""
+    pivot_by_row = {r: c for r, c in pivots}
+    y = [0] * len(H[0])
+    for r, t in enumerate(b):
+        acc = t
+        for _, c in pivots:
+            if y[c] and H[r][c]:
+                acc -= H[r][c] * y[c]
+        c = pivot_by_row.get(r)
+        if c is None:
+            if acc != 0:
+                return None
+        else:
+            q, rem = divmod(acc, H[r][c])
+            if rem:
+                return None
+            y[c] = q
+    return y
 
 
 def _integer_system(A, b):
@@ -507,23 +536,11 @@ def hnf_solve(A, b) -> IntegerSolutionSet:
             return IntegerSolutionSet(None, ())
         return IntegerSolutionSet((), ())
 
-    H, U, pivots = _column_echelon(A, m, k)
-    pivot_by_row = {r: c for r, c in pivots}
-    y = [0] * k
-    for r in range(m):
-        acc = b[r]
-        for _, c in pivots:
-            if y[c] and H[r][c]:
-                acc -= H[r][c] * y[c]
-        c = pivot_by_row.get(r)
-        if c is None:
-            if acc != 0:
-                return IntegerSolutionSet(None, ())
-        else:
-            q, rem = divmod(acc, H[r][c])
-            if rem:
-                return IntegerSolutionSet(None, ())
-            y[c] = q
+    H, pivots = _column_echelon([*A, *_identity(k)], m)
+    y = _substitute(H, pivots, b)
+    if y is None:
+        return IntegerSolutionSet(None, ())
+    U = H[m:]
     particular = tuple(
         sum(U[i][j] * y[j] for j in range(k) if y[j]) for i in range(k)
     )
@@ -532,6 +549,163 @@ def hnf_solve(A, b) -> IntegerSolutionSet:
         tuple(U[i][j] for i in range(k)) for j in range(k) if j not in pivot_cols
     )
     return IntegerSolutionSet(particular, kernel)
+
+
+def _affine_range(terms):
+    """(lo, hi): the integers u with a + k u >= 0 for every (a, k) of
+    `terms` are lo <= u <= hi, an end None when unbounded; None when
+    there are none."""
+    lo = hi = None
+    for a, k in terms:
+        if k > 0:
+            bound = -(a // k)
+            lo = bound if lo is None else max(lo, bound)
+        elif k < 0:
+            bound = a // -k
+            hi = bound if hi is None else min(hi, bound)
+        elif a < 0:
+            return None
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
+class PointSearch:
+    """The integer points x of rows . x = rhs with x >= lower and
+    sum(x) <= cap, in nondecreasing sum(x) and, within one sum,
+    lexicographic order.
+
+    Iterating yields them as tuples, as the walk reaches them.  Entries
+    are ints (any other is a TypeError).  `nodes` counts the nodes
+    visited so far; the walk visits at most `budget` of them, and when
+    it would visit one more it raises BudgetExceeded instead, so the
+    points it yields up to then are those of the unbudgeted walk, in the
+    same order.
+
+    The walk runs on one lattice.  With the level s = sum(x) as a
+    coordinate of its own, placed first, the points (s, x) with
+    rows . x = rhs are q + sum_c u_c C_c over all integer u, for one such
+    point q and a basis C of the integer points (s, x) with rows . x = 0.
+    Both come from one column echelon form (`_column_echelon`) of the
+    columns (rows e_j, 1, e_j): its columns that pivot in the rows part
+    give q by forward substitution (`_substitute`), and the others, which
+    are 0 there, are C in column echelon form: C_c is 0 above its pivot
+    coordinate p_c, positive on it, and p_0 < p_1 < ...  So u_0 .. u_{c-1}
+    fix every coordinate above p_c, and u_c moves coordinate p_c upward:
+    ordering the u lexicographically orders the points (s, x)
+    lexicographically, which is nondecreasing s with x lexicographic
+    within one s.
+
+    A depth-first walk gives u_0, u_1, ... their values in increasing
+    order.  A node is one value of one u_c that meets every bound of
+    `_span` once the coordinates up to p_{c+1} - 1 are fixed.  Each
+    bound is affine in u_c, so the values are one interval
+    (`_affine_range`), and a finite one: s <= cap bounds it when p_c is
+    the level, and otherwise x_i >= lower_i on a coordinate where C_c is
+    negative, or the slack where it is not.  A node of the last u_c is a
+    point.
+    """
+
+    def __init__(self, rows, rhs, lower, cap, budget):
+        rows, rhs = _integer_system(rows, rhs)
+        lower = list(lower)
+        _require_ints([*lower, cap, budget], "a point search bound")
+        if any(len(row) != len(lower) for row in rows):
+            raise ValueError("row length does not match the lower bounds")
+        self.rows, self.rhs, self.lower = rows, rhs, lower
+        self.cap, self.budget = cap, budget
+        self.nodes = 0
+
+    def __iter__(self):
+        n, m = len(self.lower), len(self.rows)
+        # column j is (rows e_j, 1, e_j): column operations keep the
+        # point (s, x) = (sum(x), x) of each column below its row image
+        stacked = [*self.rows, [1] * n, *_identity(n)]
+        echelon, pivots = _column_echelon(stacked, m + 1 + n)
+        y = _substitute(echelon, pivots, self.rhs)
+        if y is None:
+            return
+        q = [sum(map(mul, row, y)) for row in echelon[m:]]
+        cols = [[row[c] for row in echelon[m:]] for r, c in pivots if r >= m]
+        starts = [r - m for r, _ in pivots if r >= m] + [n + 1]
+        spans = [
+            self._span(start, stop, col)
+            for start, stop, col in zip(starts, starts[1:], cols)
+        ]
+
+        def walk(c, cur):
+            if c == len(cols):
+                yield tuple(cur[1:])
+                return
+            span = spans[c](cur)
+            if span is None:
+                return
+            lo, hi = span
+            col = cols[c]
+            vec = [a + lo * k for a, k in zip(cur, col)]
+            for _ in range(hi - lo + 1):
+                if self.nodes == self.budget:
+                    raise BudgetExceeded(
+                        f"point search passed {self.budget} nodes", budget=self.budget
+                    )
+                self.nodes += 1
+                yield from walk(c + 1, vec)
+                vec = [a + k for a, k in zip(vec, col)]
+
+        if self._span(0, starts[0], [0] * (n + 1))(q):
+            yield from walk(0, q)
+
+    def _span(self, start, stop, col):
+        """The values of u for which p = cur + u col meets every bound of
+        the walk on coordinates 0 .. stop - 1 of p = (s, x), as a
+        function of cur giving (lo, hi) or None (`_affine_range`).
+
+        The bounds, each affine in u: those of coordinates start ..
+        stop - 1, then, once s is fixed, the slack, and while some x
+        remain, the range test of each row.  With y_i = x_i - lower_i >= 0
+        on the x not yet fixed, the slack sum(y) = s - (fixed x) - (their
+        lower bounds) is >= 0.  A row a needs a . (remaining x) =
+        t - a . (fixed x), and the left side lies between
+        a . lower + min(a) sum(y) and a . lower + max(a) sum(y), a and
+        lower over the remaining coordinates.
+        """
+        lower, cap = self.lower, self.cap
+        coords = [(i, lower[i - 1], col[i]) for i in range(max(start, 1), stop)]
+        if start == 0 < stop:
+            coords.append((0, sum(lower), col[0]))
+            top = -col[0]  # s <= cap
+        else:
+            top = None
+        rest = lower[stop - 1 :] if stop else ()
+        floor = sum(rest)
+        dslack = col[0] - sum(col[1:stop])
+        tests = [
+            (
+                row,
+                t - sum(map(mul, row[stop - 1 :], rest)),
+                min(row[stop - 1 :]),
+                max(row[stop - 1 :]),
+                -sum(map(mul, row, col[1:stop])),
+            )
+            for row, t in zip(self.rows, self.rhs)
+            if rest
+        ]
+
+        def span(cur):
+            terms = [(cur[i] - low, k) for i, low, k in coords]
+            if top is not None:
+                terms.append((cap - cur[0], top))
+            if stop:
+                fixed = cur[1:stop]
+                slack = cur[0] - sum(fixed) - floor
+                terms.append((slack, dslack))
+                for row, t, least, most, dres in tests:
+                    res = t - sum(map(mul, row, fixed))
+                    terms.append((res - least * slack, dres - least * dslack))
+                    terms.append((most * slack - res, most * dslack - dres))
+            return _affine_range(terms)
+
+        return span
 
 
 # LP relaxations one call of `ilp_feasible_nonneg` may solve, over all

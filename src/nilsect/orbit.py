@@ -14,11 +14,14 @@ and n . h <= 0 on that h of every log of H (`linsolve.cone_intersect_dim`):
   full dimension, and solvability is equivalent to one relaxed integer
   system on counts and pair coefficients plus parity constraints, solved
   by enumerating residues and checking integer feasibility.  A solution
-  is turned into explicit witness words: the counts are shifted along a
-  positive balancing combination until block orders of the letters hit
-  the corner exactly, a signed area (`wordcraft.realize_corner`); the
-  inflation to the source paper's sufficient realisability bound is the
-  fallback.
+  is turned into explicit witness words: positive letter counts that
+  meet the two superdiagonal equations are walked in nondecreasing
+  length (`linsolve.PointSearch`, under a length cap and a node budget)
+  until block orders of the letters hit the corner exactly, a signed
+  area (`wordcraft.realize_corner`); past the cap or the budget, the
+  counts of the relaxed solution are shifted along a positive balancing
+  combination instead, and the inflation to the source paper's
+  sufficient realisability bound is the fallback that always ends.
 
 Lie-algebra elements are log triples (a, b, gamma), the entries (0,1),
 (1,2) and (0,2) of a 3x3 log.  A bracket [X, Y] is nonzero only in the
@@ -47,9 +50,10 @@ triples, over one column layout: x (K columns), y (M), then one c per
 pair of G letters and one d per pair of H letters.  It branches over
 the parity residues in ints, and its solution is one int tuple over
 those columns (`details["relaxed"]`).  The witness is built from the
-rows of that system: the balancing combination solves on its two
-superdiagonal rows, and the corner search and the inflation fallback
-read its corner row (see `extract_orbit_witness`).  No rational log
+rows of that system: the least-count search and the balancing
+combination solve on its two superdiagonal rows, and the corner tests
+and the inflation fallback read its corner row (see
+`extract_orbit_witness`).  No rational log
 triple is formed anywhere; the easy trace reports n . log S as the
 string "p/q" (`matlie.rational_str`).
 
@@ -73,7 +77,14 @@ from operator import mul
 
 from .errors import BudgetExceeded, UnsupportedInstance
 from .intersect import Decision, Verdict
-from .linsolve import cone_intersect_dim, cross, hnf_solve, ilp_feasible_nonneg, lp_feasible
+from .linsolve import (
+    PointSearch,
+    cone_intersect_dim,
+    cross,
+    hnf_solve,
+    ilp_feasible_nonneg,
+    lp_feasible,
+)
 from .matlie import GeneratorSystem, UnipotentMatrix, product_of_word, rational_str
 from .oracle import bfs_oracle
 from .wordcraft import Word, least_scale, realize_corner, realize_word, total_letters, within_bounds
@@ -82,6 +93,14 @@ DEFAULT_INTERLEAVING_BUDGET = 100_000
 DEFAULT_PARITY_CAP = 16  # residue enumeration is 2^(K+M) branches
 FALLBACK_DEPTH = 8  # default oracle-depth, here and in the CLI
 CORNER_SHIFTS = 1024  # shifts the corner search tries before it inflates
+# Nodes the least-count search of a hard-case witness may visit
+# (`linsolve.PointSearch`).  It bounds the nodes of that search only:
+# past it the witness comes from the corner search or the inflation, so
+# the budget ends in the fallback, never in BudgetExceeded.  The most
+# nodes a witness took were 234 on the NonEmpty `orbit-hard` instances
+# of bench seeds 1, 2, 7 and 11, and 3337 on the F11 draws
+# (`tests/test_orbit.py`); one F13 draw needs 137,509.
+WITNESS_SEARCH_NODES = 20_000
 
 
 class OrbitInstance:
@@ -555,8 +574,9 @@ def decide_hard(units: IntegerLogs, options) -> Decision:
     `details["relaxed"]`.  It is turned into a witness pair by
     `extract_orbit_witness`, and `decide_orbit` checks that.  The trace
     entry records `branches_tried`, the `residues` of that branch, how
-    the witness was made (`witness`: "corner" or "inflated"), its
-    `shift` along the balancing combination and `witness_letters`.
+    the witness was made (`witness`: "least", "corner" or "inflated"),
+    its `shift` along the balancing combination (None for "least"), the
+    `search_nodes` of the least-count search and `witness_letters`.
 
     The system is built once, as integer rows R and right-hand side t
     (`_hard_system`), from `units`, the `IntegerLogs` of the instance
@@ -599,7 +619,7 @@ def decide_hard(units: IntegerLogs, options) -> Decision:
             raise AssertionError("relaxed solution fails its system (defect)")
         if any((v - p) % 2 for v, p in zip(relaxed[K + M :], _parities(relaxed, K, M))):
             raise AssertionError("relaxed solution fails parity (defect)")
-        v, w, how, shift = extract_orbit_witness(units, relaxed)
+        v, w, how, shift, nodes = extract_orbit_witness(units, relaxed)
         return Decision(
             Verdict.NONEMPTY,
             witnesses=(v, w),
@@ -609,6 +629,7 @@ def decide_hard(units: IntegerLogs, options) -> Decision:
                     "residues": residue,
                     "witness": how,
                     "shift": shift,
+                    "search_nodes": nodes,
                     "witness_letters": total_letters((v, w)),
                 }
             ],
@@ -656,7 +677,8 @@ def _sides(vec, K, M):
 
 
 def extract_orbit_witness(units: IntegerLogs, sol):
-    """Witness words for a relaxed hard-case solution, as (v, w, how, shift).
+    """Witness words for a relaxed hard-case solution, as (v, w, how,
+    shift, nodes).
 
     `sol` is one int tuple over the columns of `_hard_system`: x (K), y
     (M), then the c of each pair of `_pairs(K)` and the d of each pair
@@ -664,23 +686,35 @@ def extract_orbit_witness(units: IntegerLogs, sol):
     the instance reduced to T = I: triples in units (D, D, 2 D^2), u the
     integer superdiagonal and g the corner entry of each, omega the
     integer corner of two superdiagonals.  The coefficients are read
-    from the rows of `_hard_system`, never rewritten here.  Both ways
-    shift the counts along the positive balancing combination (X, Y)
-    (`_positive_combination`): l = x + shift X, m = y + shift Y keeps
-    both superdiagonal equations for every integer shift.
+    from the rows of `_hard_system`, never rewritten here.
 
-    * "corner": by the 2-step BCH formula the corner of log(product v)
-      is sum_i l_i g(G_i) + sum_{i<j} delta_ij omega(u_i, u_j), and the
-      second sum is the signed area A(v) of `wordcraft.corner_area`.
-      The corner of log(S product w) adds g(S) and the halved bracket
-      omega(u(S), sum_j m_j u(H_j)).  So a word pair with counts l, m
-      meets the corner equation iff A(v) - A(w) = R with R = t_2 minus
-      the corner row applied to the counts (l, m):
-          R = g(S) + sum_j m_j (g(H_j) + omega(u(S), u(H_j)))
-                - sum_i l_i g(G_i),
-      an integer affine in the shift.  Shifts are tried upward from the
-      least one that makes every count positive, each by
-      `realize_corner`, which hits the area exactly with block orders.
+    By the 2-step BCH formula the corner of log(product v) is
+    sum_i l_i g(G_i) + sum_{i<j} delta_ij omega(u_i, u_j), and the second
+    sum is the signed area A(v) of `wordcraft.corner_area`.  The corner
+    of log(S product w) adds g(S) and the halved bracket
+    omega(u(S), sum_j m_j u(H_j)).  So a word pair with positive counts
+    l, m that meet both superdiagonal equations meets the corner
+    equation iff A(v) - A(w) = R with R = t_2 minus the corner row
+    applied to the counts (l, m):
+        R = g(S) + sum_j m_j (g(H_j) + omega(u(S), u(H_j)))
+              - sum_i l_i g(G_i),
+    and `realize_corner` hits such an area exactly with block orders, or
+    returns None.  The parities of the relaxed system need no handling
+    of their own: the area is exact.  The three ways, in order:
+
+    * "least": the count vectors (l, m) >= 1 that meet the two
+      superdiagonal rows, in nondecreasing letters and lexicographic
+      order within one letter count (`linsolve.PointSearch`), up to the
+      letters of the first shift below and at most WITNESS_SEARCH_NODES
+      nodes; the first at which `realize_corner` succeeds gives the
+      words, with `shift` None.  Every witness of the other two ways has
+      at least that many letters, so this one is never longer.
+    * "corner": past that cap or that budget, the counts are shifted
+      along the positive balancing combination (X, Y)
+      (`_positive_combination`): l = x + shift X, m = y + shift Y keeps
+      both superdiagonal equations for every integer shift.  Shifts are
+      tried upward from the least one that makes every count positive,
+      each by `realize_corner`.
     * "inflated", the fallback, which always ends: pick pair coefficients
       making a strictly positive combined bracket value d (a single +-1
       on the first pair column with a nonzero corner coefficient, so G
@@ -694,6 +728,8 @@ def extract_orbit_witness(units: IntegerLogs, sol):
       word-realization bounds (`within_bounds`).  The least such N is
       taken (`least_scale`) and the two words are realized by
       `realize_word`.
+
+    `nodes` is the number of nodes the "least" search visited.
 
     de and ep in integers: every rational that e clears is n / (2 D^2)
     for an integer n, namely 2 D times a superdiagonal entry in units,
@@ -726,6 +762,28 @@ def extract_orbit_witness(units: IntegerLogs, sol):
     n = K + M
     rows, rhs = _hard_system(units)
     corner = rows[2]
+    vecs = [t[:2] for t in (*g, *h)]
+
+    def words(counts):
+        target = rhs[2] - sum(map(mul, corner, counts))
+        return realize_corner(counts[:K], vecs[:K], counts[K:], vecs[K:], target)
+
+    XY = _positive_combination(rows, n)
+    first = max(-((v - 1) // c) for v, c in zip(sol, XY))
+    search = PointSearch(
+        [row[:n] for row in rows[:2]],
+        rhs[:2],
+        [1] * n,
+        sum(sol[:n]) + first * sum(XY),
+        WITNESS_SEARCH_NODES,
+    )
+    try:
+        for counts in search:
+            found = words(counts)
+            if found is not None:
+                return (*found, "least", None, search.nodes)
+    except BudgetExceeded:
+        pass
 
     # the positive bracket witness: the first pair column, G before H,
     # with a nonzero corner coefficient
@@ -744,7 +802,6 @@ def extract_orbit_witness(units: IntegerLogs, sol):
         *(cross(s, y) for y in h),
         *corner[n:],
     )
-    XY = _positive_combination(rows, n)
     de = 2 * abs(corner[pick]) // q
     ep = sum(map(mul, corner, XY)) // q
 
@@ -760,19 +817,21 @@ def extract_orbit_witness(units: IntegerLogs, sol):
             for counts, delta in _sides(vec, K, M)
         )
 
-    vecs = [t[:2] for t in (*g, *h)]
     n_scale = None
-    first = max(-((v - 1) // c) for v, c in zip(sol, XY))
     for shift in range(first, first + CORNER_SHIFTS):
         if shift > 2 * de:
             n_scale = n_scale or least_scale(bounds_ok, 1)
             if shift > 2 * n_scale * de:
                 break
-        counts = [v + shift * c for v, c in zip(sol, XY)]
-        target = rhs[2] - sum(map(mul, corner, counts))
-        found = realize_corner(counts[:K], vecs[:K], counts[K:], vecs[K:], target)
+        found = words([v + shift * c for v, c in zip(sol, XY)])
         if found is not None:
-            return (*found, "corner", shift)
+            return (*found, "corner", shift, search.nodes)
     n_scale = n_scale or least_scale(bounds_ok, 1)
     (xs, cs), (ys, ds) = _sides(shifted(n_scale), K, M)
-    return realize_word(xs, cs), realize_word(ys, ds), "inflated", 2 * n_scale * de
+    return (
+        realize_word(xs, cs),
+        realize_word(ys, ds),
+        "inflated",
+        2 * n_scale * de,
+        search.nodes,
+    )

@@ -1118,6 +1118,78 @@ def test_ilp_matches_brute_force(rng):
             )
 
 
+def box_points(rows, rhs, lower, cap):
+    """Reference for `PointSearch`: every x with lower <= x, sum(x) <= cap
+    and rows . x = rhs, from the whole box, sorted by (sum, x)."""
+    spare = cap - sum(lower)
+    box = itertools.product(*(range(lo, lo + spare + 1) for lo in lower))
+    return sorted(
+        (
+            x
+            for x in box
+            if sum(x) <= cap
+            and all(sum(a * v for a, v in zip(row, x)) == t for row, t in zip(rows, rhs))
+        ),
+        key=lambda x: (sum(x), x),
+    )
+
+
+def assert_point_search_matches_box(rows, rhs, lower, cap):
+    """The walk yields the box points in their order, and a budget below
+    its node count stops it after exactly that many nodes, the points
+    before the stop a prefix of the whole walk's."""
+    search = linsolve.PointSearch(rows, rhs, lower, cap, 10**6)
+    got = list(search)
+    assert got == box_points(rows, rhs, lower, cap), (rows, rhs, lower, cap)
+    assert all(sum(a) <= sum(b) for a, b in zip(got, got[1:]))
+    total = search.nodes
+    assert list(linsolve.PointSearch(rows, rhs, lower, cap, total)) == got
+    for budget in sorted({0, total // 2, total - 1} - {-1, total}):
+        stopped = linsolve.PointSearch(rows, rhs, lower, cap, budget)
+        before = []
+        with pytest.raises(BudgetExceeded):
+            for x in stopped:
+                before.append(x)
+        assert stopped.nodes == budget
+        assert before == got[: len(before)]
+    return got
+
+
+def random_point_system(rng):
+    """Up to 2 rows over 1..5 columns with entries in -3..3, a right-hand
+    side that some point in -1..4 meets, lower bounds in -1..2 and a cap
+    up to 7 past their sum."""
+    n, m = rng.randint(1, 5), rng.randint(0, 2)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+    seed = [rng.randint(-1, 4) for _ in range(n)]
+    rhs = [sum(a * v for a, v in zip(row, seed)) for row in rows]
+    lower = [rng.randint(-1, 2) for _ in range(n)]
+    return rows, rhs, lower, sum(lower) + rng.randint(-1, 7)
+
+
+def test_point_search_matches_box(rng):
+    found = 0
+    for _ in range(300):
+        found += bool(assert_point_search_matches_box(*random_point_system(rng)))
+    assert found >= 100
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_point_search_matches_box_hypothesis(drawn_rng):
+    assert_point_search_matches_box(*random_point_system(drawn_rng))
+
+
+def test_point_search_checks_its_input():
+    with pytest.raises(TypeError):
+        linsolve.PointSearch([[1, 1]], [2], [0, 0.5], 4, 10)
+    with pytest.raises(ValueError):
+        linsolve.PointSearch([[1, 1, 1]], [2], [0, 0], 4, 10)
+    # no integer point at all, and a cap below the lower bounds
+    assert list(linsolve.PointSearch([[2, 4]], [3], [0, 0], 9, 10)) == []
+    assert list(linsolve.PointSearch([[1, -1]], [0], [1, 1], 1, 10)) == []
+
+
 def test_ilp_search_matches_reference_order(rng):
     # the explicit stack visits the recursive search's nodes in its order,
     # so the same first integer point comes back

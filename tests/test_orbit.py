@@ -1,6 +1,8 @@
 import itertools
+import operator
 import math
 import random
+import statistics
 from fractions import Fraction
 from pathlib import Path
 
@@ -989,12 +991,23 @@ def test_ow_draw_9_is_the_data_file():
     assert (stored.G.mats, stored.H.mats) == (inst.G.mats, inst.H.mats)
 
 
-def test_f11_draw_159_is_the_data_file():
-    # the one file whose golden report pins an inflated hard witness
-    inst = f11_draw(159)
-    stored = load_instance_file(DATA / "f11-draw159.txt").build()
+def assert_f11_data_file(index):
+    inst = f11_draw(index)
+    stored = load_instance_file(DATA / f"f11-draw{index}.txt").build()
     assert (stored.T, stored.S) == (inst.T, inst.S)
     assert (stored.G.mats, stored.H.mats) == (inst.G.mats, inst.H.mats)
+
+
+def test_f11_draw_159_is_the_data_file():
+    # the longest inflated witness of the shift search; its golden
+    # report pins the least-count witness
+    assert_f11_data_file(159)
+
+
+def test_f11_draw_137_is_the_data_file():
+    # the longest corner witness of the shift search; its golden report
+    # pins the least-count witness
+    assert_f11_data_file(137)
 
 
 def test_ow_wide_entry_draws_decide():
@@ -1064,7 +1077,15 @@ def test_orbit_witness_multiplied_once(monkeypatch):
     assert calls == list(d.witnesses)
 
 
-def test_hard_trace_reports_the_witness():
+def least_search_off(monkeypatch):
+    """Give the least-count search of `extract_orbit_witness` a budget of
+    0 nodes, so every witness comes from the shift search or the
+    inflation."""
+    monkeypatch.setattr(orbit_module, "WITNESS_SEARCH_NODES", 0)
+
+
+def test_hard_trace_reports_the_witness(monkeypatch):
+    least_search_off(monkeypatch)
     G = gsys(X, Y)
     d = decide_orbit(orbit(IDENT, h3(0, 0, 1), G, G))
     step = d.trace[0]
@@ -1081,14 +1102,32 @@ def test_hard_trace_reports_the_witness():
     assert parikh(v) + parikh(w) == tuple(x + shift * c for x, c in zip(relaxed, XY))
 
 
+def test_hard_trace_reports_the_least_witness():
+    # the same keys as the shift search's entry; no shift, and the nodes
+    # the least-count search visited
+    G = gsys(X, Y)
+    d = decide_orbit(orbit(IDENT, h3(0, 0, 1), G, G))
+    step = d.trace[0]
+    assert set(step) == {
+        "branches_tried", "residues", "witness", "shift", "search_nodes", "witness_letters"
+    }
+    assert step["witness"] == "least" and step["shift"] is None
+    assert 0 < step["search_nodes"] <= orbit_module.WITNESS_SEARCH_NODES
+    assert step["witness_letters"] == total_letters(d.witnesses) == 4
+
+
 def test_f11_hard_census(monkeypatch):
-    # every hard draw of F11: verdicts, the corner/inflated split, and no
-    # corner witness longer than the inflation it replaces
+    # every hard draw of F11: verdicts, the least/corner/inflated split,
+    # the letters, and no witness longer than the one it replaces
     hard = []
     for index, inst in enumerate(f11_draws()):
         units = _integer_logs(inst.S, inst.G.mats, inst.H.mats)
         if meet_of(units).full:
             hard.append((index, inst))
+    least = {index: decide_orbit(inst) for index, inst in hard}
+    hard_instances = dict(hard)
+    budget = orbit_module.WITNESS_SEARCH_NODES
+    least_search_off(monkeypatch)
     tried = {}  # letters of every count vector the corner search tried
     real = orbit_module.realize_corner
 
@@ -1127,6 +1166,20 @@ def test_f11_hard_census(monkeypatch):
             assert d.witnesses == fallback.witnesses
         else:
             assert step["witness_letters"] == tried[index][-1]
+
+    # the least-count search: same verdicts and relaxed solutions, every
+    # witness from it, none longer than the shift search's
+    for index, d in least.items():
+        assert d.verdict is decisions[index].verdict
+        assert d.details.get("relaxed") == decisions[index].details.get("relaxed")
+    assert all(least[i].trace[0]["witness"] == "least" for i in nonempty)
+    letters = sorted(least[i].trace[0]["witness_letters"] for i in nonempty)
+    assert statistics.median(letters) == 27 and letters[-1] == 405
+    for i in nonempty:
+        step = least[i].trace[0]
+        assert verify_orbit_witness(hard_instances[i], *least[i].witnesses)
+        assert step["witness_letters"] <= decisions[i].trace[0]["witness_letters"]
+        assert step["search_nodes"] < budget
 
 
 def split_relaxed(sol, K, M):
@@ -1228,7 +1281,8 @@ def reference_orbit_witness(s_elem, G, H, sol, corner_shifts=orbit_module.CORNER
 
 def hard_nonempty_cases():
     """(name, instance, decide_hard decision) of the NonEmpty hard draws
-    of F11 (reduced to T = I) and of 40 seeded random hard instances."""
+    of F11 (reduced to T = I) and of 40 seeded random hard instances,
+    decided with the least-count search off (`least_search_off`)."""
     cases = []
     for index, inst in enumerate(f11_draws()):
         reduced = reduce_to_identity(inst)
@@ -1238,10 +1292,12 @@ def hard_nonempty_cases():
     rng = random.Random(89)
     cases += [(f"random-{k}", random_hard_instance(rng)) for k in range(40)]
     out = []
-    for name, inst in cases:
-        d = decide_hard(units_of(inst), inst.options)
-        if d.verdict is Verdict.NONEMPTY:
-            out.append((name, inst, d))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        least_search_off(monkeypatch)
+        for name, inst in cases:
+            d = decide_hard(units_of(inst), inst.options)
+            if d.verdict is Verdict.NONEMPTY:
+                out.append((name, inst, d))
     return out
 
 
@@ -1253,6 +1309,7 @@ def hard_nonempty():
 def test_orbit_witness_matches_fraction_reference(hard_nonempty, monkeypatch):
     # the integer extraction returns the Fraction extraction's (v, w,
     # how, shift), with and without the corner search
+    least_search_off(monkeypatch)
     names = [name for name, _, _ in hard_nonempty]
     assert {"f11-159", "f11-207"} <= set(names)
     assert sum(name.startswith("f11") for name in names) == 56
@@ -1262,7 +1319,7 @@ def test_orbit_witness_matches_fraction_reference(hard_nonempty, monkeypatch):
         relaxed = d.details["relaxed"]
         want, _ = reference_orbit_witness(inst.S, inst.G, inst.H, relaxed)
         units = units_of(inst)
-        got = extract_orbit_witness(units, relaxed)
+        got = extract_orbit_witness(units, relaxed)[:4]
         assert got == want, name
         # the balancing combination X, Y itself, from the integer rows
         X_, Y_ = reference_positive_combination(fraction_logs(inst.G), fraction_logs(inst.H))
@@ -1278,7 +1335,8 @@ def test_orbit_witness_matches_fraction_reference(hard_nonempty, monkeypatch):
         relaxed = d.details["relaxed"]
         want, _ = reference_orbit_witness(inst.S, inst.G, inst.H, relaxed, corner_shifts=0)
         assert want[2] == "inflated"
-        assert extract_orbit_witness(units_of(inst), relaxed) == want, name
+        got = extract_orbit_witness(units_of(inst), relaxed)[:4]
+        assert got == want, name
 
 
 def test_inflation_scale_only_past_twice_de(hard_nonempty, monkeypatch):
@@ -1294,6 +1352,7 @@ def test_inflation_scale_only_past_twice_de(hard_nonempty, monkeypatch):
     def refuse(ok, step):
         raise AssertionError("least_scale called")
 
+    least_search_off(monkeypatch)
     early = late = 0
     for name, inst, d in hard_nonempty:
         relaxed = d.details["relaxed"]
@@ -1308,7 +1367,7 @@ def test_inflation_scale_only_past_twice_de(hard_nonempty, monkeypatch):
             late += 1
             monkeypatch.setattr(orbit_module, "least_scale", counting)
             calls.clear()
-            got = extract_orbit_witness(units_of(inst), relaxed)
+            got = extract_orbit_witness(units_of(inst), relaxed)[:4]
             assert got == (v, w, how, shift), name
             assert len(calls) == 1, name
     assert early >= 30 and late >= 30
@@ -1318,12 +1377,60 @@ def test_hard_witnesses_build_no_fraction(hard_nonempty, monkeypatch):
     # the balancing combination, the corner search and the inflation run
     # on the integer units, and so does the LP: no Fraction is built
     refuse_fractions(monkeypatch)
+    budget = orbit_module.WITNESS_SEARCH_NODES
+    least_search_off(monkeypatch)
     hows = set()
     for name, inst, d in hard_nonempty:
         again = decide_hard(units_of(inst), inst.options)
         assert again.witnesses == d.witnesses, name
         hows.add(again.trace[0]["witness"])
     assert hows == {"corner", "inflated"}
+    # and so does the least-count search
+    monkeypatch.setattr(orbit_module, "WITNESS_SEARCH_NODES", budget)
+    hows = {decide_hard(units_of(inst), inst.options).trace[0]["witness"] for _, inst, _ in hard_nonempty}
+    assert hows == {"least"}
+
+
+def test_least_witness_is_the_least_realisable_count(hard_nonempty):
+    # on the small draws, every positive count vector that meets both
+    # superdiagonal equations with fewer letters, or with as many and
+    # lexicographically earlier, fails `realize_corner`; and no "least"
+    # witness has more letters than the first shift's counts
+    checked = 0
+    for name, inst, d in hard_nonempty:
+        units = units_of(inst)
+        relaxed = d.details["relaxed"]
+        v, w, how, shift, nodes = extract_orbit_witness(units, relaxed)
+        assert how == "least" and shift is None and nodes > 0, name
+        K, n = inst.G.K, inst.G.K + inst.H.K
+        rows, rhs = _hard_system(units)
+        XY = orbit_module._positive_combination(rows, n)
+        first = max(-((x - 1) // c) for x, c in zip(relaxed, XY))
+        counts = parikh(v) + parikh(w)
+        assert sum(counts) <= sum(relaxed[:n]) + first * sum(XY), name
+        if math.comb(sum(counts), n) > 30_000:
+            continue
+        vecs = [t[:2] for t in (*units.g, *units.h)]
+        # the positive vectors by letters, then lexicographically: the
+        # ones of sum total are the gaps between n - 1 cuts of total
+        box = (
+            tuple(b - a for a, b in zip((0, *cuts), (*cuts, total)))
+            for total in range(n, sum(counts) + 1)
+            for cuts in itertools.combinations(range(1, total), n - 1)
+        )
+        for x in box:
+            if any(sum(map(operator.mul, row[:n], x)) != t for row, t in zip(rows[:2], rhs)):
+                continue
+            target = rhs[2] - sum(map(operator.mul, rows[2], x))
+            found = realize_corner(x[:K], vecs[:K], x[K:], vecs[K:], target)
+            if x == counts:
+                assert found == (v, w), name
+                break
+            assert found is None, (name, x)
+        else:
+            raise AssertionError(f"{name}: witness counts not in the box")
+        checked += 1
+    assert checked >= 28
 
 
 def random_hard_instance(rng):
