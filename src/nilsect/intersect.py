@@ -5,7 +5,11 @@ UT(n, Q), decides whether the generated semigroups have a common
 element.  The decision runs a support-refinement loop over an exactly
 represented linear condition space; a nonempty verdict can be upgraded
 to explicit witness words (one per semigroup, all multiplying to the
-same matrix, checked by exact multiplication).
+same matrix, checked by exact multiplication).  When the brackets of the
+support letters span one central direction, the words come from the
+least count vector at which exact central areas are hit; otherwise from
+a point of the condition space scaled into the source paper's
+realisability bound.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, combinations
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 from .matlie import (
     GeneratorSystem,
@@ -25,7 +30,10 @@ from .matlie import (
 from .linsolve import eliminate, support_nonneg
 from .wordcraft import (
     least_scale,
+    least_words,
+    realize_areas,
     realize_word,
+    total_letters,
     within_bounds,
 )
 
@@ -65,9 +73,12 @@ class IntersectionInstance:
     through the logs' support, all their triple products vanish and no
     bracket is taken; the check reads the logs, which the decision needs
     anyway.
+
+    The bracket tables of generator pairs are computed on first use and
+    kept (`bracket`): each support round and the witness read them.
     """
 
-    __slots__ = ("n", "systems", "set_names")
+    __slots__ = ("n", "systems", "set_names", "_brackets")
 
     def __init__(self, systems, set_names=None):
         systems = tuple(systems)
@@ -91,9 +102,22 @@ class IntersectionInstance:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "systems", systems)
         object.__setattr__(self, "set_names", set_names)
+        object.__setattr__(self, "_brackets", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("IntersectionInstance is immutable")
+
+    def bracket(self, m, i, j):
+        """The integer table x_i x_j - x_j x_i of the integer logs of
+        generators i and j of set m (`_integer_bracket`): their bracket
+        times d_i d_j.  Computed once."""
+        key = (m, i, j)
+        if key not in self._brackets:
+            mats = self.systems[m].mats
+            self._brackets[key] = _integer_bracket(
+                mats[i].integer_log()[0], mats[j].integer_log()[0], self.n
+            )
+        return self._brackets[key]
 
     @property
     def M(self) -> int:
@@ -127,9 +151,10 @@ def build_condition_space(inst: IntersectionInstance, supports) -> list:
     across consecutive m.  All equations are homogeneous.
 
     The rows are integers.  Each log is the matrix's cached integer log
-    X_j over D_j, each bracket (X_i X_j - X_j X_i) over D_i D_j, and
-    every column is scaled by one common multiple L of those denominators,
-    so each row is L times its rational row.
+    X_j over D_j, each bracket (X_i X_j - X_j X_i) over D_i D_j
+    (`IntersectionInstance.bracket`), and every column is scaled by one
+    common multiple L of those denominators, so each row is L times its
+    rational row.
     """
     n = inst.n
     starts, pairs = _columns(inst, supports)
@@ -137,8 +162,7 @@ def build_condition_space(inst: IntersectionInstance, supports) -> list:
     # per system, triples (column, integer table, its denominator)
     per_m = [[(starts[m] + j, x, d) for j, (x, d) in enumerate(logs[m])] for m in range(inst.M)]
     for col, (m, i, j) in enumerate(pairs, starts[-1]):
-        (xi, di), (xj, dj) = logs[m][i], logs[m][j]
-        per_m[m].append((col, _integer_bracket(xi, xj, n), di * dj))
+        per_m[m].append((col, inst.bracket(m, i, j), logs[m][i][1] * logs[m][j][1]))
 
     big = lcm(*(d for cols in per_m for _, _, d in cols))
     per_m = [[(col, x, big // d) for col, x, d in cols] for cols in per_m]
@@ -187,6 +211,8 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
     pair columns of the condition space for the counts.
     `extract_witness` evaluates it on the point, so the space is built
     and reduced once per round and never again for the witness.
+    `details["projection"]` keeps that round's projection rows, over the
+    count columns, which the least witness search walks.
     """
     supports = [frozenset(range(sys.K)) for sys in inst.systems]
     trace = []
@@ -235,6 +261,7 @@ def decide_intersection(inst: IntersectionInstance) -> Decision:
             "iterations": rounds,
             "support_point": point,
             "lift": lift,
+            "projection": projected,
         },
     )
 
@@ -271,6 +298,100 @@ def _minimal_even_scale(counts_by_m, deltas_by_m, kmax):
     return least_scale(ok, 2)
 
 
+def _central_form(inst: IntersectionInstance, alphabets):
+    """(omegas, heights, unit) when the brackets [X_i, X_j] of the
+    support letters of each set (`alphabets`, sorted) span at most one
+    direction over all the sets; None when they span more.
+
+    Each log is the matrix's cached integer log x_j over d_j, and each
+    bracket the integer table (x_i x_j - x_j x_i) over d_i d_j
+    (`IntersectionInstance.bracket`).  z is the
+    first nonzero bracket table over the gcd of its entries, and (r, c)
+    its first nonzero position: every bracket table parallel to z is an
+    integer multiple k z, since z is primitive.  With L the lcm of every
+    d_j and d_i d_j, L [X_i, X_j] = omega z for the integer
+    omega = L k / (d_i d_j): `omegas[m][a][b]` for the letters a and b
+    of `alphabets[m]`, counted from 0.  `heights[m][a]` is the
+    (r, c) entry of L X_a, and `unit` that of z.  Without a nonzero
+    bracket every table and height is 0, and unit 1.
+    """
+    z = None
+    found = []  # per set: (logs, [(a, b, k, d_a d_b)])
+    for m, (sys, letters) in enumerate(zip(inst.systems, alphabets)):
+        logs = [sys.mats[j].integer_log() for j in letters]
+        mults = []
+        for (a, (_, da)), (b, (_, db)) in combinations(enumerate(logs), 2):
+            table = inst.bracket(m, letters[a], letters[b])
+            if z is None and any(map(any, table)):
+                g = gcd(*(v for row in table for v in row))
+                z = [[v // g for v in row] for row in table]
+                r, c = next((r, c) for r, row in enumerate(z) for c, v in enumerate(row) if v)
+            k = 0
+            if z is not None:
+                k, rem = divmod(table[r][c], z[r][c])
+                off = (v != k * w for row, zrow in zip(table, z) for v, w in zip(row, zrow))
+                if rem or any(off):
+                    return None
+            mults.append((a, b, k, da * db))
+        found.append((logs, mults))
+    dens = [d for logs, _ in found for _, d in logs]
+    big = lcm(*dens, *(d for _, mults in found for *_, d in mults))
+    omegas, heights = [], []
+    for logs, mults in found:
+        omega = [[0] * len(logs) for _ in logs]
+        for a, b, k, d in mults:
+            w = big // d * k
+            omega[a][b], omega[b][a] = w, -w
+        omegas.append(omega)
+        heights.append([big // d * x[r][c] if z is not None else 0 for x, d in logs])
+    return omegas, heights, z[r][c] if z is not None else 1
+
+
+def _least_witness(inst, projection, alphabets, cap):
+    """(words over the support letters, nodes) from the least count
+    vector whose central targets one exact-area realiser hits; words is
+    None when the brackets span more than one direction (no search runs,
+    nodes 0), or past the cap or the search budget.
+
+    By the 2-step BCH formula, with the tables of `_central_form`,
+    L log(w_m) = sum_j l_j L X_j + 1/2 A_m z for a word w_m over set m,
+    A_m = `wordcraft.word_area`(w_m, omegas[m]).  So words with counts l
+    agree iff, for each two consecutive sets,
+    E_m = sum_j l_mj L X_mj - sum_j l_(m+1)j L X_(m+1)j equals
+    1/2 (A_(m+1) - A_m) z.  On a point l of the projection the pair
+    columns, all along z, cancel E_m, so E_m = e_m z for an integer e_m
+    read at (r, c): e_m = (height of set m - height of set m + 1) / unit,
+    a height being the counts applied to `heights`.  That fixes one area
+    difference A_m - A_(m+1) = -2 e_m per pair of sets and nothing else,
+    and `wordcraft.realize_areas` hits it exactly, with each set's
+    sorted support letters as its base order.
+
+    The count vectors l >= 1 over the support letters, set by set, that
+    meet the decision's projection rows (`projection`, over all the
+    count columns) are
+    walked in nondecreasing letters, lexicographic within one level, up
+    to `cap` letters (`wordcraft.least_words`).
+    """
+    central = _central_form(inst, alphabets)
+    if central is None:
+        return None, 0
+    omegas, heights, unit = central
+    starts, _ = _columns(inst, alphabets)
+    cols = [starts[m] + j for m, letters in enumerate(alphabets) for j in letters]
+    rows = [row for row in ([r[c] for c in cols] for r in projection) if any(row)]
+    ends = [0, *accumulate(len(letters) for letters in alphabets)]
+
+    def realise(x):
+        counts = [list(x[a:b]) for a, b in zip(ends, ends[1:])]
+        level = [sum(map(mul, l, h)) for l, h in zip(counts, heights)]
+        return realize_areas(
+            [(l, omega, list(range(len(l)))) for l, omega in zip(counts, omegas)],
+            [2 * ((b - a) // unit) for a, b in zip(level, level[1:])],
+        )
+
+    return least_words(rows, [0] * len(rows), len(cols), cap, realise)
+
+
 def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
     """Attach verified witness words to a nonempty decision.
 
@@ -279,11 +400,25 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
     exactly on the support letters), which solves for the pair
     columns with no LP, no row reduction and no condition space; the
     numerators of the lift's point (nums, den) are an integer point
-    (l, c) of the condition space.  Then scales that by an even factor N
-    large enough that the word-realization bounds hold, realizes one word
-    per system with counts N*l and delta targets 2*N*c (restricted to the
-    support letters), and checks by plain matrix multiplication that all
-    word products agree, however many letters the words have.
+    (l, c) of the condition space.  The scaled witness multiplies that
+    by the least even factor N for which the word-realization bounds
+    hold (`_minimal_even_scale`), and realizes one word per system with
+    counts N*l and delta targets 2*N*c (restricted to the support
+    letters).
+
+    First, though, when the brackets of the support letters span at most
+    one direction, the least count vector at which exact central areas
+    are hit gives the words (`_least_witness`), up to the letters of the
+    scaled witness, N sum(l), so it is never longer, and within
+    `wordcraft.WITNESS_SEARCH_NODES` search nodes; past either, or at a
+    larger bracket rank, the scaled witness is made.  Either way all
+    word products are checked to agree by plain matrix multiplication,
+    however many letters the words have.
+
+    The result's trace gains one last entry: `witness` ("least" or
+    "scaled"), the `search_nodes` of the least search and
+    `witness_letters`.  `details["scale"]` is N on a scaled witness and
+    absent on a least one.
     """
     if decision.verdict is not Verdict.NONEMPTY:
         raise ValueError("witness extraction requires a nonempty verdict")
@@ -306,12 +441,22 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
         )
 
     N = _minimal_even_scale(counts_by_m, deltas_by_m, kmax)
-    words = []
-    for m, sys in enumerate(inst.systems):
-        letters = sub_alphabets[m]
-        counts = [N * v for v in counts_by_m[m]]
-        deltas = {key: 2 * N * v for key, v in deltas_by_m[m].items()}
-        words.append(realize_word(counts, deltas).relabel(letters, sys.K))
+    words, nodes = _least_witness(
+        inst, decision.details["projection"], sub_alphabets, N * sum(map(sum, counts_by_m))
+    )
+    how = "least"
+    if words is None:
+        how = "scaled"
+        words = [
+            realize_word(
+                [N * v for v in counts_by_m[m]],
+                {key: 2 * N * v for key, v in deltas_by_m[m].items()},
+            )
+            for m in range(inst.M)
+        ]
+    words = [
+        w.relabel(letters, sys.K) for w, letters, sys in zip(words, sub_alphabets, inst.systems)
+    ]
 
     common = _common_product(inst, words)
     if common is None:
@@ -321,10 +466,14 @@ def extract_witness(inst: IntersectionInstance, decision: Decision) -> Decision:
         Verdict.NONEMPTY,
         witnesses=tuple(words),
         common_element=common,
-        trace=decision.trace,
+        trace=[
+            *decision.trace,
+            {"witness": how, "search_nodes": nodes, "witness_letters": total_letters(words)},
+        ],
         details=dict(decision.details),
     )
-    out.details["scale"] = N
+    if how == "scaled":
+        out.details["scale"] = N
     return out
 
 

@@ -16,7 +16,7 @@ and n . h <= 0 on that h of every log of H (`linsolve.cone_intersect_dim`):
   by enumerating residues and checking integer feasibility.  A solution
   is turned into explicit witness words: positive letter counts that
   meet the two superdiagonal equations are walked in nondecreasing
-  length (`linsolve.PointSearch`, under a length cap and a node budget)
+  length (`wordcraft.least_words`, under a length cap and a node budget)
   until block orders of the letters hit the corner exactly, a signed
   area (`wordcraft.realize_corner`); past the cap or the budget, the
   counts of the relaxed solution are shifted along a positive balancing
@@ -78,7 +78,6 @@ from operator import mul
 from .errors import BudgetExceeded, UnsupportedInstance
 from .intersect import Decision, Verdict
 from .linsolve import (
-    PointSearch,
     cone_intersect_dim,
     cross,
     hnf_solve,
@@ -87,20 +86,20 @@ from .linsolve import (
 )
 from .matlie import GeneratorSystem, UnipotentMatrix, product_of_word, rational_str
 from .oracle import bfs_oracle
-from .wordcraft import Word, least_scale, realize_corner, realize_word, total_letters, within_bounds
+from .wordcraft import (
+    Word,
+    least_scale,
+    least_words,
+    realize_corner,
+    realize_word,
+    total_letters,
+    within_bounds,
+)
 
 DEFAULT_INTERLEAVING_BUDGET = 100_000
 DEFAULT_PARITY_CAP = 16  # residue enumeration is 2^(K+M) branches
 FALLBACK_DEPTH = 8  # default oracle-depth, here and in the CLI
 CORNER_SHIFTS = 1024  # shifts the corner search tries before it inflates
-# Nodes the least-count search of a hard-case witness may visit
-# (`linsolve.PointSearch`).  It bounds the nodes of that search only:
-# past it the witness comes from the corner search or the inflation, so
-# the budget ends in the fallback, never in BudgetExceeded.  The most
-# nodes a witness took were 234 on the NonEmpty `orbit-hard` instances
-# of bench seeds 1, 2, 7 and 11, and 3337 on the F11 draws
-# (`tests/test_orbit.py`); one F13 draw needs 137,509.
-WITNESS_SEARCH_NODES = 20_000
 
 
 class OrbitInstance:
@@ -704,9 +703,10 @@ def extract_orbit_witness(units: IntegerLogs, sol):
 
     * "least": the count vectors (l, m) >= 1 that meet the two
       superdiagonal rows, in nondecreasing letters and lexicographic
-      order within one letter count (`linsolve.PointSearch`), up to the
-      letters of the first shift below and at most WITNESS_SEARCH_NODES
-      nodes; the first at which `realize_corner` succeeds gives the
+      order within one letter count (`wordcraft.least_words`), up to the
+      letters of the first shift below and at most
+      `wordcraft.WITNESS_SEARCH_NODES` nodes, the budget that intersection
+      witnesses share; the first at which `realize_corner` succeeds gives the
       words, with `shift` None.  Every witness of the other two ways has
       at least that many letters, so this one is never longer.
     * "corner": past that cap or that budget, the counts are shifted
@@ -770,20 +770,15 @@ def extract_orbit_witness(units: IntegerLogs, sol):
 
     XY = _positive_combination(rows, n)
     first = max(-((v - 1) // c) for v, c in zip(sol, XY))
-    search = PointSearch(
+    found, nodes = least_words(
         [row[:n] for row in rows[:2]],
         rhs[:2],
-        [1] * n,
+        n,
         sum(sol[:n]) + first * sum(XY),
-        WITNESS_SEARCH_NODES,
+        words,
     )
-    try:
-        for counts in search:
-            found = words(counts)
-            if found is not None:
-                return (*found, "least", None, search.nodes)
-    except BudgetExceeded:
-        pass
+    if found is not None:
+        return (*found, "least", None, nodes)
 
     # the positive bracket witness: the first pair column, G before H,
     # with a nonzero corner coefficient
@@ -825,7 +820,7 @@ def extract_orbit_witness(units: IntegerLogs, sol):
                 break
         found = words([v + shift * c for v, c in zip(sol, XY)])
         if found is not None:
-            return (*found, "corner", shift, search.nodes)
+            return (*found, "corner", shift, nodes)
     n_scale = n_scale or least_scale(bounds_ok, 1)
     (xs, cs), (ys, ds) = _sides(shifted(n_scale), K, M)
     return (
@@ -833,5 +828,5 @@ def extract_orbit_witness(units: IntegerLogs, sol):
         realize_word(ys, ds),
         "inflated",
         2 * n_scale * de,
-        search.nodes,
+        nodes,
     )

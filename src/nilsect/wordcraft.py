@@ -10,13 +10,23 @@ A word over an alphabet of size K is a finite sequence of letters
 Words are stored run-length encoded; witness words produced by the
 deciders can have astronomically many letters but only a handful of
 runs, and both statistics and matrix products are computed from runs.
+
+Two realisers build words from these statistics: `realize_word` hits a
+whole delta table once the counts are scaled into the source paper's
+sufficient bound, and `realize_areas` hits one signed area per word
+(sum_{i<j} delta_ij omega[i][j] for an integer table omega), for several
+words tied by their area differences, with block orders of the letters
+and no scaling.  `least_words` walks the count vectors that the deciders
+ask for, least letters first, until an area realiser succeeds.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 
-from .linsolve import angular_order, cross
+from .errors import BudgetExceeded
+from .linsolve import PointSearch, _affine_range, angular_order, cross
 from .matlie import _require_ints
 
 
@@ -291,55 +301,92 @@ def realize_word(counts, delta) -> Word:
     return word
 
 
-# ---- exact corners: one signed area per word, hit by block orders
+# ---- exact areas: one signed area per word, hit by block orders
+
+# Nodes the least-count search of a witness may visit (`least_words`),
+# hard orbit and intersection witnesses alike.  It bounds the nodes of
+# that search only: past it the witness comes from the caller's
+# fallback, never from BudgetExceeded.  The most nodes a hard orbit
+# witness took were 234 on the NonEmpty `orbit-hard` instances of bench
+# seeds 1, 2, 7 and 11, and 3337 on the F11 draws (`tests/test_orbit.py`);
+# one F13 draw needs 137,509.  An intersection witness took at most 196
+# on `intersect-witness` seeds 1, 2, 3 and 11, and 8692 on IW(3, 3).
+WITNESS_SEARCH_NODES = 20_000
 
 
-def corner_area(word: Word, vectors) -> int:
-    """A(word) = sum over positions p < q of omega(u_{w_p}, u_{w_q}), for
-    omega(u, v) = u0 v1 - u1 v0 (`linsolve.cross`).
+def least_words(rows, rhs, n, cap, realise):
+    """(found, nodes): the first of the count vectors x >= 1 over n
+    columns with rows . x = rhs and sum(x) <= cap at which realise(x) is
+    not None, walked in nondecreasing sum(x) and lexicographic order
+    within one sum (`linsolve.PointSearch`), with found = realise(x);
+    and the number of nodes the walk visited.
 
-    Equal to sum_{i<j} delta_ij omega(u_i, u_j): a pair "i then j"
-    counts omega(u_i, u_j), a pair "j then i" its negative, and equal
-    letters count 0.  It is twice the signed area between the path of
-    the steps u_{w_1}, u_{w_2}, ... and its chord.
+    found is None when no vector up to the cap succeeds, or when the
+    walk would pass WITNESS_SEARCH_NODES nodes: the budget ends in the
+    caller's fallback, never in BudgetExceeded.
     """
+    search = PointSearch(rows, rhs, [1] * n, cap, WITNESS_SEARCH_NODES)
+    try:
+        for counts in search:
+            found = realise(counts)
+            if found is not None:
+                return found, search.nodes
+    except BudgetExceeded:
+        pass
+    return None, search.nodes
+
+
+def word_area(word: Word, omega) -> int:
+    """A(word) = sum over positions p < q of omega[w_p][w_q], for an
+    integer table with omega[b][a] = -omega[a][b].
+
+    Equal to sum_{i<j} delta_ij omega[i][j]: a pair "i then j" counts
+    omega[i][j], a pair "j then i" its negative, and equal letters 0.
+    With omega[i][j] = omega(u_i, u_j) = cross(u_i, u_j) for plane
+    vectors u (`linsolve.cross`) it is twice the signed area between the
+    path of the steps u_{w_1}, u_{w_2}, ... and its chord.
+    """
+    return sum(d * omega[i][j] for (i, j), d in delta_table(word).items())
+
+
+def _order_area(counts, omega, order):
+    """The area of the word with every letter's copies together, in
+    `order`."""
     return sum(
-        d * cross(vectors[i], vectors[j]) for (i, j), d in delta_table(word).items()
+        counts[a] * counts[b] * omega[a][b] for q, b in enumerate(order) for a in order[:q]
     )
 
 
-def _block_candidates(counts, vectors):
+def _block_candidates(counts, omega, order):
     """The block-order family of one side, in a fixed order.
 
-    Each entry is (seq, k, base, step, cap): the word with every letter's
-    copies together in the order `seq` has area `base`; interleaving its
+    `counts` are the side's letter counts, `omega` its area table
+    (`word_area`) and `order` a list of its letters.  Each entry is
+    (seq, k, base, step, cap): the word with every letter's copies
+    together in the order `seq` has area `base`; interleaving its
     adjacent blocks k and k + 1, letters a = seq[k] and b = seq[k + 1],
     with s of the l_a l_b pairs put "b before a" gives area
-    base - 2 s step, step = omega(u_a, u_b), for 0 <= s <= cap = l_a l_b.
-    The orders are the K rotations of the angular order, each read
-    forward and reversed; a single letter has one entry with cap 0.
+    base - 2 s step, step = omega[a][b], for 0 <= s <= cap = l_a l_b.
+    The orders are the K rotations of `order`, each read forward and
+    reversed, so a side has at most 2K(K - 1) entries, never K! orders;
+    a single letter has one entry with cap 0.  Reversing an order negates
+    its area.
     """
-    order = angular_order(vectors)
     K = len(order)
-    seqs = []
-    for r in range(K):
-        seq = order[r:] + order[:r]
-        seqs += [seq, seq[::-1]]
+    # moving the first block f of an order to its end turns every pair
+    # "f then b" around, which moves the area by -2 l_f sum_b l_b omega[f][b]
+    pull = {a: sum(counts[b] * omega[a][b] for b in order) for a in order}
+    base = _order_area(counts, omega, order)
     out = []
-    for seq in seqs:
-        base = 0
-        acc = (0, 0)
-        for letter in seq:
-            u = vectors[letter]
-            base += counts[letter] * cross(acc, u)
-            acc = (acc[0] + counts[letter] * u[0], acc[1] + counts[letter] * u[1])
-        if K == 1:
-            out.append((seq, 0, base, 0, 0))
-        for k in range(K - 1):
-            a, b = seq[k], seq[k + 1]
-            out.append(
-                (seq, k, base, cross(vectors[a], vectors[b]), counts[a] * counts[b])
-            )
+    for r in range(K):
+        turned = order[r:] + order[:r]
+        for seq, area in ((turned, base), (turned[::-1], -base)):
+            if K == 1:
+                out.append((seq, 0, area, 0, 0))
+            for k in range(K - 1):
+                a, b = seq[k], seq[k + 1]
+                out.append((seq, k, area, omega[a][b], counts[a] * counts[b]))
+        base -= 2 * counts[order[r]] * pull[order[r]]
     return out
 
 
@@ -356,36 +403,53 @@ def _ext_gcd(a, b):
     return a, p0, q0
 
 
-def _ceil_div(x, m):
-    return -((-x) // m)
+def _chain_link(state, link, entry, bound):
+    """The chain's solutions once one more side's `_block_candidates`
+    entry is chosen, or None when there are none.
 
-
-def _box_solution(a, b, r, cap_a, cap_b):
-    """Least s with (s, s') in [0, cap_a] x [0, cap_b] and a s + b s' = r,
-    as (s, s'); None if there is none."""
-    if a == 0 and b == 0:
-        return (0, 0) if r == 0 else None
-    g, p, q = _ext_gcd(a, b)
-    if r % g:
-        return None
-    # s = s0 + k bb, s' = t0 - k aa over all integers k
-    s0, t0, aa, bb = p * (r // g), q * (r // g), a // g, b // g
-    k_lo, k_hi = None, None
-    for c0, m, hi in ((s0, bb, cap_a), (t0, -aa, cap_b)):
-        if m == 0:
-            if not 0 <= c0 <= hi:
+    A state (alphas, betas, lo, hi) stands for the solutions
+    s_i = alphas[i] + betas[i] j, one per side so far, over the integers
+    j in [lo, hi]; betas[0] >= 1, so a smaller j is a smaller s_0.  The
+    first side (state and link None) starts at s_0 = j, 0 <= j <= cap.
+    A later one is tied to the side before by `link` = (step', r):
+    step' s' - step s = r, s' the last s of the state.  With
+    step' s' = b' + a j that reads step s = b + a j, b = b' - r:
+    * step != 0: step divides b + a j exactly on one class of j modulo
+      |step| / gcd(a, step) (`_ext_gcd`), and j is rewritten as
+      j0 + period i over that class, so every s stays affine in i;
+    * step = 0: s is in no equation, so it takes its least value 0, and
+      b + a j = 0 is a bound on j.
+    Then every bound left, each affine in j (`linsolve._affine_range`):
+    0 <= s <= cap, and the area base - 2 step s within `bound`.
+    """
+    _, _, base, step, cap = entry
+    if state is None:
+        alphas, betas, alpha, beta, terms = [], [], 0, 1, []
+    else:
+        alphas, betas, lo, hi = state
+        prev_step, r = link
+        a = prev_step * betas[-1]
+        b = prev_step * alphas[-1] - r
+        if step:
+            g, p, _ = _ext_gcd(a, step)
+            if b % g:
                 return None
-            continue
-        if m > 0:
-            lo_k, hi_k = _ceil_div(-c0, m), (hi - c0) // m
+            period = abs(step) // g
+            j0 = -b // g * p % period
+            alphas = [x + y * j0 for x, y in zip(alphas, betas)]
+            betas = [y * period for y in betas]
+            alpha, beta = (b + a * j0) // step, a * period // step
+            terms = [(j0 - lo, period), (hi - j0, -period)]
         else:
-            lo_k, hi_k = _ceil_div(hi - c0, m), (-c0) // m
-        k_lo = lo_k if k_lo is None else max(k_lo, lo_k)
-        k_hi = hi_k if k_hi is None else min(k_hi, hi_k)
-    if k_lo > k_hi:
+            alpha = beta = 0
+            terms = [(-lo, 1), (hi, -1), (b, a), (-b, -a)]
+    area, darea = base - 2 * step * alpha, -2 * step * beta
+    low, high = bound
+    terms += [(alpha, beta), (cap - alpha, -beta), (area - low, darea), (high - area, -darea)]
+    span = _affine_range(terms)
+    if span is None:
         return None
-    k = k_lo if bb >= 0 else k_hi  # the least s
-    return s0 + k * bb, t0 - k * aa
+    return alphas + [alpha], betas + [beta], *span
 
 
 def _candidate_word(K, counts, seq, k, s):
@@ -401,63 +465,117 @@ def _candidate_word(K, counts, seq, k, s):
     return Word(K, runs)
 
 
+def realize_areas(sides, targets):
+    """A tuple of words, one per side, with the given letter counts and
+    areas A_m (`word_area`) that meet A_m - A_{m+1} = targets[m] for
+    every two consecutive sides; or None.
+
+    Each side is (counts, omega, order): positive int letter counts, an
+    integer area table and a base order of the side's letters.  The
+    search runs over the block-order family of each side
+    (`_block_candidates`), in product order, side 0 outermost.  In a
+    tuple of entries, entry m with s_m inverted pairs has area
+    base_m - 2 s_m step_m, so the targets are the chain
+
+        step_m s_m - step_{m+1} s_{m+1} = (base_m - base_{m+1} - targets[m]) / 2,
+
+    0 <= s_m <= cap_m, solved side by side (`_chain_link`).  The first
+    tuple with a solution gives the words of its lexicographically least
+    (s_0, s_1, ...), each of at most K + 3 runs; they are recounted
+    before they are returned.
+
+    Letter counts are positive ints (any other type is a TypeError, a
+    count below 1 a ValueError).  Two necessary conditions prune the
+    search, since no word of a family meets what the whole family misses.
+    An adjacent swap of letters i, j moves an area by 2 omega[i][j], so
+    every area of side m is congruent to any of its bases modulo 2 g_m,
+    g_m the gcd of the side's table entries.  Through the chain each side
+    puts A_0 in one class, and the classes must meet: pairwise, modulo
+    the gcd of their moduli (a modulus 0 is an equation), as the
+    generalised Chinese remainder theorem asks.  And every area of an
+    entry lies between base and base - 2 cap step, so the areas of a side
+    lie in the hull of those ends; through the chain the hulls of the
+    other sides bound A_m further, and each entry's range of s_m is cut
+    to that bound as it is chosen.  Along an angular order of plane
+    vectors the hull is [-a, a], a the largest |area| of any word
+    (`realize_corner`).
+    """
+    # A_0 = A_m + (targets before m) lies in one class modulo 2 g_m
+    classes = []
+    shift = 0
+    for m, (counts, omega, order) in enumerate(sides):
+        _require_ints(counts, "a letter count")
+        if min(counts) < 1:
+            raise ValueError("every letter count must be positive")
+        shift += targets[m - 1] if m else 0
+        g = gcd(*(x for row in omega for x in row))
+        classes.append((2 * g, _order_area(counts, omega, order) + shift))
+    for (n1, a1), (n2, a2) in combinations(classes, 2):
+        g = gcd(n1, n2)
+        if (a1 - a2) % g if g else a1 != a2:
+            return None
+    families = [_block_candidates(*side) for side in sides]
+    hulls = []
+    for family in families:
+        ends = [x for _, _, base, step, cap in family for x in (base, base - 2 * cap * step)]
+        hulls.append((min(ends), max(ends)))
+    # bounds[m]: the areas A_m that side m and the sides after it allow
+    bounds = hulls[:]
+    for m in range(len(sides) - 2, -1, -1):
+        low, high = bounds[m + 1]
+        bounds[m] = (
+            max(hulls[m][0], low + targets[m]),
+            min(hulls[m][1], high + targets[m]),
+        )
+        if bounds[m][0] > bounds[m][1]:
+            return None
+
+    def walk(m, state, prev):
+        for entry in families[m]:
+            link = None
+            if m:
+                link = (prev[3], (prev[2] - entry[2] - targets[m - 1]) // 2)
+            after = _chain_link(state, link, entry, bounds[m])
+            if after is None:
+                continue
+            if m + 1 == len(families):
+                return [entry], after
+            found = walk(m + 1, after, entry)
+            if found is not None:
+                return [entry, *found[0]], found[1]
+        return None
+
+    found = walk(0, None, None)
+    if found is None:
+        return None
+    entries, (alphas, betas, lo, _) = found
+    words = []
+    for (counts, _, _), (seq, k, _, _, _), alpha, beta in zip(sides, entries, alphas, betas):
+        words.append(_candidate_word(len(counts), counts, seq, k, alpha + beta * lo))
+    areas = [word_area(w, omega) for w, (_, omega, _) in zip(words, sides)]
+    if any(parikh(w) != tuple(counts) for w, (counts, _, _) in zip(words, sides)) or any(
+        a - b != t for a, b, t in zip(areas, areas[1:], targets)
+    ):
+        raise AssertionError("construction defect: area mismatch")
+    return tuple(words)
+
+
 def realize_corner(v_counts, v_vectors, w_counts, w_vectors, target):
     """Words v and w with the given letter counts and
-    corner_area(v) - corner_area(w) = target, or None.
+    A(v) - A(w) = target, A the area of `word_area` under
+    omega[i][j] = cross(u_i, u_j) for the integer plane vectors u of the
+    side's letters; or None.
 
-    `*_vectors` are integer plane vectors, one per letter, and every count
-    is a positive int (any other type is a TypeError).  The search runs over the block-order family of each
-    side (`_block_candidates`): at most 2K(K - 1) entries for K >= 2, so
-    O(K^2 M^2) pairs and never K! orders.  A pair of entries is one
-    equation step_v s - step_w s' = (base_v - base_w - target) / 2 in the
-    box [0, cap_v] x [0, cap_w], solved by the extended gcd
-    (`_box_solution`).  The first pair in the fixed order that has a
-    solution gives the words, each of at most K + 3 runs; they are
-    recounted before they are returned.
-
-    Two necessary conditions are checked first, since the family meets
-    neither bound nor lattice that no order meets.  Reversing a word
-    negates its area, and the largest area is that of a rotation of the
-    angular order (the convex-polygon argument on the path of steps), so
-    every area of a side lies in [-m, m], m the largest |base|.  An
-    adjacent swap of letters i, j moves the area by 2 omega(u_i, u_j), so
-    every area of a side is congruent to any base modulo 2 g, g the gcd
-    of all omega(u_i, u_j).
+    `realize_areas` on two sides, each in the angular order of its
+    vectors (`linsolve.angular_order`).  Along that order the family
+    reaches the largest area of any word (the convex-polygon argument on
+    the path of steps), and reversing a word negates its area, so a
+    target out of the hulls' reach is out of reach of every word.
     """
-    v_counts, w_counts = list(v_counts), list(w_counts)
-    _require_ints(v_counts + w_counts, "a letter count")
-    if min(v_counts + w_counts) < 1:
-        raise ValueError("every letter count must be positive")
-    v_cands = _block_candidates(v_counts, v_vectors)
-    w_cands = _block_candidates(w_counts, w_vectors)
-    reach = max(abs(c[2]) for c in v_cands) + max(abs(c[2]) for c in w_cands)
-    if abs(target) > reach:
-        return None
-    lattice = 2 * gcd(
-        *(
-            cross(u, u2)
-            for vectors in (v_vectors, w_vectors)
-            for i, u in enumerate(vectors)
-            for u2 in vectors[i + 1 :]
-        )
+    return realize_areas(
+        [
+            (counts, [[cross(u, u2) for u2 in vectors] for u in vectors], angular_order(vectors))
+            for counts, vectors in ((v_counts, v_vectors), (w_counts, w_vectors))
+        ],
+        [target],
     )
-    offset = v_cands[0][2] - w_cands[0][2] - target
-    if lattice and offset % lattice or not lattice and offset:
-        return None
-    for seq_v, k_v, base_v, step_v, cap_v in v_cands:
-        for seq_w, k_w, base_w, step_w, cap_w in w_cands:
-            found = _box_solution(
-                step_v, -step_w, (base_v - base_w - target) // 2, cap_v, cap_w
-            )
-            if found is None:
-                continue
-            v = _candidate_word(len(v_counts), v_counts, seq_v, k_v, found[0])
-            w = _candidate_word(len(w_counts), w_counts, seq_w, k_w, found[1])
-            if (
-                parikh(v) != tuple(v_counts)
-                or parikh(w) != tuple(w_counts)
-                or corner_area(v, v_vectors) - corner_area(w, w_vectors) != target
-            ):
-                raise AssertionError("construction defect: corner mismatch")
-            return v, w
-    return None

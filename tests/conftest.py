@@ -13,6 +13,7 @@ from nilsect import (
     intersect,
     linsolve,
     orbit,
+    wordcraft,
 )
 
 
@@ -291,6 +292,13 @@ def verify_orbit_witness(inst, v, w) -> bool:
     `orbit._common_element`: the plain multiplication against the original
     T and S that checks every NonEmpty orbit verdict."""
     return orbit._common_element(inst, v, w) is not None
+
+
+def least_search_off(monkeypatch):
+    """Give the least-count search of every witness (`wordcraft.least_words`)
+    a budget of 0 nodes: hard orbit witnesses come from the shift search
+    or the inflation, intersection witnesses from the scaled point."""
+    monkeypatch.setattr(wordcraft, "WITNESS_SEARCH_NODES", 0)
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from nilsect import (
 )
 from nilsect.cli import EXIT_INTERNAL_ERROR, EXIT_NONEMPTY, SCHEMA, main, run
 
-from conftest import entry, verify_orbit_witness, verify_witness
+from conftest import entry, least_search_off, verify_orbit_witness, verify_witness
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -395,7 +395,8 @@ def test_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "input error" not in err
 
 
-def test_witness_longer_than_index_sized_exits_nonempty(capsys):
+def test_witness_longer_than_index_sized_exits_nonempty(capsys, monkeypatch):
+    least_search_off(monkeypatch)
     path = Path(__file__).resolve().parent / "data" / "h5q-k6-long-witness.txt"
     assert main(["witness", str(path)]) == EXIT_NONEMPTY
     out, err = capsys.readouterr()

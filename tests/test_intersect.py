@@ -30,6 +30,7 @@ from conftest import (
     fractions_of,
     from_rows,
     h3,
+    least_search_off,
     random_h3_system,
     random_unipotent,
     ref_bracket,
@@ -210,8 +211,10 @@ def test_single_set_instance():
     assert d.verdict is Verdict.NONEMPTY
 
 
-def test_witness_past_index_sized_length():
-    # the words total more than 2^63 - 1 letters, where len() overflows
+def test_witness_past_index_sized_length(monkeypatch):
+    # the words total more than 2^63 - 1 letters, where len() overflows;
+    # a scaled witness, which the least search (off here) falls back to
+    least_search_off(monkeypatch)
     path = Path(__file__).resolve().parent / "data" / "h5q-k6-long-witness.txt"
     inst = load_instance_file(path).build()
     d = decide_intersection(inst)
@@ -296,9 +299,10 @@ def test_lift_lies_in_condition_space(rng):
     assert empty > 5
 
 
-def test_lift_matches_reference_solve(rng):
-    # the integer point (l, c) behind every witness is the one the
+def test_lift_matches_reference_solve(rng, monkeypatch):
+    # the integer point (l, c) behind every scaled witness is the one the
     # reference solve gives, on both seeded families
+    least_search_off(monkeypatch)
     witnessed = 0
     instances = list(_lift_instances(rng)) + _space_instances(rng)
     for inst in instances:
@@ -641,6 +645,7 @@ def _reference_decide(inst):
         "iterations": rounds,
         "support_point": point,
         "lift": lift,
+        "projection": projected,
     }
     return Decision(verdict, trace=trace, details=details)
 
@@ -717,15 +722,20 @@ def test_sample_lp_counts(monkeypatch, name, verdict, rounds, lps, reference_rou
     assert _reference_decide(inst).details["iterations"] == reference_rounds
 
 
-def test_commutator_sample_point_scale_and_runs():
+def test_commutator_sample_point_scale_and_runs(monkeypatch):
     # pinned: the support point of the projection, the witness scale and
-    # the witness runs of samples/commutator.txt, which a change of the
-    # phase-1 simplex's choices (its costs or its pivot rule) would move
+    # the scaled witness runs of samples/commutator.txt, which a change of
+    # the phase-1 simplex's choices (its costs or its pivot rule) would move
+    least_search_off(monkeypatch)
     inst = load_instance_file(SAMPLES / "commutator.txt").build()
     d = decide_intersection(inst)
     assert d.details["support_point"] == (1, 1, 1, 1, 1)
     w = extract_witness(inst, d)
     assert w.details["scale"] == 1156
+    assert w.trace == [
+        *d.trace,
+        {"witness": "scaled", "search_nodes": 0, "witness_letters": total_letters(w.witnesses)},
+    ]
     assert [word.runs for word in w.witnesses] == [
         (
             (0, 4), (1, 4), (2, 4), (3, 4), (0, 192), (1, 192), (0, 191),
@@ -737,6 +747,48 @@ def test_commutator_sample_point_scale_and_runs():
         ),
         ((0, 1156),),
     ]
+
+
+def test_commutator_sample_least_witness():
+    # pinned: x y x^-1 y^-1 = z, the least witness of samples/commutator.txt
+    inst = load_instance_file(SAMPLES / "commutator.txt").build()
+    w = extract_witness(inst, decide_intersection(inst))
+    assert [word.runs for word in w.witnesses] == [
+        ((0, 1), (1, 1), (2, 1), (3, 1)),
+        ((0, 1),),
+    ]
+    assert w.trace[-1] == {"witness": "least", "search_nodes": 3, "witness_letters": 5}
+    assert "scale" not in w.details
+
+
+def test_bracket_rank_two_keeps_the_scaled_witness():
+    # [A, B] and [A, C] lie in the two different centres of H3(Q) x H3(Q),
+    # so no single central area fixes a word: no search runs
+    I = h3(0, 0, 0)
+    A, B, C = direct_sum([X, X]), direct_sum([Y, I]), direct_sum([I, Y])
+    inst = IntersectionInstance([GeneratorSystem([A, B, C]), GeneratorSystem([A * B * C])])
+    d = extract_witness(inst, decide_intersection(inst))
+    assert verify_witness(inst, d.witnesses)
+    assert d.trace[-1]["witness"] == "scaled" and d.trace[-1]["search_nodes"] == 0
+    assert type(d.details["scale"]) is int
+
+
+def test_iw_census_least_witnesses(monkeypatch):
+    # all 100 draws of IW(3, 3): every witness multiplies out, at least 99
+    # come from the least search, and none has more letters than the
+    # scaled witness of the same draw
+    least = 0
+    for index, (inst, _, _) in enumerate(iw_draws(3, 3)):
+        d = decide_intersection(inst)
+        w = extract_witness(inst, d)
+        assert verify_witness(inst, w.witnesses), index
+        least += w.trace[-1]["witness"] == "least"
+        with monkeypatch.context() as patch:
+            least_search_off(patch)
+            scaled = extract_witness(inst, d)
+        assert scaled.trace[-1]["witness"] == "scaled", index
+        assert total_letters(w.witnesses) <= total_letters(scaled.witnesses), index
+    assert least >= 99
 
 
 def test_iw_wide_entry_draws_have_witnesses():

@@ -31,7 +31,7 @@ from nilsect import (
     Word,
 )
 
-from nilsect import orbit as orbit_module
+from nilsect import orbit as orbit_module, wordcraft
 from nilsect.linsolve import cone_intersect_dim, cross, hnf_solve, lp_feasible
 from nilsect.wordcraft import realize_corner, realize_word, total_letters
 from nilsect.orbit import (
@@ -49,6 +49,7 @@ from conftest import (
     common_denominator,
     entry,
     fractions_of,
+    least_search_off,
     refuse_fractions,
     rows_of,
     h3,
@@ -1077,13 +1078,6 @@ def test_orbit_witness_multiplied_once(monkeypatch):
     assert calls == list(d.witnesses)
 
 
-def least_search_off(monkeypatch):
-    """Give the least-count search of `extract_orbit_witness` a budget of
-    0 nodes, so every witness comes from the shift search or the
-    inflation."""
-    monkeypatch.setattr(orbit_module, "WITNESS_SEARCH_NODES", 0)
-
-
 def test_hard_trace_reports_the_witness(monkeypatch):
     least_search_off(monkeypatch)
     G = gsys(X, Y)
@@ -1112,7 +1106,7 @@ def test_hard_trace_reports_the_least_witness():
         "branches_tried", "residues", "witness", "shift", "search_nodes", "witness_letters"
     }
     assert step["witness"] == "least" and step["shift"] is None
-    assert 0 < step["search_nodes"] <= orbit_module.WITNESS_SEARCH_NODES
+    assert 0 < step["search_nodes"] <= wordcraft.WITNESS_SEARCH_NODES
     assert step["witness_letters"] == total_letters(d.witnesses) == 4
 
 
@@ -1126,7 +1120,7 @@ def test_f11_hard_census(monkeypatch):
             hard.append((index, inst))
     least = {index: decide_orbit(inst) for index, inst in hard}
     hard_instances = dict(hard)
-    budget = orbit_module.WITNESS_SEARCH_NODES
+    budget = wordcraft.WITNESS_SEARCH_NODES
     least_search_off(monkeypatch)
     tried = {}  # letters of every count vector the corner search tried
     real = orbit_module.realize_corner
@@ -1377,7 +1371,7 @@ def test_hard_witnesses_build_no_fraction(hard_nonempty, monkeypatch):
     # the balancing combination, the corner search and the inflation run
     # on the integer units, and so does the LP: no Fraction is built
     refuse_fractions(monkeypatch)
-    budget = orbit_module.WITNESS_SEARCH_NODES
+    budget = wordcraft.WITNESS_SEARCH_NODES
     least_search_off(monkeypatch)
     hows = set()
     for name, inst, d in hard_nonempty:
@@ -1386,7 +1380,7 @@ def test_hard_witnesses_build_no_fraction(hard_nonempty, monkeypatch):
         hows.add(again.trace[0]["witness"])
     assert hows == {"corner", "inflated"}
     # and so does the least-count search
-    monkeypatch.setattr(orbit_module, "WITNESS_SEARCH_NODES", budget)
+    monkeypatch.setattr(wordcraft, "WITNESS_SEARCH_NODES", budget)
     hows = {decide_hard(units_of(inst), inst.options).trace[0]["witness"] for _, inst, _ in hard_nonempty}
     assert hows == {"least"}
 

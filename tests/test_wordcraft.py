@@ -10,13 +10,16 @@ from nilsect import Word, delta_table, parikh, realize_word, two_letter_permutat
 from nilsect.intersect import _minimal_even_scale
 from nilsect.wordcraft import (
     _block_candidates,
+    _candidate_word,
     check_realizable,
-    corner_area,
     least_scale,
+    realize_areas,
     realize_corner,
     total_letters,
     within_bounds,
+    word_area,
 )
+from nilsect.linsolve import angular_order, cross
 
 from conftest import reversed_word, word_letters
 
@@ -470,12 +473,23 @@ def all_orders(counts):
     return set(itertools.permutations(letters))
 
 
+def cross_table(vectors):
+    """The area table omega[i][j] = cross(u_i, u_j) of plane vectors."""
+    return [[cross(u, v) for v in vectors] for u in vectors]
+
+
+def angular_family(counts, vectors):
+    """The block-order family of `realize_corner`: the angular order of
+    the vectors, areas under their cross products."""
+    return _block_candidates(counts, cross_table(vectors), angular_order(vectors))
+
+
 def family_areas(counts, vectors):
     """Areas of every word of the block-order family, recounted letter by
     letter: each entry's blocks with its adjacent pair interleaved in
     every possible way."""
     areas = set()
-    for seq, k, _, _, _ in _block_candidates(counts, vectors):
+    for seq, k, _, _, _ in angular_family(counts, vectors):
         if len(seq) == 1:
             areas.add(0)
             continue
@@ -494,7 +508,7 @@ def test_corner_area_matches_definition(rng):
         vectors = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(K)]
         letters = [rng.randrange(K) for _ in range(rng.randint(0, 12))]
         word = Word.from_letters(K, letters)
-        assert corner_area(word, vectors) == brute_area(letters, vectors)
+        assert word_area(word, cross_table(vectors)) == brute_area(letters, vectors)
 
 
 def check_corner_against_brute_force(rng):
@@ -512,7 +526,7 @@ def check_corner_against_brute_force(rng):
         areas = {brute_area(w, vectors) for w in all_orders(counts)}
         # the largest area is a rotation of the angular order, and every
         # area lies in one class modulo twice the gcd of the brackets
-        bases = [c[2] for c in _block_candidates(counts, vectors)]
+        bases = [c[2] for c in angular_family(counts, vectors)]
         assert max(areas) == max(map(abs, bases)) == -min(areas)
         k = len(counts)
         g = 2 * math.gcd(*(brute_area([i, j], vectors) for j in range(k) for i in range(j)))
@@ -543,6 +557,100 @@ def test_realize_corner_matches_brute_force(rng):
 @given(st.randoms(use_true_random=False))
 def test_realize_corner_matches_brute_force_hypothesis(drawn_rng):
     check_corner_against_brute_force(drawn_rng)
+
+
+def random_side(rng, kmax):
+    """(counts, omega, order): 1 to kmax letters, counts 1 or 2, an
+    antisymmetric area table with entries in -2..2 (zero steps included)
+    and a shuffled base order."""
+    K = rng.randint(1, kmax)
+    counts = [rng.randint(1, 2) for _ in range(K)]
+    omega = [[0] * K for _ in range(K)]
+    for i, j in itertools.combinations(range(K), 2):
+        omega[i][j] = rng.randint(-2, 2)
+        omega[j][i] = -omega[i][j]
+    order = list(range(K))
+    rng.shuffle(order)
+    return counts, omega, order
+
+
+def brute_chain(sides, targets):
+    """The words of the first tuple of family entries, in product order,
+    at which some s meets the chain, at the lexicographically least such
+    s: every tuple and every s in the boxes tried in turn."""
+    families = [_block_candidates(*side) for side in sides]
+    for entries in itertools.product(*families):
+        for s in itertools.product(*(range(cap + 1) for *_, cap in entries)):
+            areas = [base - 2 * x * step for (_, _, base, step, _), x in zip(entries, s)]
+            if all(a - b == t for a, b, t in zip(areas, areas[1:], targets)):
+                return [
+                    _candidate_word(len(counts), counts, seq, k, x)
+                    for (counts, _, _), (seq, k, *_), x in zip(sides, entries, s)
+                ]
+    return None
+
+
+def letters_area(letters, omega):
+    """sum over positions p < q of omega[w_p][w_q], from the definition."""
+    return sum(omega[a][b] for a, b in itertools.combinations(letters, 2))
+
+
+def check_areas_against_brute_force(rng):
+    """realize_areas on M = 2 or 3 random sides against `brute_chain`;
+    True when the targets had a solution."""
+    M = rng.randint(2, 3)
+    sides = [random_side(rng, 3 if M == 2 else 2) for _ in range(M)]
+    if rng.random() < 0.5:
+        # the areas of one family word per side: a solvable chain
+        areas = []
+        for side in sides:
+            seq, _, base, step, cap = rng.choice(_block_candidates(*side))
+            areas.append(base - 2 * rng.randint(0, cap) * step)
+        targets = [a - b for a, b in zip(areas, areas[1:])]
+    else:
+        targets = [rng.randint(-8, 8) for _ in range(M - 1)]
+    found = realize_areas(sides, targets)
+    want = brute_chain(sides, targets)
+    if want is None:
+        assert found is None, (sides, targets)
+        return False
+    assert found is not None, (sides, targets)
+    assert [w.runs for w in found] == [w.runs for w in want], (sides, targets)
+    areas = [letters_area(word_letters(w), omega) for w, (_, omega, _) in zip(found, sides)]
+    assert [a - b for a, b in zip(areas, areas[1:])] == targets
+    assert [parikh(w) for w in found] == [tuple(counts) for counts, _, _ in sides]
+    return True
+
+
+def test_realize_areas_matches_brute_force(rng):
+    solved = [check_areas_against_brute_force(rng) for _ in range(150)]
+    assert 40 < sum(solved) < 150
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_realize_areas_matches_brute_force_hypothesis(drawn_rng):
+    check_areas_against_brute_force(drawn_rng)
+
+
+def test_realize_areas_examples():
+    # one letter a side: every area is 0, so only a zero target is met
+    one = ([3], [[0]], [0])
+    assert realize_areas([one, one, one], [0, 0]) == (Word(1, [(0, 3)]),) * 3
+    assert realize_areas([one, one], [2]) is None
+    # x y against a single letter, then against x y again: the least s
+    # of each side in turn
+    xy = ([1, 1], [[0, 1], [-1, 0]], [0, 1])
+    v, w = realize_areas([xy, one], [1])
+    assert word_letters(v) == [0, 1]
+    v, w, u = realize_areas([xy, one, xy], [-1, 1])
+    assert (word_letters(v), word_letters(u)) == ([1, 0], [1, 0])
+    # a zero step: the free side takes s = 0
+    flat = ([2, 1], [[0, 0], [0, 0]], [0, 1])
+    v, w = realize_areas([xy, flat], [1])
+    assert w.runs == ((0, 2), (1, 1))
+    with pytest.raises(ValueError):
+        realize_areas([xy, ([0, 1], xy[1], xy[2])], [0])
 
 
 def test_realize_corner_examples():
