@@ -37,7 +37,6 @@ from .linsolve import (
     IntegerSolutionSet,
     hnf_solve,
     ilp_feasible_nonneg,
-    ConeMeet,
     cone_intersect_dim,
 )
 from .numfield import (
@@ -68,6 +67,6 @@ from .instances import (
     load_instance_file,
     parse_instance_text,
 )
-from .errors import UnsupportedInstance, BudgetExceeded, MemoryBudgetExceeded
+from .errors import BudgetExceeded, MemoryBudgetExceeded
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ scripting ground truth:
 
     0  decided Empty (or: oracle found nothing)
     1  decided NonEmpty (or: oracle found a collision)
-    2  Unsupported instance or a work/memory budget fired
+    2  a work or memory budget fired
     3  input error (an instance file that cannot be read, is not UTF-8
        text, does not parse or does not validate, a bad --budget or
        --depth: like an option value, each is an INT >= 1 of the
@@ -31,7 +31,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, UnsupportedInstance
+from .errors import BudgetExceeded
 from .instances import (
     InstanceFile,
     ValidationError,
@@ -45,15 +45,15 @@ from .intersect import (
     extract_witness,
 )
 from .matlie import rational_str
-from .oracle import bfs_oracle
-from .orbit import FALLBACK_DEPTH, OrbitInstance, decide_orbit
+from .oracle import DEFAULT_DEPTH, bfs_oracle
+from .orbit import OrbitInstance, decide_orbit
 from .wordcraft import Word
 
 SCHEMA = "decide-report/1"
 
 EXIT_EMPTY = 0
 EXIT_NONEMPTY = 1
-EXIT_UNSUPPORTED = 2
+EXIT_BUDGET = 2
 EXIT_INPUT_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
 
@@ -155,7 +155,7 @@ def run(command: str, inst_file: InstanceFile, *, trace=False, depth=None,
     built = inst_file.build()
 
     if command == "oracle":
-        d = depth if depth is not None else options.get("oracle_depth", FALLBACK_DEPTH)
+        d = depth if depth is not None else options.get("oracle_depth", DEFAULT_DEPTH)
         found = bfs_oracle(built, d, memory_budget=options.get("memory_budget"))
         report = ResultReport("oracle", "collision" if found else "none")
         if found:
@@ -192,7 +192,7 @@ def run(command: str, inst_file: InstanceFile, *, trace=False, depth=None,
     if trace:
         report.trace = _jsonable_trace(decision.trace)
     if check_oracle:
-        d = options.get("oracle_depth", FALLBACK_DEPTH)
+        d = options.get("oracle_depth", DEFAULT_DEPTH)
         found = bfs_oracle(built, d, memory_budget=options.get("memory_budget"))
         # a missing collision at bounded depth contradicts no verdict
         agree = found is None or decision.verdict is Verdict.NONEMPTY
@@ -207,8 +207,8 @@ def run(command: str, inst_file: InstanceFile, *, trace=False, depth=None,
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors exit EXIT_INPUT_ERROR:
-    argparse's own 2 is EXIT_UNSUPPORTED here.  Subcommand parsers are
-    made of the same class."""
+    argparse's own 2 is EXIT_BUDGET here, a work or memory budget that
+    fired.  Subcommand parsers are made of the same class."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -278,12 +278,9 @@ def main(argv=None) -> int:
         )
     except ValidationError as exc:
         return _input_error(exc)
-    except UnsupportedInstance as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+        return EXIT_BUDGET
     except Exception:
         # a defect must not exit with a verdict's code
         traceback.print_exc(file=sys.stderr)

@@ -1,14 +1,6 @@
 """Shared exception types for the decision procedures."""
 
 
-class UnsupportedInstance(Exception):
-    """The instance falls outside what the implemented procedure covers.
-
-    Raised instead of guessing; the message carries a diagnostic and the
-    breadth-first oracle remains available as a semi-decision.
-    """
-
-
 class BudgetExceeded(Exception):
     """A configured work cap fired before the run could finish."""
 

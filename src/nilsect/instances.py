@@ -29,7 +29,7 @@ element, semigroup or option is given twice; there is exactly one problem.
 Each option bounds some work by its value:
 
     oracle-depth       longest word the breadth-first oracle enumerates
-                       (the easy case's fallback, `oracle`, --check-oracle)
+                       (`oracle`, --check-oracle)
     interleave-budget  pairs of off-line orderings the easy case
                        enumerates; every pair counts, also one that
                        fails the functional balance and is skipped

@@ -40,10 +40,10 @@ Contents:
   depth-first branch-and-bound over the exact LP relaxation per call,
   capped at ILP_NODE_CAP relaxations per call;
 * finitely generated cones in Q^2, each given as the list of its
-  int-pair generators: whether two meet with full dimension, and a
-  separating functional, both from the feasible rays of the one polar
-  cone of functionals nonnegative on one side and nonpositive on the
-  other; on the exact plane forms `cross` and `angular_order` that word
+  int-pair generators: the functional the easy orbit case runs on, or
+  none for the hard case, from the feasible rays of the one polar cone
+  of functionals nonnegative on one side and nonpositive on the other;
+  on the exact plane forms `cross` and `angular_order` that word
   realisation shares.
 
 Everything operates on immutable inputs and returns fresh values.  The
@@ -807,15 +807,6 @@ def ilp_feasible_nonneg(A, b, nonzero_groups=()):
 # Cones in Q^2
 
 
-@dataclass(frozen=True)
-class ConeMeet:
-    """Outcome of intersecting two plane cones: whether they meet with
-    full dimension, and a separating functional when one exists."""
-
-    full: bool
-    separating_functional: tuple | None
-
-
 def _primitive(v):
     """Primitive integer vector in the direction of the int pair v, or
     None for zero."""
@@ -852,9 +843,9 @@ def angular_order(vectors):
     return sorted(range(len(vectors)), key=functools.cmp_to_key(compare))
 
 
-def cone_intersect_dim(g, h) -> ConeMeet:
-    """Whether the cones generated by the int pairs g and h meet with
-    full dimension, plus a separating functional, both read off one
+def cone_intersect_dim(g, h):
+    """The functional the easy orbit case runs on for the cones generated
+    by the int pairs g and h, or None for the hard case; read off one
     polar cone.
 
     Only directions matter, so a rational cone comes in as its
@@ -867,17 +858,6 @@ def cone_intersect_dim(g, h) -> ConeMeet:
     ones among those candidates (each c's two quarter turns, then c,
     first occurrences kept) generate P exactly, with no search.
 
-    * No feasible ray, P = {0}: no functional separates, and the cones
-      meet with full dimension iff each side spans the plane (`full`).
-      The relative interior of a finitely generated cone is the set of
-      its strictly positive combinations, and by Stiemke's alternative
-      strictly positive X, Y with sum X_i g_i = sum Y_j h_j exist iff no
-      n in P is nonzero on some c.  So for P = {0} the relative
-      interiors meet; if both are open (rank 2 on each side) they meet
-      in an open set, and if one side has rank <= 1 the meet lies in
-      its line.  Conversely, a meet of full dimension has a point
-      interior to both cones, so every n in P vanishes on every c, and
-      n = 0 when a side spans the plane.
     * P != {0}: any nonzero n in P separates, so the meet lies in the
       line n . x = 0.  The functional is the first ray when all rays are
       collinear (P a ray or a line); otherwise, in `angular_order`, the
@@ -885,24 +865,33 @@ def cone_intersect_dim(g, h) -> ConeMeet:
       (P a wedge), and failing that the first ray of the gap of exactly
       pi (P a half-plane).  P is never the plane, since n = -c fails
       n . c >= 0 for a nonzero c, so one such gap exists.
-    * No nonzero generator on either side: the functional is the
-      conventional (1, 0).
+    * No nonzero generator on either side: the conventional (1, 0).
+    * No feasible ray, P = {0}: no nonzero functional separates.  By
+      Stiemke's alternative, strictly positive X, Y with
+      sum X_i g_i = sum Y_j h_j exist iff no n in P is nonzero on some
+      c, so here they exist, whatever the ranks of the sides.  The
+      result is None when some side has two generators with a nonzero
+      `cross` (the hard case: its balancing combination is such X, Y,
+      and its inflation needs that one nonzero corner bracket), and the
+      zero functional (0, 0) otherwise: then the generators of each side
+      are collinear, every one lies on ker (0, 0), and no two of one side
+      bracket to anything but zero.
     """
     _require_ints(itertools.chain(*g, *h), "a cone generator")
     signed = [*g, *((-a, -b) for a, b in h)]
     constraints = [p for p in map(_primitive, signed) if p is not None]
     if not constraints:
-        return ConeMeet(False, (1, 0))
+        return (1, 0)
     candidates = dict.fromkeys(r for a, b in constraints for r in ((-b, a), (b, -a), (a, b)))
     rays = [r for r in candidates if all(r[0] * c[0] + r[1] * c[1] >= 0 for c in constraints)]
     if not rays:
-        spans = [any(cross(u, v) for u, v in itertools.combinations(side, 2)) for side in (g, h)]
-        return ConeMeet(all(spans), None)
+        spans = any(cross(u, v) for side in (g, h) for u, v in itertools.combinations(side, 2))
+        return None if spans else (0, 0)
     if all(cross(rays[0], r) == 0 for r in rays):
-        return ConeMeet(False, rays[0])
+        return rays[0]
     order = [rays[i] for i in angular_order(rays)]
     gaps = list(zip(order, order[1:] + order[:1]))
     for a, b in gaps:
         if cross(a, b) < 0:
-            return ConeMeet(False, min(a, b))
-    return ConeMeet(False, next(a for a, b in gaps if cross(a, b) == 0))
+            return min(a, b)
+    return next(a for a, b in gaps if cross(a, b) == 0)

@@ -6,8 +6,8 @@ are equal iff the products are, and reports the first collision in
 length-lexicographic order.  Every input matrix (a generator, or an
 orbit instance's T or S) is a `UnipotentMatrix`, read as its pair, and
 the collision is handed back as the `UnipotentMatrix` of its pair.  Used
-to cross-check the deciders and as a semi-decision fallback; shares no
-code path with them beyond plain matrix multiplication.
+to cross-check the deciders; shares no code path with them beyond plain
+matrix multiplication.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from .errors import MemoryBudgetExceeded
 from .matlie import UnipotentMatrix, _reduce, mul_upper_rows
 from .wordcraft import Word
 
+DEFAULT_DEPTH = 8  # `decide oracle` and --check-oracle without oracle-depth
 DEFAULT_MEMORY_BUDGET = 2_000_000
 
 

@@ -4,24 +4,28 @@ Decides whether T<G> and S<H> meet, for finite generator sets G, H and
 translations T, S, all 3x3 unipotent rational matrices.  After reducing
 to T = I, the case split is on one plane cone: the polar cone P of the
 functionals n with n . g >= 0 on the superdiagonal g of every log of G
-and n . h <= 0 on that h of every log of H (`linsolve.cone_intersect_dim`):
+and n . h <= 0 on that h of every log of H (`linsolve.cone_intersect_dim`).
+The two cases cover every instance:
 
 * P != {0} ("easy"): a nonzero n in P separates the two superdiagonal
   cones and bounds how many off-line letters a witness can use; the
   remaining search is a finite family of linear Diophantine systems
-  over nonnegative integers.
-* P = {0} and both sides span the plane ("hard"): the cones meet with
-  full dimension, and solvability is equivalent to one relaxed integer
-  system on counts and pair coefficients plus parity constraints, solved
-  by enumerating residues and checking integer feasibility.  A solution
-  is turned into explicit witness words: positive letter counts that
-  meet the two superdiagonal equations are walked in nondecreasing
-  length (`wordcraft.least_words`, under a length cap and a node budget)
-  until block orders of the letters hit the corner exactly, a signed
-  area (`wordcraft.realize_corner`); past the cap or the budget, the
-  counts of the relaxed solution are shifted along a positive balancing
-  combination instead, and the inflation to the source paper's
-  sufficient realisability bound is the fallback that always ends.
+  over nonnegative integers.  P = {0} while the superdiagonals of each
+  side are collinear runs the same search with n = (0, 0): no letter is
+  off-line, and one system decides.
+* P = {0} and some nonzero bracket, two letters of one side with
+  non-collinear superdiagonals ("hard"): solvability is equivalent to
+  one relaxed integer system on counts and pair coefficients plus parity
+  constraints, solved by enumerating residues and checking integer
+  feasibility.  A solution is turned into explicit witness words:
+  positive letter counts that meet the two superdiagonal equations are
+  walked in nondecreasing length (`wordcraft.least_words`, under a
+  length cap and a node budget) until block orders of the letters hit
+  the corner exactly, a signed area (`wordcraft.realize_corner`); past
+  the cap or the budget, the counts of the relaxed solution are shifted
+  along a positive balancing combination instead, and the inflation to
+  the source paper's sufficient realisability bound is the fallback
+  that always ends.
 
 Lie-algebra elements are log triples (a, b, gamma), the entries (0,1),
 (1,2) and (0,2) of a 3x3 log.  A bracket [X, Y] is nonzero only in the
@@ -57,15 +61,11 @@ and the inflation fallback read its corner row (see
 triple is formed anywhere; the easy trace reports n . log S as the
 string "p/q" (`matlie.rational_str`).
 
-`decide_orbit` builds the `IntegerLogs` and the cone meet once and
-dispatches on them; `decide_hard` and `extract_orbit_witness` read only
-the `IntegerLogs`, and `decide_easy` those and the meet's separating
-functional.  Nonempty verdicts always come with a witness pair that
-`decide_orbit` verifies.  The remainder, P = {0} while one side's
-superdiagonals span at most a line (e.g. a full plane cone against a ray
-inside it), is outside the supported procedure; `decide_orbit` then
-tries the breadth-first oracle as a semi-decision (`_easy_fallback`),
-and the run reports Unsupported when it finds nothing.
+`decide_orbit` builds the `IntegerLogs` and the easy case's functional
+once and dispatches on them; `decide_hard` and `extract_orbit_witness`
+read only the `IntegerLogs`, and `decide_easy` those and the functional.
+Nonempty verdicts always come with a witness pair that `decide_orbit`
+verifies.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from operator import mul
 
-from .errors import BudgetExceeded, UnsupportedInstance
+from .errors import BudgetExceeded
 from .intersect import Decision, Verdict
 from .linsolve import (
     cone_intersect_dim,
@@ -85,7 +85,6 @@ from .linsolve import (
     lp_feasible,
 )
 from .matlie import GeneratorSystem, UnipotentMatrix, product_of_word, rational_str
-from .oracle import bfs_oracle
 from .wordcraft import (
     Word,
     least_scale,
@@ -98,7 +97,6 @@ from .wordcraft import (
 
 DEFAULT_INTERLEAVING_BUDGET = 100_000
 DEFAULT_PARITY_CAP = 16  # residue enumeration is 2^(K+M) branches
-FALLBACK_DEPTH = 8  # default oracle-depth, here and in the CLI
 CORNER_SHIFTS = 1024  # shifts the corner search tries before it inflates
 
 
@@ -182,28 +180,26 @@ def _integer_logs(s: UnipotentMatrix, g_mats, h_mats) -> IntegerLogs:
 def decide_orbit(inst: OrbitInstance) -> Decision:
     """Dispatch on the polar cone P of the two superdiagonal cones.
 
-    Reduces to T = I, builds the two superdiagonal cones, and runs the
-    hard case when they meet with full dimension (P = {0} and both sides
-    span the plane), the easy case when P holds a separating functional,
-    and otherwise (P = {0}, some side of rank <= 1) the breadth-first
-    fallback.  The cones are the int pairs of the integer superdiagonals
-    of `_integer_logs`, read straight off the integer tables: scaling every
+    Reduces to T = I, builds the two superdiagonal cones, and reads one
+    value off them (`cone_intersect_dim`): None, for P = {0} and some
+    nonzero bracket, runs the hard case; a functional, nonzero in P or
+    (0, 0) for P = {0} with collinear sides, runs the easy case.  Each
+    case decides every instance it is given (see `decide_easy` and
+    `decide_hard`), so every run ends in a verdict or a budget.  The
+    cones are the int pairs of the integer superdiagonals of
+    `_integer_logs`, read straight off the integer tables: scaling every
     generator by the same D > 0 moves no direction, so P and the
     functional are those of the rational cones.  Nonempty verdicts
     carry a witness pair (v over G, w over H), and this is the one place
     it is checked, by `_common_element`.  The common element reported is
     T * product(v).
     """
-    reduced = reduce_to_identity(inst)
-    units = _integer_logs(reduced.S, inst.G.mats, inst.H.mats)
-    meet = cone_intersect_dim([x[:2] for x in units.g], [x[:2] for x in units.h])
-
-    if meet.full:
+    units = _integer_logs(reduce_to_identity(inst).S, inst.G.mats, inst.H.mats)
+    functional = cone_intersect_dim([x[:2] for x in units.g], [x[:2] for x in units.h])
+    if functional is None:
         decision = decide_hard(units, inst.options)
-    elif meet.separating_functional is None:
-        decision = _easy_fallback(reduced)
     else:
-        decision = decide_easy(units, meet.separating_functional, inst.options)
+        decision = decide_easy(units, functional, inst.options)
 
     if decision.verdict is Verdict.NONEMPTY:
         common = _common_element(inst, *decision.witnesses)
@@ -255,12 +251,20 @@ def _interleavings(letters, caps, length):
 
 
 def decide_easy(units: IntegerLogs, functional, options) -> Decision:
-    """Finite Diophantine search along a separating functional: a
-    nonzero n in the polar cone P (an int pair), so the cones meet in at
-    most a line.
+    """Finite Diophantine search along a functional n of the polar cone
+    P, an int pair (`cone_intersect_dim`).
 
-    A separating functional n (nonnegative on the G directions,
-    nonpositive on the H directions) bounds the number of off-line
+    Precondition: within each side, the letters on ker n (the on-line
+    letters) bracket to zero.  For n != 0 this always holds, as ker n is
+    a line; n separates, so the cones meet in at most that line.  For
+    n = (0, 0), returned for P = {0}, it is the condition that the
+    superdiagonals of each side are collinear: every letter is on-line,
+    the only ordering pair is ((), ()), and since the letters of one
+    side commute, their counts alone fix its product, so that one system
+    decides.  `_side_coefficients` is exact under the precondition.
+
+    A functional n (nonnegative on the G directions, nonpositive on the
+    H directions) bounds the number of off-line
     letters in any witness pair; all their orderings are enumerated and
     each yields one linear system over nonnegative integers in the
     on-line letter counts.  For a fixed ordering the log of each side is
@@ -287,15 +291,13 @@ def decide_easy(units: IntegerLogs, functional, options) -> Decision:
     `_solve_interleaving` turns each ordering's integer rows into exactly
     the rows the rational system clears to, whatever D is.
 
-    Without a separating functional (P = {0}) the bounding argument has
-    no footing: `decide_orbit` runs `decide_hard` when both sides span
-    the plane, and `_easy_fallback` otherwise.  A nonempty witness
-    pair is not checked here; `decide_orbit` checks it.
+    Where the precondition fails for every n in P, that is P = {0} and
+    some side has a nonzero bracket, `cone_intersect_dim` returns None
+    and `decide_orbit` runs `decide_hard`.  A nonempty witness pair is
+    not checked here; `decide_orbit` checks it.
     """
     if functional is None:
-        raise ValueError(
-            "easy case requires a separating functional (a nonzero polar cone)"
-        )
+        raise ValueError("easy case requires a functional; None marks the hard case")
     budget = options.get("interleave_budget", DEFAULT_INTERLEAVING_BUDGET)
 
     n0, n1 = functional
@@ -397,10 +399,10 @@ def _side_coefficients(triples, interleaving, on_line, prefix):
 
     with P the sum of the prefix and the off-line letters before the gap
     and A the sum of those after it.  This is exact at every point, not
-    only at zero: the on-line superdiagonals are collinear (all lie on
-    the kernel of the separating functional), so on-line letters bracket
-    to zero with each other and the change does not depend on the other
-    on-line counts.  Columns are ordered by gap, then by `on_line`.
+    only at zero: the on-line superdiagonals of one side are collinear
+    (they lie on the line ker n, or, for n = (0, 0), by the precondition
+    of `decide_easy`), so on-line letters bracket to zero with each other
+    and the change does not depend on the other on-line counts.  Columns are ordered by gap, then by `on_line`.
 
     `triples` and `prefix` are integer triples in units (D, D, 2 D^2)
     (`IntegerLogs`), and so are the base and the columns: a halved
@@ -485,30 +487,6 @@ def _solve_interleaving(units, g0, h0, cs, ds, g_coefs, h_coefs):
     return v, w
 
 
-def _easy_fallback(reduced: OrbitInstance) -> Decision:
-    """Semi-decision by enumeration on the instance reduced to T = I, for
-    the one configuration neither case covers: the polar cone P is {0}
-    (no separating functional) while some side's superdiagonals span at
-    most a line (so the cones do not meet with full dimension)."""
-    options = reduced.options
-    depth = options.get("oracle_depth", FALLBACK_DEPTH)
-    found = bfs_oracle(reduced, depth, memory_budget=options.get("memory_budget"))
-    if found is not None:
-        v, w = found.words
-        return Decision(
-            Verdict.NONEMPTY,
-            witnesses=(v, w),
-            trace=[{"fallback_depth": depth}],
-            details={"case": "fallback"},
-        )
-    raise UnsupportedInstance(
-        "no separating functional exists for the cone pair while one side "
-        "spans at most a line, and the "
-        f"enumeration fallback found no witness up to length {depth}; "
-        "the emptiness question is undecided for this configuration"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Hard case: cones meeting with full dimension
 
@@ -560,11 +538,26 @@ def _parities(vec, K, M):
 
 
 def decide_hard(units: IntegerLogs, options) -> Decision:
-    """Relaxed-system decision when the cones meet with full dimension.
+    """Relaxed-system decision when P = {0} and some side has a nonzero
+    bracket (two letters whose superdiagonals are not collinear).
 
     Solvability is equivalent to integer x, y, c, d satisfying the two
     superdiagonal equations, the corner equation, and the parities
-    c_ij == x_i x_j, d_ij == y_i y_j (mod 2).  Residues of (x, y) are
+    c_ij == x_i x_j, d_ij == y_i y_j (mod 2).
+
+    * Necessary, for any cones (so an Empty verdict is sound): a word
+      pair (v, w) with product(v) = S product(w) gives x, y its letter
+      counts and c, d its delta tables (`wordcraft.delta_table`), which
+      meet the three equations by the 2-step BCH formula; and
+      delta_ij == l_i l_j (mod 2), since the ordered occurrences of
+      letters i and j number l_i l_j in all.
+    * Sufficient under the two conditions (so a solution always gives a
+      witness, see `extract_orbit_witness`): P = {0} gives a strictly
+      positive balancing combination (`_positive_combination`), and the
+      nonzero bracket gives a pair column with a nonzero corner
+      coefficient, which the inflation moves.
+
+    Residues of (x, y) are
     enumerated (2^(K+M) branches, lowest branch wins); they determine the
     pair parities (`_parities`), and each branch is a pure integer linear
     system.  A feasible branch's solution is one int tuple over the
@@ -648,9 +641,10 @@ def _positive_combination(rows, n):
     (`IntegerLogs`, units of D).  `n` = K + M is the number of count
     columns, and the result is one list over them.
 
-    Exists whenever the polar cone P is {0} (Stiemke's alternative, see
-    `linsolve.cone_intersect_dim`), so in the hard case; found as one
-    homogeneous LP with all variables >= 1.  Its
+    Exists whenever the polar cone P is {0}, whatever the ranks of the
+    sides (Stiemke's alternative, see `linsolve.cone_intersect_dim`), so
+    in the hard case; found as one homogeneous LP with all variables
+    >= 1.  Its
     rows are D times the rows over the rational superdiagonals, right-hand
     side 0 included, so by the scaling lemma of `lp_feasible` the point,
     and X, Y, are those of the rational LP.  X, Y are the numerators of
@@ -718,14 +712,18 @@ def extract_orbit_witness(units: IntegerLogs, sol):
     * "inflated", the fallback, which always ends: pick pair coefficients
       making a strictly positive combined bracket value d (a single +-1
       on the first pair column with a nonzero corner coefficient, so G
-      before H; one exists since in the hard case both sides span the
-      plane); let e clear the denominators of the rational logs, halved
-      brackets and d; shift the solution by 2 N de (X, Y) and the chosen
-      pair column by -4 N ep times the sign of its corner coefficient,
-      p the corner the balancing combination adds.  The shifts preserve
-      the three equations and all parities, and for N large enough every
-      count is positive and the pair targets fall inside the
-      word-realization bounds (`within_bounds`).  The least such N is
+      before H; one exists since in the hard case some side has two
+      letters with a nonzero bracket, and the corner coefficient of a
+      pair column is +-omega of its pair); let e clear the denominators
+      of the rational logs, halved brackets and d; shift the solution by
+      2 N de (X, Y) and the chosen pair column by -4 N ep times the sign
+      of its corner coefficient, p the corner the balancing combination
+      adds.  The shifts preserve the three equations and all parities.
+      The counts grow as N times the strictly positive (X, Y), their
+      pairwise products as N^2, and only the chosen pair target moves,
+      as N; so for N large enough every count is positive and the pair
+      targets fall inside the word-realization bounds
+      (`within_bounds`).  The least such N is
       taken (`least_scale`) and the two words are realized by
       `realize_word`.
 
@@ -784,9 +782,7 @@ def extract_orbit_witness(units: IntegerLogs, sol):
     # with a nonzero corner coefficient
     pick = next((i for i in range(n, len(corner)) if corner[i]), None)
     if pick is None:
-        raise AssertionError(
-            "no nonzero corner bracket despite a full-dimensional meet (defect)"
-        )
+        raise AssertionError("no nonzero corner bracket in the hard case (defect)")
     sign = 1 if corner[pick] > 0 else -1
 
     two_d = 2 * units.den

@@ -317,7 +317,7 @@ def test_main_exit_codes(tmp_path):
 
 
 def test_usage_errors_exit_as_input_errors(capsys):
-    # argparse's own usage exit is 2, which means Unsupported here
+    # argparse's own usage exit is 2, which means a budget fired here
     orbit_file = str(SAMPLES / "orbit-central.txt")
     for argv in (
         [],

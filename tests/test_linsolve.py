@@ -1328,17 +1328,13 @@ def test_ilp_finds_point_past_a_diving_branch(A, b, point):
 
 
 def test_cone_examples():
-    m = cone_intersect_dim([(1, 0)], [(0, 1)])
-    assert not m.full
-    n = m.separating_functional
-    assert n is not None and n[0] >= 0 and n[1] <= 0
+    n = cone_intersect_dim([(1, 0)], [(0, 1)])
+    assert n is not None and n != (0, 0) and n[0] >= 0 and n[1] <= 0
 
-    m = cone_intersect_dim([(1, 0), (0, 1)], [(1, 0), (0, 1)])
-    assert m.full and m.separating_functional is None
+    assert cone_intersect_dim([(1, 0), (0, 1)], [(1, 0), (0, 1)]) is None
 
-    m = cone_intersect_dim([(1, 1), (1, -1)], [(1, 1), (-1, 1)])
-    assert not m.full
-    n = m.separating_functional
+    n = cone_intersect_dim([(1, 1), (1, -1)], [(1, 1), (-1, 1)])
+    assert n is not None and n != (0, 0)
     for g in [(1, 1), (1, -1)]:
         assert n[0] * g[0] + n[1] * g[1] >= 0
     for h in [(1, 1), (-1, 1)]:
@@ -1356,14 +1352,19 @@ def test_cross_and_angular_order_examples():
 
 
 def test_cone_degenerate_convention():
-    m = cone_intersect_dim([(0, 0)], [])
-    assert not m.full and m.separating_functional == (1, 0)
+    assert cone_intersect_dim([(0, 0)], []) == (1, 0)
 
 
 def test_cone_no_functional_configuration():
+    # P = {0}, no nonzero functional: the hard case (None) as soon as
+    # one side has a nonzero bracket, also the plane against a ray
+    # inside it; the zero functional when each side's generators are
+    # collinear
     plane = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    m = cone_intersect_dim(plane, [(1, 1)])
-    assert not m.full and m.separating_functional is None
+    assert cone_intersect_dim(plane, [(1, 1)]) is None
+    assert cone_intersect_dim([(1, 1)], plane) is None
+    assert cone_intersect_dim([(1, 0), (-1, 0)], [(0, 2), (0, -1), (0, 0)]) == (0, 0)
+    assert cone_intersect_dim([(2, 1), (-2, -1)], [(1, 1), (-3, -3)]) == (0, 0)
 
 
 def test_cone_scaling_invariance(rng):
@@ -1372,9 +1373,7 @@ def test_cone_scaling_invariance(rng):
         g2 = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 3))]
         base = cone_intersect_dim(g1, g2)
         scale = rng.randint(1, 5)
-        scaled = cone_intersect_dim([(scale * a, scale * b) for a, b in g1], g2)
-        assert base.full == scaled.full
-        assert base.separating_functional == scaled.separating_functional
+        assert cone_intersect_dim([(scale * a, scale * b) for a, b in g1], g2) == base
 
 
 def reference_cone_form(generators):
@@ -1407,19 +1406,21 @@ def reference_cone_form(generators):
 
 
 def reference_cone_meet(g, h):
-    """(full, separating functional) of the int-pair cones g and h by
-    classifying the polar cone P = {n : n . c >= 0} over c in g and -h.
+    """The functional of the int-pair cones g and h, or None for the hard
+    case, by classifying the polar cone P = {n : n . c >= 0} over c in g
+    and -h.
 
     P is generated by its feasible candidates among the boundary
     directions of the constraints and the constraint normals, so the
     form classifier names it; its functional is the direction of a ray
     or line, the lesser ray of a wedge, or the boundary direction of a
-    half-plane.
+    half-plane.  For P = {0} it is None when one side has a nonzero
+    bracket, else (0, 0).
     """
     signed = [*g, *((-a, -b) for a, b in h)]
     constraints = [p for p in map(linsolve._primitive, signed) if p is not None]
     if not constraints:
-        return False, (1, 0)
+        return (1, 0)
     candidates = [r for a, b in constraints for r in ((-b, a), (b, -a), (a, b))]
     form = reference_cone_form(
         [r for r in candidates if all(r[0] * c[0] + r[1] * c[1] >= 0 for c in constraints)]
@@ -1429,13 +1430,20 @@ def reference_cone_meet(g, h):
             any(linsolve.cross(u, v) for u, v in itertools.combinations(side, 2))
             for side in (g, h)
         ]
-        return all(spans), None
+        return None if any(spans) else (0, 0)
     if form[0] in ("ray", "line"):
-        return False, form[1]
+        return form[1]
     if form[0] == "wedge":
-        return False, min(form[1], form[2])
+        return min(form[1], form[2])
     assert form[0] == "halfplane", form  # P never holds the plane
-    return False, (-form[1][1], form[1][0])
+    return (-form[1][1], form[1][0])
+
+
+def cone_case(functional):
+    """Which orbit case a `cone_intersect_dim` value selects."""
+    if functional is None:
+        return "hard"
+    return "zero" if functional == (0, 0) else "separating"
 
 
 def test_cone_meet_matches_reference_form_classifier():
@@ -1455,12 +1463,15 @@ def test_cone_meet_matches_reference_form_classifier():
                 for _ in range(2)
             )
             meet = cone_intersect_dim(g, h)
-            assert (meet.full, meet.separating_functional) == reference_cone_meet(g, h), (g, h)
-            kinds[bound, meet.full, meet.separating_functional is None] += 1
+            assert meet == reference_cone_meet(g, h), (g, h)
+            kinds[bound, cone_case(meet)] += 1
             kinds["empty side"] += not g or not h
             kinds["zero generator"] += (0, 0) in g + h
-    assert {k for k in kinds if k[0] == 3} == {(3, True, True), (3, False, True), (3, False, False)}
-    assert (1000, False, False) in kinds and (1000, True, True) in kinds
+    # two collinear sides with a zero polar cone, the zero functional,
+    # take two opposite directions a side and are not drawn here; the
+    # tests below draw them
+    assert {k for k in kinds if k[0] == 3} == {(3, "hard"), (3, "separating")}
+    assert (1000, "separating") in kinds and (1000, "hard") in kinds
     assert kinds["empty side"] > 1000 and kinds["zero generator"] > 1000
 
 
@@ -1500,7 +1511,7 @@ def _generators_of_form(rng, kind):
 
 def test_cone_takes_int_generators_only():
     rng = random.Random(73)
-    assert cone_intersect_dim([(2, -4), (0, 0)], []).separating_functional == (2, 1)
+    assert cone_intersect_dim([(2, -4), (0, 0)], []) == (2, 1)
     for bad in ((Fraction(1, 2), 3), (1, Fraction(2)), (1.0, 0), (True, 1)):
         for g, h in (([(1, 0), bad], [(0, 1)]), ([(1, 0)], [(0, 1), bad])):
             with pytest.raises(TypeError, match="is not an int"):
@@ -1510,21 +1521,22 @@ def test_cone_takes_int_generators_only():
         for kind1, kind2 in itertools.product(CONE_FORMS, repeat=2):
             g1 = _generators_of_form(rng, kind1)
             g2 = _generators_of_form(rng, kind2)
-            meet = cone_intersect_dim(g1, g2)
-            vec = meet.separating_functional
+            vec = cone_intersect_dim(g1, g2)
             assert vec is None or all(type(x) is int for x in vec)
-            seen.add((kind1, kind2, meet.full))
+            seen.add((kind1, kind2, cone_case(vec)))
     assert {kind for kind, _, _ in seen} == set(CONE_FORMS)
-    assert {full for _, _, full in seen} == {False, True}
+    assert {case for _, _, case in seen} == {"hard", "zero", "separating"}
 
 
 def test_cone_meet_matches_independent_reference():
-    # full: both sides of rank 2 (by elimination) and a strictly positive
-    # balancing combination (the LP of orbit._positive_combination); the
-    # functional: None exactly when no nonzero n in the box -3..3
-    # separates, else a nonzero int pair that separates.  The polar
-    # cone's extreme rays are perpendicular to generators with entries
-    # in -3..3, so the box holds a separating n whenever one exists.
+    # None (the hard case): some side of rank 2 (by elimination) and a
+    # strictly positive balancing combination (the LP of
+    # orbit._positive_combination), which for a side of rank 2 holds iff
+    # P = {0}; (0, 0) exactly when no nonzero n in the box -3..3
+    # separates and the case is not hard; else a nonzero int pair that
+    # separates.  The polar cone's extreme rays are perpendicular to
+    # generators with entries in -3..3, so the box holds a separating n
+    # whenever one exists.
     rng = random.Random(29)
     box = [n for n in itertools.product(range(-3, 4), repeat=2) if n != (0, 0)]
 
@@ -1542,20 +1554,20 @@ def test_cone_meet_matches_independent_reference():
             [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
             for _ in range(2)
         )
-        meet = cone_intersect_dim(g, h)
+        n = cone_intersect_dim(g, h)
         rows = [[x[c] for x in g] + [-y[c] for y in h] for c in range(2)]
-        want_full = (
-            rank(g) == 2
-            and rank(h) == 2
+        want_hard = (
+            (rank(g) == 2 or rank(h) == 2)
             and lp_feasible(rows, [0, 0], [1] * (len(g) + len(h))) is not None
         )
-        assert meet.full == want_full, (g, h)
-        n = meet.separating_functional
-        if n is not None:
-            assert not meet.full
-            assert all(type(x) is int for x in n) and n != (0, 0), (g, h)
-            assert separates(n, g, h), (g, h)
-        assert (n is None) == (not any(separates(m, g, h) for m in box)), (g, h)
-        kinds[meet.full, n is None] += 1
-    # every outcome occurs: full, the fallback remainder, and a functional
-    assert set(kinds) == {(True, True), (False, True), (False, False)}
+        separable = any(separates(m, g, h) for m in box)
+        assert (n is None) == want_hard, (g, h)
+        if n is None:
+            assert not separable, (g, h)
+        else:
+            assert all(type(x) is int for x in n) and separates(n, g, h), (g, h)
+            assert (n == (0, 0)) == (not separable), (g, h)
+        kinds[cone_case(n)] += 1
+    # every outcome occurs: the hard case (also with one side of rank
+    # <= 1), the zero functional and a separating one
+    assert set(kinds) == {"hard", "zero", "separating"}

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import operator
 import math
@@ -16,7 +17,6 @@ from nilsect import (
     IntersectionInstance,
     OrbitInstance,
     UnipotentMatrix,
-    UnsupportedInstance,
     Verdict,
     bfs_oracle,
     decide_easy,
@@ -80,8 +80,9 @@ def units_of(inst):
 
 
 def meet_of(units):
-    """The cone meet `decide_orbit` reads off `units`: the superdiagonal
-    int pairs of each side, as `cone_intersect_dim` takes them."""
+    """The value `decide_orbit` reads off `units`, the easy case's
+    functional or None for the hard case: `cone_intersect_dim` of the
+    superdiagonal int pairs of each side."""
     return cone_intersect_dim([x[:2] for x in units.g], [x[:2] for x in units.h])
 
 
@@ -231,7 +232,7 @@ def test_easy_trace_reports_ns_as_its_fraction_string():
         inst = orbit(inst.T, inst.S, inst.G, inst.H, interleave_budget=2000)
         try:
             d = decide_orbit(inst)
-        except (BudgetExceeded, UnsupportedInstance):
+        except BudgetExceeded:
             continue
         if d.details["case"] != "easy":
             continue
@@ -673,13 +674,13 @@ def random_easy_instance(rng):
 def easy_search(inst):
     """The easy case's search for `inst`, rebuilt with no skip: its
     `IntegerLogs`, the on-line letters g0 and h0, the values of the
-    off-line letters under the separating functional, n . log S in units
+    off-line letters under the functional, n . log S in units
     of D, and every ordering pair within the caps, in the order
     `decide_easy` enumerates them."""
     units = _integer_logs(
         reduce_to_identity(inst).S, inst.G.mats, inst.H.mats
     )
-    n0, n1 = meet_of(units).separating_functional
+    n0, n1 = meet_of(units)
     ns = n0 * units.s[0] + n1 * units.s[1]
 
     def split(triples, sign):
@@ -837,7 +838,7 @@ def test_common_denominator_once_per_decide_easy(monkeypatch):
     for _ in range(20):
         inst = random_easy_instance(rng)
         units = units_of(inst)
-        functional = meet_of(units).separating_functional
+        functional = meet_of(units)
         for run, converts in (
             (lambda: decide_easy(units, functional, inst.options), 0),
             (lambda: decide_orbit(inst), 1),
@@ -881,7 +882,7 @@ def assert_skip_matches_reference(inst):
             assert _solve_interleaving(units, g0, h0, cs, ds, {}, {}) is None
 
     def decided():
-        d = decide_easy(units, meet_of(units).separating_functional, inst.options)
+        d = decide_easy(units, meet_of(units), inst.options)
         tried = d.trace[0]["pairs_tried"]
         assert d.trace[0]["systems_solved"] == skips[:tried].count(False)
         return (d.witnesses if d.verdict is Verdict.NONEMPTY else None), tried
@@ -984,6 +985,46 @@ def iw_draws(P, Q, count=100):
         yield IntersectionInstance([G, GeneratorSystem(H + [C])]), w1, p
 
 
+def e99_draws(count=400):
+    """The degenerate-letter family E99, as orbit instances:
+    random.Random(99); each draw takes K, M in 1..3, then the K letters
+    of G and the M of H, then G gains G[0]'s inverse if rng.random() <
+    0.3, then H gains H[0]'s inverse under the same test, then T and S
+    are drawn as letters.  A letter takes r = rng.random(): below 0.15
+    the identity, below 0.3 a central h3(0, 0, c) with c =
+    Fraction(randint(-2, 2), randint(1, 2)), below 0.45 h3(randint(-2,
+    2), 0, 0), below 0.6 h3(0, randint(-2, 2), 0), and otherwise h3(a,
+    b, c), each entry Fraction(randint(-2, 2), randint(1, 2)), drawn in
+    the order a, b, c."""
+    rng = random.Random(99)
+
+    def entry_2():
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+
+    def letter():
+        r = rng.random()
+        if r < 0.15:
+            return h3(0, 0, 0)
+        if r < 0.3:
+            return h3(0, 0, entry_2())
+        if r < 0.45:
+            return h3(rng.randint(-2, 2), 0, 0)
+        if r < 0.6:
+            return h3(0, rng.randint(-2, 2), 0)
+        return h3(*(entry_2() for _ in range(3)))
+
+    for _ in range(count):
+        K, M = rng.randint(1, 3), rng.randint(1, 3)
+        G = [letter() for _ in range(K)]
+        H = [letter() for _ in range(M)]
+        if rng.random() < 0.3:
+            G.append(G[0].inverse())
+        if rng.random() < 0.3:
+            H.append(H[0].inverse())
+        T, S = letter(), letter()
+        yield OrbitInstance(T, S, GeneratorSystem(G), GeneratorSystem(H))
+
+
 def test_ow_draw_9_is_the_data_file():
     inst, v, w = next(itertools.islice(ow_draws(1000, 100), 9, None))
     assert (v.runs, w.runs) == (((0, 2),), ((0, 3), (1, 5)))
@@ -1013,18 +1054,14 @@ def test_f11_draw_137_is_the_data_file():
 
 def test_ow_wide_entry_draws_decide():
     # 3- and 4-digit entries: the relaxed start, and with it the witness
-    # scale, can pass 2^64 (draws 8, 9, 10, 13, 15 and 16 do)
-    decided = 0
+    # scale, can pass 2^64 (draws 8, 9, 10, 13, 15 and 16 do); every
+    # draw decides, draws 3, 5, 7 and 11 in the hard case with one side
+    # of rank <= 1
     for index, (inst, v, w) in enumerate(ow_draws(1000, 100, count=20)):
         assert verify_orbit_witness(inst, v, w), index  # planted
-        try:
-            d = decide_orbit(inst)
-        except UnsupportedInstance:
-            continue
+        d = decide_orbit(inst)
         assert d.verdict is Verdict.NONEMPTY, index
         assert verify_orbit_witness(inst, *d.witnesses), index
-        decided += 1
-    assert decided >= 18
 
 
 @pytest.mark.parametrize(
@@ -1110,14 +1147,24 @@ def test_hard_trace_reports_the_least_witness():
     assert step["witness_letters"] == total_letters(d.witnesses) == 4
 
 
+def spans_plane(triples):
+    """Whether the superdiagonals of the log triples span the plane: two
+    of them have a nonzero `cross`, the corner of their bracket."""
+    return any(cross(u, v) for u, v in itertools.combinations(triples, 2))
+
+
 def test_f11_hard_census(monkeypatch):
     # every hard draw of F11: verdicts, the least/corner/inflated split,
-    # the letters, and no witness longer than the one it replaces
-    hard = []
+    # the letters, and no witness longer than the one it replaces.  The
+    # draws whose cones meet with full dimension (both sides span the
+    # plane) are pinned apart from those with one side of rank <= 1.
+    hard, full = [], set()
     for index, inst in enumerate(f11_draws()):
         units = _integer_logs(inst.S, inst.G.mats, inst.H.mats)
-        if meet_of(units).full:
+        if meet_of(units) is None:
             hard.append((index, inst))
+            if spans_plane(units.g) and spans_plane(units.h):
+                full.add(index)
     least = {index: decide_orbit(inst) for index, inst in hard}
     hard_instances = dict(hard)
     budget = wordcraft.WITNESS_SEARCH_NODES
@@ -1135,9 +1182,10 @@ def test_f11_hard_census(monkeypatch):
         tried[index] = []
         decisions[index] = decide_orbit(inst)
     nonempty = [i for i, d in decisions.items() if d.verdict is Verdict.NONEMPTY]
-    assert len(hard) - len(nonempty) == 36 and len(nonempty) == 56
+    assert len(hard) - len(nonempty) == 67 and len(nonempty) == 74
+    assert len(full) - len(full & set(nonempty)) == 36 and len(full & set(nonempty)) == 56
     inflated = [i for i in nonempty if decisions[i].trace[0]["witness"] == "inflated"]
-    assert inflated == [159, 207]
+    assert inflated == [159, 207, 281]
     assert all(decisions[i].trace[0]["witness"] == "corner" for i in nonempty if i not in inflated)
 
     cap = orbit_module.CORNER_SHIFTS
@@ -1162,18 +1210,60 @@ def test_f11_hard_census(monkeypatch):
             assert step["witness_letters"] == tried[index][-1]
 
     # the least-count search: same verdicts and relaxed solutions, every
-    # witness from it, none longer than the shift search's
+    # witness of a full-dimensional meet from it, and none longer than
+    # the shift search's
     for index, d in least.items():
         assert d.verdict is decisions[index].verdict
         assert d.details.get("relaxed") == decisions[index].details.get("relaxed")
-    assert all(least[i].trace[0]["witness"] == "least" for i in nonempty)
-    letters = sorted(least[i].trace[0]["witness_letters"] for i in nonempty)
+    assert all(least[i].trace[0]["witness"] == "least" for i in nonempty if i in full)
+    # with one side of rank <= 1: 16 least witnesses, and two draws
+    # whose least-count search ends at its letter cap
+    rank_one = {i: least[i].trace[0]["witness"] for i in nonempty if i not in full}
+    assert list(rank_one.values()).count("least") == 16
+    assert {i: how for i, how in rank_one.items() if how != "least"} == {49: "corner", 168: "corner"}
+    letters = sorted(least[i].trace[0]["witness_letters"] for i in nonempty if i in full)
     assert statistics.median(letters) == 27 and letters[-1] == 405
     for i in nonempty:
         step = least[i].trace[0]
         assert verify_orbit_witness(hard_instances[i], *least[i].witnesses)
         assert step["witness_letters"] <= decisions[i].trace[0]["witness_letters"]
         assert step["search_nodes"] < budget
+
+
+def test_f11_and_e99_decide_and_agree_with_the_oracle():
+    # every draw of F11 and E99 ends in a verdict, but for four on which
+    # a budget fires.  The draws with a zero polar cone and a side of
+    # rank <= 1 have no separating functional, and their cones do not
+    # meet with full dimension; each of their Empty verdicts agrees with
+    # `bfs_oracle` at depth 5, and each NonEmpty one carries a witness
+    budget = collections.defaultdict(list)
+    verdicts = collections.Counter()
+    for family, draws in (("F11", f11_draws()), ("E99", e99_draws())):
+        for index, inst in enumerate(draws):
+            try:
+                d = decide_orbit(inst)
+            except BudgetExceeded:
+                budget[family].append(index)
+                continue
+            units = units_of(inst)
+            functional = meet_of(units)
+            if functional is None and spans_plane(units.g) and spans_plane(units.h):
+                continue  # the cones meet with full dimension
+            if functional not in (None, (0, 0)):
+                continue  # a separating functional
+            verdicts[family, d.details["case"], d.verdict.value] += 1
+            if d.verdict is Verdict.EMPTY:
+                assert bfs_oracle(inst, 5) is None, (family, index)
+            else:
+                assert verify_orbit_witness(inst, *d.witnesses), (family, index)
+    assert budget == {"F11": [29, 124], "E99": [337, 384]}
+    assert verdicts == {
+        ("F11", "hard", "empty"): 31,
+        ("F11", "hard", "nonempty"): 18,
+        ("E99", "hard", "empty"): 11,
+        ("E99", "hard", "nonempty"): 23,
+        ("E99", "easy", "empty"): 8,
+    }
 
 
 def split_relaxed(sol, K, M):
@@ -1281,7 +1371,7 @@ def hard_nonempty_cases():
     for index, inst in enumerate(f11_draws()):
         reduced = reduce_to_identity(inst)
         units = _integer_logs(reduced.S, inst.G.mats, inst.H.mats)
-        if meet_of(units).full:
+        if meet_of(units) is None:
             cases.append((f"f11-{index}", reduced))
     rng = random.Random(89)
     cases += [(f"random-{k}", random_hard_instance(rng)) for k in range(40)]
@@ -1295,6 +1385,12 @@ def hard_nonempty_cases():
     return out
 
 
+# the cases of `hard_nonempty_cases` whose least-count search ends at its
+# letter cap, each with one side of rank <= 1; the corner search finds
+# their witnesses
+LEAST_AT_CAP = {"f11-49", "f11-168", "random-3", "random-29"}
+
+
 @pytest.fixture(scope="module")
 def hard_nonempty():
     return hard_nonempty_cases()
@@ -1306,7 +1402,7 @@ def test_orbit_witness_matches_fraction_reference(hard_nonempty, monkeypatch):
     least_search_off(monkeypatch)
     names = [name for name, _, _ in hard_nonempty]
     assert {"f11-159", "f11-207"} <= set(names)
-    assert sum(name.startswith("f11") for name in names) == 56
+    assert sum(name.startswith("f11") for name in names) == 74
     assert sum(name.startswith("random") for name in names) >= 10
     hows = set()
     for name, inst, d in hard_nonempty:
@@ -1379,10 +1475,14 @@ def test_hard_witnesses_build_no_fraction(hard_nonempty, monkeypatch):
         assert again.witnesses == d.witnesses, name
         hows.add(again.trace[0]["witness"])
     assert hows == {"corner", "inflated"}
-    # and so does the least-count search
+    # and so does the least-count search, where it finds the witness
     monkeypatch.setattr(wordcraft, "WITNESS_SEARCH_NODES", budget)
-    hows = {decide_hard(units_of(inst), inst.options).trace[0]["witness"] for _, inst, _ in hard_nonempty}
-    assert hows == {"least"}
+    hows = {
+        name: decide_hard(units_of(inst), inst.options).trace[0]["witness"]
+        for name, inst, _ in hard_nonempty
+    }
+    assert {name for name, how in hows.items() if how != "least"} == LEAST_AT_CAP
+    assert {hows[name] for name in LEAST_AT_CAP} == {"corner"}
 
 
 def test_least_witness_is_the_least_realisable_count(hard_nonempty):
@@ -1395,6 +1495,9 @@ def test_least_witness_is_the_least_realisable_count(hard_nonempty):
         units = units_of(inst)
         relaxed = d.details["relaxed"]
         v, w, how, shift, nodes = extract_orbit_witness(units, relaxed)
+        if name in LEAST_AT_CAP:
+            assert how == "corner", name
+            continue
         assert how == "least" and shift is None and nodes > 0, name
         K, n = inst.G.K, inst.G.K + inst.H.K
         rows, rhs = _hard_system(units)
@@ -1428,8 +1531,8 @@ def test_least_witness_is_the_least_realisable_count(hard_nonempty):
 
 
 def random_hard_instance(rng):
-    """A random orbit instance, T = I, whose cones meet in dimension 2:
-    K, M in 1..3, every entry a Fraction with numerator in -3..3 and
+    """A random orbit instance, T = I, of the hard case (a zero polar
+    cone and a nonzero bracket, `meet_of` None): K, M in 1..3, every entry a Fraction with numerator in -3..3 and
     denominator in 1..3 (the entries of F11)."""
 
     def elem():
@@ -1440,7 +1543,7 @@ def random_hard_instance(rng):
         H = GeneratorSystem([elem() for _ in range(rng.randint(1, 3))])
         S = elem()
         units = _integer_logs(S, G.mats, H.mats)
-        if meet_of(units).full:
+        if meet_of(units) is None:
             return OrbitInstance(IDENT, S, G, H)
 
 
@@ -1533,7 +1636,7 @@ def hard_instances(draw):
 @given(hard_instances())
 def test_hard_branches_match_fraction_reference_hypothesis(inst):
     units = _integer_logs(inst.S, inst.G.mats, inst.H.mats)
-    assert meet_of(units).full
+    assert meet_of(units) is None
     assert_hard_matches_reference(inst)
 
 
@@ -1638,25 +1741,48 @@ def test_parity_obstruction_family():
         assert bfs_oracle(inst, 8) is None
 
 
-def test_fallback_commutator_membership():
+def test_commutator_membership_is_hard():
+    # the plane against a ray inside it: P = {0} and G has a nonzero
+    # bracket, so the hard case decides; [X, Y] = h3(0, 0, 1)
     G = gsys(X, Y, X.inverse(), Y.inverse())
     H = gsys(IDENT)
     inst = orbit(IDENT, h3(0, 0, 1), G, H)
+    assert meet_of(units_of(inst)) is None
     d = decide_orbit(inst)
     assert d.verdict is Verdict.NONEMPTY
-    assert d.details["case"] == "fallback"
+    assert d.details["case"] == "hard"
     assert verified(inst, d)
 
 
-def test_unsupported_raises_when_fallback_finds_nothing():
-    # full plane against an interior ray, with an unreachable target
+def test_half_commutator_membership_is_empty():
+    # the same cones with a target off the corner lattice: the parities
+    # of the hard case rule it out at every length
     G = gsys(X, Y, X.inverse(), Y.inverse())
     H = gsys(IDENT)
-    inst = orbit(
-        IDENT, h3(0, 0, Fraction(1, 2)), G, H, oracle_depth=4
-    )
-    with pytest.raises(UnsupportedInstance):
-        decide_orbit(inst)
+    inst = orbit(IDENT, h3(0, 0, Fraction(1, 2)), G, H)
+    d = decide_orbit(inst)
+    assert d.verdict is Verdict.EMPTY
+    assert d.details["case"] == "hard"
+    assert bfs_oracle(inst, 8) is None
+
+
+def test_collinear_sides_run_the_easy_case_on_the_zero_functional():
+    # G = {X, X^-1} and H = {Y, Y^-1}: P = {0}, and neither side has a
+    # nonzero bracket.  T<G> = {X^a} and S<H> = {S Y^b} meet iff
+    # S = X^a Y^-b, a product of a power of X and one of Y
+    G, H = gsys(X, X.inverse()), gsys(Y, Y.inverse())
+    nonempty = orbit(IDENT, h3(1, -1, -1), G, H)
+    empty = orbit(IDENT, h3(1, -1, 0), G, H)
+    for inst in (nonempty, empty):
+        assert meet_of(units_of(inst)) == (0, 0)
+    d = decide_orbit(nonempty)
+    assert d.verdict is Verdict.NONEMPTY and d.details["case"] == "easy"
+    assert d.trace[0]["functional"] == (0, 0)
+    assert verified(nonempty, d)
+    d = decide_orbit(empty)
+    assert d.verdict is Verdict.EMPTY and d.details["case"] == "easy"
+    assert d.trace[0]["functional"] == (0, 0)
+    assert bfs_oracle(empty, 6) is None
 
 
 def random_h3_elem(rng, bound=2):
@@ -1674,8 +1800,8 @@ def random_system(rng, k, bound=2):
 
 
 def test_oracle_agreement_sample(rng):
-    # small version of the acceptance criterion, mixed cases
-    checked = 0
+    # small version of the acceptance criterion, mixed cases; every draw
+    # decides
     for _ in range(60):
         inst = orbit(
             random_h3_elem(rng, 1),
@@ -1683,17 +1809,12 @@ def test_oracle_agreement_sample(rng):
             random_system(rng, rng.randint(1, 2)),
             random_system(rng, rng.randint(1, 2)),
         )
-        try:
-            d = decide_orbit(inst)
-        except UnsupportedInstance:
-            continue
-        checked += 1
+        d = decide_orbit(inst)
         found = bfs_oracle(inst, 6)
         if d.verdict is Verdict.EMPTY:
             assert found is None
         else:
             assert verified(inst, d)
-    assert checked >= 40
 
 
 def test_membership_specialization(rng):
@@ -1702,10 +1823,7 @@ def test_membership_specialization(rng):
         g_sys = random_system(rng, rng.randint(1, 2), bound=1)
         s = random_h3_elem(rng, 1)
         inst = orbit(IDENT, s, g_sys, gsys(IDENT))
-        try:
-            d = decide_orbit(inst)
-        except UnsupportedInstance:
-            continue
+        d = decide_orbit(inst)
         found = bfs_oracle(inst, 6)
         if found is not None:
             assert d.verdict is Verdict.NONEMPTY
@@ -1714,12 +1832,12 @@ def test_membership_specialization(rng):
 
 
 def test_decide_easy_requires_low_dimension():
-    # a meet of dimension 2, and one of dimension 1 without a separating
-    # functional (the plane against a ray), carry no functional
+    # the hard case carries no functional: a meet of dimension 2, and the
+    # plane against a ray inside it
     plane = gsys(X, Y, h3(-1, 0, 0), h3(0, -1, 0))
     for G, H in ((gsys(X, Y), gsys(X, Y)), (plane, gsys(h3(1, 1, 0)))):
         units = units_of(orbit(IDENT, IDENT, G, H))
-        functional = meet_of(units).separating_functional
+        functional = meet_of(units)
         assert functional is None
         with pytest.raises(ValueError):
             decide_easy(units, functional, {})
