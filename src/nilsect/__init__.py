@@ -34,7 +34,6 @@ from .linsolve import (
     eliminate,
     lp_feasible,
     support_nonneg,
-    IntegerSolutionSet,
     hnf_solve,
     ilp_feasible_nonneg,
     cone_intersect_dim,

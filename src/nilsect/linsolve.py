@@ -30,15 +30,18 @@ Contents:
   infeasible one a remainder LP that ends the loop when no later
   uncovered column can be positive; a rational point scales to an
   integer one by homogeneity);
-* complete integer solution sets of A x = b via a column Hermite
-  reduction with recorded transformation;
-* the integer points of A x = b with x >= lower, in nondecreasing
-  sum(x) and lexicographic order within one sum, by a depth-first walk
-  over an echelon basis of the lattice, under a cap on sum(x) and a
-  node budget (`PointSearch`);
-* small-scale integer feasibility with sign constraints, by one
-  depth-first branch-and-bound over the exact LP relaxation per call,
-  capped at ILP_NODE_CAP relaxations per call;
+* an integer solution of A x = b via a column Hermite reduction with
+  recorded transformation;
+* the one integer point search: the integer points of A x = b with
+  x >= lower, in nondecreasing sum(x) and lexicographic order within one
+  sum, by a depth-first walk over an echelon basis of the lattice, each
+  depth bounded by the exact rational projection of the bounds
+  (Fourier-Motzkin elimination, built once per search), under a cap on
+  sum(x) and a node budget (`PointSearch`);
+* the least nonnegative integer point of A x = b under side conditions
+  (`ilp_feasible_nonneg`): one such walk per choice of nonzero members,
+  capped by the proximity theorem of Eisenbrand and Weismantel, under
+  one budget of ILP_NODE_CAP walk nodes per call;
 * finitely generated cones in Q^2, each given as the list of its
   int-pair generators: the functional the easy orbit case runs on, or
   none for the hard case, from the feasible rays of the one polar cone
@@ -72,7 +75,8 @@ def _row_reduce(rows, pivot_order):
     """Gauss-Jordan reduction choosing pivot columns in the given order.
 
     Entries are ints, checked where the rows are made: `eliminate`
-    passes rows it has checked, and its own primitive rows.  Returns
+    passes rows it has checked, and its own primitive rows, and
+    `ilp_feasible_nonneg` rows it has checked.  Returns
     (reduced_rows, pivots), where pivots lists (row_index, col_index) in
     the order found: the pivot for a column is the first row not yet used
     whose entry there is nonzero.  Every row comes back as a primitive
@@ -272,45 +276,6 @@ def _phase1(rows, n):
     return nums, den
 
 
-def _simplex_feasible(rows, rhs, lower, upper=None):
-    """Feasible x for {rows . x = rhs, lower_j <= x_j <= upper_j}, as
-    (nums, den), or None.
-
-    `lower` has one bound per variable; `upper` is a per-variable list
-    whose None entries are unbounded, or None for no upper bounds at all.
-    Entries of rows, rhs and bounds are ints; any other entry is a
-    TypeError.  Variables are shifted to nonnegative ones, and upper
-    bounds become slack rows; the standard-form rows go to `_phase1` as
-    they are.  A slack is an integer minus its shifted variable, so
-    dropping the slacks keeps the point reduced.
-    """
-    nvars = len(lower)
-    bounded = [j for j in range(nvars) if upper and upper[j] is not None]
-    _require_ints(
-        itertools.chain(*rows, rhs, lower, (upper[j] for j in bounded)), "an LP"
-    )
-    width = nvars + len(bounded)
-
-    int_rows = []
-    for row, target in zip(rows, rhs):
-        out = [0] * (width + 1)
-        out[:nvars] = row
-        out[width] = target - sum(coef * lower[j] for j, coef in enumerate(row) if coef and lower[j])
-        int_rows.append(out)
-    for s, j in enumerate(bounded):
-        out = [0] * (width + 1)
-        out[j] = 1
-        out[nvars + s] = 1
-        out[width] = upper[j] - lower[j]
-        int_rows.append(out)
-
-    point = _phase1(int_rows, width)
-    if point is None:
-        return None
-    u, den = point
-    return [lo * den + v for lo, v in zip(lower, u)], den
-
-
 def lp_feasible(rows, rhs, lower):
     """A point (nums, den) with rows . nums = den * rhs and nums_j >=
     den * lower[j], or None.
@@ -319,8 +284,10 @@ def lp_feasible(rows, rhs, lower):
     homogeneous system, a lower bound of 1 expresses strict positivity
     up to scaling).  Entries of rows, rhs and lower are ints; any other
     entry is a TypeError, so a rational system is passed with each row
-    cleared of its denominators.  Exact arithmetic, no tolerances: the
-    returned point satisfies everything exactly.
+    cleared of its denominators.  The variables are shifted to the
+    nonnegative u = x - lower, and the standard-form rows (A | b - A
+    lower) go to `_phase1` as they are.  Exact arithmetic, no
+    tolerances: the returned point satisfies everything exactly.
 
     Scaling: for one positive integer c, the system c A x = c b, with the
     same bounds, returns the same point as A x = b.  The bounds do not
@@ -344,7 +311,16 @@ def lp_feasible(rows, rhs, lower):
     The lemma needs one c for all rows: distinct factors c_i weight the
     artificials in the cost differently, and the pivots can then differ.
     """
-    return _simplex_feasible(rows, rhs, lower)
+    _require_ints(itertools.chain(*rows, rhs, lower), "an LP")
+    shifted = [
+        [*row, target - sum(coef * lo for coef, lo in zip(row, lower) if coef and lo)]
+        for row, target in zip(rows, rhs)
+    ]
+    point = _phase1(shifted, len(lower))
+    if point is None:
+        return None
+    u, den = point
+    return [lo * den + v for lo, v in zip(lower, u)], den
 
 
 def support_nonneg(rows, k) -> tuple:
@@ -400,23 +376,6 @@ def support_nonneg(rows, k) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Integer linear systems
-
-
-@dataclass(frozen=True)
-class IntegerSolutionSet:
-    """All integer solutions of A x = b: particular + integer span of basis.
-
-    `particular` is None when the system has no integer solution; the
-    lattice basis vectors span the integer kernel of A, so the full
-    solution set is particular + Z-combinations of the basis.
-    """
-
-    particular: tuple | None
-    lattice_basis: tuple
-
-    @property
-    def feasible(self) -> bool:
-        return self.particular is not None
 
 
 def _column_echelon(A, m):
@@ -506,23 +465,26 @@ def _integer_system(A, b):
     return A, b
 
 
-def hnf_solve(A, b) -> IntegerSolutionSet:
-    """Complete integer solution set of A x = b, for int entries.
+def hnf_solve(A, b):
+    """An integer solution of A x = b, as a tuple, or None when there is
+    none, for int entries.
 
     Column-reduces A with a recorded unimodular transform U; the echelon
     system H y = b solves by forward substitution, requiring exact
-    divisibility at every pivot.  Solutions are x = U y; kernel basis =
-    columns of U over the pivot-free columns of H.
+    divisibility at every pivot, and the solution is x = U y.  Every
+    integer solution is x plus an integer combination of the columns of
+    U over the pivot-free columns of H, which the same `_column_echelon`
+    of A stacked over the identity gives.
 
     Row scaling: for positive integers c_r, the system diag(c) A x =
-    diag(c) b gets the same `particular` and `lattice_basis` as A x = b.
-    Column operations commute with scaling a row, so row r of H stays
-    c_r times its unscaled row throughout: its nonzero columns, its
-    entry of least absolute value (the first on ties), the floor
-    quotients and the sign flips are all the same, hence so are U and
-    the pivots.  In the substitution, row r's residual and pivot are c_r
-    times the unscaled ones, so the quotients agree and a remainder or a
-    pivot-free residual is nonzero in both systems or in neither.
+    diag(c) b gets the same solution as A x = b.  Column operations
+    commute with scaling a row, so row r of H stays c_r times its
+    unscaled row throughout: its nonzero columns, its entry of least
+    absolute value (the first on ties), the floor quotients and the sign
+    flips are all the same, hence so are U and the pivots.  In the
+    substitution, row r's residual and pivot are c_r times the unscaled
+    ones, so the quotients agree and a remainder or a pivot-free residual
+    is nonzero in both systems or in neither.
     """
     A, b = _integer_system(A, b)
     m = len(A)
@@ -532,23 +494,12 @@ def hnf_solve(A, b) -> IntegerSolutionSet:
     if len(b) != m:
         raise ValueError("rhs length mismatch")
     if k == 0:
-        if any(b):
-            return IntegerSolutionSet(None, ())
-        return IntegerSolutionSet((), ())
-
+        return None if any(b) else ()
     H, pivots = _column_echelon([*A, *_identity(k)], m)
     y = _substitute(H, pivots, b)
     if y is None:
-        return IntegerSolutionSet(None, ())
-    U = H[m:]
-    particular = tuple(
-        sum(U[i][j] * y[j] for j in range(k) if y[j]) for i in range(k)
-    )
-    pivot_cols = {c for _, c in pivots}
-    kernel = tuple(
-        tuple(U[i][j] for i in range(k)) for j in range(k) if j not in pivot_cols
-    )
-    return IntegerSolutionSet(particular, kernel)
+        return None
+    return tuple(sum(map(mul, row, y)) for row in H[m:])
 
 
 def _affine_range(terms):
@@ -570,6 +521,47 @@ def _affine_range(terms):
     return lo, hi
 
 
+def _depth_bounds(rows, depth):
+    """The bounds of a `PointSearch` walk, by Fourier-Motzkin elimination
+    of u_{depth-1}, ..., u_1 from the rows (a, k), each the inequality
+    a + k . u >= 0 over integer u = (u_0, ..., u_{depth-1}).
+
+    Entry d of the returned list holds (a, k[:d], k[d]) for each row of
+    the system S_d with k[d] != 0, the rows the walk checks at depth d;
+    the result is None when a row without nonzero coefficients has
+    a < 0.  A derived row is divided by the gcd of its coefficients with
+    its constant floored, and after e eliminations a row combined from
+    more than e + 1 input rows is dropped (`PointSearch` proves both
+    valid).  The input rows are tracked as bits of an int.
+    """
+    current = [(a, k, 1 << i) for i, (a, k) in enumerate(rows)]
+    levels = []
+    for d in reversed(range(depth)):
+        pos = [row for row in current if row[1][d] > 0]
+        neg = [row for row in current if row[1][d] < 0]
+        levels.append([(a, k[:d], k[d]) for a, k, _ in pos + neg])
+        current = [(a, k[:d], used) for a, k, used in current if not k[d]]
+        if not d:
+            break
+        most = depth - d + 1
+        for a1, k1, used1 in pos:
+            for a2, k2, used2 in neg:
+                used = used1 | used2
+                if used.bit_count() > most:
+                    continue
+                p, n = k1[d], -k2[d]
+                k = [n * x + p * y for x, y in zip(k1[:d], k2[:d])]
+                a = n * a1 + p * a2
+                g = gcd(*k)
+                if g > 1:
+                    k = [v // g for v in k]
+                    a //= g
+                current.append((a, k, used))
+    if any(a < 0 for a, _, _ in current):
+        return None
+    return levels[::-1]
+
+
 class PointSearch:
     """The integer points x of rows . x = rhs with x >= lower and
     sum(x) <= cap, in nondecreasing sum(x) and, within one sum,
@@ -580,7 +572,10 @@ class PointSearch:
     visited so far; the walk visits at most `budget` of them, and when
     it would visit one more it raises BudgetExceeded instead, so the
     points it yields up to then are those of the unbudgeted walk, in the
-    same order.
+    same order.  The set-up reads neither `cap` nor `budget`, so a
+    caller may set either before iterating.  `first_level` is the level
+    at which the walk starts, or None when the set-up already shows that
+    no cap gives a point.
 
     The walk runs on one lattice.  With the level s = sum(x) as a
     coordinate of its own, placed first, the points (s, x) with
@@ -594,16 +589,80 @@ class PointSearch:
     fix every coordinate above p_c, and u_c moves coordinate p_c upward:
     ordering the u lexicographically orders the points (s, x)
     lexicographically, which is nondecreasing s with x lexicographic
-    within one s.
+    within one s.  A depth-first walk gives u_0, u_1, ... their values in
+    increasing order; a node is one value of one u_d, and a node of the
+    last u_d is a point.
 
-    A depth-first walk gives u_0, u_1, ... their values in increasing
-    order.  A node is one value of one u_c that meets every bound of
-    `_span` once the coordinates up to p_{c+1} - 1 are fixed.  Each
-    bound is affine in u_c, so the values are one interval
-    (`_affine_range`), and a finite one: s <= cap bounds it when p_c is
-    the level, and otherwise x_i >= lower_i on a coordinate where C_c is
-    negative, or the slack where it is not.  A node of the last u_c is a
-    point.
+    The bounds.  In u, each x_i >= lower_i is an integer row
+    a + k . u >= 0 (a = q_i - lower_i, k_c = C_c[i]), and s <= cap reads
+    cap - q_0 - C_0[0] u_0 >= 0, since C_c[0] = 0 for c >= 1.  Let S_{L-1}
+    be the n rows of x >= lower, L the number of u, and let S_{d-1} come
+    from S_d by Fourier-Motzkin elimination of u_d (`_depth_bounds`):
+    the rows with k_d = 0, and for each row P with k_d > 0 and row N
+    with k_d < 0 the row (-N_d) P + P_d N.  The walk takes u_d from the
+    interval (`_affine_range`) of the rows of S_d with k_d != 0; the
+    rows that are constant are checked once, before the walk.  The cap's
+    row has k_d = 0 for every d >= 1, so it would pass unchanged into
+    every S_d: the elimination leaves it out, and the walk adds it at
+    depth 0, so the set-up does not depend on the cap.
+
+    * Exact projection.  Without rounding or dropping, S_{d-1} is the
+      projection of S_d onto u_0 .. u_{d-1}: for fixed u_0 .. u_{d-1},
+      each P bounds u_d below and each N above, and a rational u_d meets
+      them all iff every lower bound is at most every upper bound and
+      the rows without u_d hold; the pair (P, N) is that condition for
+      its two bounds, times P_d (-N_d) > 0.  By induction S_d, and so
+      each depth's interval, is the exact rational projection of the LP
+      region {rows . x = rhs, x >= lower} onto u_0 .. u_d.
+    * Rounding.  A derived row a + k . u >= 0 with g = gcd(k) > 0 becomes
+      (k / g) . u + floor(a / g) >= 0: for integer u, (k / g) . u is an
+      integer at least -a / g, so at least ceil(-a / g) =
+      -floor(a / g).  By induction every integer u_0 .. u_d that extends
+      to an integer point meets the rounded S_d, so the walk misses no
+      point, and rounding only shrinks the rational projection.
+    * Chernikov's rule.  A row of S_d is sum lambda_i R_i over the input
+      rows R_i with lambda >= 0; its support I is the set of rows it was
+      combined from.  After e eliminations, the rows whose multipliers
+      vanish on the e eliminated coordinates form a pointed cone; on an
+      extreme ray the rows of its support have a one-dimensional
+      dependency over those e coordinates, so the support has at most
+      e + 1 rows.  Fourier-Motzkin without dropping yields multipliers
+      that generate the cone (each elimination pairs the rows that a
+      nonnegative combination with k_d = 0 decomposes into), so every
+      extreme ray is a positive multiple of a row's multiplier, of
+      support at most e + 1, which the rule keeps.  A row with |I| >
+      e + 1 has a multiplier that is a sum of extreme rays, so, constant
+      included, it is a nonnegative combination of kept rows: dropping
+      it keeps the exact projection, the kept rows still generate the
+      cone for the next elimination, and rounding only tightens the
+      kept rows.
+    * Each row once.  A row of S_d with k_d = 0 passes unchanged into
+      S_{d-1}, where it already held; so every row is checked at the one
+      depth of its last nonzero coefficient, when all its u are fixed.
+      Every row of S_{L-1} is among them, so each leaf is a point.
+    * Finite intervals.  With s <= cap the region is bounded, so its
+      recession cone is {0}, and so is that of each projection, which
+      the rows' coefficients alone describe (the rules above are the
+      same for every constant).  So e_d and -e_d each break a row of
+      S_d, a row with k_d != 0: each depth's interval is finite.  Without the cap,
+      the rows of depth 0 still bound u_0 below when C_0[0] > 0, because
+      s >= sum(lower) on the region; so `first_level`, the level at the
+      interval's lower end, is at least the LP minimum of sum(x) and at
+      most the least sum(x) of an integer point.
+
+    The proximity cap (`ilp_feasible_nonneg`).  Eisenbrand and
+    Weismantel (SODA 2018): for integer A of m rows with
+    Delta = max |A_ij|, if {A y = b', y >= 0} has an integer point, then
+    within l1 distance m (2 m Delta + 1)^m of an LP vertex minimising
+    sum(y) lies an integer point minimising sum(y).  With y = x - lower
+    and b' = rhs - A lower the matrix, and so Delta, is the same, and
+    sum(x) = sum(lower) + sum(y).  When the system has a point, a maximal
+    set of linearly independent rows has the same points, and its
+    entries are entries of A; the bound grows with m and Delta, so m may
+    be the rank of A and Delta the largest entry of all of A.  So if an
+    integer point exists, the least sum(x) of one is at most the LP
+    minimum plus m (2 m Delta + 1)^m, hence at most `first_level` plus
+    that: a walk with that cap yields the least point, if there is one.
     """
 
     def __init__(self, rows, rhs, lower, cap, budget):
@@ -612,124 +671,79 @@ class PointSearch:
         _require_ints([*lower, cap, budget], "a point search bound")
         if any(len(row) != len(lower) for row in rows):
             raise ValueError("row length does not match the lower bounds")
-        self.rows, self.rhs, self.lower = rows, rhs, lower
         self.cap, self.budget = cap, budget
         self.nodes = 0
-
-    def __iter__(self):
-        n, m = len(self.lower), len(self.rows)
+        self.first_level = None
+        n, m = len(lower), len(rows)
         # column j is (rows e_j, 1, e_j): column operations keep the
         # point (s, x) = (sum(x), x) of each column below its row image
-        stacked = [*self.rows, [1] * n, *_identity(n)]
+        stacked = [*rows, [1] * n, *_identity(n)]
         echelon, pivots = _column_echelon(stacked, m + 1 + n)
-        y = _substitute(echelon, pivots, self.rhs)
+        y = _substitute(echelon, pivots, rhs)
         if y is None:
             return
         q = [sum(map(mul, row, y)) for row in echelon[m:]]
         cols = [[row[c] for row in echelon[m:]] for r, c in pivots if r >= m]
-        starts = [r - m for r, _ in pivots if r >= m] + [n + 1]
-        spans = [
-            self._span(start, stop, col)
-            for start, stop, col in zip(starts, starts[1:], cols)
-        ]
+        # x_i = a + k . u for each (a, k) of _point
+        self._point = [(a, [col[i] for col in cols]) for i, a in enumerate(q) if i]
+        self._levels = _depth_bounds(
+            [(a - low, k) for (a, k), low in zip(self._point, lower)], len(cols)
+        )
+        if self._levels is None:
+            return
+        # s = q_0 + C_0[0] u_0, and C_0[0] = 0 when s is constant
+        self._level = q[0], cols[0][0] if cols else 0
+        self._start = _affine_range([(a, k) for a, _, k in self._levels[0]]) if cols else (0, 0)
+        if self._start is not None:
+            self.first_level = q[0] + self._level[1] * self._start[0]
 
-        def walk(c, cur):
-            if c == len(cols):
-                yield tuple(cur[1:])
-                return
-            span = spans[c](cur)
-            if span is None:
-                return
-            lo, hi = span
-            col = cols[c]
-            vec = [a + lo * k for a, k in zip(cur, col)]
-            for _ in range(hi - lo + 1):
+    def __iter__(self):
+        if self.first_level is None or self.first_level > self.cap:
+            return
+        point, levels = self._point, self._levels
+        depth = len(levels)
+        u = [0] * depth
+
+        def walk(d, lo, hi):
+            for value in range(lo, hi + 1):
                 if self.nodes == self.budget:
                     raise BudgetExceeded(
                         f"point search passed {self.budget} nodes", budget=self.budget
                     )
                 self.nodes += 1
-                yield from walk(c + 1, vec)
-                vec = [a + k for a, k in zip(vec, col)]
+                u[d] = value
+                if d + 1 == depth:
+                    yield tuple(a + sum(map(mul, k, u)) for a, k in point)
+                    continue
+                span = _affine_range(
+                    [(a + sum(map(mul, k, u)), kd) for a, k, kd in levels[d + 1]]
+                )
+                if span is not None:
+                    yield from walk(d + 1, *span)
 
-        if self._span(0, starts[0], [0] * (n + 1))(q):
-            yield from walk(0, q)
-
-    def _span(self, start, stop, col):
-        """The values of u for which p = cur + u col meets every bound of
-        the walk on coordinates 0 .. stop - 1 of p = (s, x), as a
-        function of cur giving (lo, hi) or None (`_affine_range`).
-
-        The bounds, each affine in u: those of coordinates start ..
-        stop - 1, then, once s is fixed, the slack, and while some x
-        remain, the range test of each row.  With y_i = x_i - lower_i >= 0
-        on the x not yet fixed, the slack sum(y) = s - (fixed x) - (their
-        lower bounds) is >= 0.  A row a needs a . (remaining x) =
-        t - a . (fixed x), and the left side lies between
-        a . lower + min(a) sum(y) and a . lower + max(a) sum(y), a and
-        lower over the remaining coordinates.
-        """
-        lower, cap = self.lower, self.cap
-        coords = [(i, lower[i - 1], col[i]) for i in range(max(start, 1), stop)]
-        if start == 0 < stop:
-            coords.append((0, sum(lower), col[0]))
-            top = -col[0]  # s <= cap
-        else:
-            top = None
-        rest = lower[stop - 1 :] if stop else ()
-        floor = sum(rest)
-        dslack = col[0] - sum(col[1:stop])
-        tests = [
-            (
-                row,
-                t - sum(map(mul, row[stop - 1 :], rest)),
-                min(row[stop - 1 :]),
-                max(row[stop - 1 :]),
-                -sum(map(mul, row, col[1:stop])),
-            )
-            for row, t in zip(self.rows, self.rhs)
-            if rest
-        ]
-
-        def span(cur):
-            terms = [(cur[i] - low, k) for i, low, k in coords]
-            if top is not None:
-                terms.append((cap - cur[0], top))
-            if stop:
-                fixed = cur[1:stop]
-                slack = cur[0] - sum(fixed) - floor
-                terms.append((slack, dslack))
-                for row, t, least, most, dres in tests:
-                    res = t - sum(map(mul, row, fixed))
-                    terms.append((res - least * slack, dres - least * dslack))
-                    terms.append((most * slack - res, most * dslack - dres))
-            return _affine_range(terms)
-
-        return span
+        if not depth:
+            yield tuple(a for a, _ in point)
+            return
+        lo, hi = self._start
+        q0, c00 = self._level
+        if c00:
+            top = (self.cap - q0) // c00
+            hi = top if hi is None else min(hi, top)
+        yield from walk(0, lo, hi)
 
 
-# LP relaxations one call of `ilp_feasible_nonneg` may solve, over all
-# of its roots, before it gives up
-ILP_NODE_CAP = 5000
-
-
-def _solution_box_bound(A, b, lower):
-    """B such that {Ax=b, x>=lower} feasible implies a solution with
-    lower <= x <= lower + B.
-
-    Standard small-solution bound for equality-form integer programs,
-    taken with generous constants, applied to x - lower >= 0; only used
-    to prune branch-and-bound.
-    """
-    m = len(A)
-    shifted = [t - sum(a * lo for a, lo in zip(row, lower) if lo) for row, t in zip(A, b)]
-    amax = max([2] + [abs(x) for row in A for x in row] + [abs(x) for x in shifted])
-    return (len(lower) + 2) * ((m + 2) * amax) ** (2 * m + 3)
+# Walk nodes one call of `ilp_feasible_nonneg` may visit, over all of its
+# roots, before it gives up.  At 10^6, 2994 of the 3000 systems of
+# `tests/test_linsolve.py::seeded_ilp_system` (seed 20240817) are
+# decided, the costliest at 101,412 nodes; 10^5 decides 2993.  E99 draws
+# 337 and 384 (`tests/test_orbit.py::e99_draws`) need 2,180 and 1,164.
+ILP_NODE_CAP = 1_000_000
 
 
 def ilp_feasible_nonneg(A, b, nonzero_groups=()):
-    """Nonnegative integer point of A x = b honoring side conditions, or
-    None, for int entries (any other entry is a TypeError).
+    """The least nonnegative integer point of A x = b honoring side
+    conditions, or None, for int entries (any other entry is a
+    TypeError).
 
     `nonzero_groups` is a list of index groups; each group must not be
     all-zero in the solution.  Groups are handled disjunctively: one root
@@ -737,69 +751,39 @@ def ilp_feasible_nonneg(A, b, nonzero_groups=()):
     order, whose chosen members are bounded below by 1 (by the number of
     times chosen, when groups share a member).
 
-    A Hermite pre-reduction comes first (no integer solutions at all, or
-    a zero-dimensional kernel, settle the call at once).  Then one
-    branch-and-bound over the exact LP relaxation searches every root,
-    branching on the smallest-index fractional variable, depth first with
-    the lower branch first; each root's subtree is searched whole before
-    the next root.  Branch bounds are clamped to the finite solution box
-    of their root, which makes the search finite; a call that needs more
-    than ILP_NODE_CAP LP relaxations over all its roots raises
-    BudgetExceeded.
+    Each root is one `PointSearch` walk with its lower bounds, capped at
+    its `first_level` plus m (2 m Delta + 1)^m, m the rank of A
+    (`_row_reduce`) and Delta its largest entry in absolute value: by the
+    proximity theorem as `PointSearch` applies it, the walk's first point
+    is the root's least point by sum(x) and then lexicographically, and
+    the walk ends without a point only when the root has none.  The
+    result is the first root's least point, and None only when no root
+    has a point.  A call whose walks would visit more than ILP_NODE_CAP
+    nodes over all its roots raises BudgetExceeded.
     """
     A, b = _integer_system(A, b)
     k = len(A[0]) if A else 0
-    roots = []
+    m = len(_row_reduce(A, range(k))[1])
+    delta = max((abs(v) for row in A for v in row), default=0)
+    proximity = m * (2 * m * delta + 1) ** m
+    nodes = 0
     for choice in itertools.product(*nonzero_groups):
         lower = [0] * k
         for g in choice:
             lower[g] += 1
-        roots.append(lower)
-    if not roots:
-        return None  # an empty group can never be made nonzero
-    zsol = hnf_solve(A, b)
-    if not zsol.feasible:
-        return None
-    if not zsol.lattice_basis:
-        x = zsol.particular
-        fits = any(all(v >= lo for v, lo in zip(x, lower)) for lower in roots)
-        return x if fits else None
-
-    # depth first: the down branch x_frac <= floor is pushed last, so its
-    # whole subtree is searched before the up branch x_frac >= floor + 1;
-    # the roots go on in reverse, so the first choice is searched first
-    stack = []
-    for lower in reversed(roots):
-        box = _solution_box_bound(A, b, lower)
-        stack.append((lower, [None] * k, [lo + box for lo in lower]))
-    nodes = 0
-    while stack:
-        lower, upper, cap = stack.pop()
-        nodes += 1
-        if nodes > ILP_NODE_CAP:
-            raise BudgetExceeded(
-                f"branch-and-bound passed {ILP_NODE_CAP} LP relaxations",
-                budget=ILP_NODE_CAP,
-            )
-        point = _simplex_feasible(A, b, lower, upper)
-        if point is None:
+        search = PointSearch(A, b, lower, 0, ILP_NODE_CAP - nodes)
+        if search.first_level is None:
             continue
-        nums, den = point
-        if den == 1:
-            return tuple(nums)
-        frac = next(j for j in range(k) if nums[j] % den)
-        fl = nums[frac] // den
-        down = min(fl, cap[frac])
-        up = fl + 1
-        if up <= cap[frac] and (upper[frac] is None or up <= upper[frac]):
-            l2 = list(lower)
-            l2[frac] = up
-            stack.append((l2, upper, cap))
-        if down >= lower[frac]:
-            u2 = list(upper)
-            if u2[frac] is None or down < u2[frac]:
-                u2[frac] = down
-            stack.append((lower, u2, cap))
+        search.cap = search.first_level + proximity
+        try:
+            point = next(iter(search), None)
+        except BudgetExceeded:
+            raise BudgetExceeded(
+                f"integer point search passed {ILP_NODE_CAP} nodes", budget=ILP_NODE_CAP
+            ) from None
+        if point is not None:
+            return point
+        nodes += search.nodes
     return None
 
 

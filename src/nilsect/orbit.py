@@ -582,7 +582,7 @@ def decide_hard(units: IntegerLogs, options) -> Decision:
     right-hand side included, with q_r = D/E for the superdiagonals and
     2 D^2 / E for the corner.  Writing q_r = u/v with positive integers,
     both systems scale to one integer system (the cleared row by u, this
-    one by v), and `hnf_solve` returns the same particular solution for
+    one by v), and `hnf_solve` returns the same solution for
     positively scaled rows (see its docstring).  So every branch, its
     residues and the witness are those of the rational system, whatever
     D is.
@@ -604,9 +604,9 @@ def decide_hard(units: IntegerLogs, options) -> Decision:
         shifted = [t - sum(map(mul, row, res)) for row, t in zip(rows, rhs)]
 
         sol = hnf_solve(doubled, shifted)
-        if not sol.feasible:
+        if sol is None:
             continue
-        relaxed = tuple(2 * h + r for h, r in zip(sol.particular, res))
+        relaxed = tuple(2 * h + r for h, r in zip(sol, res))
         if any(sum(map(mul, row, relaxed)) != t for row, t in zip(rows, rhs)):
             raise AssertionError("relaxed solution fails its system (defect)")
         if any((v - p) % 2 for v, p in zip(relaxed[K + M :], _parities(relaxed, K, M))):

@@ -307,10 +307,10 @@ def realize_word(counts, delta) -> Word:
 # hard orbit and intersection witnesses alike.  It bounds the nodes of
 # that search only: past it the witness comes from the caller's
 # fallback, never from BudgetExceeded.  The most nodes a hard orbit
-# witness took were 234 on the NonEmpty `orbit-hard` instances of bench
-# seeds 1, 2, 7 and 11, and 3337 on the F11 draws (`tests/test_orbit.py`);
-# one F13 draw needs 137,509.  An intersection witness took at most 196
-# on `intersect-witness` seeds 1, 2, 3 and 11, and 8692 on IW(3, 3).
+# witness took were 165 on the NonEmpty `orbit-hard` instances of bench
+# seeds 1, 2, 7 and 11, and 5788 on the F11 draws (`tests/test_orbit.py`);
+# one F13 draw needs 1,333.  An intersection witness took at most 122
+# on `intersect-witness` seeds 1, 2, 3 and 11, and 2849 on IW(3, 3).
 WITNESS_SEARCH_NODES = 20_000
 
 

@@ -379,10 +379,10 @@ def test_extract_witness_solves_no_lp(monkeypatch):
     instances = _small_nonempty()
     decisions = [decide_intersection(inst) for inst in instances]
     calls = []
-    real = linsolve._simplex_feasible
+    real = linsolve.lp_feasible
     monkeypatch.setattr(
         linsolve,
-        "_simplex_feasible",
+        "lp_feasible",
         lambda *args: calls.append(args) or real(*args),
     )
     for inst, d in zip(instances, decisions):

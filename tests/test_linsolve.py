@@ -2,7 +2,6 @@ import collections
 import itertools
 import math
 import random
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +11,6 @@ from hypothesis import strategies as st
 
 from nilsect import (
     BudgetExceeded,
-    IntegerSolutionSet,
     cone_intersect_dim,
     decide_intersection,
     eliminate,
@@ -23,7 +21,7 @@ from nilsect import (
     support_nonneg,
 )
 from nilsect import intersect, linsolve
-from nilsect.linsolve import ILP_NODE_CAP, _row_reduce, _simplex_feasible
+from nilsect.linsolve import _column_echelon, _identity, _row_reduce
 
 from conftest import cleared, fractions_of, nullspace, subspace_basis, subspace_contains
 
@@ -402,107 +400,18 @@ def _reference_phase1(A, b, n, stats):
     return u
 
 
-def _reference_simplex_feasible(rows, rhs, lower, upper=None, stats=None):
-    """The standard form of `_simplex_feasible`, built over Fractions."""
+def _reference_simplex_feasible(rows, rhs, lower, stats=None):
+    """The standard form of `lp_feasible`, built over Fractions."""
     if stats is None:
         stats = {"ties": 0, "pivots": 0}
-    zero, one = Fraction(0), Fraction(1)
     nvars = len(lower)
-    eq_rows = [list(map(Fraction, r)) for r in rows]
-    eq_rhs = [Fraction(x) for x in rhs]
-    upper_rows = []
-    for j in range(nvars):
-        u = upper[j] if upper else None
-        if u is not None:
-            extra = [zero] * nvars
-            extra[j] = one
-            eq_rows.append(extra)
-            eq_rhs.append(Fraction(u))
-            upper_rows.append(len(eq_rows) - 1)
     shifts = [Fraction(lo) for lo in lower]
-    ncols = nvars + len(upper_rows)
-    A = [[zero] * ncols for _ in eq_rows]
-    b = []
-    for i, row in enumerate(eq_rows):
-        acc = eq_rhs[i]
-        for j in range(nvars):
-            coef = row[j]
-            if coef:
-                acc -= coef * shifts[j]
-                A[i][j] += coef
-        b.append(acc)
-    for s, i in enumerate(upper_rows):
-        A[i][nvars + s] = one
-    u = _reference_phase1(A, b, ncols, stats)
+    A = [list(map(Fraction, row)) for row in rows]
+    b = [Fraction(t) - sum(a * lo for a, lo in zip(row, shifts)) for row, t in zip(A, rhs)]
+    u = _reference_phase1(A, b, nvars, stats)
     if u is None:
         return None
     return [shifts[j] + u[j] for j in range(nvars)]
-
-
-def _reference_ilp_search(A, b, nonzero_groups=(), lp=_reference_simplex_feasible):
-    """The ILP as one branch-and-bound per choice of nonzero-group
-    members: the choice is substituted away (x = x' + bump, b shifted by
-    A bump), and each choice runs its own Hermite checks and recursive
-    branch-and-bound on x' >= 0, over the LP `lp` (the Fraction tableau
-    by default).  Nodes are counted over the whole call, against
-    `linsolve.ILP_NODE_CAP` as it is at call time."""
-    k = len(A[0]) if A else 0
-    groups = [list(g) for g in nonzero_groups]
-    if any(not g for g in groups):
-        return None
-    cap = linsolve.ILP_NODE_CAP
-    nodes = 0
-
-    def search(rhs):
-        zsol = hnf_solve(A, rhs)
-        if not zsol.feasible:
-            return None
-        if not zsol.lattice_basis:
-            x = zsol.particular
-            return x if all(v >= 0 for v in x) else None
-        box = linsolve._solution_box_bound(A, rhs, [0] * k)
-
-        def recurse(lower, upper):
-            nonlocal nodes
-            nodes += 1
-            if nodes > cap:
-                raise BudgetExceeded("reference node cap", budget=cap)
-            point = lp(A, rhs, lower, upper)
-            if point is None:
-                return None
-            frac = next((j for j in range(k) if point[j].denominator != 1), None)
-            if frac is None:
-                return tuple(int(v) for v in point)
-            v = point[frac]
-            fl = v.numerator // v.denominator
-            down = min(fl, box)
-            up = fl + 1
-            if down >= lower[frac]:
-                u2 = list(upper)
-                if u2[frac] is None or down < u2[frac]:
-                    u2[frac] = down
-                found = recurse(lower, u2)
-                if found is not None:
-                    return found
-            if up <= box and (upper[frac] is None or up <= upper[frac]):
-                l2 = list(lower)
-                l2[frac] = up
-                return recurse(l2, upper)
-            return None
-
-        return recurse([0] * k, [None] * k)
-
-    for choice in itertools.product(*groups):
-        shifted = list(b)
-        bump = [0] * k
-        for g in choice:
-            for i in range(len(A)):
-                shifted[i] -= A[i][g]
-            bump[g] += 1
-        sol = search(shifted)
-        if sol is not None:
-            return tuple(v + extra for v, extra in zip(sol, bump))
-    return None
 
 
 def _random_rational(rng, bound):
@@ -510,9 +419,8 @@ def _random_rational(rng, bound):
 
 
 def _random_bounded_system(rng):
-    """Integer rows with rational ones cleared, and integer bounds: 0, 1
-    or anything in -3..3 below, and in some variables an upper bound at
-    most 4 above (or below) the lower one."""
+    """Integer rows with rational ones cleared, and integer lower bounds:
+    0, 1 or anything in -3..3."""
     nvars = rng.randint(1, 5)
     m = rng.randint(0, 4)
     if rng.random() < 0.3:
@@ -526,15 +434,8 @@ def _random_bounded_system(rng):
         ]
         rhs = [_random_rational(rng, 6) for _ in range(m)]
         rows, rhs = _cleared_system(rows, rhs)
-    lower, upper = [], []
-    for _ in range(nvars):
-        lo = rng.choice((0, 1, rng.randint(-3, 3)))
-        lower.append(lo)
-        if rng.random() < 0.35:
-            upper.append(lo + rng.randint(-4, 4))
-        else:
-            upper.append(None)
-    return rows, rhs, lower, upper
+    lower = [rng.choice((0, 1, rng.randint(-3, 3))) for _ in range(nvars)]
+    return rows, rhs, lower
 
 
 def test_simplex_returns_reference_points(rng):
@@ -543,10 +444,10 @@ def test_simplex_returns_reference_points(rng):
     stats = {"ties": 0, "pivots": 0}
     feasible = infeasible = 0
     for _ in range(600):
-        rows, rhs, lower, upper = _random_bounded_system(rng)
-        want = _reference_simplex_feasible(rows, rhs, lower, upper, stats)
-        got = _simplex_feasible(rows, rhs, lower, upper)
-        assert fractions_of(got) == want, (rows, rhs, lower, upper)
+        rows, rhs, lower = _random_bounded_system(rng)
+        want = _reference_simplex_feasible(rows, rhs, lower, stats)
+        got = lp_feasible(rows, rhs, lower)
+        assert fractions_of(got) == want, (rows, rhs, lower)
         if got is None:
             infeasible += 1
         else:
@@ -571,7 +472,7 @@ def test_simplex_reference_points_on_degenerate_supports(rng):
         for i in range(k):
             lower = [0] * k
             lower[i] = 1
-            want = _reference_simplex_feasible(rows, [0] * len(rows), lower, None, stats)
+            want = _reference_simplex_feasible(rows, [0] * len(rows), lower, stats)
             got = lp_feasible(rows, [0] * len(rows), lower)
             assert fractions_of(got) == want
     assert stats["ties"] > 100
@@ -591,22 +492,21 @@ def _bounded_systems(draw):
     rhs = draw(st.lists(_rationals, min_size=m, max_size=m))
     bound = st.integers(-5, 5)
     lower = draw(st.lists(bound, min_size=nvars, max_size=nvars))
-    upper = draw(st.lists(st.one_of(st.none(), bound), min_size=nvars, max_size=nvars))
-    return *_cleared_system(rows, rhs), lower, upper
+    return *_cleared_system(rows, rhs), lower
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_bounded_systems())
 def test_simplex_matches_reference_hypothesis(system):
-    rows, rhs, lower, upper = system
-    want = _reference_simplex_feasible(rows, rhs, lower, upper)
-    assert fractions_of(_simplex_feasible(rows, rhs, lower, upper)) == want
+    rows, rhs, lower = system
+    want = _reference_simplex_feasible(rows, rhs, lower)
+    assert fractions_of(lp_feasible(rows, rhs, lower)) == want
 
 
-def _reference_simplex_point(rows, rhs, lower, upper=None):
+def _reference_simplex_point(rows, rhs, lower):
     """`_reference_simplex_feasible`'s point as (nums, den) over its least
     common denominator, the form the solvers return."""
-    point = _reference_simplex_feasible(rows, rhs, lower, upper)
+    point = _reference_simplex_feasible(rows, rhs, lower)
     if point is None:
         return None
     den = math.lcm(*(v.denominator for v in point))
@@ -631,7 +531,7 @@ def test_witnesses_match_reference_lp(monkeypatch):
 
         got = answer()
         with monkeypatch.context() as patch:
-            patch.setattr(linsolve, "_simplex_feasible", _reference_simplex_point)
+            patch.setattr(linsolve, "lp_feasible", _reference_simplex_point)
             want = answer()
         assert got == want
         checked += 1
@@ -833,24 +733,31 @@ def test_cover_loop_matches_per_coordinate_loop_hypothesis(shape):
         _check_cover_loop(rows, k, monkeypatch)
 
 
+def lattice_basis(A):
+    """A basis of the integer kernel of A: the columns of U over the
+    pivot-free columns of the column echelon form of A stacked over the
+    identity (`_column_echelon`), the reduction `hnf_solve` runs."""
+    m, k = len(A), len(A[0])
+    H, pivots = _column_echelon([*A, *_identity(k)], m)
+    pivot_cols = {c for _, c in pivots}
+    return [tuple(row[j] for row in H[m:]) for j in range(k) if j not in pivot_cols]
+
+
 def test_hnf_examples():
-    r = hnf_solve([[2, 4]], [6])
-    assert r.feasible
-    x = r.particular
+    x = hnf_solve([[2, 4]], [6])
     assert 2 * x[0] + 4 * x[1] == 6
-    assert len(r.lattice_basis) == 1
-    k = r.lattice_basis[0]
+    (k,) = lattice_basis([[2, 4]])
     assert 2 * k[0] + 4 * k[1] == 0 and k != (0, 0)
-    assert not hnf_solve([[2]], [1]).feasible
-    r = hnf_solve([[1, 1]], [0])
-    assert r.particular == (0, 0) or sum(r.particular) == 0
-    assert len(r.lattice_basis) == 1
+    assert hnf_solve([[2]], [1]) is None
+    x = hnf_solve([[1, 1]], [0])
+    assert x == (0, 0) or sum(x) == 0
+    assert len(lattice_basis([[1, 1]])) == 1
 
 
-def solve_in_lattice(sol: IntegerSolutionSet, x):
+def solve_in_lattice(particular, basis, x):
     """Integer combination of the basis reaching x - particular, or None."""
-    diff = [a - b for a, b in zip(x, sol.particular)]
-    basis = [list(b) for b in sol.lattice_basis]
+    diff = [a - b for a, b in zip(x, particular)]
+    basis = [list(b) for b in basis]
     if not basis:
         return [] if all(v == 0 for v in diff) else None
     ncols = len(basis)
@@ -906,7 +813,7 @@ def test_integer_solvers_refuse_non_int_entries():
     ):
         with pytest.raises(TypeError, match="is not an int"):
             call()
-    assert hnf_solve([[2]], [4]).particular == (2,)
+    assert hnf_solve([[2]], [4]) == (2,)
     assert ilp_feasible_nonneg([[1, 1]], [5]) is not None
 
 
@@ -920,7 +827,6 @@ FRACTION_ENTRIES = {
     "lp_feasible-row": lambda: lp_feasible([(Fraction(1, 2), 1)], [1], [0, 0]),
     "lp_feasible-rhs": lambda: lp_feasible([(1, 1)], [Fraction(1, 2)], [0, 0]),
     "lp_feasible-lower": lambda: lp_feasible([(1, 1)], [1], [0, Fraction(1, 2)]),
-    "simplex-upper": lambda: _simplex_feasible([(1, 1)], [1], [0, 0], [None, Fraction(1, 2)]),
     "hnf_solve": lambda: hnf_solve([[Fraction(1, 2)]], [1]),
     "ilp_feasible_nonneg": lambda: ilp_feasible_nonneg([[1, 1]], [Fraction(5, 2)]),
     "cone_intersect_dim": lambda: cone_intersect_dim([(Fraction(1, 2), 1)], []),
@@ -937,32 +843,31 @@ def test_hnf_matches_box_brute_force(rng):
     for _ in range(15):
         A = [[rng.randint(-5, 5) for _ in range(4)] for _ in range(3)]
         b = [rng.randint(-5, 5) for _ in range(3)]
-        sol = hnf_solve(A, b)
+        x0 = hnf_solve(A, b)
         box = range(-20, 21)
         brute = _box_solutions(A, b, box)
-        if not sol.feasible:
+        if x0 is None:
             assert not brute
             continue
-        x0 = sol.particular
         assert all(
             sum(a * v for a, v in zip(row, x0)) == t for row, t in zip(A, b)
         )
-        for k in sol.lattice_basis:
+        basis = lattice_basis(A)
+        for k in basis:
             assert all(sum(a * v for a, v in zip(row, k)) == 0 for row in A)
         for x in brute:
-            assert solve_in_lattice(sol, x) is not None
+            assert solve_in_lattice(x0, basis, x) is not None
 
 
 def assert_row_scaling_keeps_solution(A, b, scales):
     """`hnf_solve` on diag(scales) A x = diag(scales) b returns the
-    particular solution and lattice basis of A x = b."""
+    solution of A x = b, and the reduction the same kernel basis."""
     scaled_A = [[c * v for v in row] for c, row in zip(scales, A)]
     scaled_b = [c * v for c, v in zip(scales, b)]
     want = hnf_solve(A, b)
-    got = hnf_solve(scaled_A, scaled_b)
-    assert got.particular == want.particular
-    assert got.lattice_basis == want.lattice_basis
-    return want.feasible
+    assert hnf_solve(scaled_A, scaled_b) == want
+    assert lattice_basis(scaled_A) == lattice_basis(A)
+    return want is not None
 
 
 def test_hnf_solve_ignores_positive_row_scaling(rng):
@@ -1190,41 +1095,6 @@ def test_point_search_checks_its_input():
     assert list(linsolve.PointSearch([[1, -1]], [0], [1, 1], 1, 10)) == []
 
 
-def test_ilp_search_matches_reference_order(rng):
-    # the explicit stack visits the recursive search's nodes in its order,
-    # so the same first integer point comes back
-    compared = 0
-    for _ in range(120):
-        k = rng.randint(2, 4)
-        A = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rng.randint(1, 2))]
-        b = [rng.randint(-4, 4) for _ in A]
-        zsol = hnf_solve(A, b)
-        if not zsol.feasible or not zsol.lattice_basis:
-            continue
-        try:
-            want = ilp_outcome(_reference_ilp_search, A, b)
-        except RecursionError:
-            # the recursion gave out; the stack search must end cleanly
-            got = ilp_outcome(ilp_feasible_nonneg, A, b)
-            if got is not None and got[0] == "BudgetExceeded":
-                continue
-            assert got is not None and all(v >= 0 for v in got)
-            assert all(sum(a * v for a, v in zip(row, got)) == t for row, t in zip(A, b))
-            continue
-        assert ilp_outcome(ilp_feasible_nonneg, A, b) == want, (A, b)
-        compared += 1
-    assert compared > 40
-
-
-def ilp_outcome(solve, A, b, nonzero_groups=()):
-    """The point or None that `solve` returns, or ("BudgetExceeded",
-    budget) when it gives up."""
-    try:
-        return solve(A, b, nonzero_groups)
-    except BudgetExceeded as exc:
-        return ("BudgetExceeded", exc.budget)
-
-
 def seeded_ilp_system(rng, index):
     """A system shaped like the orbit easy case's: 1 to 3 rows, 2 to 6
     columns, entries of absolute value at most 16, and in half of the
@@ -1244,83 +1114,138 @@ def seeded_ilp_system(rng, index):
     return A, b, ([], [range(k)], split, split)[index % 4]
 
 
-def test_ilp_matches_per_choice_search(rng, monkeypatch):
-    # one search over every root returns the point, None or budget of one
-    # search per choice of group members; a cap of 150 keeps the budget
-    # draws quick and the reference's recursion shallow, and the integer
-    # tableau, pinned to the Fraction one above, keeps the reference quick
-    monkeypatch.setattr(linsolve, "ILP_NODE_CAP", 150)
-    kinds = collections.Counter()
+def root_lowers(k, nonzero_groups):
+    """The lower bounds of the roots of `ilp_feasible_nonneg`, in
+    `itertools.product` order: 1 on each chosen member, more when
+    groups share it."""
+    for choice in itertools.product(*nonzero_groups):
+        yield [choice.count(j) for j in range(k)]
 
-    def reference(A, b, groups):
-        return _reference_ilp_search(
-            A, b, groups, lp=lambda *args: fractions_of(_simplex_feasible(*args))
-        )
 
-    for index in range(600):
+def least_root_point(A, b, nonzero_groups, points):
+    """Reference for `ilp_feasible_nonneg`: the least of `points` (every
+    nonnegative integer point of A x = b) by (sum(x), x) above the lower
+    bounds of the first root, in product order, that has one; None when
+    no root has one."""
+    for lower in root_lowers(len(A[0]), nonzero_groups):
+        fits = [x for x in points if all(v >= low for v, low in zip(x, lower))]
+        if fits:
+            return min(fits, key=lambda x: (sum(x), x))
+    return None
+
+
+def random_bounded_ilp(rng):
+    """1 to 3 rows over 1 to 4 columns whose first row is positive
+    (entries 1..3, right-hand side at most 9), so every nonnegative point
+    lies in 0..9 per column; the other rows have entries in -3..3.  The
+    right-hand side is A x0 for x0 in 0..2 in half of the draws.  Up to
+    two nonzero groups, rarely an empty one.  Returns (A, b, groups, the
+    nonnegative integer points)."""
+    k, m = rng.randint(1, 4), rng.randint(1, 3)
+    A = [[rng.randint(1, 3) for _ in range(k)]]
+    A += [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m - 1)]
+    if rng.random() < 0.5:
+        x0 = [rng.randint(0, 2) for _ in range(k)]
+        b = [sum(a * v for a, v in zip(row, x0)) for row in A]
+        b[0] = min(b[0], 9)
+    else:
+        b = [rng.randint(0, 9)] + [rng.randint(-6, 6) for _ in range(m - 1)]
+    groups = [
+        rng.sample(range(k), rng.randint(0 if rng.random() < 0.05 else 1, k))
+        for _ in range(rng.randint(0, 2))
+    ]
+    points = [
+        x
+        for x in itertools.product(range(10), repeat=k)
+        if all(sum(a * v for a, v in zip(row, x)) == t for row, t in zip(A, b))
+    ]
+    return A, b, groups, points
+
+
+def assert_ilp_matches_box(A, b, groups, points):
+    got = ilp_feasible_nonneg(A, b, groups)
+    assert got == least_root_point(A, b, groups, points), (A, b, groups)
+    return got
+
+
+def test_ilp_returns_the_least_point_of_the_first_root(rng):
+    outcomes = collections.Counter()
+    for _ in range(400):
+        A, b, groups, points = random_bounded_ilp(rng)
+        got = assert_ilp_matches_box(A, b, groups, points)
+        outcomes["none" if got is None else "point", len(groups)] += 1
+    # points and refutations, with no, one and two groups
+    assert all(outcomes[kind, n] >= 10 for kind in ("none", "point") for n in (0, 1, 2))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_ilp_returns_the_least_point_of_the_first_root_hypothesis(drawn_rng):
+    assert_ilp_matches_box(*random_bounded_ilp(drawn_rng))
+
+
+def test_ilp_on_orbit_shaped_systems(rng):
+    # unbounded systems: a point solves its system and precedes every
+    # box point of its root, no earlier root has a box point, and None
+    # means that no root has one
+    points = 0
+    for index in range(300):
         A, b, groups = seeded_ilp_system(rng, index)
-        want = ilp_outcome(reference, A, b, groups)
-        assert ilp_outcome(ilp_feasible_nonneg, A, b, groups) == want, (A, b, groups)
-        if want is None:
-            kinds["none"] += 1
-        elif want[0] == "BudgetExceeded":
-            kinds["budget"] += 1
-        else:
-            kinds["point", len(groups)] += 1
-    assert kinds["none"] + sum(v for key, v in kinds.items() if key[0] == "point") >= 500
-    assert kinds["none"] >= 50 and kinds["budget"] >= 1
-    assert all(kinds["point", n] >= 50 for n in (0, 1, 2))
+        k = len(A[0])
+        box = [
+            x
+            for x in itertools.product(range(4), repeat=k)
+            if all(sum(a * v for a, v in zip(row, x)) == t for row, t in zip(A, b))
+        ]
+        got = ilp_feasible_nonneg(A, b, groups)
+        if got is None:
+            assert least_root_point(A, b, groups, box) is None, (A, b, groups)
+            continue
+        points += 1
+        assert all(sum(a * v for a, v in zip(row, got)) == t for row, t in zip(A, b))
+        for lower in root_lowers(k, groups):
+            fits = [x for x in box if all(v >= low for v, low in zip(x, lower))]
+            if all(v >= low for v, low in zip(got, lower)):
+                assert all((sum(got), got) <= (sum(x), x) for x in fits), (A, b, groups)
+                break
+            assert not fits, (A, b, groups)
+    assert points >= 100
 
 
-def test_ilp_node_cap_counts_relaxations_over_all_roots(monkeypatch):
-    # 3x + 3y + 2z = 4 has the point (0, 0, 2), but none with x >= 1 or
-    # y >= 1: each of the two roots is refuted after 7 relaxations, and
-    # the cap counts the 14 of the call
-    A, b, groups = [[3, 3, 2]], [4], [[0, 1]]
-    assert ilp_feasible_nonneg(A, b) == (0, 0, 2)
-    calls = []
-    real = linsolve._simplex_feasible
+def test_ilp_node_cap_is_shared_over_roots(monkeypatch):
+    # 2x + 3y = 3 has no point with x >= 1, whose walk runs over the
+    # free z up to its cap, and (0, 1, 0) with y >= 1: the cap counts the
+    # walk nodes of both roots, and fires after exactly that many
+    A, b, groups = [[2, 3, 0]], [3], [[0, 1]]
+    searches = []
 
-    def counting(rows, rhs, lower, upper=None):
-        calls.append((list(lower), list(upper)))
-        return real(rows, rhs, lower, upper)
+    class Spy(linsolve.PointSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
 
-    monkeypatch.setattr(linsolve, "_simplex_feasible", counting)
-    second_root = ([0, 1, 0], [None] * 3)
-    assert ilp_feasible_nonneg(A, b, groups) is None
-    assert len(calls) == 14 and calls.index(second_root) == 7
-    calls.clear()
-    monkeypatch.setattr(linsolve, "ILP_NODE_CAP", 10)
-    with pytest.raises(BudgetExceeded) as caught:
-        ilp_feasible_nonneg(A, b, groups)
-    assert caught.value.budget == linsolve.ILP_NODE_CAP == 10
-    assert len(calls) == 10 and calls[7] == second_root
-
-
-def test_ilp_node_cap_bounds_a_diving_search():
-    # depth first keeps diving into y <= 0, where x - z = 3/2 has no
-    # integer point; the cap ends the search instead of the stack
-    start = time.perf_counter()
-    with pytest.raises(BudgetExceeded) as caught:
-        ilp_feasible_nonneg([[-2, 3, 2]], [-3])
-    assert caught.value.budget == ILP_NODE_CAP
-    assert time.perf_counter() - start < 10
+    monkeypatch.setattr(linsolve, "PointSearch", Spy)
+    assert ilp_feasible_nonneg(A, b, groups) == (0, 1, 0)
+    first, second = (search.nodes for search in searches)
+    assert first > second > 0
+    for cap in (first, first + second - 1):
+        searches.clear()
+        monkeypatch.setattr(linsolve, "ILP_NODE_CAP", cap)
+        with pytest.raises(BudgetExceeded) as caught:
+            ilp_feasible_nonneg(A, b, groups)
+        assert caught.value.budget == cap
+        assert sum(search.nodes for search in searches) == cap
+    monkeypatch.setattr(linsolve, "ILP_NODE_CAP", first + second)
+    assert ilp_feasible_nonneg(A, b, groups) == (0, 1, 0)
 
 
-ILP_DIVING_DEFECT = (
-    "linsolve.ilp_feasible_nonneg still branches on x depth first, so it dives into a "
-    "branch without integer points and ends in BudgetExceeded after 5000 "
-    "relaxations instead of returning a point; branching in HNF lattice "
-    "coordinates (ROADMAP item 4) is the fix"
-)
-
-
-@pytest.mark.xfail(strict=True, raises=BudgetExceeded, reason=ILP_DIVING_DEFECT)
 @pytest.mark.parametrize(
     "A, b, point",
     [([[-2, 3, 2]], [-3], (3, 1, 0)), ([[-3, 2, -2]], [1], (1, 2, 0))],
 )
 def test_ilp_finds_point_past_a_diving_branch(A, b, point):
+    # a branch-and-bound on x, depth first, dives into a branch without
+    # integer points on both systems
     assert all(sum(a * v for a, v in zip(row, point)) == t for row, t in zip(A, b))
     got = ilp_feasible_nonneg(A, b)
     assert got is not None and all(v >= 0 for v in got)

@@ -911,13 +911,13 @@ def test_balance_skip_matches_unskipped_loop_hypothesis(drawn_rng):
     assert_skip_matches_reference(random_easy_instance(drawn_rng))
 
 
-def f11_draws(count=300):
+def f11_draws(count=300, seed=11, letters=3):
     """The first `count` draws of the F11 fuzz family, in order:
-    random.Random(11); each draw takes K, M in 1..3, then T, S, the K
-    elements of G and the M elements of H, each element's a, b and c a
-    Fraction with numerator in -3..3 and denominator in 1..3, drawn in
-    that order."""
-    rng = random.Random(11)
+    random.Random(seed); each draw takes K, M in 1..letters, then T, S,
+    the K elements of G and the M elements of H, each element's a, b and
+    c a Fraction with numerator in -3..3 and denominator in 1..3, drawn
+    in that order.  F13 is seed 13 with 5 letters, F14 seed 14 with 6."""
+    rng = random.Random(seed)
 
     def elem():
         return h3(
@@ -925,7 +925,7 @@ def f11_draws(count=300):
         )
 
     for _ in range(count):
-        K, M = rng.randint(1, 3), rng.randint(1, 3)
+        K, M = rng.randint(1, letters), rng.randint(1, letters)
         T, S = elem(), elem()
         G = [elem() for _ in range(K)]
         H = [elem() for _ in range(M)]
@@ -1256,7 +1256,7 @@ def test_f11_and_e99_decide_and_agree_with_the_oracle():
                 assert bfs_oracle(inst, 5) is None, (family, index)
             else:
                 assert verify_orbit_witness(inst, *d.witnesses), (family, index)
-    assert budget == {"F11": [29, 124], "E99": [337, 384]}
+    assert budget == {"F11": [29, 124]}
     assert verdicts == {
         ("F11", "hard", "empty"): 31,
         ("F11", "hard", "nonempty"): 18,
@@ -1264,6 +1264,33 @@ def test_f11_and_e99_decide_and_agree_with_the_oracle():
         ("E99", "hard", "nonempty"): 23,
         ("E99", "easy", "empty"): 8,
     }
+
+
+def test_e99_draws_337_and_384_decide():
+    # the easy case's integer systems of both draws once ended in the
+    # node cap of the ILP's branch-and-bound
+    draws = list(e99_draws(385))
+    empty = decide_orbit(draws[337])
+    assert empty.verdict is Verdict.EMPTY and empty.details["case"] == "easy"
+    assert bfs_oracle(draws[337], 5) is None
+    nonempty = decide_orbit(draws[384])
+    assert nonempty.verdict is Verdict.NONEMPTY and nonempty.details["case"] == "easy"
+    assert verify_orbit_witness(draws[384], *nonempty.witnesses)
+    assert total_letters(nonempty.witnesses) == 7
+
+
+@pytest.mark.parametrize(
+    "seed, letters, index, witness_letters", [(13, 5, 70, 70), (14, 6, 43, 56)]
+)
+def test_more_letter_draws_get_least_witnesses(seed, letters, index, witness_letters):
+    # F13 draw 70 and F14 draw 43: the least-count search once spent its
+    # 20,000 nodes before its first point, and the shift search gave
+    # corner witnesses of 23,778 and 261,163 letters
+    inst = next(itertools.islice(f11_draws(index + 1, seed, letters), index, None))
+    d = decide_orbit(inst)
+    step = d.trace[0]
+    assert step["witness"] == "least" and step["witness_letters"] == witness_letters
+    assert verify_orbit_witness(inst, *d.witnesses)
 
 
 def split_relaxed(sol, K, M):
@@ -1580,8 +1607,8 @@ def reference_hard_branches(inst):
             t - sum(coef * r for coef, r in zip(row, res)) for row, t in zip(rows, rhs)
         ]
         sol = hnf_solve(int_rows, cleared(shifted))
-        if sol.feasible:
-            relaxed = tuple(2 * h + r for h, r in zip(sol.particular, res))
+        if sol is not None:
+            relaxed = tuple(2 * h + r for h, r in zip(sol, res))
             return residue, branches, relaxed
     return None, branches, None
 
